@@ -1,49 +1,43 @@
 //! The perf-trajectory report for the Monte-Carlo engine.
 //!
-//! Three kinds of rows, all asserted bit-identical where the determinism
-//! contract applies, written to `BENCH_report.json` under the core-aware
-//! schema of [`mmtag_bench::report`]:
+//! Rows, all asserted bit-identical where the determinism contract
+//! applies, written to `BENCH_report.json` under the core-aware schema of
+//! [`mmtag_bench::report`]:
 //!
+//! * **kernel costs** at one thread — the BER and outage lane kernels,
+//!   the Gaussian fill, the 1024-point FFT, the Aloha drain loop and the
+//!   city engine — as raw timings plus per-work-unit costs in
+//!   `ns_per_bit`, whose named rows `--verify` requires. A kernel
+//!   regression is judged against the previous run of the repository
+//!   benchmark (`BENCHMARK.json`, `perfbench`), not against an older
+//!   implementation kept for comparison;
 //! * **serial → parallel** speedups of the engine hot paths (single-point
-//!   BER, an 8-point BER sweep, an Aloha inventory ensemble) — PR 1's
-//!   headline numbers, at *pinned* thread counts (1 and 4). A pinned
-//!   count the host cannot physically run in parallel (fewer cores than
-//!   threads) is **skipped**: bit-identity is still asserted, but the
-//!   timing row becomes `null` with a reason in `skipped` — a time-sliced
-//!   "speedup" is a measurement of the scheduler, not the pool;
-//! * **old-kernel → batch-kernel** speedups at one thread — PR 3's
-//!   headline, kept for the trajectory: sampler-v1 allocating chains vs
-//!   the zero-allocation scratch kernels;
-//! * **batch-kernel → lane-kernel** speedups at one thread — this PR's
-//!   headline (`*_lanes_vs_batch`, `fft1024_radix4_vs_radix2`): the PR 3
-//!   batch kernels vs the fixed-width SoA rewrites (fused Box–Muller
-//!   pipeline, lane-accumulator BER/outage counters, radix-4 FFT). These
-//!   rows are **gated**: `--verify` fails if any slips below 0.9×
-//!   (see [`mmtag_bench::report::verify_report`]);
-//! * **city-engine** rows — this PR's headline: the sharded
-//!   calendar-queue DES against the heap-scheduler reference on a
-//!   10⁵–10⁶-tag city (`city_calendar_vs_heap_des`, gated at the same
-//!   0.9 floor), its `par{t}` pool rows, and the `throughput` block
-//!   (`*_tags_per_sec`, `*_events_per_sec`) `--verify` requires.
+//!   BER, an 8-point BER sweep, an Aloha inventory ensemble, the city
+//!   engine) at *pinned* thread counts (1 and 4). A pinned count the host
+//!   cannot physically run in parallel (fewer cores than threads) is
+//!   **skipped**: bit-identity is still asserted, but the timing row
+//!   becomes `null` with a reason in `skipped` — a time-sliced "speedup"
+//!   is a measurement of the scheduler, not the pool;
+//! * the city engine's `throughput` block (`*_tags_per_sec`,
+//!   `*_events_per_sec`), the serving rows and the rate-region rows
+//!   `--verify` requires.
 //!
 //! Modes: no args = full-fidelity run; `--quick` = small timing rounds so
-//! `scripts/check.sh` can regenerate and validate the report on every
+//! `scripts/check.sh` can regenerate and validate a report on every
 //! check in seconds; `--verify` = don't benchmark at all, just require
-//! that `BENCH_report.json` exists, parses, and passes the schema gate
-//! (exit 1 otherwise).
+//! that `BENCH_report.json` in the working directory exists, parses, and
+//! passes the schema gate (exit 1 otherwise).
 
 use mmtag_bench::report::{verify_report, Report};
 use mmtag_bench::timing::{bench_with, format_result, BenchResult};
 use mmtag_channel::fading::{FadeScratch, RicianFading};
 use mmtag_mac::aloha::{
-    inventory_ensemble_par_with, inventory_until_drained, inventory_until_drained_scratch,
-    AlohaScratch, QAlgorithm,
+    inventory_ensemble_par_with, inventory_until_drained_scratch, AlohaScratch, QAlgorithm,
 };
 use mmtag_mac::city::{CityConfig, CityEngine};
 use mmtag_phy::waveform::{
-    ber_sweep_par_with, count_bit_errors_reference, count_bit_errors_scratch,
-    count_bit_errors_scratch_batch, measure_ber_par_with, Awgn, OokModem, TrialScratch,
-    MC_CHUNK_BITS,
+    ber_sweep_par_with, count_bit_errors_scratch, measure_ber_par_with, Awgn, OokModem,
+    TrialScratch, MC_CHUNK_BITS,
 };
 use mmtag_rf::complex::Complex;
 use mmtag_rf::fft::FftPlan;
@@ -110,47 +104,10 @@ fn main() {
     let mut ns_per_bit: Vec<(String, f64)> = Vec::new();
     let mut throughput: Vec<(String, f64)> = Vec::new();
 
-    let pair = |name: &str,
-                results: &mut Vec<BenchResult>,
-                speedups: &mut Vec<(String, Option<f64>)>,
-                baseline: BenchResult,
-                improved: BenchResult| {
-        speedups.push((name.to_string(), Some(improved.speedup_over(&baseline))));
-        results.push(baseline);
-        results.push(improved);
-    };
-
-    // ---- old kernel vs batch kernel vs lane kernel, all serial ----
+    // ---- kernel costs, all serial ----
     //
-    // Three generations of the same BER computation over the same chunk
-    // decomposition: the sampler-v1 allocating chain (PR 1), the
-    // zero-allocation AoS batch kernel (PR 3, kept as
-    // `count_bit_errors_scratch_batch`), and the fixed-width SoA lane
-    // kernel that replaced it in the hot loops (this PR). All three are
-    // bit-identical in their error counts.
-    let chunk_errors_old = || {
-        let mut total = 0u64;
-        let chunks = BER_BITS.div_ceil(MC_CHUNK_BITS);
-        for ci in 0..chunks {
-            let n = MC_CHUNK_BITS.min(BER_BITS - ci * MC_CHUNK_BITS);
-            let mut rng = tree.rng_indexed("ber-chunk", ci as u64);
-            total += count_bit_errors_reference(&modem, 7.0, n, true, &mut rng) as u64;
-        }
-        total as f64 / BER_BITS as f64
-    };
-    let chunk_errors_batch = || {
-        let awgn = Awgn::for_eb_n0(&modem, 7.0);
-        let mut scratch = TrialScratch::new();
-        let mut total = 0u64;
-        let chunks = BER_BITS.div_ceil(MC_CHUNK_BITS);
-        for ci in 0..chunks {
-            let n = MC_CHUNK_BITS.min(BER_BITS - ci * MC_CHUNK_BITS);
-            let mut rng = tree.rng_indexed("ber-chunk", ci as u64);
-            total += count_bit_errors_scratch_batch(&modem, &awgn, n, true, &mut rng, &mut scratch)
-                as u64;
-        }
-        total as f64 / BER_BITS as f64
-    };
+    // The BER lane kernel over the same chunk decomposition the parallel
+    // estimators use.
     let mut chunk_errors_lanes = || {
         let awgn = Awgn::for_eb_n0(&modem, 7.0);
         let mut scratch = TrialScratch::new();
@@ -164,36 +121,13 @@ fn main() {
         }
         total as f64 / BER_BITS as f64
     };
-    let s = bench("ber_kernel_scalar_100kbit", &mut { chunk_errors_old });
-    let b = bench("ber_kernel_batch_100kbit", &mut { chunk_errors_batch });
     let l = bench("ber_kernel_lanes_100kbit", &mut chunk_errors_lanes);
     let lanes_untraced = l.clone();
-    ns_per_bit.push(("ber_kernel_scalar".into(), s.ns_per_iter / BER_BITS as f64));
-    ns_per_bit.push(("ber_kernel_batch".into(), b.ns_per_iter / BER_BITS as f64));
     ns_per_bit.push(("ber_kernel_lanes".into(), l.ns_per_iter / BER_BITS as f64));
-    speedups.push((
-        "ber_kernel_batch_vs_scalar".into(),
-        Some(b.speedup_over(&s)),
-    ));
-    speedups.push(("ber_kernel_lanes_vs_batch".into(), Some(l.speedup_over(&b))));
-    results.push(s);
-    results.push(b);
     results.push(l);
 
-    // Rician outage, same three generations: scalar two-normal sampler,
-    // AoS batch fill (`count_outages_scratch_batch`), fused lane kernel.
+    // Rician outage lane kernel.
     let fader = RicianFading::mmwave_los();
-    let s = bench("outage_kernel_scalar_100k", &mut || {
-        let mut rng = tree.rng_indexed("outage-chunk", 0);
-        fader.outage_probability(Db::new(7.0), OUTAGE_TRIALS, &mut rng)
-    });
-    let b = bench("outage_kernel_batch_100k", &mut || {
-        let mut rng = tree.rng_indexed("outage-chunk", 0);
-        let mut scratch = FadeScratch::new();
-        fader.count_outages_scratch_batch(Db::new(7.0), OUTAGE_TRIALS, &mut rng, &mut scratch)
-            as f64
-            / OUTAGE_TRIALS as f64
-    });
     let l = bench("outage_kernel_lanes_100k", &mut || {
         let mut rng = tree.rng_indexed("outage-chunk", 0);
         let mut scratch = FadeScratch::new();
@@ -201,49 +135,12 @@ fn main() {
             / OUTAGE_TRIALS as f64
     });
     ns_per_bit.push((
-        "outage_kernel_scalar".into(),
-        s.ns_per_iter / OUTAGE_TRIALS as f64,
-    ));
-    ns_per_bit.push((
-        "outage_kernel_batch".into(),
-        b.ns_per_iter / OUTAGE_TRIALS as f64,
-    ));
-    ns_per_bit.push((
         "outage_kernel_lanes".into(),
         l.ns_per_iter / OUTAGE_TRIALS as f64,
     ));
-    speedups.push((
-        "outage_kernel_batch_vs_scalar".into(),
-        Some(b.speedup_over(&s)),
-    ));
-    speedups.push((
-        "outage_kernel_lanes_vs_batch".into(),
-        Some(l.speedup_over(&b)),
-    ));
-    results.push(s);
-    results.push(b);
     results.push(l);
 
-    // Gaussian fill: the scalar pair-chain reference (what PR 3's batch
-    // kernels called per sample) vs the fused Box–Muller lane pipeline.
-    // Same stream contract, so assert it before timing.
-    {
-        let mut a = vec![0.0f64; FILL_SAMPLES];
-        let mut b = vec![0.0f64; FILL_SAMPLES];
-        tree.rng_indexed("fill-bench", 0).fill_normal(&mut a);
-        tree.rng_indexed("fill-bench", 0)
-            .fill_normal_reference(&mut b);
-        assert!(
-            a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "lane Gaussian fill must be bit-identical to the reference"
-        );
-    }
-    let mut buf = vec![0.0f64; FILL_SAMPLES];
-    let s = bench("fill_normal_scalar_64k", &mut || {
-        let mut rng = tree.rng_indexed("fill-bench", 0);
-        rng.fill_normal_reference(&mut buf);
-        buf[0]
-    });
+    // Gaussian fill: the fused Box–Muller lane pipeline.
     let mut buf = vec![0.0f64; FILL_SAMPLES];
     let l = bench("fill_normal_lanes_64k", &mut || {
         let mut rng = tree.rng_indexed("fill-bench", 0);
@@ -251,76 +148,34 @@ fn main() {
         buf[0]
     });
     ns_per_bit.push((
-        "fill_normal_scalar".into(),
-        s.ns_per_iter / FILL_SAMPLES as f64,
-    ));
-    ns_per_bit.push((
         "fill_normal_lanes".into(),
         l.ns_per_iter / FILL_SAMPLES as f64,
     ));
-    speedups.push((
-        "fill_normal_lanes_vs_batch".into(),
-        Some(l.speedup_over(&s)),
-    ));
-    results.push(s);
     results.push(l);
 
-    // FFT: the radix-2 reference plan vs the radix-4 plan `FftPlan::new`
-    // now picks for power-of-4 sizes (1024 is every Welch/spectrum
-    // experiment's nfft).
+    // FFT: the radix-4 plan `FftPlan::new` picks for power-of-4 sizes
+    // (1024 is every Welch/spectrum experiment's nfft); its `ns_per_bit`
+    // row is the cost of one transform.
     let sig: Vec<Complex> = (0..FFT_N)
         .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.91).cos()))
         .collect();
-    let plan2 = FftPlan::radix2(FFT_N);
     let plan4 = FftPlan::new(FFT_N);
     assert_eq!(plan4.radix(), 4, "1024 must take the radix-4 kernel");
-    let mut buf = sig.clone();
-    let s = bench("fft1024_radix2", &mut || {
-        plan2.fft(&mut buf);
-        buf[0].re
-    });
     let mut buf = sig.clone();
     let l = bench("fft1024_radix4", &mut || {
         plan4.fft(&mut buf);
         buf[0].re
     });
-    speedups.push(("fft1024_radix4_vs_radix2".into(), Some(l.speedup_over(&s))));
-    results.push(s);
+    ns_per_bit.push(("fft1024".into(), l.ns_per_iter));
     results.push(l);
 
-    // Aloha drain loop: allocating RoundOutcome path vs the slot-count
-    // scratch kernel (bit-identical streams, so assert equality too).
-    {
-        let mut rng = tree.rng_indexed("aloha-rep", 0);
-        let a = inventory_until_drained(TAGS, QAlgorithm::new(), 100_000, &mut rng);
-        let mut rng = tree.rng_indexed("aloha-rep", 0);
-        let mut scratch = AlohaScratch::new();
-        let b = inventory_until_drained_scratch(
-            TAGS,
-            QAlgorithm::new(),
-            100_000,
-            &mut rng,
-            &mut scratch,
-        );
-        assert_eq!(a, b, "scratch drain loop must be bit-identical");
-    }
-    let s = bench("aloha_drain_alloc_128tags", &mut || {
-        let mut rng = tree.rng_indexed("aloha-rep", 0);
-        inventory_until_drained(TAGS, QAlgorithm::new(), 100_000, &mut rng).total_slots as f64
-    });
-    let p = bench("aloha_drain_scratch_128tags", &mut || {
+    // Aloha drain loop on the slot-count scratch kernel.
+    results.push(bench("aloha_drain_scratch_128tags", &mut || {
         let mut rng = tree.rng_indexed("aloha-rep", 0);
         let mut scratch = AlohaScratch::new();
         inventory_until_drained_scratch(TAGS, QAlgorithm::new(), 100_000, &mut rng, &mut scratch)
             .total_slots as f64
-    });
-    pair(
-        "aloha_drain_scratch_vs_alloc",
-        &mut results,
-        &mut speedups,
-        s,
-        p,
-    );
+    }));
 
     // ---- serial vs parallel at pinned thread counts (pool rows) ----
     //
@@ -422,28 +277,24 @@ fn main() {
         );
     }
 
-    // ---- city engine: calendar-queue DES vs the heap reference ----
+    // ---- city engine: the sharded calendar-queue DES ----
     //
     // The city-scale rows: a dense reader grid inventorying 10⁵ (quick)
-    // or 10⁶ (full) mobile tags. The gated `city_calendar_vs_heap_des`
-    // ratio is the tentpole number — the sharded calendar-queue engine,
-    // run serially, against the same per-reader logic on the binary-heap
-    // scheduler. Bit-identity across engines and thread counts is
+    // or 10⁶ (full) mobile tags. Bit-identity across thread counts is
     // asserted *before* any timing; `par{t}` rows follow the same
-    // honest core-aware skip as every other pool row. The `throughput`
-    // rows (`tags_per_sec`, `events_per_sec`) are what `--verify` pins:
-    // wall-clock engine rate of the production path (tag-rounds and DES
-    // events per second).
+    // honest core-aware skip as every other pool row. `city_ns_per_event`
+    // and the `throughput` rows (`tags_per_sec`, `events_per_sec`) are
+    // what `--verify` pins: wall-clock engine rate of the production path
+    // (tag-rounds and DES events per second).
     let city_tags: usize = if quick { 100_000 } else { 1_000_000 };
     let city_rounds = if quick { 3 } else { 6 };
     let city_label = format!("city_{}k", city_tags / 1_000);
     let city_cfg = CityConfig::dense(city_tags, city_rounds);
     let city_tree = tree.subtree("city-bench");
     let city_stats = {
-        let mut reference = CityEngine::new(city_cfg, city_tree);
-        let want = reference.run_rounds_reference();
+        let want = CityEngine::new(city_cfg, city_tree).run_rounds(1);
         assert!(want.tags_read > 0, "city bench must actually read tags");
-        for t in [1usize, 2, 4] {
+        for t in [2usize, 4] {
             let mut eng = CityEngine::new(city_cfg, city_tree);
             assert_eq!(
                 eng.run_rounds(t),
@@ -453,15 +304,10 @@ fn main() {
         }
         want
     };
-    let s = bench(&format!("{city_label}_heap_des"), &mut || {
-        let mut eng = CityEngine::new(city_cfg, city_tree);
-        eng.run_rounds_reference().tags_read as f64
-    });
     let l = bench(&format!("{city_label}_calendar_serial"), &mut || {
         let mut eng = CityEngine::new(city_cfg, city_tree);
         eng.run_rounds(1).tags_read as f64
     });
-    speedups.push(("city_calendar_vs_heap_des".into(), Some(l.speedup_over(&s))));
     ns_per_bit.push((
         "city_ns_per_event".into(),
         l.ns_per_iter / city_stats.events as f64,
@@ -485,7 +331,6 @@ fn main() {
             eng.run_rounds(t).tags_read as f64
         });
     }
-    results.push(s);
     results.push(l);
 
     // ---- serving: daemon + load generator ----
@@ -783,7 +628,7 @@ fn main() {
         ]
     };
 
-    // ---- observability overhead: the BER batch kernel with tracing on ----
+    // ---- observability overhead: the BER lane kernel with tracing on ----
     //
     // The ISSUE-4 acceptance bar: full tracing (spans + counters) must cost
     // ≤ 5% on the hottest kernel. Instrumentation sits at chunk

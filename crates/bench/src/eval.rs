@@ -13,7 +13,7 @@ use mmtag_antenna::sparams::{ElementPort, SwitchState};
 use mmtag_sim::experiment::Table;
 use mmtag_sim::scenario::{AxisKind, RunContext, ScenarioSpec};
 
-/// Default sample count of the E1 frequency sweep (the figure binary's
+/// Default sample count of the E1 frequency sweep (the published
 /// resolution).
 pub const E1_POINTS: usize = 201;
 

@@ -1,12 +1,12 @@
 //! # mmtag-bench — the experiment harness
 //!
 //! One function per experiment in `DESIGN.md`'s per-experiment index; each
-//! returns a [`mmtag_sim::experiment::Table`] so the figure binaries print
-//! it and the smoke tests assert its headline numbers. Binaries live in
-//! `src/bin/` (`cargo run -p mmtag-bench --bin fig7_link_budget`);
-//! performance benches in `benches/` run on the in-house [`timing`]
-//! harness (`cargo bench -p mmtag-bench`), and `--bin bench_report`
-//! writes the serial-vs-parallel speedup summary to `BENCH_report.json`.
+//! returns a [`mmtag_sim::experiment::Table`] so the scenario registry
+//! prints it and the smoke tests assert its headline numbers
+//! (`cargo run -p mmtag-bench --bin scenario -- run e02-link-budget`).
+//! `--bin bench_report` times the kernels and the serial-vs-parallel
+//! speedups on the in-house [`timing`] harness and writes them to
+//! `BENCH_report.json`.
 //!
 //! | experiment | paper artifact | function |
 //! |---|---|---|

@@ -6,7 +6,7 @@
 //! count and seed, plus a plain function interpreting that spec into
 //! tables. [`FigScenario`] packages such a pair behind the
 //! [`Scenario`] trait, and [`registry`] collects all of them so the
-//! figure binaries, the CLI `run` command and the CI smoke step resolve
+//! `scenario` binary, the CLI `run` command and the CI smoke step resolve
 //! experiments uniformly instead of wiring sweeps by hand.
 
 use mmtag_sim::experiment::Table;
@@ -60,7 +60,7 @@ impl Scenario for FigScenario {
 }
 
 /// Builds the full registry: every experiment E1–E31 under its canonical
-/// name, with the exact default parameters the figure binaries publish.
+/// name, with the exact default parameters the paper figures publish.
 pub fn registry() -> Registry {
     let mut reg = Registry::new();
     let mut add = |spec: ScenarioSpec, body: FigBody| {
@@ -136,20 +136,6 @@ pub fn registry() -> Registry {
     add(crate::rate_figs::e31_spec(7), crate::rate_figs::e31_body);
 
     reg
-}
-
-/// Runs a registered scenario and prints its tables — what every figure
-/// binary calls. The rendered bytes are identical to the historical
-/// per-table `println!("{}", table.render())` output.
-///
-/// # Panics
-/// Panics on an unregistered name — a figure binary naming a scenario the
-/// registry lacks is a wiring bug.
-pub fn print_scenario(name: &str) {
-    let record = registry()
-        .run(name, &Runner::new())
-        .unwrap_or_else(|| panic!("scenario '{name}' is not registered"));
-    print!("{}", record.render());
 }
 
 #[cfg(test)]

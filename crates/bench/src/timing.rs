@@ -1,13 +1,13 @@
 //! A zero-dependency micro-benchmark harness: warmup, auto-calibrated
-//! iteration counts, best-of-N rounds, and a hand-rolled JSON report.
+//! iteration counts, best-of-N rounds — the timing core of `bench_report`.
 //!
 //! This replaces the external Criterion dependency so the workspace builds
 //! offline. It is deliberately simple — wall-clock `std::time::Instant`,
 //! minimum-of-rounds (the standard low-noise estimator for CPU-bound
 //! kernels), no statistics beyond that — but it is enough to (a) catch
 //! order-of-magnitude regressions in the hot paths and (b) measure the
-//! serial-vs-parallel speedup of the Monte-Carlo engine, which is this
-//! crate's headline number (`BENCH_report.json`).
+//! serial-vs-parallel speedup of the Monte-Carlo engine
+//! (`BENCH_report.json`).
 
 use std::time::Instant;
 
@@ -30,28 +30,18 @@ impl BenchResult {
     }
 }
 
-/// Target wall time per timing round. Short enough that the full suite
-/// stays in seconds, long enough to amortize timer overhead.
-const TARGET_ROUND_NANOS: u128 = 80_000_000;
-/// Timing rounds; the minimum is reported.
-const ROUNDS: usize = 5;
 /// Iteration ceiling, so trivially cheap closures can't spin forever
 /// during calibration.
 const MAX_ITERS: u64 = 1 << 24;
 
 /// Runs `f` under the harness: one calibration pass sizes the iteration
-/// count toward `TARGET_ROUND_NANOS`, then `ROUNDS` timed rounds run
-/// and the fastest is reported. The closure's result is passed through
-/// [`std::hint::black_box`] so the optimizer cannot delete the work.
-pub fn bench<R, F: FnMut() -> R>(name: &str, f: F) -> BenchResult {
-    bench_with(name, TARGET_ROUND_NANOS, ROUNDS, f)
-}
-
-/// [`bench()`] with explicit round budget and round count. The CI quick mode
-/// (`bench_report --quick`, run by `scripts/check.sh`) uses a small target
-/// so the full report finishes in a couple of seconds — the resulting
-/// numbers are noisier but the pipeline (and the JSON artifact) is
-/// exercised end to end on every check.
+/// count toward `target_round_nanos`, then `rounds` timed rounds run and
+/// the fastest is reported. The closure's result is passed through
+/// [`std::hint::black_box`] so the optimizer cannot delete the work. The
+/// CI quick mode (`bench_report --quick`, run by `scripts/check.sh`) uses
+/// a small target so the full report finishes in a couple of seconds —
+/// the resulting numbers are noisier but the pipeline (and the JSON
+/// artifact) is exercised end to end on every check.
 pub fn bench_with<R, F: FnMut() -> R>(
     name: &str,
     target_round_nanos: u128,
@@ -104,237 +94,14 @@ pub fn format_result(r: &BenchResult) -> String {
     )
 }
 
-/// Serializes results plus named speedup ratios into a JSON object string
-/// (hand-rolled — no serde): `{"benches": {name: ns_per_iter, ...},
-/// "speedups": {name: ratio, ...}, "spans": {name: {...}, ...},
-/// "threads": N}`.
-///
-/// `spans` carries the observability span breakdown recorded while the
-/// kernels ran under [`mmtag_rf::obs::Level::Trace`] (empty when nothing
-/// was traced) — `bench_report` uses it to annotate the report with
-/// per-stage timings alongside the end-to-end numbers.
-pub fn report_json(
-    results: &[BenchResult],
-    speedups: &[(String, f64)],
-    threads: usize,
-    spans: &[mmtag_rf::obs::SpanStat],
-) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
-    let mut out = String::from("{\n  \"threads\": ");
-    out.push_str(&threads.to_string());
-    out.push_str(",\n  \"benches\": {\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\"ns_per_iter\": {:.1}, \"iters\": {}}}{}\n",
-            esc(&r.name),
-            r.ns_per_iter,
-            r.iters,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  },\n  \"speedups\": {\n");
-    for (i, (name, ratio)) in speedups.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {:.3}{}\n",
-            esc(name),
-            ratio,
-            if i + 1 < speedups.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  },\n  \"spans\": {\n");
-    for (i, s) in spans.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\"count\": {}, \"total_us\": {:.3}, \"max_us\": {:.3}}}{}\n",
-            esc(&s.name),
-            s.count,
-            s.total_us,
-            s.max_us,
-            if i + 1 < spans.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// Validates that `s` is one well-formed JSON value (the whole string,
-/// modulo surrounding whitespace). A minimal recursive-descent checker —
-/// no DOM, no serde — used by `bench_report --verify` and `scripts/check.sh`
-/// to guarantee the committed `BENCH_report.json` never goes stale or
-/// corrupt without CI noticing.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    struct P<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-    impl P<'_> {
-        fn err(&self, what: &str) -> String {
-            format!("{what} at byte {}", self.i)
-        }
-        fn ws(&mut self) {
-            while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.i += 1;
-            }
-        }
-        fn value(&mut self) -> Result<(), String> {
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => self.string(),
-                Some(b't') => self.literal(b"true"),
-                Some(b'f') => self.literal(b"false"),
-                Some(b'n') => self.literal(b"null"),
-                Some(b'-' | b'0'..=b'9') => self.number(),
-                _ => Err(self.err("expected a JSON value")),
-            }
-        }
-        fn literal(&mut self, lit: &[u8]) -> Result<(), String> {
-            if self.b[self.i..].starts_with(lit) {
-                self.i += lit.len();
-                Ok(())
-            } else {
-                Err(self.err("bad literal"))
-            }
-        }
-        fn number(&mut self) -> Result<(), String> {
-            let start = self.i;
-            if self.b.get(self.i) == Some(&b'-') {
-                self.i += 1;
-            }
-            let digits = |p: &mut Self| {
-                let s = p.i;
-                while matches!(p.b.get(p.i), Some(b'0'..=b'9')) {
-                    p.i += 1;
-                }
-                p.i > s
-            };
-            if !digits(self) {
-                return Err(self.err("expected digits"));
-            }
-            if self.b.get(self.i) == Some(&b'.') {
-                self.i += 1;
-                if !digits(self) {
-                    return Err(self.err("expected fraction digits"));
-                }
-            }
-            if matches!(self.b.get(self.i), Some(b'e' | b'E')) {
-                self.i += 1;
-                if matches!(self.b.get(self.i), Some(b'+' | b'-')) {
-                    self.i += 1;
-                }
-                if !digits(self) {
-                    return Err(self.err("expected exponent digits"));
-                }
-            }
-            debug_assert!(self.i > start);
-            Ok(())
-        }
-        fn string(&mut self) -> Result<(), String> {
-            self.i += 1; // opening quote
-            loop {
-                match self.b.get(self.i) {
-                    None => return Err(self.err("unterminated string")),
-                    Some(b'"') => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    Some(b'\\') => {
-                        self.i += 1;
-                        match self.b.get(self.i) {
-                            Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                                self.i += 1
-                            }
-                            Some(b'u') => {
-                                self.i += 1;
-                                for _ in 0..4 {
-                                    if !matches!(
-                                        self.b.get(self.i),
-                                        Some(b'0'..=b'9' | b'a'..=b'f' | b'A'..=b'F')
-                                    ) {
-                                        return Err(self.err("bad \\u escape"));
-                                    }
-                                    self.i += 1;
-                                }
-                            }
-                            _ => return Err(self.err("bad escape")),
-                        }
-                    }
-                    Some(_) => self.i += 1,
-                }
-            }
-        }
-        fn object(&mut self) -> Result<(), String> {
-            self.i += 1; // '{'
-            self.ws();
-            if self.b.get(self.i) == Some(&b'}') {
-                self.i += 1;
-                return Ok(());
-            }
-            loop {
-                self.ws();
-                if self.b.get(self.i) != Some(&b'"') {
-                    return Err(self.err("expected object key"));
-                }
-                self.string()?;
-                self.ws();
-                if self.b.get(self.i) != Some(&b':') {
-                    return Err(self.err("expected ':'"));
-                }
-                self.i += 1;
-                self.value()?;
-                self.ws();
-                match self.b.get(self.i) {
-                    Some(b',') => self.i += 1,
-                    Some(b'}') => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(self.err("expected ',' or '}'")),
-                }
-            }
-        }
-        fn array(&mut self) -> Result<(), String> {
-            self.i += 1; // '['
-            self.ws();
-            if self.b.get(self.i) == Some(&b']') {
-                self.i += 1;
-                return Ok(());
-            }
-            loop {
-                self.value()?;
-                self.ws();
-                match self.b.get(self.i) {
-                    Some(b',') => self.i += 1,
-                    Some(b']') => {
-                        self.i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(self.err("expected ',' or ']'")),
-                }
-            }
-        }
-    }
-    let mut p = P {
-        b: s.as_bytes(),
-        i: 0,
-    };
-    p.value()?;
-    p.ws();
-    if p.i != s.len() {
-        return Err(p.err("trailing garbage"));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{parse_json, Json};
 
     #[test]
     fn bench_measures_something_positive() {
-        let r = bench("spin", || {
+        let r = bench_with("spin", 1_000_000, 2, || {
             let mut acc = 0u64;
             for i in 0..100u64 {
                 acc = acc.wrapping_add(i * i);
@@ -346,47 +113,27 @@ mod tests {
     }
 
     #[test]
-    fn json_report_shape() {
-        let results = vec![
-            BenchResult {
-                name: "a".into(),
-                iters: 10,
-                ns_per_iter: 123.4,
-            },
-            BenchResult {
-                name: "b\"q\"".into(),
-                iters: 5,
-                ns_per_iter: 5.0,
-            },
-        ];
-        let spans = vec![mmtag_rf::obs::SpanStat {
-            name: "phy.ber.chunk".into(),
-            count: 12,
-            total_us: 340.5,
-            max_us: 99.25,
-        }];
-        let json = report_json(&results, &[("a_vs_b".into(), 2.5)], 4, &spans);
-        assert!(json.contains("\"a\": {\"ns_per_iter\": 123.4"));
-        assert!(json.contains("\\\"q\\\""));
-        assert!(json.contains("\"a_vs_b\": 2.500"));
-        assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"phy.ber.chunk\": {\"count\": 12"));
-        validate_json(&json).unwrap();
-    }
-
-    #[test]
     fn validate_json_accepts_the_report_shape_and_valid_documents() {
-        let json = report_json(
-            &[BenchResult {
-                name: "k".into(),
+        let report = crate::report::Report {
+            threads: 8,
+            benches: vec![BenchResult {
+                name: "k \"quoted\"".into(),
                 iters: 3,
                 ns_per_iter: 1.5,
             }],
-            &[("k_speedup".into(), 2.0)],
-            8,
-            &[],
+            speedups: vec![("k_speedup".into(), Some(2.0))],
+            ..Default::default()
+        };
+        let dom = parse_json(&report.to_json()).unwrap();
+        let k = dom.get("benches").and_then(|b| b.get("k \"quoted\""));
+        assert_eq!(
+            k.and_then(|k| k.get("ns_per_iter")).and_then(Json::as_num),
+            Some(1.5)
         );
-        validate_json(&json).unwrap();
+        assert_eq!(
+            k.and_then(|k| k.get("iters")).and_then(Json::as_num),
+            Some(3.0)
+        );
         for ok in [
             "{}",
             "[]",
@@ -396,7 +143,7 @@ mod tests {
             r#"{"a": [1, {"b": null}, true], "c": "d"}"#,
             "  {\n}\t",
         ] {
-            assert!(validate_json(ok).is_ok(), "{ok}");
+            assert!(parse_json(ok).is_ok(), "{ok}");
         }
     }
 
@@ -418,7 +165,7 @@ mod tests {
             "nul",
             r#""bad \q escape""#,
         ] {
-            assert!(validate_json(bad).is_err(), "{bad:?} must be rejected");
+            assert!(parse_json(bad).is_err(), "{bad:?} must be rejected");
         }
     }
 

@@ -8,8 +8,8 @@
 //! the level, which makes this file the only place that needs it.
 
 use mmtag_bench::scenarios::registry;
-use mmtag_bench::timing::validate_json;
 use mmtag_rf::obs;
+use mmtag_sim::json::parse_json;
 use mmtag_sim::scenario::Runner;
 use std::sync::Mutex;
 
@@ -76,16 +76,16 @@ fn trace_and_metrics_serializers_emit_valid_json() {
     let report = obs::drain();
 
     let chrome = report.to_chrome_json();
-    validate_json(&chrome).expect("chrome trace JSON must parse");
+    parse_json(&chrome).expect("chrome trace JSON must parse");
     assert!(chrome.contains("\"traceEvents\""));
     assert!(chrome.contains("runner.trials"));
 
-    validate_json(&report.metrics_json()).expect("metrics JSON must parse");
+    parse_json(&report.metrics_json()).expect("metrics JSON must parse");
     assert!(report.counter("phy.ber.bits") > 0);
 
     // The manifest's metrics block rides inside the record JSON.
     let json = rec.to_json();
-    validate_json(&json).expect("record JSON with metrics must parse");
+    parse_json(&json).expect("record JSON with metrics must parse");
     assert!(json.contains("\"metrics\""));
     assert!(json.contains("\"phy.ber.bits\""));
 }

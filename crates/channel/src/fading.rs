@@ -17,12 +17,10 @@
 //! transcendental calls of the scalar [`RicianFading::sample`], which
 //! burns two cosine-branch draws) and counts threshold crossings on each
 //! L1-resident block, [`mmtag_rf::math::LANES`] trials per pass with
-//! lane-local counters reduced in a fixed order.
-//! The PR 3 AoS kernel stays as
-//! [`RicianFading::count_outages_scratch_batch`] — bit-identical, the
-//! differential reference and the old side of the bench pair — and the
-//! scalar path stays as the sampler-v1 reference for the statistical
-//! tests and the old-vs-new rows in `bench_report`.
+//! lane-local counters reduced in a fixed order. Its test oracle, in
+//! this module's tests, draws one [`Rng::normal_pair`] per trial and
+//! compares each fade's power to the threshold in turn; the kernel
+//! matches it bit for bit (counts and RNG stream position).
 
 use mmtag_rf::math::LANES;
 use mmtag_rf::obs;
@@ -36,24 +34,18 @@ use mmtag_rf::Complex;
 /// sampled randomness — is identical no matter how many workers run it.
 pub const OUTAGE_CHUNK_TRIALS: usize = 16_384;
 
-/// Caller-owned workspace for the batch outage kernel: the buffer of raw
-/// complex-normal draws one chunk consumes. Same ownership rules as every
-/// scratch in this stack (DESIGN.md §8): write-before-read, owned by one
-/// worker at a time, grown once and reused across all the chunks that
-/// worker claims.
+/// Caller-owned workspace parameter of
+/// [`RicianFading::count_outages_scratch`], threaded one per worker
+/// through the scratch-carrying parallel engine like every scratch in
+/// this stack (DESIGN.md §8). The lane kernel works entirely in stack
+/// blocks, so the workspace currently holds nothing.
 #[derive(Clone, Debug, Default)]
-pub struct FadeScratch {
-    /// Unit-variance-per-component complex normals, one per trial — the
-    /// AoS buffer of the batch kernel
-    /// ([`RicianFading::count_outages_scratch_batch`]); the lane kernel
-    /// works entirely in stack blocks and leaves this untouched.
-    draws: Vec<Complex>,
-}
+pub struct FadeScratch;
 
 impl FadeScratch {
     /// An empty workspace; sized lazily by the first chunk.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -109,23 +101,6 @@ impl RicianFading {
         self.sample(rng).norm_sqr()
     }
 
-    /// Monte-Carlo outage probability: fraction of fades deeper than
-    /// `margin` dB below the mean, over `trials` samples drawn serially
-    /// from `rng` through the scalar sampler-v1 path. Kept as the
-    /// reference implementation; the parallel path runs the batch
-    /// [`RicianFading::count_outages_scratch`] kernel instead.
-    pub fn outage_probability<R: Rng + ?Sized>(
-        &self,
-        margin: Db,
-        trials: usize,
-        rng: &mut R,
-    ) -> f64 {
-        assert!(trials > 0, "need at least one trial");
-        let threshold = outage_threshold(margin);
-        let outages = self.count_outages(threshold, trials, rng);
-        outages as f64 / trials as f64
-    }
-
     /// The lane outage kernel (DESIGN.md §11): streams Gaussian pairs
     /// through the fused Box–Muller **block pipeline**
     /// ([`mmtag_rf::rng::normal_pair_block`], one pair per trial) and
@@ -133,14 +108,11 @@ impl RicianFading {
     /// threshold directly on each L1-resident block —
     /// [`mmtag_rf::math::LANES`] trials per pass into lane-local integer
     /// counters reduced in fixed lane order. The trial draws never touch
-    /// the heap at all (the `scratch` is accepted for API symmetry with
-    /// the batch kernel but the lane path works entirely in stack
-    /// blocks). The per-trial comparison is the exact expression of the
-    /// batch kernel and the lanes never interact, so counts — and the RNG
-    /// stream position — are **bit-identical** to
-    /// [`RicianFading::count_outages_scratch_batch`], including
-    /// non-finite thresholds (a NaN margin compares false in every lane,
-    /// in both kernels).
+    /// the heap at all (see [`FadeScratch`]). Trial `i` consumes exactly
+    /// the `i`-th [`Rng::normal_pair`] of the stream and the lanes never
+    /// interact, so counts — and the RNG stream position — are
+    /// **bit-identical** to one pair per trial compared in turn, including
+    /// non-finite thresholds (a NaN margin compares false in every lane).
     pub fn count_outages_scratch<R: Rng + ?Sized>(
         &self,
         margin: Db,
@@ -191,40 +163,6 @@ impl RicianFading {
         outages
     }
 
-    /// The PR 3 batch outage kernel, kept verbatim: one AoS `Complex`
-    /// draw buffer filled per-element through the scalar Box–Muller pair
-    /// chain ([`Rng::fill_complex_normal_reference`] — what
-    /// `fill_complex_normal` *was* before the blocked pipeline), counted
-    /// by a filter pass. Same stream, same count as the lane kernel — the
-    /// reference side of the differential tests and the old side of the
-    /// `outage_kernel_lanes_vs_batch` bench row.
-    pub fn count_outages_scratch_batch<R: Rng + ?Sized>(
-        &self,
-        margin: Db,
-        trials: usize,
-        rng: &mut R,
-        scratch: &mut FadeScratch,
-    ) -> usize {
-        let _span = obs::span("channel.outage.chunk");
-        let threshold = outage_threshold(margin);
-        let los = (self.k / (self.k + 1.0)).sqrt();
-        let sigma = (0.5 / (self.k + 1.0)).sqrt();
-        scratch.draws.resize(trials, Complex::ZERO);
-        rng.fill_complex_normal_reference(&mut scratch.draws);
-        let outages = scratch
-            .draws
-            .iter()
-            .filter(|z| {
-                let re = los + sigma * z.re;
-                let im = sigma * z.im;
-                re * re + im * im < threshold
-            })
-            .count();
-        obs::counter_add("channel.outage.trials", trials as u64);
-        obs::observe("channel.outage.chunk_outages", outages as u64);
-        outages
-    }
-
     /// Parallel Monte-Carlo outage probability, chunked over the
     /// [`mmtag_rf::par`] engine: chunk `i` draws its fades from
     /// `tree.rng_indexed("outage-chunk", i)`, so the estimate is
@@ -250,13 +188,6 @@ impl RicianFading {
             tree: *tree,
         };
         outage_grid_par_with(threads, std::slice::from_ref(&cell), trials)[0]
-    }
-
-    /// Counts fades below `threshold` over `trials` draws from `rng`.
-    fn count_outages<R: Rng + ?Sized>(&self, threshold: f64, trials: usize, rng: &mut R) -> usize {
-        (0..trials)
-            .filter(|_| self.sample_power(rng) < threshold)
-            .count()
     }
 }
 
@@ -343,9 +274,8 @@ mod tests {
     #[test]
     fn rayleigh_outage_matches_closed_form() {
         // Rayleigh power is exponential: P(|h|² < t) = 1 − e^(−t).
-        let mut rng = Xoshiro256pp::seed_from(42);
         let fader = RicianFading::rayleigh();
-        let p = fader.outage_probability(Db::new(10.0), 200_000, &mut rng);
+        let p = fader.outage_probability_par_with(1, Db::new(10.0), 200_000, &SeedTree::new(42));
         let expected = 1.0 - (-0.1f64).exp(); // t = 10^(−1)
         assert!((p - expected).abs() < 0.005, "got {p}, want {expected}");
     }
@@ -365,10 +295,10 @@ mod tests {
 
     #[test]
     fn higher_k_means_fewer_deep_fades() {
-        let mut rng = Xoshiro256pp::seed_from(3);
+        let tree = SeedTree::new(3);
         let deep = Db::new(10.0);
-        let ray = RicianFading::rayleigh().outage_probability(deep, 100_000, &mut rng);
-        let rice = RicianFading::mmwave_los().outage_probability(deep, 100_000, &mut rng);
+        let ray = RicianFading::rayleigh().outage_probability_par_with(1, deep, 100_000, &tree);
+        let rice = RicianFading::mmwave_los().outage_probability_par_with(1, deep, 100_000, &tree);
         assert!(
             rice < ray / 10.0,
             "K=10 dB outage {rice} must be ≪ Rayleigh {ray}"
@@ -408,14 +338,31 @@ mod tests {
         let _ = RicianFading::new(-1.0);
     }
 
-    // ---- differential tests: batch kernel vs pair-draw reference ----
+    /// The lane kernel's oracle: trial `i` consumes exactly the `i`-th
+    /// [`Rng::normal_pair`] of the stream and compares `|los + σ·z|²` to
+    /// the threshold, one trial at a time.
+    fn oracle_outages<R: Rng + ?Sized>(
+        fader: &RicianFading,
+        margin: Db,
+        trials: usize,
+        rng: &mut R,
+    ) -> usize {
+        let threshold = outage_threshold(margin);
+        let los = (fader.k() / (fader.k() + 1.0)).sqrt();
+        let sigma = (0.5 / (fader.k() + 1.0)).sqrt();
+        (0..trials)
+            .filter(|_| {
+                let (z0, z1) = rng.normal_pair();
+                let re = los + sigma * z0;
+                let im = sigma * z1;
+                re * re + im * im < threshold
+            })
+            .count()
+    }
 
     #[test]
     fn batch_outage_kernel_is_bit_identical_to_pair_draws() {
-        // The kernel's contract: trial i consumes exactly the i-th
-        // normal_pair of the stream and compares |los + σ·z|² to the
-        // threshold. Replay that by hand across odd / zero / chunk-uneven
-        // trial counts.
+        // Odd / zero / block-uneven trial counts against the oracle.
         let fader = RicianFading::mmwave_los();
         let margin = Db::new(6.0);
         for trials in [0usize, 1, 7, 256, 1001] {
@@ -423,17 +370,7 @@ mod tests {
             let mut a = Xoshiro256pp::seed_from(42 + trials as u64);
             let got = fader.count_outages_scratch(margin, trials, &mut a, &mut scratch);
             let mut b = Xoshiro256pp::seed_from(42 + trials as u64);
-            let threshold = outage_threshold(margin);
-            let los = (fader.k() / (fader.k() + 1.0)).sqrt();
-            let sigma = (0.5 / (fader.k() + 1.0)).sqrt();
-            let want = (0..trials)
-                .filter(|_| {
-                    let (z0, z1) = b.normal_pair();
-                    let re = los + sigma * z0;
-                    let im = sigma * z1;
-                    re * re + im * im < threshold
-                })
-                .count();
+            let want = oracle_outages(&fader, margin, trials, &mut b);
             assert_eq!(got, want, "trials={trials}");
             // Both sides consumed the same amount of stream.
             assert_eq!(a.next_u64(), b.next_u64(), "trials={trials}");
@@ -442,20 +379,19 @@ mod tests {
 
     #[test]
     fn lane_kernel_is_bit_identical_to_batch_kernel() {
-        // Tentpole contract: the SoA lane kernel and the PR 3 AoS batch
-        // kernel consume the same stream and return the same count at
-        // every length class — empty, sub-lane, the lane boundary and its
+        // Kernel contract: the SoA lane kernel and the pair-draw oracle
+        // consume the same stream and return the same count at every
+        // length class — empty, sub-lane, the lane boundary and its
         // neighbours, and long chunks with a tail.
         for fader in [RicianFading::mmwave_los(), RicianFading::rayleigh()] {
             for &trials in &[0usize, 1, 7, 8, 9, 1000, 100_000] {
                 let margin = Db::new(6.0);
                 let mut a = Xoshiro256pp::seed_from(0xFA0E ^ trials as u64);
                 let mut b = Xoshiro256pp::seed_from(0xFA0E ^ trials as u64);
-                let mut sa = FadeScratch::new();
-                let mut sb = FadeScratch::new();
-                let lanes = fader.count_outages_scratch(margin, trials, &mut a, &mut sa);
-                let batch = fader.count_outages_scratch_batch(margin, trials, &mut b, &mut sb);
-                assert_eq!(lanes, batch, "K={} trials={trials}", fader.k());
+                let mut scratch = FadeScratch::new();
+                let lanes = fader.count_outages_scratch(margin, trials, &mut a, &mut scratch);
+                let oracle = oracle_outages(&fader, margin, trials, &mut b);
+                assert_eq!(lanes, oracle, "K={} trials={trials}", fader.k());
                 assert_eq!(a.next_u64(), b.next_u64(), "stream at trials={trials}");
             }
         }
@@ -464,7 +400,7 @@ mod tests {
     #[test]
     fn lane_kernel_matches_batch_on_degenerate_margins() {
         // Non-finite and sign-of-zero edge cases must degrade identically
-        // in both kernels:
+        // in the kernel and the oracle:
         //  * margin = +∞ → threshold 0.0: `power < 0.0` is false for every
         //    fade, including exact (+/−)0.0 powers — zero outages;
         //  * margin = −∞ → threshold +∞: every finite power outages;
@@ -483,13 +419,12 @@ mod tests {
                     let seed = 0xED6E ^ (mi as u64) << 32 ^ trials as u64;
                     let mut a = Xoshiro256pp::seed_from(seed);
                     let mut b = Xoshiro256pp::seed_from(seed);
-                    let mut sa = FadeScratch::new();
-                    let mut sb = FadeScratch::new();
-                    let lanes = fader.count_outages_scratch(margin, trials, &mut a, &mut sa);
-                    let batch = fader.count_outages_scratch_batch(margin, trials, &mut b, &mut sb);
+                    let mut scratch = FadeScratch::new();
+                    let lanes = fader.count_outages_scratch(margin, trials, &mut a, &mut scratch);
+                    let oracle = oracle_outages(&fader, margin, trials, &mut b);
                     assert_eq!(
                         lanes,
-                        batch,
+                        oracle,
                         "K={} margin={} trials={trials}",
                         fader.k(),
                         margin.db()
@@ -507,12 +442,17 @@ mod tests {
 
     #[test]
     fn batch_and_scalar_outage_agree_statistically() {
-        // Sampler v2 draws a different stream than the scalar reference,
-        // but both must estimate the same outage within Monte-Carlo error.
+        // The lane kernel (sampler v2) draws a different stream than the
+        // scalar sampler-v1 `sample_power`, but both must estimate the
+        // same outage within Monte-Carlo error.
         let fader = RicianFading::rayleigh();
         let n = 200_000;
         let mut rng = Xoshiro256pp::seed_from(8);
-        let scalar = fader.outage_probability(Db::new(10.0), n, &mut rng);
+        let threshold = outage_threshold(Db::new(10.0));
+        let scalar = (0..n)
+            .filter(|_| fader.sample_power(&mut rng) < threshold)
+            .count() as f64
+            / n as f64;
         let mut rng = Xoshiro256pp::seed_from(8);
         let mut scratch = FadeScratch::new();
         let batch =

@@ -10,7 +10,7 @@
 
 use crate::scan::ScanSchedule;
 use mmtag_rf::units::Angle;
-use mmtag_sim::des::Scheduler;
+use mmtag_sim::des::CalendarQueue;
 use mmtag_sim::time::{Duration, Instant};
 
 /// Which endpoints must search.
@@ -63,7 +63,15 @@ pub fn acquire(scan: &ScanSchedule, mode: SearchMode, tag_bearing: Angle) -> Opt
         SearchMode::TwoSided { node_positions } => (node_positions, node_positions - 1),
     };
 
-    let mut sched: Scheduler<Probe> = Scheduler::new();
+    // Probes sit one dwell apart, so one bucket per dwell (at least 1 ns:
+    // a zero-dwell schedule is valid and stacks every probe at t = 0). The
+    // ring regrows past four entries per bucket, so it is sized for the
+    // whole burst of probes up front: with a fixed 64-bucket start, the
+    // regrowth allocations made E19 ~10% slower than a binary heap.
+    let mut sched: CalendarQueue<Probe> = CalendarQueue::with_layout(
+        scan.dwell.max(Duration::from_nanos(1)),
+        (node_n * reader_n).div_ceil(4).max(1),
+    );
     // Exhaustive probe order: for each node position, sweep the reader.
     let mut t = Instant::ZERO;
     for np in 0..node_n {

@@ -7,6 +7,13 @@
 //! uniformly. The reader observes empty/success/collision slots and — in the
 //! EPC Gen2 style — adapts the next frame size via the Q algorithm so that
 //! `L` tracks the unread population.
+//!
+//! Rounds run on caller-owned [`AlohaScratch`] slot arrays:
+//! [`FramedAloha::run_round_counts`] for drain loops that need only the
+//! slot statistics, [`FramedAloha::fill_round`] for event engines that
+//! also need each singleton slot's owner. Their test oracle is an
+//! allocating round in this module's tests that materializes the read
+//! list; both kernels match it draw for draw.
 
 use mmtag_rf::obs;
 use mmtag_rf::rng::Rng;
@@ -26,72 +33,11 @@ pub fn max_throughput() -> f64 {
     (-1.0f64).exp()
 }
 
-/// Outcome of one framed-Aloha round.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RoundOutcome {
-    /// Indices (into the caller's unread-tag list) of tags read this round.
-    pub read: Vec<usize>,
-    /// Number of empty slots.
-    pub empty_slots: usize,
-    /// Number of collision slots.
-    pub collision_slots: usize,
-    /// Frame size used.
-    pub frame_size: usize,
-}
-
-impl RoundOutcome {
-    /// Successful slots this round.
-    pub fn success_slots(&self) -> usize {
-        self.read.len()
-    }
-    /// Observed per-slot efficiency.
-    pub fn efficiency(&self) -> f64 {
-        self.read.len() as f64 / self.frame_size as f64
-    }
-}
-
 /// A framed-Aloha round executor.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FramedAloha;
 
 impl FramedAloha {
-    /// Runs one frame of `frame_size` slots over `n_tags` contending tags.
-    /// Returns which tags were read (slots chosen by exactly one tag).
-    ///
-    /// # Panics
-    /// Panics on a zero frame size.
-    pub fn run_round<R: Rng + ?Sized>(
-        &self,
-        n_tags: usize,
-        frame_size: usize,
-        rng: &mut R,
-    ) -> RoundOutcome {
-        assert!(frame_size > 0, "frame must have at least one slot");
-        let mut slot_owner: Vec<Option<usize>> = vec![None; frame_size];
-        let mut slot_count = vec![0u32; frame_size];
-        for tag in 0..n_tags {
-            let slot = rng.index(frame_size);
-            slot_count[slot] += 1;
-            slot_owner[slot] = Some(tag);
-        }
-        let mut read = Vec::new();
-        let mut empty = 0;
-        let mut collisions = 0;
-        for (count, owner) in slot_count.iter().zip(&slot_owner) {
-            match count {
-                0 => empty += 1,
-                1 => read.push(owner.expect("count 1 implies an owner")),
-                _ => collisions += 1,
-            }
-        }
-        RoundOutcome {
-            read,
-            empty_slots: empty,
-            collision_slots: collisions,
-            frame_size,
-        }
-    }
-
     /// Expected fraction of tags read in one round of `L` slots with `n`
     /// tags: `(1 − 1/L)^{n−1}` per tag (closed form, for validation).
     pub fn expected_read_fraction(n_tags: usize, frame_size: usize) -> f64 {
@@ -101,10 +47,9 @@ impl FramedAloha {
         (1.0 - 1.0 / frame_size as f64).powi(n_tags as i32 - 1)
     }
 
-    /// The batch round kernel: same slot draws as
-    /// [`FramedAloha::run_round`] (one [`Rng::index`] per tag, identical
-    /// stream), but only the slot *counts* are produced — no per-tag
-    /// `Vec<Option<usize>>`, no materialized read list — into a
+    /// Runs one frame of `frame_size` slots over `n_tags` contending tags
+    /// (one [`Rng::index`] draw per tag) and returns the slot *counts* —
+    /// no per-tag owner list, no materialized read list — using a
     /// caller-owned [`AlohaScratch`]. Drain loops that only need the
     /// aggregate statistics (every inventory ensemble) run on this and
     /// allocate nothing in steady state.
@@ -144,7 +89,8 @@ impl FramedAloha {
     }
 
     /// The PHY half of a round: draws every tag's slot choice (one
-    /// [`Rng::index`] per tag — the reference stream) into the scratch's
+    /// [`Rng::index`] per tag — the same stream as
+    /// [`FramedAloha::run_round_counts`]) into the scratch's
     /// parallel slot arrays (occupancy histogram + last-writer owner)
     /// and nothing else. Event engines that classify slots *as DES
     /// events* (the city engine's per-slot timeline) run on this and do
@@ -170,49 +116,6 @@ impl FramedAloha {
             scratch.slot_count[slot] += 1;
             scratch.slot_owner[slot] = tag as u32;
         }
-    }
-
-    /// The SoA round kernel for engines that need to know *which* tags
-    /// were read without the reference path's per-round allocations:
-    /// fills the scratch's parallel slot arrays (occupancy histogram +
-    /// last-writer owner) with the same one-[`Rng::index`]-draw-per-tag
-    /// stream as [`FramedAloha::run_round`], then appends the local
-    /// indices of singleton-slot owners to `read` in slot order — exactly
-    /// the reference's read list. The city engine drives its per-slot DES
-    /// events off the filled scratch (see [`AlohaScratch::slot_count`]).
-    ///
-    /// `read` is appended to, not cleared: cross-round accumulation is
-    /// the common case (a drain loop collecting all reads of one frame
-    /// sequence into one buffer).
-    ///
-    /// # Panics
-    /// Panics on a zero frame size.
-    pub fn run_round_reads<R: Rng + ?Sized>(
-        &self,
-        n_tags: usize,
-        frame_size: usize,
-        rng: &mut R,
-        scratch: &mut AlohaScratch,
-        read: &mut Vec<u32>,
-    ) -> RoundCounts {
-        self.fill_round(n_tags, frame_size, rng, scratch);
-        let mut counts = RoundCounts {
-            successes: 0,
-            empty_slots: 0,
-            collision_slots: 0,
-            frame_size,
-        };
-        for (&c, &owner) in scratch.slot_count.iter().zip(&scratch.slot_owner) {
-            match c {
-                0 => counts.empty_slots += 1,
-                1 => {
-                    counts.successes += 1;
-                    read.push(owner);
-                }
-                _ => counts.collision_slots += 1,
-            }
-        }
-        counts
     }
 }
 
@@ -244,18 +147,16 @@ impl AlohaScratch {
         &self.slot_count
     }
 
-    /// The per-slot owner array of the last
-    /// [`FramedAloha::run_round_reads`] (parallel to
-    /// [`AlohaScratch::slot_count`]; meaningful only where the count is
-    /// exactly 1).
+    /// The per-slot owner array of the last [`FramedAloha::fill_round`]
+    /// (parallel to [`AlohaScratch::slot_count`]; meaningful only where
+    /// the count is exactly 1).
     pub fn slot_owner(&self) -> &[u32] {
         &self.slot_owner
     }
 }
 
-/// Aggregate outcome of one framed-Aloha round — what
-/// [`FramedAloha::run_round_counts`] produces instead of a full
-/// [`RoundOutcome`]: the same slot statistics without the read list.
+/// Aggregate outcome of one framed-Aloha round, as
+/// [`FramedAloha::run_round_counts`] produces it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RoundCounts {
     /// Slots chosen by exactly one tag (tags read this round).
@@ -305,16 +206,6 @@ impl QAlgorithm {
     }
 
     /// Feeds back one round's observations.
-    pub fn update(&mut self, outcome: &RoundOutcome) {
-        self.adjust(
-            outcome.collision_slots,
-            outcome.empty_slots,
-            outcome.frame_size,
-        );
-    }
-
-    /// [`QAlgorithm::update`] for the batch kernel's [`RoundCounts`] —
-    /// the identical adjustment from the identical observations.
     pub fn update_counts(&mut self, counts: &RoundCounts) {
         self.adjust(
             counts.collision_slots,
@@ -364,36 +255,20 @@ impl InventoryStats {
 
 /// Runs framed-Aloha inventory with the Q algorithm until every tag is read
 /// (or `max_rounds` is hit, which the caller should treat as pathology).
-///
-/// This is the allocating reference path — one [`RoundOutcome`] (with its
-/// read list and per-slot vectors) per round. The ensemble hot loop runs
-/// [`inventory_until_drained_scratch`] instead, which draws the identical
-/// slot stream and therefore returns bit-identical statistics.
+/// One-shot convenience over [`inventory_until_drained_scratch`] with a
+/// fresh workspace.
 pub fn inventory_until_drained<R: Rng + ?Sized>(
     n_tags: usize,
-    mut q: QAlgorithm,
+    q: QAlgorithm,
     max_rounds: usize,
     rng: &mut R,
 ) -> InventoryStats {
-    let mut unread = n_tags;
-    let mut stats = InventoryStats::default();
-    let mac = FramedAloha;
-    while unread > 0 && stats.rounds < max_rounds {
-        let outcome = mac.run_round(unread, q.frame_size(), rng);
-        unread -= outcome.read.len();
-        stats.rounds += 1;
-        stats.total_slots += outcome.frame_size;
-        stats.tags_read += outcome.read.len();
-        q.update(&outcome);
-    }
-    stats
+    inventory_until_drained_scratch(n_tags, q, max_rounds, rng, &mut AlohaScratch::new())
 }
 
 /// The zero-allocation drain loop: [`inventory_until_drained`] on the
-/// batch [`FramedAloha::run_round_counts`] kernel over a caller-owned
-/// [`AlohaScratch`]. Consumes the same RNG stream as the reference (one
-/// slot draw per unread tag per round), so the returned statistics are
-/// bit-identical — the differential test pins this.
+/// [`FramedAloha::run_round_counts`] kernel over a caller-owned
+/// [`AlohaScratch`] (one slot draw per unread tag per round).
 pub fn inventory_until_drained_scratch<R: Rng + ?Sized>(
     n_tags: usize,
     mut q: QAlgorithm,
@@ -462,6 +337,89 @@ pub fn inventory_ensemble_par_with(
 mod tests {
     use super::*;
     use mmtag_rf::rng::Xoshiro256pp;
+
+    /// Outcome of one oracle round: the slot statistics plus the read list.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct RoundOutcome {
+        /// Indices (into the caller's unread-tag list) of tags read.
+        read: Vec<usize>,
+        empty_slots: usize,
+        collision_slots: usize,
+        frame_size: usize,
+    }
+
+    impl RoundOutcome {
+        fn success_slots(&self) -> usize {
+            self.read.len()
+        }
+    }
+
+    impl FramedAloha {
+        /// The round oracle: one [`Rng::index`] draw per tag into
+        /// allocating per-slot vectors, then the read list in slot order.
+        fn run_round<R: Rng + ?Sized>(
+            &self,
+            n_tags: usize,
+            frame_size: usize,
+            rng: &mut R,
+        ) -> RoundOutcome {
+            assert!(frame_size > 0, "frame must have at least one slot");
+            let mut slot_owner: Vec<Option<usize>> = vec![None; frame_size];
+            let mut slot_count = vec![0u32; frame_size];
+            for tag in 0..n_tags {
+                let slot = rng.index(frame_size);
+                slot_count[slot] += 1;
+                slot_owner[slot] = Some(tag);
+            }
+            let mut read = Vec::new();
+            let mut empty = 0;
+            let mut collisions = 0;
+            for (count, owner) in slot_count.iter().zip(&slot_owner) {
+                match count {
+                    0 => empty += 1,
+                    1 => read.push(owner.expect("count 1 implies an owner")),
+                    _ => collisions += 1,
+                }
+            }
+            RoundOutcome {
+                read,
+                empty_slots: empty,
+                collision_slots: collisions,
+                frame_size,
+            }
+        }
+    }
+
+    impl QAlgorithm {
+        /// The Q-update oracle: feeds an oracle round's observations.
+        fn update(&mut self, outcome: &RoundOutcome) {
+            self.adjust(
+                outcome.collision_slots,
+                outcome.empty_slots,
+                outcome.frame_size,
+            );
+        }
+    }
+
+    /// The drain-loop oracle: oracle rounds until the population drains.
+    fn oracle_drain<R: Rng + ?Sized>(
+        n_tags: usize,
+        mut q: QAlgorithm,
+        max_rounds: usize,
+        rng: &mut R,
+    ) -> InventoryStats {
+        let mut unread = n_tags;
+        let mut stats = InventoryStats::default();
+        while unread > 0 && stats.rounds < max_rounds {
+            let outcome = FramedAloha.run_round(unread, q.frame_size(), rng);
+            unread -= outcome.read.len();
+            stats.rounds += 1;
+            stats.total_slots += outcome.frame_size;
+            stats.tags_read += outcome.read.len();
+            q.update(&outcome);
+        }
+        stats
+    }
 
     #[test]
     fn throughput_peaks_at_1_over_e() {
@@ -555,15 +513,15 @@ mod tests {
     #[test]
     fn q_algorithm_grows_under_collisions() {
         let mut q = QAlgorithm::with_q(2.0); // 4 slots
-        let heavy = RoundOutcome {
-            read: vec![],
+        let heavy = RoundCounts {
+            successes: 0,
             empty_slots: 0,
             collision_slots: 4,
             frame_size: 4,
         };
         let before = q.frame_size();
         for _ in 0..10 {
-            q.update(&heavy);
+            q.update_counts(&heavy);
         }
         assert!(q.frame_size() > before, "Q must grow under collisions");
     }
@@ -571,14 +529,14 @@ mod tests {
     #[test]
     fn q_algorithm_shrinks_when_empty() {
         let mut q = QAlgorithm::with_q(8.0);
-        let idle = RoundOutcome {
-            read: vec![],
+        let idle = RoundCounts {
+            successes: 0,
             empty_slots: 256,
             collision_slots: 0,
             frame_size: 256,
         };
         for _ in 0..10 {
-            q.update(&idle);
+            q.update_counts(&idle);
         }
         assert!(q.frame_size() < 256, "Q must shrink when idle");
         assert!(q.q() >= 0.0);
@@ -587,13 +545,13 @@ mod tests {
     #[test]
     fn q_is_clamped() {
         let mut q = QAlgorithm::with_q(15.0);
-        let collide = RoundOutcome {
-            read: vec![],
+        let collide = RoundCounts {
+            successes: 0,
             empty_slots: 0,
             collision_slots: 10,
             frame_size: 10,
         };
-        q.update(&collide);
+        q.update_counts(&collide);
         assert!(q.q() <= 15.0);
     }
 
@@ -632,10 +590,10 @@ mod tests {
     #[should_panic(expected = "at least one slot")]
     fn zero_frame_is_a_bug() {
         let mut rng = Xoshiro256pp::seed_from(0);
-        let _ = FramedAloha.run_round(5, 0, &mut rng);
+        let _ = FramedAloha.run_round_counts(5, 0, &mut rng, &mut AlohaScratch::new());
     }
 
-    // ---- differential tests: batch kernel vs allocating reference ----
+    // ---- differential tests: kernels vs the allocating oracle ----
 
     #[test]
     fn round_counts_kernel_is_bit_identical_to_run_round() {
@@ -662,22 +620,22 @@ mod tests {
             let mut a = Xoshiro256pp::seed_from(2000 + n_tags as u64);
             let mut b = Xoshiro256pp::seed_from(2000 + n_tags as u64);
             let full = FramedAloha.run_round(n_tags, frame, &mut a);
-            let mut read = Vec::new();
-            let counts =
-                FramedAloha.run_round_reads(n_tags, frame, &mut b, &mut scratch, &mut read);
-            // Same aggregate counts, same read list (slot order), same
-            // stream position afterwards.
-            assert_eq!(counts.successes, full.success_slots());
-            assert_eq!(counts.empty_slots, full.empty_slots);
-            assert_eq!(counts.collision_slots, full.collision_slots);
-            let want: Vec<u32> = full.read.iter().map(|&t| t as u32).collect();
-            assert_eq!(read, want, "n={n_tags} L={frame}");
-            assert_eq!(a.next_u64(), b.next_u64(), "n={n_tags} L={frame}");
-            // The SoA arrays are consistent with the counts.
+            FramedAloha.fill_round(n_tags, frame, &mut b, &mut scratch);
+            // The singleton slots' owners, in slot order, are the oracle's
+            // read list; the stream position afterwards matches.
             assert_eq!(scratch.slot_count().len(), frame);
             assert_eq!(scratch.slot_owner().len(), frame);
-            let singles = scratch.slot_count().iter().filter(|&&c| c == 1).count();
-            assert_eq!(singles, counts.successes);
+            let read: Vec<usize> = scratch
+                .slot_count()
+                .iter()
+                .zip(scratch.slot_owner())
+                .filter(|(&c, _)| c == 1)
+                .map(|(_, &owner)| owner as usize)
+                .collect();
+            assert_eq!(read, full.read, "n={n_tags} L={frame}");
+            assert_eq!(a.next_u64(), b.next_u64(), "n={n_tags} L={frame}");
+            let empties = scratch.slot_count().iter().filter(|&&c| c == 0).count();
+            assert_eq!(empties, full.empty_slots);
         }
     }
 
@@ -708,7 +666,7 @@ mod tests {
         for n in [0usize, 1, 10, 100, 500] {
             let mut a = Xoshiro256pp::seed_from(7 + n as u64);
             let mut b = Xoshiro256pp::seed_from(7 + n as u64);
-            let want = inventory_until_drained(n, QAlgorithm::new(), 10_000, &mut a);
+            let want = oracle_drain(n, QAlgorithm::new(), 10_000, &mut a);
             let got =
                 inventory_until_drained_scratch(n, QAlgorithm::new(), 10_000, &mut b, &mut scratch);
             assert_eq!(want, got, "population {n}");

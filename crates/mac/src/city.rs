@@ -39,16 +39,16 @@
 //! (set a read flag, overwrite one reader's Q, add to one reader's
 //! clock, integer sums) are grouping-invariant — regrouping readers into
 //! different shard counts, or running shards on different thread counts,
-//! produces identical tables. The heap reference engine
-//! ([`CityEngine::run_rounds_reference`]) runs the same per-reader logic
-//! through one global [`Scheduler`], which the differential tests pin
-//! bit-identical to the sharded calendar engine.
+//! produces identical tables. The tests pin this at the engine level
+//! (stats and per-tag read flags across shard and thread counts) and at
+//! the queue level ([`CalendarQueue`] against its heap oracle in
+//! `mmtag_sim::des`).
 
 use crate::aloha::{AlohaScratch, FramedAloha, QAlgorithm, RoundCounts};
 use mmtag_rf::obs;
 use mmtag_rf::rng::Rng;
 use mmtag_rf::units::Angle;
-use mmtag_sim::des::{CalendarQueue, Scheduler};
+use mmtag_sim::des::CalendarQueue;
 use mmtag_sim::geom::{line_of_sight, Segment, Vec2};
 use mmtag_sim::mobility::{Linear, Mobility, Pose};
 use mmtag_sim::spatial::SpatialHash;
@@ -234,51 +234,16 @@ impl CityStats {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct SlotEvent(u32);
 
-/// The queue operations the round engine needs — implemented by both the
-/// heap [`Scheduler`] (reference) and the [`CalendarQueue`] (sharded
-/// engine), which is what makes the two engines the *same code* up to
-/// the queue data structure.
-trait EventQueue {
-    fn now(&self) -> Instant;
-    fn schedule_at(&mut self, at: Instant, ev: SlotEvent);
-    fn pop(&mut self) -> Option<(Instant, SlotEvent)>;
-}
-
-impl EventQueue for Scheduler<SlotEvent> {
-    fn now(&self) -> Instant {
-        Scheduler::now(self)
-    }
-    fn schedule_at(&mut self, at: Instant, ev: SlotEvent) {
-        Scheduler::schedule_at(self, at, ev);
-    }
-    fn pop(&mut self) -> Option<(Instant, SlotEvent)> {
-        Scheduler::pop(self)
-    }
-}
-
-impl EventQueue for CalendarQueue<SlotEvent> {
-    fn now(&self) -> Instant {
-        CalendarQueue::now(self)
-    }
-    fn schedule_at(&mut self, at: Instant, ev: SlotEvent) {
-        CalendarQueue::schedule_at(self, at, ev);
-    }
-    fn pop(&mut self) -> Option<(Instant, SlotEvent)> {
-        CalendarQueue::pop(self)
-    }
-}
-
 /// Per-worker scratch for the round phase: the shard's event queue and
 /// the Aloha slot arrays. Standard scratch ownership rules (DESIGN.md
 /// §8): one worker at a time, reused across shards and rounds, retained
 /// capacity ⇒ allocation-free steady state.
-#[derive(Default)]
-struct ShardScratch<Q: Default> {
-    queue: Q,
+struct ShardScratch {
+    queue: CalendarQueue<SlotEvent>,
     aloha: AlohaScratch,
 }
 
-impl ShardScratch<CalendarQueue<SlotEvent>> {
+impl ShardScratch {
     /// Scratch whose calendar ring is laid out at slot width — the
     /// natural inter-event gap of a frame — so pops resolve in the
     /// cursor's own window instead of scanning adjacent empty buckets.
@@ -322,7 +287,7 @@ impl ShardOut {
 /// draws from per-(reader, round) seed-tree streams, and reports every
 /// mutation through `out`.
 #[allow(clippy::too_many_arguments)]
-fn shard_round<Q: EventQueue>(
+fn shard_round(
     cfg: &CityConfig,
     tree: &SeedTree,
     k: u64,
@@ -331,7 +296,7 @@ fn shard_round<Q: EventQueue>(
     pend_entries: &[u32],
     lo: usize,
     hi: usize,
-    queue: &mut Q,
+    queue: &mut CalendarQueue<SlotEvent>,
     aloha: &mut AlohaScratch,
     out: &mut ShardOut,
 ) {
@@ -409,10 +374,9 @@ fn apply_out(
 
 /// The city inventory engine. Construct once per run; drive with
 /// [`CityEngine::run_rounds`] (sharded calendar-queue engine, any thread
-/// count), [`CityEngine::run_rounds_reference`] (single global heap
-/// scheduler — the bit-identical reference), or
-/// [`CityEngine::step_round`] (one serial round on persistent scratch —
-/// the allocation-free path the workspace alloc guard measures).
+/// count) or [`CityEngine::step_round`] (one serial round on persistent
+/// scratch — the allocation-free path the workspace alloc guard
+/// measures).
 pub struct CityEngine {
     cfg: CityConfig,
     tree: SeedTree,
@@ -432,7 +396,7 @@ pub struct CityEngine {
     pend_entries: Vec<u32>,
     cursor: Vec<u32>,
     // Serial round scratch (the `step_round` path).
-    serial: ShardScratch<CalendarQueue<SlotEvent>>,
+    serial: ShardScratch,
     serial_out: ShardOut,
 }
 
@@ -689,45 +653,6 @@ impl CityEngine {
         obs::counter_add("mac.city.reads", self.stats.tags_read);
         self.stats()
     }
-
-    /// The reference engine: the identical per-reader round logic driven
-    /// through one global heap [`Scheduler`], serially. Exists to pin
-    /// the sharded engine — `run_rounds` at any thread/shard count must
-    /// reproduce this bit for bit.
-    pub fn run_rounds_reference(&mut self) -> CityStats {
-        let _span = obs::span("mac.city.reference");
-        let mut sc: ShardScratch<Scheduler<SlotEvent>> = ShardScratch::default();
-        let mut out = ShardOut::default();
-        let nr = self.readers.len();
-        for _ in 0..self.cfg.rounds {
-            let k = self.round;
-            self.barrier(k);
-            out.clear();
-            shard_round(
-                &self.cfg,
-                &self.tree,
-                k,
-                &self.qs,
-                &self.pend_starts,
-                &self.pend_entries,
-                0,
-                nr,
-                &mut sc.queue,
-                &mut sc.aloha,
-                &mut out,
-            );
-            apply_out(
-                &mut self.tags,
-                &mut self.qs,
-                &mut self.reader_elapsed,
-                &mut self.stats,
-                &out,
-            );
-            self.round += 1;
-            self.stats.rounds += 1;
-        }
-        self.stats()
-    }
 }
 
 #[cfg(test)]
@@ -742,31 +667,13 @@ mod tests {
     }
 
     #[test]
-    fn reference_and_sharded_engines_are_bit_identical() {
-        let cfg = small(800, 6);
-        let tree = SeedTree::new(0xC17);
-        let mut reference = CityEngine::new(cfg, tree);
-        let want = reference.run_rounds_reference();
-        assert!(want.tags_read > 0, "a live city must read tags");
-        assert_eq!(want.events, want.slots, "one DES event per slot");
-        for threads in [1usize, 2, 8] {
-            let mut sharded = CityEngine::new(cfg, tree);
-            let got = sharded.run_rounds(threads);
-            assert_eq!(want, got, "threads={threads}");
-            assert_eq!(
-                reference.tags().read,
-                sharded.tags().read,
-                "threads={threads}: per-tag read flags"
-            );
-        }
-    }
-
-    #[test]
     fn stats_are_invariant_across_shard_counts() {
         let base = small(600, 5);
         let tree = SeedTree::new(0x5A4D);
         let mut one = CityEngine::new(CityConfig { shards: 1, ..base }, tree);
         let want = one.run_rounds(2);
+        assert!(want.tags_read > 0, "a live city must read tags");
+        assert_eq!(want.events, want.slots, "one DES event per slot");
         for shards in [2usize, 3, 6, 16] {
             let mut eng = CityEngine::new(CityConfig { shards, ..base }, tree);
             let got = eng.run_rounds(2);

@@ -11,7 +11,7 @@ use crate::scan::ScanSchedule;
 use crate::sdm::SectorScheduler;
 use mmtag_rf::rng::Rng;
 use mmtag_rf::units::{Angle, DataRate};
-use mmtag_sim::des::Scheduler;
+use mmtag_sim::des::CalendarQueue;
 use mmtag_sim::time::{Duration, Instant};
 
 /// Timing parameters of one inventory slot.
@@ -72,7 +72,10 @@ pub fn run_timed_inventory<R: Rng + ?Sized>(
     let mut qs: Vec<QAlgorithm> = vec![QAlgorithm::new(); unread.len()];
     let slot = timing.slot_duration();
 
-    let mut sched: Scheduler<Event> = Scheduler::new();
+    // Events land whole slots apart, so one bucket per slot (at least
+    // 1 ns: a zero-length slot is a valid timing).
+    let mut sched: CalendarQueue<Event> =
+        CalendarQueue::with_layout(slot.max(Duration::from_nanos(1)), 64);
     let mut result = TimedInventory::default();
     let mut scratch = AlohaScratch::new();
     sched.schedule_at(Instant::ZERO, Event::EnterSector(0));
@@ -95,10 +98,9 @@ pub fn run_timed_inventory<R: Rng + ?Sized>(
                     continue;
                 }
                 let frame = qs[idx].frame_size();
-                // Batch counts kernel: same slot-draw stream as the
-                // allocating `run_round` (one draw per unread tag), but
-                // only the histogram is materialized — the event loop
-                // stays allocation-free in steady state.
+                // Counts kernel: one slot draw per unread tag, only the
+                // histogram materialized — the event loop stays
+                // allocation-free in steady state.
                 let counts = FramedAloha.run_round_counts(unread[idx], frame, rng, &mut scratch);
                 unread[idx] -= counts.successes;
                 result.tags_read += counts.successes;

@@ -6,7 +6,8 @@
 //! builds offline); each assertion prints the inputs that produced it.
 
 use mmtag_mac::aloha::{
-    inventory_until_drained, slotted_aloha_throughput, FramedAloha, QAlgorithm,
+    inventory_until_drained, slotted_aloha_throughput, AlohaScratch, FramedAloha, QAlgorithm,
+    RoundCounts,
 };
 use mmtag_mac::scan::ScanSchedule;
 use mmtag_mac::sdm::SectorScheduler;
@@ -22,24 +23,35 @@ fn cases(label: &'static str) -> impl Iterator<Item = Xoshiro256pp> {
 }
 
 /// Slot accounting always conserves the frame; reads never exceed the
-/// population; read indices are unique and in range.
+/// population; the owners of singleton slots (the reads) are unique and
+/// in range.
 #[test]
 fn round_conservation() {
+    let mut scratch = AlohaScratch::new();
     for mut rng in cases("round") {
         let n = rng.index(300);
         let l = 1 + rng.index(511);
-        let out = FramedAloha.run_round(n, l, &mut rng);
+        let mut owners_rng = rng.clone();
+        let out = FramedAloha.run_round_counts(n, l, &mut rng, &mut scratch);
         assert_eq!(
-            out.success_slots() + out.empty_slots + out.collision_slots,
+            out.successes + out.empty_slots + out.collision_slots,
             l,
             "n={n} l={l}"
         );
-        assert!(out.read.len() <= n, "n={n} l={l}");
-        let mut sorted = out.read.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), out.read.len(), "n={n} l={l}");
-        assert!(sorted.iter().all(|&t| t < n), "n={n} l={l}");
+        assert!(out.successes <= n, "n={n} l={l}");
+        FramedAloha.fill_round(n, l, &mut owners_rng, &mut scratch);
+        let mut read: Vec<u32> = scratch
+            .slot_count()
+            .iter()
+            .zip(scratch.slot_owner())
+            .filter(|(&c, _)| c == 1)
+            .map(|(_, &owner)| owner)
+            .collect();
+        assert_eq!(read.len(), out.successes, "n={n} l={l}");
+        read.sort_unstable();
+        read.dedup();
+        assert_eq!(read.len(), out.successes, "n={n} l={l}");
+        assert!(read.iter().all(|&t| (t as usize) < n), "n={n} l={l}");
     }
 }
 
@@ -90,8 +102,8 @@ fn q_stays_clamped() {
             let collisions = rng.index(64);
             let empties = rng.index(64);
             let frame = (collisions + empties).max(1);
-            q.update(&mmtag_mac::aloha::RoundOutcome {
-                read: vec![],
+            q.update_counts(&RoundCounts {
+                successes: 0,
                 empty_slots: empties,
                 collision_slots: collisions,
                 frame_size: frame,

@@ -54,8 +54,7 @@ impl Spectrum {
 
     /// [`Spectrum::of_samples`] through a caller-owned [`WelchPlan`], so
     /// repeated estimates at the same FFT size pay for the twiddle and
-    /// bit-reversal tables exactly once. Bit-identical to the plan-free
-    /// path (the plan replays the same rounding).
+    /// bit-reversal tables exactly once.
     pub fn of_samples_with_plan(
         plan: &WelchPlan,
         samples: &[Complex],

@@ -19,36 +19,29 @@
 //! high") and bit **1** to absorption. [`OokModem`] uses `mark_bit` to hold
 //! that mapping so the same modem expresses either convention.
 //!
-//! ## Batch kernels and [`TrialScratch`]
+//! ## The lane kernel and [`TrialScratch`]
 //!
-//! The Monte-Carlo trial loop is the stack's hottest path, so every stage
-//! has a slice-in/slice-out batch form — [`OokModem::modulate_into`],
-//! [`Awgn::add_awgn_into`], [`OokModem::matched_filter_into`], and the
-//! fused [`OokModem::count_bit_errors`] that folds matched filtering,
-//! thresholding and comparison into one error count with no intermediate
-//! `Vec<bool>`. [`count_bit_errors_scratch_batch`] chains them over a
-//! caller-owned [`TrialScratch`], so the steady state of a trial loop
-//! performs **zero heap allocations** (verified by the repo's
-//! allocation-guard integration test). The original allocating APIs
-//! remain — as the scalar references the differential property tests
-//! compare against, and for one-shot callers that don't care.
-//!
-//! On top of the batch chain sits the **lane kernel**,
-//! [`count_bit_errors_scratch`] (DESIGN.md §11): the same trial expressed
-//! as structure-of-arrays sweeps over flat `f64` buffers — blocked
-//! Gaussian fills via [`Rng::fill_normal_soa`], a fused modulate+noise
-//! pass, and a matched filter that carries [`mmtag_rf::math::LANES`]
-//! symbols in lane-local accumulators reduced in a fixed order. It is
-//! bit-identical to the batch chain (same counts, same RNG stream
-//! position), just shaped so the compiler can keep the whole loop in
-//! vector registers.
+//! The Monte-Carlo trial loop is the stack's hottest path. Its one
+//! production implementation is the **lane kernel**,
+//! [`count_bit_errors_scratch`] (DESIGN.md §11): the trial expressed as
+//! structure-of-arrays sweeps over flat `f64` buffers in a caller-owned
+//! [`TrialScratch`] — blocked Gaussian fills via
+//! [`Rng::fill_normal_soa`], a fused modulate+noise pass, and a matched
+//! filter that carries [`mmtag_rf::math::LANES`] symbols in lane-local
+//! accumulators reduced in a fixed order. The steady state of a trial
+//! loop performs **zero heap allocations** (verified by the repo's
+//! allocation-guard integration test). Its test oracle is the allocating
+//! chain above, written out in this module's tests: one [`Rng::bit`] per
+//! bit, [`OokModem::modulate`], one [`Rng::normal_pair`] added per
+//! sample, then [`OokModem::demodulate_coherent`] /
+//! [`OokModem::demodulate_noncoherent`]. The kernel matches it bit for
+//! bit — same counts, same RNG stream position.
 //!
 //! Noise streams are **sampler v2**: AWGN consumes both Box–Muller
 //! branches through [`Rng::normal_pair`] (one uniform pair per complex
 //! sample), halving transcendental calls relative to the scalar
-//! [`Rng::normal`] path. Seeded noise sequences therefore differ from the
-//! pre-batch implementation; determinism across thread counts is
-//! unaffected.
+//! [`Rng::normal`] path ([`Awgn::apply`], sampler v1). Determinism across
+//! thread counts is unaffected by the choice.
 
 use mmtag_rf::math::LANES;
 use mmtag_rf::obs;
@@ -98,24 +91,6 @@ impl OokModem {
         out
     }
 
-    /// Batch [`OokModem::modulate`]: writes the waveform into a
-    /// caller-owned slice instead of allocating. Values are identical to
-    /// the allocating path bit for bit.
-    ///
-    /// # Panics
-    /// Panics unless `out.len() == bits.len() * samples_per_symbol`.
-    pub fn modulate_into(&self, bits: &[bool], out: &mut [Complex]) {
-        assert_eq!(
-            out.len(),
-            bits.len() * self.samples_per_symbol,
-            "output slice must hold samples_per_symbol samples per bit"
-        );
-        for (chunk, &b) in out.chunks_exact_mut(self.samples_per_symbol).zip(bits) {
-            let a = if self.is_mark(b) { self.amplitude } else { 0.0 };
-            chunk.fill(Complex::new(a, 0.0));
-        }
-    }
-
     /// Average energy per bit of this modem's waveform (half the bits are
     /// marks for random data): `A²·sps / 2`.
     pub fn average_bit_energy(&self) -> f64 {
@@ -131,52 +106,17 @@ impl OokModem {
             .collect()
     }
 
-    /// Batch [`OokModem::matched_filter`]: one statistic per symbol into a
-    /// caller-owned slice. A trailing partial symbol is ignored, matching
-    /// the allocating path.
-    ///
-    /// # Panics
-    /// Panics unless `out.len() == samples.len() / samples_per_symbol`.
-    pub fn matched_filter_into(&self, samples: &[Complex], out: &mut [Complex]) {
-        assert_eq!(
-            out.len(),
-            samples.len() / self.samples_per_symbol,
-            "output slice must hold one statistic per whole symbol"
-        );
-        for (chunk, o) in samples.chunks_exact(self.samples_per_symbol).zip(out) {
-            *o = chunk.iter().copied().sum();
-        }
-    }
-
     /// The decision threshold shared by both demodulators: half the
     /// integrated mark level.
     fn decision_threshold(&self) -> f64 {
         0.5 * self.amplitude * self.samples_per_symbol as f64
     }
 
-    /// Fused demodulate-and-count: matched filter, threshold, and compare
-    /// against the transmitted `bits` in one pass, returning the error
-    /// count without materializing a `Vec<bool>` of decisions. Decisions
-    /// are identical to [`OokModem::demodulate_coherent`] /
-    /// [`OokModem::demodulate_noncoherent`]; any bits beyond the last
-    /// whole symbol are ignored (as the matched filter drops them).
-    pub fn count_bit_errors(&self, bits: &[bool], samples: &[Complex], coherent: bool) -> usize {
-        let threshold = self.decision_threshold();
-        let mut errors = 0usize;
-        for (chunk, &bit) in samples.chunks_exact(self.samples_per_symbol).zip(bits) {
-            let s: Complex = chunk.iter().copied().sum();
-            let stat = if coherent { s.re } else { s.abs() };
-            let decided = (stat > threshold) == self.mark_bit;
-            errors += usize::from(decided != bit);
-        }
-        errors
-    }
-
     /// Coherent demodulation: real-part threshold at half the mark level.
     /// Assumes carrier phase is tracked (the reader generates the carrier
     /// itself, so backscatter is naturally phase-coherent).
     pub fn demodulate_coherent(&self, samples: &[Complex]) -> Vec<bool> {
-        let threshold = 0.5 * self.amplitude * self.samples_per_symbol as f64;
+        let threshold = self.decision_threshold();
         self.matched_filter(samples)
             .into_iter()
             .map(|s| {
@@ -204,7 +144,7 @@ impl OokModem {
     /// Non-coherent demodulation: envelope threshold. Works without phase
     /// tracking at a ~0.5–1 dB penalty (see [`crate::ber`]).
     pub fn demodulate_noncoherent(&self, samples: &[Complex]) -> Vec<bool> {
-        let threshold = 0.5 * self.amplitude * self.samples_per_symbol as f64;
+        let threshold = self.decision_threshold();
         self.matched_filter(samples)
             .into_iter()
             .map(|s| {
@@ -241,29 +181,19 @@ impl Awgn {
     }
 
     /// Adds noise to samples in place, one scalar [`Rng::normal`] per
-    /// component (cosine branch only — **sampler v1**). Kept as the
-    /// legacy/reference path; the hot loops use the pair-consuming
-    /// [`Awgn::add_awgn_into`], which draws a *different* (equally valid)
+    /// component (cosine branch only — **sampler v1**). The BER kernel
+    /// ([`count_bit_errors_scratch`]) instead consumes one
+    /// [`Rng::normal_pair`] per sample, a *different* (equally valid)
     /// noise stream from the same seed.
     pub fn apply<R: Rng + ?Sized>(&self, samples: &mut [Complex], rng: &mut R) {
         for s in samples {
             *s += Complex::new(self.sigma * rng.normal(), self.sigma * rng.normal());
         }
     }
-
-    /// Batch AWGN (**sampler v2**): one [`Rng::normal_pair`] per complex
-    /// sample — the cosine branch lands on I, the sine branch on Q — so
-    /// nothing is discarded and the transcendental cost per sample is
-    /// half that of [`Awgn::apply`]. Allocation-free.
-    pub fn add_awgn_into<R: Rng + ?Sized>(&self, samples: &mut [Complex], rng: &mut R) {
-        for s in samples {
-            let (ni, nq) = rng.normal_pair();
-            *s += Complex::new(self.sigma * ni, self.sigma * nq);
-        }
-    }
 }
 
-/// Caller-owned workspace for the zero-allocation trial kernels.
+/// Caller-owned workspace for the zero-allocation trial kernel
+/// ([`count_bit_errors_scratch`]).
 ///
 /// Ownership rules (DESIGN.md §8): the scratch belongs to exactly one
 /// worker at a time; kernels **write every buffer before reading it**, so
@@ -275,12 +205,9 @@ impl Awgn {
 pub struct TrialScratch {
     /// The chunk's random data bits.
     bits: Vec<bool>,
-    /// The modulated (then noise-corrupted) IQ waveform — the AoS buffer
-    /// of the batch kernel ([`count_bit_errors_scratch_batch`]).
-    samples: Vec<Complex>,
-    /// SoA I components for the lane kernel ([`count_bit_errors_scratch`]).
+    /// SoA I components of the noisy waveform.
     re: Vec<f64>,
-    /// SoA Q components for the lane kernel.
+    /// SoA Q components of the noisy waveform.
     im: Vec<f64>,
 }
 
@@ -301,10 +228,11 @@ impl TrialScratch {
 /// modulate+noise pass is a fused elementwise sweep, and the matched
 /// filter accumulates [`LANES`] symbols side by side with the error count
 /// folded through fixed-order lane-local counters. Every floating-point
-/// value is produced by the same operation sequence as the batch chain
-/// (`a + σ·n` per component, symbol sums folded first-to-last from zero,
-/// `hypot` envelopes), so the counts — and the RNG stream position — are
-/// **bit-identical** to [`count_bit_errors_scratch_batch`], which the
+/// value is produced by the same operation sequence as the allocating
+/// chain (`a + σ·n` per component, symbol sums folded first-to-last from
+/// zero, `hypot` envelopes), so the counts — and the RNG stream position —
+/// are **bit-identical** to [`OokModem::modulate`] plus one
+/// [`Rng::normal_pair`] per sample through the demodulators, which the
 /// differential tests pin at odd and non-multiple-of-8 lengths.
 ///
 /// [`count_bit_errors`] is a thin wrapper over this with a one-shot
@@ -349,11 +277,11 @@ pub fn count_bit_errors_scratch<R: Rng + ?Sized>(
     scratch.re.resize(n_samples, 0.0);
     scratch.im.resize(n_samples, 0.0);
     rng.fill_normal_soa(&mut scratch.re, &mut scratch.im);
-    // Fused modulate + AWGN sweep. Elementwise identical to the batch
-    // chain's modulate_into-then-add_awgn_into: per sample the batch path
-    // computes `a + σ·nᵢ` on I and `0.0 + σ·n_q` on Q, and so does this —
-    // the explicit `0.0 +` keeps the Q expression literally the same (it
-    // rewrites a σ·n_q of −0.0 to +0.0 exactly as the batch `+=` does).
+    // Fused modulate + AWGN sweep. Elementwise identical to modulating
+    // and then adding `σ·(nᵢ, n_q)`: per sample that computes `a + σ·nᵢ`
+    // on I and `0.0 + σ·n_q` on Q, and so does this — the explicit `0.0 +`
+    // keeps the Q expression literally the same (it rewrites a σ·n_q of
+    // −0.0 to +0.0 exactly as a complex `+=` does).
     let sigma = awgn.sigma;
     for ((chunk_re, chunk_im), &bit) in scratch
         .re
@@ -373,7 +301,7 @@ pub fn count_bit_errors_scratch<R: Rng + ?Sized>(
     }
     // Matched filter + threshold + compare, LANES symbols at a time. The
     // per-symbol sums fold sample 0 → sample sps−1 onto 0.0, exactly the
-    // order `Complex::sum` uses in the fused scalar kernel, so each
+    // order `Complex::sum` uses in the matched filter, so each
     // statistic carries the same rounding; only *independent* symbols run
     // side by side. Error counts land in lane-local integer accumulators
     // reduced in fixed lane order (integer addition is exact, so the order
@@ -430,72 +358,16 @@ pub fn count_bit_errors_scratch<R: Rng + ?Sized>(
     errors
 }
 
-/// The PR 3 batch kernel, kept verbatim: AoS `Complex` waveform buffer,
-/// [`OokModem::modulate_into`] → [`Awgn::add_awgn_into`] →
-/// [`OokModem::count_bit_errors`]. It consumes the same RNG stream and
-/// produces the same count as the lane kernel — the differential tests
-/// hold [`count_bit_errors_scratch`] against this bit for bit, and the
-/// `ber_kernel_lanes_vs_batch` bench row times the two against each
-/// other.
-pub fn count_bit_errors_scratch_batch<R: Rng + ?Sized>(
-    modem: &OokModem,
-    awgn: &Awgn,
-    n_bits: usize,
-    coherent: bool,
-    rng: &mut R,
-    scratch: &mut TrialScratch,
-) -> usize {
-    let _span = obs::span("phy.ber.chunk");
-    scratch.bits.resize(n_bits, false);
-    rng.fill_bits(&mut scratch.bits);
-    scratch
-        .samples
-        .resize(n_bits * modem.samples_per_symbol, Complex::ZERO);
-    modem.modulate_into(&scratch.bits, &mut scratch.samples);
-    awgn.add_awgn_into(&mut scratch.samples, rng);
-    let errors = modem.count_bit_errors(&scratch.bits, &scratch.samples, coherent);
-    obs::counter_add("phy.ber.bits", n_bits as u64);
-    obs::observe("phy.ber.chunk_errors", errors as u64);
-    errors
-}
-
 /// Bits per work unit for the parallel BER harness. Fixed (never derived
 /// from the thread count) so the chunk decomposition — and therefore the
 /// randomness each chunk consumes — is identical at any worker budget.
 pub const MC_CHUNK_BITS: usize = 8_192;
 
-/// The pre-batch trial chain, kept verbatim: per-bit `Vec` draws,
-/// allocating modulate, scalar sampler-v1 AWGN ([`Awgn::apply`]), and a
-/// materialized decision vector. This is (a) the *old* side of the
-/// old-vs-new kernel pairs in `bench_report` and (b) the scalar reference
-/// the differential tests hold the batch kernel against (same decisions,
-/// different — equally valid — noise stream).
-pub fn count_bit_errors_reference<R: Rng + ?Sized>(
-    modem: &OokModem,
-    eb_n0_db: f64,
-    n_bits: usize,
-    coherent: bool,
-    rng: &mut R,
-) -> usize {
-    let bits: Vec<bool> = (0..n_bits).map(|_| rng.bit()).collect();
-    let mut samples = modem.modulate(&bits);
-    Awgn::for_eb_n0(modem, eb_n0_db).apply(&mut samples, rng);
-    let decided = if coherent {
-        modem.demodulate_coherent(&samples)
-    } else {
-        modem.demodulate_noncoherent(&samples)
-    };
-    bits.iter()
-        .zip(decided.iter())
-        .filter(|(a, b)| a != b)
-        .count()
-}
-
 /// Bit errors of the full modulate → AWGN → demodulate chain over `n_bits`
 /// random bits drawn from `rng`. The core both the serial and the parallel
 /// BER estimators share — a thin wrapper over
 /// [`count_bit_errors_scratch`] with a one-shot workspace (**sampler v2**
-/// noise; see [`Awgn::add_awgn_into`]).
+/// noise).
 pub fn count_bit_errors<R: Rng + ?Sized>(
     modem: &OokModem,
     eb_n0_db: f64,
@@ -743,77 +615,29 @@ mod tests {
         assert_eq!(modem.matched_filter(&samples).len(), 1);
     }
 
-    // ---- differential tests: batch kernels vs the allocating references ----
-
-    fn random_bits(n: usize, seed: u64) -> Vec<bool> {
-        let mut rng = Xoshiro256pp::seed_from(seed);
-        (0..n).map(|_| rng.bit()).collect()
-    }
-
-    #[test]
-    fn modulate_into_is_bit_identical_to_modulate() {
-        // Odd lengths, zero length, and sizes that don't divide any chunk.
-        for n in [0usize, 1, 3, 17, 64, 1001] {
-            for sps in [1usize, 4, 5] {
-                let modem = OokModem::new(sps);
-                let bits = random_bits(n, 7 + n as u64);
-                let want = modem.modulate(&bits);
-                // Pre-poison the slice: the kernel must overwrite everything.
-                let mut got = vec![Complex::new(f64::NAN, f64::NAN); n * sps];
-                modem.modulate_into(&bits, &mut got);
-                assert_eq!(want.len(), got.len());
-                for (a, b) in want.iter().zip(&got) {
-                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "n={n} sps={sps}");
-                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "n={n} sps={sps}");
-                }
-            }
+    /// The lane kernel's oracle: the allocating chain, stage by stage —
+    /// one [`Rng::bit`] per bit, [`OokModem::modulate`], one
+    /// [`Rng::normal_pair`] added per sample, then the demodulator — with
+    /// the errors counted against the sent bits.
+    fn oracle_bit_errors<R: Rng + ?Sized>(
+        modem: &OokModem,
+        awgn: &Awgn,
+        n_bits: usize,
+        coherent: bool,
+        rng: &mut R,
+    ) -> usize {
+        let bits: Vec<bool> = (0..n_bits).map(|_| rng.bit()).collect();
+        let mut samples = modem.modulate(&bits);
+        for s in &mut samples {
+            let (ni, nq) = rng.normal_pair();
+            *s += Complex::new(awgn.sigma * ni, awgn.sigma * nq);
         }
-    }
-
-    #[test]
-    fn matched_filter_into_is_bit_identical_including_partial_symbols() {
-        let modem = OokModem::new(4);
-        let mut rng = Xoshiro256pp::seed_from(3);
-        for len in [0usize, 3, 4, 7, 8, 41, 400] {
-            let samples: Vec<Complex> = (0..len)
-                .map(|_| Complex::new(rng.normal(), rng.normal()))
-                .collect();
-            let want = modem.matched_filter(&samples);
-            let mut got = vec![Complex::new(f64::NAN, f64::NAN); len / 4];
-            modem.matched_filter_into(&samples, &mut got);
-            assert_eq!(want.len(), got.len(), "len={len}");
-            for (a, b) in want.iter().zip(&got) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits());
-                assert_eq!(a.im.to_bits(), b.im.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn fused_error_count_matches_both_demodulators() {
-        // Noisy enough that some decisions flip; the fused kernel's count
-        // must equal demodulate-then-compare, coherent and non-coherent,
-        // for both mark conventions.
-        for mark_bit in [false, true] {
-            let modem = OokModem {
-                mark_bit,
-                ..OokModem::new(4)
-            };
-            let bits = random_bits(513, 11);
-            let mut samples = modem.modulate(&bits);
-            let mut rng = Xoshiro256pp::seed_from(21);
-            Awgn::for_eb_n0(&modem, 4.0).apply(&mut samples, &mut rng);
-            for coherent in [true, false] {
-                let decided = if coherent {
-                    modem.demodulate_coherent(&samples)
-                } else {
-                    modem.demodulate_noncoherent(&samples)
-                };
-                let want = bits.iter().zip(&decided).filter(|(a, b)| a != b).count();
-                let got = modem.count_bit_errors(&bits, &samples, coherent);
-                assert_eq!(want, got, "mark_bit={mark_bit} coherent={coherent}");
-            }
-        }
+        let decided = if coherent {
+            modem.demodulate_coherent(&samples)
+        } else {
+            modem.demodulate_noncoherent(&samples)
+        };
+        bits.iter().zip(&decided).filter(|(a, b)| a != b).count()
     }
 
     #[test]
@@ -837,11 +661,12 @@ mod tests {
 
     #[test]
     fn lane_kernel_is_bit_identical_to_batch_kernel() {
-        // The tentpole contract: the SoA lane kernel returns the same
-        // count AND leaves the RNG at the same stream position as the
-        // PR 3 batch kernel, at every length class — empty, sub-lane,
-        // the 8-lane boundary and its neighbours, and long chunks that
-        // exercise many full lane blocks plus a tail.
+        // The kernel contract: the SoA lane kernel returns the same count
+        // AND leaves the RNG at the same stream position as the allocating
+        // oracle chain, at every length class — empty, sub-lane, the
+        // 8-lane boundary and its neighbours, and long chunks that
+        // exercise many full lane blocks plus a tail — in both modes and
+        // under both mark conventions.
         let combos = |n: usize| -> &'static [(bool, bool)] {
             if n <= 1_000 {
                 &[(true, false), (true, true), (false, false), (false, true)]
@@ -859,15 +684,18 @@ mod tests {
                     let awgn = Awgn::for_eb_n0(&modem, 4.0);
                     let mut rng_a = Xoshiro256pp::seed_from(0xB17 ^ n as u64);
                     let mut rng_b = Xoshiro256pp::seed_from(0xB17 ^ n as u64);
-                    let mut sa = TrialScratch::new();
-                    let mut sb = TrialScratch::new();
-                    let lanes =
-                        count_bit_errors_scratch(&modem, &awgn, n, coherent, &mut rng_a, &mut sa);
-                    let batch = count_bit_errors_scratch_batch(
-                        &modem, &awgn, n, coherent, &mut rng_b, &mut sb,
+                    let mut scratch = TrialScratch::new();
+                    let lanes = count_bit_errors_scratch(
+                        &modem,
+                        &awgn,
+                        n,
+                        coherent,
+                        &mut rng_a,
+                        &mut scratch,
                     );
+                    let oracle = oracle_bit_errors(&modem, &awgn, n, coherent, &mut rng_b);
                     assert_eq!(
-                        lanes, batch,
+                        lanes, oracle,
                         "count diverged at n={n} coherent={coherent} mark_bit={mark_bit} sps={sps}"
                     );
                     assert_eq!(
@@ -878,22 +706,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn batch_and_reference_chains_agree_on_ber() {
-        // Different noise streams (sampler v2 vs v1), same physics: the two
-        // kernels must estimate the same BER within Monte-Carlo error.
-        let modem = OokModem::new(4);
-        let n = 400_000;
-        let mut rng = Xoshiro256pp::seed_from(1);
-        let new = count_bit_errors(&modem, 7.0, n, true, &mut rng) as f64 / n as f64;
-        let mut rng = Xoshiro256pp::seed_from(1);
-        let old = count_bit_errors_reference(&modem, 7.0, n, true, &mut rng) as f64 / n as f64;
-        let sigma = (old * (1.0 - old) / n as f64).sqrt();
-        assert!(
-            (new - old).abs() < 5.0 * sigma + 1e-5,
-            "batch {new} vs reference {old}"
-        );
     }
 }

@@ -522,8 +522,11 @@ pub fn reset() {
     EVENTS.lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Escapes `s` as the body of a JSON string (backslash, quote, control
+/// characters) into `out` — the one escaping rule every hand-rolled JSON
+/// writer in the workspace shares (re-exported as
+/// `mmtag_sim::json::escape_into`).
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -537,7 +540,6 @@ fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 impl ObsReport {
@@ -577,26 +579,24 @@ impl ObsReport {
                     dur_us,
                     tid,
                     depth,
-                } => push(
-                    format!(
-                        "  {{\"name\": \"{}\", \"ph\": \"X\", \"pid\": 1, \"tid\": {}, \
-                         \"ts\": {:.3}, \"dur\": {:.3}, \"args\": {{\"depth\": {}}}}}",
-                        json_escape(name),
-                        tid,
-                        start_us,
-                        dur_us,
-                        depth
-                    ),
-                    &mut out,
-                ),
-                Event::Warn { message } => push(
-                    format!(
-                        "  {{\"name\": \"{}\", \"ph\": \"i\", \"s\": \"g\", \"pid\": 1, \
-                         \"tid\": 0, \"ts\": 0}}",
-                        json_escape(message)
-                    ),
-                    &mut out,
-                ),
+                } => {
+                    let mut line = String::from("  {\"name\": \"");
+                    escape_into(&mut line, name);
+                    let _ = write!(
+                        line,
+                        "\", \"ph\": \"X\", \"pid\": 1, \"tid\": {tid}, \"ts\": {start_us:.3}, \
+                         \"dur\": {dur_us:.3}, \"args\": {{\"depth\": {depth}}}}}"
+                    );
+                    push(line, &mut out);
+                }
+                Event::Warn { message } => {
+                    let mut line = String::from("  {\"name\": \"");
+                    escape_into(&mut line, message);
+                    line.push_str(
+                        "\", \"ph\": \"i\", \"s\": \"g\", \"pid\": 1, \"tid\": 0, \"ts\": 0}",
+                    );
+                    push(line, &mut out);
+                }
                 Event::Count { .. } | Event::Observe { .. } => {}
             }
         }
@@ -614,20 +614,21 @@ impl ObsReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "\"{}\": {}", json_escape(&c.name), c.value);
+            out.push('"');
+            escape_into(&mut out, &c.name);
+            let _ = write!(out, "\": {}", c.value);
         }
         out.push_str("}, \"spans\": {");
         for (i, s) in self.spans.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
+            out.push('"');
+            escape_into(&mut out, &s.name);
             let _ = write!(
                 out,
-                "\"{}\": {{\"count\": {}, \"total_us\": {:.3}, \"max_us\": {:.3}}}",
-                json_escape(&s.name),
-                s.count,
-                s.total_us,
-                s.max_us
+                "\": {{\"count\": {}, \"total_us\": {:.3}, \"max_us\": {:.3}}}",
+                s.count, s.total_us, s.max_us
             );
         }
         out.push_str("}, \"histograms\": {");
@@ -635,12 +636,12 @@ impl ObsReport {
             if i > 0 {
                 out.push_str(", ");
             }
+            out.push('"');
+            escape_into(&mut out, &h.name);
             let _ = write!(
                 out,
-                "\"{}\": {{\"count\": {}, \"sum\": {}, \"buckets\": [",
-                json_escape(&h.name),
-                h.count,
-                h.sum
+                "\": {{\"count\": {}, \"sum\": {}, \"buckets\": [",
+                h.count, h.sum
             );
             for (j, b) in h.buckets.iter().enumerate() {
                 if j > 0 {

@@ -135,12 +135,12 @@ pub trait Rng {
     /// as one call over the whole buffer only when splits are even-sized
     /// (batch callers use even chunk sizes for exactly this reason).
     ///
-    /// Since the lane rework this runs the fused Box–Muller **block
-    /// pipeline** ([`normal_pair_block`]'s fixed-width SoA sweeps) rather
-    /// than a per-pair scalar chain, but every value and the stream
-    /// position afterwards are bit-identical to the per-pair path — see
-    /// [`Rng::fill_normal_reference`], which the differential tests hold
-    /// this against.
+    /// This runs the fused Box–Muller **block pipeline**
+    /// ([`normal_pair_block`]'s fixed-width SoA sweeps) rather than a
+    /// per-pair scalar chain, but every value and the stream position
+    /// afterwards are bit-identical to one [`Rng::normal_pair`] per two
+    /// outputs — the scalar chain the differential tests hold this
+    /// against.
     fn fill_normal(&mut self, out: &mut [f64]) {
         let mut z0 = [0.0f64; BM_BLOCK];
         let mut z1 = [0.0f64; BM_BLOCK];
@@ -164,29 +164,12 @@ pub trait Rng {
         }
     }
 
-    /// The pre-lane batch fill (PR 3's sampler): one scalar
-    /// [`Rng::normal_pair`] per two outputs, odd tail on the cosine
-    /// branch. Values and stream consumption are **bit-identical** to
-    /// [`Rng::fill_normal`]; kept verbatim as the reference side of the
-    /// differential tests and of the `fill_normal_lanes_vs_batch` bench
-    /// row, so the lane pipeline's win (and its continued bit-identity)
-    /// stays measurable.
-    fn fill_normal_reference(&mut self, out: &mut [f64]) {
-        let mut chunks = out.chunks_exact_mut(2);
-        for pair in &mut chunks {
-            (pair[0], pair[1]) = self.normal_pair();
-        }
-        if let [last] = chunks.into_remainder() {
-            *last = self.normal_pair().0;
-        }
-    }
-
     /// Fills `out` with circularly-symmetric unit-variance-per-component
     /// complex normals: one [`Rng::normal_pair`] per element (`re` takes
     /// the cosine branch, `im` the sine). This is the AWGN/fading workhorse
     /// — a complex sample needs exactly one pair, so nothing is discarded.
     /// Runs the same block pipeline as [`Rng::fill_normal`]; bit-identical
-    /// to [`Rng::fill_complex_normal_reference`].
+    /// to one scalar [`Rng::normal_pair`] per element.
     fn fill_complex_normal(&mut self, out: &mut [Complex]) {
         let mut z0 = [0.0f64; BM_BLOCK];
         let mut z1 = [0.0f64; BM_BLOCK];
@@ -201,16 +184,6 @@ pub trait Rng {
         normal_pair_block(self, &mut z0, &mut z1, rem.len());
         for ((z, a), b) in rem.iter_mut().zip(&z0).zip(&z1) {
             *z = Complex::new(*a, *b);
-        }
-    }
-
-    /// The pre-lane complex fill: one scalar [`Rng::normal_pair`] per
-    /// element. Bit-identical to [`Rng::fill_complex_normal`]; kept as the
-    /// differential-test reference.
-    fn fill_complex_normal_reference(&mut self, out: &mut [Complex]) {
-        for z in out {
-            let (re, im) = self.normal_pair();
-            *z = Complex::new(re, im);
         }
     }
 
@@ -596,6 +569,20 @@ mod tests {
         assert_eq!(a.next_u64(), b.next_u64());
     }
 
+    /// The scalar oracle for the block pipeline: `pairs` consecutive
+    /// [`Rng::normal_pair`] draws, flattened `(cos, sin)`. `fill_normal`
+    /// over `n` outputs must equal the first `n` values of
+    /// `normal_pairs(rng, n.div_ceil(2))` (an odd tail keeps the cosine
+    /// branch), and `fill_complex_normal` must take one pair per element.
+    fn normal_pairs<R: Rng + ?Sized>(rng: &mut R, pairs: usize) -> Vec<f64> {
+        (0..pairs)
+            .flat_map(|_| {
+                let (z0, z1) = rng.normal_pair();
+                [z0, z1]
+            })
+            .collect()
+    }
+
     #[test]
     fn fill_normal_matches_pair_draws_and_handles_odd_tails() {
         for n in [0usize, 1, 2, 3, 7, 64, 1001] {
@@ -603,15 +590,8 @@ mod tests {
             let mut b = Xoshiro256pp::seed_from(123);
             let mut out = vec![0.0f64; n];
             a.fill_normal(&mut out);
-            let mut want = Vec::with_capacity(n);
-            while want.len() + 2 <= n {
-                let (z0, z1) = b.normal_pair();
-                want.push(z0);
-                want.push(z1);
-            }
-            if want.len() < n {
-                want.push(b.normal_pair().0);
-            }
+            let mut want = normal_pairs(&mut b, n.div_ceil(2));
+            want.truncate(n);
             assert_eq!(
                 out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -712,9 +692,8 @@ mod tests {
             let mut a = Xoshiro256pp::seed_from(0xD1FF ^ n as u64);
             let mut b = a.clone();
             let mut lanes = vec![0.0f64; n];
-            let mut reference = vec![0.0f64; n];
             a.fill_normal(&mut lanes);
-            b.fill_normal_reference(&mut reference);
+            let reference = normal_pairs(&mut b, n.div_ceil(2));
             for (i, (x, y)) in lanes.iter().zip(&reference).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "n={n} sample {i}");
             }
@@ -728,12 +707,11 @@ mod tests {
             let mut a = Xoshiro256pp::seed_from(0xC03 ^ n as u64);
             let mut b = a.clone();
             let mut lanes = vec![Complex::ZERO; n];
-            let mut reference = vec![Complex::ZERO; n];
             a.fill_complex_normal(&mut lanes);
-            b.fill_complex_normal_reference(&mut reference);
-            for (i, (x, y)) in lanes.iter().zip(&reference).enumerate() {
-                assert_eq!(x.re.to_bits(), y.re.to_bits(), "n={n} sample {i} re");
-                assert_eq!(x.im.to_bits(), y.im.to_bits(), "n={n} sample {i} im");
+            let reference = normal_pairs(&mut b, n);
+            for (i, (x, y)) in lanes.iter().zip(reference.chunks_exact(2)).enumerate() {
+                assert_eq!(x.re.to_bits(), y[0].to_bits(), "n={n} sample {i} re");
+                assert_eq!(x.im.to_bits(), y[1].to_bits(), "n={n} sample {i} im");
             }
             assert_eq!(a.next_u64(), b.next_u64(), "n={n} stream position");
         }
@@ -777,9 +755,8 @@ mod tests {
                 let mut a = ScriptedRng::new(script.clone(), 77);
                 let mut b = ScriptedRng::new(script.clone(), 77);
                 let mut lanes = vec![0.0f64; n];
-                let mut reference = vec![0.0f64; n];
                 a.fill_normal(&mut lanes);
-                b.fill_normal_reference(&mut reference);
+                let reference = normal_pairs(&mut b, n.div_ceil(2));
                 for (i, (x, y)) in lanes.iter().zip(&reference).enumerate() {
                     assert_eq!(x.to_bits(), y.to_bits(), "script {si} n={n} sample {i}");
                 }
@@ -803,10 +780,9 @@ mod tests {
         let mut b = Xoshiro256pp::seed_from(9);
         let mut out = vec![Complex::ZERO; 257];
         a.fill_complex_normal(&mut out);
-        for z in &out {
-            let (re, im) = b.normal_pair();
-            assert_eq!(z.re.to_bits(), re.to_bits());
-            assert_eq!(z.im.to_bits(), im.to_bits());
+        for (z, pair) in out.iter().zip(normal_pairs(&mut b, 257).chunks_exact(2)) {
+            assert_eq!(z.re.to_bits(), pair[0].to_bits());
+            assert_eq!(z.im.to_bits(), pair[1].to_bits());
         }
         assert_eq!(a.next_u64(), b.next_u64());
     }

@@ -10,10 +10,14 @@
 //! * events at equal times pop in scheduling order (sequence numbers),
 //! * no wall-clock, no threads, no interior mutability,
 //! * time never moves backwards (scheduling into the past panics).
+//!
+//! [`CalendarQueue`] is the one production scheduler. Its test oracle is
+//! a binary-heap scheduler over the same `(time, seq)` keys, kept in this
+//! module's tests: differential tests drive both through randomized
+//! schedules with ties, cancellations and `schedule_in` chains, and
+//! require identical pop streams.
 
 use crate::time::{Duration, Instant};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A handle to a scheduled event, usable for cancellation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -25,149 +29,23 @@ struct Entry<E> {
     event: E,
 }
 
-// Order by (time, seq) — BinaryHeap is a max-heap, so wrap in Reverse keys.
-struct HeapKey<E>(Entry<E>);
-
-impl<E> PartialEq for HeapKey<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.at == other.0.at && self.0.seq == other.0.seq
-    }
-}
-impl<E> Eq for HeapKey<E> {}
-impl<E> PartialOrd for HeapKey<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for HeapKey<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap: invert so earliest (time, seq) pops first.
-        Reverse((self.0.at, self.0.seq)).cmp(&Reverse((other.0.at, other.0.seq)))
-    }
-}
-
-/// The event scheduler. `E` is the caller's event type.
-pub struct Scheduler<E> {
-    heap: BinaryHeap<HeapKey<E>>,
-    /// Sequence numbers scheduled but not yet popped or cancelled.
-    live: std::collections::HashSet<u64>,
-    now: Instant,
-    next_seq: u64,
-    processed: u64,
-}
-
-impl<E> Default for Scheduler<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> Scheduler<E> {
-    /// An empty scheduler at time zero.
-    pub fn new() -> Self {
-        Scheduler {
-            heap: BinaryHeap::new(),
-            live: std::collections::HashSet::new(),
-            now: Instant::ZERO,
-            next_seq: 0,
-            processed: 0,
-        }
-    }
-
-    /// Current simulation time: the timestamp of the last popped event.
-    pub fn now(&self) -> Instant {
-        self.now
-    }
-
-    /// Number of events processed so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Number of pending (non-cancelled) events.
-    pub fn pending(&self) -> usize {
-        self.live.len()
-    }
-
-    /// True when no events remain.
-    pub fn is_idle(&self) -> bool {
-        self.pending() == 0
-    }
-
-    /// Schedules `event` at absolute time `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` is before the current time.
-    pub fn schedule_at(&mut self, at: Instant, event: E) -> EventHandle {
-        assert!(at >= self.now, "cannot schedule into the past");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.live.insert(seq);
-        self.heap.push(HeapKey(Entry { at, seq, event }));
-        EventHandle(seq)
-    }
-
-    /// Schedules `event` after a delay from now.
-    pub fn schedule_in(&mut self, delay: Duration, event: E) -> EventHandle {
-        self.schedule_at(self.now + delay, event)
-    }
-
-    /// Cancels a previously scheduled event. Returns `true` if the event was
-    /// still pending. Cancelling twice, or cancelling an already-fired
-    /// event, returns `false`.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        // Lazy deletion: remove from the live set now, skip at pop time.
-        self.live.remove(&handle.0)
-    }
-
-    /// Pops the next event, advancing simulation time to its timestamp.
-    /// Returns `None` when the queue is exhausted.
-    pub fn pop(&mut self) -> Option<(Instant, E)> {
-        while let Some(HeapKey(entry)) = self.heap.pop() {
-            if !self.live.remove(&entry.seq) {
-                continue; // cancelled
-            }
-            debug_assert!(entry.at >= self.now, "heap returned a past event");
-            self.now = entry.at;
-            self.processed += 1;
-            return Some((entry.at, entry.event));
-        }
-        None
-    }
-
-    /// Runs until the queue drains or `limit` events have been processed,
-    /// passing each event to `handler` together with `&mut Self` so the
-    /// handler can schedule more. Returns the number processed.
-    ///
-    /// This is the convenience driver for simple simulations; complex ones
-    /// (which need to borrow external state) drive `pop` themselves.
-    pub fn run_with<F: FnMut(&mut Self, Instant, E)>(&mut self, limit: u64, mut handler: F) -> u64 {
-        let start = self.processed;
-        while self.processed - start < limit {
-            let Some((t, e)) = self.pop() else { break };
-            handler(self, t, e);
-        }
-        self.processed - start
-    }
-}
-
 /// A bucketed calendar-queue scheduler: the engine behind city-scale runs.
 ///
-/// Same contract as [`Scheduler`] — `(time, seq)` pop order with FIFO
-/// tie-breaking, lazy cancellation, panic on scheduling into the past —
-/// but events live in a ring of time buckets (`bucket = (t / width) %
-/// n_buckets`) instead of a binary heap. When the bucket width matches
-/// the natural event spacing (a MAC slot duration, say), schedule and
-/// pop are O(1) amortized and, after warm-up, allocation-free: buckets
-/// are `Vec`s that keep their capacity across laps.
+/// `(time, seq)` pop order with FIFO tie-breaking, lazy cancellation,
+/// panic on scheduling into the past — with events in a ring of time
+/// buckets (`bucket = (t / width) % n_buckets`). When the bucket width
+/// matches the natural event spacing (a MAC slot duration, say),
+/// schedule and pop are O(1) amortized and, after warm-up,
+/// allocation-free: buckets are `Vec`s that keep their capacity across
+/// laps. There is no default layout: a width far below the event
+/// spacing makes every pop walk empty buckets, so each caller states
+/// the width its events imply.
 ///
-/// Bit-identity with the heap reference holds by construction: sequence
-/// numbers are assigned identically, events with equal timestamps always
-/// land in the same bucket (same `t / width`), and within a bucket the
-/// pop selects the minimum `(time, seq)` among entries eligible in the
-/// current lap window — exactly the heap's total order. A differential
-/// test below drives both schedulers through randomized schedules with
-/// ties, cancellations and `schedule_in` chains to pin this.
+/// The pop order equals a binary heap's over `(time, seq)` by
+/// construction: events with equal timestamps always land in the same
+/// bucket (same `t / width`), and within a bucket the pop selects the
+/// minimum `(time, seq)` among entries eligible in the current lap
+/// window. The differential tests below pin this against a heap oracle.
 ///
 /// Robustness: if a whole lap of buckets turns up empty (event times are
 /// sparse relative to `width * n_buckets`), `pop` falls back to a direct
@@ -187,22 +65,10 @@ pub struct CalendarQueue<E> {
     processed: u64,
 }
 
-impl<E> Default for CalendarQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<E> CalendarQueue<E> {
-    /// An empty queue at time zero with a general-purpose layout
-    /// (1 µs buckets, 64 of them — the ring grows as events pile in).
-    pub fn new() -> Self {
-        Self::with_layout(Duration::from_micros(1), 64)
-    }
-
-    /// An empty queue with an explicit bucket width and initial ring size.
-    /// Pick `bucket_width` near the typical inter-event gap (e.g. one MAC
-    /// slot) so pops stay O(1).
+    /// An empty queue at time zero with a bucket width and initial ring
+    /// size (the ring grows as events pile in). Pick `bucket_width` near
+    /// the typical inter-event gap (e.g. one MAC slot) so pops stay O(1).
     ///
     /// # Panics
     /// Panics on a zero-width bucket or an empty ring.
@@ -285,8 +151,8 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Cancels a previously scheduled event. Returns `true` if the event
-    /// was still pending; same lazy-deletion semantics as
-    /// [`Scheduler::cancel`].
+    /// was still pending. Cancelling twice, or cancelling an already-fired
+    /// event, returns `false`.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
         // A live seq is by definition still sitting in some bucket, so a
         // successful cancel adds one unit of lazy-deletion debt.
@@ -374,8 +240,12 @@ impl<E> CalendarQueue<E> {
         (entry.at, entry.event)
     }
 
-    /// Runs until the queue drains or `limit` events have been processed;
-    /// see [`Scheduler::run_with`].
+    /// Runs until the queue drains or `limit` events have been processed,
+    /// passing each event to `handler` together with `&mut Self` so the
+    /// handler can schedule more. Returns the number processed.
+    ///
+    /// This is the convenience driver for simple simulations; complex ones
+    /// (which need to borrow external state) drive `pop` themselves.
     pub fn run_with<F: FnMut(&mut Self, Instant, E)>(&mut self, limit: u64, mut handler: F) -> u64 {
         let start = self.processed;
         while self.processed - start < limit {
@@ -389,10 +259,96 @@ impl<E> CalendarQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, HashSet};
+
+    /// Heap order over `(time, seq)`: `BinaryHeap` is a max-heap, so the
+    /// key is reversed and the earliest `(time, seq)` pops first.
+    struct HeapKey<E>(Entry<E>);
+
+    impl<E> PartialEq for HeapKey<E> {
+        fn eq(&self, other: &Self) -> bool {
+            (self.0.at, self.0.seq) == (other.0.at, other.0.seq)
+        }
+    }
+    impl<E> Eq for HeapKey<E> {}
+    impl<E> PartialOrd for HeapKey<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<E> Ord for HeapKey<E> {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            Reverse((self.0.at, self.0.seq)).cmp(&Reverse((other.0.at, other.0.seq)))
+        }
+    }
+
+    /// The [`CalendarQueue`] oracle: a binary-heap scheduler with the same
+    /// sequence numbering and lazy cancellation.
+    struct Scheduler<E> {
+        heap: BinaryHeap<HeapKey<E>>,
+        live: HashSet<u64>,
+        now: Instant,
+        next_seq: u64,
+        processed: u64,
+    }
+
+    impl<E> Scheduler<E> {
+        fn new() -> Self {
+            Scheduler {
+                heap: BinaryHeap::new(),
+                live: HashSet::new(),
+                now: Instant::ZERO,
+                next_seq: 0,
+                processed: 0,
+            }
+        }
+
+        fn now(&self) -> Instant {
+            self.now
+        }
+
+        fn processed(&self) -> u64 {
+            self.processed
+        }
+
+        fn pending(&self) -> usize {
+            self.live.len()
+        }
+
+        fn schedule_at(&mut self, at: Instant, event: E) -> EventHandle {
+            assert!(at >= self.now, "cannot schedule into the past");
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.live.insert(seq);
+            self.heap.push(HeapKey(Entry { at, seq, event }));
+            EventHandle(seq)
+        }
+
+        fn cancel(&mut self, handle: EventHandle) -> bool {
+            self.live.remove(&handle.0)
+        }
+
+        fn pop(&mut self) -> Option<(Instant, E)> {
+            while let Some(HeapKey(entry)) = self.heap.pop() {
+                if self.live.remove(&entry.seq) {
+                    self.now = entry.at;
+                    self.processed += 1;
+                    return Some((entry.at, entry.event));
+                }
+            }
+            None
+        }
+    }
+
+    /// The layout the single-queue tests run on: 1 µs × 64 buckets.
+    fn queue<E>() -> CalendarQueue<E> {
+        CalendarQueue::with_layout(Duration::from_micros(1), 64)
+    }
 
     #[test]
     fn pops_in_time_order() {
-        let mut s = Scheduler::new();
+        let mut s = queue();
         s.schedule_at(Instant::from_nanos(30), "c");
         s.schedule_at(Instant::from_nanos(10), "a");
         s.schedule_at(Instant::from_nanos(20), "b");
@@ -402,7 +358,7 @@ mod tests {
 
     #[test]
     fn equal_times_pop_fifo() {
-        let mut s = Scheduler::new();
+        let mut s = queue();
         let t = Instant::from_nanos(5);
         for name in ["first", "second", "third"] {
             s.schedule_at(t, name);
@@ -413,7 +369,7 @@ mod tests {
 
     #[test]
     fn now_tracks_popped_events() {
-        let mut s = Scheduler::new();
+        let mut s = queue();
         s.schedule_in(Duration::from_micros(2), ());
         assert_eq!(s.now(), Instant::ZERO);
         s.pop();
@@ -422,7 +378,7 @@ mod tests {
 
     #[test]
     fn schedule_in_is_relative_to_now() {
-        let mut s = Scheduler::new();
+        let mut s = queue();
         s.schedule_in(Duration::from_nanos(10), 1u32);
         s.pop();
         s.schedule_in(Duration::from_nanos(10), 2u32);
@@ -432,7 +388,7 @@ mod tests {
 
     #[test]
     fn cancel_suppresses_event() {
-        let mut s = Scheduler::new();
+        let mut s = queue();
         let h = s.schedule_at(Instant::from_nanos(10), "dead");
         s.schedule_at(Instant::from_nanos(20), "alive");
         assert!(s.cancel(h));
@@ -444,7 +400,7 @@ mod tests {
 
     #[test]
     fn double_cancel_returns_false() {
-        let mut s = Scheduler::new();
+        let mut s = queue();
         let h = s.schedule_at(Instant::from_nanos(10), ());
         assert!(s.cancel(h));
         assert!(!s.cancel(h));
@@ -452,14 +408,14 @@ mod tests {
 
     #[test]
     fn cancel_unknown_handle_is_harmless() {
-        let mut s: Scheduler<()> = Scheduler::new();
+        let mut s: CalendarQueue<()> = queue();
         assert!(!s.cancel(EventHandle(99)));
     }
 
     #[test]
     fn run_with_drives_chained_events() {
         // A self-rescheduling tick: event n schedules n+1 until 5.
-        let mut s = Scheduler::new();
+        let mut s = queue();
         s.schedule_at(Instant::from_nanos(1), 0u32);
         let mut seen = Vec::new();
         s.run_with(100, |s, _, n| {
@@ -474,7 +430,7 @@ mod tests {
 
     #[test]
     fn run_with_respects_limit() {
-        let mut s = Scheduler::new();
+        let mut s = queue();
         for i in 0..10u64 {
             s.schedule_at(Instant::from_nanos(i), i);
         }
@@ -486,7 +442,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "into the past")]
     fn scheduling_into_the_past_is_a_bug() {
-        let mut s = Scheduler::new();
+        let mut s = queue();
         s.schedule_at(Instant::from_nanos(10), ());
         s.pop();
         s.schedule_at(Instant::from_nanos(5), ());
@@ -495,7 +451,7 @@ mod tests {
     #[test]
     fn large_event_count_stays_ordered() {
         // Pseudo-random insertion order, verify global ordering.
-        let mut s = Scheduler::new();
+        let mut s = queue();
         let mut x: u64 = 0x2545F4914F6CDD1D;
         for _ in 0..10_000 {
             x ^= x << 13;
@@ -511,7 +467,7 @@ mod tests {
         assert_eq!(s.processed(), 10_000);
     }
 
-    // ---- calendar queue: differential tests against the heap reference ----
+    // ---- differential tests against the heap oracle ----
 
     /// xorshift64* — a self-contained stream for randomized schedules.
     struct TestRng(u64);
@@ -597,12 +553,12 @@ mod tests {
         let mut seen_heap = Vec::new();
         let mut seen_cal = Vec::new();
         let step = |n: u64| (n % 1_000 < 200).then_some(((n * 31) % 7) * 50);
-        heap.run_with(1_000, |s, _, n| {
-            seen_heap.push((s.now(), n));
+        while let Some((now, n)) = heap.pop() {
+            seen_heap.push((now, n));
             if let Some(d) = step(n) {
-                s.schedule_in(Duration::from_nanos(d), n + 1);
+                heap.schedule_at(now + Duration::from_nanos(d), n + 1);
             }
-        });
+        }
         cal.run_with(1_000, |s, _, n| {
             seen_cal.push((s.now(), n));
             if let Some(d) = step(n) {
@@ -611,7 +567,7 @@ mod tests {
         });
         assert_eq!(seen_heap.len(), 804);
         assert_eq!(seen_heap, seen_cal);
-        assert!(heap.is_idle() && cal.is_idle());
+        assert!(heap.pending() == 0 && cal.is_idle());
     }
 
     #[test]
@@ -656,9 +612,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "into the past")]
     fn calendar_scheduling_into_the_past_is_a_bug() {
-        // Past-time regression: the calendar queue must reject past times
-        // with the same panic as the heap reference.
-        let mut s = CalendarQueue::new();
+        // Past-time regression on a mistuned layout: the pop below crosses
+        // whole empty laps into the direct-scan fallback, and `now` must
+        // still advance so the past check holds.
+        let mut s = CalendarQueue::with_layout(Duration::from_nanos(1), 2);
         s.schedule_at(Instant::from_nanos(10), ());
         s.pop();
         s.schedule_at(Instant::from_nanos(5), ());

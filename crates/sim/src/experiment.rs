@@ -91,8 +91,8 @@ impl Table {
         &self.labels[row]
     }
 
-    /// Renders the aligned human-readable table (what the figure binaries
-    /// print).
+    /// Renders the aligned human-readable table (what `scenario run`
+    /// prints).
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "## {}", self.title);

@@ -1,19 +1,21 @@
-//! A minimal JSON DOM and recursive-descent parser.
+//! The workspace's JSON toolkit: a minimal DOM and recursive-descent
+//! parser, plus the one string escaper.
 //!
-//! The workspace is dependency-free by design, so the handful of places
-//! that must *read* JSON — the bench-report verifier, the serve-protocol
-//! client — share this tiny DOM instead of pulling in serde. Writers
-//! stay hand-rolled at each call site (`RunRecord::to_json`, the obs
-//! metrics block, the serve responses): emitting JSON with a fixed key
-//! order is a `format!` away, while parsing benefits from one careful
-//! implementation.
+//! The workspace is dependency-free by design, so every place that must
+//! *read* JSON — the bench-report verifier, the serve-protocol client,
+//! the tests that check emitted documents — shares this tiny DOM instead
+//! of pulling in serde. Writers stay hand-rolled at each call site
+//! (`RunRecord::to_json`, the obs metrics block, the serve responses):
+//! emitting JSON with a fixed key order is a `format!` away, while
+//! parsing benefits from one careful implementation. All of them escape
+//! strings with [`escape_into`], which lives in `mmtag_rf::obs` (the
+//! lowest crate that writes JSON) and is re-exported here.
 //!
-//! Accepts exactly the grammar `mmtag_bench::timing::validate_json`
-//! accepts: the full RFC 8259 value grammar minus `\u` surrogate pairs
-//! (lone surrogates degrade to U+FFFD; no writer in this workspace emits
-//! `\u` escapes at all).
+//! The parser accepts the full RFC 8259 value grammar minus `\u`
+//! surrogate pairs (lone surrogates degrade to U+FFFD; no writer in this
+//! workspace emits `\u` escapes above U+001F).
 
-use std::fmt;
+pub use mmtag_rf::obs::escape_into;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -70,26 +72,6 @@ impl Json {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
-        }
-    }
-}
-
-/// Escapes `s` as the body of a JSON string (backslash, quote, control
-/// characters) into `out` — the one escaping rule every hand-rolled
-/// writer in the workspace needs.
-pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
 }

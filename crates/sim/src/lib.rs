@@ -64,7 +64,7 @@ pub mod serve;
 pub mod spatial;
 pub mod time;
 
-pub use des::{CalendarQueue, Scheduler};
+pub use des::CalendarQueue;
 pub use geom::{Segment, Vec2};
 pub use rng::SeedTree;
 pub use scene::Scene;

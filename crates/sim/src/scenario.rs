@@ -13,12 +13,12 @@
 //! produced them.
 //!
 //! The [`Registry`] maps scenario names to runnable instances so campaign
-//! tooling (figure binaries, the CLI `run` command, the CI smoke step) can
-//! enumerate and execute every experiment uniformly. Specs are plain data:
-//! this crate sits *below* the device models, so the reader/tag/scene
-//! fields are declarative configs ([`ReaderSpec`], [`TagSpec`],
-//! [`SceneSpec`]) that the `mmtag` core crate interprets into live
-//! objects (`mmtag::scenario`).
+//! tooling (the `scenario` binary, the CLI `run` command, the CI smoke
+//! step) can enumerate and execute every experiment uniformly. Specs are
+//! plain data: this crate sits *below* the device models, so the
+//! reader/tag/scene fields are declarative configs ([`ReaderSpec`],
+//! [`TagSpec`], [`SceneSpec`]) that the `mmtag` core crate interprets into
+//! live objects (`mmtag::scenario`).
 //!
 //! Everything here is `std`-only, including the JSON writer.
 
@@ -659,23 +659,11 @@ impl RunRecord {
     }
 }
 
-/// JSON string escaping (quotes, backslash, control characters).
+/// A quoted JSON string (escaped by [`crate::json::escape_into`]).
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    crate::json::escape_into(&mut out, s);
     out.push('"');
     out
 }

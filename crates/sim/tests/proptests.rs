@@ -3,7 +3,7 @@
 //! the in-house [`mmtag_sim::rng`] streams.
 
 use mmtag_rf::units::Angle;
-use mmtag_sim::des::Scheduler;
+use mmtag_sim::des::CalendarQueue;
 use mmtag_sim::geom::{line_of_sight, Segment, Vec2};
 use mmtag_sim::metrics::{Histogram, Summary};
 use mmtag_sim::mobility::{Mobility, Pose, Waypoints};
@@ -25,7 +25,7 @@ fn scheduler_global_ordering() {
     for mut rng in cases("sched-order") {
         let n = 1 + rng.index(199);
         let times: Vec<u64> = (0..n).map(|_| rng.below(1000)).collect();
-        let mut s = Scheduler::new();
+        let mut s = CalendarQueue::with_layout(Duration::from_nanos(10), 8);
         for (i, &t) in times.iter().enumerate() {
             s.schedule_at(Instant::from_nanos(t), i);
         }
@@ -52,7 +52,7 @@ fn scheduler_cancellation_complement() {
     for mut rng in cases("sched-cancel") {
         let n = 1 + rng.index(49);
         let times: Vec<u64> = (0..n).map(|_| rng.below(100)).collect();
-        let mut s = Scheduler::new();
+        let mut s = CalendarQueue::with_layout(Duration::from_nanos(10), 8);
         let handles: Vec<_> = times
             .iter()
             .enumerate()
