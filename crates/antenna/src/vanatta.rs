@@ -272,28 +272,19 @@ impl<E: ElementPattern> VanAttaArray<E> {
 
 impl<E: ElementPattern + Sync> VanAttaArray<E> {
     /// Monostatic gain evaluated at every angle in `angles`, in order,
-    /// computed in parallel over the [`mmtag_rf::par`] engine. Each angle
-    /// is one pure work unit, so the result is identical to the serial
-    /// `angles.iter().map(|&a| self.monostatic_gain(a))` at any thread
-    /// count. This is the hot loop of every retrodirectivity figure
-    /// (Fig. 5-style gain-vs-angle cuts).
-    pub fn monostatic_sweep_par(&self, angles: &[Angle]) -> Vec<f64> {
-        self.monostatic_sweep_par_with(mmtag_rf::par::thread_limit(), angles)
-    }
-
-    /// [`VanAttaArray::monostatic_sweep_par`] with an explicit thread budget.
+    /// computed in parallel over the [`mmtag_rf::par`] engine at a
+    /// `threads` budget. Each angle is one pure work unit, so the result is
+    /// identical to the serial `angles.iter().map(|&a|
+    /// self.monostatic_gain(a))` at any thread count. This is the hot loop
+    /// of every retrodirectivity figure (Fig. 5-style gain-vs-angle cuts).
     pub fn monostatic_sweep_par_with(&self, threads: usize, angles: &[Angle]) -> Vec<f64> {
         mmtag_rf::par::par_map_with(threads, angles, |_, &a| self.monostatic_gain(a))
     }
 
     /// Bistatic-gain cut: the re-radiated power toward each `psi_outs`
-    /// angle for illumination from `theta_in`, in parallel. One call of
-    /// this shape (a fine ψ scan) underlies [`VanAttaArray::reflection_peak_angle`].
-    pub fn bistatic_cut_par(&self, theta_in: Angle, psi_outs: &[Angle]) -> Vec<f64> {
-        self.bistatic_cut_par_with(mmtag_rf::par::thread_limit(), theta_in, psi_outs)
-    }
-
-    /// [`VanAttaArray::bistatic_cut_par`] with an explicit thread budget.
+    /// angle for illumination from `theta_in`, in parallel at a `threads`
+    /// budget. One call of this shape (a fine ψ scan) underlies
+    /// [`VanAttaArray::reflection_peak_angle`].
     pub fn bistatic_cut_par_with(
         &self,
         threads: usize,

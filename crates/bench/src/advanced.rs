@@ -104,11 +104,12 @@ pub(crate) fn e24_body(ctx: &RunContext) -> Vec<Table> {
         .iter()
         .map(|&v| v as usize)
         .collect();
-    let results = mmtag_sim::par::par_sweep(&ctx.tree, "gen2-pop", &pops, |sub, &n| {
-        let mut rng = sub.rng("inventory");
-        let mut tags: Vec<Gen2Tag> = (0..n).map(|i| Gen2Tag::new(i as u64)).collect();
-        run_gen2_inventory(&mut tags, Gen2Timing::fast_mmwave(), 1_000_000, &mut rng)
-    });
+    let results =
+        mmtag_sim::par::par_sweep_with(ctx.threads, &ctx.tree, "gen2-pop", &pops, |sub, &n| {
+            let mut rng = sub.rng("inventory");
+            let mut tags: Vec<Gen2Tag> = (0..n).map(|i| Gen2Tag::new(i as u64)).collect();
+            run_gen2_inventory(&mut tags, Gen2Timing::fast_mmwave(), 1_000_000, &mut rng)
+        });
     for (&n, stats) in pops.iter().zip(&results) {
         assert_eq!(stats.epcs.len(), n, "inventory must drain");
         let ms = stats.elapsed.as_secs_f64() * 1e3;
@@ -209,40 +210,45 @@ pub(crate) fn e26_body(ctx: &RunContext) -> Vec<Table> {
         "E26 — self-interference cancellation at the waveform level",
         &["leak_over_signal_db", "ber_no_cancel", "ber_cancelled"],
     );
-    for leak_db in ctx.spec.values("leak_over_signal_db") {
+    // Every (leak, cancel) cell seeds its own generator — the plain run
+    // from the spec seed, the cancelled run from seed + 1 — so the cells
+    // are independent and fan out at the runner's thread budget.
+    let leaks = ctx.spec.values("leak_over_signal_db");
+    let cells: Vec<(f64, bool)> = leaks
+        .iter()
+        .flat_map(|&leak_db| [(leak_db, false), (leak_db, true)])
+        .collect();
+    let bers = mmtag_sim::par::par_map_with(ctx.threads, &cells, |_, &(leak_db, cancel)| {
         let amplitude = 10f64.powf(leak_db / 20.0);
-        let run = |cancel: bool, seed: u64| -> f64 {
-            let mut rng = Xoshiro256pp::seed_from(seed);
-            let data: Vec<bool> = (0..bits).map(|_| rng.bit()).collect();
-            let leakage = LeakageChannel {
-                amplitude,
-                phase: 0.9,
-                drift_per_sample: 1e-8,
-            };
-            let awgn = Awgn::for_eb_n0(&modem, 12.0);
-            let mut quiet = vec![mmtag_rf::Complex::ZERO; 2048];
-            leakage.apply(&mut quiet);
-            awgn.apply(&mut quiet, &mut rng);
-            let mut samples = modem.modulate(&data);
-            leakage.apply(&mut samples);
-            awgn.apply(&mut samples, &mut rng);
-            if cancel {
-                let mut c = Canceller::train(&quiet, 1e-3);
-                c.cancel(&mut samples);
-            }
-            adc.apply(&mut samples);
-            let soft = modem.soft_bits(&samples);
-            data.iter()
-                .zip(soft.iter().map(|&s| s > 0.0))
-                .filter(|(a, b)| *a != b)
-                .count() as f64
-                / bits as f64
+        let seed = ctx.spec.seed + u64::from(cancel);
+        let mut rng = Xoshiro256pp::seed_from(seed);
+        let data: Vec<bool> = (0..bits).map(|_| rng.bit()).collect();
+        let leakage = LeakageChannel {
+            amplitude,
+            phase: 0.9,
+            drift_per_sample: 1e-8,
         };
-        t.push_row(&[
-            leak_db,
-            run(false, ctx.spec.seed),
-            run(true, ctx.spec.seed + 1),
-        ]);
+        let awgn = Awgn::for_eb_n0(&modem, 12.0);
+        let mut quiet = vec![mmtag_rf::Complex::ZERO; 2048];
+        leakage.apply(&mut quiet);
+        awgn.apply(&mut quiet, &mut rng);
+        let mut samples = modem.modulate(&data);
+        leakage.apply(&mut samples);
+        awgn.apply(&mut samples, &mut rng);
+        if cancel {
+            let mut c = Canceller::train(&quiet, 1e-3);
+            c.cancel(&mut samples);
+        }
+        adc.apply(&mut samples);
+        let soft = modem.soft_bits(&samples);
+        data.iter()
+            .zip(soft.iter().map(|&s| s > 0.0))
+            .filter(|(a, b)| *a != b)
+            .count() as f64
+            / bits as f64
+    });
+    for (i, &leak_db) in leaks.iter().enumerate() {
+        t.push_row(&[leak_db, bers[2 * i], bers[2 * i + 1]]);
     }
     vec![t]
 }

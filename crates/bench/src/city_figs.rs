@@ -3,15 +3,19 @@
 //!
 //! These are the §9 "network of mmTags" endgame runs: a reader grid
 //! inventorying 10³–10⁵ mobile, energy-harvesting tags through
-//! [`mmtag_mac::city::CityEngine`]. Both scenarios run the *sharded
-//! calendar-queue engine* at the context's thread budget — the registry
-//! smoke, the RunCache round-trip and the determinism tests therefore
-//! exercise the exact production path (and its bit-identical-anywhere
-//! contract) rather than a scaled-down stand-in.
+//! [`mmtag_mac::city::CityEngine`]. Both scenarios run the production
+//! engine — per-tag barrier, sharded calendar-queue rounds — at the
+//! context's thread budget: E27 hands the budget to each engine in turn
+//! (its 10⁵-tag point is most of its work), E28 fans its nine independent
+//! engines out across it, one thread each. The registry smoke, the
+//! RunCache round-trip and the determinism tests therefore exercise the
+//! exact production path (and its bit-identical-anywhere contract)
+//! rather than a scaled-down stand-in.
 
 use crate::scenarios::FigScenario;
 use mmtag_mac::city::{CityConfig, CityEngine};
 use mmtag_sim::experiment::Table;
+use mmtag_sim::par::par_map_with;
 use mmtag_sim::scenario::{AxisKind, RunContext, ScenarioSpec};
 
 /// **E27** spec: tag-density sweep (10³ → 10⁵ tags) on the dense city.
@@ -68,6 +72,9 @@ pub fn fig_city_density(seed: u64) -> Table {
     FigScenario::new(e27_spec(seed), e27_body).table()
 }
 
+/// E28's fixed tag population.
+const E28_TAGS: usize = 20_000;
+
 /// **E28** spec: mobility × blockage grid at a fixed 20 k-tag population.
 pub(crate) fn e28_spec(seed: u64) -> ScenarioSpec {
     ScenarioSpec::paper_link(
@@ -91,25 +98,31 @@ pub(crate) fn e28_body(ctx: &RunContext) -> Vec<Table> {
             "empty_frac",
         ],
     );
-    let mut point = 0u64;
-    for speed in ctx.spec.values("speed_mps") {
-        for blockers in ctx.spec.values("blockers") {
-            let mut cfg = CityConfig::dense(20_000, 8);
-            cfg.speed_mps = speed;
-            cfg.blockers = blockers as usize;
-            let mut eng = CityEngine::new(cfg, ctx.tree.subtree_indexed("trace", point));
-            point += 1;
-            let s = eng.run_rounds(ctx.threads);
-            let slots = (s.slots as f64).max(1.0);
-            t.push_row(&[
-                speed,
-                blockers,
-                s.tags_read as f64,
-                s.tags_read as f64 / cfg.tags as f64,
-                s.collisions as f64 / slots,
-                s.empties as f64 / slots,
-            ]);
-        }
+    // The (speed, blockers) engines are independent — point `i` takes
+    // the `("trace", i)` subtree — so they fan out at the runner's thread
+    // budget, each engine running its rounds on one thread.
+    let speeds = ctx.spec.values("speed_mps");
+    let blockers = ctx.spec.values("blockers");
+    let points: Vec<(f64, f64)> = speeds
+        .iter()
+        .flat_map(|&speed| blockers.iter().map(move |&b| (speed, b)))
+        .collect();
+    let stats = par_map_with(ctx.threads, &points, |i, &(speed, blockers)| {
+        let mut cfg = CityConfig::dense(E28_TAGS, 8);
+        cfg.speed_mps = speed;
+        cfg.blockers = blockers as usize;
+        CityEngine::new(cfg, ctx.tree.subtree_indexed("trace", i as u64)).run_rounds(1)
+    });
+    for (&(speed, blockers), s) in points.iter().zip(&stats) {
+        let slots = (s.slots as f64).max(1.0);
+        t.push_row(&[
+            speed,
+            blockers,
+            s.tags_read as f64,
+            s.tags_read as f64 / E28_TAGS as f64,
+            s.collisions as f64 / slots,
+            s.empties as f64 / slots,
+        ]);
     }
     vec![t]
 }

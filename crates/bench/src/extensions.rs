@@ -9,18 +9,19 @@ use mmtag::storage::{average_throughput_bps, bits_per_burst, steady_state_cycle,
 use mmtag_antenna::element::Isotropic;
 use mmtag_antenna::planar::{Direction, PlanarVanAtta};
 use mmtag_antenna::{LinearArray, PatchElement};
-use mmtag_channel::fading::{outage_grid_par, OutageCell, RicianFading};
+use mmtag_channel::fading::{outage_grid_par_with, OutageCell, RicianFading};
 use mmtag_mac::acquisition::{worst_case_latency, SearchMode};
 use mmtag_mac::capture::capture_gain;
 use mmtag_mac::mimo::mimo_inventory;
 use mmtag_mac::ScanSchedule;
 use mmtag_mac::SectorScheduler;
-use mmtag_phy::bpsk::{measure_bpsk_ber, BpskModem};
+use mmtag_phy::bpsk::{measure_bpsk_ber, skip_measure_bpsk_ber, BpskModem};
 use mmtag_phy::pulse::PulseShaper;
 use mmtag_phy::spectrum::Spectrum;
-use mmtag_phy::waveform::{measure_ber, OokModem};
+use mmtag_phy::waveform::{measure_ber, skip_measure_ber, OokModem};
 use mmtag_rf::rng::Xoshiro256pp;
 use mmtag_sim::experiment::Table;
+use mmtag_sim::par::par_map_with;
 use mmtag_sim::scenario::{AxisKind, RunContext, ScenarioSpec};
 
 /// **E13** spec: the channel half-width sweep under `seed`.
@@ -170,7 +171,7 @@ pub(crate) fn e15_body(ctx: &RunContext) -> Vec<Table> {
             })
         })
         .collect();
-    let outage = outage_grid_par(&cells, ctx.spec.trials);
+    let outage = outage_grid_par_with(ctx.threads, &cells, ctx.spec.trials);
     let mut t = Table::new(
         "E15 — Rician fading: outage probability vs K-factor and margin",
         &["k_db", "outage_3db_margin", "outage_7db_margin"],
@@ -207,19 +208,45 @@ pub(crate) fn e16_spec(bits: usize, seed: u64) -> ScenarioSpec {
 }
 
 pub(crate) fn e16_body(ctx: &RunContext) -> Vec<Table> {
-    let mut rng = Xoshiro256pp::seed_from(ctx.spec.seed);
+    let bits = ctx.spec.trials;
     let ook = OokModem::new(4);
     let bpsk = BpskModem::new(4);
+    let snrs = ctx.spec.values("eb_n0_db");
+    // The (SNR, modem) cells read one sequential stream in turn: OOK, then
+    // BPSK, at each SNR. One serial walk that skips exactly what each cell
+    // draws snapshots every cell's starting generator, so the cells run
+    // concurrently on the very draws they would read in turn.
+    let cells: Vec<(f64, bool)> = snrs
+        .iter()
+        .flat_map(|&snr| [(snr, false), (snr, true)])
+        .collect();
+    let mut walk = Xoshiro256pp::seed_from(ctx.spec.seed);
+    let mut starts = Vec::with_capacity(cells.len());
+    for (i, &(_, is_bpsk)) in cells.iter().enumerate() {
+        starts.push(walk.clone());
+        if i + 1 == cells.len() {
+            break; // nothing reads past the last cell
+        }
+        if is_bpsk {
+            skip_measure_bpsk_ber(&bpsk, bits, &mut walk);
+        } else {
+            skip_measure_ber(&ook, bits, &mut walk);
+        }
+    }
+    let bers = par_map_with(ctx.threads, &cells, |i, &(snr, is_bpsk)| {
+        let mut rng = starts[i].clone();
+        if is_bpsk {
+            measure_bpsk_ber(&bpsk, snr, bits, &mut rng)
+        } else {
+            measure_ber(&ook, snr, bits, true, &mut rng)
+        }
+    });
     let mut t = Table::new(
         "E16 — BPSK backscatter vs OOK: measured BER at equal Eb/N0",
         &["eb_n0_db", "ook_ber", "bpsk_ber"],
     );
-    for snr in ctx.spec.values("eb_n0_db") {
-        t.push_row(&[
-            snr,
-            measure_ber(&ook, snr, ctx.spec.trials, true, &mut rng),
-            measure_bpsk_ber(&bpsk, snr, ctx.spec.trials, &mut rng),
-        ]);
+    for (i, &snr) in snrs.iter().enumerate() {
+        t.push_row(&[snr, bers[2 * i], bers[2 * i + 1]]);
     }
     vec![t]
 }

@@ -2,7 +2,7 @@
 
 use crate::scenarios::FigScenario;
 use mmtag_phy::ber::{bpsk_ber, ook_coherent_ber, ook_noncoherent_ber, required_eb_n0_db};
-use mmtag_phy::waveform::{ber_sweep_par, OokModem};
+use mmtag_phy::waveform::{ber_sweep_par_with, OokModem};
 use mmtag_sim::experiment::Table;
 use mmtag_sim::scenario::{AxisKind, RunContext, ScenarioSpec};
 
@@ -28,7 +28,7 @@ pub(crate) fn e5_spec(bits_per_point: usize, seed: u64) -> ScenarioSpec {
 pub(crate) fn e5_body(ctx: &RunContext) -> Vec<Table> {
     let modem = OokModem::new(4);
     let snrs = ctx.spec.values("eb_n0_db");
-    let measured = ber_sweep_par(&modem, &snrs, ctx.spec.trials, true, &ctx.tree);
+    let measured = ber_sweep_par_with(ctx.threads, &modem, &snrs, ctx.spec.trials, true, &ctx.tree);
     let mut t = Table::new(
         "E5 — BER vs Eb/N0: theory and measured waveform chain",
         &[
@@ -58,9 +58,10 @@ pub(crate) fn e5_body(ctx: &RunContext) -> Vec<Table> {
 /// `eb_n0_db`, `bpsk_theory`, `ook_coh_theory`, `ook_noncoh_theory`,
 /// `ook_measured`.
 ///
-/// The measured column runs over [`ber_sweep_par`]: every (SNR point,
-/// bit-chunk) pair is an independent work unit of the parallel engine, so
-/// the figure is bit-identical at any thread count.
+/// The measured column runs over [`ber_sweep_par_with`] at the runner's
+/// thread budget: every (SNR point, bit-chunk) pair is an independent work
+/// unit of the parallel engine, so the figure is bit-identical at any
+/// thread count.
 pub fn fig_ber(bits_per_point: usize, seed: u64) -> Table {
     FigScenario::new(e5_spec(bits_per_point, seed), e5_body).table()
 }

@@ -7,9 +7,10 @@
 //! margin the Fig. 7 rate thresholds need in a real room.
 //!
 //! Outage estimation is Monte-Carlo over many independent fades, so it is
-//! also one of the stack's parallel hot paths: [`RicianFading::outage_probability_par`]
-//! runs the trial loop chunked over the [`mmtag_rf::par`] engine with one
-//! [`SeedTree`] stream per chunk, bit-identical at any thread count.
+//! also one of the stack's parallel hot paths: [`RicianFading::outage_probability_par_with`]
+//! runs the trial loop chunked over the [`mmtag_rf::par`] engine at an
+//! explicit thread budget with one [`SeedTree`] stream per chunk,
+//! bit-identical at any thread count.
 //!
 //! The chunk kernel is the lane [`RicianFading::count_outages_scratch`]
 //! (DESIGN.md §11): it streams one Box–Muller pair per fade out of the
@@ -163,17 +164,11 @@ impl RicianFading {
         outages
     }
 
-    /// Parallel Monte-Carlo outage probability, chunked over the
-    /// [`mmtag_rf::par`] engine: chunk `i` draws its fades from
-    /// `tree.rng_indexed("outage-chunk", i)`, so the estimate is
-    /// bit-identical at any thread count (including `MMTAG_THREADS=1`).
-    pub fn outage_probability_par(&self, margin: Db, trials: usize, tree: &SeedTree) -> f64 {
-        self.outage_probability_par_with(par::thread_limit(), margin, trials, tree)
-    }
-
-    /// [`RicianFading::outage_probability_par`] with an explicit thread
-    /// budget (what the determinism tests and serial-vs-parallel benches
-    /// call). The single-cell special case of [`outage_grid_par_with`].
+    /// Parallel Monte-Carlo outage probability at a `threads` budget,
+    /// chunked over the [`mmtag_rf::par`] engine: chunk `i` draws its
+    /// fades from `tree.rng_indexed("outage-chunk", i)`, so the estimate
+    /// is bit-identical at any thread count. The single-cell special case
+    /// of [`outage_grid_par_with`].
     pub fn outage_probability_par_with(
         &self,
         threads: usize,
@@ -216,7 +211,7 @@ pub struct OutageCell {
 /// to `OUTAGE_CHUNK_TRIALS × threads`).
 ///
 /// Per-cell results are **bit-identical** to calling
-/// [`RicianFading::outage_probability_par`] cell by cell at any thread
+/// [`RicianFading::outage_probability_par_with`] cell by cell at any thread
 /// count: unit `(c, i)` draws from `cells[c].tree.rng_indexed
 /// ("outage-chunk", i)` — exactly the stream the per-cell path uses —
 /// and chunk counts are folded in chunk order per cell.
@@ -245,11 +240,6 @@ pub fn outage_grid_par_with(threads: usize, cells: &[OutageCell], trials: usize)
         .chunks(chunks_per_cell)
         .map(|per_cell| per_cell.iter().sum::<u64>() as f64 / trials as f64)
         .collect()
-}
-
-/// [`outage_grid_par_with`] at the default [`par::thread_limit`].
-pub fn outage_grid_par(cells: &[OutageCell], trials: usize) -> Vec<f64> {
-    outage_grid_par_with(par::thread_limit(), cells, trials)
 }
 
 #[cfg(test)]

@@ -295,29 +295,10 @@ pub fn inventory_until_drained_scratch<R: Rng + ?Sized>(
 }
 
 /// An ensemble of `reps` independent [`inventory_until_drained`] runs over
-/// the [`mmtag_sim::par`] engine: repetition `i` draws all its slot choices
-/// from `tree.rng_indexed("aloha-rep", i)`, so the ensemble is bit-identical
-/// at any thread count and repetition `i`'s outcome never depends on how
-/// many repetitions were requested.
-pub fn inventory_ensemble_par(
-    n_tags: usize,
-    q: QAlgorithm,
-    max_rounds: usize,
-    reps: usize,
-    tree: &mmtag_sim::SeedTree,
-) -> Vec<InventoryStats> {
-    inventory_ensemble_par_with(
-        mmtag_sim::par::thread_limit(),
-        n_tags,
-        q,
-        max_rounds,
-        reps,
-        tree,
-    )
-}
-
-/// [`inventory_ensemble_par`] with an explicit thread budget (what the
-/// determinism tests and serial-vs-parallel benches call).
+/// the [`mmtag_sim::par`] engine at a `threads` budget: repetition `i`
+/// draws all its slot choices from `tree.rng_indexed("aloha-rep", i)`, so
+/// the ensemble is bit-identical at any thread count and repetition `i`'s
+/// outcome never depends on how many repetitions were requested.
 pub fn inventory_ensemble_par_with(
     threads: usize,
     n_tags: usize,

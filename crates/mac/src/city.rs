@@ -10,14 +10,18 @@
 //!
 //! Time is divided into global **rounds** (the barriers). Each round:
 //!
-//! 1. **Barrier (serial)** — advance every tag along its
-//!    [`mmtag_sim::mobility::Linear`] trajectory, harvest energy, rebuild
-//!    the [`SpatialHash`] over tag positions, and assign each unread,
-//!    energized tag to its nearest covering reader (squared-distance
-//!    compare, boundary inclusive, blockage via
-//!    [`mmtag_sim::geom::line_of_sight`], exact ties to the lower reader
-//!    index). Pending lists are a flat CSR over tag indices, ascending
-//!    per reader.
+//! 1. **Barrier (parallel per tag, then a short serial tail)** — one
+//!    pure per-tag function places tag `i` on its
+//!    [`mmtag_sim::mobility::Linear`] trajectory, harvests its energy and,
+//!    if it is unread and energized, walks the readers in ascending index
+//!    and keeps the nearest covering one (squared-distance compare,
+//!    boundary inclusive, blockage via [`mmtag_sim::geom::line_of_sight`],
+//!    exact ties to the lower reader index). That pass writes `assigned`
+//!    over disjoint tag chunks ([`mmtag_sim::par::par_fill_chunks_with`]),
+//!    so it is bit-identical at any thread count. The serial tail applies
+//!    the harvest and the response debit to the energy array and builds
+//!    the pending lists: a flat CSR over tag indices, ascending per
+//!    reader.
 //! 2. **Round (sharded)** — readers are partitioned into contiguous
 //!    spatial shards. Per reader: draw the framed-Aloha slot choices
 //!    ([`FramedAloha::fill_round`], one RNG draw per pending tag from the
@@ -39,10 +43,27 @@
 //! (set a read flag, overwrite one reader's Q, add to one reader's
 //! clock, integer sums) are grouping-invariant — regrouping readers into
 //! different shard counts, or running shards on different thread counts,
-//! produces identical tables. The tests pin this at the engine level
-//! (stats and per-tag read flags across shard and thread counts) and at
-//! the queue level ([`CalendarQueue`] against its heap oracle in
-//! `mmtag_sim::des`).
+//! produces identical tables. The barrier is a per-tag pure function
+//! with disjoint writes, so its thread count cannot matter either. The
+//! tests pin this at the engine level (stats and per-tag read flags
+//! across shard and thread counts), at the barrier level (the per-tag
+//! pass against its single oracle, a reader-major spatial-hash barrier,
+//! every round at 1, 2 and 4 threads) and at the queue level
+//! ([`CalendarQueue`] against its heap oracle in `mmtag_sim::des`).
+//!
+//! Why the per-tag pass equals its oracle: the reader-major barrier in
+//! this module's tests visits each reader's coverage disc through a
+//! [`mmtag_sim::spatial::SpatialHash`] and offers every in-disc tag that
+//! reader when it beats the tag's best so far. Seen from one tag, that is
+//! the same walk over readers in ascending index with the same three
+//! predicates (`d2 <= coverage²`, `d2 < best`, line of sight) — the
+//! hash's cell range never misses an in-disc tag, because its `cell_of`
+//! is monotone and clamped, which also covers tags that drift outside
+//! the world. (Rounding can place a tag in the disc up to an ulp past
+//! the disc's bounding box; the hash would miss it only if a cell edge
+//! fell inside that sliver, which the reader grids here cannot produce —
+//! their centres, radius and cell edges are multiples of 12.5 m.) So
+//! `assigned` is identical, without rebuilding a hash each round.
 
 use crate::aloha::{AlohaScratch, FramedAloha, QAlgorithm, RoundCounts};
 use mmtag_rf::obs;
@@ -51,7 +72,7 @@ use mmtag_rf::units::Angle;
 use mmtag_sim::des::CalendarQueue;
 use mmtag_sim::geom::{line_of_sight, Segment, Vec2};
 use mmtag_sim::mobility::{Linear, Mobility, Pose};
-use mmtag_sim::spatial::SpatialHash;
+use mmtag_sim::par::par_fill_chunks_with;
 use mmtag_sim::time::{Duration, Instant};
 use mmtag_sim::SeedTree;
 
@@ -61,6 +82,12 @@ const ENERGY_CAP: f64 = 1.0;
 
 /// Sentinel for "not assigned to any reader this round".
 const UNASSIGNED: u32 = u32::MAX;
+
+/// Tags per work unit of the barrier's per-tag pass. Each tag's reader is
+/// a pure function of the tag, so any chunk size yields the same
+/// `assigned`; this one gives a 10⁵-tag city about a hundred units to
+/// balance across workers.
+const BARRIER_CHUNK: usize = 1024;
 
 /// Configuration of a city deployment.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -347,6 +374,56 @@ fn shard_round(
     }
 }
 
+/// Tag `i`'s position at time `t`: a pure function of its start pose.
+fn position_at(tags: &TagSoA, i: usize, t: Instant) -> Vec2 {
+    let traj = Linear {
+        start: Pose::new(Vec2::new(tags.x0[i], tags.y0[i]), Angle::from_radians(0.0)),
+        velocity: Vec2::new(tags.vx[i], tags.vy[i]),
+    };
+    traj.pose_at(t).position
+}
+
+/// A tag's stored energy after the round's harvest: every unread tag
+/// charges toward the cap.
+fn harvested(cfg: &CityConfig, energy: f64, read: bool) -> f64 {
+    if read {
+        energy
+    } else {
+        (energy + cfg.harvest_per_round).min(ENERGY_CAP)
+    }
+}
+
+/// The barrier's per-tag function: the reader tag `i` pends at in the
+/// round at time `t`, or [`UNASSIGNED`] when it is read, cannot pay for a
+/// response after the harvest, or no reader covers it in line of sight.
+/// Readers are walked in ascending index and one wins when
+/// `d2 <= coverage²` (boundary inclusive), `d2 < best` (exact ties stay
+/// with the lower index) and the path is unblocked.
+fn tag_reader(
+    cfg: &CityConfig,
+    readers: &[Vec2],
+    walls: &[Segment],
+    tags: &TagSoA,
+    t: Instant,
+    i: usize,
+) -> u32 {
+    if tags.read[i] || harvested(cfg, tags.energy[i], false) < cfg.tx_cost {
+        return UNASSIGNED;
+    }
+    let position = position_at(tags, i, t);
+    let coverage_sq = cfg.coverage_m * cfg.coverage_m;
+    let mut best = f64::INFINITY;
+    let mut reader = UNASSIGNED;
+    for (r, &rp) in readers.iter().enumerate() {
+        let d2 = position.dist_sq(rp);
+        if d2 <= coverage_sq && d2 < best && line_of_sight(position, rp, walls) {
+            best = d2;
+            reader = r as u32;
+        }
+    }
+    reader
+}
+
 /// Applies one shard's output — called serially, in shard index order.
 /// Every operation touches state no other shard touches (a tag pends at
 /// exactly one reader), so the merge is grouping-invariant.
@@ -373,10 +450,10 @@ fn apply_out(
 }
 
 /// The city inventory engine. Construct once per run; drive with
-/// [`CityEngine::run_rounds`] (sharded calendar-queue engine, any thread
-/// count) or [`CityEngine::step_round`] (one serial round on persistent
-/// scratch — the allocation-free path the workspace alloc guard
-/// measures).
+/// [`CityEngine::run_rounds`] (parallel barrier and sharded calendar-queue
+/// rounds, any thread count) or [`CityEngine::step_round`] (one serial
+/// round on persistent scratch through the same barrier — the
+/// allocation-free path the workspace alloc guard measures).
 pub struct CityEngine {
     cfg: CityConfig,
     tree: SeedTree,
@@ -388,10 +465,7 @@ pub struct CityEngine {
     round: u64,
     stats: CityStats,
     // Barrier scratch — flat, retained across rounds.
-    positions: Vec<Vec2>,
-    hash: SpatialHash,
     assigned: Vec<u32>,
-    best_d2: Vec<f64>,
     pend_starts: Vec<u32>,
     pend_entries: Vec<u32>,
     cursor: Vec<u32>,
@@ -417,7 +491,7 @@ impl CityEngine {
                 ));
             }
         }
-        let (min, max) = cfg.world();
+        let (_, max) = cfg.world();
         let mut wall_rng = tree.rng("city-walls");
         let mut walls = Vec::with_capacity(cfg.blockers);
         for _ in 0..cfg.blockers {
@@ -439,10 +513,7 @@ impl CityEngine {
             reader_elapsed: vec![Duration::ZERO; n_readers],
             round: 0,
             stats: CityStats::default(),
-            positions: Vec::new(),
-            hash: SpatialHash::new(min, max, cfg.coverage_m),
             assigned: Vec::new(),
-            best_d2: Vec::new(),
             pend_starts: Vec::new(),
             pend_entries: Vec::new(),
             cursor: Vec::new(),
@@ -478,70 +549,40 @@ impl CityEngine {
         s
     }
 
-    /// The round barrier: mobility, harvest, spatial-hash rebuild, and
-    /// nearest-covering-reader assignment into the pending CSR. Serial;
+    /// The round barrier at a `threads` budget: the per-tag pass
+    /// ([`tag_reader`]) fills `assigned` over disjoint tag chunks, then a
+    /// serial tail applies harvest and response debit to the energy array
+    /// and builds the pending CSR. Bit-identical at any `threads`;
     /// allocation-free once the scratch vectors have warmed up.
-    fn barrier(&mut self, k: u64) {
+    fn barrier(&mut self, k: u64, threads: usize) {
         let _span = obs::span("mac.city.barrier");
-        let cfg = &self.cfg;
         let n = self.tags.len();
-        let t = Instant::ZERO + cfg.round_period.times(k);
-        // Mobility: positions are a pure function of (start pose, t).
-        self.positions.clear();
-        for i in 0..n {
-            let traj = Linear {
-                start: Pose::new(
-                    Vec2::new(self.tags.x0[i], self.tags.y0[i]),
-                    Angle::from_radians(0.0),
-                ),
-                velocity: Vec2::new(self.tags.vx[i], self.tags.vy[i]),
-            };
-            self.positions.push(traj.pose_at(t).position);
-        }
-        self.hash.rebuild(&self.positions);
-        // Harvest: every unread tag charges toward the cap.
-        for i in 0..n {
-            if !self.tags.read[i] {
-                self.tags.energy[i] = (self.tags.energy[i] + cfg.harvest_per_round).min(ENERGY_CAP);
-            }
-        }
-        // Assignment: nearest covering reader by squared distance
-        // (boundary inclusive via the hash's `dist_sq <= r²` disc test),
-        // LOS-gated, exact ties to the lower reader index (strict `<`
-        // with ascending reader iteration).
-        self.assigned.clear();
+        let t = Instant::ZERO + self.cfg.round_period.times(k);
         self.assigned.resize(n, UNASSIGNED);
-        self.best_d2.clear();
-        self.best_d2.resize(n, f64::INFINITY);
-        let hash = &self.hash;
-        let positions = &self.positions;
-        let tags = &self.tags;
-        let walls = &self.walls;
-        let assigned = &mut self.assigned;
-        let best_d2 = &mut self.best_d2;
-        for (r, &rp) in self.readers.iter().enumerate() {
-            hash.for_each_in_disc(positions, rp, cfg.coverage_m, |i| {
-                let i = i as usize;
-                if tags.read[i] || tags.energy[i] < cfg.tx_cost {
-                    return;
+        let (cfg, readers, walls, tags) =
+            (&self.cfg, &self.readers[..], &self.walls[..], &self.tags);
+        par_fill_chunks_with(
+            threads,
+            &mut self.assigned,
+            BARRIER_CHUNK,
+            |start, chunk| {
+                for (j, a) in chunk.iter_mut().enumerate() {
+                    *a = tag_reader(cfg, readers, walls, tags, t, start + j);
                 }
-                let d2 = positions[i].dist_sq(rp);
-                if d2 < best_d2[i] && line_of_sight(positions[i], rp, walls) {
-                    best_d2[i] = d2;
-                    assigned[i] = r as u32;
-                }
-            });
-        }
-        // Pending CSR: stable counting sort by reader ⇒ ascending tag
-        // index within each reader's slice.
+            },
+        );
+        // Serial tail. Harvest, and count each reader's pending tags.
         let nr = self.readers.len();
         self.pend_starts.clear();
         self.pend_starts.resize(nr + 1, 0);
         for i in 0..n {
+            self.tags.energy[i] = harvested(&self.cfg, self.tags.energy[i], self.tags.read[i]);
             if self.assigned[i] != UNASSIGNED {
                 self.pend_starts[self.assigned[i] as usize + 1] += 1;
             }
         }
+        // Pending CSR: stable counting sort by reader ⇒ ascending tag
+        // index within each reader's slice.
         for r in 0..nr {
             self.pend_starts[r + 1] += self.pend_starts[r];
         }
@@ -564,8 +605,16 @@ impl CityEngine {
     /// zero allocations in steady state (the alloc guard drives this).
     /// Returns the stats snapshot after the round.
     pub fn step_round(&mut self) -> CityStats {
+        self.barrier(self.round, 1);
+        self.play_serial_round();
+        self.stats()
+    }
+
+    /// The round phase of [`CityEngine::step_round`]: every reader's
+    /// frame over the pending CSR the barrier just built, on the
+    /// engine-owned scratch, merged and counted.
+    fn play_serial_round(&mut self) {
         let k = self.round;
-        self.barrier(k);
         let _span = obs::span("mac.city.round");
         self.serial_out.clear();
         let nr = self.readers.len();
@@ -591,14 +640,14 @@ impl CityEngine {
         );
         self.round += 1;
         self.stats.rounds += 1;
-        self.stats()
     }
 
-    /// Runs `cfg.rounds` rounds on the sharded calendar-queue engine
-    /// with an explicit thread budget: shards execute via
-    /// [`mmtag_sim::par`] (per-worker scratch, indexed work units) and
-    /// merge in fixed shard order — bit-identical at any `threads` and
-    /// any `cfg.shards`.
+    /// Runs `cfg.rounds` rounds with an explicit thread budget: the
+    /// barrier's per-tag pass runs over tag chunks and the sharded
+    /// calendar-queue rounds over readers, both via [`mmtag_sim::par`]
+    /// (indexed work units, per-worker scratch), with shards merged in
+    /// fixed shard order — bit-identical at any `threads` and any
+    /// `cfg.shards`.
     pub fn run_rounds(&mut self, threads: usize) -> CityStats {
         let _span = obs::span("mac.city.run");
         let shards = self.cfg.shards.max(1);
@@ -606,7 +655,7 @@ impl CityEngine {
         let per = nr.div_ceil(shards);
         for _ in 0..self.cfg.rounds {
             let k = self.round;
-            self.barrier(k);
+            self.barrier(k, threads);
             let cfg = &self.cfg;
             let tree = &self.tree;
             let qs = &self.qs;
@@ -658,12 +707,157 @@ impl CityEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmtag_sim::spatial::SpatialHash;
 
     fn small(tags: usize, rounds: usize) -> CityConfig {
         let mut cfg = CityConfig::dense(tags, rounds);
         cfg.readers_x = 3;
         cfg.readers_y = 2;
         cfg
+    }
+
+    /// The barrier's single oracle: a reader-major barrier. It rebuilds a
+    /// [`SpatialHash`] over every tag's position, harvests, then walks
+    /// readers in ascending index and offers each in-disc, unread,
+    /// energized tag that reader when it is strictly nearer than the
+    /// tag's best so far and in line of sight; the pending CSR (stable
+    /// counting sort) and the response debit follow. Writes the same
+    /// engine state the production barrier does.
+    fn reader_major_barrier(eng: &mut CityEngine, k: u64) {
+        let cfg = eng.cfg;
+        let n = eng.tags.len();
+        let t = Instant::ZERO + cfg.round_period.times(k);
+        let positions: Vec<Vec2> = (0..n).map(|i| position_at(&eng.tags, i, t)).collect();
+        let (min, max) = cfg.world();
+        let mut hash = SpatialHash::new(min, max, cfg.coverage_m);
+        hash.rebuild(&positions);
+        let tags = &mut eng.tags;
+        for i in 0..n {
+            if !tags.read[i] {
+                tags.energy[i] = (tags.energy[i] + cfg.harvest_per_round).min(ENERGY_CAP);
+            }
+        }
+        let mut assigned = vec![UNASSIGNED; n];
+        let mut best_d2 = vec![f64::INFINITY; n];
+        for (r, &rp) in eng.readers.iter().enumerate() {
+            hash.for_each_in_disc(&positions, rp, cfg.coverage_m, |i| {
+                let i = i as usize;
+                if tags.read[i] || tags.energy[i] < cfg.tx_cost {
+                    return;
+                }
+                let d2 = positions[i].dist_sq(rp);
+                if d2 < best_d2[i] && line_of_sight(positions[i], rp, &eng.walls) {
+                    best_d2[i] = d2;
+                    assigned[i] = r as u32;
+                }
+            });
+        }
+        let nr = eng.readers.len();
+        let mut starts = vec![0u32; nr + 1];
+        for &a in &assigned {
+            if a != UNASSIGNED {
+                starts[a as usize + 1] += 1;
+            }
+        }
+        for r in 0..nr {
+            starts[r + 1] += starts[r];
+        }
+        let mut cursor = starts[..nr].to_vec();
+        let mut entries = vec![0u32; starts[nr] as usize];
+        for (i, &a) in assigned.iter().enumerate() {
+            if a != UNASSIGNED {
+                entries[cursor[a as usize] as usize] = i as u32;
+                cursor[a as usize] += 1;
+                tags.energy[i] -= cfg.tx_cost;
+            }
+        }
+        eng.assigned = assigned;
+        eng.pend_starts = starts;
+        eng.pend_entries = entries;
+    }
+
+    /// Plants the barrier's edge cases over the first tags of a 3 × 2
+    /// city (readers at x ∈ {25, 75, 125}, y ∈ {25, 75}; coverage 37.5 m).
+    fn plant_edge_cases(tags: &mut TagSoA) {
+        let mut place = |i: usize, x: f64, y: f64, vx: f64, vy: f64| {
+            tags.x0[i] = x;
+            tags.y0[i] = y;
+            tags.vx[i] = vx;
+            tags.vy[i] = vy;
+        };
+        // Exactly on reader 0's coverage rim, outside the world, and no
+        // other reader in range: only the inclusive boundary assigns it.
+        place(0, -12.5, 25.0, 0.0, 0.0);
+        // Equidistant from readers 0 and 1, and from all four of 0, 1, 3, 4.
+        place(1, 50.0, 25.0, 0.0, 0.0);
+        place(2, 50.0, 50.0, 0.0, 0.0);
+        // Starting outside the world and moving further out.
+        place(3, -5.0, 90.0, -6.0, 2.0);
+        place(4, 150.5, -0.5, 3.0, -3.0);
+        // Already read: never assigned, never harvests.
+        tags.read[5] = true;
+        tags.read[6] = true;
+        // Energy-starved (needs two harvests), and exactly one harvest
+        // short of the response cost (0.05 + 0.05 == 0.1 exactly).
+        tags.energy[7] = 0.0;
+        tags.energy[8] = 0.05;
+    }
+
+    #[test]
+    fn per_tag_barrier_matches_reader_major_oracle_every_round() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (speed, blockers) in [(0.0, 0usize), (0.0, 48), (6.0, 0), (6.0, 48)] {
+            let mut cfg = small(3_000, 6);
+            cfg.speed_mps = speed;
+            cfg.blockers = blockers;
+            let tree = SeedTree::new(0xBA77);
+            for threads in [1usize, 2, 4] {
+                let mut oracle = CityEngine::new(cfg, tree);
+                let mut fast = CityEngine::new(cfg, tree);
+                plant_edge_cases(&mut oracle.tags);
+                plant_edge_cases(&mut fast.tags);
+                let mut left_world = false;
+                for k in 0..cfg.rounds as u64 {
+                    reader_major_barrier(&mut oracle, k);
+                    fast.barrier(k, threads);
+                    let at =
+                        format!("speed={speed} blockers={blockers} threads={threads} round={k}");
+                    assert_eq!(oracle.assigned, fast.assigned, "assigned, {at}");
+                    assert_eq!(oracle.pend_starts, fast.pend_starts, "pend_starts, {at}");
+                    assert_eq!(oracle.pend_entries, fast.pend_entries, "pend_entries, {at}");
+                    assert_eq!(
+                        bits(&oracle.tags.energy),
+                        bits(&fast.tags.energy),
+                        "energy, {at}"
+                    );
+                    if k == 0 && blockers == 0 {
+                        assert_eq!(fast.assigned[0], 0, "rim tag takes reader 0, {at}");
+                        assert_eq!(fast.assigned[1], 0, "tie goes to the lower index, {at}");
+                        assert_eq!(fast.assigned[2], 0, "four-way tie, {at}");
+                        assert_ne!(fast.assigned[8], UNASSIGNED, "cost-exact tag, {at}");
+                    }
+                    if k == 0 {
+                        assert_eq!(fast.assigned[5], UNASSIGNED, "read tag, {at}");
+                        assert_eq!(fast.assigned[7], UNASSIGNED, "starved tag, {at}");
+                    }
+                    let (min, max) = cfg.world();
+                    let t = Instant::ZERO + cfg.round_period.times(k);
+                    left_world |= (9..fast.tags.len()).any(|i| {
+                        let p = position_at(&fast.tags, i, t);
+                        p.x < min.x || p.y < min.y || p.x > max.x || p.y > max.y
+                    });
+                    oracle.play_serial_round();
+                    fast.play_serial_round();
+                }
+                assert_eq!(oracle.stats(), fast.stats());
+                assert_eq!(oracle.tags.read, fast.tags.read);
+                assert_eq!(
+                    left_world,
+                    speed > 0.0,
+                    "moving populations must drift out of the world, {speed}"
+                );
+            }
+        }
     }
 
     #[test]

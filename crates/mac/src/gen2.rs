@@ -492,27 +492,9 @@ pub fn run_gen2_inventory_soa<R: Rng + ?Sized>(
 
 /// An ensemble of `reps` independent Gen2 inventories over a fresh
 /// `n_tags`-tag population (EPCs `0..n_tags`), run over the
-/// [`mmtag_sim::par`] engine. Repetition `i` draws all its slot counters
-/// and RN16s from `tree.rng_indexed("gen2-rep", i)`, so the ensemble is
-/// bit-identical at any thread count.
-pub fn gen2_ensemble_par(
-    n_tags: usize,
-    timing: Gen2Timing,
-    max_commands: usize,
-    reps: usize,
-    tree: &mmtag_sim::SeedTree,
-) -> Vec<Gen2Stats> {
-    gen2_ensemble_par_with(
-        mmtag_sim::par::thread_limit(),
-        n_tags,
-        timing,
-        max_commands,
-        reps,
-        tree,
-    )
-}
-
-/// [`gen2_ensemble_par`] with an explicit thread budget.
+/// [`mmtag_sim::par`] engine at a `threads` budget. Repetition `i` draws
+/// all its slot counters and RN16s from `tree.rng_indexed("gen2-rep", i)`,
+/// so the ensemble is bit-identical at any thread count.
 pub fn gen2_ensemble_par_with(
     threads: usize,
     n_tags: usize,

@@ -91,6 +91,17 @@ pub fn measure_bpsk_ber<R: Rng + ?Sized>(
     bits.iter().zip(&decided).filter(|(a, b)| a != b).count() as f64 / n_bits as f64
 }
 
+/// Advances `rng` exactly as far as one [`measure_bpsk_ber`] call over
+/// `n_bits` bits does, without computing anything: one raw per bit
+/// ([`Rng::bit`]), then two Box–Muller draws per sample — [`Awgn::apply`]
+/// takes one scalar [`Rng::normal`] for I and one for Q, over
+/// `n_bits · sps` samples. The BPSK twin of
+/// [`crate::waveform::skip_measure_ber`].
+pub fn skip_measure_bpsk_ber<R: Rng + ?Sized>(modem: &BpskModem, n_bits: usize, rng: &mut R) {
+    rng.skip_raw(n_bits as u64);
+    rng.skip_box_muller((2 * n_bits * modem.samples_per_symbol) as u64);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,6 +158,20 @@ mod tests {
             (bpsk - ook_plus3).abs() < 0.5 * (bpsk + ook_plus3) + 2e-4,
             "BPSK@7 {bpsk} vs OOK@10 {ook_plus3}"
         );
+    }
+
+    #[test]
+    fn measure_bpsk_ber_advances_the_stream_as_stated() {
+        for sps in [1usize, 4] {
+            let modem = BpskModem::new(sps);
+            for n_bits in [1usize, 7, 9, 100, 1001] {
+                let mut measured = Xoshiro256pp::seed_from(0xB95C ^ n_bits as u64);
+                let mut skipped = measured.clone();
+                measure_bpsk_ber(&modem, 5.0, n_bits, &mut measured);
+                skip_measure_bpsk_ber(&modem, n_bits, &mut skipped);
+                assert_eq!(measured, skipped, "sps={sps} n_bits={n_bits}");
+            }
+        }
     }
 
     #[test]

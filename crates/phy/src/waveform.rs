@@ -9,10 +9,12 @@
 //! * [`Awgn`] — complex white Gaussian noise calibrated to a target `Eb/N0`,
 //! * [`OokModem::demodulate_coherent`] / [`OokModem::demodulate_noncoherent`] — matched
 //!   filter plus threshold (the reader side),
-//! * [`measure_ber`] — the Monte-Carlo harness behind experiment E5, and
-//!   [`measure_ber_par`] / [`ber_sweep_par`] — the same harness chunked
-//!   over the [`mmtag_rf::par`] engine (one RNG stream per bit-chunk, so
-//!   parallel estimates are bit-identical at any thread count).
+//! * [`measure_ber`] — the Monte-Carlo harness on one sequential stream
+//!   ([`skip_measure_ber`] states how far one call advances it), and
+//!   [`measure_ber_par_with`] / [`ber_sweep_par_with`] — the same harness
+//!   chunked over the [`mmtag_rf::par`] engine at an explicit thread
+//!   budget (one RNG stream per bit-chunk, so parallel estimates are
+//!   bit-identical at any thread count) behind experiment E5.
 //!
 //! Bit convention: §6 of the paper maps data bit **0** to the reflective
 //! state ("the switches are off and the amplitude of the reflected power is
@@ -393,22 +395,23 @@ pub fn measure_ber<R: Rng + ?Sized>(
     count_bit_errors(modem, eb_n0_db, n_bits, coherent, rng) as f64 / n_bits as f64
 }
 
-/// Parallel Monte-Carlo BER: `n_bits` split into [`MC_CHUNK_BITS`]-sized
-/// chunks over the [`mmtag_rf::par`] engine, chunk `i` drawing its bits and
-/// noise from `tree.rng_indexed("ber-chunk", i)`. The estimate is
-/// bit-identical at any thread count (including `MMTAG_THREADS=1`).
-pub fn measure_ber_par(
-    modem: &OokModem,
-    eb_n0_db: f64,
-    n_bits: usize,
-    coherent: bool,
-    tree: &SeedTree,
-) -> f64 {
-    measure_ber_par_with(par::thread_limit(), modem, eb_n0_db, n_bits, coherent, tree)
+/// Advances `rng` exactly as far as one [`measure_ber`] call over
+/// `n_bits` bits does, without computing anything. The kernel
+/// ([`count_bit_errors_scratch`]) draws one raw per bit
+/// ([`Rng::fill_bits`]), then one Box–Muller draw per sample
+/// ([`Rng::fill_normal_soa`] over `n_bits · sps` pairs) — whatever the
+/// SNR or demodulator. A generator cloned after this call is the one the
+/// next call on the same stream starts from, which is how a sequence of
+/// `measure_ber` calls on one stream can run concurrently.
+pub fn skip_measure_ber<R: Rng + ?Sized>(modem: &OokModem, n_bits: usize, rng: &mut R) {
+    rng.skip_raw(n_bits as u64);
+    rng.skip_box_muller((n_bits * modem.samples_per_symbol) as u64);
 }
 
-/// [`measure_ber_par`] with an explicit thread budget (what the determinism
-/// tests and serial-vs-parallel benches call).
+/// Parallel Monte-Carlo BER at a `threads` budget: `n_bits` split into
+/// [`MC_CHUNK_BITS`]-sized chunks over the [`mmtag_rf::par`] engine, chunk
+/// `i` drawing its bits and noise from `tree.rng_indexed("ber-chunk", i)`.
+/// The estimate is bit-identical at any thread count.
 pub fn measure_ber_par_with(
     threads: usize,
     modem: &OokModem,
@@ -435,30 +438,13 @@ pub fn measure_ber_par_with(
     errors as f64 / n_bits as f64
 }
 
-/// A full BER-vs-SNR sweep parallelized over *both* axes: every
-/// (SNR point, bit-chunk) pair is one independent work unit, so a sweep
-/// with few points still saturates a many-core machine. Point `si` chunk
-/// `ci` draws from `tree.subtree_indexed("snr", si).rng_indexed("ber-chunk", ci)`
-/// — each point's randomness is independent of the sweep length, and the
-/// whole sweep is bit-identical at any thread count.
-pub fn ber_sweep_par(
-    modem: &OokModem,
-    snrs_db: &[f64],
-    bits_per_point: usize,
-    coherent: bool,
-    tree: &SeedTree,
-) -> Vec<f64> {
-    ber_sweep_par_with(
-        par::thread_limit(),
-        modem,
-        snrs_db,
-        bits_per_point,
-        coherent,
-        tree,
-    )
-}
-
-/// [`ber_sweep_par`] with an explicit thread budget.
+/// A full BER-vs-SNR sweep at a `threads` budget, parallelized over
+/// *both* axes: every (SNR point, bit-chunk) pair is one independent work
+/// unit, so a sweep with few points still saturates a many-core machine.
+/// Point `si` chunk `ci` draws from
+/// `tree.subtree_indexed("snr", si).rng_indexed("ber-chunk", ci)` — each
+/// point's randomness is independent of the sweep length, and the whole
+/// sweep is bit-identical at any thread count.
 pub fn ber_sweep_par_with(
     threads: usize,
     modem: &OokModem,
@@ -702,6 +688,25 @@ mod tests {
                         rng_a.next_u64(),
                         rng_b.next_u64(),
                         "stream position diverged at n={n} sps={sps}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn measure_ber_advances_the_stream_as_stated() {
+        for sps in [1usize, 4] {
+            let modem = OokModem::new(sps);
+            for n_bits in [1usize, 7, 9, 100, 1001] {
+                for coherent in [true, false] {
+                    let mut measured = Xoshiro256pp::seed_from(0x5C1F ^ n_bits as u64);
+                    let mut skipped = measured.clone();
+                    measure_ber(&modem, 5.0, n_bits, coherent, &mut measured);
+                    skip_measure_ber(&modem, n_bits, &mut skipped);
+                    assert_eq!(
+                        measured, skipped,
+                        "sps={sps} n_bits={n_bits} coherent={coherent}"
                     );
                 }
             }

@@ -29,11 +29,14 @@
 //!
 //! ## Thread-count selection
 //!
+//! Every primitive takes an explicit thread budget; `threads == 1` runs
+//! fully serial on the calling thread and never touches the pool.
 //! [`thread_limit`] reads the `MMTAG_THREADS` environment variable
-//! (clamped to ≥ 1, `MMTAG_THREADS=1` forces fully serial in-line
-//! execution) and falls back to [`std::thread::available_parallelism`].
-//! The `*_with` variants take an explicit count, which is what the
-//! determinism regression tests and the serial-vs-parallel benches use.
+//! (clamped to ≥ 1) and falls back to
+//! [`std::thread::available_parallelism`]. Only entry points call it —
+//! the scenario `Runner`'s default constructor, the CLI and the bench
+//! binaries — and pass the result down, so a body run under a 1-thread
+//! runner is serial all the way down.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -106,28 +109,9 @@ where
     par_indexed_scratch_with(threads, n, || (), |(), i| f(i))
 }
 
-/// [`par_indexed_with`] at the default [`thread_limit`].
-pub fn par_indexed<U, F>(n: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    par_indexed_with(thread_limit(), n, f)
-}
-
 /// Maps `f` over `items` in parallel; results come back in item order.
 /// `f` receives `(index, &item)` so randomized work can derive a
 /// per-item stream from the index.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    par_map_with(thread_limit(), items, f)
-}
-
-/// [`par_map`] with an explicit thread budget.
 pub fn par_map_with<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -249,26 +233,29 @@ impl<U> SendPtr<U> {
         // SAFETY: delegated to the caller's contract above.
         unsafe { self.0.add(i).write(value) }
     }
+
+    /// The `len` slots starting at slot `start`, as a mutable slice.
+    ///
+    /// # Safety
+    /// `start..start + len` must lie in bounds of the buffer this pointer
+    /// was taken from, and no other thread may touch those slots while
+    /// the slice lives.
+    #[allow(unsafe_code)]
+    unsafe fn slice_mut<'a>(&self, start: usize, len: usize) -> &'a mut [U] {
+        // SAFETY: delegated to the caller's contract above.
+        unsafe { std::slice::from_raw_parts_mut(self.0.add(start), len) }
+    }
 }
 
-// SAFETY: the pointer targets a buffer owned by the submitting stack
-// frame, which outlives the parallel region (the pool blocks until all
-// participants finish); participants write disjoint slots, and `U: Send`
-// makes moving the written values across threads sound.
+// SAFETY: the pointer targets a buffer owned (or mutably borrowed) by the
+// submitting stack frame, which outlives the parallel region (the pool
+// blocks until all participants finish); participants write disjoint
+// slots, and `U: Send` makes moving the written values across threads
+// sound.
 #[allow(unsafe_code)]
 unsafe impl<U: Send> Send for SendPtr<U> {}
 #[allow(unsafe_code)]
 unsafe impl<U: Send> Sync for SendPtr<U> {}
-
-/// [`par_indexed_scratch_with`] at the default [`thread_limit`].
-pub fn par_indexed_scratch<S, U, I, F>(n: usize, init: I, f: F) -> Vec<U>
-where
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> U + Sync,
-{
-    par_indexed_scratch_with(thread_limit(), n, init, f)
-}
 
 /// The scratch-carrying variant of [`par_chunks_with`] (*map chunks with
 /// scratch*): fixed-size chunk decomposition, with each worker reusing one
@@ -300,16 +287,6 @@ where
     })
 }
 
-/// [`par_chunks_scratch_with`] at the default [`thread_limit`].
-pub fn par_chunks_scratch<S, U, I, F>(total: usize, chunk_size: usize, init: I, f: F) -> Vec<U>
-where
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, Range<usize>) -> U + Sync,
-{
-    par_chunks_scratch_with(thread_limit(), total, chunk_size, init, f)
-}
-
 /// Splits `0..total` into fixed-size chunks (the last may be short) and
 /// evaluates `f(chunk_index, chunk_range)` in parallel; results come back
 /// in chunk order. The decomposition depends only on `(total,
@@ -318,15 +295,6 @@ where
 ///
 /// # Panics
 /// Panics when `chunk_size == 0`.
-pub fn par_chunks<U, F>(total: usize, chunk_size: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize, Range<usize>) -> U + Sync,
-{
-    par_chunks_with(thread_limit(), total, chunk_size, f)
-}
-
-/// [`par_chunks`] with an explicit thread budget.
 pub fn par_chunks_with<U, F>(threads: usize, total: usize, chunk_size: usize, f: F) -> Vec<U>
 where
     U: Send,
@@ -339,6 +307,36 @@ where
         let end = (start + chunk_size).min(total);
         f(i, start..end)
     })
+}
+
+/// Fills `out` in place over fixed-size chunks (the last may be short):
+/// `f(start, chunk)` receives the disjoint sub-slice
+/// `out[start..start + chunk.len()]` and writes it. Chunks run in
+/// parallel on the same claim loop as [`par_indexed_scratch_with`], so
+/// when `f` writes each element as a pure function of its index the
+/// filled slice is bit-identical at any thread count and any
+/// `chunk_size`. Performs no allocation at any thread count (the result
+/// vector of the underlying loop is zero-sized).
+///
+/// # Panics
+/// Panics when `chunk_size == 0`.
+pub fn par_fill_chunks_with<T, F>(threads: usize, out: &mut [T], chunk_size: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    assert!(chunk_size > 0, "chunk size must be ≥ 1");
+    let total = out.len();
+    let base = SendPtr(out.as_mut_ptr());
+    par_indexed_with(threads, total.div_ceil(chunk_size), |ci| {
+        let start = ci * chunk_size;
+        let len = chunk_size.min(total - start);
+        // SAFETY: `start + len <= total`, and chunk `ci` is claimed by
+        // exactly one participant, so the sub-slices never overlap.
+        #[allow(unsafe_code)]
+        let chunk = unsafe { base.slice_mut(start, len) };
+        f(start, chunk);
+    });
 }
 
 #[cfg(test)]
@@ -496,6 +494,26 @@ mod tests {
             )
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn fill_chunks_writes_every_slot_at_any_thread_and_chunk_count() {
+        let want: Vec<u64> = (0..1000u64).map(|i| i * i + 7).collect();
+        for threads in [1usize, 2, 3, 8] {
+            for chunk in [1usize, 7, 64, 1000, 4096] {
+                let mut out = vec![0u64; 1000];
+                par_fill_chunks_with(threads, &mut out, chunk, |start, c| {
+                    assert!(c.len() <= chunk);
+                    for (j, x) in c.iter_mut().enumerate() {
+                        let i = (start + j) as u64;
+                        *x = i * i + 7;
+                    }
+                });
+                assert_eq!(out, want, "threads={threads} chunk={chunk}");
+            }
+        }
+        // An empty slice claims no chunks.
+        par_fill_chunks_with(4, &mut [] as &mut [u8], 3, |_, _| panic!("no chunks"));
     }
 
     #[test]

@@ -12,8 +12,12 @@
 //! Three pieces live here:
 //!
 //! * [`Rng`] — the sampler trait the whole workspace writes against:
-//!   uniform `u64`/`f64`, bounded integers, Bernoulli, and the standard
-//!   normal (Box–Muller) that AWGN and Rician fading consume,
+//!   uniform `u64`/`f64`, bounded integers, Bernoulli, the standard
+//!   normal (Box–Muller) that AWGN and Rician fading consume, and two
+//!   stream skips ([`Rng::skip_raw`], [`Rng::skip_box_muller`]) that
+//!   advance a generator exactly as far as those samplers would without
+//!   computing a sample — the cheap serial walk that lets a sequential
+//!   stream be cut into snapshots and its consumers run concurrently,
 //! * [`Xoshiro256pp`] — the concrete generator, seeded from a single `u64`
 //!   through SplitMix64 (the seeding recipe xoshiro's authors recommend),
 //! * [`SeedTree`] — deterministic derivation of *independent named
@@ -229,6 +233,29 @@ pub trait Rng {
     fn fill_bits(&mut self, out: &mut [bool]) {
         for b in out {
             *b = self.bit();
+        }
+    }
+
+    /// Advances the stream past `n` raw draws without using them: where
+    /// `n` calls of [`Rng::next_u64`], [`Rng::bit`] or [`Rng::f64`] — or
+    /// an `n`-element [`Rng::fill_bits`] — would leave it.
+    fn skip_raw(&mut self, n: u64) {
+        for _ in 0..n {
+            self.next_u64();
+        }
+    }
+
+    /// Advances the stream past `n` Box–Muller draws without computing a
+    /// sample. One draw is a `u1` raw, redrawn while its top 53 bits are
+    /// zero (the `u1 = 0` rejection every Gaussian sampler here applies),
+    /// plus one `u2` raw — exactly what one [`Rng::normal`] or
+    /// [`Rng::normal_pair`] call, one [`Rng::fill_complex_normal`] or
+    /// [`Rng::fill_normal_soa`] element, or two [`Rng::fill_normal`]
+    /// outputs consume.
+    fn skip_box_muller(&mut self, n: u64) {
+        for _ in 0..n {
+            while self.next_u64() >> 11 == 0 {}
+            self.next_u64();
         }
     }
 
@@ -761,6 +788,66 @@ mod tests {
                     assert_eq!(x.to_bits(), y.to_bits(), "script {si} n={n} sample {i}");
                 }
                 assert_eq!(a.next_u64(), b.next_u64(), "script {si} n={n} stream");
+            }
+        }
+    }
+
+    #[test]
+    fn skip_raw_lands_where_raw_samplers_do() {
+        for n in [0usize, 1, 7, 64, 1001] {
+            let mut a = Xoshiro256pp::seed_from(0x5C1 ^ n as u64);
+            let mut b = a.clone();
+            let mut c = a.clone();
+            a.skip_raw(n as u64);
+            for _ in 0..n {
+                b.bit();
+            }
+            let mut bits = vec![false; n];
+            c.fill_bits(&mut bits);
+            assert_eq!(a, b, "n={n} vs bit()");
+            assert_eq!(a, c, "n={n} vs fill_bits");
+        }
+    }
+
+    #[test]
+    fn skip_box_muller_lands_where_every_gaussian_sampler_does() {
+        // Scripted prefixes force the u1 rejection — first draw, twice in
+        // a row mid-stream, and past the first 64-pair block — ahead of
+        // the xoshiro tail.
+        let ok = 0xABCD_EF01_2345_6789u64;
+        let zero = 0x7FFu64; // raw >> 11 == 0
+        let scripts: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![zero],
+            vec![ok, ok, zero, zero, ok],
+            [vec![ok; 128], vec![zero]].concat(),
+        ];
+        for (si, script) in scripts.iter().enumerate() {
+            for n in [0usize, 1, 7, 9, 64, 65, 200] {
+                let fresh = || ScriptedRng::new(script.clone(), 0xB0 ^ n as u64);
+                let mut skipped = fresh();
+                skipped.skip_box_muller(n as u64);
+                let want = skipped.next_u64();
+                let mut r = fresh();
+                for _ in 0..n {
+                    r.normal();
+                }
+                assert_eq!(r.next_u64(), want, "script {si} n={n} normal");
+                let mut r = fresh();
+                for _ in 0..n {
+                    r.normal_pair();
+                }
+                assert_eq!(r.next_u64(), want, "script {si} n={n} normal_pair");
+                let mut r = fresh();
+                let (mut re, mut im) = (vec![0.0; n], vec![0.0; n]);
+                r.fill_normal_soa(&mut re, &mut im);
+                assert_eq!(r.next_u64(), want, "script {si} n={n} fill_normal_soa");
+                let mut r = fresh();
+                r.fill_complex_normal(&mut vec![Complex::ZERO; n]);
+                assert_eq!(r.next_u64(), want, "script {si} n={n} fill_complex_normal");
+                let mut r = fresh();
+                r.fill_normal(&mut vec![0.0; 2 * n]);
+                assert_eq!(r.next_u64(), want, "script {si} n={n} fill_normal");
             }
         }
     }

@@ -5,48 +5,39 @@
 //! Everything follows one contract (see [`mmtag_rf::par`] for the fine
 //! print): work is partitioned into indexed units, each unit derives its
 //! own RNG stream from its index, and results merge in unit order —
-//! so output is **bit-identical at any thread count**. `MMTAG_THREADS=1`
-//! is the serial escape hatch; `MMTAG_THREADS=N` pins the worker budget;
-//! unset means [`std::thread::available_parallelism`].
+//! so output is **bit-identical at any thread count**. Every helper takes
+//! an explicit thread budget: scenario bodies pass their
+//! `RunContext::threads`, and only entry points resolve `MMTAG_THREADS`
+//! through [`thread_limit`].
 //!
 //! Layer map:
 //!
-//! * [`par_map`] / [`par_chunks`] / [`par_indexed`] — raw primitives
-//!   (re-exported from `mmtag-rf` so lower layers can use them too),
-//! * [`par_sweep`] — one [`SeedTree`] subtree per parameter point: the
-//!   shape of every figure sweep in `mmtag-bench`,
-//! * [`par_trials`] — chunked Monte-Carlo repetitions with per-chunk
+//! * [`par_map_with`] / [`par_chunks_with`] / [`par_indexed_with`] /
+//!   [`par_fill_chunks_with`] — raw primitives (re-exported from
+//!   `mmtag-rf` so lower layers can use them too),
+//! * [`par_sweep_with`] — one [`SeedTree`] subtree per parameter point:
+//!   the shape of every figure sweep in `mmtag-bench`,
+//! * [`par_trials_with`] — chunked Monte-Carlo repetitions with per-chunk
 //!   streams: the shape of BER, outage and inventory-ensemble loops,
-//! * [`par_sweep_trials`] — the **sweep grid**: every (point × trial
+//! * [`par_sweep_trials_with`] — the **sweep grid**: every (point × trial
 //!   chunk) pair is one work unit in a single global grid, so a short
 //!   sweep of long trial loops saturates the worker budget instead of
 //!   parallelizing one point at a time. Streams are derived exactly as
-//!   the nested `par_sweep`-of-`par_trials` shape would derive them, so
-//!   flattening an existing sweep never changes its tables.
+//!   the nested `par_sweep_with`-of-`par_trials_with` shape would derive
+//!   them, so flattening an existing sweep never changes its tables.
 
 pub use mmtag_rf::par::{
-    par_chunks, par_chunks_scratch, par_chunks_scratch_with, par_chunks_with, par_indexed,
-    par_indexed_scratch, par_indexed_scratch_with, par_indexed_with, par_map, par_map_with,
-    parse_thread_override, resolve_thread_limit, thread_limit,
+    par_chunks_scratch_with, par_chunks_with, par_fill_chunks_with, par_indexed_scratch_with,
+    par_indexed_with, par_map_with, parse_thread_override, resolve_thread_limit, thread_limit,
 };
 
 use crate::rng::{SeedTree, Xoshiro256pp};
 
 /// Evaluates `f` once per parameter point, each point under its own
 /// [`SeedTree`] subtree (derived from `label` and the point's index), in
-/// parallel. Results come back in parameter order, and each point's
-/// randomness is independent of every other point's — adding a point to a
-/// sweep never changes the existing points' results.
-pub fn par_sweep<P, U, F>(tree: &SeedTree, label: &str, params: &[P], f: F) -> Vec<U>
-where
-    P: Sync,
-    U: Send,
-    F: Fn(SeedTree, &P) -> U + Sync,
-{
-    par_sweep_with(thread_limit(), tree, label, params, f)
-}
-
-/// [`par_sweep`] with an explicit thread budget.
+/// parallel at a `threads` budget. Results come back in parameter order,
+/// and each point's randomness is independent of every other point's —
+/// adding a point to a sweep never changes the existing points' results.
 pub fn par_sweep_with<P, U, F>(
     threads: usize,
     tree: &SeedTree,
@@ -64,28 +55,14 @@ where
     })
 }
 
-/// Runs `trials` Monte-Carlo repetitions in fixed-size chunks, each chunk
-/// on its own generator `tree.rng_indexed(label, chunk_index)`. Returns
-/// one result per chunk, in chunk order; the caller folds them (sum the
-/// error counts, average the stats, …). Because the chunk decomposition
-/// depends only on `(trials, chunk_size)` and each chunk's stream only on
-/// its index, the fold input — and therefore the fold output — is
-/// bit-identical at any thread count.
-pub fn par_trials<U, F>(
-    tree: &SeedTree,
-    label: &str,
-    trials: usize,
-    chunk_size: usize,
-    f: F,
-) -> Vec<U>
-where
-    U: Send,
-    F: Fn(&mut Xoshiro256pp, usize) -> U + Sync,
-{
-    par_trials_with(thread_limit(), tree, label, trials, chunk_size, f)
-}
-
-/// [`par_trials`] with an explicit thread budget.
+/// Runs `trials` Monte-Carlo repetitions in fixed-size chunks at a
+/// `threads` budget, each chunk on its own generator
+/// `tree.rng_indexed(label, chunk_index)`. Returns one result per chunk,
+/// in chunk order; the caller folds them (sum the error counts, average
+/// the stats, …). Because the chunk decomposition depends only on
+/// `(trials, chunk_size)` and each chunk's stream only on its index, the
+/// fold input — and therefore the fold output — is bit-identical at any
+/// thread count.
 pub fn par_trials_with<U, F>(
     threads: usize,
     tree: &SeedTree,
@@ -105,11 +82,11 @@ where
 }
 
 /// The sweep-grid scheduler: runs `trials` chunked Monte-Carlo
-/// repetitions for **every** parameter point as one flat work grid.
-/// Unit `(p, c)` derives its generator as
+/// repetitions for **every** parameter point as one flat work grid at a
+/// `threads` budget. Unit `(p, c)` derives its generator as
 /// `tree.subtree_indexed(point_label, p).rng_indexed(chunk_label, c)` —
-/// bit-for-bit the stream that nesting [`par_trials`] inside
-/// [`par_sweep`] yields — and `f` receives `(rng, point_index, &point,
+/// bit-for-bit the stream that nesting [`par_trials_with`] inside
+/// [`par_sweep_with`] yields — and `f` receives `(rng, point_index, &point,
 /// chunk_trials)`. Returns one `Vec<U>` per point, chunk results in
 /// chunk order, ready for the same fold the per-point code used.
 ///
@@ -117,37 +94,10 @@ where
 /// points the grid exposes `P ×` as many units to the pool, which is
 /// what lets an 8-point sweep with per-point work smaller than the
 /// worker budget still run at full width.
-pub fn par_sweep_trials<P, U, F>(
-    tree: &SeedTree,
-    point_label: &str,
-    chunk_label: &str,
-    params: &[P],
-    trials: usize,
-    chunk_size: usize,
-    f: F,
-) -> Vec<Vec<U>>
-where
-    P: Sync,
-    U: Send,
-    F: Fn(&mut Xoshiro256pp, usize, &P, usize) -> U + Sync,
-{
-    par_sweep_trials_with(
-        thread_limit(),
-        tree,
-        point_label,
-        chunk_label,
-        params,
-        trials,
-        chunk_size,
-        f,
-    )
-}
-
-/// [`par_sweep_trials`] with an explicit thread budget.
 ///
 /// # Panics
 /// Panics when `chunk_size == 0`.
-#[allow(clippy::too_many_arguments)] // mirrors par_sweep + par_trials combined
+#[allow(clippy::too_many_arguments)] // mirrors par_sweep_with + par_trials_with combined
 pub fn par_sweep_trials_with<P, U, F>(
     threads: usize,
     tree: &SeedTree,

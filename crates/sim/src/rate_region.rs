@@ -376,17 +376,6 @@ pub fn rate_region_grid_par_with(
         .collect()
 }
 
-/// [`rate_region_grid_par_with`] at the default
-/// [`mmtag_rf::par::thread_limit`].
-pub fn rate_region_grid(
-    cfg: &RateRegionConfig,
-    weights: &[f64],
-    trials: usize,
-    tree: &SeedTree,
-) -> Vec<RatePoint> {
-    rate_region_grid_par_with(par::thread_limit(), cfg, weights, trials, tree)
-}
-
 /// Closed-form primary-rate anchor for the degenerate single-tag AWGN
 /// scene (one tag, every K-factor infinite): with no fading the beam state
 /// is the reflection state maximizing `Re(c)`, and the depth-0 primary

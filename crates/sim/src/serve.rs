@@ -1367,7 +1367,7 @@ impl Engine {
     }
 
     /// Runs one admitted sweep: the uncached points fan across the pool
-    /// as one flat point grid (the same `par_map` scheduler the flat
+    /// as one flat point grid (the same `par_map_with` scheduler the flat
     /// (point × chunk) sweep grid uses), each point on a *serial*
     /// Runner — `threads <= 1` bypasses the pool, so the workers are
     /// spent on point-level parallelism instead of nested dispatch.

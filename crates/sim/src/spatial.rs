@@ -7,12 +7,11 @@
 //! into a uniform grid so a disc query touches only the cells the disc
 //! overlaps.
 //!
-//! Layout is CSR (compressed sparse rows), rebuilt per round by a
-//! counting sort: `starts[c]..starts[c + 1]` indexes the slice of
-//! `entries` holding the point indices of cell `c`. Everything is flat
+//! Layout is CSR (compressed sparse rows), rebuilt by a counting sort
+//! whenever the points move: `starts[c]..starts[c + 1]` indexes the slice
+//! of `entries` holding the point indices of cell `c`. Everything is flat
 //! `Vec`s that keep their capacity across rebuilds, so steady-state
-//! rebuilds allocate nothing — the property the workspace alloc guard
-//! pins for the city event loop.
+//! rebuilds allocate nothing.
 //!
 //! Determinism: cells are visited row-major, and the counting sort is
 //! stable, so entries within a cell stay in ascending point-index order.

@@ -10,6 +10,12 @@ cargo build --release
 # workspace outside this one: build it here so a removed or renamed public
 # item it calls fails the gate instead of only the benchmark run.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+# Its own tests run every workload briefly; `repro_cold_passes_its_checks`
+# regenerates every table at published size and compares the digests
+# across passes and against a 1-thread child process — the only gate that
+# exercises the parallel decompositions (city barrier, E16/E26/E28 cell
+# fan-out) at full size before the benchmark itself.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -23,9 +29,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 cargo run -q --release -p mmtag-bench --bin scenario -- list
 cargo run -q --release -p mmtag-bench --bin scenario -- smoke
 
-# City-scale smoke: one hundred thousand tags through the sharded
-# calendar-queue engine via the CLI — the tentpole path (SoA tag state,
-# spatial hash, shard merge) at full density, not the minimized smoke size.
+# City-scale smoke: one hundred thousand tags through the city engine via
+# the CLI — the production path (SoA tag state, per-tag parallel barrier,
+# sharded calendar-queue rounds, shard merge) at full density, not the
+# minimized smoke size.
 cargo run -q --release -p mmtag-cli -- city --tags 100000 --rounds 5 --seed 7
 
 # Rate-region smoke (E29, small grid): the multi-tag sweep end to end —

@@ -8,7 +8,7 @@ use mmtag::prelude::*;
 use mmtag_phy::ber::ook_coherent_ber;
 use mmtag_phy::frame::Frame;
 use mmtag_phy::sync::{find_frame_start, BARKER13};
-use mmtag_phy::waveform::{measure_ber, measure_ber_par, Awgn, OokModem};
+use mmtag_phy::waveform::{measure_ber, measure_ber_par_with, Awgn, OokModem};
 use mmtag_rf::rng::{SeedTree, Xoshiro256pp};
 
 fn link_at(feet: f64) -> (Reader, mmtag::link::LinkReport) {
@@ -108,7 +108,7 @@ fn parallel_mc_ber_matches_closed_form_at_7db() {
     let p = ook_coherent_ber(10f64.powf(eb_n0_db / 10.0));
     let modem = OokModem::new(4);
     let tree = SeedTree::new(0xE5);
-    let measured = measure_ber_par(&modem, eb_n0_db, n_bits, true, &tree);
+    let measured = measure_ber_par_with(4, &modem, eb_n0_db, n_bits, true, &tree);
     let sigma = (p * (1.0 - p) / n_bits as f64).sqrt();
     assert!(
         (measured - p).abs() <= 4.0 * sigma,
