@@ -21,23 +21,29 @@
 //! high") and bit **1** to absorption. [`OokModem`] uses `mark_bit` to hold
 //! that mapping so the same modem expresses either convention.
 //!
-//! ## The lane kernel and [`TrialScratch`]
+//! ## The certified kernel and [`TrialScratch`]
 //!
 //! The Monte-Carlo trial loop is the stack's hottest path. Its one
-//! production implementation is the **lane kernel**,
-//! [`count_bit_errors_scratch`] (DESIGN.md §11): the trial expressed as
-//! structure-of-arrays sweeps over flat `f64` buffers in a caller-owned
-//! [`TrialScratch`] — blocked Gaussian fills via
-//! [`Rng::fill_normal_soa`], a fused modulate+noise pass, and a matched
-//! filter that carries [`mmtag_rf::math::LANES`] symbols in lane-local
-//! accumulators reduced in a fixed order. The steady state of a trial
-//! loop performs **zero heap allocations** (verified by the repo's
-//! allocation-guard integration test). Its test oracle is the allocating
-//! chain above, written out in this module's tests: one [`Rng::bit`] per
-//! bit, [`OokModem::modulate`], one [`Rng::normal_pair`] added per
-//! sample, then [`OokModem::demodulate_coherent`] /
-//! [`OokModem::demodulate_noncoherent`]. The kernel matches it bit for
-//! bit — same counts, same RNG stream position.
+//! production implementation is [`count_bit_errors_scratch`] (DESIGN.md
+//! §11): all bits drawn first, then the waveform streamed through
+//! groups of whole symbols held in a caller-owned, group-sized
+//! [`TrialScratch`] — noise from the certified Box–Muller block
+//! ([`uniform_pairs`] + [`box_muller_certified`], `ln` through the
+//! vectorized [`mmtag_rf::math::ln_lanes`]), a fused modulate+noise pass,
+//! and a matched filter that carries [`mmtag_rf::math::LANES`] symbols
+//! side by side. Each threshold decision stands when the fast statistic
+//! clears the threshold by a margin a rounding analysis proves larger
+//! than any gap to the exact statistic; a symbol inside the margin is
+//! replayed through the exact libm chain from its kept uniforms. The
+//! steady state of a trial loop performs **zero heap allocations**
+//! (verified by the repo's allocation-guard integration test). Its test
+//! oracle is the allocating chain above, written out in this module's
+//! tests: one [`Rng::bit`] per bit, [`OokModem::modulate`], one
+//! [`Rng::normal_pair`] added per sample, then
+//! [`OokModem::demodulate_coherent`] / [`OokModem::demodulate_noncoherent`].
+//! The kernel matches it bit for bit — same counts, same RNG stream
+//! position — at the production margin and with every decision forced
+//! through the replay.
 //!
 //! Noise streams are **sampler v2**: AWGN consumes both Box–Muller
 //! branches through [`Rng::normal_pair`] (one uniform pair per complex
@@ -48,7 +54,9 @@
 use mmtag_rf::math::LANES;
 use mmtag_rf::obs;
 use mmtag_rf::par;
-use mmtag_rf::rng::{Rng, SeedTree};
+use mmtag_rf::rng::{
+    box_muller_certified, box_muller_exact, uniform_pairs, Rng, SeedTree, BM_BLOCK,
+};
 use mmtag_rf::Complex;
 
 /// Rectangular-pulse OOK modulator/demodulator.
@@ -80,11 +88,20 @@ impl OokModem {
         bit == self.mark_bit
     }
 
+    /// The sample level `bit` is sent at: the amplitude for a mark, else 0.
+    fn level(&self, bit: bool) -> f64 {
+        if self.is_mark(bit) {
+            self.amplitude
+        } else {
+            0.0
+        }
+    }
+
     /// Modulates bits into baseband IQ samples.
     pub fn modulate(&self, bits: &[bool]) -> Vec<Complex> {
         let mut out = Vec::with_capacity(bits.len() * self.samples_per_symbol);
         for &b in bits {
-            let a = if self.is_mark(b) { self.amplitude } else { 0.0 };
+            let a = self.level(b);
             out.extend(std::iter::repeat_n(
                 Complex::new(a, 0.0),
                 self.samples_per_symbol,
@@ -194,23 +211,169 @@ impl Awgn {
     }
 }
 
+/// The certificate's margin factor `K = 2⁻³⁶`: a fast decision stands
+/// when its statistic clears the threshold by more than `K·Σⱼ Bⱼ`
+/// (DESIGN.md §11, "Certified decisions", derives `|S' − S| ≤ 2⁻³⁹·⁹·Σⱼ Bⱼ`
+/// for every symbol the kernels accept, so `K` leaves a factor of ≥ 15
+/// over the worst case).
+pub(crate) const CERT_MARGIN: f64 = 1.0 / (1u64 << 36) as f64;
+
+/// The largest oversampling factor the certificate covers: its fold-error
+/// term grows with the number of samples summed per symbol, and the
+/// derivation bounds it for `sps ≤ 2¹²`.
+pub const MAX_CERTIFIED_SPS: usize = 1 << 12;
+
+/// Symbols per group of the streamed kernels: a multiple of [`LANES`],
+/// and as many as fit in one [`BM_BLOCK`] of samples where `sps` allows
+/// (`sps ≤ 8`); otherwise one lane's worth.
+pub(crate) fn group_symbols(sps: usize) -> usize {
+    (BM_BLOCK / sps / LANES).max(1) * LANES
+}
+
+/// Sums each symbol's `sps` consecutive samples of `x`, first to last
+/// from `0.0` — the order `Complex::sum` uses in the matched filter, so
+/// each sum carries the same rounding — [`LANES`] independent symbols
+/// side by side. `out.len()` symbols, a multiple of [`LANES`].
+pub(crate) fn fold_symbols(x: &[f64], sps: usize, out: &mut [f64]) {
+    for (seg, sums) in x.chunks_exact(LANES * sps).zip(out.chunks_exact_mut(LANES)) {
+        let mut acc = [0.0f64; LANES];
+        for j in 0..sps {
+            for l in 0..LANES {
+                acc[l] += seg[l * sps + j];
+            }
+        }
+        sums.copy_from_slice(&acc);
+    }
+}
+
+/// One group of symbols' buffers, shared by the streamed OOK and BPSK
+/// kernels: the kept uniforms, the fast radii, and the noisy waveform's
+/// I and Q components, each `group_symbols(sps)·sps` long, plus each
+/// symbol's fast statistic and certificate bound. Every value a kernel
+/// reads is written first in the same group (a partial last lane folds
+/// stale samples into sums nobody reads).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SymbolGroup {
+    /// Kept `u1` uniforms, for exact replay.
+    pub(crate) u1: Vec<f64>,
+    /// Kept `u2` uniforms, for exact replay.
+    pub(crate) u2: Vec<f64>,
+    /// Fast Box–Muller radii `r'`.
+    pub(crate) r: Vec<f64>,
+    /// I components: the cosine-branch noise, then the noisy samples.
+    pub(crate) re: Vec<f64>,
+    /// Q components: the sine-branch noise, then the noisy samples.
+    pub(crate) im: Vec<f64>,
+    /// Per symbol: the fast statistic `S'`.
+    pub(crate) stat: Vec<f64>,
+    /// Per symbol: the certificate's `Σⱼ Bⱼ`.
+    pub(crate) bound: Vec<f64>,
+}
+
+impl SymbolGroup {
+    /// Sizes every buffer for groups at `sps` (capacity never shrinks, so
+    /// a warm scratch resizes without allocating).
+    pub(crate) fn reserve_for(&mut self, sps: usize) {
+        let symbols = group_symbols(sps);
+        for buf in [
+            &mut self.u1,
+            &mut self.u2,
+            &mut self.r,
+            &mut self.re,
+            &mut self.im,
+        ] {
+            buf.resize(symbols * sps, 0.0);
+        }
+        self.stat.resize(symbols, 0.0);
+        self.bound.resize(symbols, 0.0);
+    }
+
+    /// One OOK group: draws `bits.len() · sps` pairs through the certified
+    /// block, modulates and adds the noise, and writes symbol `l`'s fast
+    /// statistic `S'` to `stat[l]` and its `Σⱼ Bⱼ` to `bound[l]`.
+    fn ook<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        modem: &OokModem,
+        sigma: f64,
+        coherent: bool,
+        bits: &[bool],
+    ) {
+        let sps = modem.samples_per_symbol;
+        let ns = bits.len() * sps;
+        let SymbolGroup {
+            u1,
+            u2,
+            r,
+            re,
+            im,
+            stat,
+            bound,
+        } = self;
+        uniform_pairs(rng, &mut u1[..ns], &mut u2[..ns]);
+        box_muller_certified(
+            &u1[..ns],
+            &u2[..ns],
+            &mut r[..ns],
+            &mut re[..ns],
+            &mut im[..ns],
+        );
+        // Fused modulate + AWGN, elementwise the allocating chain's
+        // `a + σ·nᵢ` on I and `0.0 + σ·n_q` on Q (the explicit `0.0 +`
+        // rewrites a −0.0 exactly as a complex `+=` does).
+        for ((xr, xi), &bit) in re[..ns]
+            .chunks_exact_mut(sps)
+            .zip(im[..ns].chunks_exact_mut(sps))
+            .zip(bits)
+        {
+            let a = modem.level(bit);
+            for v in xr {
+                *v = a + sigma * *v;
+            }
+            if !coherent {
+                for v in xi {
+                    *v = 0.0 + sigma * *v;
+                }
+            }
+        }
+        let lanes = bits.len().div_ceil(LANES) * LANES;
+        let mut sum_r = [0.0f64; BM_BLOCK];
+        fold_symbols(&re[..lanes * sps], sps, &mut stat[..lanes]);
+        fold_symbols(&r[..lanes * sps], sps, &mut sum_r[..lanes]);
+        // Σⱼ Bⱼ = sps·|a| + q·|σ|·Σⱼ r'ⱼ, with q = 2 when the envelope
+        // adds the Q component's noise.
+        let mut noise_terms = sigma.abs();
+        if !coherent {
+            let mut sum_im = [0.0f64; BM_BLOCK];
+            fold_symbols(&im[..lanes * sps], sps, &mut sum_im[..lanes]);
+            for (s, q) in stat.iter_mut().zip(&sum_im).take(bits.len()) {
+                *s = s.hypot(*q);
+            }
+            noise_terms *= 2.0;
+        }
+        for ((b, &sr), &bit) in bound.iter_mut().zip(&sum_r).zip(bits) {
+            *b = sps as f64 * modem.level(bit).abs() + noise_terms * sr;
+        }
+    }
+}
+
 /// Caller-owned workspace for the zero-allocation trial kernel
 /// ([`count_bit_errors_scratch`]).
 ///
 /// Ownership rules (DESIGN.md §8): the scratch belongs to exactly one
-/// worker at a time; kernels **write every buffer before reading it**, so
-/// a scratch carries no information between trials and reusing one across
-/// work units cannot perturb results. Buffers grow to the largest chunk
-/// ever processed and are never shrunk, so the steady state of a trial
-/// loop performs zero heap allocations.
+/// worker at a time, and a kernel **writes every value it uses before
+/// reading it**, so a scratch carries no information between trials and
+/// reusing one across work units cannot perturb results. The bit buffer
+/// grows to the largest chunk ever processed; the sample buffers hold one
+/// group of symbols (at least [`BM_BLOCK`] samples, `LANES·sps` above
+/// `sps = 8`), whatever the chunk length. Nothing shrinks, so the steady
+/// state of a trial loop performs zero heap allocations.
 #[derive(Clone, Debug, Default)]
 pub struct TrialScratch {
     /// The chunk's random data bits.
     bits: Vec<bool>,
-    /// SoA I components of the noisy waveform.
-    re: Vec<f64>,
-    /// SoA Q components of the noisy waveform.
-    im: Vec<f64>,
+    /// The current group's samples.
+    group: SymbolGroup,
 }
 
 impl TrialScratch {
@@ -221,27 +384,41 @@ impl TrialScratch {
 }
 
 /// The zero-allocation trial kernel: draws `n_bits` random bits and the
-/// AWGN from `rng`, runs modulate → noise → fused demodulate-and-count
-/// entirely inside `scratch`, and returns the bit-error count.
+/// AWGN from `rng`, runs modulate → noise → demodulate-and-count inside
+/// `scratch`, and returns the bit-error count.
 ///
-/// This is the **lane kernel** (DESIGN.md §11): the waveform lives in two
-/// flat `f64` arrays (structure-of-arrays) instead of a `Complex` slice,
-/// the noise comes from the blocked [`Rng::fill_normal_soa`] pipeline, the
-/// modulate+noise pass is a fused elementwise sweep, and the matched
-/// filter accumulates [`LANES`] symbols side by side with the error count
-/// folded through fixed-order lane-local counters. Every floating-point
-/// value is produced by the same operation sequence as the allocating
-/// chain (`a + σ·n` per component, symbol sums folded first-to-last from
-/// zero, `hypot` envelopes), so the counts — and the RNG stream position —
-/// are **bit-identical** to [`OokModem::modulate`] plus one
-/// [`Rng::normal_pair`] per sample through the demodulators, which the
-/// differential tests pin at odd and non-multiple-of-8 lengths.
+/// The count and the RNG stream position are **bit-identical** to the
+/// allocating chain — [`OokModem::modulate`], one [`Rng::normal_pair`]
+/// added per sample, the demodulators — which the differential tests pin.
+/// How it gets there (DESIGN.md §11):
+///
+/// * all bits are drawn first ([`Rng::fill_bits`]); the waveform then
+///   streams through groups of whole symbols (a multiple of [`LANES`],
+///   one [`BM_BLOCK`] of samples where `sps` allows), so the buffers stay
+///   group-sized whatever `n_bits` is;
+/// * each group's noise comes from the **certified** Box–Muller block
+///   ([`uniform_pairs`] + [`box_muller_certified`]): the same draws as the
+///   exact chain, but the radius through the vectorized
+///   [`mmtag_rf::math::ln_lanes`] instead of libm `ln`, and the uniforms
+///   kept;
+/// * a fused modulate+noise sweep and a lane matched filter give each
+///   symbol its fast statistic `S'` (real part, or envelope) together
+///   with `Σⱼ Bⱼ`, `Bⱼ = |a| + |σ|·r'ⱼ` (twice the noise term for the
+///   envelope);
+/// * the decision `S' > θ` stands when `|S' − θ| > K·Σⱼ Bⱼ`, a margin
+///   the rounding analysis proves larger than any gap to the exact
+///   statistic; otherwise that one symbol is replayed through the exact
+///   libm chain from its kept uniforms ([`box_muller_exact`]). At
+///   published sizes no symbol has needed a replay.
 ///
 /// [`count_bit_errors`] is a thin wrapper over this with a one-shot
 /// workspace; the chunked Monte-Carlo loops instead thread one
 /// [`TrialScratch`] per worker through the scratch-carrying parallel
 /// engine, so buffer allocation amortizes across every chunk a worker
 /// claims.
+///
+/// # Panics
+/// Panics if `samples_per_symbol` exceeds [`MAX_CERTIFIED_SPS`].
 ///
 /// # Examples
 ///
@@ -271,93 +448,73 @@ pub fn count_bit_errors_scratch<R: Rng + ?Sized>(
     rng: &mut R,
     scratch: &mut TrialScratch,
 ) -> usize {
+    count_certified(modem, awgn, n_bits, coherent, rng, scratch, CERT_MARGIN)
+}
+
+/// [`count_bit_errors_scratch`] at an explicit certificate margin factor
+/// (production passes [`CERT_MARGIN`]; the tests pass `∞` to force every
+/// decision through the exact replay).
+fn count_certified<R: Rng + ?Sized>(
+    modem: &OokModem,
+    awgn: &Awgn,
+    n_bits: usize,
+    coherent: bool,
+    rng: &mut R,
+    scratch: &mut TrialScratch,
+    margin: f64,
+) -> usize {
     let _span = obs::span("phy.ber.chunk");
     let sps = modem.samples_per_symbol;
-    scratch.bits.resize(n_bits, false);
-    rng.fill_bits(&mut scratch.bits);
-    let n_samples = n_bits * sps;
-    scratch.re.resize(n_samples, 0.0);
-    scratch.im.resize(n_samples, 0.0);
-    rng.fill_normal_soa(&mut scratch.re, &mut scratch.im);
-    // Fused modulate + AWGN sweep. Elementwise identical to modulating
-    // and then adding `σ·(nᵢ, n_q)`: per sample that computes `a + σ·nᵢ`
-    // on I and `0.0 + σ·n_q` on Q, and so does this — the explicit `0.0 +`
-    // keeps the Q expression literally the same (it rewrites a σ·n_q of
-    // −0.0 to +0.0 exactly as a complex `+=` does).
+    assert!(
+        sps <= MAX_CERTIFIED_SPS,
+        "the decision certificate covers at most {MAX_CERTIFIED_SPS} samples per symbol"
+    );
+    let TrialScratch { bits, group } = scratch;
+    bits.resize(n_bits, false);
+    rng.fill_bits(bits);
+    group.reserve_for(sps);
     let sigma = awgn.sigma;
-    for ((chunk_re, chunk_im), &bit) in scratch
-        .re
-        .chunks_exact_mut(sps)
-        .zip(scratch.im.chunks_exact_mut(sps))
-        .zip(scratch.bits.iter())
-    {
-        let a = if modem.is_mark(bit) {
-            modem.amplitude
-        } else {
-            0.0
-        };
-        for (r, i) in chunk_re.iter_mut().zip(chunk_im.iter_mut()) {
-            *r = a + sigma * *r;
-            *i = 0.0 + sigma * *i;
-        }
-    }
-    // Matched filter + threshold + compare, LANES symbols at a time. The
-    // per-symbol sums fold sample 0 → sample sps−1 onto 0.0, exactly the
-    // order `Complex::sum` uses in the matched filter, so each
-    // statistic carries the same rounding; only *independent* symbols run
-    // side by side. Error counts land in lane-local integer accumulators
-    // reduced in fixed lane order (integer addition is exact, so the order
-    // is for the argument's sake, not the sum's).
     let threshold = modem.decision_threshold();
-    let mark_bit = modem.mark_bit;
-    let lane_syms = n_bits - n_bits % LANES;
-    let mut lane_errors = [0u64; LANES];
-    for base in (0..lane_syms).step_by(LANES) {
-        let seg_re = &scratch.re[base * sps..(base + LANES) * sps];
-        let seg_im = &scratch.im[base * sps..(base + LANES) * sps];
-        let mut sum_re = [0.0f64; LANES];
-        let mut sum_im = [0.0f64; LANES];
-        for j in 0..sps {
-            for l in 0..LANES {
-                sum_re[l] += seg_re[l * sps + j];
-                sum_im[l] += seg_im[l * sps + j];
-            }
-        }
-        for l in 0..LANES {
-            let stat = if coherent {
-                sum_re[l]
+    let mut errors = 0u64;
+    for group_bits in bits.chunks(group_symbols(sps)) {
+        group.ook(rng, modem, sigma, coherent, group_bits);
+        for (l, &bit) in group_bits.iter().enumerate() {
+            let fast = group.stat[l];
+            let s = if (fast - threshold).abs() > margin * group.bound[l] {
+                fast
             } else {
-                sum_re[l].hypot(sum_im[l])
+                let at = l * sps..(l + 1) * sps;
+                let a = modem.level(bit);
+                exact_ook_statistic(&group.u1[at.clone()], &group.u2[at], a, sigma, coherent)
             };
-            let decided = (stat > threshold) == mark_bit;
-            lane_errors[l] += u64::from(decided != scratch.bits[base + l]);
+            let decided = (s > threshold) == modem.mark_bit;
+            errors += u64::from(decided != bit);
         }
-    }
-    let mut errors: u64 = 0;
-    for &e in &lane_errors {
-        errors += e;
-    }
-    // Scalar tail: up to LANES−1 trailing symbols, same fold order.
-    for (sym, &bit) in scratch.bits[lane_syms..n_bits].iter().enumerate() {
-        let base = (lane_syms + sym) * sps;
-        let mut sum_re = 0.0f64;
-        let mut sum_im = 0.0f64;
-        for j in 0..sps {
-            sum_re += scratch.re[base + j];
-            sum_im += scratch.im[base + j];
-        }
-        let stat = if coherent {
-            sum_re
-        } else {
-            sum_re.hypot(sum_im)
-        };
-        let decided = (stat > threshold) == mark_bit;
-        errors += u64::from(decided != bit);
     }
     let errors = errors as usize;
     obs::counter_add("phy.ber.bits", n_bits as u64);
     obs::observe("phy.ber.chunk_errors", errors as u64);
     errors
+}
+
+/// One symbol's exact matched-filter statistic, replayed from its kept
+/// uniforms: each sample's pair through [`box_muller_exact`] (libm `ln`),
+/// `a + σ·nᵢ` and `0.0 + σ·n_q`, summed first to last from `0.0`, then
+/// the real part (coherent) or the `hypot` envelope — the allocating
+/// chain's arithmetic, operation for operation.
+#[cold]
+fn exact_ook_statistic(u1: &[f64], u2: &[f64], a: f64, sigma: f64, coherent: bool) -> f64 {
+    let (mut sum_re, mut sum_im) = (0.0f64, 0.0f64);
+    for (&v1, &v2) in u1.iter().zip(u2) {
+        let (ni, nq) = box_muller_exact(v1, v2);
+        sum_re += a + sigma * ni;
+        sum_im += 0.0 + sigma * nq;
+    }
+    if coherent {
+        sum_re
+    } else {
+        sum_re.hypot(sum_im)
+    }
 }
 
 /// Bits per work unit for the parallel BER harness. Fixed (never derived
@@ -399,8 +556,8 @@ pub fn measure_ber<R: Rng + ?Sized>(
 /// `n_bits` bits does, without computing anything. The kernel
 /// ([`count_bit_errors_scratch`]) draws one raw per bit
 /// ([`Rng::fill_bits`]), then one Box–Muller draw per sample
-/// ([`Rng::fill_normal_soa`] over `n_bits · sps` pairs) — whatever the
-/// SNR or demodulator. A generator cloned after this call is the one the
+/// ([`uniform_pairs`] over `n_bits · sps` pairs, group by group) —
+/// whatever the SNR, the demodulator or how many decisions replay. A generator cloned after this call is the one the
 /// next call on the same stream starts from, which is how a sequence of
 /// `measure_ber` calls on one stream can run concurrently.
 pub fn skip_measure_ber<R: Rng + ?Sized>(modem: &OokModem, n_bits: usize, rng: &mut R) {
@@ -477,10 +634,52 @@ pub fn ber_sweep_par_with(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ber::ook_coherent_ber;
     use mmtag_rf::rng::Xoshiro256pp;
+
+    /// A raw `u64` whose top 53 bits are zero: as a `u1` draw it is the
+    /// 2⁻⁵³ Box–Muller rejection.
+    pub(crate) const REJECTED_U1: u64 = 0x7FF;
+
+    /// Replays a canned prefix of raws, then falls through to xoshiro —
+    /// the way to land a `u1` rejection at a chosen stream position.
+    #[derive(Clone)]
+    pub(crate) struct ScriptedRng {
+        script: Vec<u64>,
+        at: usize,
+        tail: Xoshiro256pp,
+    }
+
+    impl ScriptedRng {
+        /// `seed`'s first `len` raws with `REJECTED_U1` planted at each of
+        /// `rejections` (stream positions), then the rest of that stream.
+        pub(crate) fn planted(seed: u64, len: usize, rejections: &[usize]) -> Self {
+            let mut tail = Xoshiro256pp::seed_from(seed);
+            let mut script: Vec<u64> = (0..len).map(|_| tail.next_u64()).collect();
+            for &p in rejections {
+                script[p] = REJECTED_U1;
+            }
+            ScriptedRng {
+                script,
+                at: 0,
+                tail,
+            }
+        }
+    }
+
+    impl Rng for ScriptedRng {
+        fn next_u64(&mut self) -> u64 {
+            match self.script.get(self.at) {
+                Some(&raw) => {
+                    self.at += 1;
+                    raw
+                }
+                None => self.tail.next_u64(),
+            }
+        }
+    }
 
     #[test]
     fn noiseless_roundtrip_is_error_free() {
@@ -692,6 +891,192 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// SNRs from deep noise to near-noiseless, for the certificate tests.
+    pub(crate) const CERT_SNRS_DB: [f64; 6] = [-5.0, 0.0, 4.0, 9.5, 17.0, 30.0];
+
+    #[test]
+    fn forced_replay_and_production_margin_both_match_the_oracle() {
+        // With the margin at ∞ every decision replays the exact chain; at
+        // K the fast path decides almost all of them. Both must give the
+        // oracle's count and leave the stream where it does.
+        for sps in [1usize, 3, 4, 8] {
+            for n in [1usize, 7, 9, 16, 17, 1000] {
+                for (si, &snr) in CERT_SNRS_DB.iter().enumerate() {
+                    for coherent in [true, false] {
+                        let modem = OokModem {
+                            mark_bit: si % 2 == 1,
+                            ..OokModem::new(sps)
+                        };
+                        let awgn = Awgn::for_eb_n0(&modem, snr);
+                        let seed = 0xCE27 ^ (n as u64) << 8 ^ (sps as u64) << 20 ^ si as u64;
+                        let mut oracle_rng = Xoshiro256pp::seed_from(seed);
+                        let want = oracle_bit_errors(&modem, &awgn, n, coherent, &mut oracle_rng);
+                        let next = oracle_rng.next_u64();
+                        for margin in [f64::INFINITY, CERT_MARGIN] {
+                            let mut rng = Xoshiro256pp::seed_from(seed);
+                            let mut scratch = TrialScratch::new();
+                            let got = count_certified(
+                                &modem,
+                                &awgn,
+                                n,
+                                coherent,
+                                &mut rng,
+                                &mut scratch,
+                                margin,
+                            );
+                            let case = format!(
+                                "sps={sps} n={n} snr={snr} coherent={coherent} margin={margin}"
+                            );
+                            assert_eq!(got, want, "{case}");
+                            assert_eq!(rng.next_u64(), next, "{case}: stream position");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn certificate_margin_has_2_pow_8_headroom_over_a_million_symbols() {
+        // The fast statistic of every symbol against its exact replay:
+        // the worst |S' − S| must stay 2⁸ below the margin K·Σ Bⱼ the
+        // kernel accepts decisions at (DESIGN.md §11 derives ≤ 2⁻³⁹·⁹).
+        for coherent in [true, false] {
+            let mut worst = 0.0f64;
+            let mut symbols = 0usize;
+            let cases = [
+                (1usize, 300_000usize),
+                (4, 550_000),
+                (8, 130_000),
+                (64, 20_000),
+            ];
+            for (case, (sps, per_case)) in cases.into_iter().enumerate() {
+                let modem = OokModem::new(sps);
+                let mut rng = Xoshiro256pp::seed_from(0x4EAD ^ case as u64);
+                let mut group = SymbolGroup::default();
+                group.reserve_for(sps);
+                let mut bits = vec![false; group_symbols(sps)];
+                for g in 0..per_case.div_ceil(bits.len()) {
+                    let snr = CERT_SNRS_DB[g % CERT_SNRS_DB.len()];
+                    let sigma = Awgn::for_eb_n0(&modem, snr).sigma;
+                    rng.fill_bits(&mut bits);
+                    group.ook(&mut rng, &modem, sigma, coherent, &bits);
+                    for (l, &bit) in bits.iter().enumerate() {
+                        let at = l * sps..(l + 1) * sps;
+                        let exact = exact_ook_statistic(
+                            &group.u1[at.clone()],
+                            &group.u2[at],
+                            modem.level(bit),
+                            sigma,
+                            coherent,
+                        );
+                        worst = worst
+                            .max((group.stat[l] - exact).abs() / (CERT_MARGIN * group.bound[l]));
+                    }
+                    symbols += bits.len();
+                }
+            }
+            assert!(symbols >= 1_000_000, "only {symbols} symbols");
+            assert!(
+                worst <= 2f64.powi(-8),
+                "coherent={coherent}: worst |S' − S| is 2^{:.1} of the margin",
+                worst.log2()
+            );
+        }
+    }
+
+    #[test]
+    fn exact_replay_reproduces_the_oracle_statistic_bit_for_bit() {
+        // The replay path decides the symbols the certificate cannot, so
+        // its statistic must be the oracle's matched-filter output itself,
+        // bit for bit, not merely decide the same way.
+        for sps in [1usize, 4, 8] {
+            for coherent in [true, false] {
+                let modem = OokModem::new(sps);
+                let sigma = Awgn::for_eb_n0(&modem, 2.0).sigma;
+                let n = 300;
+                let mut a = Xoshiro256pp::seed_from(0x2E91 ^ sps as u64);
+                let mut b = a.clone();
+                let bits: Vec<bool> = (0..n).map(|_| a.bit()).collect();
+                let mut samples = modem.modulate(&bits);
+                for s in &mut samples {
+                    let (ni, nq) = a.normal_pair();
+                    *s += Complex::new(sigma * ni, sigma * nq);
+                }
+                b.skip_raw(n as u64);
+                let (mut u1, mut u2) = (vec![0.0; n * sps], vec![0.0; n * sps]);
+                uniform_pairs(&mut b, &mut u1, &mut u2);
+                for (k, (&bit, z)) in bits.iter().zip(modem.matched_filter(&samples)).enumerate() {
+                    let at = k * sps..(k + 1) * sps;
+                    let got = exact_ook_statistic(
+                        &u1[at.clone()],
+                        &u2[at],
+                        modem.level(bit),
+                        sigma,
+                        coherent,
+                    );
+                    let want = if coherent { z.re } else { z.abs() };
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "sps={sps} coherent={coherent} symbol {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rejection_inside_a_certified_block_matches_the_oracle() {
+        // u1 rejections planted inside a group's block — the group's first
+        // pair, mid-block, twice in a row, in a later group — must leave
+        // the count and the stream position exactly as in the oracle.
+        let n = 40usize;
+        for sps in [1usize, 4] {
+            let first_pair = n; // the bits take the first n raws
+            let plants: [&[usize]; 4] = [
+                &[first_pair],
+                &[first_pair + 2 * 5],
+                &[first_pair + 2 * 5, first_pair + 2 * 5 + 1],
+                &[first_pair + 2 * (n * sps - 3)],
+            ];
+            for (pi, plant) in plants.iter().enumerate() {
+                for coherent in [true, false] {
+                    let modem = OokModem::new(sps);
+                    let awgn = Awgn::for_eb_n0(&modem, 3.0);
+                    let fresh = || ScriptedRng::planted(0xBAD ^ pi as u64, n + 2 * n * sps, plant);
+                    let mut oracle_rng = fresh();
+                    let want = oracle_bit_errors(&modem, &awgn, n, coherent, &mut oracle_rng);
+                    for margin in [f64::INFINITY, CERT_MARGIN] {
+                        let mut rng = fresh();
+                        let got = count_certified(
+                            &modem,
+                            &awgn,
+                            n,
+                            coherent,
+                            &mut rng,
+                            &mut TrialScratch::new(),
+                            margin,
+                        );
+                        let case =
+                            format!("sps={sps} plant {pi} coherent={coherent} margin={margin}");
+                        assert_eq!(got, want, "{case}");
+                        assert_eq!(rng.next_u64(), oracle_rng.clone().next_u64(), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "certificate covers at most")]
+    fn kernel_refuses_an_sps_the_certificate_does_not_cover() {
+        let modem = OokModem::new(MAX_CERTIFIED_SPS + 1);
+        let awgn = Awgn::for_eb_n0(&modem, 10.0);
+        let mut rng = Xoshiro256pp::seed_from(1);
+        count_bit_errors_scratch(&modem, &awgn, 1, true, &mut rng, &mut TrialScratch::new());
     }
 
     #[test]

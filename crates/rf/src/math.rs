@@ -9,6 +9,15 @@
 //! exact, so is the subtraction that follows) and short minimax
 //! polynomials on `[-π/4, π/4]`, for roughly a third of the latency at
 //! ~1 ulp of error.
+//!
+//! [`ln_lanes`] is the other half of a Box–Muller pair: an fdlibm-style
+//! natural log over [`LANES`] arguments, in plain `*`/`+`/`/` so it
+//! vectorizes. It is *not* bit-identical to libm `ln` (it stays within
+//! 2⁻⁵⁰ relative of it), so nothing that must reproduce a libm value
+//! consumes it directly: the bit-error counters use it only to decide
+//! which side of a threshold a statistic falls on, under a rounding
+//! certificate that replays the exact libm chain whenever the margin is
+//! too thin to be sure (DESIGN.md §11, "Certified decisions").
 
 use std::f64::consts::FRAC_PI_2;
 
@@ -96,8 +105,9 @@ pub fn sincos_2pi(u: f64) -> (f64, f64) {
 /// `2⁵² + 2⁵¹`: adding this to an integer-valued `f64` with magnitude
 /// below `2⁵¹` is exact and lands the sum in `[2⁵², 2⁵³)`, where the ulp
 /// is 1 — so the addend's two's-complement integer bits appear directly
-/// in the low mantissa bits. The lane kernel uses this to read a
-/// quadrant index without an `f64 → i64` cast, because Rust's saturating
+/// in the low mantissa bits. The lane kernels use this to read a
+/// quadrant index without an `f64 → i64` cast (and, run backwards, to
+/// turn [`ln_lanes`]'s binade index into an `f64`), because Rust's saturating
 /// cast lowers to `fptosi.sat`, which LLVM's loop vectorizer refuses —
 /// one scalar cast per lane was the single instruction keeping the whole
 /// sin/cos pipeline out of vector registers.
@@ -147,9 +157,78 @@ pub fn sincos_2pi_lanes(u: &[f64; LANES]) -> ([f64; LANES], [f64; LANES]) {
     (s, c)
 }
 
+/// `ln 2` split in two: [`LN2_HI`] carries only its top 32 significant
+/// bits, so `k·LN2_HI` is exact for every binade index `k` a normal `f64`
+/// can have, and [`LN2_LO`] is the remainder (fdlibm `ln2_hi`/`ln2_lo`).
+const LN2_HI: f64 = 6.931_471_803_691_238e-1;
+const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
+
+/// fdlibm's `Lg1`–`Lg7`: the minimax polynomial in `z = s²` for
+/// `(ln((1+s)/(1−s)) − 2s)/s` on `|s| ≤ 3 − 2√2 ≈ 0.1716`.
+const LG: [f64; 7] = [
+    6.666_666_666_666_735e-1,
+    3.999_999_999_940_942e-1,
+    2.857_142_874_366_239e-1,
+    2.222_219_843_214_978_4e-1,
+    1.818_357_216_161_805e-1,
+    1.531_383_769_920_937_3e-1,
+    1.479_819_860_511_658_6e-1,
+];
+
+/// Bit pattern of `√½` (`0x3fe6a09e667f3bcd`): [`ln_lanes`] splits every
+/// binade here so its mantissa lands in `[√½, √2)`.
+const SQRT_HALF_BITS: u64 = 0x3fe6_a09e_667f_3bcd;
+
+/// Natural log of [`LANES`] positive normal arguments at once — within
+/// **2⁻⁵⁰ relative** of libm's `ln` on the uniform ladder `u = j·2⁻⁵³`,
+/// `1 ≤ j < 2⁵³` (fdlibm's own bound is under one ulp; the tests measure
+/// at most a couple of ulps against libm over every binade of the ladder).
+///
+/// The fdlibm `log` algorithm, branch-free so it is one data-parallel
+/// loop:
+///
+/// 1. write `x = 2ᵏ·m` with `m ∈ [√½, √2)`: subtracting `√½`'s bit
+///    pattern leaves `k` in the exponent field (an arithmetic shift reads
+///    it, negative `k` included), and subtracting `k` from `x`'s exponent
+///    field gives `m`; `k` becomes an `f64` through the same magic-number
+///    add the sin/cos lanes use, never an `as` cast;
+/// 2. `f = m − 1` (exact) and `s = f/(2+f)`, so `ln m = ln((1+s)/(1−s))
+///    = 2s + s·R(s²)` with `R` fdlibm's `Lg1`–`Lg7` polynomial;
+/// 3. recombine as `k·ln2_hi − ((f²/2 − (s·(f²/2 + R) + k·ln2_lo)) − f)`.
+///
+/// Only plain `*`, `+`, `−` and `/` — no `mul_add`, which without a
+/// hardware FMA target lowers to a libm call and would make a lane's
+/// rounding depend on the CPU. Rust never contracts `a*b + c`, so every
+/// lane rounds identically on every target.
+///
+/// Zero, negative, subnormal and non-finite inputs are outside the domain
+/// and return unspecified finite or non-finite values (never a panic).
+#[inline]
+pub fn ln_lanes(x: &[f64; LANES]) -> [f64; LANES] {
+    let [lg1, lg2, lg3, lg4, lg5, lg6, lg7] = LG;
+    let mut out = [0.0f64; LANES];
+    for l in 0..LANES {
+        let bits = x[l].to_bits();
+        let k = (bits.wrapping_sub(SQRT_HALF_BITS) as i64) >> 52;
+        let m = f64::from_bits(bits.wrapping_sub((k as u64) << 52));
+        let dk = f64::from_bits(QUADRANT_MAGIC.to_bits().wrapping_add(k as u64)) - QUADRANT_MAGIC;
+        let f = m - 1.0;
+        let s = f / (2.0 + f);
+        let z = s * s;
+        let w = z * z;
+        let t1 = w * (lg2 + w * (lg4 + w * lg6));
+        let t2 = z * (lg1 + w * (lg3 + w * (lg5 + w * lg7)));
+        let r = t2 + t1;
+        let hfsq = 0.5 * f * f;
+        out[l] = dk * LN2_HI - ((hfsq - (s * (hfsq + r) + dk * LN2_LO)) - f);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng;
     use std::f64::consts::TAU;
 
     #[test]
@@ -214,6 +293,98 @@ mod tests {
                 (ss.to_bits(), cs.to_bits())
             );
         }
+    }
+
+    /// The documented bound of [`ln_lanes`] against libm `ln`.
+    const LN_REL_BOUND: f64 = 1.0 / (1u64 << 50) as f64;
+
+    /// Runs `xs` through [`ln_lanes`], [`LANES`] at a time, and returns
+    /// the largest `|ln_lanes(x) − ln(x)| / |ln(x)|` with its argument.
+    fn worst_ln_gap(xs: &[f64]) -> (f64, f64) {
+        let mut worst = (0.0f64, 1.0f64);
+        for chunk in xs.chunks(LANES) {
+            let mut lanes = [0.5f64; LANES];
+            lanes[..chunk.len()].copy_from_slice(chunk);
+            let fast = ln_lanes(&lanes);
+            for (&x, &got) in chunk.iter().zip(&fast) {
+                let want = x.ln();
+                let gap = (got - want).abs() / want.abs();
+                if gap > worst.0 {
+                    worst = (gap, x);
+                }
+            }
+        }
+        worst
+    }
+
+    /// The ladder value `j·2⁻⁵³` the samplers produce from raw `j << 11`.
+    fn ladder(j: u64) -> f64 {
+        j as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    #[test]
+    fn ln_lanes_tracks_libm_over_every_ladder_binade() {
+        // Every binade [2^e, 2^(e+1)) of the 2⁻⁵³ ladder from e = −53 up
+        // to [½, 1): all its ladder points where there are at most 28 000,
+        // else its first and last 64 plus pseudo-random points in between.
+        // Then, per binade, the √½·2^(e+1) split point of the mantissa
+        // normalization with its 32 f64 neighbours either side and its 32
+        // nearest ladder points either side, and the ladder's two ends.
+        let per_binade = 28_000u64;
+        let mut rng = crate::rng::Xoshiro256pp::seed_from(0x1A);
+        let mut xs = Vec::new();
+        for e in 0..53u32 {
+            let (lo, width) = (1u64 << e, 1u64 << e); // j ∈ [2^e, 2^(e+1))
+            if width <= per_binade {
+                xs.extend((lo..lo + width).map(ladder));
+            } else {
+                xs.extend((lo..lo + 64).map(ladder));
+                xs.extend((lo + width - 64..lo + width).map(ladder));
+                xs.extend((0..per_binade).map(|_| ladder(lo + rng.below(width))));
+            }
+            let split = std::f64::consts::FRAC_1_SQRT_2 * 2f64.powi(e as i32 + 1 - 53);
+            let bits = split.to_bits();
+            xs.extend((bits - 32..=bits + 32).map(f64::from_bits));
+            let j = (split * (1u64 << 53) as f64) as u64;
+            xs.extend((j.saturating_sub(32).max(1)..=j + 32).map(ladder));
+        }
+        xs.push(ladder(1));
+        xs.push(ladder((1u64 << 53) - 1)); // 1 − 2⁻⁵³
+        assert!(xs.len() >= 1 << 20, "only {} inputs", xs.len());
+        let (gap, at) = worst_ln_gap(&xs);
+        assert!(
+            gap <= LN_REL_BOUND,
+            "ln_lanes off libm by 2^{:.2} relative at x = {at:e}",
+            gap.log2()
+        );
+    }
+
+    #[test]
+    #[ignore = "2^28 libm calls; run in release: cargo test --release -p mmtag-rf --lib -- --ignored"]
+    fn ln_lanes_tracks_libm_over_2_pow_28_ladder_draws() {
+        // Three in four draws are the sampler's own uniforms; every fourth
+        // is shifted down a pseudo-random 0–52 binades, so the tiny-u tail
+        // that uniform draws almost never reach is swept as densely.
+        let mut rng = crate::rng::Xoshiro256pp::seed_from(0x1A28);
+        let mut xs = vec![0.0f64; 1 << 16];
+        let mut worst = (0.0f64, 1.0f64);
+        for _ in 0..(1 << 12) {
+            for (i, x) in xs.iter_mut().enumerate() {
+                let raw = rng.next_u64();
+                let shift = if i % 4 == 3 { (raw & 63) % 53 } else { 0 };
+                *x = ladder(((raw >> 11) >> shift).max(1));
+            }
+            let w = worst_ln_gap(&xs);
+            if w.0 > worst.0 {
+                worst = w;
+            }
+        }
+        assert!(
+            worst.0 <= LN_REL_BOUND,
+            "ln_lanes off libm by 2^{:.2} relative at x = {:e}",
+            worst.0.log2(),
+            worst.1
+        );
     }
 
     #[test]

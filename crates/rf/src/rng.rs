@@ -25,6 +25,18 @@
 //!   parallel Monte-Carlo (see [`crate::par`]) bit-identical at any thread
 //!   count: every chunk's stream depends only on `(root, label, index)`,
 //!   never on which thread runs it or how many chunks exist.
+//!
+//! The batch Gaussian samplers run a fused Box–Muller block with one
+//! uniform stage ([`uniform_pairs`]: the serial raw draws and the `u1`
+//! rejection) and two `ln` stages. The **exact block**
+//! ([`normal_pair_block`], behind [`Rng::fill_normal`] and
+//! [`Rng::fill_complex_normal`]) uses libm `ln` and is bit-identical to
+//! the scalar [`Rng::normal_pair`] chain. The **certified block**
+//! ([`uniform_pairs`] + [`box_muller_certified`]) uses the vectorized
+//! [`crate::math::ln_lanes`], so its values are only within ~2⁻⁵⁰ of the
+//! exact ones, and hands its uniforms back so a consumer can replay any
+//! pair exactly ([`box_muller_exact`]) — which is what the bit-error
+//! counters do whenever a threshold decision is too close to call.
 
 use crate::complex::Complex;
 use std::f64::consts::TAU;
@@ -125,10 +137,7 @@ pub trait Rng {
             if u1 <= f64::MIN_POSITIVE {
                 continue;
             }
-            let u2 = self.f64();
-            let r = (-2.0 * u1.ln()).sqrt();
-            let (s, c) = crate::math::sincos_2pi(u2);
-            return (r * c, r * s);
+            return box_muller_exact(u1, self.f64());
         }
     }
 
@@ -191,34 +200,6 @@ pub trait Rng {
         }
     }
 
-    /// Structure-of-arrays twin of [`Rng::fill_complex_normal`]: pair `i`
-    /// lands in `(re[i], im[i])` — the same values from the same stream
-    /// positions, bit for bit, but split into two flat `f64` arrays
-    /// instead of interleaved `Complex` slots. The lane-width Monte-Carlo
-    /// kernels (BER and outage counting) consume this layout so their
-    /// count passes sweep contiguous same-type data, which is what lets
-    /// the compiler vectorize them.
-    ///
-    /// # Panics
-    /// Panics if the two halves differ in length.
-    fn fill_normal_soa(&mut self, re: &mut [f64], im: &mut [f64]) {
-        assert_eq!(re.len(), im.len(), "SoA halves must have equal length");
-        let mut z0 = [0.0f64; BM_BLOCK];
-        let mut z1 = [0.0f64; BM_BLOCK];
-        let mut re_blocks = re.chunks_exact_mut(BM_BLOCK);
-        let mut im_blocks = im.chunks_exact_mut(BM_BLOCK);
-        for (rb, ib) in (&mut re_blocks).zip(&mut im_blocks) {
-            normal_pair_block(self, &mut z0, &mut z1, BM_BLOCK);
-            rb.copy_from_slice(&z0);
-            ib.copy_from_slice(&z1);
-        }
-        let rr = re_blocks.into_remainder();
-        let ir = im_blocks.into_remainder();
-        normal_pair_block(self, &mut z0, &mut z1, rr.len());
-        rr.copy_from_slice(&z0[..rr.len()]);
-        ir.copy_from_slice(&z1[..ir.len()]);
-    }
-
     /// Fills `out` with uniform `f64`s in `[0, 1)`; element `i` is
     /// bit-identical to the `i`-th scalar [`Rng::f64`] draw.
     fn fill_uniform(&mut self, out: &mut [f64]) {
@@ -249,9 +230,9 @@ pub trait Rng {
     /// sample. One draw is a `u1` raw, redrawn while its top 53 bits are
     /// zero (the `u1 = 0` rejection every Gaussian sampler here applies),
     /// plus one `u2` raw — exactly what one [`Rng::normal`] or
-    /// [`Rng::normal_pair`] call, one [`Rng::fill_complex_normal`] or
-    /// [`Rng::fill_normal_soa`] element, or two [`Rng::fill_normal`]
-    /// outputs consume.
+    /// [`Rng::normal_pair`] call, one [`Rng::fill_complex_normal`] element,
+    /// one [`uniform_pairs`] pair, or two [`Rng::fill_normal`] outputs
+    /// consume.
     fn skip_box_muller(&mut self, n: u64) {
         for _ in 0..n {
             while self.next_u64() >> 11 == 0 {}
@@ -291,112 +272,191 @@ const F64_SCALE: f64 = 1.0 / (1u64 << 53) as f64;
 /// `z1` (sine branches), **bit-identical** to `n` scalar
 /// [`Rng::normal_pair`] calls — same values, same stream consumption.
 ///
-/// The fast path is a sequence of flat fixed-width sweeps over stack
-/// arrays (structure-of-arrays, no per-pair control flow), which is what
-/// lets the compiler autovectorize it:
+/// This is the **exact block**. It and the certified block
+/// ([`uniform_pairs`] + [`box_muller_certified`]) are one pipeline of flat
+/// fixed-width sweeps over stack arrays (structure-of-arrays, no per-pair
+/// control flow), which is what lets the compiler autovectorize it:
 ///
-/// 1. bulk-draw `2n` raw `u64`s (the only serially-dependent stage),
-/// 2. map raws to uniforms with the 2⁻⁵³ ladder,
-/// 3. `ln` hoisted into its own sweep (libm calls stay scalar, but
-///    isolating them keeps every other pass branch-free),
-/// 4. `√(−2·ln u1)` as a pure array sweep,
-/// 5. [`crate::math::sincos_2pi_lanes`] — [`crate::math::LANES`]
-///    polynomial lanes per pass,
-/// 6. the output products.
+/// 1. the uniform stage, [`uniform_pairs`] — the serial raw draws, the
+///    `u1` rejection and the 2⁻⁵³ ladder (shared),
+/// 2. `ln u1` — here libm's, one scalar call per pair (the only stage the
+///    two blocks do not share),
+/// 3. one lane pass for the radius `√(−2·ln u1)`,
+///    [`crate::math::sincos_2pi_lanes`] ([`crate::math::LANES`]
+///    polynomial lanes at a time) and the output products (shared).
 ///
 /// Bit-identity holds because each pair undergoes exactly the scalar
 /// chain's operation sequence — elementwise reordering across independent
 /// pairs never changes any pair's own rounding (Rust does not contract
 /// floating-point expressions, so vectorizing cannot introduce FMAs).
-///
-/// The scalar chain's rejection (`u1 ≤ f64::MIN_POSITIVE`, i.e. a raw
-/// with all-zero top 53 bits, probability 2⁻⁵³ per pair) is detected by
-/// an OR fold inside the draw loop; on a hit the block falls back —
-/// essentially never — to a scalar replay that consumes the buffered
-/// raws first and only then pulls fresh draws, leaving the stream
-/// position exactly where the scalar chain would.
 pub fn normal_pair_block<R: Rng + ?Sized>(
     rng: &mut R,
     z0: &mut [f64; BM_BLOCK],
     z1: &mut [f64; BM_BLOCK],
     n: usize,
 ) {
-    use crate::math::{sincos_2pi, sincos_2pi_lanes, LANES};
     assert!(n <= BM_BLOCK, "block kernel serves at most BM_BLOCK pairs");
-    // Draw the raws already deinterleaved (u1 raws and u2 raws in their
-    // own arrays), folding the rejection check into the one serially-
-    // dependent loop — every later sweep then walks contiguous memory.
+    let mut u1 = [0.0f64; BM_BLOCK];
+    let mut u2 = [0.0f64; BM_BLOCK];
+    uniform_pairs(rng, &mut u1[..n], &mut u2[..n]);
+    let mut r = [0.0f64; BM_BLOCK];
+    for (ri, a) in r[..n].iter_mut().zip(&u1[..n]) {
+        *ri = a.ln();
+    }
+    box_muller_tail(&mut r[..n], &u2[..n], &mut z0[..n], &mut z1[..n]);
+}
+
+/// The uniform stage both Box–Muller blocks share: fills `u1`/`u2` with
+/// the next `u1.len()` accepted `(u1, u2)` pairs of the stream — pair `i`
+/// is exactly the `i`-th pair [`Rng::normal_pair`] (or [`Rng::normal`])
+/// would draw, `u1` after its rejection loop, and the stream ends where
+/// that many scalar draws leave it.
+///
+/// Raws are drawn [`BM_BLOCK`] pairs at a time, already deinterleaved,
+/// with the rejection check (`u1 ≤ f64::MIN_POSITIVE`, i.e. a raw whose
+/// top 53 bits are all zero, probability 2⁻⁵³ per pair) folded into that
+/// one serially-dependent loop as an OR. On a hit — essentially never —
+/// the block's raws are compacted in stream order into accepted pairs,
+/// drawing extras only where the rejections demand them.
+///
+/// # Panics
+/// Panics if the two halves differ in length.
+pub fn uniform_pairs<R: Rng + ?Sized>(rng: &mut R, u1: &mut [f64], u2: &mut [f64]) {
+    assert_eq!(u1.len(), u2.len(), "uniform halves must have equal length");
     let mut raw1 = [0u64; BM_BLOCK];
     let mut raw2 = [0u64; BM_BLOCK];
-    let mut any_rejected = false;
+    for (b1, b2) in u1.chunks_mut(BM_BLOCK).zip(u2.chunks_mut(BM_BLOCK)) {
+        let n = b1.len();
+        let mut any_rejected = false;
+        for (a, b) in raw1[..n].iter_mut().zip(&mut raw2[..n]) {
+            *a = rng.next_u64();
+            *b = rng.next_u64();
+            any_rejected |= *a >> 11 == 0;
+        }
+        if any_rejected {
+            compact_rejected_pairs(rng, &mut raw1, &mut raw2, n);
+        }
+        for ((x1, x2), (a, b)) in b1.iter_mut().zip(b2.iter_mut()).zip(raw1.iter().zip(&raw2)) {
+            *x1 = (a >> 11) as f64 * F64_SCALE;
+            *x2 = (b >> 11) as f64 * F64_SCALE;
+        }
+    }
+}
+
+/// The rejection path of [`uniform_pairs`]: re-reads the first `n` raw
+/// pairs in stream order (`raw1[0], raw2[0], raw1[1], …`), skips every
+/// `u1` raw the scalar chain rejects, pulls fresh raws once the buffer is
+/// spent, and writes accepted pair `i` back to slot `i`. Pair `i` reads
+/// only stream positions ≥ `2i`, so writing slot `i` in place never
+/// overwrites a raw still to be read.
+#[cold]
+fn compact_rejected_pairs<R: Rng + ?Sized>(
+    rng: &mut R,
+    raw1: &mut [u64; BM_BLOCK],
+    raw2: &mut [u64; BM_BLOCK],
+    n: usize,
+) {
+    let mut pos = 0usize;
+    let mut next = |raw1: &[u64; BM_BLOCK], raw2: &[u64; BM_BLOCK], rng: &mut R| -> u64 {
+        let p = pos;
+        pos += 1;
+        if p >= 2 * n {
+            rng.next_u64()
+        } else if p % 2 == 0 {
+            raw1[p / 2]
+        } else {
+            raw2[p / 2]
+        }
+    };
     for i in 0..n {
-        let a = rng.next_u64();
-        let b = rng.next_u64();
-        any_rejected |= a >> 11 == 0;
+        let a = loop {
+            let a = next(raw1, raw2, rng);
+            if a >> 11 != 0 {
+                break a;
+            }
+        };
+        let b = next(raw1, raw2, rng);
         raw1[i] = a;
         raw2[i] = b;
     }
-    if any_rejected {
-        // Rare path: replay the scalar pair chain over the buffered raws
-        // (re-interleaved to stream order), drawing extras only where
-        // rejections demand them.
-        let mut next = 0usize;
-        let take = |next: &mut usize, rng: &mut R| -> u64 {
-            let i = *next;
-            *next += 1;
-            if i < 2 * n {
-                if i % 2 == 0 {
-                    raw1[i / 2]
-                } else {
-                    raw2[i / 2]
-                }
-            } else {
-                rng.next_u64()
-            }
-        };
-        for i in 0..n {
-            (z0[i], z1[i]) = loop {
-                let u1 = (take(&mut next, rng) >> 11) as f64 * F64_SCALE;
-                if u1 <= f64::MIN_POSITIVE {
-                    continue;
-                }
-                let u2 = (take(&mut next, rng) >> 11) as f64 * F64_SCALE;
-                let r = (-2.0 * u1.ln()).sqrt();
-                let (s, c) = sincos_2pi(u2);
-                break (r * c, r * s);
-            };
+}
+
+/// Stage 3, shared by both blocks: `r` holds `ln u1` on entry and the
+/// radius `√(−2·ln u1)` on exit; `z0`/`z1` receive `r·cos 2πu2` and
+/// `r·sin 2πu2` from [`crate::math::sincos_2pi_lanes`] (scalar
+/// [`crate::math::sincos_2pi`] for a sub-lane tail — bit-identical).
+fn box_muller_tail(r: &mut [f64], u2: &[f64], z0: &mut [f64], z1: &mut [f64]) {
+    use crate::math::{sincos_2pi, sincos_2pi_lanes, LANES};
+    let full = r.len() - r.len() % LANES;
+    let lanes = r[..full]
+        .chunks_exact_mut(LANES)
+        .zip(u2[..full].chunks_exact(LANES))
+        .zip(
+            z0[..full]
+                .chunks_exact_mut(LANES)
+                .zip(z1[..full].chunks_exact_mut(LANES)),
+        );
+    for ((rl, ul), (c_out, s_out)) in lanes {
+        let (s, c) = sincos_2pi_lanes(ul.try_into().expect("chunks_exact yields LANES"));
+        for l in 0..LANES {
+            rl[l] = (-2.0 * rl[l]).sqrt();
+            c_out[l] = rl[l] * c[l];
+            s_out[l] = rl[l] * s[l];
         }
-        return;
     }
-    let mut u1 = [0.0f64; BM_BLOCK];
-    let mut u2 = [0.0f64; BM_BLOCK];
-    for i in 0..n {
-        u1[i] = (raw1[i] >> 11) as f64 * F64_SCALE;
-        u2[i] = (raw2[i] >> 11) as f64 * F64_SCALE;
+    for i in full..r.len() {
+        r[i] = (-2.0 * r[i]).sqrt();
+        let (s, c) = sincos_2pi(u2[i]);
+        z0[i] = r[i] * c;
+        z1[i] = r[i] * s;
     }
-    let mut r = [0.0f64; BM_BLOCK];
-    for (ri, a) in r[..n].iter_mut().zip(&u1) {
-        *ri = a.ln();
+}
+
+/// The certified block's math: the shared pipeline with
+/// [`crate::math::ln_lanes`] in place of libm `ln`. For uniforms from
+/// [`uniform_pairs`] it writes the fast radius `r' = √(−2·ln_lanes(u1))`
+/// to `r` and `r'·cos 2πu2`, `r'·sin 2πu2` to `z0`, `z1`.
+///
+/// These pairs are **not** the exact ones: `r'` is within about 2⁻⁵⁰
+/// relative of the exact radius, so each value is within that of what
+/// [`Rng::normal_pair`] returns for the same draw. A consumer that needs
+/// an exact value — the bit-error counters, when a decision falls inside
+/// their rounding certificate's margin — replays that pair from the
+/// uniforms it kept with [`box_muller_exact`] (DESIGN.md §11, "Certified
+/// decisions").
+///
+/// # Panics
+/// Panics if the five slices differ in length.
+pub fn box_muller_certified(u1: &[f64], u2: &[f64], r: &mut [f64], z0: &mut [f64], z1: &mut [f64]) {
+    use crate::math::{ln_lanes, LANES};
+    let n = u1.len();
+    assert!(
+        u2.len() == n && r.len() == n && z0.len() == n && z1.len() == n,
+        "certified block slices must have equal length"
+    );
+    let mut ul = u1.chunks_exact(LANES);
+    let mut rl = r.chunks_exact_mut(LANES);
+    for (x, out) in (&mut ul).zip(&mut rl) {
+        out.copy_from_slice(&ln_lanes(x.try_into().expect("chunks_exact yields LANES")));
     }
-    for ri in r[..n].iter_mut() {
-        *ri = (-2.0 * *ri).sqrt();
+    let (tail_u, tail_r) = (ul.remainder(), rl.into_remainder());
+    if !tail_u.is_empty() {
+        let mut pad = [1.0f64; LANES];
+        pad[..tail_u.len()].copy_from_slice(tail_u);
+        tail_r.copy_from_slice(&ln_lanes(&pad)[..tail_u.len()]);
     }
-    let mut s = [0.0f64; BM_BLOCK];
-    let mut c = [0.0f64; BM_BLOCK];
-    let full = n - n % LANES;
-    for (i, chunk) in u2[..full].chunks_exact(LANES).enumerate() {
-        let args: &[f64; LANES] = chunk.try_into().expect("chunks_exact yields LANES");
-        let (sl, cl) = sincos_2pi_lanes(args);
-        s[i * LANES..(i + 1) * LANES].copy_from_slice(&sl);
-        c[i * LANES..(i + 1) * LANES].copy_from_slice(&cl);
-    }
-    for i in full..n {
-        (s[i], c[i]) = sincos_2pi(u2[i]);
-    }
-    for i in 0..n {
-        z0[i] = r[i] * c[i];
-        z1[i] = r[i] * s[i];
-    }
+    box_muller_tail(r, u2, z0, z1);
+}
+
+/// One **exact** Box–Muller pair from its kept uniforms: `(r·cos 2πu2,
+/// r·sin 2πu2)` with `r = √(−2·ln u1)` through libm `ln` — bit-identical
+/// to what [`Rng::normal_pair`] returns for the draw that produced
+/// `(u1, u2)` (it is that method's arithmetic).
+#[inline]
+pub fn box_muller_exact(u1: f64, u2: f64) -> (f64, f64) {
+    let r = (-2.0 * u1.ln()).sqrt();
+    let (s, c) = crate::math::sincos_2pi(u2);
+    (r * c, r * s)
 }
 
 /// xoshiro256++ by Blackman & Vigna: 256-bit state, `rotl(s0+s3,23)+s0`
@@ -744,21 +804,79 @@ mod tests {
         }
     }
 
+    /// Draws `n` pairs through the certified block — [`uniform_pairs`]
+    /// then [`box_muller_certified`] — returning `(u1, u2, r, z0, z1)`.
+    fn certified_pairs<R: Rng + ?Sized>(rng: &mut R, n: usize) -> [Vec<f64>; 5] {
+        let [mut u1, mut u2, mut r, mut z0, mut z1] = [(); 5].map(|_| vec![0.0f64; n]);
+        uniform_pairs(rng, &mut u1, &mut u2);
+        box_muller_certified(&u1, &u2, &mut r, &mut z0, &mut z1);
+        [u1, u2, r, z0, z1]
+    }
+
     #[test]
-    fn fill_normal_soa_matches_complex_fill_bit_for_bit() {
-        for n in [0usize, 1, 7, 8, 9, 100, 1000] {
-            let mut a = Xoshiro256pp::seed_from(0x50A ^ n as u64);
+    fn certified_block_hands_back_the_exact_draws() {
+        // Every kept (u1, u2) replays to the exact pair the scalar chain
+        // draws at that position, bit for bit, and the stream ends where
+        // n scalar draws leave it; the fast values sit within the ln_lanes
+        // bound of the exact ones. Lengths straddle lanes and blocks.
+        for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 130, 1000] {
+            let mut a = Xoshiro256pp::seed_from(0xCE27 ^ n as u64);
             let mut b = a.clone();
-            let mut re = vec![0.0f64; n];
-            let mut im = vec![0.0f64; n];
-            a.fill_normal_soa(&mut re, &mut im);
-            let mut zs = vec![Complex::ZERO; n];
-            b.fill_complex_normal(&mut zs);
+            let [u1, u2, r, z0, z1] = certified_pairs(&mut a, n);
             for i in 0..n {
-                assert_eq!(re[i].to_bits(), zs[i].re.to_bits(), "n={n} pair {i} re");
-                assert_eq!(im[i].to_bits(), zs[i].im.to_bits(), "n={n} pair {i} im");
+                let (e0, e1) = b.normal_pair();
+                let (x0, x1) = box_muller_exact(u1[i], u2[i]);
+                assert_eq!(
+                    (x0.to_bits(), x1.to_bits()),
+                    (e0.to_bits(), e1.to_bits()),
+                    "n={n} {i}"
+                );
+                let exact_r = (-2.0 * u1[i].ln()).sqrt();
+                assert!(
+                    (r[i] - exact_r).abs() <= exact_r * 2f64.powi(-49),
+                    "n={n} {i}"
+                );
+                assert!((z0[i] - e0).abs() <= exact_r * 2f64.powi(-49), "n={n} {i}");
+                assert!((z1[i] - e1).abs() <= exact_r * 2f64.powi(-49), "n={n} {i}");
             }
             assert_eq!(a.next_u64(), b.next_u64(), "n={n} stream position");
+        }
+    }
+
+    #[test]
+    fn certified_block_compacts_rejections_like_the_scalar_chain() {
+        // u1 rejections planted at a block's start, twice in a row
+        // mid-block, as a block's last u1 and past the first block: the
+        // kept uniforms are exactly the pairs the scalar chain accepts.
+        let ok = 0xABCD_EF01_2345_6789u64;
+        let zero = 0x7FFu64; // raw >> 11 == 0
+        let scripts: Vec<Vec<u64>> = vec![
+            vec![zero],
+            vec![ok, ok, zero, zero, ok],
+            [vec![ok; 126], vec![zero]].concat(),
+            [vec![ok; 128], vec![zero, ok, zero]].concat(),
+        ];
+        for (si, script) in scripts.iter().enumerate() {
+            for n in [1usize, 9, 64, 100] {
+                let mut a = ScriptedRng::new(script.clone(), 0xC0 ^ n as u64);
+                let mut b = ScriptedRng::new(script.clone(), 0xC0 ^ n as u64);
+                let [u1, u2, ..] = certified_pairs(&mut a, n);
+                for i in 0..n {
+                    let u = loop {
+                        let u = b.f64();
+                        if u > f64::MIN_POSITIVE {
+                            break u;
+                        }
+                    };
+                    assert_eq!(u1[i].to_bits(), u.to_bits(), "script {si} n={n} u1[{i}]");
+                    assert_eq!(
+                        u2[i].to_bits(),
+                        b.f64().to_bits(),
+                        "script {si} n={n} u2[{i}]"
+                    );
+                }
+                assert_eq!(a.next_u64(), b.next_u64(), "script {si} n={n} stream");
+            }
         }
     }
 
@@ -839,9 +957,9 @@ mod tests {
                 }
                 assert_eq!(r.next_u64(), want, "script {si} n={n} normal_pair");
                 let mut r = fresh();
-                let (mut re, mut im) = (vec![0.0; n], vec![0.0; n]);
-                r.fill_normal_soa(&mut re, &mut im);
-                assert_eq!(r.next_u64(), want, "script {si} n={n} fill_normal_soa");
+                let (mut u1, mut u2) = (vec![0.0; n], vec![0.0; n]);
+                uniform_pairs(&mut r, &mut u1, &mut u2);
+                assert_eq!(r.next_u64(), want, "script {si} n={n} uniform_pairs");
                 let mut r = fresh();
                 r.fill_complex_normal(&mut vec![Complex::ZERO; n]);
                 assert_eq!(r.next_u64(), want, "script {si} n={n} fill_complex_normal");
@@ -856,9 +974,9 @@ mod tests {
     #[should_panic(expected = "equal length")]
     fn soa_halves_must_match_in_length() {
         let mut rng = Xoshiro256pp::seed_from(1);
-        let mut re = vec![0.0f64; 4];
-        let mut im = vec![0.0f64; 5];
-        rng.fill_normal_soa(&mut re, &mut im);
+        let mut u1 = vec![0.0f64; 4];
+        let mut u2 = vec![0.0f64; 5];
+        uniform_pairs(&mut rng, &mut u1, &mut u2);
     }
 
     #[test]

@@ -549,6 +549,12 @@ pub struct RunRecord {
     pub manifest: Manifest,
     /// Result tables, in the order the scenario produced them.
     pub tables: Vec<Table>,
+    /// True when the tables were replayed from the [`crate::cache::RunCache`] instead of
+    /// simulated — the runner's own lookup outcome, so a corrupt entry or
+    /// one evicted between a caller's check and the run reads `false`.
+    /// Not serialized: the manifest's `runner.cache.hit` counter already
+    /// records it in every written artifact.
+    pub from_cache: bool,
 }
 
 impl RunRecord {
@@ -856,6 +862,7 @@ impl Runner {
                 metrics,
             },
             tables,
+            from_cache: served_from_cache,
         }
     }
 
@@ -1137,6 +1144,7 @@ mod tests {
                 metrics: obs::ObsReport::default(),
             },
             tables: vec![t],
+            from_cache: false,
         };
         let json = rec.to_json();
         assert!(json.contains("a \\\"quoted\\\"\\ntitle"));

@@ -17,7 +17,9 @@
 //! * **bounded admission** — jobs pass through an [`AdmissionQueue`]
 //!   with a hard capacity and per-job priorities. At capacity the submit
 //!   fails *immediately* and the client sees `"error":"queue_full"`;
-//!   the daemon never buffers unboundedly.
+//!   the daemon never buffers unboundedly. Request lines are bounded
+//!   too: more than [`MAX_REQUEST_BYTES`] without a newline is answered
+//!   `"error":"line_too_long"` and the connection is closed.
 //! * **cache-first execution** — a request is resolved against an
 //!   in-memory store (request-tuple and spec-hash indexes), then the
 //!   on-disk [`crate::cache::RunCache`], and only then simulated.
@@ -667,6 +669,13 @@ impl Flight {
 /// job per point, so the cap bounds what one request line can pin in
 /// memory; larger campaigns split into multiple requests.
 pub const MAX_SWEEP_SEEDS: u64 = 4096;
+
+/// The longest request line a connection reads, newline excluded. Every
+/// request the protocol defines is a flat object well under 1 KiB; a
+/// peer that sends more than this without a newline gets
+/// `"error":"line_too_long"` and the connection is closed, so one
+/// connection's line buffer never outgrows this.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// Sizing knobs for an [`Engine`] / [`Server`].
 #[derive(Clone, Copy, Debug)]
@@ -1387,13 +1396,11 @@ impl Engine {
     /// Runs one point with a `threads`-wide [`Runner`] and publishes
     /// the result to its flight.
     fn execute_point(&self, job: &Job, threads: usize) {
-        // Classify before running: the runner's own hit/miss counters
-        // land in the manifest, but concurrent jobs share one obs log,
-        // so the daemon keeps its own unambiguous tally.
-        let disk_hit = self
-            .cache
-            .as_ref()
-            .is_some_and(|c| c.entry_path(job.scenario.spec()).exists());
+        // Classify from the runner's own lookup outcome, not a pre-check:
+        // a corrupt or truncated entry fails to load and is simulated, and
+        // the evictor may remove an entry between a check and the run.
+        // (The manifest's hit/miss counters say the same, but concurrent
+        // jobs share one obs log, so the daemon keeps its own tally.)
         let mut runner = Runner::with_threads(threads);
         if let Some(cache) = &self.cache {
             runner = runner.with_cache(cache.clone());
@@ -1401,7 +1408,7 @@ impl Engine {
         let result = catch_unwind(AssertUnwindSafe(|| runner.run(&*job.scenario)));
         match result {
             Ok(record) => {
-                if disk_hit {
+                if record.from_cache {
                     self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
                 } else {
                     self.stats.sim_runs.fetch_add(1, Ordering::Relaxed);
@@ -1703,17 +1710,29 @@ fn accept_loop(shared: &Arc<Shared>, listener: Listener) {
 }
 
 /// One connection: read a line, handle it, write the response; repeat
-/// until EOF, error, or a `shutdown` op.
+/// until EOF, error, an over-long line, or a `shutdown` op.
 fn conn_loop(shared: &Arc<Shared>, stream: AnyStream) {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut out = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        // One byte past the cap tells an over-long line from one that
+        // ends exactly at it.
+        let mut capped = (&mut reader).take(MAX_REQUEST_BYTES as u64 + 1);
+        match capped.read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
+        if line.len() > MAX_REQUEST_BYTES && line.last() != Some(&b'\n') {
+            out.clear();
+            write_err(&mut out, 0, "line_too_long");
+            let _ = reader.get_mut().write_all(out.as_bytes());
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&line) else {
+            break;
+        };
         let trimmed = line.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {
             continue;
@@ -2323,6 +2342,100 @@ mod tests {
         let bye = client.roundtrip(r#"{"id":4,"op":"shutdown"}"#).unwrap();
         assert!(bye.contains("\"op\":\"shutdown\""));
         server.join(); // must not hang: second client's read EOFs
+    }
+
+    #[test]
+    fn corrupt_disk_entry_is_counted_as_a_simulation() {
+        // A truncated or corrupt entry fails to load, so the runner
+        // simulates: the daemon must count a sim run, not a disk hit.
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos();
+        let dir = std::env::temp_dir().join(format!(
+            "mmtag-serve-corrupt-{}-{nanos}",
+            std::process::id()
+        ));
+        let cache = RunCache::at(&dir);
+        let spec = ScenarioSpec::paper_link("t92-corrupt", "corrupt cache entry test")
+            .with_axis("x", AxisKind::Values(vec![0.0, 1.0]));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(cache.entry_path(&spec), "not a run entry\n").unwrap();
+        let executions = Arc::new(AtomicUsize::new(0));
+        let mut registry = Registry::new();
+        registry.register(Box::new(Counting {
+            spec: spec.clone(),
+            executions: Arc::clone(&executions),
+        }));
+        let config = EngineConfig {
+            executors: 0,
+            job_threads: 1,
+            queue_capacity: 4,
+            memory_capacity: 4,
+        };
+        let engine = Engine::new(Arc::new(registry), Some(cache.clone()), config);
+        let mut out = String::new();
+        assert!(engine.handle_line(r#"{"id":1,"op":"run","scenario":"t92-corrupt"}"#, &mut out));
+        assert!(out.contains("\"ok\":true"), "{out}");
+        assert_eq!(
+            executions.load(Ordering::SeqCst),
+            1,
+            "corrupt entry must be simulated"
+        );
+        let stats = engine.stats();
+        assert_eq!((stats.disk_hits, stats.sim_runs), (0, 1));
+        // The run rewrote the very entry the test corrupted.
+        assert!(cache.load(&spec).is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn over_long_request_line_is_refused_and_the_connection_closed() {
+        // 1 MiB without a newline: the daemon must answer line_too_long
+        // after at most MAX_REQUEST_BYTES + 1 bytes instead of buffering
+        // the line until the peer stops. The read timeout turns a daemon
+        // that keeps reading into a failure instead of a hang.
+        let spec = ScenarioSpec::paper_link("t93-long", "long line test")
+            .with_axis("x", AxisKind::Values(vec![0.0]));
+        let mut registry = Registry::new();
+        registry.register(Box::new(Counting {
+            spec,
+            executions: Arc::new(AtomicUsize::new(0)),
+        }));
+        let server = Server::builder(registry)
+            .tcp("127.0.0.1:0")
+            .config(EngineConfig {
+                executors: 1,
+                job_threads: 1,
+                queue_capacity: 4,
+                memory_capacity: 4,
+            })
+            .start()
+            .unwrap();
+        let addr = server.tcp_addr().unwrap();
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let flood = std::thread::spawn(move || {
+            // The daemon hangs up part-way, so this write fails; ignore it.
+            let _ = writer.write_all(&vec![b'a'; 1 << 20]);
+        });
+        let mut response = String::new();
+        BufReader::new(&stream).read_line(&mut response).unwrap();
+        assert_eq!(
+            response,
+            "{\"id\":0,\"ok\":false,\"error\":\"line_too_long\"}\n"
+        );
+        flood.join().unwrap();
+        // The daemon still serves other connections.
+        let mut client = Client::connect_tcp(addr).unwrap();
+        let status = client.roundtrip(r#"{"id":2,"op":"status"}"#).unwrap();
+        assert!(status.contains("\"ok\":true"), "{status}");
+        let bye = client.roundtrip(r#"{"id":3,"op":"shutdown"}"#).unwrap();
+        assert!(bye.contains("\"op\":\"shutdown\""));
+        server.join();
     }
 
     // -- admission queue under contention (fairness) -----------------------

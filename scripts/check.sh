@@ -14,9 +14,16 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # regenerates every table at published size and compares the digests
 # across passes and against a 1-thread child process — the only gate that
 # exercises the parallel decompositions (city barrier, E16/E26/E28 cell
-# fan-out) at full size before the benchmark itself.
+# fan-out) and the certified bit-error counters (E5/E16/serve-sweep's OOK
+# `count_bit_errors_scratch`, E16's BPSK `measure_bpsk_ber`: fast `ln_lanes`
+# decisions with exact libm replay inside the rounding margin) at full
+# size before the benchmark itself.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q
+# The certificate's `ln_lanes` bound (≤ 2⁻⁵⁰ relative to libm `ln`) over
+# 2²⁸ ladder inputs: too slow for the debug run above, where it is
+# #[ignore]d and a 2²⁰-input sweep covers every binade instead.
+cargo test --release --offline -q -p mmtag-rf --lib -- --ignored
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Rustdoc gate: every public item documented (the crates' warn(missing_docs)

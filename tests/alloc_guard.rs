@@ -75,7 +75,8 @@ fn ber_trial_loop_is_allocation_free_in_steady_state() {
     let awgn = Awgn::for_eb_n0(&modem, 7.0);
     let mut scratch = TrialScratch::new();
 
-    // Warm-up: first chunk grows the scratch buffers to full chunk size.
+    // Warm-up: the first chunk grows the bit buffer to full chunk size and
+    // the sample buffers to one group of symbols.
     let warm = count_bit_errors_scratch(
         &modem,
         &awgn,
@@ -233,26 +234,27 @@ fn radix4_fft_and_welch_are_allocation_free_after_planning() {
 #[test]
 fn gaussian_fill_is_allocation_free_into_existing_buffers() {
     let _serial = serial();
-    use mmtag_rf::rng::{Rng, SeedTree};
+    use mmtag_rf::rng::{box_muller_certified, uniform_pairs, Rng, SeedTree};
 
     // The fused Box–Muller pipeline (DESIGN.md §11) stages everything in
     // fixed-size stack blocks; filling caller-owned buffers must never
-    // touch the heap, lane path and SoA path alike.
+    // touch the heap, exact block and certified block alike.
     let tree = SeedTree::new(0xF111);
     let mut rng = tree.rng_indexed("alloc-fill", 0);
     let mut z = vec![0.0f64; 10_001]; // odd length exercises the tail
-    let mut re = vec![0.0f64; 4_096];
-    let mut im = vec![0.0f64; 4_096];
+    let [mut u1, mut u2, mut r, mut z0, mut z1] = [(); 5].map(|_| vec![0.0f64; 4_099]);
 
     rng.fill_normal(&mut z);
-    rng.fill_normal_soa(&mut re, &mut im);
+    uniform_pairs(&mut rng, &mut u1, &mut u2);
+    box_muller_certified(&u1, &u2, &mut r, &mut z0, &mut z1);
 
     let (allocs, sum) = allocations_during(|| {
         let mut acc = 0.0f64;
         for _ in 0..8 {
             rng.fill_normal(&mut z);
-            rng.fill_normal_soa(&mut re, &mut im);
-            acc += z[0] + re[0] + im[0];
+            uniform_pairs(&mut rng, &mut u1, &mut u2);
+            box_muller_certified(&u1, &u2, &mut r, &mut z0, &mut z1);
+            acc += z[0] + z0[0] + z1[0];
         }
         acc
     });
