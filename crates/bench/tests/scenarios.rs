@@ -69,7 +69,7 @@ const SMOKE_DIGESTS: [(&str, u64); 31] = [
     ("e26-cancellation", 0xabb1_47b5_bb29_3a94),
     ("e27-city-density", 0x0b2d_f365_4cb9_31aa),
     ("e28-city-mobility", 0x9980_1829_7c6b_ebac),
-    ("e29-rate-region", 0x540d_7bcf_24b8_0364),
+    ("e29-rate-region", 0xd5ed_8544_3301_d4cb),
     ("e30-rate-vs-tags", 0x0ed1_017b_ca77_9498),
     ("e31-rate-vs-states", 0x4658_feb8_20a9_b7ca),
 ];

@@ -33,8 +33,11 @@
 //! intact makes stale entries indistinguishable from fresh ones. The
 //! default location (`target/mmtag-run-cache`, overridable via
 //! `MMTAG_CACHE_DIR`) ties the cache's lifetime to build artifacts, so
-//! `cargo clean` — and CI's fresh checkout — wipe it; bump
-//! [`FORMAT_VERSION`] when the entry format itself changes.
+//! `cargo clean` — and CI's fresh checkout — wipe it. Bump
+//! [`FORMAT_VERSION`] when the entry format itself changes **or** when
+//! any registered scenario's tables change under an unchanged spec: the
+//! new version re-keys every entry, so a store filled by the old code can
+//! no longer replay its tables.
 //!
 //! ## Entry format and corruption
 //!
@@ -56,9 +59,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
-/// Bumped whenever the entry format changes; part of the entry key, so
-/// old-format entries simply stop being addressed.
-pub const FORMAT_VERSION: u32 = 1;
+/// Bumped whenever the entry format changes or a scenario's tables change
+/// under an unchanged spec; part of the entry key, so old entries simply
+/// stop being addressed.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Magic first line of every entry.
 const MAGIC: &str = "mmtag-run-cache";
@@ -568,14 +572,16 @@ mod tests {
         cache.store(&spec, &tables()).unwrap();
         let path = cache.entry_path(&spec);
         let good = fs::read_to_string(&path).unwrap();
+        let header = format!("{MAGIC} {FORMAT_VERSION}\n");
+        assert!(good.starts_with(&header));
         let corruptions: Vec<String> = vec![
-            String::new(),                                  // empty file
-            good[..good.len() / 2].to_string(),             // truncated
-            good.replace("-run-cache 1", "-run-cache 999"), // version skew
-            good.replacen("tables\t2", "tables\t7", 1),     // bad count
-            good.replace('r', "q"),                         // mangled rows
-            format!("{good}trailing garbage\n"),            // data past end
-            good.replacen("rows\t3", "rows\tlots", 1),      // non-numeric
+            String::new(),                                        // empty file
+            good[..good.len() / 2].to_string(),                   // truncated
+            good.replacen(&header, &format!("{MAGIC} 999\n"), 1), // version skew
+            good.replacen("tables\t2", "tables\t7", 1),           // bad count
+            good.replace('r', "q"),                               // mangled rows
+            format!("{good}trailing garbage\n"),                  // data past end
+            good.replacen("rows\t3", "rows\tlots", 1),            // non-numeric
         ];
         for (i, bad) in corruptions.iter().enumerate() {
             fs::write(&path, bad).unwrap();

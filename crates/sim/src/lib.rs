@@ -20,8 +20,9 @@
 //!   chunked work, per-chunk RNG streams, bit-identical at any thread
 //!   count (`MMTAG_THREADS` overrides the worker budget),
 //! * [`rate_region`] — the multi-tag primary-vs-backscatter rate-region
-//!   sweep (E29–E31): one flat (weight × trial-chunk) grid over the
-//!   cascade channel and tag constellations (DESIGN.md §14),
+//!   sweep (E29–E31): one trial-chunk grid estimates the depth curves
+//!   over the cascade channel and tag constellations, and every weight
+//!   selects its operating point from that estimate (DESIGN.md §14),
 //! * [`obs`] — the observability layer (re-exported from `mmtag_rf::obs`):
 //!   span timers, counters and histograms whose recording never perturbs
 //!   simulated results; the [`scenario`] `Runner` attaches its aggregate

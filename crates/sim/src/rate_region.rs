@@ -16,19 +16,23 @@
 //! beamforming state (the reflection state best aligned with the direct
 //! path this coherence block) and `c_m` the uniformly random information
 //! state. μ = 0 is a pure reflect-array boosting the primary link; μ = 1 is
-//! a pure information tag. For each weight `w` the sweep estimates the
-//! primary rate `R_p(μ)` and the backscatter sum rate `R_b(μ)` on a fixed
-//! μ grid and picks the depth maximizing `w·R_p + (1−w)·R_b` — sweeping
-//! `w` from 0 to 1 traces the rate-region boundary.
+//! a pure information tag. The sweep estimates the primary rate `R_p(μ)`
+//! and the backscatter sum rate `R_b(μ)` once on a fixed μ grid; each
+//! weight `w` then picks the depth maximizing `w·R_p + (1−w)·R_b` from
+//! that one estimate — sweeping `w` from 0 to 1 traces the rate-region
+//! boundary.
 //!
-//! The whole sweep is **one flat (weight × trial-chunk) grid** on the
-//! persistent worker pool, the same decomposition as every other sweep in
-//! the stack: unit `(w, c)` draws from
-//! `tree/"rate-weight"[w]/…/"rate-chunk"[c]`, per-weight results fold in
-//! chunk order, and the μ selection is a deterministic argmax — so tables
-//! are bit-identical at any thread count, and the chunk kernel
-//! ([`sum_rate_chunk`]) is allocation-free once its scratch is warm
-//! (enforced by `tests/alloc_guard.rs`).
+//! The estimate is **one trial-chunk grid** on the persistent worker pool,
+//! the same decomposition as every other sweep in the stack: chunk `c`
+//! draws from `tree/"rate-weight"[0]/…/"rate-chunk"[c]`, the chunks fold in
+//! chunk order, and the per-weight μ selection is a deterministic argmax
+//! over the folded curves — so tables are bit-identical at any thread
+//! count, and the chunk kernel ([`sum_rate_chunk`]) is allocation-free
+//! once its scratch is warm (enforced by `tests/alloc_guard.rs`). Because
+//! every weight maximizes over the same nine points, the boundary is
+//! monotone by construction: `R_p` never falls and `R_b` never rises as
+//! `w` grows, and weights that select the same depth report equal rows
+//! (DESIGN.md §14.4).
 
 use mmtag_channel::cascade::{CascadeDraw, CascadeStreams, MultiTagCascade};
 use mmtag_phy::constellation::TagConstellation;
@@ -307,15 +311,14 @@ pub fn sum_rate_chunk(
 
 /// Traces the rate-region boundary: for every weight in `weights`, the
 /// operating point `(R_p, R_b)` at the depth maximizing
-/// `w·R_p + (1−w)·R_b`, estimated from `trials` Monte-Carlo trials per
-/// weight, dispatched as one flat (weight × chunk) grid over `threads`
-/// workers.
+/// `w·R_p + (1−w)·R_b`. All weights share one `trials`-trial estimate of
+/// the depth curves, dispatched as one chunk grid over `threads` workers.
 ///
 /// # Determinism
-/// Work unit `(w, c)` draws from
-/// `tree/"rate-weight"[w]` / chunk `c` streams; per-weight curves fold in
-/// chunk order and the depth argmax breaks ties toward smaller μ — the
-/// returned table is bit-identical at any `threads`.
+/// Chunk `c` draws from `tree/"rate-weight"[0]` / chunk `c` streams; the
+/// chunks fold in chunk order and the depth argmax breaks ties toward
+/// smaller μ — the returned table is bit-identical at any `threads`, and
+/// each row is bit-identical to the single-weight call `[w]`.
 ///
 /// # Panics
 /// Panics if `weights` is empty, `trials == 0`, any weight is outside
@@ -335,27 +338,25 @@ pub fn rate_region_grid_par_with(
     );
     let _ = cfg.tuple_count(); // validate eagerly, before any dispatch
 
+    // Index 0 is the stream single-weight callers (E30, E31) and E29's
+    // w = 0 row always drew from, so their tables stay bit-identical.
+    let subtree = tree.subtree_indexed("rate-weight", 0);
     let chunks = trials.div_ceil(RATE_CHUNK_TRIALS);
-    let cells = weights.len() * chunks;
     let curves: Vec<RateCurves> =
-        par::par_indexed_scratch_with(threads, cells, RateScratch::new, |scratch, unit| {
-            let w = unit / chunks;
-            let c = unit % chunks;
+        par::par_indexed_scratch_with(threads, chunks, RateScratch::new, |scratch, c| {
             let done = c * RATE_CHUNK_TRIALS;
             let chunk_trials = RATE_CHUNK_TRIALS.min(trials - done);
-            let subtree = tree.subtree_indexed("rate-weight", w as u64);
             sum_rate_chunk(cfg, &subtree, c as u64, chunk_trials, scratch)
         });
+    let mut total = RateCurves::zero();
+    for chunk in &curves {
+        total.accumulate(chunk);
+    }
+    let n = total.trials as f64;
 
     weights
         .iter()
-        .enumerate()
-        .map(|(w, &weight)| {
-            let mut total = RateCurves::zero();
-            for c in 0..chunks {
-                total.accumulate(&curves[w * chunks + c]);
-            }
-            let n = total.trials as f64;
+        .map(|&weight| {
             let mut best = 0;
             let mut best_obj = f64::NEG_INFINITY;
             for j in 0..DEPTH_GRID {
@@ -455,6 +456,41 @@ mod tests {
         let t8 = rate_region_grid_par_with(8, &cfg, &weights, 600, &tree);
         assert_eq!(bits(&t1), bits(&t2));
         assert_eq!(bits(&t1), bits(&t8));
+    }
+
+    #[test]
+    fn boundary_rows_come_from_one_estimate() {
+        let cfg = small_cfg();
+        let tree = SeedTree::new(13).subtree("rate-boundary");
+        // RIScatter's weightSet 0:0.05:1; 600 trials end in a ragged chunk.
+        let weights: Vec<f64> = (0..=20).map(|i| i as f64 / 20.0).collect();
+        let pts = rate_region_grid_par_with(2, &cfg, &weights, 600, &tree);
+        for (p, &w) in pts.iter().zip(&weights) {
+            let single = rate_region_grid_par_with(2, &cfg, &[w], 600, &tree);
+            assert_eq!(bits(std::slice::from_ref(p)), bits(&single), "w = {w}");
+        }
+        let mut shared_depth = false;
+        for pair in pts.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            assert!(
+                b.primary_rate >= a.primary_rate,
+                "R_p falls at w = {}",
+                b.weight
+            );
+            assert!(
+                b.backscatter_rate <= a.backscatter_rate,
+                "R_b rises at w = {}",
+                b.weight
+            );
+            if a.depth == b.depth {
+                shared_depth = true;
+                assert_eq!(a.primary_rate.to_bits(), b.primary_rate.to_bits());
+                assert_eq!(a.backscatter_rate.to_bits(), b.backscatter_rate.to_bits());
+            }
+        }
+        // Neither check is vacuous: the boundary moves, and some weights share a depth.
+        assert!(shared_depth);
+        assert!(pts[0].depth > pts[20].depth);
     }
 
     #[test]

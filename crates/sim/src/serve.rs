@@ -1510,7 +1510,8 @@ struct Shared {
     next_conn: AtomicU64,
     wake: Vec<WakeTarget>,
     shutting_down: AtomicBool,
-    /// Connection-handler threads, joined by [`Server::join`].
+    /// Connection-handler threads: finished ones are joined at the next
+    /// accept, the rest by [`Server::join`].
     handlers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -1675,7 +1676,10 @@ impl Listener {
 
 /// Accepts connections until shutdown. Each connection gets its own
 /// handler thread; the acceptor itself never touches the engine, so it
-/// can never occupy a pool worker slot or an executor.
+/// can never occupy a pool worker slot or an executor. Every accept first
+/// joins the handlers that have finished, so a long-lived daemon holds
+/// one thread (and its stack) per *open* connection, not per connection
+/// ever served.
 fn accept_loop(shared: &Arc<Shared>, listener: Listener) {
     loop {
         let stream = match listener.accept() {
@@ -1684,6 +1688,17 @@ fn accept_loop(shared: &Arc<Shared>, listener: Listener) {
         };
         if shared.shutting_down.load(Ordering::SeqCst) {
             break; // the wake-up connect, or a late client
+        }
+        {
+            let mut handlers = shared.handlers.lock().unwrap();
+            let mut i = 0;
+            while i < handlers.len() {
+                if handlers[i].is_finished() {
+                    drop(handlers.swap_remove(i).join());
+                } else {
+                    i += 1;
+                }
+            }
         }
         let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
@@ -2342,6 +2357,61 @@ mod tests {
         let bye = client.roundtrip(r#"{"id":4,"op":"shutdown"}"#).unwrap();
         assert!(bye.contains("\"op\":\"shutdown\""));
         server.join(); // must not hang: second client's read EOFs
+    }
+
+    #[test]
+    fn finished_connection_handlers_are_reaped_at_the_next_accept() {
+        let spec = ScenarioSpec::paper_link("t94-reap", "handler reap test")
+            .with_axis("x", AxisKind::Values(vec![0.0]));
+        let mut registry = Registry::new();
+        registry.register(Box::new(Counting {
+            spec,
+            executions: Arc::new(AtomicUsize::new(0)),
+        }));
+        let server = Server::builder(registry)
+            .tcp("127.0.0.1:0")
+            .config(EngineConfig {
+                executors: 1,
+                job_threads: 1,
+                queue_capacity: 4,
+                memory_capacity: 4,
+            })
+            .start()
+            .unwrap();
+        let addr = server.tcp_addr().unwrap();
+        let handlers = &server.shared.handlers;
+        // Polls (bounded, never a fixed sleep) until connection `id`'s
+        // handler is registered and `done` holds for it.
+        let wait_for = |id: u64, done: bool| {
+            let name = format!("mmtag-serve-conn-{id}");
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            loop {
+                let ready = handlers.lock().unwrap().iter().any(|h| {
+                    h.thread().name() == Some(name.as_str()) && (!done || h.is_finished())
+                });
+                if ready {
+                    return;
+                }
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "handler {id} not {}",
+                    if done { "finished" } else { "registered" }
+                );
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        };
+        for id in 0..6 {
+            let mut client = Client::connect_tcp(addr).unwrap();
+            let status = client.roundtrip(r#"{"id":1,"op":"status"}"#).unwrap();
+            assert!(status.contains("\"ok\":true"), "{status}");
+            wait_for(id, false);
+            // This accept joined every earlier, finished handler.
+            assert_eq!(handlers.lock().unwrap().len(), 1, "after accept {id}");
+            drop(client);
+            wait_for(id, true);
+        }
+        server.shutdown();
+        server.join();
     }
 
     #[test]

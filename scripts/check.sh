@@ -14,7 +14,8 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # regenerates every table at published size and compares the digests
 # across passes and against a 1-thread child process — the only gate that
 # exercises the parallel decompositions (city barrier, E16/E26/E28 cell
-# fan-out) and the certified bit-error counters (E5/E16/serve-sweep's OOK
+# fan-out, E29's one chunk-grid estimate shared by all eleven weights) and
+# the certified bit-error counters (E5/E16/serve-sweep's OOK
 # `count_bit_errors_scratch`, E16's BPSK `measure_bpsk_ber`: fast `ln_lanes`
 # decisions with exact libm replay inside the rounding margin) at full
 # size before the benchmark itself.
@@ -43,15 +44,18 @@ cargo run -q --release -p mmtag-bench --bin scenario -- smoke
 cargo run -q --release -p mmtag-cli -- city --tags 100000 --rounds 5 --seed 7
 
 # Rate-region smoke (E29, small grid): the multi-tag sweep end to end —
-# cascade channel, tag constellations, the flat (weight × chunk) grid —
-# plus a RunCache round trip of its table: the second run must replay
-# byte-identically from the cache.
+# cascade channel, tag constellations, one chunk-grid estimate shared by
+# every weight — plus a RunCache round trip of its table: the second run
+# must replay byte-identically, and a third must say it was a cache hit.
 rate_dir="$(mktemp -d)"
 MMTAG_CACHE_DIR="$rate_dir" cargo run -q --release -p mmtag-bench --bin scenario -- \
     run e29-rate-region --quick --csv > "$rate_dir/first.csv"
 MMTAG_CACHE_DIR="$rate_dir" cargo run -q --release -p mmtag-bench --bin scenario -- \
     run e29-rate-region --quick --csv > "$rate_dir/second.csv"
 cmp "$rate_dir/first.csv" "$rate_dir/second.csv"
+MMTAG_CACHE_DIR="$rate_dir" cargo run -q --release -p mmtag-bench --bin scenario -- \
+    run e29-rate-region --quick --json > "$rate_dir/hit.json"
+grep -q '"runner.cache.hit": 1' "$rate_dir/hit.json"
 rm -rf "$rate_dir"
 
 # Run-cache round trip: the same scenario twice into a fresh store. The
