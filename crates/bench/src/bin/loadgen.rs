@@ -1,89 +1,57 @@
 //! `loadgen` — drive an `mmtag serve` daemon with a deterministic
-//! request mix and print hit/miss latency quantiles.
+//! request mix and print its cache hit ratio.
 //!
 //! ```text
-//! loadgen (--socket <path> | --tcp <host:port> | --executors N) [flags]
+//! loadgen --socket <path> [flags]
 //!   --requests N      request count                (default 160)
-//!   --connections N   concurrent connections       (default 1)
-//!   --open-rate R     open-loop arrivals/sec (omit = closed loop)
-//!   --scenario NAME   registry scenario            (default e05-ber)
-//!   --seed-pool K     distinct seeds in the mix    (default 8)
 //!   --trials N        per-request trials override  (default 20000)
-//!   --points N        per-request points override  (default 8)
-//!   --run-percent P   fraction of run ops          (default 20)
-//!   --sweep-percent P fraction of sweep ops        (default 0)
-//!   --sweep-points K  grid size per sweep request  (default 16)
-//!   --seed S          mix root seed                (default 0x5EED)
 //!   --one-sweep K     send ONE K-point sweep and print the raw
-//!                     response stream (smoke tests), then exit
-//!   --executors N     self-contained scaling mode: start in-process
-//!                     daemons at 1 and N executors on fresh caches,
-//!                     drive the same mix at both, print the ratio
+//!                     response stream (smoke tests)
 //!   --shutdown        send a shutdown op when done
 //! ```
 //!
 //! The mix is a pure function of its flags: the same invocation always
 //! sends the same request log (see [`mmtag_bench::loadgen::generate`]),
-//! which is what makes daemon responses replay-comparable.
+//! which is what makes daemon responses replay-comparable. A request
+//! answered with anything but `"ok":true` ends the run with exit 1.
 
-use mmtag_bench::loadgen::{closed_loop, generate, open_loop, Mix, ServingSummary};
-use mmtag_sim::cache::RunCache;
-use mmtag_sim::serve::{Client, EngineConfig, Server};
-use std::io;
+use mmtag_bench::loadgen::{closed_loop, generate, Mix};
+use mmtag_sim::serve::Client;
 use std::process::ExitCode;
 
+/// The mix's root seed; also the base seed of the `--one-sweep` grid.
+const SEED: u64 = 0x5EED;
+
 struct Flags {
-    socket: Option<String>,
-    tcp: Option<String>,
+    socket: String,
     requests: usize,
-    connections: usize,
-    open_rate: Option<f64>,
     mix: Mix,
-    seed: u64,
     one_sweep: Option<u64>,
-    executors: Option<usize>,
     shutdown: bool,
 }
 
 fn parse_flags() -> Result<Flags, String> {
+    let mut socket = None;
     let mut flags = Flags {
-        socket: None,
-        tcp: None,
+        socket: String::new(),
         requests: 160,
-        connections: 1,
-        open_rate: None,
         mix: Mix::quick(),
-        seed: 0x5EED,
         one_sweep: None,
-        executors: None,
         shutdown: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or(format!("--{flag} needs a value"));
         match arg.as_str() {
-            "--socket" => flags.socket = Some(value("socket")?),
-            "--tcp" => flags.tcp = Some(value("tcp")?),
+            "--socket" => socket = Some(value("socket")?),
             "--requests" => flags.requests = parse(&value("requests")?)?,
-            "--connections" => flags.connections = parse(&value("connections")?)?,
-            "--open-rate" => flags.open_rate = Some(parse(&value("open-rate")?)?),
-            "--scenario" => flags.mix.scenario = value("scenario")?,
-            "--seed-pool" => flags.mix.seed_pool = parse(&value("seed-pool")?)?,
             "--trials" => flags.mix.trials = parse(&value("trials")?)?,
-            "--points" => flags.mix.points = parse(&value("points")?)?,
-            "--run-percent" => flags.mix.run_percent = parse(&value("run-percent")?)?,
-            "--sweep-percent" => flags.mix.sweep_percent = parse(&value("sweep-percent")?)?,
-            "--sweep-points" => flags.mix.sweep_points = parse(&value("sweep-points")?)?,
-            "--seed" => flags.seed = parse(&value("seed")?)?,
             "--one-sweep" => flags.one_sweep = Some(parse(&value("one-sweep")?)?),
-            "--executors" => flags.executors = Some(parse(&value("executors")?)?),
             "--shutdown" => flags.shutdown = true,
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
-    if flags.socket.is_none() && flags.tcp.is_none() && flags.executors.is_none() {
-        return Err("need --socket <path>, --tcp <host:port>, or --executors N".into());
-    }
+    flags.socket = socket.ok_or("need --socket <path>")?;
     Ok(flags)
 }
 
@@ -91,134 +59,33 @@ fn parse<T: std::str::FromStr>(raw: &str) -> Result<T, String> {
     raw.parse().map_err(|_| format!("cannot parse '{raw}'"))
 }
 
-fn print_summary(mode: &str, s: &ServingSummary) {
-    println!(
-        "loadgen ({mode}): {} requests, {} ok, {} rejected",
-        s.requests, s.ok, s.rejected
-    );
-    println!(
-        "  hit   p50 {:>8} us   p99 {:>8} us",
-        s.hit_p50_us, s.hit_p99_us
-    );
-    println!(
-        "  miss  p50 {:>8} us   p99 {:>8} us",
-        s.miss_p50_us, s.miss_p99_us
-    );
-    println!(
-        "  {:.1} jobs/s, cache hit ratio {:.3}, {} cache entries ({} bytes)",
-        s.jobs_per_sec, s.cache_hit_ratio, s.cache_entries, s.cache_bytes
-    );
-    if s.sweep_jobs > 0 {
-        println!(
-            "  sweeps: {} jobs ({} points), {:.1} sweep jobs/s, {:.1} points/s",
-            s.sweep_jobs, s.sweep_points, s.sweep_jobs_per_sec, s.points_per_sec
-        );
-    }
-}
-
-/// `--executors N`: starts in-process daemons at 1 and `n` executors
-/// (fresh cache each, same request log), drives both closed-loop, and
-/// prints the jobs/s ratio — the multi-core serving scaling check.
-fn executors_scaling(flags: &Flags, n: usize) -> Result<(), String> {
-    let n = n.max(1);
-    let requests = generate(&flags.mix, flags.requests, flags.seed);
-    let connections = flags.connections.max(n);
-    let mut jobs_per_sec = Vec::new();
-    for executors in [1, n] {
-        let cache_dir = std::env::temp_dir().join(format!(
-            "mmtag-loadgen-scale-{}-e{executors}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&cache_dir);
-        let server = Server::builder(mmtag_bench::scenarios::registry())
-            .tcp("127.0.0.1:0")
-            .cache(RunCache::at(&cache_dir))
-            .config(EngineConfig {
-                executors,
-                job_threads: 1,
-                queue_capacity: requests.len().max(64),
-                memory_capacity: 256,
-            })
-            .start()
-            .map_err(|e| format!("server start failed: {e}"))?;
-        let addr = server.tcp_addr().expect("tcp listener configured");
-        let summary = closed_loop(&move || Client::connect_tcp(addr), connections, &requests)
-            .map_err(|e| format!("drive loop failed: {e}"))?;
-        print_summary(&format!("executors={executors}"), &summary);
-        jobs_per_sec.push(summary.jobs_per_sec);
-        server.shutdown();
-        server.join();
-        let _ = std::fs::remove_dir_all(&cache_dir);
-    }
-    let ratio = if jobs_per_sec[0] > 0.0 {
-        jobs_per_sec[1] / jobs_per_sec[0]
-    } else {
-        0.0
-    };
-    println!("loadgen scaling: {n} executors vs 1 -> {ratio:.2}x jobs/s");
-    Ok(())
-}
-
-/// `--one-sweep K`: sends a single K-point sweep and echoes the raw
-/// response stream — check.sh smoke tests count the point lines and
-/// byte-compare summaries across cache-cold/cache-hot runs.
-fn one_sweep(
-    connect: &dyn Fn() -> io::Result<Client>,
-    flags: &Flags,
-    seeds: u64,
-) -> Result<(), String> {
-    let mut client = connect().map_err(|e| format!("connect failed: {e}"))?;
-    let request = format!(
-        "{{\"id\":1,\"op\":\"sweep\",\"scenario\":\"{}\",\"seeds\":{seeds},\"seed\":{},\"trials\":{},\"points\":{}}}",
-        flags.mix.scenario, flags.seed, flags.mix.trials, flags.mix.points
-    );
-    let mut response = String::new();
-    let points = client
-        .sweep_into(&request, &mut response)
-        .map_err(|e| format!("sweep failed: {e}"))?;
-    println!("{response}");
-    eprintln!("loadgen: one-sweep streamed {points} point lines");
-    Ok(())
-}
-
 fn run() -> Result<(), String> {
     let flags = parse_flags()?;
-    if let Some(n) = flags.executors {
-        return executors_scaling(&flags, n);
-    }
-    let connect: Box<dyn Fn() -> io::Result<Client> + Sync> = match (&flags.socket, &flags.tcp) {
-        (Some(path), _) => {
-            let path = path.clone();
-            Box::new(move || Client::connect_unix(&path))
-        }
-        (None, Some(addr)) => {
-            let addr: std::net::SocketAddr = addr
-                .parse()
-                .map_err(|_| format!("cannot parse tcp address '{addr}'"))?;
-            Box::new(move || Client::connect_tcp(addr))
-        }
-        (None, None) => unreachable!("parse_flags requires a target"),
-    };
+    let mut client =
+        Client::connect_unix(&flags.socket).map_err(|e| format!("connect failed: {e}"))?;
     if let Some(seeds) = flags.one_sweep {
-        one_sweep(&*connect, &flags, seeds)?;
+        // Echo the raw stream: check.sh counts its point lines and
+        // byte-compares cache-cold and cache-hot runs.
+        let request = format!(
+            "{{\"id\":1,\"op\":\"sweep\",\"scenario\":\"{}\",\"seeds\":{seeds},\"seed\":{SEED},\"trials\":{},\"points\":{}}}",
+            flags.mix.scenario, flags.mix.trials, flags.mix.points
+        );
+        let mut response = String::new();
+        let points = client
+            .sweep_into(&request, &mut response)
+            .map_err(|e| format!("sweep failed: {e}"))?;
+        println!("{response}");
+        eprintln!("loadgen: one-sweep streamed {points} point lines");
     } else {
-        let requests = generate(&flags.mix, flags.requests, flags.seed);
-        let result = match flags.open_rate {
-            None => closed_loop(&*connect, flags.connections, &requests),
-            Some(rate) => open_loop(&*connect, flags.connections, &requests, rate),
-        };
-        let summary = result.map_err(|e| format!("drive loop failed: {e}"))?;
-        print_summary(
-            if flags.open_rate.is_some() {
-                "open-loop"
-            } else {
-                "closed-loop"
-            },
-            &summary,
+        let requests = generate(&flags.mix, flags.requests, SEED);
+        let s =
+            closed_loop(&mut client, &requests).map_err(|e| format!("drive loop failed: {e}"))?;
+        println!(
+            "loadgen: {} requests ok, cache hit ratio {:.3}, {} cache entries ({} bytes)",
+            s.requests, s.cache_hit_ratio, s.cache_entries, s.cache_bytes
         );
     }
     if flags.shutdown {
-        let mut client = connect().map_err(|e| format!("shutdown connect failed: {e}"))?;
         let bye = client
             .roundtrip("{\"id\":0,\"op\":\"shutdown\"}")
             .map_err(|e| format!("shutdown failed: {e}"))?;

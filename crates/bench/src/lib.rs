@@ -4,9 +4,9 @@
 //! returns a [`mmtag_sim::experiment::Table`] so the scenario registry
 //! prints it and the smoke tests assert its headline numbers
 //! (`cargo run -p mmtag-bench --bin scenario -- run e02-link-budget`).
-//! `--bin bench_report` times the kernels and the serial-vs-parallel
-//! speedups on the in-house [`timing`] harness and writes them to
-//! `BENCH_report.json`.
+//! Nothing here times anything: the repository benchmark (`perfbench/`,
+//! declared in `BENCHMARK.json`) does, and `--bin bench_report` records
+//! its runs into `BENCH_report.json`.
 //!
 //! | experiment | paper artifact | function |
 //! |---|---|---|
@@ -43,7 +43,5 @@ pub mod loadgen;
 pub mod network_figs;
 pub mod phy_figs;
 pub mod rate_figs;
-pub mod report;
 pub mod scenarios;
 pub mod system_tables;
-pub mod timing;

@@ -1,32 +1,15 @@
-//! Load generation for the `mmtag serve` daemon.
+//! Load generation for the `mmtag serve` daemon: a seeded, deterministic
+//! request-mix generator and a closed-loop driver.
 //!
-//! A seeded, deterministic request-mix generator plus two drive modes:
-//!
-//! * **closed-loop** — each connection sends its next request as soon as
-//!   the previous response arrives; measures the service's best-case
-//!   sojourn time,
-//! * **open-loop** — requests are *scheduled* at a fixed arrival rate
-//!   regardless of completions (a paced writer thread and a matching
-//!   reader per connection), so queueing delay under overload is
-//!   visible instead of being absorbed by the sender.
-//!
-//! The same [`generate`] output drives the serving section of
-//! `bench_report` and the determinism integration tests: identical
-//! request logs must replay to byte-identical response bodies at any
-//! executor count, so the generator never draws from wall-clock or
-//! OS-entropy sources.
-//!
-//! Latencies are recorded into log₂ histograms (the
-//! [`obs::HistogramStat`] bucket layout) split by **expected** path:
-//! the first request naming a given spec is the miss-path sample, every
-//! repeat is a hit-path sample. Quantiles are bucket lower bounds —
-//! conservative for the `hit_p99 × 10 ≤ miss_p50` gate, which compares
-//! a hit upper region against a miss lower region.
+//! The same [`generate`] output drives `--bin loadgen` (the serve smoke
+//! in `scripts/check.sh`) and the determinism integration tests:
+//! identical request logs must replay to byte-identical response bodies
+//! at any executor count, so the generator never draws from wall-clock
+//! or OS-entropy sources. Nothing here times anything; the repository
+//! benchmark (`perfbench/`) measures the daemon.
 
 use std::io;
-use std::time::{Duration, Instant};
 
-use mmtag_rf::obs;
 use mmtag_rf::rng::{Rng, SeedTree};
 use mmtag_sim::json::{parse_json, Json};
 use mmtag_sim::serve::Client;
@@ -70,26 +53,13 @@ impl Mix {
             x_range: (0.0, 14.0),
         }
     }
-
-    /// A sweep-heavy mix: half the requests are grid sweeps, cycling
-    /// through `seed_pool` distinct campaigns.
-    pub fn sweep_heavy() -> Mix {
-        Mix {
-            sweep_percent: 50,
-            ..Mix::quick()
-        }
-    }
 }
 
-/// One generated request: the wire line plus whether it is the *first*
-/// request naming its spec (the expected miss-path sample).
+/// One generated request.
 #[derive(Clone, Debug)]
 pub struct Request {
     /// The JSON request line (no trailing newline).
     pub line: String,
-    /// `true` for the first request of each distinct seed (or sweep
-    /// campaign).
-    pub expect_miss: bool,
     /// `true` for `sweep` ops — the driver must read a response
     /// *stream*, not a single line.
     pub sweep: bool,
@@ -102,8 +72,6 @@ pub struct Request {
 pub fn generate(mix: &Mix, n: usize, root_seed: u64) -> Vec<Request> {
     let tree = SeedTree::new(root_seed);
     let pool = mix.seed_pool.max(1);
-    let mut seen = vec![false; pool as usize];
-    let mut seen_campaign = vec![false; pool as usize];
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
         let mut rng = tree.rng_indexed("loadgen", i as u64);
@@ -123,20 +91,16 @@ pub fn generate(mix: &Mix, n: usize, root_seed: u64) -> Vec<Request> {
             // grids never collide with point-request seeds, and are
             // spaced `sweep_points` apart so campaigns don't overlap
             // each other; repeating a campaign is the sweep hit path.
-            let campaign = drawn;
-            let base = pool + campaign * mix.sweep_points.max(1);
-            let expect_miss = !std::mem::replace(&mut seen_campaign[campaign as usize], true);
+            let base = pool + drawn * mix.sweep_points.max(1);
             out.push(Request {
                 line: format!(
                     "{{\"id\":{id},\"op\":\"sweep\",\"scenario\":\"{}\",\"seeds\":{},\"seed\":{base},\"trials\":{},\"points\":{}}}",
                     mix.scenario, mix.sweep_points.max(1), mix.trials, mix.points
                 ),
-                expect_miss,
                 sweep: true,
             });
             continue;
         }
-        let expect_miss = !std::mem::replace(&mut seen[seed as usize], true);
         let is_run = op_draw % (100 - mix.sweep_percent).max(1) < mix.run_percent;
         let line = if is_run {
             format!(
@@ -154,273 +118,68 @@ pub fn generate(mix: &Mix, n: usize, root_seed: u64) -> Vec<Request> {
                 mix.scenario, mix.trials, mix.points
             )
         };
-        out.push(Request {
-            line,
-            expect_miss,
-            sweep: false,
-        });
+        out.push(Request { line, sweep: false });
     }
     out
 }
 
-/// Aggregate results of one load-generation run; the serving section of
-/// `BENCH_report.json` is written from these numbers.
+/// What the daemon reported after a [`closed_loop`] run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServingSummary {
-    /// Hit-path (repeat-request) latency quantiles, µs.
-    pub hit_p50_us: u64,
-    /// Hit-path p99, µs.
-    pub hit_p99_us: u64,
-    /// Miss-path (first-request-per-spec) latency quantiles, µs.
-    pub miss_p50_us: u64,
-    /// Miss-path p99, µs.
-    pub miss_p99_us: u64,
-    /// Completed requests per wall-clock second over the whole run.
-    pub jobs_per_sec: f64,
-    /// Completed `sweep` requests per wall-clock second.
-    pub sweep_jobs_per_sec: f64,
-    /// Resolved grid points per wall-clock second: every point request
-    /// counts 1, every sweep counts its streamed point lines.
-    pub points_per_sec: f64,
+    /// Requests sent, every one answered `"ok":true`.
+    pub requests: u64,
     /// The daemon's authoritative resolution hit ratio (from `status`).
     pub cache_hit_ratio: f64,
     /// On-disk cache entries after the run (from `status`).
     pub cache_entries: u64,
     /// On-disk cache bytes after the run (from `status`).
     pub cache_bytes: u64,
-    /// Requests completed.
-    pub requests: u64,
-    /// `sweep` requests completed.
-    pub sweep_jobs: u64,
-    /// Point lines streamed back by completed sweeps.
-    pub sweep_points: u64,
-    /// Requests that got an `"ok":true` response.
-    pub ok: u64,
-    /// Requests rejected with `queue_full` (open-loop overload).
-    pub rejected: u64,
 }
 
-/// Per-thread latency tallies, merged after the drive loop. Buckets are
-/// [`obs::HistogramStat`]-compatible log₂ buckets over microseconds —
-/// the loadgen deliberately does **not** record into the global obs
-/// log, which the daemon's executors drain concurrently.
-struct Tally {
-    hit_us: [u64; 65],
-    miss_us: [u64; 65],
-    ok: u64,
-    rejected: u64,
-    sweeps: u64,
-    sweep_points: u64,
-}
-
-impl Tally {
-    fn new() -> Tally {
-        Tally {
-            hit_us: [0; 65],
-            miss_us: [0; 65],
-            ok: 0,
-            rejected: 0,
-            sweeps: 0,
-            sweep_points: 0,
-        }
-    }
-
-    fn bucket(&mut self, expect_miss: bool, us: u64) {
-        let idx = if us == 0 {
-            0
+/// Sends `requests` over `client` one at a time, each as soon as the
+/// previous response has landed, then asks for `status`. Fails on the
+/// first response whose terminating line (a sweep's summary, or the one
+/// line of a point op) is not `"ok":true`, quoting that response.
+pub fn closed_loop(client: &mut Client, requests: &[Request]) -> io::Result<ServingSummary> {
+    let mut response = String::new();
+    for req in requests {
+        response.clear();
+        if req.sweep {
+            client.sweep_into(&req.line, &mut response)?;
         } else {
-            64 - us.leading_zeros() as usize
-        };
-        if expect_miss {
-            self.miss_us[idx] += 1;
-        } else {
-            self.hit_us[idx] += 1;
+            client.roundtrip_into(&req.line, &mut response)?;
         }
-    }
-
-    fn record(&mut self, expect_miss: bool, us: u64, response: &str) {
-        self.bucket(expect_miss, us);
-        if response.contains("\"ok\":true") {
-            self.ok += 1;
-        } else if response.contains("queue_full") {
-            self.rejected += 1;
-        }
-    }
-
-    /// Records one completed sweep stream: the request's verdict is its
-    /// *terminating* line (the summary, or a whole-request error).
-    fn record_sweep(&mut self, expect_miss: bool, us: u64, points: usize, response: &str) {
-        self.bucket(expect_miss, us);
-        self.sweeps += 1;
-        self.sweep_points += points as u64;
         let last = response.rsplit('\n').next().unwrap_or("");
-        if last.contains("\"ok\":true") {
-            self.ok += 1;
-        } else if response.contains("queue_full") {
-            self.rejected += 1;
+        let ok = parse_json(last).is_ok_and(|dom| dom.get("ok") == Some(&Json::Bool(true)));
+        if !ok {
+            return Err(io::Error::other(format!(
+                "request {} failed: {response}",
+                req.line
+            )));
         }
     }
-
-    fn merge(&mut self, other: &Tally) {
-        for i in 0..65 {
-            self.hit_us[i] += other.hit_us[i];
-            self.miss_us[i] += other.miss_us[i];
-        }
-        self.ok += other.ok;
-        self.rejected += other.rejected;
-        self.sweeps += other.sweeps;
-        self.sweep_points += other.sweep_points;
-    }
-}
-
-/// Drives `requests` through the daemon closed-loop over
-/// `connect()`-produced connections: requests are dealt round-robin,
-/// each connection sending its next as soon as the previous response
-/// lands. Ends with one `status` round trip for the daemon's
-/// authoritative cache numbers.
-pub fn closed_loop(
-    connect: &(dyn Fn() -> io::Result<Client> + Sync),
-    connections: usize,
-    requests: &[Request],
-) -> io::Result<ServingSummary> {
-    let connections = connections.clamp(1, requests.len().max(1));
-    let started = Instant::now();
-    let mut tally = Tally::new();
-    std::thread::scope(|scope| -> io::Result<()> {
-        let mut workers = Vec::new();
-        for c in 0..connections {
-            let mut client = connect()?;
-            workers.push(scope.spawn(move || -> io::Result<Tally> {
-                let mut local = Tally::new();
-                let mut response = String::new();
-                for req in requests.iter().skip(c).step_by(connections) {
-                    response.clear();
-                    let sent = Instant::now();
-                    if req.sweep {
-                        let points = client.sweep_into(&req.line, &mut response)?;
-                        let us = sent.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                        local.record_sweep(req.expect_miss, us, points, &response);
-                    } else {
-                        client.roundtrip_into(&req.line, &mut response)?;
-                        let us = sent.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                        local.record(req.expect_miss, us, &response);
-                    }
-                }
-                Ok(local)
-            }));
-        }
-        for w in workers {
-            let local = w.join().expect("loadgen worker panicked")?;
-            tally.merge(&local);
-        }
-        Ok(())
-    })?;
-    let wall = started.elapsed().as_secs_f64();
-    summarize(connect, requests.len() as u64, wall, &tally)
-}
-
-/// Drives `requests` open-loop at `rate_per_sec`: request *i* is sent
-/// at `i / rate` regardless of completions (one paced connection per
-/// `connections` slot, FIFO response matching per connection). Under
-/// overload the admission queue fills and rejects — the rejects are
-/// counted, not retried.
-pub fn open_loop(
-    connect: &(dyn Fn() -> io::Result<Client> + Sync),
-    connections: usize,
-    requests: &[Request],
-    rate_per_sec: f64,
-) -> io::Result<ServingSummary> {
-    let connections = connections.clamp(1, requests.len().max(1));
-    let interval = Duration::from_secs_f64(1.0 / rate_per_sec.max(1.0));
-    let started = Instant::now();
-    let mut tally = Tally::new();
-    std::thread::scope(|scope| -> io::Result<()> {
-        let mut workers = Vec::new();
-        for c in 0..connections {
-            let mut client = connect()?;
-            let base = started;
-            workers.push(scope.spawn(move || -> io::Result<Tally> {
-                let mut local = Tally::new();
-                let mut response = String::new();
-                for (slot, req) in requests.iter().enumerate().skip(c).step_by(connections) {
-                    let due = base + interval * slot as u32;
-                    if let Some(wait) = due.checked_duration_since(Instant::now()) {
-                        std::thread::sleep(wait);
-                    }
-                    // The schedule clock keeps ticking while we wait for
-                    // the response: latency is measured from the
-                    // *intended* send time, so queueing delay shows up.
-                    response.clear();
-                    if req.sweep {
-                        let points = client.sweep_into(&req.line, &mut response)?;
-                        let us = due.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                        local.record_sweep(req.expect_miss, us, points, &response);
-                    } else {
-                        client.roundtrip_into(&req.line, &mut response)?;
-                        let us = due.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                        local.record(req.expect_miss, us, &response);
-                    }
-                }
-                Ok(local)
-            }));
-        }
-        for w in workers {
-            let local = w.join().expect("loadgen worker panicked")?;
-            tally.merge(&local);
-        }
-        Ok(())
-    })?;
-    let wall = started.elapsed().as_secs_f64();
-    summarize(connect, requests.len() as u64, wall, &tally)
-}
-
-/// Folds the tallies plus one final `status` round trip into the
-/// summary.
-fn summarize(
-    connect: &dyn Fn() -> io::Result<Client>,
-    requests: u64,
-    wall_secs: f64,
-    tally: &Tally,
-) -> io::Result<ServingSummary> {
-    let hit = obs::HistogramStat::from_counts("loadgen.hit_us", &tally.hit_us);
-    let miss = obs::HistogramStat::from_counts("loadgen.miss_us", &tally.miss_us);
-    let mut status_client = connect()?;
-    let status = status_client.roundtrip("{\"id\":0,\"op\":\"status\"}")?;
+    let status = client.roundtrip("{\"id\":0,\"op\":\"status\"}")?;
     let dom = parse_json(&status)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad status: {e}")))?;
     let num = |key: &str| dom.get(key).and_then(Json::as_num).unwrap_or(0.0);
-    let per_sec = |count: u64| {
-        if wall_secs > 0.0 {
-            count as f64 / wall_secs
-        } else {
-            0.0
-        }
-    };
-    // Points resolved: every point request is one, every sweep its
-    // streamed point-line count.
-    let points = requests - tally.sweeps + tally.sweep_points;
     Ok(ServingSummary {
-        hit_p50_us: hit.p50(),
-        hit_p99_us: hit.p99(),
-        miss_p50_us: miss.p50(),
-        miss_p99_us: miss.p99(),
-        jobs_per_sec: per_sec(requests),
-        sweep_jobs_per_sec: per_sec(tally.sweeps),
-        points_per_sec: per_sec(points),
+        requests: requests.len() as u64,
         cache_hit_ratio: num("cache_hit_ratio"),
         cache_entries: num("cache_entries") as u64,
         cache_bytes: num("cache_bytes") as u64,
-        requests,
-        sweep_jobs: tally.sweeps,
-        sweep_points: tally.sweep_points,
-        ok: tally.ok,
-        rejected: tally.rejected,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+
+    /// The numeric `key` of a request line.
+    fn field(line: &str, key: &str) -> u64 {
+        let dom = parse_json(line).expect("request line parses");
+        dom.get(key).and_then(Json::as_num).expect("numeric field") as u64
+    }
 
     #[test]
     fn generation_is_deterministic_and_marks_first_seed_use_as_miss() {
@@ -430,11 +189,12 @@ mod tests {
         assert_eq!(a.len(), 40);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.line, y.line);
-            assert_eq!(x.expect_miss, y.expect_miss);
         }
-        let misses = a.iter().filter(|r| r.expect_miss).count() as u64;
-        assert!(misses <= mix.seed_pool);
-        assert!(misses >= 1);
+        // Each distinct seed's first use is a miss, every repeat a hit:
+        // at most `seed_pool` misses.
+        let seeds: HashSet<u64> = a.iter().map(|r| field(&r.line, "seed")).collect();
+        assert!(!seeds.is_empty());
+        assert!(seeds.len() as u64 <= mix.seed_pool);
         // A different root seed perturbs the stream.
         let c = generate(&mix, 40, 0xBEEF);
         assert!(a.iter().zip(&c).any(|(x, y)| x.line != y.line));
@@ -450,28 +210,26 @@ mod tests {
 
     #[test]
     fn short_runs_still_contain_a_guaranteed_miss_and_hit() {
-        // Satellite fix: even `--requests 2` (below the seed-pool size)
-        // must produce one guaranteed miss and one guaranteed hit, so
-        // hit-ratio checks on small smoke runs can't be flaky.
+        // Even `--requests 2` (below the seed-pool size) must produce one
+        // guaranteed miss and one guaranteed hit — request 1 repeats
+        // request 0's seed — so hit-ratio checks on small smoke runs
+        // can't be flaky.
         let mix = Mix::quick();
         for n in 2..8 {
             let reqs = generate(&mix, n, 0x5EED);
-            assert!(
-                reqs[0].expect_miss,
-                "n={n}: request 0 is the first seed use"
-            );
-            assert!(
-                !reqs[1].expect_miss,
-                "n={n}: request 1 repeats request 0's seed"
-            );
-            assert!(reqs[0].line.contains("\"seed\":0"), "{}", reqs[0].line);
-            assert!(reqs[1].line.contains("\"seed\":0"), "{}", reqs[1].line);
+            for r in &reqs[..2] {
+                assert!(!r.sweep, "n={n}: {}", r.line);
+                assert_eq!(field(&r.line, "seed"), 0, "n={n}: {}", r.line);
+            }
         }
     }
 
     #[test]
     fn sweep_heavy_mix_interleaves_campaigns_disjoint_from_point_seeds() {
-        let mix = Mix::sweep_heavy();
+        let mix = Mix {
+            sweep_percent: 50,
+            ..Mix::quick()
+        };
         let reqs = generate(&mix, 64, 0xFEED);
         let sweeps: Vec<_> = reqs.iter().filter(|r| r.sweep).collect();
         assert!(!sweeps.is_empty(), "half the mix should be sweeps");
@@ -480,40 +238,25 @@ mod tests {
             !reqs[0].sweep && !reqs[1].sweep,
             "miss/hit pair stays point-shaped"
         );
-        let mut seen_base = std::collections::HashSet::new();
+        let mut bases = HashSet::new();
         for r in &sweeps {
             let dom = parse_json(&r.line).expect("sweep line parses");
             assert_eq!(dom.get("op").and_then(Json::as_str), Some("sweep"));
-            assert_eq!(
-                dom.get("seeds").and_then(Json::as_num),
-                Some(mix.sweep_points as f64)
-            );
+            assert_eq!(field(&r.line, "seeds"), mix.sweep_points);
             // Campaign bases sit above the point-seed pool so grids
             // never collide with point requests.
-            let base = dom.get("seed").and_then(Json::as_num).unwrap() as u64;
+            let base = field(&r.line, "seed");
             assert!(base >= mix.seed_pool, "campaign base {base} under pool");
             assert_eq!((base - mix.seed_pool) % mix.sweep_points, 0);
-            // First use of a campaign is the miss sample; repeats hit.
-            assert_eq!(r.expect_miss, seen_base.insert(base), "{}", r.line);
+            bases.insert(base);
         }
+        // Campaigns repeat: a campaign's first use is the miss, every
+        // repeat the sweep hit path.
+        assert!(bases.len() < sweeps.len(), "no campaign repeats");
         // Replays are byte-identical.
         let again = generate(&mix, 64, 0xFEED);
         for (a, b) in reqs.iter().zip(&again) {
             assert_eq!(a.line, b.line);
         }
-    }
-
-    #[test]
-    fn tally_quantiles_split_hit_and_miss_paths() {
-        let mut t = Tally::new();
-        for _ in 0..99 {
-            t.record(false, 4, "{\"ok\":true}");
-        }
-        t.record(true, 4096, "{\"ok\":true}");
-        let hit = obs::HistogramStat::from_counts("hit", &t.hit_us);
-        let miss = obs::HistogramStat::from_counts("miss", &t.miss_us);
-        assert_eq!(hit.p99(), 4);
-        assert_eq!(miss.p50(), 4096);
-        assert_eq!(t.ok, 100);
     }
 }

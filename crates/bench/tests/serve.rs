@@ -3,7 +3,7 @@
 //! bodies at any worker count), bounded admission, single-flight
 //! deduplication, and transport liveness.
 
-use mmtag_bench::loadgen::{generate, Mix};
+use mmtag_bench::loadgen::{closed_loop, generate, Mix, Request};
 use mmtag_sim::experiment::Table;
 use mmtag_sim::scenario::{AxisKind, Registry, RunContext, Scenario, ScenarioSpec};
 use mmtag_sim::serve::{Client, Engine, EngineConfig, Server};
@@ -86,9 +86,8 @@ fn replayed_request_log_is_byte_identical_across_worker_counts() {
 /// The sweep acceptance differential: a seeded sweep-heavy request log
 /// replayed at 1 and 4 executors must yield byte-identical `sweep`
 /// summary lines and identical streamed point-line *sets* once stably
-/// sorted by point index (the protocol permits completion-order
-/// streaming; each line carries its `point` for exactly this
-/// normalization).
+/// sorted by point index (points stream in point order; each line
+/// carries its `point`, so the comparison does not depend on it).
 #[test]
 fn sweep_responses_are_deterministic_across_executor_counts() {
     fn point_index(line: &str) -> u64 {
@@ -160,6 +159,37 @@ fn sweep_responses_are_deterministic_across_executor_counts() {
         assert!(summary.contains("\"ok\":true"), "{summary}");
         assert!(summary.contains("\"failed\":0"), "{summary}");
     }
+}
+
+/// loadgen's closed loop stops at the first response that is not
+/// `"ok":true` and quotes it, so a mix whose queries fail cannot pass for
+/// one served from cache.
+#[test]
+fn closed_loop_fails_on_the_first_response_not_ok() {
+    let server = Server::builder(mmtag_bench::scenarios::registry())
+        .tcp("127.0.0.1:0")
+        .config(EngineConfig::default())
+        .start()
+        .unwrap();
+    let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
+    let request = |line: &str| Request {
+        line: line.to_string(),
+        sweep: false,
+    };
+    let run = request(
+        r#"{"id":1,"op":"run","scenario":"e02-link-budget","seed":0,"trials":50,"points":6}"#,
+    );
+    let summary = closed_loop(&mut client, std::slice::from_ref(&run)).unwrap();
+    assert_eq!(summary.requests, 1);
+    let out_of_range = request(
+        r#"{"id":2,"op":"query","scenario":"e02-link-budget","seed":0,"trials":50,"points":6,"x":1000}"#,
+    );
+    let err = closed_loop(&mut client, &[run, out_of_range])
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("\"error\":\"out_of_range\""), "{err}");
+    server.shutdown();
+    server.join();
 }
 
 /// A scenario that sleeps so tests can hold the executor busy, and

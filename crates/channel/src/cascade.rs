@@ -23,7 +23,8 @@
 //! Fading is per-hop Rician with unit mean power, the same normalization as
 //! [`crate::fading::RicianFading`]; `K = ∞` is accepted and collapses a hop
 //! to its deterministic LOS coefficient, which is what the closed-form
-//! anchors in `bench_report` and the differential tests key on.
+//! rate-region anchor (`mmtag_sim::rate_region::awgn_primary_rate_anchor`)
+//! and the differential tests key on.
 
 use mmtag_rf::rng::{Rng, SeedTree, Xoshiro256pp};
 use mmtag_rf::Complex;

@@ -41,9 +41,9 @@
 //! * [`Level::Trace`] — everything, including span timers, is recorded;
 //!   [`ObsReport::to_chrome_json`] exports the result for
 //!   `chrome://tracing` / Perfetto. Instrumentation sits at *chunk*
-//!   granularity (thousands of bits per event), so even full tracing
-//!   costs ≤ a few percent on the hottest kernel — `bench_report` measures
-//!   it on every run (the `ber_kernel_traced_over_untraced` row).
+//!   granularity (thousands of bits per event), so full tracing adds a
+//!   few events per chunk of work, not per sample. Its cost is not
+//!   measured today.
 //!
 //! ## Reporting
 //!

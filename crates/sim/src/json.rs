@@ -2,9 +2,9 @@
 //! parser, plus the one string escaper.
 //!
 //! The workspace is dependency-free by design, so every place that must
-//! *read* JSON — the bench-report verifier, the serve-protocol client,
-//! the tests that check emitted documents — shares this tiny DOM instead
-//! of pulling in serde. Writers stay hand-rolled at each call site
+//! *read* JSON — the bench-record writer and its test, the serve-protocol
+//! client, the tests that check emitted documents — shares this tiny DOM
+//! instead of pulling in serde. Writers stay hand-rolled at each call site
 //! (`RunRecord::to_json`, the obs metrics block, the serve responses):
 //! emitting JSON with a fixed key order is a `format!` away, while
 //! parsing benefits from one careful implementation. All of them escape
@@ -330,6 +330,70 @@ mod tests {
         assert_eq!(v.get("s").and_then(Json::as_num), None);
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Num(1.0).get("k"), None);
+    }
+
+    #[test]
+    fn validate_json_accepts_the_report_shape_and_valid_documents() {
+        // A `BENCH_report.json`-shaped document, written the way its
+        // writer writes it, with a key that needs escaping.
+        let mut key = String::from("\"");
+        escape_into(&mut key, "k \"quoted\"");
+        key.push('"');
+        let doc = format!(
+            "{{\"host\": {{\"nproc\": 2}}, \"workloads\": {{\"w\": {{\"per_layer\": \
+             {{{key}: {{\"unit\": \"ns\", \"median\": 1.5, \"q1\": 1, \"q3\": 2e0}}}}}}}}}}"
+        );
+        let dom = parse_json(&doc).unwrap();
+        let row = dom
+            .get("workloads")
+            .and_then(|w| w.get("w"))
+            .and_then(|w| w.get("per_layer"))
+            .and_then(|r| r.get("k \"quoted\""));
+        assert_eq!(
+            row.and_then(|r| r.get("median")).and_then(Json::as_num),
+            Some(1.5)
+        );
+        assert_eq!(
+            row.and_then(|r| r.get("q3")).and_then(Json::as_num),
+            Some(2.0)
+        );
+        assert_eq!(
+            row.and_then(|r| r.get("unit")).and_then(Json::as_str),
+            Some("ns")
+        );
+        for ok in [
+            "{}",
+            "[]",
+            "null",
+            "-1.5e-3",
+            r#""a \"quoted\" é string""#,
+            r#"{"a": [1, {"b": null}, true], "c": "d"}"#,
+            "  {\n}\t",
+        ] {
+            assert!(parse_json(ok).is_ok(), "{ok}");
+        }
+    }
+
+    #[test]
+    fn validate_json_rejects_malformed_documents() {
+        for bad in [
+            "",
+            "{",
+            "}",
+            "{\"a\": }",
+            "{\"a\": 1,}",
+            "[1, 2",
+            "\"unterminated",
+            "01x",
+            "1.",
+            "1e",
+            "{\"a\" 1}",
+            "{} trailing",
+            "nul",
+            r#""bad \q escape""#,
+        ] {
+            assert!(parse_json(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]

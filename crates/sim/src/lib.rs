@@ -29,7 +29,7 @@
 //!   report to every run manifest,
 //! * [`scene`] — a room: one reader, tags, walls; produces the ray sets the
 //!   channel layer consumes,
-//! * [`metrics`] — counters, histograms and time-series for experiments,
+//! * [`metrics`] — streaming summary statistics and time series,
 //! * [`experiment`] — parameter sweeps with aligned-table output (the
 //!   format every figure/table binary in `mmtag-bench` prints),
 //! * [`scenario`] — the typed scenario pipeline: serializable

@@ -1,40 +1,10 @@
-//! Experiment metrics: counters, histograms, time series.
+//! Experiment metrics: streaming summary statistics and time series.
 //!
-//! Every simulation in the benchmark harness reports through these types so
-//! output is uniform and statistics are computed one way, in one place.
+//! [`TimeSeries`] carries the network simulator's uptime and rate series
+//! (`mmtag::network`); [`Summary`] is a Welford mean/standard-deviation
+//! accumulator.
 
 use crate::time::Instant;
-
-/// A monotonically increasing event counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-    /// The count.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-    /// This counter as a fraction of a total (0 if the total is zero).
-    pub fn fraction_of(self, total: Counter) -> f64 {
-        if total.0 == 0 {
-            0.0
-        } else {
-            self.0 as f64 / total.0 as f64
-        }
-    }
-}
 
 /// Streaming summary statistics (Welford's algorithm): mean and variance
 /// without storing samples.
@@ -96,87 +66,6 @@ impl Summary {
     /// Maximum sample (`None` when empty).
     pub fn max(&self) -> Option<f64> {
         (self.n > 0).then_some(self.max)
-    }
-}
-
-/// A fixed-bin histogram over `[lo, hi)` with under/overflow bins.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// A histogram with `bins` equal-width bins spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi` or `bins == 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi, "histogram range must be non-empty");
-        assert!(bins > 0, "histogram needs at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records a sample.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let n = self.bins.len();
-            let idx = ((x - self.lo) / (self.hi - self.lo) * n as f64) as usize;
-            self.bins[idx.min(n - 1)] += 1;
-        }
-    }
-
-    /// Bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-    /// Samples below range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-    /// Samples at/above range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Approximate p-quantile from bin midpoints (`None` when empty or when
-    /// the quantile falls in an under/overflow bin).
-    pub fn quantile(&self, p: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&p), "quantile must be in [0, 1]");
-        let total = self.total();
-        if total == 0 {
-            return None;
-        }
-        let target = (p * total as f64).ceil().max(1.0) as u64;
-        let mut seen = self.underflow;
-        if seen >= target {
-            return None;
-        }
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(self.lo + (i as f64 + 0.5) * width);
-            }
-        }
-        None
     }
 }
 
@@ -249,18 +138,6 @@ mod tests {
     use crate::time::Duration;
 
     #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let mut total = Counter::new();
-        total.add(10);
-        assert!((c.fraction_of(total) - 0.5).abs() < 1e-12);
-        assert_eq!(c.fraction_of(Counter::new()), 0.0);
-    }
-
-    #[test]
     fn summary_matches_closed_form() {
         let mut s = Summary::new();
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
@@ -280,30 +157,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.std_dev(), 0.0);
         assert_eq!(s.min(), None);
-    }
-
-    #[test]
-    fn histogram_bins_and_flows() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [-1.0, 0.0, 0.5, 5.0, 9.99, 10.0, 42.0] {
-            h.record(x);
-        }
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bins()[0], 2); // 0.0 and 0.5
-        assert_eq!(h.bins()[5], 1);
-        assert_eq!(h.bins()[9], 1);
-        assert_eq!(h.total(), 7);
-    }
-
-    #[test]
-    fn histogram_median_of_uniform_fill() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..100 {
-            h.record(i as f64);
-        }
-        let med = h.quantile(0.5).unwrap();
-        assert!((med - 49.5).abs() <= 1.0, "median = {med}");
     }
 
     #[test]
@@ -331,11 +184,5 @@ mod tests {
         let mut ts = TimeSeries::new();
         ts.push(Instant::from_nanos(10), 1.0);
         ts.push(Instant::from_nanos(5), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn inverted_histogram_range_is_a_bug() {
-        let _ = Histogram::new(5.0, 5.0, 10);
     }
 }

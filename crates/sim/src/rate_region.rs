@@ -380,8 +380,9 @@ pub fn rate_region_grid_par_with(
 /// Closed-form primary-rate anchor for the degenerate single-tag AWGN
 /// scene (one tag, every K-factor infinite): with no fading the beam state
 /// is the reflection state maximizing `Re(c)`, and the depth-0 primary
-/// rate is exactly `log2(1 + ρ·|1 + a·ĉ|²)` — the number the `rate_region`
-/// section of `bench_report` pins the Monte-Carlo estimate against.
+/// rate is exactly `log2(1 + ρ·|1 + a·ĉ|²)` — the number
+/// `tests::single_tag_awgn_matches_closed_form` pins the Monte-Carlo
+/// estimate against.
 ///
 /// # Panics
 /// Panics unless the scene has exactly one tag and all three K-factors

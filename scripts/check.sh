@@ -4,6 +4,20 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Every smoke step's files live under one scratch directory. On any exit,
+# a failing step included, the trap stops the serve daemon if it is still
+# running and removes that directory, so neither is left behind.
+work="$(mktemp -d)"
+serve_pid=
+cleanup() {
+    if [ -n "$serve_pid" ] && kill -0 "$serve_pid" 2>/dev/null; then
+        kill "$serve_pid" 2>/dev/null || true
+        wait "$serve_pid" 2>/dev/null || true
+    fi
+    rm -rf "$work"
+}
+trap cleanup EXIT
+
 cargo fmt --all --check
 cargo build --release
 # The repository benchmark (BENCHMARK.json) builds perfbench/, a separate
@@ -21,6 +35,12 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # size before the benchmark itself.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q
+# Cross-CPU margin: glibc picks its libm `ln`/`exp`/`sin`/`cos` variants by
+# CPU feature, and they may differ in the last ulp from host to host. Every
+# table's smoke digest must still match with the FMA/AVX2 variants masked
+# off — the decisions and sums built on libm absorb those ulps — so the
+# first kernel that exposes raw libm bits fails here.
+GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 cargo test -q -p mmtag-bench --test scenarios
 # The certificate's `ln_lanes` bound (≤ 2⁻⁵⁰ relative to libm `ln`) over
 # 2²⁸ ladder inputs: too slow for the debug run above, where it is
 # #[ignore]d and a 2²⁰-input sweep covers every binade instead.
@@ -47,7 +67,8 @@ cargo run -q --release -p mmtag-cli -- city --tags 100000 --rounds 5 --seed 7
 # cascade channel, tag constellations, one chunk-grid estimate shared by
 # every weight — plus a RunCache round trip of its table: the second run
 # must replay byte-identically, and a third must say it was a cache hit.
-rate_dir="$(mktemp -d)"
+rate_dir="$work/rate"
+mkdir "$rate_dir"
 MMTAG_CACHE_DIR="$rate_dir" cargo run -q --release -p mmtag-bench --bin scenario -- \
     run e29-rate-region --quick --csv > "$rate_dir/first.csv"
 MMTAG_CACHE_DIR="$rate_dir" cargo run -q --release -p mmtag-bench --bin scenario -- \
@@ -56,12 +77,12 @@ cmp "$rate_dir/first.csv" "$rate_dir/second.csv"
 MMTAG_CACHE_DIR="$rate_dir" cargo run -q --release -p mmtag-bench --bin scenario -- \
     run e29-rate-region --quick --json > "$rate_dir/hit.json"
 grep -q '"runner.cache.hit": 1' "$rate_dir/hit.json"
-rm -rf "$rate_dir"
 
 # Run-cache round trip: the same scenario twice into a fresh store. The
 # second run must be served from the cache (the manifest metrics say so)
 # and both CSV artifacts must be byte-identical.
-cache_dir="$(mktemp -d)"
+cache_dir="$work/cache"
+mkdir "$cache_dir"
 cache_a="$cache_dir/first.csv"
 cache_b="$cache_dir/second.csv"
 MMTAG_CACHE_DIR="$cache_dir" cargo run -q --release -p mmtag-bench --bin scenario -- \
@@ -74,14 +95,15 @@ cmp "$cache_a" "$cache_b"
 MMTAG_CACHE_DIR="$cache_dir" cargo run -q --release -p mmtag-bench --bin scenario -- \
     run e02-link-budget --quick --json > "$cache_dir/hit.json"
 grep -q '"runner.cache.hit": 1' "$cache_dir/hit.json"
-rm -rf "$cache_dir"
 
 # Serve smoke: start the daemon on a Unix socket with a fresh cache,
-# drive it with a short deterministic loadgen mix, assert the mix was
-# served mostly from cache (ratio >= 0.5 — each repeated seed must hit
-# the memory store or the disk RunCache), then shut the daemon down via
-# the protocol and wait for a clean exit.
-serve_dir="$(mktemp -d)"
+# drive it with a short deterministic loadgen mix (loadgen exits 1 on the
+# first request not answered "ok":true), assert the mix was served mostly
+# from cache (ratio >= 0.5 — each repeated seed must hit the memory store
+# or the disk RunCache), then shut the daemon down via the protocol and
+# wait for a clean exit.
+serve_dir="$work/serve"
+mkdir "$serve_dir"
 MMTAG_CACHE_DIR="$serve_dir/cache" cargo run -q --release -p mmtag-cli -- \
     serve --socket "$serve_dir/mmtag.sock" &
 serve_pid=$!
@@ -113,40 +135,7 @@ head -n 7 "$serve_dir/sweep-cold.txt" > "$serve_dir/stream-cold.txt"
 head -n 7 "$serve_dir/sweep-hot.txt" > "$serve_dir/stream-hot.txt"
 cmp "$serve_dir/stream-cold.txt" "$serve_dir/stream-hot.txt"
 wait "$serve_pid"
-rm -rf "$serve_dir"
-
-# Executors-scaling smoke: only meaningful when the host can actually run
-# two executors in parallel — skip (with an annotation) on 1-core hosts,
-# mirroring the report schema's null-skipped serving_scaling_efficiency.
-available_cores="$(nproc 2>/dev/null || echo 1)"
-if [ "$available_cores" -ge 2 ]; then
-    cargo run -q --release -p mmtag-bench --bin loadgen -- \
-        --executors 2 --requests 24 --trials 2000
-else
-    echo "check.sh: skipping loadgen --executors 2 (cores=$available_cores < 2)"
-fi
-
-# Perf-record gate. The schema gate (--verify) fails on a
-# missing/unparsable report, a par{t} ratio measured on fewer than t
-# cores, a missing ns_per_bit kernel row (ber_kernel_lanes,
-# outage_kernel_lanes, fill_normal_lanes, fft1024, city_ns_per_event),
-# missing city throughput rows (*_tags_per_sec, *_events_per_sec),
-# missing sweep serving rows (sweep_jobs_per_sec, points_per_sec), a
-# serving_scaling_efficiency or sweep_fanout_vs_pointwise row that is
-# numeric on a 1-core host or below its floor (0.55 / 2.0) on a
-# multi-core one, or a drifted rate-region anchor. It runs first on the
-# committed full-fidelity report; then a quick regeneration at a pinned
-# 4-thread budget (exercises the pool, the per-thread speedup rows, the
-# core-aware skip logic and the bit-identity asserts) is gated the same
-# way, and the committed report is restored — check.sh never commits a
-# quick-mode measurement.
-MMTAG_THREADS=4 cargo run -q --release -p mmtag-bench --bin bench_report -- --verify
-report_dir="$(mktemp -d)"
-cp BENCH_report.json "$report_dir/committed.json"
-# Restore on any exit, so a failing quick run cannot leave its report behind.
-trap 'cp "$report_dir/committed.json" BENCH_report.json; rm -rf "$report_dir"' EXIT
-MMTAG_THREADS=4 cargo run -q --release -p mmtag-bench --bin bench_report -- --quick
-MMTAG_THREADS=4 cargo run -q --release -p mmtag-bench --bin bench_report -- --verify
+serve_pid=
 
 # Compile-cost canary for the lane kernels: a from-scratch release build
 # of the rf crate (where the fixed-width pipelines live), timed into its
@@ -159,4 +148,4 @@ rf_t1=$(date +%s)
 echo "rf crate release build (clean): $((rf_t1 - rf_t0))s"
 rm -rf target/rf-build-timing
 
-echo "check.sh: fmt + build + tests + clippy + scenario smoke + rate-region smoke + cache round-trip + serve smoke + bench report all green"
+echo "check.sh: fmt + build + tests + masked-libm tests + clippy + scenario smoke + rate-region smoke + cache round-trip + serve smoke all green"
