@@ -2,7 +2,6 @@
 //! the Gen2-style protocol, localization, and waveform-level SI
 //! cancellation.
 
-use crate::scenarios::FigScenario;
 use mmtag::localization::{locate, position_error};
 use mmtag::prelude::*;
 use mmtag::scenario::{build_reader, build_tag, offset_poses};
@@ -24,6 +23,9 @@ pub(crate) fn e23_spec() -> ScenarioSpec {
     .with_axis("room_m", AxisKind::Values(vec![2.0, 4.0, 8.0, 16.0]))
 }
 
+/// **E23** — ISI analysis: delay spread, coherence bandwidth and echo
+/// strength as the room grows around a 4 ft LOS link. Columns: `room_m`,
+/// `rms_spread_ns`, `coherence_bw_mhz`, `echo_db`, `flat_at_2ghz`.
 pub(crate) fn e23_body(ctx: &RunContext) -> Vec<Table> {
     let reader = build_reader(&ctx.spec.reader);
     let tag = build_tag(&ctx.spec.tag);
@@ -67,13 +69,6 @@ pub(crate) fn e23_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E23** — ISI analysis: delay spread, coherence bandwidth and echo
-/// strength as the room grows around a 4 ft LOS link. Columns: `room_m`,
-/// `rms_spread_ns`, `coherence_bw_mhz`, `echo_db`, `flat_at_2ghz`.
-pub fn fig_delay_spread() -> Table {
-    FigScenario::new(e23_spec(), e23_body).table()
-}
-
 /// **E24** spec: the population sweep under `seed`.
 pub(crate) fn e24_spec(seed: u64) -> ScenarioSpec {
     ScenarioSpec::paper_link(
@@ -84,6 +79,9 @@ pub(crate) fn e24_spec(seed: u64) -> ScenarioSpec {
     .with_seed(seed)
 }
 
+/// **E24** — the Gen2-style protocol: inventory cost vs population, with
+/// the handshake's efficiency. Columns: `tags`, `commands`, `singles`,
+/// `collisions`, `elapsed_ms`, `per_tag_us`.
 pub(crate) fn e24_body(ctx: &RunContext) -> Vec<Table> {
     let mut t = Table::new(
         "E24 — Gen2-style inventory (Query→RN16→ACK→EPC) vs population",
@@ -125,13 +123,6 @@ pub(crate) fn e24_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E24** — the Gen2-style protocol: inventory cost vs population, with
-/// the handshake's efficiency. Columns: `tags`, `commands`, `singles`,
-/// `collisions`, `elapsed_ms`, `per_tag_us`.
-pub fn fig_gen2(seed: u64) -> Table {
-    FigScenario::new(e24_spec(seed), e24_body).table()
-}
-
 /// **E25** spec: zipped truth axes — row `i` pairs `true_range_ft[i]`
 /// with `true_bearing_deg[i]`.
 pub(crate) fn e25_spec() -> ScenarioSpec {
@@ -149,6 +140,10 @@ pub(crate) fn e25_spec() -> ScenarioSpec {
     )
 }
 
+/// **E25** — localization accuracy across the sector: position error of
+/// the scan-based estimator at each true (range, bearing). Columns:
+/// `true_range_ft`, `true_bearing_deg`, `est_range_ft`, `est_bearing_deg`,
+/// `error_ft`.
 pub(crate) fn e25_body(ctx: &RunContext) -> Vec<Table> {
     let reader = build_reader(&ctx.spec.reader);
     let tag = build_tag(&ctx.spec.tag);
@@ -179,14 +174,6 @@ pub(crate) fn e25_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E25** — localization accuracy across the sector: position error of
-/// the scan-based estimator at each true (range, bearing). Columns:
-/// `true_range_ft`, `true_bearing_deg`, `est_range_ft`, `est_bearing_deg`,
-/// `error_ft`.
-pub fn fig_localization() -> Table {
-    FigScenario::new(e25_spec(), e25_body).table()
-}
-
 /// **E26** spec: the leak-strength sweep at `bits` Monte-Carlo bits per
 /// cell under `seed`.
 pub(crate) fn e26_spec(bits: usize, seed: u64) -> ScenarioSpec {
@@ -202,6 +189,9 @@ pub(crate) fn e26_spec(bits: usize, seed: u64) -> ScenarioSpec {
     .with_seed(seed)
 }
 
+/// **E26** — waveform-level SI cancellation: measured BER through the
+/// clipping ADC with and without the analog canceller, vs leak strength.
+/// Columns: `leak_over_signal_db`, `ber_no_cancel`, `ber_cancelled`.
 pub(crate) fn e26_body(ctx: &RunContext) -> Vec<Table> {
     let bits = ctx.spec.trials;
     let modem = OokModem::new(4);
@@ -253,16 +243,10 @@ pub(crate) fn e26_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E26** — waveform-level SI cancellation: measured BER through the
-/// clipping ADC with and without the analog canceller, vs leak strength.
-/// Columns: `leak_over_signal_db`, `ber_no_cancel`, `ber_cancelled`.
-pub fn fig_cancellation(bits: usize, seed: u64) -> Table {
-    FigScenario::new(e26_spec(bits, seed), e26_body).table()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::FigScenario;
 
     #[test]
     fn bigger_rooms_mean_weaker_echoes_and_less_effective_spread() {
@@ -270,7 +254,7 @@ mod tests {
         // the wall bounces *longer*, hence much weaker under d⁻⁴ + fixed
         // reflection loss — so the power-weighted RMS spread SHRINKS with
         // room size. Small rooms are the ISI worst case.
-        let t = fig_delay_spread();
+        let t = FigScenario::new(e23_spec(), e23_body).table();
         let spreads = t.column(1);
         assert!(spreads.windows(2).all(|w| w[1] <= w[0] + 1e-12));
         let echoes = t.column(3);
@@ -291,7 +275,7 @@ mod tests {
 
     #[test]
     fn gen2_scales_and_stays_efficient() {
-        let t = fig_gen2(33);
+        let t = FigScenario::new(e24_spec(33), e24_body).table();
         // Commands grow with population; per-tag time stays bounded
         // (the handshake amortizes).
         let cmds = t.column(1);
@@ -308,7 +292,7 @@ mod tests {
 
     #[test]
     fn localization_errors_stay_sub_two_feet() {
-        let t = fig_localization();
+        let t = FigScenario::new(e25_spec(), e25_body).table();
         for row in 0..t.len() {
             assert!(
                 t.cell(row, 4) < 2.0,
@@ -322,7 +306,7 @@ mod tests {
 
     #[test]
     fn cancellation_rescues_every_leak_level() {
-        let t = fig_cancellation(30_000, 7);
+        let t = FigScenario::new(e26_spec(30_000, 7), e26_body).table();
         for row in 0..t.len() {
             let (no, yes) = (t.cell(row, 1), t.cell(row, 2));
             assert!(

@@ -1,6 +1,5 @@
 //! E3 and E6: antenna-level figures — retrodirectivity and array scaling.
 
-use crate::scenarios::FigScenario;
 use mmtag_antenna::element::PatchElement;
 use mmtag_antenna::{LinearArray, ReflectorWiring, VanAttaArray};
 use mmtag_rf::units::{Angle, Db};
@@ -23,6 +22,15 @@ pub(crate) fn e3_spec() -> ScenarioSpec {
     )
 }
 
+/// **E3** — monostatic (back-toward-reader) gain vs incidence angle for the
+/// three wirings: mmTag's Van Atta, the fixed-beam tag of \[18\], and a plain
+/// specular mirror. Columns: `incidence_deg`, `van_atta_db`, `fixed_beam_db`,
+/// `mirror_db`.
+///
+/// The paper's §5.2 claim to reproduce: the Van Atta tag "reflects the
+/// signal back to the direction of arrival regardless of incidence angle",
+/// while the fixed-beam tag "only works when the tag is exactly in front of
+/// the reader".
 pub(crate) fn e3_body(ctx: &RunContext) -> Vec<Table> {
     let elements = ctx.spec.tag.elements;
     let build = |wiring| {
@@ -52,19 +60,6 @@ pub(crate) fn e3_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E3** — monostatic (back-toward-reader) gain vs incidence angle for the
-/// three wirings: mmTag's Van Atta, the fixed-beam tag of \[18\], and a plain
-/// specular mirror. Columns: `incidence_deg`, `van_atta_db`, `fixed_beam_db`,
-/// `mirror_db`.
-///
-/// The paper's §5.2 claim to reproduce: the Van Atta tag "reflects the
-/// signal back to the direction of arrival regardless of incidence angle",
-/// while the fixed-beam tag "only works when the tag is exactly in front of
-/// the reader".
-pub fn fig_retro() -> Table {
-    FigScenario::new(e3_spec(), e3_body).table()
-}
-
 /// **E6** spec: the element-count sweep (the paper's 6 plus scaling points).
 pub(crate) fn e6_spec() -> ScenarioSpec {
     ScenarioSpec::paper_link(
@@ -77,6 +72,12 @@ pub(crate) fn e6_spec() -> ScenarioSpec {
     )
 }
 
+/// **E6** — beamwidth, retro gain and implied link metrics vs element
+/// count. Columns: `elements`, `beamwidth_deg`, `retro_gain_db`,
+/// `gain_vs_n6_db`.
+///
+/// §7: 6 elements ⇒ ~20° beamwidth; §8: "range and data-rate … can be
+/// further increased by using more antenna elements."
 pub(crate) fn e6_body(ctx: &RunContext) -> Vec<Table> {
     let gain_of = |n: usize| {
         let va = VanAttaArray::new(
@@ -105,23 +106,14 @@ pub(crate) fn e6_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E6** — beamwidth, retro gain and implied link metrics vs element
-/// count. Columns: `elements`, `beamwidth_deg`, `retro_gain_db`,
-/// `gain_vs_n6_db`.
-///
-/// §7: 6 elements ⇒ ~20° beamwidth; §8: "range and data-rate … can be
-/// further increased by using more antenna elements."
-pub fn fig_beamwidth() -> Table {
-    FigScenario::new(e6_spec(), e6_body).table()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::FigScenario;
 
     #[test]
     fn retro_curve_shapes() {
-        let t = fig_retro();
+        let t = FigScenario::new(e3_spec(), e3_body).table();
         let broadside = t.find_row(0, 0.0, 0.6).unwrap();
         let at45 = t.find_row(0, 45.0, 0.6).unwrap();
 
@@ -143,7 +135,7 @@ mod tests {
 
     #[test]
     fn van_atta_is_flat_over_pm60() {
-        let t = fig_retro();
+        let t = FigScenario::new(e3_spec(), e3_body).table();
         // Within ±60°, the Van Atta column never falls more than the
         // element pattern's cos⁴ factor (≈ 12 dB at 60°) below broadside.
         let va0 = t.cell(t.find_row(0, 0.0, 0.6).unwrap(), 1);
@@ -161,7 +153,7 @@ mod tests {
 
     #[test]
     fn beamwidth_table_matches_paper_and_scaling() {
-        let t = fig_beamwidth();
+        let t = FigScenario::new(e6_spec(), e6_body).table();
         let n6 = t.find_row(0, 6.0, 1e-9).unwrap();
         // §7: "20 degree beam width" (array factor ~17°, rounded up).
         let bw6 = t.cell(n6, 1);

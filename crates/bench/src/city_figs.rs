@@ -12,7 +12,6 @@
 //! exact production path (and its bit-identical-anywhere contract)
 //! rather than a scaled-down stand-in.
 
-use crate::scenarios::FigScenario;
 use mmtag_mac::city::{CityConfig, CityEngine};
 use mmtag_sim::experiment::Table;
 use mmtag_sim::par::par_map_with;
@@ -30,6 +29,10 @@ pub(crate) fn e27_spec(seed: u64) -> ScenarioSpec {
     .with_seed(seed)
 }
 
+/// **E27** — inventory throughput vs tag density: reads, slot efficiency
+/// and simulated makespan for 10³/10⁴/10⁵ tags on the 4 × 4 reader grid.
+/// Columns: `tags`, `tags_read`, `read_frac`, `slots`, `events`,
+/// `slot_eff`, `elapsed_ms`.
 pub(crate) fn e27_body(ctx: &RunContext) -> Vec<Table> {
     let mut t = Table::new(
         "E27 — city-scale inventory vs tag density on the sharded event engine",
@@ -64,14 +67,6 @@ pub(crate) fn e27_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E27** — inventory throughput vs tag density: reads, slot efficiency
-/// and simulated makespan for 10³/10⁴/10⁵ tags on the 4 × 4 reader grid.
-/// Columns: `tags`, `tags_read`, `read_frac`, `slots`, `events`,
-/// `slot_eff`, `elapsed_ms`.
-pub fn fig_city_density(seed: u64) -> Table {
-    FigScenario::new(e27_spec(seed), e27_body).table()
-}
-
 /// E28's fixed tag population.
 const E28_TAGS: usize = 20_000;
 
@@ -86,6 +81,10 @@ pub(crate) fn e28_spec(seed: u64) -> ScenarioSpec {
     .with_seed(seed)
 }
 
+/// **E28** — mobility/blockage traces: how tag speed and wall density
+/// reshape the inventory (mobility churns reader assignment; blockage
+/// gates line of sight). Columns: `speed_mps`, `blockers`, `tags_read`,
+/// `read_frac`, `collision_frac`, `empty_frac`.
 pub(crate) fn e28_body(ctx: &RunContext) -> Vec<Table> {
     let mut t = Table::new(
         "E28 — mobility and blockage traces over the city inventory",
@@ -127,17 +126,10 @@ pub(crate) fn e28_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E28** — mobility/blockage traces: how tag speed and wall density
-/// reshape the inventory (mobility churns reader assignment; blockage
-/// gates line of sight). Columns: `speed_mps`, `blockers`, `tags_read`,
-/// `read_frac`, `collision_frac`, `empty_frac`.
-pub fn fig_city_mobility(seed: u64) -> Table {
-    FigScenario::new(e28_spec(seed), e28_body).table()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::FigScenario;
     use mmtag_sim::scenario::Runner;
 
     fn quick(spec: ScenarioSpec, body: crate::scenarios::FigBody) -> Table {

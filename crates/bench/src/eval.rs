@@ -2,11 +2,9 @@
 //!
 //! Each experiment is a `(spec, body)` pair: the spec declares the sweep
 //! axes and hardware configs, the body interprets them through
-//! `mmtag::scenario`'s builders. The public `fig*` functions are thin
-//! wrappers that run the pair through the [`Runner`] pipeline
-//! (`crate::scenarios` registers the same pairs in the registry).
+//! `mmtag::scenario`'s builders, and `crate::scenarios` registers the
+//! pair, so the [`Runner`] pipeline runs it by name.
 
-use crate::scenarios::FigScenario;
 use mmtag::prelude::*;
 use mmtag::scenario::{face_to_face, LinkSetup};
 use mmtag_antenna::sparams::{ElementPort, SwitchState};
@@ -33,6 +31,12 @@ pub(crate) fn e1_spec(points: usize) -> ScenarioSpec {
     )
 }
 
+/// **E1 / Fig. 6** — S11 of one tag element over 23.5–24.5 GHz in both
+/// switch states. Columns: `freq_ghz`, `s11_off_db`, `s11_on_db`.
+///
+/// Paper's observations to reproduce: "When the switch is off, S11 is
+/// −15 dB at the 24 GHz carrier frequency… when the switch turns on…
+/// S11 is as high as −5 dB."
 pub(crate) fn e1_body(ctx: &RunContext) -> Vec<Table> {
     let elem = ElementPort::mmtag_default();
     let mut t = Table::new(
@@ -48,16 +52,6 @@ pub(crate) fn e1_body(ctx: &RunContext) -> Vec<Table> {
         ]);
     }
     vec![t]
-}
-
-/// **E1 / Fig. 6** — S11 of one tag element over 23.5–24.5 GHz in both
-/// switch states. Columns: `freq_ghz`, `s11_off_db`, `s11_on_db`.
-///
-/// Paper's observations to reproduce: "When the switch is off, S11 is
-/// −15 dB at the 24 GHz carrier frequency… when the switch turns on…
-/// S11 is as high as −5 dB."
-pub fn fig6_s11(points: usize) -> Table {
-    FigScenario::new(e1_spec(points), e1_body).table()
 }
 
 /// **E2 / Fig. 7** spec: the 2–12 ft range sweep over the paper's default
@@ -77,6 +71,12 @@ pub(crate) fn e2_spec() -> ScenarioSpec {
     )
 }
 
+/// **E2 / Fig. 7** — tag signal power at the reader vs range, the three
+/// noise floors, and the achievable rate. Columns: `range_ft`,
+/// `tag_signal_dbm`, `floor_2ghz_dbm`, `floor_200mhz_dbm`,
+/// `floor_20mhz_dbm`, `rate_mbps`.
+///
+/// Anchors: 1 Gbps at 4 ft, 10 Mbps at 10 ft; floors ≈ −76/−86/−96 dBm.
 pub(crate) fn e2_body(ctx: &RunContext) -> Vec<Table> {
     let setup = LinkSetup::from_spec(ctx.spec);
 
@@ -111,23 +111,14 @@ pub(crate) fn e2_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E2 / Fig. 7** — tag signal power at the reader vs range, the three
-/// noise floors, and the achievable rate. Columns: `range_ft`,
-/// `tag_signal_dbm`, `floor_2ghz_dbm`, `floor_200mhz_dbm`,
-/// `floor_20mhz_dbm`, `rate_mbps`.
-///
-/// Anchors: 1 Gbps at 4 ft, 10 Mbps at 10 ft; floors ≈ −76/−86/−96 dBm.
-pub fn fig7_link_budget() -> Table {
-    FigScenario::new(e2_spec(), e2_body).table()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::FigScenario;
 
     #[test]
     fn fig6_reproduces_paper_anchors() {
-        let t = fig6_s11(201);
+        let t = FigScenario::new(e1_spec(201), e1_body).table();
         assert_eq!(t.len(), 201);
         let center = t.find_row(0, 24.0, 1e-9).expect("24 GHz sampled");
         let off = t.cell(center, 1);
@@ -150,7 +141,7 @@ mod tests {
 
     #[test]
     fn fig7_reproduces_paper_anchors() {
-        let t = fig7_link_budget();
+        let t = FigScenario::new(e2_spec(), e2_body).table();
         let at = |feet: f64| {
             let row = t.find_row(0, feet, 1e-6).expect("range sampled");
             (t.cell(row, 1), t.cell(row, 5))

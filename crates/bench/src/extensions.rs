@@ -2,7 +2,6 @@
 //! of the design choices DESIGN.md calls out, and the future-work items
 //! implemented as measurable systems.
 
-use crate::scenarios::FigScenario;
 use mmtag::prelude::*;
 use mmtag::scenario::build_tag;
 use mmtag::storage::{average_throughput_bps, bits_per_burst, steady_state_cycle, StorageCap};
@@ -37,6 +36,9 @@ pub(crate) fn e13_spec(seed: u64) -> ScenarioSpec {
     .with_seed(seed)
 }
 
+/// **E13** — OOK spectrum occupancy: the measurement behind the paper's
+/// `symbol rate = B/2` rule. Columns: `half_band_symbol_rates`,
+/// `power_fraction`.
 pub(crate) fn e13_body(ctx: &RunContext) -> Vec<Table> {
     let modem = OokModem::new(8);
     let mut rng = Xoshiro256pp::seed_from(ctx.spec.seed);
@@ -49,13 +51,6 @@ pub(crate) fn e13_body(ctx: &RunContext) -> Vec<Table> {
         t.push_row(&[hb, spec.power_within(hb)]);
     }
     vec![t]
-}
-
-/// **E13** — OOK spectrum occupancy: the measurement behind the paper's
-/// `symbol rate = B/2` rule. Columns: `half_band_symbol_rates`,
-/// `power_fraction`.
-pub fn fig_spectrum(seed: u64) -> Table {
-    FigScenario::new(e13_spec(seed), e13_body).table()
 }
 
 /// **E14** spec: the two impairment sweeps (phase RMS, failed elements).
@@ -74,6 +69,9 @@ pub(crate) fn e14_spec() -> ScenarioSpec {
     )
 }
 
+/// **E14** — fabrication ablation: retro gain vs per-pair line phase error
+/// (RMS radians) and vs failed elements, for the 6-element tag. Columns:
+/// `impairment` (label), `value`, `retro_gain_db`, `loss_vs_ideal_db`.
 pub(crate) fn e14_body(ctx: &RunContext) -> Vec<Table> {
     let elements = ctx.spec.tag.elements;
     let ideal_tag = || {
@@ -133,13 +131,6 @@ pub(crate) fn e14_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E14** — fabrication ablation: retro gain vs per-pair line phase error
-/// (RMS radians) and vs failed elements, for the 6-element tag. Columns:
-/// `impairment` (label), `value`, `retro_gain_db`, `loss_vs_ideal_db`.
-pub fn fig_ablation() -> Table {
-    FigScenario::new(e14_spec(), e14_body).table()
-}
-
 /// **E15** spec: the K-factor sweep at `trials` Monte-Carlo draws per cell.
 pub(crate) fn e15_spec(trials: usize, seed: u64) -> ScenarioSpec {
     ScenarioSpec::paper_link(
@@ -151,6 +142,9 @@ pub(crate) fn e15_spec(trials: usize, seed: u64) -> ScenarioSpec {
     .with_seed(seed)
 }
 
+/// **E15** — fading margin: outage probability at each Fig. 7 rate rung
+/// under Rician fading, vs K-factor. Columns: `k_db`,
+/// `outage_3db_margin`, `outage_7db_margin`.
 pub(crate) fn e15_body(ctx: &RunContext) -> Vec<Table> {
     // All (K, margin) cells go into ONE flattened (cell × chunk) work
     // grid, so the whole sweep saturates the worker budget instead of
@@ -182,13 +176,6 @@ pub(crate) fn e15_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E15** — fading margin: outage probability at each Fig. 7 rate rung
-/// under Rician fading, vs K-factor. Columns: `k_db`,
-/// `outage_3db_margin`, `outage_7db_margin`.
-pub fn fig_fading(trials: usize, seed: u64) -> Table {
-    FigScenario::new(e15_spec(trials, seed), e15_body).table()
-}
-
 /// **E16** spec: the 3–11 dB `Eb/N0` sweep at `bits` per point.
 pub(crate) fn e16_spec(bits: usize, seed: u64) -> ScenarioSpec {
     ScenarioSpec::paper_link(
@@ -207,6 +194,9 @@ pub(crate) fn e16_spec(bits: usize, seed: u64) -> ScenarioSpec {
     .with_seed(seed)
 }
 
+/// **E16** — BPSK backscatter vs OOK: measured BER at equal Eb/N0 and the
+/// range each scheme's threshold buys. Columns: `eb_n0_db`, `ook_ber`,
+/// `bpsk_ber`.
 pub(crate) fn e16_body(ctx: &RunContext) -> Vec<Table> {
     let bits = ctx.spec.trials;
     let ook = OokModem::new(4);
@@ -251,13 +241,6 @@ pub(crate) fn e16_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E16** — BPSK backscatter vs OOK: measured BER at equal Eb/N0 and the
-/// range each scheme's threshold buys. Columns: `eb_n0_db`, `ook_ber`,
-/// `bpsk_ber`.
-pub fn fig_bpsk(bits: usize, seed: u64) -> Table {
-    FigScenario::new(e16_spec(bits, seed), e16_body).table()
-}
-
 /// **E17** spec: zipped az/el offset axes (row `i` pairs
 /// `theta_deg[i]` with `phi_deg[i]`).
 pub(crate) fn e17_spec() -> ScenarioSpec {
@@ -275,6 +258,17 @@ pub(crate) fn e17_spec() -> ScenarioSpec {
     )
 }
 
+/// **E17** — planar (6 × 4) vs linear (6 × 1) tag: monostatic gain at
+/// combined azimuth/elevation offsets. Columns: `theta_deg`, `phi_deg`,
+/// `planar_db`, `linear_db`.
+///
+/// Physics note: a single-row Van Atta is *already* phase-coherent for
+/// pure-elevation offsets (all elements see the same phase — the
+/// re-radiation is a fan beam), so the row keeps its gain at every angle
+/// too. What the second dimension buys is aperture: `Ny²` more round-trip
+/// gain (+12 dB for Ny = 4) at *every* angle, with retrodirectivity
+/// preserved — that is the upgrade path §8 alludes to ("more antenna
+/// elements"), realized in 2-D.
 pub(crate) fn e17_body(ctx: &RunContext) -> Vec<Table> {
     let planar = PlanarVanAtta::new(6, 4, 0.5, 0.5, PatchElement::mmtag_default());
     let linear = PlanarVanAtta::new(6, 1, 0.5, 0.5, PatchElement::mmtag_default());
@@ -296,21 +290,6 @@ pub(crate) fn e17_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E17** — planar (6 × 4) vs linear (6 × 1) tag: monostatic gain at
-/// combined azimuth/elevation offsets. Columns: `theta_deg`, `phi_deg`,
-/// `planar_db`, `linear_db`.
-///
-/// Physics note: a single-row Van Atta is *already* phase-coherent for
-/// pure-elevation offsets (all elements see the same phase — the
-/// re-radiation is a fan beam), so the row keeps its gain at every angle
-/// too. What the second dimension buys is aperture: `Ny²` more round-trip
-/// gain (+12 dB for Ny = 4) at *every* angle, with retrodirectivity
-/// preserved — that is the upgrade path §8 alludes to ("more antenna
-/// elements"), realized in 2-D.
-pub fn fig_planar() -> Table {
-    FigScenario::new(e17_spec(), e17_body).table()
-}
-
 /// **E18** spec: the capacitor-size sweep.
 pub(crate) fn e18_spec() -> ScenarioSpec {
     ScenarioSpec::paper_link(
@@ -323,6 +302,9 @@ pub(crate) fn e18_spec() -> ScenarioSpec {
     )
 }
 
+/// **E18** — burst operation: bits per burst and average throughput vs
+/// capacitor size under a 10 cm² solar harvester at 1 Gbps. Columns:
+/// `cap_uf`, `burst_ms`, `bits_per_burst_mbit`, `avg_throughput_mbps`.
 pub(crate) fn e18_body(ctx: &RunContext) -> Vec<Table> {
     let tag = build_tag(&ctx.spec.tag);
     let budget = EnergyBudget::for_tag(&tag, DataRate::from_gbps(1.0));
@@ -349,13 +331,6 @@ pub(crate) fn e18_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E18** — burst operation: bits per burst and average throughput vs
-/// capacitor size under a 10 cm² solar harvester at 1 Gbps. Columns:
-/// `cap_uf`, `burst_ms`, `bits_per_burst_mbit`, `avg_throughput_mbps`.
-pub fn fig_storage() -> Table {
-    FigScenario::new(e18_spec(), e18_body).table()
-}
-
 /// **E19** spec: the beamwidth sweep.
 pub(crate) fn e19_spec() -> ScenarioSpec {
     ScenarioSpec::paper_link(
@@ -368,6 +343,9 @@ pub(crate) fn e19_spec() -> ScenarioSpec {
     )
 }
 
+/// **E19** — acquisition latency: one-sided (mmTag) vs two-sided
+/// (conventional pair) beam search, vs beamwidth. Columns: `beamwidth_deg`,
+/// `positions`, `one_sided_ms`, `two_sided_ms`, `speedup`.
 pub(crate) fn e19_body(ctx: &RunContext) -> Vec<Table> {
     let mut t = Table::new(
         "E19 — worst-case beam acquisition: retrodirective vs two-sided",
@@ -399,13 +377,6 @@ pub(crate) fn e19_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E19** — acquisition latency: one-sided (mmTag) vs two-sided
-/// (conventional pair) beam search, vs beamwidth. Columns: `beamwidth_deg`,
-/// `positions`, `one_sided_ms`, `two_sided_ms`, `speedup`.
-pub fn fig_acquisition() -> Table {
-    FigScenario::new(e19_spec(), e19_body).table()
-}
-
 /// **E20** spec: the roll-off sweep (the hard-switching "rect" row is part
 /// of the body) under `seed`.
 pub(crate) fn e20_spec(seed: u64) -> ScenarioSpec {
@@ -417,6 +388,12 @@ pub(crate) fn e20_spec(seed: u64) -> ScenarioSpec {
     .with_seed(seed)
 }
 
+/// **E20** — pulse shaping: spectrum confinement of raised-cosine OOK vs
+/// hard switching, and the rate the same channel then admits. Columns:
+/// `beta`, `power_in_channel`, `rate_in_2ghz_gbps`.
+///
+/// The channel is the paper's 2 GHz band; hard switching needs the `B/2`
+/// rule (1 Gbps), shaped OOK runs at `B/(1+β)`.
 pub(crate) fn e20_body(ctx: &RunContext) -> Vec<Table> {
     let sps = 8;
     let mut rng = Xoshiro256pp::seed_from(ctx.spec.seed);
@@ -448,16 +425,6 @@ pub(crate) fn e20_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E20** — pulse shaping: spectrum confinement of raised-cosine OOK vs
-/// hard switching, and the rate the same channel then admits. Columns:
-/// `beta`, `power_in_channel`, `rate_in_2ghz_gbps`.
-///
-/// The channel is the paper's 2 GHz band; hard switching needs the `B/2`
-/// rule (1 Gbps), shaped OOK runs at `B/(1+β)`.
-pub fn fig_pulse(seed: u64) -> Table {
-    FigScenario::new(e20_spec(seed), e20_body).table()
-}
-
 /// **E21** spec: the population sweep at `trials` rounds per point.
 pub(crate) fn e21_spec(trials: usize, seed: u64) -> ScenarioSpec {
     ScenarioSpec::paper_link(
@@ -469,6 +436,9 @@ pub(crate) fn e21_spec(trials: usize, seed: u64) -> ScenarioSpec {
     .with_seed(seed)
 }
 
+/// **E21** — the capture effect: single-round read fraction with and
+/// without capture, vs population, for the backscatter d⁻⁴ power spread.
+/// Columns: `tags`, `with_capture`, `without_capture`, `gain_pct`.
 pub(crate) fn e21_body(ctx: &RunContext) -> Vec<Table> {
     let mut rng = Xoshiro256pp::seed_from(ctx.spec.seed);
     let mut t = Table::new(
@@ -483,13 +453,6 @@ pub(crate) fn e21_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E21** — the capture effect: single-round read fraction with and
-/// without capture, vs population, for the backscatter d⁻⁴ power spread.
-/// Columns: `tags`, `with_capture`, `without_capture`, `gain_pct`.
-pub fn fig_capture(trials: usize, seed: u64) -> Table {
-    FigScenario::new(e21_spec(trials, seed), e21_body).table()
-}
-
 /// **E22** spec: the simultaneous-beam sweep under `seed`.
 pub(crate) fn e22_spec(seed: u64) -> ScenarioSpec {
     ScenarioSpec::paper_link(
@@ -500,6 +463,9 @@ pub(crate) fn e22_spec(seed: u64) -> ScenarioSpec {
     .with_seed(seed)
 }
 
+/// **E22** — §9's MIMO beams: inventory makespan vs number of simultaneous
+/// beams for a 240-tag sector population. Columns: `beams`, `makespan_slots`,
+/// `speedup`.
 pub(crate) fn e22_body(ctx: &RunContext) -> Vec<Table> {
     let scan = ScanSchedule::new(
         Angle::from_degrees(120.0),
@@ -524,20 +490,14 @@ pub(crate) fn e22_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E22** — §9's MIMO beams: inventory makespan vs number of simultaneous
-/// beams for a 240-tag sector population. Columns: `beams`, `makespan_slots`,
-/// `speedup`.
-pub fn fig_mimo(seed: u64) -> Table {
-    FigScenario::new(e22_spec(seed), e22_body).table()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::FigScenario;
 
     #[test]
     fn spectrum_occupancy_monotone_and_b2_rule_holds() {
-        let t = fig_spectrum(7);
+        let t = FigScenario::new(e13_spec(7), e13_body).table();
         let fracs = t.column(1);
         assert!(fracs.windows(2).all(|w| w[1] >= w[0]));
         // ±1 symbol rate (the B/2 rule) captures ≥ 85%.
@@ -547,7 +507,7 @@ mod tests {
 
     #[test]
     fn ablation_degrades_gracefully() {
-        let t = fig_ablation();
+        let t = FigScenario::new(e14_spec(), e14_body).table();
         // Phase-error rows: loss grows with RMS; 0.2 rad RMS costs < 1 dB
         // (fabrication tolerance is benign), 1.5 rad costs > 3 dB.
         let phase_rows: Vec<usize> = (0..t.len())
@@ -569,7 +529,7 @@ mod tests {
 
     #[test]
     fn fading_outage_falls_with_k_and_margin() {
-        let t = fig_fading(40_000, 3);
+        let t = FigScenario::new(e15_spec(40_000, 3), e15_body).table();
         let o3 = t.column(1);
         let o7 = t.column(2);
         // More margin ⇒ less outage, at every K.
@@ -585,7 +545,7 @@ mod tests {
 
     #[test]
     fn bpsk_always_beats_ook() {
-        let t = fig_bpsk(100_000, 5);
+        let t = FigScenario::new(e16_spec(100_000, 5), e16_body).table();
         for row in 0..t.len() {
             let (ook, bpsk) = (t.cell(row, 1), t.cell(row, 2));
             if ook > 1e-4 {
@@ -596,7 +556,7 @@ mod tests {
 
     #[test]
     fn planar_adds_ny_squared_gain_everywhere_and_keeps_retro() {
-        let t = fig_planar();
+        let t = FigScenario::new(e17_spec(), e17_body).table();
         // The Ny = 4 column buys 10·log10(4²) ≈ 12 dB of round-trip gain
         // at EVERY offset — azimuth, elevation, or skew — while both
         // arrays stay retrodirective (the row is a fan beam in elevation).
@@ -619,7 +579,7 @@ mod tests {
 
     #[test]
     fn storage_scales_bursts_not_throughput() {
-        let t = fig_storage();
+        let t = FigScenario::new(e18_spec(), e18_body).table();
         let bursts = t.column(1);
         assert!(bursts.windows(2).all(|w| w[1] > w[0]));
         let tput = t.column(3);
@@ -640,7 +600,7 @@ mod tests {
     /// moves these values must re-pin them here.
     #[test]
     fn pulse_spectrum_golden_pin() {
-        let t = fig_pulse(3);
+        let t = FigScenario::new(e20_spec(3), e20_body).table();
         let golden = [
             0.907_819_395_549_296_4,
             0.999_810_917_139_428_8,
@@ -660,7 +620,7 @@ mod tests {
 
     #[test]
     fn pulse_shaping_buys_rate() {
-        let t = fig_pulse(3);
+        let t = FigScenario::new(e20_spec(3), e20_body).table();
         // Every shaped row confines ≥ 99% into its channel…
         for row in 1..t.len() {
             assert!(
@@ -687,7 +647,7 @@ mod tests {
 
     #[test]
     fn capture_gain_is_positive_and_grows_with_contention() {
-        let t = fig_capture(300, 4);
+        let t = FigScenario::new(e21_spec(300, 4), e21_body).table();
         for row in 0..t.len() {
             assert!(t.cell(row, 1) > t.cell(row, 2), "capture must help");
             assert!(t.cell(row, 3) > 0.0);
@@ -696,7 +656,7 @@ mod tests {
 
     #[test]
     fn mimo_speedup_scales_then_saturates() {
-        let t = fig_mimo(7);
+        let t = FigScenario::new(e22_spec(7), e22_body).table();
         let speedups = t.column(2);
         assert!((speedups[0] - 1.0).abs() < 1e-9);
         assert!(speedups.windows(2).all(|w| w[1] >= w[0] - 1e-9));
@@ -711,7 +671,7 @@ mod tests {
 
     #[test]
     fn acquisition_speedup_equals_positions() {
-        let t = fig_acquisition();
+        let t = FigScenario::new(e19_spec(), e19_body).table();
         for row in 0..t.len() {
             let n = t.cell(row, 1);
             let speedup = t.cell(row, 4);

@@ -1,6 +1,5 @@
 //! E7, E8, E12: network-level experiments — MAC, mobility, NLOS.
 
-use crate::scenarios::FigScenario;
 use mmtag::prelude::*;
 use mmtag::scenario::{build_reader, build_scene, build_tag, offset_poses};
 use mmtag_mac::aloha::{inventory_until_drained, slotted_aloha_throughput, QAlgorithm};
@@ -22,6 +21,10 @@ pub(crate) fn e7_spec(seed: u64) -> ScenarioSpec {
     .with_seed(seed)
 }
 
+/// **E7** — multi-tag inventory: adaptive framed-Aloha slot efficiency and
+/// the SDM comparison, vs population size. Columns: `tags`,
+/// `single_domain_slots`, `single_eff`, `sdm_slots`, `sdm_eff`,
+/// `aloha_bound` (1/e).
 pub(crate) fn e7_body(ctx: &RunContext) -> Vec<Table> {
     let scan = ScanSchedule::new(
         Angle::from_degrees(120.0),
@@ -60,14 +63,6 @@ pub(crate) fn e7_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E7** — multi-tag inventory: adaptive framed-Aloha slot efficiency and
-/// the SDM comparison, vs population size. Columns: `tags`,
-/// `single_domain_slots`, `single_eff`, `sdm_slots`, `sdm_eff`,
-/// `aloha_bound` (1/e).
-pub fn fig_aloha(seed: u64) -> Table {
-    FigScenario::new(e7_spec(seed), e7_body).table()
-}
-
 /// **E8** spec: the 0–60° rotation sweep at 4 ft (13 samples, 5° apart).
 pub(crate) fn e8_spec() -> ScenarioSpec {
     ScenarioSpec::paper_link(
@@ -84,6 +79,9 @@ pub(crate) fn e8_spec() -> ScenarioSpec {
     )
 }
 
+/// **E8** — mobility: link uptime and mean rate over a 60° rotation sweep
+/// for the Van Atta tag vs the fixed-beam baseline, at 4 ft. Columns:
+/// `rotation_deg`, `van_atta_mbps`, `fixed_beam_mbps`.
 pub(crate) fn e8_body(ctx: &RunContext) -> Vec<Table> {
     let reader = build_reader(&ctx.spec.reader);
     let scene = build_scene(&ctx.spec.scene);
@@ -102,13 +100,6 @@ pub(crate) fn e8_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E8** — mobility: link uptime and mean rate over a 60° rotation sweep
-/// for the Van Atta tag vs the fixed-beam baseline, at 4 ft. Columns:
-/// `rotation_deg`, `van_atta_mbps`, `fixed_beam_mbps`.
-pub fn fig_mobility() -> Table {
-    FigScenario::new(e8_spec(), e8_body).table()
-}
-
 /// **E12** spec: the 5 × 2 m corridor with the paper's blocker, swept over
 /// blocker presence.
 pub(crate) fn e12_spec() -> ScenarioSpec {
@@ -120,6 +111,9 @@ pub(crate) fn e12_spec() -> ScenarioSpec {
     .with_axis("blocker_present", AxisKind::Values(vec![0.0, 1.0]))
 }
 
+/// **E12** — NLOS operation (§4): a corridor with a blocker stepping into
+/// the LOS path. Columns: `blocker_present` (0/1), `via_los` (0/1),
+/// `power_dbm`, `rate_mbps`.
 pub(crate) fn e12_body(ctx: &RunContext) -> Vec<Table> {
     let reader = build_reader(&ctx.spec.reader);
     let tag = build_tag(&ctx.spec.tag);
@@ -147,20 +141,14 @@ pub(crate) fn e12_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E12** — NLOS operation (§4): a corridor with a blocker stepping into
-/// the LOS path. Columns: `blocker_present` (0/1), `via_los` (0/1),
-/// `power_dbm`, `rate_mbps`.
-pub fn fig_nlos() -> Table {
-    FigScenario::new(e12_spec(), e12_body).table()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::FigScenario;
 
     #[test]
     fn aloha_efficiency_approaches_bound() {
-        let t = fig_aloha(11);
+        let t = FigScenario::new(e7_spec(11), e7_body).table();
         for row in 0..t.len() {
             let n = t.cell(row, 0);
             let eff = t.cell(row, 2);
@@ -183,7 +171,7 @@ mod tests {
 
     #[test]
     fn mobility_van_atta_dominates() {
-        let t = fig_mobility();
+        let t = FigScenario::new(e8_spec(), e8_body).table();
         // Van Atta ≥ 100 Mbps out to 60°; fixed beam below Van Atta from
         // 20° on (sidelobes may blip, but never reach the retro rate).
         for row in 0..t.len() {
@@ -202,7 +190,7 @@ mod tests {
 
     #[test]
     fn nlos_fallback_keeps_link_alive() {
-        let t = fig_nlos();
+        let t = FigScenario::new(e12_spec(), e12_body).table();
         assert_eq!(t.cell(0, 1), 1.0, "clear case is LOS");
         assert!(t.cell(0, 3) >= 1000.0, "clear case at 1 Gbps");
         assert_eq!(t.cell(1, 1), 0.0, "blocked case is NLOS");

@@ -1,6 +1,5 @@
 //! E5: BER vs SNR — validating the paper's "7 dB for BER 10⁻³" table entry.
 
-use crate::scenarios::FigScenario;
 use mmtag_phy::ber::{bpsk_ber, ook_coherent_ber, ook_noncoherent_ber, required_eb_n0_db};
 use mmtag_phy::waveform::{ber_sweep_par_with, OokModem};
 use mmtag_sim::experiment::Table;
@@ -25,6 +24,16 @@ pub(crate) fn e5_spec(bits_per_point: usize, seed: u64) -> ScenarioSpec {
     .with_seed(seed)
 }
 
+/// **E5** — BER vs `Eb/N0`: closed-form curves for antipodal "ASK"/BPSK
+/// (the paper's 7 dB reference), coherent OOK and non-coherent OOK, plus
+/// the Monte-Carlo measurement of the actual sampled OOK modem. Columns:
+/// `eb_n0_db`, `bpsk_theory`, `ook_coh_theory`, `ook_noncoh_theory`,
+/// `ook_measured`.
+///
+/// The measured column runs over [`ber_sweep_par_with`] at the runner's
+/// thread budget: every (SNR point, bit-chunk) pair is an independent work
+/// unit of the parallel engine, so the figure is bit-identical at any
+/// thread count.
 pub(crate) fn e5_body(ctx: &RunContext) -> Vec<Table> {
     let modem = OokModem::new(4);
     let snrs = ctx.spec.values("eb_n0_db");
@@ -50,20 +59,6 @@ pub(crate) fn e5_body(ctx: &RunContext) -> Vec<Table> {
         ]);
     }
     vec![t, table_required_snr()]
-}
-
-/// **E5** — BER vs `Eb/N0`: closed-form curves for antipodal "ASK"/BPSK
-/// (the paper's 7 dB reference), coherent OOK and non-coherent OOK, plus
-/// the Monte-Carlo measurement of the actual sampled OOK modem. Columns:
-/// `eb_n0_db`, `bpsk_theory`, `ook_coh_theory`, `ook_noncoh_theory`,
-/// `ook_measured`.
-///
-/// The measured column runs over [`ber_sweep_par_with`] at the runner's
-/// thread budget: every (SNR point, bit-chunk) pair is an independent work
-/// unit of the parallel engine, so the figure is bit-identical at any
-/// thread count.
-pub fn fig_ber(bits_per_point: usize, seed: u64) -> Table {
-    FigScenario::new(e5_spec(bits_per_point, seed), e5_body).table()
 }
 
 /// The required `Eb/N0` for BER 10⁻³ per scheme — the "rate table" row the
@@ -92,10 +87,11 @@ pub fn table_required_snr() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::FigScenario;
 
     #[test]
     fn measured_tracks_theory() {
-        let t = fig_ber(100_000, 2024);
+        let t = FigScenario::new(e5_spec(100_000, 2024), e5_body).table();
         for row in 0..t.len() {
             let theory = t.cell(row, 2);
             let measured = t.cell(row, 4);
@@ -126,7 +122,7 @@ mod tests {
 
     #[test]
     fn curves_are_monotone() {
-        let t = fig_ber(20_000, 7);
+        let t = FigScenario::new(e5_spec(20_000, 7), e5_body).table();
         for col in 1..=3 {
             let c = t.column(col);
             assert!(c.windows(2).all(|w| w[1] < w[0]), "column {col}");

@@ -14,7 +14,6 @@
 //! weights that select the same depth read the same rates; E30 and E31
 //! run one weight per call.
 
-use crate::scenarios::FigScenario;
 use mmtag_channel::cascade::{HopModel, MultiTagCascade};
 use mmtag_phy::constellation::TagConstellation;
 use mmtag_sim::experiment::Table;
@@ -68,6 +67,10 @@ pub(crate) fn e29_spec(seed: u64) -> ScenarioSpec {
     .with_seed(seed)
 }
 
+/// **E29** — the rate-region boundary: selected modulation depth, primary
+/// rate (bit/s/Hz) and backscatter sum rate (bit per primary symbol) at
+/// each weight. Columns: `weight`, `depth`, `primary_rate`,
+/// `backscatter_rate`, `weighted_sum`.
 pub(crate) fn e29_body(ctx: &RunContext) -> Vec<Table> {
     let cfg = RateRegionConfig {
         cascade: ring_scene(2),
@@ -100,14 +103,6 @@ pub(crate) fn e29_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E29** — the rate-region boundary: selected modulation depth, primary
-/// rate (bit/s/Hz) and backscatter sum rate (bit per primary symbol) at
-/// each weight. Columns: `weight`, `depth`, `primary_rate`,
-/// `backscatter_rate`, `weighted_sum`.
-pub fn fig_rate_region(seed: u64) -> Table {
-    FigScenario::new(e29_spec(seed), e29_body).table()
-}
-
 /// **E30** spec: backscatter-weighted (w = 0.1) sum rate vs number of
 /// tags, binary reflection states.
 pub(crate) fn e30_spec(seed: u64) -> ScenarioSpec {
@@ -120,6 +115,11 @@ pub(crate) fn e30_spec(seed: u64) -> ScenarioSpec {
     .with_seed(seed)
 }
 
+/// **E30** — how the information-mode (w = 0.1) operating point moves as
+/// tags are added to the ring: more tags mean more joint-alphabet
+/// backscatter sum rate (and more cascade power in the equivalent
+/// channel). Columns: `tags`, `depth`,
+/// `primary_rate`, `backscatter_rate`, `weighted_sum`.
 pub(crate) fn e30_body(ctx: &RunContext) -> Vec<Table> {
     // One shared subtree across the axis: cascade streams are keyed by tag
     // index, so tag i's fades are bit-identical at every population size
@@ -160,15 +160,6 @@ pub(crate) fn e30_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E30** — how the information-mode (w = 0.1) operating point moves as
-/// tags are added to the ring: more tags mean more joint-alphabet
-/// backscatter sum rate (and more cascade power in the equivalent
-/// channel). Columns: `tags`, `depth`,
-/// `primary_rate`, `backscatter_rate`, `weighted_sum`.
-pub fn fig_rate_vs_tags(seed: u64) -> Table {
-    FigScenario::new(e30_spec(seed), e30_body).table()
-}
-
 /// **E31** spec: backscatter-weighted (w = 0.1) sum rate vs constellation
 /// order, two tags.
 pub(crate) fn e31_spec(seed: u64) -> ScenarioSpec {
@@ -181,6 +172,10 @@ pub(crate) fn e31_spec(seed: u64) -> ScenarioSpec {
     .with_seed(seed)
 }
 
+/// **E31** — what a richer reflection alphabet buys at the
+/// information-mode (w = 0.1) operating point: PSK order 2 → 8 on both
+/// tags. Columns: `states`,
+/// `depth`, `primary_rate`, `backscatter_rate`, `weighted_sum`.
 pub(crate) fn e31_body(ctx: &RunContext) -> Vec<Table> {
     let tree = ctx.tree.subtree("rate-region");
     let mut t = Table::new(
@@ -218,17 +213,10 @@ pub(crate) fn e31_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E31** — what a richer reflection alphabet buys at the
-/// information-mode (w = 0.1) operating point: PSK order 2 → 8 on both
-/// tags. Columns: `states`,
-/// `depth`, `primary_rate`, `backscatter_rate`, `weighted_sum`.
-pub fn fig_rate_vs_states(seed: u64) -> Table {
-    FigScenario::new(e31_spec(seed), e31_body).table()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::FigScenario;
     use mmtag_sim::scenario::Runner;
 
     fn quick(spec: ScenarioSpec, body: fn(&RunContext) -> Vec<Table>) -> Vec<Table> {

@@ -35,8 +35,8 @@ impl FigScenario {
         Runner::new().run(self)
     }
 
-    /// Runs the scenario and returns its first table — the shape the
-    /// public `fig_*` functions preserve.
+    /// Runs the scenario and returns its first table, the shape the
+    /// figure tests assert on.
     pub fn table(&self) -> Table {
         self.record().into_table()
     }
@@ -171,7 +171,7 @@ mod tests {
             .run("e02-link-budget", &Runner::new())
             .unwrap()
             .into_table();
-        let via_wrapper = crate::eval::fig7_link_budget();
+        let via_wrapper = FigScenario::new(crate::eval::e2_spec(), crate::eval::e2_body).table();
         assert_eq!(via_registry.render(), via_wrapper.render());
     }
 }

@@ -1,7 +1,6 @@
 //! E4, E9, E10, E11: system-level tables — comparison, self-interference,
 //! power and the 60 GHz retune.
 
-use crate::scenarios::FigScenario;
 use mmtag::baseline::comparison_rows;
 use mmtag::energy::{
     advantage_over_active_radio, advantage_over_phased_array, EnergyBudget, Harvester,
@@ -21,6 +20,10 @@ pub(crate) fn e4_spec() -> ScenarioSpec {
     )
 }
 
+/// **E4** — the §1/§3 comparison: every published backscatter system's
+/// rate at 4 ft and 10 ft, with mmTag's numbers computed live from the
+/// link model. Columns: `rate_4ft_mbps`, `rate_10ft_mbps`, `mobility`
+/// (1 = supports arbitrary orientation).
 pub(crate) fn e4_body(ctx: &RunContext) -> Vec<Table> {
     let rows = comparison_rows(&build_reader(&ctx.spec.reader), &build_tag(&ctx.spec.tag));
     let mut t = Table::new(
@@ -40,14 +43,6 @@ pub(crate) fn e4_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E4** — the §1/§3 comparison: every published backscatter system's
-/// rate at 4 ft and 10 ft, with mmTag's numbers computed live from the
-/// link model. Columns: `rate_4ft_mbps`, `rate_10ft_mbps`, `mobility`
-/// (1 = supports arbitrary orientation).
-pub fn table_comparison() -> Table {
-    FigScenario::new(e4_spec(), e4_body).table()
-}
-
 /// **E9** spec: the 2–12 ft range sweep at 6 samples.
 pub(crate) fn e9_spec() -> ScenarioSpec {
     ScenarioSpec::paper_link(
@@ -64,6 +59,11 @@ pub(crate) fn e9_spec() -> ScenarioSpec {
     )
 }
 
+/// **E9** — self-interference: the TX→RX isolation required for the tag
+/// signal to be decodable at each range (SINR ≥ 7 dB on the best rung),
+/// versus what passive isolation alone provides. Columns: `range_ft`,
+/// `tag_signal_dbm`, `isolation_for_thermal_db`, `passive_only_db`,
+/// `rate_with_passive_mbps`, `rate_with_110db_mbps`.
 pub(crate) fn e9_body(ctx: &RunContext) -> Vec<Table> {
     let tag = build_tag(&ctx.spec.tag);
     let scene = build_scene(&ctx.spec.scene);
@@ -118,15 +118,6 @@ pub(crate) fn e9_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E9** — self-interference: the TX→RX isolation required for the tag
-/// signal to be decodable at each range (SINR ≥ 7 dB on the best rung),
-/// versus what passive isolation alone provides. Columns: `range_ft`,
-/// `tag_signal_dbm`, `isolation_for_thermal_db`, `passive_only_db`,
-/// `rate_with_passive_mbps`, `rate_with_110db_mbps`.
-pub fn fig_selfint() -> Table {
-    FigScenario::new(e9_spec(), e9_body).table()
-}
-
 /// **E10** spec: no axes — a fixed set of rates and power baselines.
 pub(crate) fn e10_spec() -> ScenarioSpec {
     ScenarioSpec::paper_link(
@@ -135,6 +126,9 @@ pub(crate) fn e10_spec() -> ScenarioSpec {
     )
 }
 
+/// **E10** — the power table behind the batteryless claim: mmTag's draw at
+/// each rate vs the active alternatives, plus harvesting feasibility.
+/// Columns: `power_uw`, `advantage_vs_active`, `solar10_duty_pct`.
 pub(crate) fn e10_body(ctx: &RunContext) -> Vec<Table> {
     let tag = build_tag(&ctx.spec.tag);
     let mut t = Table::new(
@@ -176,19 +170,16 @@ pub(crate) fn e10_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E10** — the power table behind the batteryless claim: mmTag's draw at
-/// each rate vs the active alternatives, plus harvesting feasibility.
-/// Columns: `power_uw`, `advantage_vs_active`, `solar10_duty_pct`.
-pub fn table_power() -> Table {
-    FigScenario::new(e10_spec(), e10_body).table()
-}
-
 /// **E11** spec: the band sweep over the three mmWave candidates.
 pub(crate) fn e11_spec() -> ScenarioSpec {
     ScenarioSpec::paper_link("e11-60ghz", "E11 — retuning mmTag across mmWave bands")
         .with_axis("freq_ghz", AxisKind::Values(vec![24.0, 39.0, 60.0]))
 }
 
+/// **E11** — retuning to 60 GHz (§7 footnote 3): tag size, atmospheric
+/// absorption over 12 ft, and achievable rate at 2/4/8 ft per band.
+/// Columns: `freq_ghz`, `tag_width_mm`, `o2_loss_12ft_db`,
+/// `rate_2ft_mbps`, `rate_4ft_mbps`, `rate_8ft_mbps`.
 pub(crate) fn e11_body(ctx: &RunContext) -> Vec<Table> {
     let scene = build_scene(&ctx.spec.scene);
     let mut t = Table::new(
@@ -226,21 +217,14 @@ pub(crate) fn e11_body(ctx: &RunContext) -> Vec<Table> {
     vec![t]
 }
 
-/// **E11** — retuning to 60 GHz (§7 footnote 3): tag size, atmospheric
-/// absorption over 12 ft, and achievable rate at 2/4/8 ft per band.
-/// Columns: `freq_ghz`, `tag_width_mm`, `o2_loss_12ft_db`,
-/// `rate_2ft_mbps`, `rate_4ft_mbps`, `rate_8ft_mbps`.
-pub fn fig_60ghz() -> Table {
-    FigScenario::new(e11_spec(), e11_body).table()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::FigScenario;
 
     #[test]
     fn comparison_table_headline() {
-        let t = table_comparison();
+        let t = FigScenario::new(e4_spec(), e4_body).table();
         assert_eq!(t.len(), 6);
         let mmtag_row = (0..t.len()).find(|&i| t.label(i) == "mmTag").unwrap();
         // 1 Gbps at 4 ft, 10 Mbps at 10 ft — live from the model.
@@ -257,7 +241,7 @@ mod tests {
 
     #[test]
     fn selfint_requirements_and_effects() {
-        let t = fig_selfint();
+        let t = FigScenario::new(e9_spec(), e9_body).table();
         // ~89 dB needed to reach the 2 GHz thermal floor.
         assert!((t.cell(0, 2) - 88.8).abs() < 0.3);
         // With only 40 dB passive isolation the link is dead at range
@@ -274,7 +258,7 @@ mod tests {
 
     #[test]
     fn power_table_shows_orders_of_magnitude() {
-        let t = table_power();
+        let t = FigScenario::new(e10_spec(), e10_body).table();
         let gbps = (0..t.len())
             .find(|&i| t.label(i) == "mmTag @ 1 Gbps")
             .unwrap();
@@ -289,7 +273,7 @@ mod tests {
 
     #[test]
     fn sixty_ghz_shrinks_tag_and_range_but_o2_is_negligible() {
-        let t = fig_60ghz();
+        let t = FigScenario::new(e11_spec(), e11_body).table();
         let r24 = t.find_row(0, 24.0, 1e-9).unwrap();
         let r60 = t.find_row(0, 60.0, 1e-9).unwrap();
         // Tag shrinks by the wavelength ratio.

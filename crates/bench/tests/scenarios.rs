@@ -2,6 +2,7 @@
 //! counts, artifact sanity, and a smoke pass over every scenario.
 
 use mmtag_bench::scenarios::registry;
+use mmtag_sim::json::{parse_json, Json};
 use mmtag_sim::scenario::Runner;
 
 #[test]
@@ -111,16 +112,36 @@ fn json_and_csv_artifacts_are_sane() {
     let reg = registry();
     let record = Runner::new().run(reg.get("e06-beamwidth").unwrap());
 
-    let json = record.to_json();
-    assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-    assert!(json.contains("\"manifest\""));
-    assert!(json.contains("\"e06-beamwidth\""));
-    assert!(json.contains("\"tables\""));
-    // Balanced braces/brackets — the writer is hand-rolled, so check it.
-    let balance = |open: char, close: char| {
-        json.chars().filter(|&c| c == open).count() == json.chars().filter(|&c| c == close).count()
-    };
-    assert!(balance('{', '}') && balance('[', ']'));
+    // The JSON parses, and its tables hold exactly the record's titles,
+    // columns, labels and cells (non-finite ones as null).
+    let dom = parse_json(&record.to_json()).expect("record JSON parses");
+    let scenario = dom.get("manifest").and_then(|m| m.get("scenario"));
+    assert_eq!(scenario.and_then(Json::as_str), Some("e06-beamwidth"));
+    let tables = dom.get("tables").and_then(Json::as_arr).expect("tables");
+    assert_eq!(tables.len(), record.tables.len());
+    for (t, dom) in record.tables.iter().zip(tables) {
+        let list = |key: &str| dom.get(key).and_then(Json::as_arr).expect(key);
+        let strs = |key: &str| list(key).iter().map(Json::as_str).collect::<Vec<_>>();
+        assert_eq!(dom.get("title").and_then(Json::as_str), Some(t.title()));
+        let columns: Vec<_> = t.columns().iter().map(|c| Some(c.as_str())).collect();
+        assert_eq!(strs("columns"), columns);
+        let labels: Vec<_> = (0..t.len()).map(|row| Some(t.label(row))).collect();
+        assert_eq!(strs("labels"), labels);
+        assert_eq!(list("rows").len(), t.len());
+        for (row, cells) in list("rows").iter().enumerate() {
+            let want: Vec<Json> = (0..t.columns().len())
+                .map(|col| t.cell(row, col))
+                .map(|v| {
+                    if v.is_finite() {
+                        Json::Num(v)
+                    } else {
+                        Json::Null
+                    }
+                })
+                .collect();
+            assert_eq!(cells.as_arr(), Some(&want[..]), "{} row {row}", t.title());
+        }
+    }
 
     let csv = record.to_csv();
     assert!(csv.starts_with("# scenario=e06-beamwidth"));

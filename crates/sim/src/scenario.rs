@@ -23,6 +23,7 @@
 //! Everything here is `std`-only, including the JSON writer.
 
 use crate::experiment::{linspace, logspace, Table};
+use crate::json;
 use crate::obs;
 use crate::rng::SeedTree;
 use std::fmt::Write as _;
@@ -589,63 +590,26 @@ impl RunRecord {
         out
     }
 
-    /// Serializes manifest + tables as JSON (std-only writer; non-finite
-    /// cells become `null`).
+    /// Serializes manifest + tables as JSON; the tables are in
+    /// [`crate::json::write_tables`]'s layout (non-finite cells become
+    /// `null`).
     pub fn to_json(&self) -> String {
         let m = &self.manifest;
-        let mut out = String::from("{\n  \"manifest\": {");
+        let mut out = String::from("{\n  \"manifest\": {\"scenario\": ");
+        json::write_str(&mut out, &m.scenario);
+        out.push_str(", \"title\": ");
+        json::write_str(&mut out, &m.title);
         let _ = write!(
             out,
-            "\"scenario\": {}, \"title\": {}, \"seed\": {}, \"trials\": {}, \
-             \"threads\": {}, \"wall_ms\": {:.3}, \"spec_hash\": {}",
-            json_string(&m.scenario),
-            json_string(&m.title),
-            m.seed,
-            m.trials,
-            m.threads,
-            m.wall_ms,
-            json_string(&m.spec_hash),
+            ", \"seed\": {}, \"trials\": {}, \"threads\": {}, \"wall_ms\": {:.3}, \"spec_hash\": ",
+            m.seed, m.trials, m.threads, m.wall_ms,
         );
+        json::write_str(&mut out, &m.spec_hash);
         out.push_str(", \"metrics\": ");
         out.push_str(&m.metrics.metrics_json());
-        out.push_str("},\n  \"tables\": [");
-        for (ti, t) in self.tables.iter().enumerate() {
-            if ti > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("{\n    \"title\": ");
-            out.push_str(&json_string(t.title()));
-            out.push_str(",\n    \"columns\": [");
-            for (i, c) in t.columns().iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&json_string(c));
-            }
-            out.push_str("],\n    \"rows\": [");
-            for row in 0..t.len() {
-                if row > 0 {
-                    out.push_str(", ");
-                }
-                out.push('[');
-                for col in 0..t.columns().len() {
-                    if col > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&json_number(t.cell(row, col)));
-                }
-                out.push(']');
-            }
-            out.push_str("],\n    \"labels\": [");
-            for row in 0..t.len() {
-                if row > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&json_string(t.label(row)));
-            }
-            out.push_str("]\n  }");
-        }
-        out.push_str("]\n}\n");
+        out.push_str("},\n  \"tables\": ");
+        json::write_tables(&mut out, &self.tables);
+        out.push_str("\n}\n");
         out
     }
 
@@ -662,24 +626,6 @@ impl RunRecord {
             out.push_str(&t.to_csv());
         }
         out
-    }
-}
-
-/// A quoted JSON string (escaped by [`crate::json::escape_into`]).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    crate::json::escape_into(&mut out, s);
-    out.push('"');
-    out
-}
-
-/// JSON number formatting: shortest round-trip via `{}`; NaN/±inf → null.
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 

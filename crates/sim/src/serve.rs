@@ -12,8 +12,13 @@
 //!   with the payload or `"ok":false` with a machine-readable `error`
 //!   code. Every op answers with exactly one line except `sweep`, which
 //!   *streams*: one `sweep_point` line per grid point followed by a
-//!   summary line. Writers are hand-rolled with a fixed key order; the
-//!   in-house [`crate::json`] parser reads replies on the client side.
+//!   summary line. Each request line is read once by
+//!   [`crate::json::parse_flat`]: a line that is not one flat object of
+//!   at most [`crate::json::FLAT_MEMBERS`] escape-free members is
+//!   answered `bad_request` with id 0, since its id cannot be trusted,
+//!   and members the protocol does not define are ignored. Replies are
+//!   written with a fixed key order by [`crate::json`]'s writers, and
+//!   [`crate::json::parse_json`] reads them on the client side.
 //! * **bounded admission** — jobs pass through an [`AdmissionQueue`]
 //!   with a hard capacity and per-job priorities. At capacity the submit
 //!   fails *immediately* and the client sees `"error":"queue_full"`;
@@ -56,123 +61,28 @@ use std::time::Instant;
 
 use crate::cache::RunCache;
 use crate::experiment::Table;
+use crate::json::{parse_flat, write_list, write_num, write_str, Flat};
 use crate::obs;
-use crate::scenario::{Registry, RunRecord, Runner, Scenario};
+use crate::scenario::{Registry, RunRecord, Runner, Scenario, ScenarioSpec};
 
 // ---------------------------------------------------------------------------
-// Request field scanner
+// Request fields
 // ---------------------------------------------------------------------------
-//
-// The protocol's request objects are flat: string and number members
-// only. Parsing them with the DOM parser would allocate on every
-// request — including cache-hit queries, which must stay allocation-free
-// in steady state — so requests are scanned in place and every extracted
-// field borrows from the input line.
 
-/// Raw value slice for `key`, or `None` if absent/malformed. Strings are
-/// returned with their quotes; nested objects/arrays are rejected (the
-/// protocol is flat).
-fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let b = line.as_bytes();
-    let mut i = 0;
-    while i < b.len() {
-        if b[i] != b'"' {
-            i += 1;
-            continue;
-        }
-        // A string token. Scan to its closing quote, noting escapes.
-        let start = i + 1;
-        let mut j = start;
-        let mut escaped = false;
-        while j < b.len() && b[j] != b'"' {
-            if b[j] == b'\\' {
-                escaped = true;
-                j += 1;
-            }
-            j += 1;
-        }
-        if j >= b.len() {
-            return None; // unterminated string
-        }
-        let content = &line[start..j];
-        i = j + 1;
-        // Only a *key* is followed by ':' — a string value is followed by
-        // ',' or '}', so it can never be mistaken for one.
-        let mut k = i;
-        while k < b.len() && b[k].is_ascii_whitespace() {
-            k += 1;
-        }
-        if k < b.len() && b[k] == b':' {
-            if !escaped && content == key {
-                let mut v = k + 1;
-                while v < b.len() && b[v].is_ascii_whitespace() {
-                    v += 1;
-                }
-                return value_slice(line, v);
-            }
-            i = k + 1;
-        }
-    }
-    None
+/// Numeric member `key`, parsed from its lexeme: `Ok(None)` if absent,
+/// `bad_request` if present but not a `T`.
+fn num<T: std::str::FromStr>(req: &Flat, key: &str) -> Result<Option<T>, &'static str> {
+    req.get(key)
+        .map(|v| v.as_num().and_then(|n| n.parse().ok()).ok_or("bad_request"))
+        .transpose()
 }
 
-/// The raw value starting at byte `v` (string with quotes, or a bare
-/// scalar token). Rejects objects and arrays.
-fn value_slice(line: &str, v: usize) -> Option<&str> {
-    let b = line.as_bytes();
-    match b.get(v)? {
-        b'"' => {
-            let mut j = v + 1;
-            while j < b.len() && b[j] != b'"' {
-                if b[j] == b'\\' {
-                    j += 1;
-                }
-                j += 1;
-            }
-            if j >= b.len() {
-                None
-            } else {
-                Some(&line[v..=j])
-            }
-        }
-        b'{' | b'[' => None,
-        _ => {
-            let mut j = v;
-            while j < b.len() && !matches!(b[j], b',' | b'}' | b']') && !b[j].is_ascii_whitespace()
-            {
-                j += 1;
-            }
-            Some(&line[v..j])
-        }
-    }
-}
-
-/// String field: `Ok(None)` if absent, `Err(())` if present but not a
-/// plain (escape-free) string.
-fn field_str<'a>(line: &'a str, key: &str) -> Result<Option<&'a str>, ()> {
-    match field_raw(line, key) {
-        None => Ok(None),
-        Some(raw) => {
-            let inner = raw
-                .strip_prefix('"')
-                .and_then(|s| s.strip_suffix('"'))
-                .ok_or(())?;
-            if inner.contains('\\') {
-                Err(())
-            } else {
-                Ok(Some(inner))
-            }
-        }
-    }
-}
-
-/// Numeric field via `str::parse`: `Ok(None)` if absent, `Err(())` if
-/// present but unparsable.
-fn field_parse<T: std::str::FromStr>(line: &str, key: &str) -> Result<Option<T>, ()> {
-    match field_raw(line, key) {
-        None => Ok(None),
-        Some(raw) => raw.parse::<T>().map(Some).map_err(|_| ()),
-    }
+/// String member `key`: `Ok(None)` if absent, `bad_request` if present
+/// but not a string.
+fn text<'a>(req: &Flat<'a>, key: &str) -> Result<Option<&'a str>, &'static str> {
+    req.get(key)
+        .map(|v| v.as_str().ok_or("bad_request"))
+        .transpose()
 }
 
 // ---------------------------------------------------------------------------
@@ -494,48 +404,8 @@ struct StoredRun {
 
 impl StoredRun {
     fn new(record: RunRecord) -> StoredRun {
-        let mut tables_json = String::from("[");
-        for (i, t) in record.tables.iter().enumerate() {
-            if i > 0 {
-                tables_json.push(',');
-            }
-            tables_json.push_str("{\"title\":\"");
-            crate::json::escape_into(&mut tables_json, t.title());
-            tables_json.push_str("\",\"columns\":[");
-            for (c, name) in t.columns().iter().enumerate() {
-                if c > 0 {
-                    tables_json.push(',');
-                }
-                tables_json.push('"');
-                crate::json::escape_into(&mut tables_json, name);
-                tables_json.push('"');
-            }
-            tables_json.push_str("],\"labels\":[");
-            for row in 0..t.len() {
-                if row > 0 {
-                    tables_json.push(',');
-                }
-                tables_json.push('"');
-                crate::json::escape_into(&mut tables_json, t.label(row));
-                tables_json.push('"');
-            }
-            tables_json.push_str("],\"rows\":[");
-            for row in 0..t.len() {
-                if row > 0 {
-                    tables_json.push(',');
-                }
-                tables_json.push('[');
-                for col in 0..t.columns().len() {
-                    if col > 0 {
-                        tables_json.push(',');
-                    }
-                    write_num(&mut tables_json, t.cell(row, col));
-                }
-                tables_json.push(']');
-            }
-            tables_json.push_str("]}");
-        }
-        tables_json.push(']');
+        let mut tables_json = String::new();
+        crate::json::write_tables(&mut tables_json, &record.tables);
         let surfaces = (0..record.tables.len())
             .map(|_| [OnceLock::new(), OnceLock::new()])
             .collect();
@@ -555,16 +425,6 @@ impl StoredRun {
         let slot = &self.surfaces.get(table)?[usize::from(two_d)];
         slot.get_or_init(|| Surface::from_table(&self.tables[table], two_d))
             .as_ref()
-    }
-}
-
-/// JSON number writer: finite values via `Display`, non-finite as
-/// `null` (JSON has no NaN/Inf).
-fn write_num(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
     }
 }
 
@@ -784,8 +644,11 @@ impl AtomicHist {
     }
 }
 
-/// A queued unit of work: the reseeded/minimized scenario plus the
-/// single-flight slot its waiters block on.
+/// A unit of work: the reseeded/minimized scenario plus the
+/// single-flight slot its waiters block on. One admission-queue item is
+/// the `Vec` of one request's uncached jobs: N cold sweep points cost
+/// one slot, one submit and one rejection decision, so admission is per
+/// *request*, not per point.
 struct Job {
     key: u64,
     params: ReqKey,
@@ -793,14 +656,46 @@ struct Job {
     flight: Arc<Flight>,
 }
 
-/// What one admission-queue slot holds. A whole sweep is one item: N
-/// uncached grid points cost one slot, one submit, one rejection
-/// decision — admission is per *request*, not per point.
-enum WorkItem {
-    /// One `run`-shaped job.
-    Single(Job),
-    /// The uncached points of one `sweep` request (leader flights only).
-    Sweep(Vec<Job>),
+/// The job fields `run`, `query` and `sweep` share, parsed by
+/// [`Engine::job_fields`].
+struct JobFields<'e> {
+    base: &'e dyn Scenario,
+    params: ReqKey,
+    priority: i64,
+}
+
+impl JobFields<'_> {
+    /// The base scenario's spec, minimized to the request's `points`
+    /// and `trials` and reseeded to its `seed`, each only when given.
+    fn spec(&self) -> ScenarioSpec {
+        let ReqKey {
+            seed,
+            trials,
+            points,
+            ..
+        } = self.params;
+        let base = self.base.spec();
+        base.minimized(
+            points.map_or(usize::MAX, |p| p as usize),
+            trials.map_or(base.trials, |t| t as usize),
+        )
+        .with_seed(seed.unwrap_or(base.seed))
+    }
+}
+
+/// One resolved point: a stored run, or the flight that will carry it.
+enum Point {
+    Ready(Arc<StoredRun>),
+    Wait(Arc<Flight>),
+}
+
+impl Point {
+    fn wait(&self) -> Result<Arc<StoredRun>, &'static str> {
+        match self {
+            Point::Ready(run) => Ok(Arc::clone(run)),
+            Point::Wait(flight) => flight.wait(),
+        }
+    }
 }
 
 /// The protocol brain: resolves one request line to one response line.
@@ -808,10 +703,9 @@ enum WorkItem {
 /// allocation guards call [`Engine::handle_line`] directly.
 pub struct Engine {
     registry: Arc<Registry>,
-    name_idx: HashMap<String, u32>,
     cache: Option<RunCache>,
     config: EngineConfig,
-    queue: AdmissionQueue<WorkItem>,
+    queue: AdmissionQueue<Vec<Job>>,
     store: Mutex<MemoryStore>,
     inflight: Mutex<HashMap<u64, Arc<Flight>>>,
     stats: Stats,
@@ -822,15 +716,8 @@ impl Engine {
     /// An engine resolving requests against `registry`, optionally
     /// memoizing through `cache`.
     pub fn new(registry: Arc<Registry>, cache: Option<RunCache>, config: EngineConfig) -> Engine {
-        let name_idx = registry
-            .names()
-            .iter()
-            .enumerate()
-            .map(|(i, name)| (name.to_string(), i as u32))
-            .collect();
         Engine {
             registry,
-            name_idx,
             cache,
             queue: AdmissionQueue::new(config.queue_capacity),
             store: Mutex::new(MemoryStore::new(config.memory_capacity)),
@@ -845,11 +732,8 @@ impl Engine {
     /// closed *and* empty. Public so in-process tests can pair an
     /// engine with a hand-spawned executor, no sockets involved.
     pub fn run_executor(&self) {
-        while let Some(item) = self.queue.pop() {
-            match item {
-                WorkItem::Single(job) => self.execute(job),
-                WorkItem::Sweep(jobs) => self.execute_sweep(jobs),
-            }
+        while let Some(jobs) = self.queue.pop() {
+            self.execute(jobs);
         }
     }
 
@@ -904,27 +788,23 @@ impl Engine {
         emit: &mut dyn FnMut(&mut String) -> bool,
     ) -> bool {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let id = match field_parse::<u64>(line, "id") {
-            Ok(id) => id.unwrap_or(0),
-            Err(()) => {
-                write_err(out, 0, "bad_request");
-                return true;
-            }
+        // The line is read once. A line that is not one flat object, or
+        // whose id is malformed, is answered with id 0: its id cannot be
+        // trusted.
+        let Some((id, req)) = parse_flat(line)
+            .ok()
+            .and_then(|req| Some((num(&req, "id").ok()?.unwrap_or(0), req)))
+        else {
+            write_err(out, 0, "bad_request");
+            return true;
         };
-        let op = match field_str(line, "op") {
-            Ok(Some(op)) => op,
-            _ => {
-                write_err(out, id, "bad_request");
-                return true;
-            }
-        };
-        match op {
-            "run" => self.op_run(line, id, out),
-            "query" => self.op_query(line, id, out),
-            "sweep" => self.op_sweep(line, id, out, emit),
-            "status" => self.op_status(id, out),
-            "prune" => self.op_prune(id, out),
-            "shutdown" => {
+        match text(&req, "op") {
+            Ok(Some("run")) => self.op_run(&req, id, out),
+            Ok(Some("query")) => self.op_query(&req, id, out),
+            Ok(Some("sweep")) => self.op_sweep(&req, id, out, emit),
+            Ok(Some("status")) => self.op_status(id, out),
+            Ok(Some("prune")) => self.op_prune(id, out),
+            Ok(Some("shutdown")) => {
                 let _ = writeln!(out, "{{\"id\":{id},\"ok\":true,\"op\":\"shutdown\"}}");
                 return false;
             }
@@ -933,24 +813,117 @@ impl Engine {
         true
     }
 
-    /// Parses the shared job-selection fields (`scenario`, `seed`,
-    /// `trials`, `points`, `priority`) and resolves the run.
-    fn resolve(&self, line: &str) -> Result<Arc<StoredRun>, &'static str> {
-        let name = field_str(line, "scenario")
-            .map_err(|()| "bad_request")?
-            .ok_or("bad_request")?;
-        let seed = field_parse::<u64>(line, "seed").map_err(|()| "bad_request")?;
-        let trials = field_parse::<u64>(line, "trials").map_err(|()| "bad_request")?;
-        let points = field_parse::<u64>(line, "points").map_err(|()| "bad_request")?;
-        let priority = field_parse::<i64>(line, "priority")
-            .map_err(|()| "bad_request")?
-            .unwrap_or(0);
-        self.ensure_run(name, seed, trials, points, priority)
+    /// Parses the job fields `run`, `query` and `sweep` share:
+    /// `scenario`, `seed`, `trials`, `points` and `priority`. A malformed
+    /// field is `bad_request`; the scenario name is looked up last, so
+    /// `unknown_scenario` means every field parsed.
+    fn job_fields(&self, req: &Flat) -> Result<JobFields<'_>, &'static str> {
+        let name = text(req, "scenario")?.ok_or("bad_request")?;
+        let (seed, trials, points) = (num(req, "seed")?, num(req, "trials")?, num(req, "points")?);
+        let priority = num(req, "priority")?.unwrap_or(0);
+        let (scenario, base) = (self.registry.iter().enumerate())
+            .find(|(_, s)| s.spec().name == name)
+            .ok_or("unknown_scenario")?;
+        Ok(JobFields {
+            base,
+            params: ReqKey {
+                scenario: scenario as u32,
+                seed,
+                trials,
+                points,
+            },
+            priority,
+        })
     }
 
-    fn op_run(&self, line: &str, id: u64, out: &mut String) {
+    /// Resolves a `run` or `query` request's one point, simulating it if
+    /// no store holds it.
+    fn resolve(&self, job: &JobFields) -> Result<Arc<StoredRun>, &'static str> {
+        let mut leaders = Vec::new();
+        let point = self.resolve_point(job.params, job.base, || job.spec(), &mut leaders);
+        self.admit(leaders, job.priority);
+        point.wait()
+    }
+
+    /// Cache-first resolution of one point: in-memory request index →
+    /// in-memory spec index → single-flight (the executor's [`Runner`]
+    /// then consults the on-disk cache before simulating). `spec` is
+    /// built only past the request index, so a repeat request builds,
+    /// hashes and clones nothing. A point that needs running pushes its
+    /// job onto `leaders`, for the caller to [`admit`](Engine::admit);
+    /// one that another request is already running joins its flight.
+    fn resolve_point(
+        &self,
+        params: ReqKey,
+        base: &dyn Scenario,
+        spec: impl FnOnce() -> ScenarioSpec,
+        leaders: &mut Vec<Job>,
+    ) -> Point {
+        if let Some(run) = self.store.lock().unwrap().get_by_params(&params) {
+            self.stats.memory_hits.fetch_add(1, Ordering::Relaxed);
+            return Point::Ready(run);
+        }
+        let spec = spec();
+        let key = spec.hash();
+        // Second chance: a different request tuple already produced this
+        // exact spec (e.g. explicit seed equal to the default).
+        {
+            let mut store = self.store.lock().unwrap();
+            if let Some(run) = store.get_by_key(key) {
+                store.index_params(params, key);
+                self.stats.memory_hits.fetch_add(1, Ordering::Relaxed);
+                return Point::Ready(run);
+            }
+        }
+        // Single-flight: exactly one leader per spec; everyone else
+        // joins its flight and waits.
+        let mut inflight = self.inflight.lock().unwrap();
+        if let Some(flight) = inflight.get(&key) {
+            self.stats.dedup_joined.fetch_add(1, Ordering::Relaxed);
+            return Point::Wait(Arc::clone(flight));
+        }
+        let flight = Arc::new(Flight::new());
+        inflight.insert(key, Arc::clone(&flight));
+        drop(inflight);
+        leaders.push(Job {
+            key,
+            params,
+            scenario: base.with_spec(spec),
+            flight: Arc::clone(&flight),
+        });
+        Point::Wait(flight)
+    }
+
+    /// Admits one request's uncached jobs: runs them on the calling
+    /// thread in inline mode, else submits them as ONE queue item. A
+    /// refused item fails every flight it carried (`queue_full` or
+    /// `shutting_down`) and frees their single-flight slots, so a retry
+    /// gets a fresh leader.
+    fn admit(&self, jobs: Vec<Job>, priority: i64) {
+        if jobs.is_empty() {
+            return;
+        }
+        if self.config.executors == 0 {
+            return self.execute(jobs);
+        }
+        let (jobs, code) = match self.queue.submit(jobs, priority) {
+            Ok(()) => return,
+            Err(SubmitError::Full(jobs)) => {
+                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                (jobs, "queue_full")
+            }
+            Err(SubmitError::Closed(jobs)) => (jobs, "shutting_down"),
+        };
+        let mut inflight = self.inflight.lock().unwrap();
+        for job in jobs {
+            inflight.remove(&job.key);
+            job.flight.complete(Err(code));
+        }
+    }
+
+    fn op_run(&self, req: &Flat, id: u64, out: &mut String) {
         self.stats.runs.fetch_add(1, Ordering::Relaxed);
-        match self.resolve(line) {
+        match self.job_fields(req).and_then(|job| self.resolve(&job)) {
             Err(code) => write_err(out, id, code),
             Ok(run) => {
                 let _ = writeln!(
@@ -963,13 +936,13 @@ impl Engine {
     }
 
     /// One request, a whole grid: expands the base spec to `seeds`
-    /// consecutive per-seed points, resolves each cache-first, and fans
-    /// every uncached point across the pool as ONE admission-queue item
-    /// — a sweep costs one queue slot, one spec minimization pass, and
-    /// one rejection decision instead of N of each. Single-flight dedup
-    /// stays point-granular: each point's flight is keyed by its spec
-    /// hash in the same map `run` uses, so overlapping sweeps (and
-    /// point `run`s racing a sweep) share work.
+    /// consecutive per-seed points, resolves each cache-first, and
+    /// admits every uncached point as ONE queue item — a sweep costs
+    /// one queue slot, one spec minimization pass, and one rejection
+    /// decision instead of N of each. Single-flight dedup stays
+    /// point-granular: each point's flight is keyed by its spec hash in
+    /// the same map `run` uses, so overlapping sweeps (and point `run`s
+    /// racing a sweep) share work.
     ///
     /// Responses stream: one `sweep_point` line per point, in point
     /// order (each line carries its `point` index, so any stable sort
@@ -977,132 +950,46 @@ impl Engine {
     /// that — like `run` bodies — is a pure function of the request.
     fn op_sweep(
         &self,
-        line: &str,
+        req: &Flat,
         id: u64,
         out: &mut String,
         emit: &mut dyn FnMut(&mut String) -> bool,
     ) {
         self.stats.sweeps.fetch_add(1, Ordering::Relaxed);
-        let parsed = (|| {
-            let name = field_str(line, "scenario")
-                .map_err(|()| "bad_request")?
-                .ok_or("bad_request")?;
-            let seeds = field_parse::<u64>(line, "seeds")
-                .map_err(|()| "bad_request")?
-                .ok_or("bad_request")?;
-            if seeds == 0 || seeds > MAX_SWEEP_SEEDS {
-                return Err("bad_request");
-            }
-            let seed = field_parse::<u64>(line, "seed").map_err(|()| "bad_request")?;
-            let trials = field_parse::<u64>(line, "trials").map_err(|()| "bad_request")?;
-            let points = field_parse::<u64>(line, "points").map_err(|()| "bad_request")?;
-            let priority = field_parse::<i64>(line, "priority")
-                .map_err(|()| "bad_request")?
-                .unwrap_or(0);
-            let idx = *self.name_idx.get(name).ok_or("unknown_scenario")?;
-            Ok((name, idx, seeds, seed, trials, points, priority))
-        })();
-        let (name, idx, seeds, seed, trials, points, priority) = match parsed {
+        let parsed = match num(req, "seeds") {
+            Ok(Some(seeds @ 1..=MAX_SWEEP_SEEDS)) => self.job_fields(req).map(|job| (seeds, job)),
+            Ok(_) => Err("bad_request"),
+            Err(code) => Err(code),
+        };
+        let (seeds, job) = match parsed {
             Ok(p) => p,
             Err(code) => return write_err(out, id, code),
         };
         self.stats.sweep_points.fetch_add(seeds, Ordering::Relaxed);
         // ONE minimization/canonicalization pass for the whole grid;
         // per-point specs differ only in seed.
-        let base = self
-            .registry
-            .get(name)
-            .expect("name_idx built from registry");
-        let mut spec = base.spec().clone();
-        if points.is_some() || trials.is_some() {
-            spec = spec.minimized(
-                points.map_or(usize::MAX, |p| p as usize),
-                trials.map_or(spec.trials, |t| t as usize),
-            );
-        }
-        let base_seed = seed.unwrap_or(spec.seed);
-        // Resolve every point cache-first; collect the flights.
-        enum Point {
-            Ready(Arc<StoredRun>),
-            Wait(Arc<Flight>),
-        }
-        let mut states: Vec<Point> = Vec::with_capacity(seeds as usize);
-        let mut leaders: Vec<Job> = Vec::new();
-        for p in 0..seeds {
-            let pseed = base_seed.wrapping_add(p);
-            let params = ReqKey {
-                scenario: idx,
-                seed: Some(pseed),
-                trials,
-                points,
-            };
-            if let Some(run) = self.store.lock().unwrap().get_by_params(&params) {
-                self.stats.memory_hits.fetch_add(1, Ordering::Relaxed);
-                states.push(Point::Ready(run));
-                continue;
-            }
-            let pspec = spec.clone().with_seed(pseed);
-            let key = pspec.hash();
-            {
-                let mut store = self.store.lock().unwrap();
-                if let Some(run) = store.get_by_key(key) {
-                    store.index_params(params, key);
-                    self.stats.memory_hits.fetch_add(1, Ordering::Relaxed);
-                    states.push(Point::Ready(run));
-                    continue;
-                }
-            }
-            let (flight, leader) = {
-                let mut inflight = self.inflight.lock().unwrap();
-                match inflight.get(&key) {
-                    Some(f) => (Arc::clone(f), false),
-                    None => {
-                        let f = Arc::new(Flight::new());
-                        inflight.insert(key, Arc::clone(&f));
-                        (f, true)
-                    }
-                }
-            };
-            if leader {
-                leaders.push(Job {
-                    key,
-                    params,
-                    scenario: base.with_spec(pspec),
-                    flight: Arc::clone(&flight),
-                });
-            } else {
-                self.stats.dedup_joined.fetch_add(1, Ordering::Relaxed);
-            }
-            states.push(Point::Wait(flight));
-        }
-        // All uncached points ride one admission-queue slot.
-        if !leaders.is_empty() {
-            if self.config.executors == 0 {
-                self.execute_sweep(leaders);
-            } else {
-                match self.queue.submit(WorkItem::Sweep(leaders), priority) {
-                    Ok(()) => {}
-                    Err(SubmitError::Full(item)) => {
-                        self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        self.fail_item(item, "queue_full");
-                    }
-                    Err(SubmitError::Closed(item)) => {
-                        self.fail_item(item, "shutting_down");
-                    }
-                }
-            }
-        }
+        let spec = job.spec();
+        let base_seed = spec.seed;
+        let mut leaders = Vec::new();
+        let points: Vec<Point> = (0..seeds)
+            .map(|p| {
+                let seed = base_seed.wrapping_add(p);
+                let params = ReqKey {
+                    seed: Some(seed),
+                    ..job.params
+                };
+                let spec = || spec.clone().with_seed(seed);
+                self.resolve_point(params, job.base, spec, &mut leaders)
+            })
+            .collect();
+        self.admit(leaders, job.priority);
         // Stream one line per point as its flight completes. Point
         // order, not completion order: a point's line is emitted the
         // moment its own flight resolves, so early points flow while
         // late ones still compute.
         let mut failed = 0u64;
-        for (p, state) in states.iter().enumerate() {
-            let result = match state {
-                Point::Ready(run) => Ok(Arc::clone(run)),
-                Point::Wait(flight) => flight.wait(),
-            };
-            match result {
+        for (p, point) in points.iter().enumerate() {
+            match point.wait() {
                 Ok(run) => {
                     let _ = writeln!(
                         out,
@@ -1129,42 +1016,23 @@ impl Engine {
         }
         let _ = writeln!(
             out,
-            "{{\"id\":{id},\"ok\":{},\"op\":\"sweep\",\"scenario\":\"{name}\",\
+            "{{\"id\":{id},\"ok\":{},\"op\":\"sweep\",\"scenario\":\"{}\",\
              \"points\":{seeds},\"failed\":{failed}}}",
-            failed == 0
+            failed == 0,
+            job.base.spec().name
         );
     }
 
-    /// Fails every flight a refused work item carried (and removes them
-    /// from the single-flight map so retries get a fresh leader).
-    fn fail_item(&self, item: WorkItem, code: &'static str) {
-        let jobs = match item {
-            WorkItem::Single(job) => vec![job],
-            WorkItem::Sweep(jobs) => jobs,
-        };
-        let mut inflight = self.inflight.lock().unwrap();
-        for job in jobs {
-            inflight.remove(&job.key);
-            job.flight.complete(Err(code));
-        }
-    }
-
-    fn op_query(&self, line: &str, id: u64, out: &mut String) {
+    fn op_query(&self, req: &Flat, id: u64, out: &mut String) {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        let x = match field_parse::<f64>(line, "x") {
-            Ok(Some(x)) => x,
-            _ => return write_err(out, id, "bad_request"),
-        };
-        let y = match field_parse::<f64>(line, "y") {
-            Ok(y) => y,
-            Err(()) => return write_err(out, id, "bad_request"),
-        };
-        let table = match field_parse::<u64>(line, "table") {
-            Ok(t) => t.unwrap_or(0) as usize,
-            Err(()) => return write_err(out, id, "bad_request"),
-        };
-        let run = match self.resolve(line) {
-            Ok(run) => run,
+        let parsed = (|| {
+            let x = num::<f64>(req, "x")?.ok_or("bad_request")?;
+            let y = num::<f64>(req, "y")?;
+            let table = num::<u64>(req, "table")?.unwrap_or(0) as usize;
+            Ok((x, y, table, self.resolve(&self.job_fields(req)?)?))
+        })();
+        let (x, y, table, run) = match parsed {
+            Ok(p) => p,
             Err(code) => return write_err(out, id, code),
         };
         let surface = match run.surface(table, y.is_some()) {
@@ -1185,26 +1053,16 @@ impl Engine {
             out.push_str(",\"y\":");
             write_num(out, y);
         }
-        out.push_str(",\"columns\":[");
-        for (i, name) in surface.columns().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            crate::json::escape_into(out, name);
-            out.push('"');
-        }
-        out.push_str("],\"values\":[");
-        for col in 0..surface.columns().len() {
-            if col > 0 {
-                out.push(',');
-            }
+        out.push_str(",\"columns\":");
+        write_list(out, surface.columns(), |out, name| write_str(out, name));
+        out.push_str(",\"values\":");
+        write_list(out, 0..surface.columns().len(), |out, col| {
             write_num(out, surface.value_at(&bracket, col));
-        }
+        });
         let p = surface.provenance(&bracket);
         let _ = write!(
             out,
-            "],\"provenance\":{{\"spec_hash\":\"{}\",\"x0\":",
+            ",\"provenance\":{{\"spec_hash\":\"{}\",\"x0\":",
             run.spec_hash
         );
         write_num(out, p.x0);
@@ -1272,124 +1130,30 @@ impl Engine {
         }
     }
 
-    /// Cache-first resolution: in-memory request index → in-memory spec
-    /// index → single-flight admission (the executor's [`Runner`] then
-    /// consults the on-disk cache before simulating).
-    fn ensure_run(
-        &self,
-        name: &str,
-        seed: Option<u64>,
-        trials: Option<u64>,
-        points: Option<u64>,
-        priority: i64,
-    ) -> Result<Arc<StoredRun>, &'static str> {
-        let idx = *self.name_idx.get(name).ok_or("unknown_scenario")?;
-        let params = ReqKey {
-            scenario: idx,
-            seed,
-            trials,
-            points,
-        };
-        // Fast path: the exact request tuple has been answered before.
-        // No spec is built, hashed, or cloned — and nothing allocates.
-        if let Some(run) = self.store.lock().unwrap().get_by_params(&params) {
-            self.stats.memory_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(run);
-        }
-        let base = self
-            .registry
-            .get(name)
-            .expect("name_idx built from registry");
-        let mut spec = base.spec().clone();
-        if points.is_some() || trials.is_some() {
-            spec = spec.minimized(
-                points.map_or(usize::MAX, |p| p as usize),
-                trials.map_or(spec.trials, |t| t as usize),
-            );
-        }
-        if let Some(seed) = seed {
-            spec = spec.with_seed(seed);
-        }
-        let key = spec.hash();
-        // Second chance: a different request tuple already produced this
-        // exact spec (e.g. explicit seed equal to the default).
-        {
-            let mut store = self.store.lock().unwrap();
-            if let Some(run) = store.get_by_key(key) {
-                store.index_params(params, key);
-                self.stats.memory_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(run);
-            }
-        }
-        // Single-flight: exactly one leader per spec; everyone else
-        // joins its flight and waits.
-        let (flight, leader) = {
-            let mut inflight = self.inflight.lock().unwrap();
-            match inflight.get(&key) {
-                Some(f) => (Arc::clone(f), false),
-                None => {
-                    let f = Arc::new(Flight::new());
-                    inflight.insert(key, Arc::clone(&f));
-                    (f, true)
-                }
-            }
-        };
-        if !leader {
-            self.stats.dedup_joined.fetch_add(1, Ordering::Relaxed);
-            return flight.wait();
-        }
-        let job = Job {
-            key,
-            params,
-            scenario: base.with_spec(spec),
-            flight: Arc::clone(&flight),
-        };
-        if self.config.executors == 0 {
-            self.execute(job);
-        } else {
-            match self.queue.submit(WorkItem::Single(job), priority) {
-                Ok(()) => {}
-                Err(SubmitError::Full(item)) => {
-                    self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    self.fail_item(item, "queue_full");
-                }
-                Err(SubmitError::Closed(item)) => {
-                    self.fail_item(item, "shutting_down");
-                }
-            }
-        }
-        flight.wait()
-    }
-
-    /// Runs one admitted job (executor thread, or the caller in inline
-    /// mode) and publishes the result to its flight.
-    fn execute(&self, job: Job) {
+    /// Runs one admitted queue item (executor thread, or the caller in
+    /// inline mode). A lone job gets a `job_threads`-wide [`Runner`].
+    /// Several fan out across the pool as one flat point grid (the same
+    /// `par_map_with` scheduler the flat (point × chunk) sweep grid
+    /// uses), each on a *serial* Runner — `threads <= 1` bypasses the
+    /// pool, so the workers are spent on point-level parallelism instead
+    /// of nested dispatch. Every job completes its own flight the moment
+    /// it finishes, so a sweep's handler streams early points while late
+    /// ones still compute.
+    fn execute(&self, jobs: Vec<Job>) {
         let started = Instant::now();
-        self.execute_point(&job, self.config.job_threads);
+        if let [job] = jobs.as_slice() {
+            self.execute_point(job, self.config.job_threads);
+        } else {
+            crate::par::par_map_with(self.config.job_threads, &jobs, |_, job| {
+                self.execute_point(job, 1);
+            });
+        }
         self.job_us
             .record(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
-        // Discard this job's obs events so a long-lived daemon's global
+        // Discard this item's obs events so a long-lived daemon's global
         // event log stays bounded. Consequence: an in-process server
         // cannot run under an enclosing trace capture — the bench
         // harness runs its serving pass before the traced pass.
-        obs::drain();
-    }
-
-    /// Runs one admitted sweep: the uncached points fan across the pool
-    /// as one flat point grid (the same `par_map_with` scheduler the flat
-    /// (point × chunk) sweep grid uses), each point on a *serial*
-    /// Runner — `threads <= 1` bypasses the pool, so the workers are
-    /// spent on point-level parallelism instead of nested dispatch.
-    /// Every point completes its own flight the moment it finishes, so
-    /// the requesting handler streams early points while late ones
-    /// still compute.
-    fn execute_sweep(&self, jobs: Vec<Job>) {
-        let started = Instant::now();
-        crate::par::par_map_with(self.config.job_threads, &jobs, |_, job| {
-            self.execute_point(job, 1);
-        });
-        self.job_us
-            .record(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
         obs::drain();
     }
 
@@ -1755,9 +1519,9 @@ fn conn_loop(shared: &Arc<Shared>, stream: AnyStream) {
         out.clear();
         let mut io_ok = true;
         let keep_serving = if shared.shutting_down.load(Ordering::SeqCst) {
-            let id = field_parse::<u64>(trimmed, "id")
+            let id = parse_flat(trimmed)
                 .ok()
-                .flatten()
+                .and_then(|req| num(&req, "id").ok().flatten())
                 .unwrap_or(0);
             write_err(&mut out, id, "shutting_down");
             true
@@ -1962,30 +1726,34 @@ mod tests {
     use crate::scenario::{AxisKind, RunContext, ScenarioSpec};
     use std::sync::atomic::AtomicUsize;
 
-    // -- scanner ----------------------------------------------------------
+    // -- request fields ---------------------------------------------------
 
     #[test]
     fn scanner_extracts_fields_without_confusing_values_for_keys() {
         let line = r#"{"id": 7, "op": "query", "scenario": "op", "x": -2.5e1, "note": "x"}"#;
-        assert_eq!(field_parse::<u64>(line, "id"), Ok(Some(7)));
-        assert_eq!(field_str(line, "op"), Ok(Some("query")));
+        let req = parse_flat(line).unwrap();
+        assert_eq!(num::<u64>(&req, "id"), Ok(Some(7)));
+        assert_eq!(text(&req, "op"), Ok(Some("query")));
         // The value "op" must not shadow the key "op"; the value "x"
         // must not shadow the key "x".
-        assert_eq!(field_str(line, "scenario"), Ok(Some("op")));
-        assert_eq!(field_parse::<f64>(line, "x"), Ok(Some(-25.0)));
-        assert_eq!(field_str(line, "missing"), Ok(None));
+        assert_eq!(text(&req, "scenario"), Ok(Some("op")));
+        assert_eq!(num::<f64>(&req, "x"), Ok(Some(-25.0)));
+        assert_eq!(text(&req, "missing"), Ok(None));
     }
 
     #[test]
     fn scanner_rejects_malformed_fields() {
-        assert_eq!(field_parse::<u64>(r#"{"id": "nope"}"#, "id"), Err(()));
-        assert_eq!(field_str(r#"{"op": 3}"#, "op"), Err(()));
-        assert_eq!(field_str(r#"{"op": "a\"b"}"#, "op"), Err(())); // escapes refused
-                                                                   // Nested values and unterminated strings are indistinguishable
-                                                                   // from an absent field — a required field then still fails as
-                                                                   // `bad_request` at the op layer.
-        assert_eq!(field_str(r#"{"op": {"nested": 1}}"#, "op"), Ok(None));
-        assert_eq!(field_str(r#"{"op": "unterminated"#, "op"), Ok(None));
+        let req = |line| parse_flat(line).unwrap();
+        assert_eq!(
+            num::<u64>(&req(r#"{"id": "nope"}"#), "id"),
+            Err("bad_request")
+        );
+        assert_eq!(text(&req(r#"{"op": 3}"#), "op"), Err("bad_request"));
+        // Escapes, nested values and unterminated strings refuse the
+        // whole line, which the engine answers `bad_request` with id 0.
+        assert!(parse_flat(r#"{"op": "a\"b"}"#).is_err());
+        assert!(parse_flat(r#"{"op": {"nested": 1}}"#).is_err());
+        assert!(parse_flat(r#"{"op": "unterminated"#).is_err());
     }
 
     // -- admission queue --------------------------------------------------
@@ -2303,6 +2071,35 @@ mod tests {
     }
 
     #[test]
+    fn engine_answers_lines_that_are_not_one_flat_object_with_bad_request() {
+        // Each of these once ran a scenario, took one of two duplicate
+        // `op`s, or stopped the daemon from a nested or non-JSON `op`.
+        let (engine, executions) = inline_engine();
+        for line in [
+            r#"{"id":1,"note":{"op":"shutdown"}}"#,
+            r#"not json "op":"shutdown""#,
+            r#"{"id":7,"op":"run","meta":{"scenario":"t90-triple"}}"#,
+            r#"{"id":4,"op":"run","op":"shutdown"}"#,
+            r#"{"id":2,"op":"status""#,
+            r#"{"id":3,"op":"status"} trailing"#,
+            r#"[{"id":9,"op":"status"}]"#,
+            r#"{"id":5,"op":"run","scenario":"t90-triple","seed":+5}"#,
+        ] {
+            let mut out = String::new();
+            assert!(
+                engine.handle_line(line, &mut out),
+                "{line} stopped the engine"
+            );
+            assert_eq!(
+                out, "{\"id\":0,\"ok\":false,\"error\":\"bad_request\"}\n",
+                "{line}"
+            );
+        }
+        assert_eq!(executions.load(Ordering::SeqCst), 0);
+        assert_eq!(engine.stats().runs, 0);
+    }
+
+    #[test]
     fn stats_snapshot_hit_ratio() {
         let s = StatsSnapshot {
             memory_hits: 6,
@@ -2501,6 +2298,38 @@ mod tests {
         flood.join().unwrap();
         // The daemon still serves other connections.
         let mut client = Client::connect_tcp(addr).unwrap();
+        let status = client.roundtrip(r#"{"id":2,"op":"status"}"#).unwrap();
+        assert!(status.contains("\"ok\":true"), "{status}");
+        let bye = client.roundtrip(r#"{"id":3,"op":"shutdown"}"#).unwrap();
+        assert!(bye.contains("\"op\":\"shutdown\""));
+        server.join();
+    }
+
+    #[test]
+    fn nested_shutdown_op_does_not_stop_the_daemon() {
+        let spec = ScenarioSpec::paper_link("t95-nested", "nested shutdown test")
+            .with_axis("x", AxisKind::Values(vec![0.0]));
+        let mut registry = Registry::new();
+        registry.register(Box::new(Counting {
+            spec,
+            executions: Arc::new(AtomicUsize::new(0)),
+        }));
+        let server = Server::builder(registry)
+            .tcp("127.0.0.1:0")
+            .config(EngineConfig {
+                executors: 1,
+                job_threads: 1,
+                queue_capacity: 4,
+                memory_capacity: 4,
+            })
+            .start()
+            .unwrap();
+        let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
+        let reply = client
+            .roundtrip(r#"{"id":1,"note":{"op":"shutdown"}}"#)
+            .unwrap();
+        assert_eq!(reply, "{\"id\":0,\"ok\":false,\"error\":\"bad_request\"}");
+        // The same connection is still served.
         let status = client.roundtrip(r#"{"id":2,"op":"status"}"#).unwrap();
         assert!(status.contains("\"ok\":true"), "{status}");
         let bye = client.roundtrip(r#"{"id":3,"op":"shutdown"}"#).unwrap();

@@ -5,6 +5,7 @@
 use mmtag_rf::units::Angle;
 use mmtag_sim::des::CalendarQueue;
 use mmtag_sim::geom::{line_of_sight, Segment, Vec2};
+use mmtag_sim::json::{parse_flat, parse_json, Json, Scalar, FLAT_MEMBERS};
 use mmtag_sim::metrics::Summary;
 use mmtag_sim::mobility::{Mobility, Pose, Waypoints};
 use mmtag_sim::rng::{Rng, SeedTree, Xoshiro256pp};
@@ -199,4 +200,171 @@ fn waypoints_bounded_and_timed() {
         assert!(pose.position.x >= min_x - 1e-6 && pose.position.x <= max_x + 1e-6);
         assert!(pose.position.y >= min_y - 1e-6 && pose.position.y <= max_y + 1e-6);
     }
+}
+
+/// A random JSON number lexeme: optional sign, a lone zero or a nonzero
+/// digit run, then an optional fraction and exponent.
+fn number_lexeme(rng: &mut Xoshiro256pp) -> String {
+    let mut n = String::from(if rng.chance(0.3) { "-" } else { "" });
+    if rng.chance(0.2) {
+        n.push('0');
+    } else {
+        n.push_str(&(1 + rng.below(1 << 62)).to_string()[..1 + rng.index(12)]);
+    }
+    if rng.chance(0.4) {
+        n.push_str(&format!(".{}", rng.below(100_000)));
+    }
+    if rng.chance(0.3) {
+        let sign = ["", "+", "-"][rng.index(3)];
+        let e = ["e", "E"][rng.index(2)];
+        n.push_str(&format!("{e}{sign}{}", rng.below(400)));
+    }
+    n
+}
+
+/// A random scalar value as JSON text: number, escape-free string,
+/// boolean or null.
+fn scalar_text(rng: &mut Xoshiro256pp) -> String {
+    match rng.index(4) {
+        0 | 1 => number_lexeme(rng),
+        2 => {
+            let alphabet = ["a", "Z", "7", " ", "op", "é", "{", "]", ":", ","];
+            let len = rng.index(6);
+            let s: String = (0..len)
+                .map(|_| alphabet[rng.index(alphabet.len())])
+                .collect();
+            format!("\"{s}\"")
+        }
+        _ => ["true", "false", "null"][rng.index(3)].to_string(),
+    }
+}
+
+/// One grammar for `mmtag serve` requests: `parse_flat` accepts a line
+/// exactly when `parse_json` reads it as an object with at most
+/// `FLAT_MEMBERS` distinct keys and scalar values only, and the line
+/// holds no backslash. When both accept, every member agrees. Lines
+/// are random flat requests over the protocol's 11 keys plus unknown
+/// ones, each given one mutation.
+#[test]
+fn flat_reader_and_dom_share_one_grammar() {
+    const KEYS: [&str; 11] = [
+        "id", "op", "scenario", "seed", "trials", "points", "priority", "seeds", "x", "y", "table",
+    ];
+    let (mut accepted, mut rejected) = (0, 0);
+    for mut rng in cases("flat-vs-dom").chain(cases("flat-vs-dom-2")) {
+        let mut members: Vec<(String, String)> = Vec::new();
+        for _ in 0..1 + rng.index(10) {
+            let key = if rng.chance(0.8) {
+                KEYS[rng.index(KEYS.len())].to_string()
+            } else {
+                format!("note{}", rng.index(4))
+            };
+            if members.iter().all(|(k, _)| *k != key) {
+                members.push((key, scalar_text(&mut rng)));
+            }
+        }
+        let pick = rng.index(members.len());
+        // 0 leaves the line flat; 1–9 each break one rule.
+        let mutation = if rng.chance(0.3) { 0 } else { 1 + rng.index(9) };
+        match mutation {
+            1 => {
+                let dup = (members[pick].0.clone(), scalar_text(&mut rng));
+                members.push(dup);
+            }
+            2 => {
+                let v = &mut members[pick].1;
+                *v = if rng.chance(0.5) {
+                    format!("{{\"op\":{v}}}")
+                } else {
+                    format!("[{v}]")
+                };
+            }
+            3 => {
+                let esc = ["\\\"", "\\\\", "\\/", "\\n", "\\t", "\\u00e9"][rng.index(6)];
+                if rng.chance(0.5) {
+                    members[pick].1 = format!("\"a{esc}b\"");
+                } else {
+                    members[pick].0.push_str(esc);
+                }
+            }
+            7 => members[pick].1 = format!("0{}", rng.below(1000)),
+            8 => {
+                let raw = ['\u{1}', '\t', '\n', '\u{1f}'][rng.index(4)];
+                members[pick].1 = format!("\"a{raw}b\"");
+            }
+            9 => {
+                while members.len() <= FLAT_MEMBERS {
+                    members.push((format!("extra{}", members.len()), scalar_text(&mut rng)));
+                }
+            }
+            _ => {}
+        }
+        // Random whitespace between tokens exercises the shared lexer.
+        let ws = |rng: &mut Xoshiro256pp| ["", " ", "\t", "\r\n "][rng.index(4)];
+        let mut line = format!("{{{}", ws(&mut rng));
+        for (i, (k, v)) in members.iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            let (a, b) = (ws(&mut rng), ws(&mut rng));
+            line.push_str(&format!("{sep}{a}\"{k}\"{b}:{v}"));
+        }
+        line.push_str(ws(&mut rng));
+        line.push('}');
+        match mutation {
+            4 => {
+                line.pop();
+            }
+            5 => {
+                let junk = ["x", "}", "{", ",", "1", "\"s\"", "[]", "null"][rng.index(8)];
+                line = if rng.chance(0.5) {
+                    format!("{line}{junk}")
+                } else {
+                    format!("{junk}{line}")
+                };
+            }
+            6 => line = format!("[{line}]"),
+            _ => {}
+        }
+
+        let flat = parse_flat(&line);
+        let dom = parse_json(&line);
+        let dom_reads_flat = match &dom {
+            Ok(Json::Obj(m)) => {
+                let distinct = m
+                    .iter()
+                    .enumerate()
+                    .all(|(i, (k, _))| m[..i].iter().all(|(j, _)| j != k));
+                distinct
+                    && m.len() <= FLAT_MEMBERS
+                    && m.iter()
+                        .all(|(_, v)| !matches!(v, Json::Obj(_) | Json::Arr(_)))
+            }
+            _ => false,
+        };
+        assert_eq!(
+            flat.is_ok(),
+            dom_reads_flat && !line.contains('\\'),
+            "mutation {mutation}: {line:?} → flat {flat:?}, dom {dom:?}"
+        );
+        let (Ok(flat), Ok(Json::Obj(m))) = (flat, &dom) else {
+            rejected += 1;
+            continue;
+        };
+        accepted += 1;
+        assert_eq!(flat.members().len(), m.len(), "{line:?}");
+        for ((fk, fv), (dk, dv)) in flat.members().iter().zip(m) {
+            assert_eq!(fk, dk, "{line:?}");
+            match (*fv, dv) {
+                (Scalar::Num(n), Json::Num(d)) => assert_eq!(n.parse::<f64>(), Ok(*d), "{line:?}"),
+                (Scalar::Str(s), Json::Str(d)) => assert_eq!(s, d, "{line:?}"),
+                (Scalar::Bool(a), Json::Bool(b)) => assert_eq!(a, *b, "{line:?}"),
+                (Scalar::Null, Json::Null) => {}
+                (f, d) => panic!("{line:?}: flat {f:?} vs dom {d:?}"),
+            }
+        }
+    }
+    // Both sides of the property were exercised.
+    assert!(
+        accepted > 80 && rejected > 200,
+        "{accepted} accepted, {rejected} rejected"
+    );
 }

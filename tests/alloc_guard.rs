@@ -466,8 +466,10 @@ fn serve_cache_hit_query_path_is_allocation_free_in_steady_state() {
 
     // The serve contract (DESIGN.md §13): once a run is pinned in the
     // in-memory store, answering a point query touches no heap — the
-    // request scanner borrows from the line, the request-tuple index
-    // resolves without building a spec, the surface is prebuilt, and
+    // line is read once by `json::parse_flat` into a fixed array that
+    // borrows from it, the request-tuple index resolves without building
+    // a spec (the empty leader list never allocates), the surface is
+    // prebuilt, and
     // the response is written into a reused buffer. The disk cache runs
     // with a *bounded* lifecycle policy here: eviction bookkeeping is
     // store-side and amortized, so enabling it must not put the hit
