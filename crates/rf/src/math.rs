@@ -18,6 +18,21 @@
 //! which side of a threshold a statistic falls on, under a rounding
 //! certificate that replays the exact libm chain whenever the margin is
 //! too thin to be sure (DESIGN.md §11, "Certified decisions").
+//!
+//! [`exp_lanes`] is the opposite case: a lane port of the main path of
+//! glibc's FMA `exp` (from ARM's optimized-routines), bit-identical to
+//! `f64::exp` on the reference host, so the rate-region mutual-information
+//! estimator runs [`LANES`] terms per pass and every sum it feeds keeps
+//! its bits.
+//!
+//! **Fused multiply-add.** The kernels use plain `*` and `+` by default
+//! (Rust never contracts `a*b + c` on its own) and call `f64::mul_add`
+//! only where a kernel must reproduce a fused reference, as [`exp_lanes`]
+//! does. `mul_add` rounds once on every target — where the CPU has no FMA
+//! unit it calls the correctly rounded software `fma` — so it fixes the
+//! result and only its speed depends on the CPU; `.cargo/config.toml`'s
+//! `target-cpu=native` makes each one a single `vfmadd` on an FMA-capable
+//! x86-64 host.
 
 use std::f64::consts::FRAC_PI_2;
 
@@ -196,10 +211,10 @@ const SQRT_HALF_BITS: u64 = 0x3fe6_a09e_667f_3bcd;
 ///    = 2s + s·R(s²)` with `R` fdlibm's `Lg1`–`Lg7` polynomial;
 /// 3. recombine as `k·ln2_hi − ((f²/2 − (s·(f²/2 + R) + k·ln2_lo)) − f)`.
 ///
-/// Only plain `*`, `+`, `−` and `/` — no `mul_add`, which without a
-/// hardware FMA target lowers to a libm call and would make a lane's
-/// rounding depend on the CPU. Rust never contracts `a*b + c`, so every
-/// lane rounds identically on every target.
+/// Only plain `*`, `+`, `−` and `/`, in fdlibm's unfused order: there is
+/// no fused reference to reproduce here, so the module's default holds
+/// (no `mul_add`). Rust never contracts `a*b + c`, so every lane rounds
+/// identically on every target.
 ///
 /// Zero, negative, subnormal and non-finite inputs are outside the domain
 /// and return unspecified finite or non-finite values (never a panic).
@@ -225,11 +240,194 @@ pub fn ln_lanes(x: &[f64; LANES]) -> [f64; LANES] {
     out
 }
 
+/// `N/ln 2` with `N = 128` table entries per octave: glibc's `InvLn2N`.
+const EXP_INV_LN2_N: u64 = 0x4067_1547_652b_82fe;
+/// `−ln 2/N` split in two: the high part has its low 17 bits clear, so
+/// `kd·hi` is exact for every `|kd| < 2¹⁷` (glibc's `NegLn2hiN`,
+/// `NegLn2loN`).
+const EXP_NEG_LN2_HI_N: u64 = 0xbf76_2e42_fefa_0000;
+const EXP_NEG_LN2_LO_N: u64 = 0xbd0c_f79a_bc9e_3b3a;
+/// `1.5·2⁵²`: adding it rounds `x·N/ln 2` to an integer `k` whose low bits
+/// sit in the sum's mantissa (glibc's `Shift`).
+const EXP_SHIFT: u64 = 0x4338_0000_0000_0000;
+/// glibc's `C2`–`C5`: the polynomial for `exp(r) − 1 − r` on
+/// `|r| ≤ ln 2/256`.
+const EXP_C2: u64 = 0x3fdf_ffff_ffff_fdbd;
+const EXP_C3: u64 = 0x3fc5_5555_5555_543c;
+const EXP_C4: u64 = 0x3fa5_5555_cf17_2b91;
+const EXP_C5: u64 = 0x3f81_1111_67a4_d017;
+/// Biased exponent below which `|x| < 2⁻⁵⁴`, where glibc returns
+/// `1.0 + x`.
+const EXP_TINY_TOP: u64 = 0x3c9;
+/// Biased exponent from which `|x| ≥ 512` (or `x` is not finite), where
+/// glibc leaves the main path: overflow, underflow, subnormal results.
+const EXP_BIG_TOP: u64 = 0x408;
+
+/// `2^(j/128)` for `j = 0‥127` as glibc's `__exp_data.tab` stores it:
+/// word `2j` holds the tail (the bits of `2^(j/128)` below the double
+/// `scale`, divided by it), word `2j + 1` the bits of `scale` minus
+/// `j << 45`, so adding `k << 45` to it rebuilds `2^(k/128)`'s exponent.
+///
+/// The words are copied from glibc 2.36's `libm.so.6`, which takes them
+/// from ARM's optimized-routines (`exp_data.c`, Copyright (c) 2018, Arm
+/// Limited; MIT OR Apache-2.0 WITH LLVM-exception). Do not regenerate
+/// them: a double-double recomputation reproduces every scale but only 23
+/// of the 128 tails bit for bit.
+#[rustfmt::skip]
+const EXP_TABLE: [u64; 256] = [
+    0x0000000000000000, 0x3ff0000000000000, 0x3c9b3b4f1a88bf6e, 0x3feff63da9fb3335,
+    0xbc7160139cd8dc5d, 0x3fefec9a3e778061, 0xbc905e7a108766d1, 0x3fefe315e86e7f85,
+    0x3c8cd2523567f613, 0x3fefd9b0d3158574, 0xbc8bce8023f98efa, 0x3fefd06b29ddf6de,
+    0x3c60f74e61e6c861, 0x3fefc74518759bc8, 0x3c90a3e45b33d399, 0x3fefbe3ecac6f383,
+    0x3c979aa65d837b6d, 0x3fefb5586cf9890f, 0x3c8eb51a92fdeffc, 0x3fefac922b7247f7,
+    0x3c3ebe3d702f9cd1, 0x3fefa3ec32d3d1a2, 0xbc6a033489906e0b, 0x3fef9b66affed31b,
+    0xbc9556522a2fbd0e, 0x3fef9301d0125b51, 0xbc5080ef8c4eea55, 0x3fef8abdc06c31cc,
+    0xbc91c923b9d5f416, 0x3fef829aaea92de0, 0x3c80d3e3e95c55af, 0x3fef7a98c8a58e51,
+    0xbc801b15eaa59348, 0x3fef72b83c7d517b, 0xbc8f1ff055de323d, 0x3fef6af9388c8dea,
+    0x3c8b898c3f1353bf, 0x3fef635beb6fcb75, 0xbc96d99c7611eb26, 0x3fef5be084045cd4,
+    0x3c9aecf73e3a2f60, 0x3fef54873168b9aa, 0xbc8fe782cb86389d, 0x3fef4d5022fcd91d,
+    0x3c8a6f4144a6c38d, 0x3fef463b88628cd6, 0x3c807a05b0e4047d, 0x3fef3f49917ddc96,
+    0x3c968efde3a8a894, 0x3fef387a6e756238, 0x3c875e18f274487d, 0x3fef31ce4fb2a63f,
+    0x3c80472b981fe7f2, 0x3fef2b4565e27cdd, 0xbc96b87b3f71085e, 0x3fef24dfe1f56381,
+    0x3c82f7e16d09ab31, 0x3fef1e9df51fdee1, 0xbc3d219b1a6fbffa, 0x3fef187fd0dad990,
+    0x3c8b3782720c0ab4, 0x3fef1285a6e4030b, 0x3c6e149289cecb8f, 0x3fef0cafa93e2f56,
+    0x3c834d754db0abb6, 0x3fef06fe0a31b715, 0x3c864201e2ac744c, 0x3fef0170fc4cd831,
+    0x3c8fdd395dd3f84a, 0x3feefc08b26416ff, 0xbc86a3803b8e5b04, 0x3feef6c55f929ff1,
+    0xbc924aedcc4b5068, 0x3feef1a7373aa9cb, 0xbc9907f81b512d8e, 0x3feeecae6d05d866,
+    0xbc71d1e83e9436d2, 0x3feee7db34e59ff7, 0xbc991919b3ce1b15, 0x3feee32dc313a8e5,
+    0x3c859f48a72a4c6d, 0x3feedea64c123422, 0xbc9312607a28698a, 0x3feeda4504ac801c,
+    0xbc58a78f4817895b, 0x3feed60a21f72e2a, 0xbc7c2c9b67499a1b, 0x3feed1f5d950a897,
+    0x3c4363ed60c2ac11, 0x3feece086061892d, 0x3c9666093b0664ef, 0x3feeca41ed1d0057,
+    0x3c6ecce1daa10379, 0x3feec6a2b5c13cd0, 0x3c93ff8e3f0f1230, 0x3feec32af0d7d3de,
+    0x3c7690cebb7aafb0, 0x3feebfdad5362a27, 0x3c931dbdeb54e077, 0x3feebcb299fddd0d,
+    0xbc8f94340071a38e, 0x3feeb9b2769d2ca7, 0xbc87deccdc93a349, 0x3feeb6daa2cf6642,
+    0xbc78dec6bd0f385f, 0x3feeb42b569d4f82, 0xbc861246ec7b5cf6, 0x3feeb1a4ca5d920f,
+    0x3c93350518fdd78e, 0x3feeaf4736b527da, 0x3c7b98b72f8a9b05, 0x3feead12d497c7fd,
+    0x3c9063e1e21c5409, 0x3feeab07dd485429, 0x3c34c7855019c6ea, 0x3feea9268a5946b7,
+    0x3c9432e62b64c035, 0x3feea76f15ad2148, 0xbc8ce44a6199769f, 0x3feea5e1b976dc09,
+    0xbc8c33c53bef4da8, 0x3feea47eb03a5585, 0xbc845378892be9ae, 0x3feea34634ccc320,
+    0xbc93cedd78565858, 0x3feea23882552225, 0x3c5710aa807e1964, 0x3feea155d44ca973,
+    0xbc93b3efbf5e2228, 0x3feea09e667f3bcd, 0xbc6a12ad8734b982, 0x3feea012750bdabf,
+    0xbc6367efb86da9ee, 0x3fee9fb23c651a2f, 0xbc80dc3d54e08851, 0x3fee9f7df9519484,
+    0xbc781f647e5a3ecf, 0x3fee9f75e8ec5f74, 0xbc86ee4ac08b7db0, 0x3fee9f9a48a58174,
+    0xbc8619321e55e68a, 0x3fee9feb564267c9, 0x3c909ccb5e09d4d3, 0x3feea0694fde5d3f,
+    0xbc7b32dcb94da51d, 0x3feea11473eb0187, 0x3c94ecfd5467c06b, 0x3feea1ed0130c132,
+    0x3c65ebe1abd66c55, 0x3feea2f336cf4e62, 0xbc88a1c52fb3cf42, 0x3feea427543e1a12,
+    0xbc9369b6f13b3734, 0x3feea589994cce13, 0xbc805e843a19ff1e, 0x3feea71a4623c7ad,
+    0xbc94d450d872576e, 0x3feea8d99b4492ed, 0x3c90ad675b0e8a00, 0x3feeaac7d98a6699,
+    0x3c8db72fc1f0eab4, 0x3feeace5422aa0db, 0xbc65b6609cc5e7ff, 0x3feeaf3216b5448c,
+    0x3c7bf68359f35f44, 0x3feeb1ae99157736, 0xbc93091fa71e3d83, 0x3feeb45b0b91ffc6,
+    0xbc5da9b88b6c1e29, 0x3feeb737b0cdc5e5, 0xbc6c23f97c90b959, 0x3feeba44cbc8520f,
+    0xbc92434322f4f9aa, 0x3feebd829fde4e50, 0xbc85ca6cd7668e4b, 0x3feec0f170ca07ba,
+    0x3c71affc2b91ce27, 0x3feec49182a3f090, 0x3c6dd235e10a73bb, 0x3feec86319e32323,
+    0xbc87c50422622263, 0x3feecc667b5de565, 0x3c8b1c86e3e231d5, 0x3feed09bec4a2d33,
+    0xbc91bbd1d3bcbb15, 0x3feed503b23e255d, 0x3c90cc319cee31d2, 0x3feed99e1330b358,
+    0x3c8469846e735ab3, 0x3feede6b5579fdbf, 0xbc82dfcd978e9db4, 0x3feee36bbfd3f37a,
+    0x3c8c1a7792cb3387, 0x3feee89f995ad3ad, 0xbc907b8f4ad1d9fa, 0x3feeee07298db666,
+    0xbc55c3d956dcaeba, 0x3feef3a2b84f15fb, 0xbc90a40e3da6f640, 0x3feef9728de5593a,
+    0xbc68d6f438ad9334, 0x3feeff76f2fb5e47, 0xbc91eee26b588a35, 0x3fef05b030a1064a,
+    0x3c74ffd70a5fddcd, 0x3fef0c1e904bc1d2, 0xbc91bdfbfa9298ac, 0x3fef12c25bd71e09,
+    0x3c736eae30af0cb3, 0x3fef199bdd85529c, 0x3c8ee3325c9ffd94, 0x3fef20ab5fffd07a,
+    0x3c84e08fd10959ac, 0x3fef27f12e57d14b, 0x3c63cdaf384e1a67, 0x3fef2f6d9406e7b5,
+    0x3c676b2c6c921968, 0x3fef3720dcef9069, 0xbc808a1883ccb5d2, 0x3fef3f0b555dc3fa,
+    0xbc8fad5d3ffffa6f, 0x3fef472d4a07897c, 0xbc900dae3875a949, 0x3fef4f87080d89f2,
+    0x3c74a385a63d07a7, 0x3fef5818dcfba487, 0xbc82919e2040220f, 0x3fef60e316c98398,
+    0x3c8e5a50d5c192ac, 0x3fef69e603db3285, 0x3c843a59ac016b4b, 0x3fef7321f301b460,
+    0xbc82d52107b43e1f, 0x3fef7c97337b9b5f, 0xbc892ab93b470dc9, 0x3fef864614f5a129,
+    0x3c74b604603a88d3, 0x3fef902ee78b3ff6, 0x3c83c5ec519d7271, 0x3fef9a51fbc74c83,
+    0xbc8ff7128fd391f0, 0x3fefa4afa2a490da, 0xbc8dae98e223747d, 0x3fefaf482d8e67f1,
+    0x3c8ec3bc41aa2008, 0x3fefba1bee615a27, 0x3c842b94c3a9eb32, 0x3fefc52b376bba97,
+    0x3c8a64a931d185ee, 0x3fefd0765b6e4540, 0xbc8e37bae43be3ed, 0x3fefdbfdad9cbe14,
+    0x3c77893b4d91cd9d, 0x3fefe7c1819e90d8, 0x3c5305c14160cc89, 0x3feff3c22b8f71f1,
+];
+
+/// `e^x` for [`LANES`] arguments at once — every lane **bit-identical**
+/// to `f64::exp` on the reference host, whose libm is glibc 2.36's FMA
+/// variant of `exp` (ARM's optimized-routines algorithm).
+///
+/// The lane port of that libm's main path, with its constants, its
+/// 128-entry `(tail, scale)` table and its operation order:
+///
+/// 1. `k = round(x·128/ln 2)` by the `Shift` add, read from the sum's bits
+///    as glibc does (an `as` cast would keep the loop out of vector code;
+///    DESIGN.md §11), and `r = x − k·ln 2/128` in two fused steps;
+/// 2. `scale = 2^(k/128)` from table entry `k mod 128` with `k div 128`
+///    added to its exponent, and its `tail`;
+/// 3. `tmp = tail + r + r²·(C2 + r·C3) + r⁴·(C4 + r·C5)` and
+///    `e^x = scale + scale·tmp`.
+///
+/// `f64::mul_add` sits at exactly the eight points where glibc's build
+/// fuses: the `Shift` add, both reduction steps, the two inner polynomial
+/// terms, the two outer ones and the final `scale + scale·tmp`. `r²`,
+/// `r⁴` and `tail + r` stay plain. A fused step rounds once on every
+/// target (module doc), so each lane rounds exactly where that libm does.
+///
+/// For `|x| < 2⁻⁵⁴` a lane returns `1.0 + x`, as glibc does. Lanes with
+/// `|x| ≥ 512` or a non-finite `x` (overflow, underflow, subnormal
+/// results) leave glibc's main path; they are replayed through `f64::exp`
+/// behind one branch per call, which the rate-region estimator's
+/// arguments rarely take.
+///
+/// The three loops are one computation split where the table is read:
+/// so split, the compiler vectorizes the arithmetic around the table
+/// gathers, where one fused loop stays scalar. It relies on being
+/// inlined into its caller's loop: out of line, its lane arrays pass
+/// through memory and the MI estimator's loop runs at about half speed.
+#[inline]
+pub fn exp_lanes(x: &[f64; LANES]) -> [f64; LANES] {
+    let inv_ln2_n = f64::from_bits(EXP_INV_LN2_N);
+    let neg_ln2_hi_n = f64::from_bits(EXP_NEG_LN2_HI_N);
+    let neg_ln2_lo_n = f64::from_bits(EXP_NEG_LN2_LO_N);
+    let shift = f64::from_bits(EXP_SHIFT);
+    let [c2, c3, c4, c5] = [EXP_C2, EXP_C3, EXP_C4, EXP_C5].map(f64::from_bits);
+    let top = |x: f64| (x.to_bits() >> 52) & 0x7ff;
+    let mut ki = [0u64; LANES];
+    let mut r = [0.0f64; LANES];
+    let mut replay = false;
+    for l in 0..LANES {
+        replay |= top(x[l]) >= EXP_BIG_TOP;
+        let z = x[l].mul_add(inv_ln2_n, shift);
+        ki[l] = z.to_bits();
+        let kd = z - shift;
+        r[l] = kd.mul_add(neg_ln2_lo_n, kd.mul_add(neg_ln2_hi_n, x[l]));
+    }
+    let mut tail = [0.0f64; LANES];
+    let mut scale_bits = [0u64; LANES];
+    for l in 0..LANES {
+        let i = 2 * (ki[l] & 127) as usize;
+        tail[l] = f64::from_bits(EXP_TABLE[i]);
+        scale_bits[l] = EXP_TABLE[i + 1].wrapping_add(ki[l] << 45);
+    }
+    let mut out = [0.0f64; LANES];
+    for l in 0..LANES {
+        let (r, scale) = (r[l], f64::from_bits(scale_bits[l]));
+        let r2 = r * r;
+        let tmp = (r2 * r2).mul_add(
+            r.mul_add(c5, c4),
+            r.mul_add(c3, c2).mul_add(r2, tail[l] + r),
+        );
+        let y = scale.mul_add(tmp, scale);
+        out[l] = if top(x[l]) < EXP_TINY_TOP {
+            1.0 + x[l]
+        } else {
+            y
+        };
+    }
+    if replay {
+        for (slot, &xl) in out.iter_mut().zip(x) {
+            if top(xl) >= EXP_BIG_TOP {
+                *slot = xl.exp();
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::Rng;
-    use std::f64::consts::TAU;
+    use std::f64::consts::{FRAC_1_SQRT_2, TAU};
 
     #[test]
     fn matches_libm_over_the_unit_turn() {
@@ -385,6 +583,154 @@ mod tests {
             worst.0.log2(),
             worst.1
         );
+    }
+
+    // The `exp_lanes` tests below pin glibc's FMA `exp`, the reference
+    // host's libm: `f64::exp` is their oracle, so on another libm (or with
+    // glibc's FMA variants masked off) the oracle itself moves and they
+    // fail by design.
+
+    /// Runs `xs` through [`exp_lanes`], [`LANES`] at a time, and asserts
+    /// that every lane carries `f64::exp`'s bits.
+    fn assert_exp_lanes_is_libm(xs: &[f64]) {
+        for chunk in xs.chunks(LANES) {
+            let mut lanes = [0.0f64; LANES];
+            lanes[..chunk.len()].copy_from_slice(chunk);
+            let fast = exp_lanes(&lanes);
+            for (&x, &got) in chunk.iter().zip(&fast) {
+                let want = x.exp();
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "exp_lanes({x:e} = {:#018x}) = {got:e}, libm {want:e}",
+                    x.to_bits()
+                );
+            }
+        }
+    }
+
+    /// `x` and its `n` nearest `f64` neighbours on either side.
+    fn neighbours(x: f64, n: u64) -> impl Iterator<Item = f64> {
+        let bits = x.to_bits();
+        (bits - n..=bits + n).map(f64::from_bits)
+    }
+
+    /// One argument the way the MI estimator forms it, `|n|² − |Δ + n|²`
+    /// with `n ~ CN(0, 1)` and a tuple gap `Δ` whose scale is log-uniform
+    /// on [10⁻³, 10]; every 16th draw has `Δ = 0`, the exact-zero diagonal.
+    fn estimator_arg(rng: &mut crate::rng::Xoshiro256pp, i: usize) -> f64 {
+        let (n_re, n_im) = rng.normal_pair();
+        let (n_re, n_im) = (n_re * FRAC_1_SQRT_2, n_im * FRAC_1_SQRT_2);
+        let (g_re, g_im) = rng.normal_pair();
+        let s = if i % 16 == 0 {
+            0.0
+        } else {
+            rng.log_range(1e-3, 10.0)
+        };
+        let (dr, di) = ((g_re * s) + n_re, (g_im * s) + n_im);
+        (n_re * n_re + n_im * n_im) - (dr * dr + di * di)
+    }
+
+    /// Draw `i` of the `exp_lanes` sweeps: three in four estimator-shaped
+    /// (nearly all in [−40, 20]), one in eight uniform over [−760, 720]
+    /// (both replay edges and the overflow to ∞), one in eight raw bits
+    /// (tiny, subnormal, huge and non-finite arguments).
+    fn exp_sweep_arg(rng: &mut crate::rng::Xoshiro256pp, i: usize) -> f64 {
+        match i % 8 {
+            6 => rng.in_range(-760.0, 720.0),
+            7 => f64::from_bits(rng.next_u64()),
+            _ => estimator_arg(rng, i),
+        }
+    }
+
+    #[test]
+    fn exp_lanes_is_libm_at_every_table_index() {
+        // x = (k + f)·ln2/128 lands in table entry k mod 128 with r at
+        // offset f of its half-width; k over ±6 octaves visits every entry
+        // twelve times, from both signs. f = ½ is where the `Shift` add
+        // rounds k, so its 8 neighbours either side are swept too.
+        let step = std::f64::consts::LN_2 / 128.0;
+        let offsets = [-0.5, -0.375, -0.25, -0.125, 0.0, 0.125, 0.25, 0.375, 0.5];
+        let mut xs = Vec::new();
+        for k in -768i32..768 {
+            for f in offsets {
+                xs.push((f64::from(k) + f) * step);
+            }
+            xs.extend(neighbours((f64::from(k) + 0.5) * step, 8));
+        }
+        assert_exp_lanes_is_libm(&xs);
+    }
+
+    /// Arguments at which computing one of [`exp_lanes`]' inner fused
+    /// steps unfused changes the result: `C2 + r·C3` for the first three,
+    /// `(C2 + r·C3)·r² + (tail + r)` for the other four. Found by a search
+    /// over 2³² random arguments; they are rarer than 1 in 2²⁰, so the
+    /// random sweep below would miss them.
+    const FUSION_WITNESSES: [u64; 7] = [
+        0xc07d_f626_c6fa_ea4d,
+        0x4072_e301_af72_805a,
+        0xc00e_a682_e187_a620,
+        0x4033_72ed_10ed_04a0,
+        0xc076_2cea_3a43_b510,
+        0x4010_a520_cd18_b628,
+        0xc033_9425_3c3a_7dee,
+    ];
+
+    #[test]
+    fn exp_lanes_is_libm_at_the_path_edges() {
+        let tiny = 2f64.powi(-54);
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+        ];
+        // Subnormals: the smallest, the largest and one between, both signs.
+        for bits in [1u64, 0x0008_0000_0000_0000, 0x000f_ffff_ffff_ffff] {
+            xs.extend([f64::from_bits(bits), -f64::from_bits(bits)]);
+        }
+        // Both sides of the 1 + x path (2⁻⁵⁴), of the replay edge (512),
+        // of 1024, of the overflow to ∞ (709.78) and of the underflow
+        // through the subnormals to 0 (−708.40, −745.13).
+        let edges = [tiny, -tiny, 512.0, -512.0, 1024.0, -1024.0];
+        let xflow = [
+            709.782_712_893_384,
+            -708.396_418_532_264_1,
+            -745.133_219_101_941_1,
+        ];
+        for edge in edges.into_iter().chain(xflow) {
+            xs.extend(neighbours(edge, 16));
+        }
+        xs.extend(FUSION_WITNESSES.map(f64::from_bits));
+        assert_exp_lanes_is_libm(&xs);
+    }
+
+    #[test]
+    fn exp_lanes_is_libm_over_2_pow_20_estimator_draws() {
+        let mut rng = crate::rng::Xoshiro256pp::seed_from(0xE1);
+        let xs: Vec<f64> = (0..1 << 20).map(|i| exp_sweep_arg(&mut rng, i)).collect();
+        let core = xs.iter().filter(|x| (-40.0..=20.0).contains(*x)).count();
+        assert!(core * 2 > xs.len(), "only {core} draws in [−40, 20]");
+        assert_exp_lanes_is_libm(&xs);
+    }
+
+    #[test]
+    #[ignore = "2^28 libm calls; run in release: cargo test --release -p mmtag-rf --lib -- --ignored"]
+    fn exp_lanes_is_libm_over_2_pow_28_draws() {
+        let mut rng = crate::rng::Xoshiro256pp::seed_from(0xE28);
+        let mut xs = vec![0.0f64; 1 << 16];
+        for _ in 0..(1 << 12) {
+            for (i, x) in xs.iter_mut().enumerate() {
+                *x = exp_sweep_arg(&mut rng, i);
+            }
+            assert_exp_lanes_is_libm(&xs);
+        }
     }
 
     #[test]

@@ -36,6 +36,7 @@
 
 use mmtag_channel::cascade::{CascadeDraw, CascadeStreams, MultiTagCascade};
 use mmtag_phy::constellation::TagConstellation;
+use mmtag_rf::math::{exp_lanes, LANES};
 use mmtag_rf::par;
 use mmtag_rf::rng::{Rng, SeedTree, Xoshiro256pp};
 use mmtag_rf::Complex;
@@ -138,8 +139,9 @@ impl RateCurves {
 
 /// Caller-owned workspace for [`sum_rate_chunk`]: fading streams, the
 /// channel draw, per-tag beam states, the per-(tag, state) contribution
-/// table and the per-tuple equivalent channel. Grown on first use, then
-/// reused allocation-free (DESIGN.md §8 scratch discipline).
+/// table, the per-tuple equivalent channel and its scaled tuple points.
+/// Grown on first use, then reused allocation-free (DESIGN.md §8 scratch
+/// discipline).
 #[derive(Clone, Debug)]
 pub struct RateScratch {
     streams: CascadeStreams,
@@ -148,6 +150,10 @@ pub struct RateScratch {
     beam: Vec<Complex>,
     contrib: Vec<Complex>,
     equiv: Vec<Complex>,
+    /// Tuple points `√(ρ·symbolRatio)·h(s)` split into real and imaginary
+    /// parts, padded with zeros to a whole number of [`LANES`] blocks.
+    x_re: Vec<f64>,
+    x_im: Vec<f64>,
 }
 
 impl RateScratch {
@@ -160,6 +166,8 @@ impl RateScratch {
             beam: Vec::new(),
             contrib: Vec::new(),
             equiv: Vec::new(),
+            x_re: Vec::new(),
+            x_im: Vec::new(),
         }
     }
 }
@@ -218,6 +226,13 @@ pub fn sum_rate_chunk(
     scratch.beam.resize(n_tags, Complex::ZERO);
     scratch.contrib.resize(n_tags * m, Complex::ZERO);
     scratch.equiv.resize(tuples, Complex::ZERO);
+    // Zero padding up to whole lane blocks: the pad lanes are computed
+    // (finite, never NaN) and then discarded.
+    let padded = tuples.div_ceil(LANES) * LANES;
+    for buf in [&mut scratch.x_re, &mut scratch.x_im] {
+        buf.clear();
+        buf.resize(padded, 0.0);
+    }
 
     let mut out = RateCurves::zero();
     for _ in 0..trials {
@@ -288,25 +303,55 @@ pub fn sum_rate_chunk(
             // Backscatter mutual information of the discrete tuple
             // alphabet in AWGN (Gauss-Hermite-free Monte-Carlo form):
             //   I ≈ log2 T − avg_{s,n} log2 Σ_{s'} e^{−|x_s−x_{s'}+n|²+|n|²}
-            let mut mi_sum = 0.0;
-            for n in &noise {
-                let n_pow = n.norm_sqr();
-                for t in 0..tuples {
-                    let x_t = scratch.equiv[t].scale(rho_b_sqrt);
-                    let mut inner = 0.0;
-                    for x_u in &scratch.equiv {
-                        let d = x_t - x_u.scale(rho_b_sqrt) + *n;
-                        inner += (n_pow - d.norm_sqr()).exp();
-                    }
-                    mi_sum += inner.log2();
-                }
+            for (t, h) in scratch.equiv.iter().enumerate() {
+                scratch.x_re[t] = h.re * rho_b_sqrt;
+                scratch.x_im[t] = h.im * rho_b_sqrt;
             }
+            let mi_sum = backscatter_log_sum(&scratch.x_re, &scratch.x_im, tuples, &noise);
             let mi = (tuples as f64).log2() - mi_sum / (tuples * NOISE_DRAWS) as f64;
             out.backscatter[j] += mi / cfg.symbol_ratio;
         }
         out.trials += 1;
     }
     out
+}
+
+/// `Σ_n Σ_t log2 Σ_u exp(|n|² − |x_t − x_u + n|²)` over the `tuples`
+/// points `(x_re[i], x_im[i])`: the MI estimator's inner sums, [`LANES`]
+/// tuples `t` per pass through [`exp_lanes`].
+///
+/// Each lane forms its argument with the same `Complex` operations as the
+/// scalar loop it replaced — `d = (x_t − x_u) + n`, then `|n|² − |d|²` —
+/// in plain `-`/`+`/`*`, folds its `u` terms in order from `0.0`, and
+/// `exp_lanes` is bit-identical to libm `exp`, so every sum keeps its
+/// bits; the `log2` terms then fold in the scalar loop's `(n, t)` order.
+/// `x_re`/`x_im` are zero-padded to a whole number of blocks, and the pad
+/// lanes' sums are dropped.
+fn backscatter_log_sum(x_re: &[f64], x_im: &[f64], tuples: usize, noise: &[Complex]) -> f64 {
+    let mut mi_sum = 0.0;
+    for n in noise {
+        let n_pow = n.norm_sqr();
+        let blocks = x_re.chunks_exact(LANES).zip(x_im.chunks_exact(LANES));
+        for (b, (bre, bim)) in blocks.enumerate() {
+            let mut inner = [0.0f64; LANES];
+            for (&ur, &ui) in x_re[..tuples].iter().zip(&x_im[..tuples]) {
+                let mut arg = [0.0f64; LANES];
+                for l in 0..LANES {
+                    let dr = (bre[l] - ur) + n.re;
+                    let di = (bim[l] - ui) + n.im;
+                    arg[l] = n_pow - (dr * dr + di * di);
+                }
+                let terms = exp_lanes(&arg);
+                for l in 0..LANES {
+                    inner[l] += terms[l];
+                }
+            }
+            for s in &inner[..LANES.min(tuples - b * LANES)] {
+                mi_sum += s.log2();
+            }
+        }
+    }
+    mi_sum
 }
 
 /// Traces the rate-region boundary: for every weight in `weights`, the
@@ -444,6 +489,148 @@ mod tests {
                 ]
             })
             .collect()
+    }
+
+    /// The chunk kernel as it was before the MI loop ran on lanes, kept as
+    /// its one bit-exact oracle (DESIGN.md §8): the same draws, beam
+    /// states and rates, with one scalar libm `exp` per `(n, t, u)` term
+    /// and the tuple points rescaled in the innermost loop.
+    fn oracle_chunk(
+        cfg: &RateRegionConfig,
+        tree: &SeedTree,
+        chunk: u64,
+        trials: usize,
+    ) -> RateCurves {
+        let n_tags = cfg.cascade.n_tags();
+        let tuples = cfg.tuple_count();
+        let states = cfg.constellation.points();
+        let m = states.len();
+        let rho = cfg.rho();
+        let rho_b_sqrt = (rho * cfg.symbol_ratio).sqrt();
+        let mut streams = CascadeStreams::new();
+        streams.reseed(tree, chunk, n_tags);
+        let mut noise_rng = tree.rng_indexed("rate-noise", chunk);
+        let mut draw = CascadeDraw::new();
+        let mut beam = vec![Complex::ZERO; n_tags];
+        let mut contrib = vec![Complex::ZERO; n_tags * m];
+        let mut equiv = vec![Complex::ZERO; tuples];
+        let mut out = RateCurves::zero();
+        for _ in 0..trials {
+            cfg.cascade.sample_into(&mut streams, &mut draw);
+            let h_d = draw.direct;
+            for (slot, &v) in beam.iter_mut().zip(&draw.tags) {
+                let mut best = 0;
+                let mut best_gain = f64::NEG_INFINITY;
+                for (s, c) in states.iter().enumerate() {
+                    let gain = (h_d.conj() * v * *c).re;
+                    if gain > best_gain {
+                        best_gain = gain;
+                        best = s;
+                    }
+                }
+                *slot = states[best];
+            }
+            let mut noise = [Complex::ZERO; NOISE_DRAWS];
+            for slot in &mut noise {
+                let (z0, z1) = noise_rng.normal_pair();
+                *slot = Complex::new(
+                    z0 * std::f64::consts::FRAC_1_SQRT_2,
+                    z1 * std::f64::consts::FRAC_1_SQRT_2,
+                );
+            }
+            for j in 0..DEPTH_GRID {
+                let mu = j as f64 / (DEPTH_GRID - 1) as f64;
+                for i in 0..n_tags {
+                    let v = draw.tags[i];
+                    let hold = beam[i].scale(1.0 - mu);
+                    for (s, c) in states.iter().enumerate() {
+                        contrib[i * m + s] = v * (hold + c.scale(mu));
+                    }
+                }
+                for (t, slot) in equiv.iter_mut().enumerate() {
+                    let mut h = h_d;
+                    let mut rest = t;
+                    for i in 0..n_tags {
+                        h += contrib[i * m + rest % m];
+                        rest /= m;
+                    }
+                    *slot = h;
+                }
+                let mut rp = 0.0;
+                for h in &equiv {
+                    rp += (1.0 + rho * h.norm_sqr()).log2();
+                }
+                out.primary[j] += rp / tuples as f64;
+                let mut mi_sum = 0.0;
+                for n in &noise {
+                    let n_pow = n.norm_sqr();
+                    for x in &equiv {
+                        let x_t = x.scale(rho_b_sqrt);
+                        let mut inner = 0.0;
+                        for x_u in &equiv {
+                            let d = x_t - x_u.scale(rho_b_sqrt) + *n;
+                            inner += (n_pow - d.norm_sqr()).exp();
+                        }
+                        mi_sum += inner.log2();
+                    }
+                }
+                let mi = (tuples as f64).log2() - mi_sum / (tuples * NOISE_DRAWS) as f64;
+                out.backscatter[j] += mi / cfg.symbol_ratio;
+            }
+            out.trials += 1;
+        }
+        out
+    }
+
+    fn assert_curves_bit_equal(got: &RateCurves, want: &RateCurves, what: &str) {
+        assert_eq!(got.trials, want.trials, "{what}");
+        for j in 0..DEPTH_GRID {
+            assert_eq!(
+                got.primary[j].to_bits(),
+                want.primary[j].to_bits(),
+                "{what}: primary at depth {j}"
+            );
+            assert_eq!(
+                got.backscatter[j].to_bits(),
+                want.backscatter[j].to_bits(),
+                "{what}: backscatter at depth {j}"
+            );
+        }
+    }
+
+    #[test]
+    fn lane_mi_loop_matches_the_scalar_oracle() {
+        // (tags, PSK order) on the E29–E31 ring scene: E29's cell (also
+        // E31's 4-PSK), E30's 1–4 tags (2 tags is also E31's 2-PSK), E31's
+        // 8-PSK, and a 3-PSK pair whose T = 9 ends in a ragged lane block.
+        // E30's T = 2 and T = 4 cells are single partial blocks.
+        let cells = [(2, 4), (1, 2), (2, 2), (3, 2), (4, 2), (2, 8), (2, 3)];
+        let tree = SeedTree::new(19).subtree("rate-oracle");
+        // One scratch across every cell, so it also regrows and shrinks.
+        let mut scratch = RateScratch::new();
+        for (n_tags, order) in cells {
+            let cfg = RateRegionConfig {
+                constellation: TagConstellation::psk(order, 0.5),
+                cascade: MultiTagCascade::ring(
+                    n_tags,
+                    10.0,
+                    2.0,
+                    HopModel::new(2.6, 5.0),
+                    HopModel::new(2.4, 5.0),
+                    HopModel::new(2.0, 5.0),
+                ),
+                ..small_cfg()
+            };
+            // Several chunk indices; small cells also run a ragged
+            // 37-trial chunk.
+            let trials = if cfg.tuple_count() <= 16 { 37 } else { 2 };
+            for chunk in [0, 1, 7] {
+                let got = sum_rate_chunk(&cfg, &tree, chunk, trials, &mut scratch);
+                let want = oracle_chunk(&cfg, &tree, chunk, trials);
+                let what = format!("{n_tags} tags, {order}-PSK, chunk {chunk}");
+                assert_curves_bit_equal(&got, &want, &what);
+            }
+        }
     }
 
     #[test]

@@ -28,11 +28,12 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # regenerates every table at published size and compares the digests
 # across passes and against a 1-thread child process — the only gate that
 # exercises the parallel decompositions (city barrier, E16/E26/E28 cell
-# fan-out, E29's one chunk-grid estimate shared by all eleven weights) and
-# the certified bit-error counters (E5/E16/serve-sweep's OOK
+# fan-out, E29's one chunk-grid estimate shared by all eleven weights), the
+# certified bit-error counters (E5/E16/serve-sweep's OOK
 # `count_bit_errors_scratch`, E16's BPSK `measure_bpsk_ber`: fast `ln_lanes`
-# decisions with exact libm replay inside the rounding margin) at full
-# size before the benchmark itself.
+# decisions with exact libm replay inside the rounding margin) and the
+# lane MI estimator (E29–E31's `exp` terms eight per pass on `exp_lanes`)
+# at full size before the benchmark itself.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q
 # Cross-CPU margin: glibc picks its libm `ln`/`exp`/`sin`/`cos` variants by
@@ -42,8 +43,9 @@ cargo test -q
 # first kernel that exposes raw libm bits fails here.
 GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 cargo test -q -p mmtag-bench --test scenarios
 # The certificate's `ln_lanes` bound (≤ 2⁻⁵⁰ relative to libm `ln`) over
-# 2²⁸ ladder inputs: too slow for the debug run above, where it is
-# #[ignore]d and a 2²⁰-input sweep covers every binade instead.
+# 2²⁸ ladder inputs, and `exp_lanes` bit-equal to libm `exp` (glibc's FMA
+# variant) over 2²⁸ arguments: too slow for the debug run above, where
+# both are #[ignore]d and 2²⁰-input sweeps stand in.
 cargo test --release --offline -q -p mmtag-rf --lib -- --ignored
 cargo clippy --workspace --all-targets -- -D warnings
 
