@@ -18,8 +18,8 @@ use mmtag_sim::par::par_map_with;
 use mmtag_sim::scenario::{AxisKind, RunContext, ScenarioSpec};
 
 /// **E27** spec: tag-density sweep (10³ → 10⁵ tags) on the dense city.
-/// The axis is `Values`, so even the minimized CI smoke keeps the 10⁵
-/// point — the registry smoke genuinely runs a hundred thousand tags.
+/// The axis is `Values`, so even the minimized smoke size keeps the 10⁵
+/// point — the smoke tests genuinely run a hundred thousand tags.
 pub(crate) fn e27_spec(seed: u64) -> ScenarioSpec {
     ScenarioSpec::paper_link(
         "e27-city-density",

@@ -3,9 +3,8 @@
 //! One `(spec, body)` pair per experiment in `DESIGN.md`'s per-experiment
 //! index: the spec declares the sweep, the body turns it into
 //! [`mmtag_sim::experiment::Table`]s, and [`scenarios::registry`] names
-//! the pair so the `scenario` binary prints its tables and the smoke
-//! tests assert its headline numbers
-//! (`cargo run -p mmtag-bench --bin scenario -- run e02-link-budget`).
+//! the pair so `mmtag run` prints its tables and the smoke tests assert
+//! its headline numbers (`cargo run -p mmtag-cli -- run e02-link-budget`).
 //! Nothing here times anything: the repository benchmark (`perfbench/`,
 //! declared in `BENCHMARK.json`) does, and `--bin bench_report` records
 //! its runs into `BENCH_report.json`. The [`loadgen`] module drives a
@@ -32,8 +31,8 @@
 //! | E29–E31 | multi-tag rate region | `e29-rate-region` … `e31-rate-vs-states` ([`rate_figs`]) |
 //!
 //! Every experiment is also registered as a named scenario in
-//! [`scenarios::registry`] — `cargo run -p mmtag-bench --bin scenario --
-//! list` enumerates them, and each runs through the typed
+//! [`scenarios::registry`] — `cargo run -p mmtag-cli -- scenarios`
+//! enumerates them, and each runs through the typed
 //! [`mmtag_sim::scenario`] pipeline (spec → [`mmtag_sim::scenario::Runner`]
 //! → [`mmtag_sim::scenario::RunRecord`] with a reproducibility manifest).
 

@@ -5,9 +5,9 @@
 //! a [`ScenarioSpec`] declaring the sweep axes, device configs, trial
 //! count and seed, plus a plain function interpreting that spec into
 //! tables. [`FigScenario`] packages such a pair behind the
-//! [`Scenario`] trait, and [`registry`] collects all of them so the
-//! `scenario` binary, the CLI `run` command and the CI smoke step resolve
-//! experiments uniformly instead of wiring sweeps by hand.
+//! [`Scenario`] trait, and [`registry`] collects all of them so the CLI
+//! `scenarios` and `run` commands, the benchmark and the smoke tests
+//! resolve experiments uniformly instead of wiring sweeps by hand.
 
 use mmtag_sim::experiment::Table;
 use mmtag_sim::scenario::{Registry, RunContext, RunRecord, Runner, Scenario, ScenarioSpec};

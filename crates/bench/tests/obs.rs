@@ -1,32 +1,19 @@
 //! Observability guarantees at the registry level: recording is a pure
 //! side channel (enabling it never perturbs results), counters and
-//! histograms are thread-count invariant, and both serializers emit
-//! valid JSON.
+//! histograms are thread-count invariant, both serializers emit valid
+//! JSON, and a run nobody traces leaves nothing behind.
 //!
-//! The obs level and collector are process-global, so every test here
-//! takes [`lock`] first; integration tests in other files never touch
-//! the level, which makes this file the only place that needs it.
+//! The obs level and log belong to the thread that records, and each
+//! test runs on its own thread, so these tests run concurrently with
+//! each other and with every other test in the process.
 
 use mmtag_bench::scenarios::registry;
 use mmtag_rf::obs;
 use mmtag_sim::json::parse_json;
 use mmtag_sim::scenario::Runner;
-use std::sync::Mutex;
-
-static GUARD: Mutex<()> = Mutex::new(());
-
-/// Serializes the tests in this file and starts each from a clean slate
-/// (level off, collector empty).
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    let g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    obs::set_level(obs::Level::Off);
-    obs::reset();
-    g
-}
 
 #[test]
 fn tracing_never_changes_tables_and_counters_are_thread_invariant() {
-    let _g = lock();
     let reg = registry();
     let s = reg.get("e05-ber").expect("e05-ber is registered");
 
@@ -37,7 +24,7 @@ fn tracing_never_changes_tables_and_counters_are_thread_invariant() {
     let mut traced_histograms = Vec::new();
     for threads in [1usize, 2, 8] {
         for level in [obs::Level::Off, obs::Level::Trace] {
-            obs::reset();
+            obs::drain();
             obs::set_level(level);
             let rec = Runner::with_threads(threads).run_minimized(s, 3, 200);
             obs::set_level(obs::Level::Off);
@@ -55,7 +42,7 @@ fn tracing_never_changes_tables_and_counters_are_thread_invariant() {
             }
         }
     }
-    obs::reset();
+    obs::drain();
 
     // Integer aggregates must not depend on the worker budget.
     assert_eq!(traced_counters[0], traced_counters[1]);
@@ -66,7 +53,6 @@ fn tracing_never_changes_tables_and_counters_are_thread_invariant() {
 
 #[test]
 fn trace_and_metrics_serializers_emit_valid_json() {
-    let _g = lock();
     let reg = registry();
     let s = reg.get("e05-ber").expect("e05-ber is registered");
 
@@ -92,7 +78,6 @@ fn trace_and_metrics_serializers_emit_valid_json() {
 
 #[test]
 fn per_unit_events_merge_in_unit_order() {
-    let _g = lock();
     let reg = registry();
     let s = reg.get("e05-ber").expect("e05-ber is registered");
 
@@ -100,7 +85,7 @@ fn per_unit_events_merge_in_unit_order() {
     // same serial and parallel: deltas are captured per work unit and
     // appended in unit order at merge.
     let names = |threads: usize| -> Vec<String> {
-        obs::reset();
+        obs::drain();
         obs::set_level(obs::Level::Trace);
         let _ = Runner::with_threads(threads).run_minimized(s, 3, 200);
         obs::set_level(obs::Level::Off);
@@ -116,4 +101,18 @@ fn per_unit_events_merge_in_unit_order() {
             .collect()
     };
     assert_eq!(names(1), names(8), "event order depends on thread count");
+}
+
+#[test]
+fn an_untraced_run_leaves_an_empty_log_on_its_thread() {
+    let reg = registry();
+    let s = reg.get("e05-ber").expect("e05-ber is registered");
+    for threads in [1usize, 2] {
+        let rec = Runner::with_threads(threads).run_minimized(s, 3, 200);
+        // The manifest still carries the run's counters...
+        assert!(rec.manifest.metrics.counter("phy.ber.bits") > 0);
+        // ...and the thread is back where it started.
+        assert_eq!(obs::level(), obs::Level::Off);
+        assert!(obs::drain().is_empty(), "threads={threads}");
+    }
 }

@@ -22,12 +22,14 @@ use std::fmt::Write as _;
 
 /// Top-level dispatch. Unknown/missing commands return the help text.
 ///
-/// `--trace <file>` (valid on every command) turns the observability layer
-/// up to [`obs::Level::Trace`] for the duration of the command and writes
-/// the recorded spans as Chrome tracing JSON (load the file at
-/// `chrome://tracing` or in Perfetto). Tracing never changes command
-/// output — the engine merges observability events in deterministic unit
-/// order, so traced and untraced runs print identical bytes.
+/// `--trace <file>` (valid on every command but `serve`) turns the calling
+/// thread's observability level up to [`obs::Level::Trace`] for the
+/// duration of the command — the pool workers it fans out to record at
+/// its level — and writes the recorded spans as Chrome tracing JSON (load
+/// the file at `chrome://tracing` or in Perfetto). Tracing never changes
+/// command output — the engine merges observability events in
+/// deterministic unit order, so traced and untraced runs print identical
+/// bytes.
 pub fn run(args: &Args) -> Result<String, ArgError> {
     let Some(trace_path) = args.options.get("trace") else {
         return dispatch(args);
@@ -71,11 +73,12 @@ fn dispatch(args: &Args) -> Result<String, ArgError> {
 fn cmd_serve(args: &Args) -> Result<String, ArgError> {
     use mmtag_sim::serve::{EngineConfig, Server};
     if args.options.contains_key("trace") {
-        // Executors drain the global obs log after every job to keep a
-        // long-lived daemon bounded, which would swallow an enclosing
-        // trace capture's spans mid-flight.
+        // The obs level and log are per thread: a trace captures the
+        // thread that runs the command, and the daemon's jobs run on its
+        // executor threads, so the file would hold none of their spans.
         return Err(ArgError::Serve {
-            message: "--trace is not supported on serve (executors drain the obs log per job)"
+            message: "--trace is not supported on serve (a trace records the calling thread; \
+                      serve's jobs run on executor threads)"
                 .into(),
         });
     }
@@ -704,6 +707,26 @@ mod tests {
         let trace = std::fs::read_to_string(&path).unwrap();
         assert!(trace.contains("\"traceEvents\""), "{trace}");
         assert!(trace.contains("runner.trials"), "{trace}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn serve_refuses_trace() {
+        let path = std::env::temp_dir().join("mmtag-cli-serve-trace-test.json");
+        let err = run_err(&[
+            "serve",
+            "--tcp",
+            "127.0.0.1:0",
+            "--trace",
+            path.to_str().unwrap(),
+        ]);
+        match err {
+            ArgError::Serve { message } => {
+                assert!(message.contains("--trace"), "{message}");
+                assert!(message.contains("executor threads"), "{message}");
+            }
+            other => panic!("expected a serve error, got {other:?}"),
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -17,8 +17,9 @@
 //! * [`par`] — the deterministic parallel engine every Monte-Carlo hot
 //!   path runs on, built on [`pool`] (`MMTAG_THREADS` to override),
 //! * [`obs`] — the zero-dependency observability layer (span timers,
-//!   counters, histograms, Chrome-trace export) whose recording is sharded
-//!   per worker and merged in unit order so it never perturbs results.
+//!   counters, histograms, Chrome-trace export) whose level and log are
+//!   per thread, and whose recording is sharded per worker and merged in
+//!   unit order so it never perturbs results.
 //!
 //! The numerics are `no_std`-shaped in spirit (no allocation, no I/O); they
 //! are the part of the stack you would keep if you ported the models to

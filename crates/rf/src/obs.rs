@@ -20,8 +20,9 @@
 //!    pre-existing `wall_ms` manifest field — never in result tables.
 //! 2. **Events are sharded per worker and merged in unit order.** All
 //!    recording goes to a thread-local buffer. The parallel engine
-//!    ([`crate::par::par_indexed_scratch_with`]) captures each work unit's
-//!    event delta on the worker that ran it and appends the deltas to the
+//!    ([`crate::par::par_indexed_scratch_with`]) runs every participant
+//!    at the submitting thread's level, captures each work unit's event
+//!    delta on the worker that ran it and appends the deltas to the
 //!    *calling* thread's buffer in unit-index order after the join. The
 //!    resulting event log therefore has the same deterministic structure
 //!    (same events, same order) at 1 thread and at 64; only the wall-time
@@ -31,9 +32,12 @@
 //!
 //! ## Levels and overhead
 //!
-//! Recording is gated by a process-global [`Level`]:
+//! Recording is gated by a per-thread [`Level`]: a thread records at the
+//! level it set itself (or, inside a parallel region, at the level of the
+//! thread that submitted the work), so concurrent runs on different
+//! threads never silence or read each other.
 //!
-//! * [`Level::Off`] (default) — every hook is a single relaxed atomic
+//! * [`Level::Off`] (default) — every hook is a single thread-local
 //!   load; hot kernels pay no time and allocate nothing (the repo's
 //!   allocation-guard test runs at this level).
 //! * [`Level::Counters`] — counters and histogram observations are
@@ -47,24 +51,27 @@
 //!
 //! ## Reporting
 //!
-//! [`drain`] consumes everything recorded so far into an [`ObsReport`]
-//! (aggregated spans/counters/histograms plus the raw event list);
+//! Every reporting call reads the calling thread's log only. [`drain`]
+//! consumes everything recorded so far into an [`ObsReport`] (aggregated
+//! spans/counters/histograms plus the raw event list);
 //! [`mark`]/[`report_since`] carve out one run's delta without disturbing
-//! an enclosing consumer — the scenario `Runner` uses this to attach a
-//! `metrics` block to every run manifest while a CLI `--trace` capture is
-//! in flight around it.
+//! an enclosing consumer. A [`Window`] packages the two for the scenario
+//! `Runner`, which attaches a `metrics` block to every run manifest: at
+//! [`Level::Off`] it raises the thread to [`Level::Counters`] and removes
+//! its own events when it closes, so a thread that asked for nothing
+//! keeps an empty log; inside a CLI `--trace` capture it only reports.
 
 use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-/// How much the observability layer records. Process-global, default
+/// How much the observability layer records. Per thread, default
 /// [`Level::Off`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
-    /// Record nothing; every hook is one relaxed atomic load.
+    /// Record nothing; every hook is one thread-local load.
     Off,
     /// Record counters and histogram observations; spans stay inert.
     Counters,
@@ -72,12 +79,11 @@ pub enum Level {
     Trace,
 }
 
-static LEVEL: AtomicU8 = AtomicU8::new(0);
-static EVENTS: Mutex<Vec<Event>> = Mutex::new(Vec::new());
 static NEXT_TID: AtomicU32 = AtomicU32::new(0);
 
 thread_local! {
-    static LOCAL: RefCell<Vec<Event>> = const { RefCell::new(Vec::new()) };
+    static LEVEL: Cell<Level> = const { Cell::new(Level::Off) };
+    static LOG: RefCell<Vec<Event>> = const { RefCell::new(Vec::new()) };
     static DEPTH: Cell<u32> = const { Cell::new(0) };
     static TID: Cell<u32> = const { Cell::new(u32::MAX) };
 }
@@ -89,30 +95,26 @@ fn anchor() -> Instant {
     *ANCHOR.get_or_init(Instant::now)
 }
 
-/// Sets the global recording level.
+/// Sets the calling thread's recording level.
 pub fn set_level(level: Level) {
-    LEVEL.store(level as u8, Ordering::Relaxed);
+    LEVEL.with(|l| l.set(level));
 }
 
-/// The current global recording level.
+/// The calling thread's recording level.
 pub fn level() -> Level {
-    match LEVEL.load(Ordering::Relaxed) {
-        0 => Level::Off,
-        1 => Level::Counters,
-        _ => Level::Trace,
-    }
+    LEVEL.with(Cell::get)
 }
 
 /// True when counters/histograms are being recorded (level ≥ Counters).
 #[inline]
 pub fn counting() -> bool {
-    LEVEL.load(Ordering::Relaxed) >= Level::Counters as u8
+    level() >= Level::Counters
 }
 
 /// True when spans are being recorded (level = Trace).
 #[inline]
 pub fn tracing() -> bool {
-    LEVEL.load(Ordering::Relaxed) >= Level::Trace as u8
+    level() == Level::Trace
 }
 
 /// One recorded observation. Events are plain data; aggregation happens at
@@ -154,7 +156,7 @@ pub enum Event {
 }
 
 fn record(event: Event) {
-    LOCAL.with(|l| l.borrow_mut().push(event));
+    LOG.with(|l| l.borrow_mut().push(event));
 }
 
 /// Adds `delta` to the named counter. No-op below [`Level::Counters`].
@@ -245,27 +247,19 @@ impl Drop for SpanGuard {
 
 // ---- per-unit capture: the parallel engine's side of the contract ----
 
-/// Marks the current thread's buffer position so a work unit's event delta
-/// can be captured afterwards. Zero-cost (returns 0) when recording is off.
-pub(crate) fn capture_mark() -> usize {
-    if level() == Level::Off {
-        return 0;
-    }
-    LOCAL.with(|l| l.borrow().len())
-}
-
-/// Takes every event recorded on this thread since `mark`. Empty (and
-/// allocation-free) when recording is off.
-pub(crate) fn capture_since(mark: usize) -> Vec<Event> {
-    if level() == Level::Off {
-        return Vec::new();
-    }
-    LOCAL.with(|l| {
-        let mut buf = l.borrow_mut();
-        if mark >= buf.len() {
+/// Removes and returns every event the calling thread recorded since
+/// `mark` (a [`mark`] return value). Empty, and allocation-free, when
+/// nothing was recorded since — the case for every work unit at
+/// [`Level::Off`].
+pub(crate) fn take_since(mark: usize) -> Vec<Event> {
+    LOG.with(|l| {
+        let mut log = l.borrow_mut();
+        if mark >= log.len() {
             Vec::new()
+        } else if mark == 0 {
+            std::mem::take(&mut *log)
         } else {
-            buf.split_off(mark)
+            log.split_off(mark)
         }
     })
 }
@@ -278,19 +272,7 @@ pub(crate) fn append_events(events: Vec<Event>) {
     if events.is_empty() {
         return;
     }
-    LOCAL.with(|l| l.borrow_mut().extend(events));
-}
-
-/// Moves the calling thread's buffered events into the global collector.
-fn flush_local() {
-    let drained: Vec<Event> = LOCAL.with(|l| std::mem::take(&mut *l.borrow_mut()));
-    if drained.is_empty() {
-        return;
-    }
-    EVENTS
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .extend(drained);
+    LOG.with(|l| l.borrow_mut().extend(events));
 }
 
 // ---- reporting ----
@@ -328,7 +310,10 @@ pub struct HistBucket {
     pub count: u64,
 }
 
-/// One histogram's aggregated, log₂-bucketed shape.
+/// A log₂-bucketed histogram: the one histogram type in the workspace.
+/// Reports aggregate [`observe`] samples into it, and a long-running
+/// server records its latencies into one directly with
+/// [`HistogramStat::record`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramStat {
     /// Histogram name.
@@ -341,27 +326,33 @@ pub struct HistogramStat {
     pub buckets: Vec<HistBucket>,
 }
 
+/// The lower bound of `value`'s log₂ bucket: 0 for 0, else the largest
+/// power of two ≤ `value`.
+fn bucket_lo(value: u64) -> u64 {
+    match value {
+        0 => 0,
+        v => 1 << v.ilog2(),
+    }
+}
+
 impl HistogramStat {
-    /// Builds a stat from a raw 65-slot log₂ bucket array (the layout
-    /// [`observe`] aggregates into): slot 0 counts zeros, slot `i ≥ 1`
-    /// counts values in `2^(i−1) ..= 2^i − 1`. Lets code that keeps its
-    /// own atomic bucket counters (e.g. a long-running server) reuse the
-    /// quantile machinery without routing through the event log.
-    pub fn from_counts(name: &str, counts: &[u64; 65]) -> HistogramStat {
-        let count: u64 = counts.iter().sum();
+    /// An empty histogram.
+    pub fn new(name: &str) -> HistogramStat {
         HistogramStat {
             name: name.to_string(),
-            count,
-            sum: 0,
-            buckets: counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(i, &count)| HistBucket {
-                    lo: if i == 0 { 0 } else { 1u64 << (i - 1) },
-                    count,
-                })
-                .collect(),
+            ..HistogramStat::default()
+        }
+    }
+
+    /// Adds one sample to its bucket. Allocates only when the sample
+    /// opens a bucket no earlier sample landed in (at most 65 times).
+    pub fn record(&mut self, value: u64) {
+        let lo = bucket_lo(value);
+        self.count += 1;
+        self.sum += value;
+        match self.buckets.binary_search_by_key(&lo, |b| b.lo) {
+            Ok(i) => self.buckets[i].count += 1,
+            Err(i) => self.buckets.insert(i, HistBucket { lo, count: 1 }),
         }
     }
 
@@ -421,27 +412,19 @@ pub struct ObsReport {
     pub events: Vec<Event>,
 }
 
-/// log₂ bucket index: 0 for value 0, else `floor(log2(v)) + 1` (so bucket
-/// `i ≥ 1` has lower bound `2^(i−1)`).
-fn bucket_index(value: u64) -> u32 {
-    64 - value.leading_zeros()
-}
-
 fn aggregate(events: Vec<Event>) -> ObsReport {
     use std::collections::BTreeMap;
     let mut spans: BTreeMap<&'static str, SpanStat> = BTreeMap::new();
     let mut counters: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut hists: BTreeMap<&'static str, (u64, u64, [u64; 65])> = BTreeMap::new();
+    let mut hists: BTreeMap<&'static str, HistogramStat> = BTreeMap::new();
     let mut warnings = Vec::new();
     for e in &events {
         match e {
             Event::Count { name, delta } => *counters.entry(name).or_default() += delta,
-            Event::Observe { name, value } => {
-                let h = hists.entry(name).or_insert((0, 0, [0u64; 65]));
-                h.0 += 1;
-                h.1 += value;
-                h.2[bucket_index(*value) as usize] += 1;
-            }
+            Event::Observe { name, value } => hists
+                .entry(name)
+                .or_insert_with(|| HistogramStat::new(name))
+                .record(*value),
             Event::Span { name, dur_us, .. } => {
                 let s = spans.entry(name).or_insert_with(|| SpanStat {
                     name: name.to_string(),
@@ -465,61 +448,74 @@ fn aggregate(events: Vec<Event>) -> ObsReport {
                 value,
             })
             .collect(),
-        histograms: hists
-            .into_iter()
-            .map(|(name, (count, sum, buckets))| HistogramStat {
-                name: name.to_string(),
-                count,
-                sum,
-                buckets: buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &c)| c > 0)
-                    .map(|(i, &count)| HistBucket {
-                        lo: if i == 0 { 0 } else { 1u64 << (i - 1) },
-                        count,
-                    })
-                    .collect(),
-            })
-            .collect(),
+        histograms: hists.into_values().collect(),
         warnings,
         events,
     }
 }
 
-/// Flushes the calling thread's buffer and returns the global event count —
-/// a cursor for [`report_since`]. Use a `mark`/`report_since` pair to
-/// carve one run's metrics out of a longer recording without consuming it.
+/// The length of the calling thread's event log — a cursor for
+/// [`report_since`]. Use a `mark`/`report_since` pair to carve one run's
+/// metrics out of a longer recording without consuming it.
 pub fn mark() -> usize {
-    flush_local();
-    EVENTS.lock().unwrap_or_else(|e| e.into_inner()).len()
+    LOG.with(|l| l.borrow().len())
 }
 
-/// Aggregates everything recorded since `mark` (a [`mark`] return value)
-/// *without* removing it from the collector — an enclosing [`drain`] (e.g.
-/// a CLI `--trace` capture) still sees the full log.
+/// Aggregates everything the calling thread recorded since `mark` (a
+/// [`mark`] return value) *without* removing it from the log — an
+/// enclosing [`drain`] (e.g. a CLI `--trace` capture) still sees it all.
 pub fn report_since(mark: usize) -> ObsReport {
-    flush_local();
-    let events: Vec<Event> = {
-        let log = EVENTS.lock().unwrap_or_else(|e| e.into_inner());
-        log[mark.min(log.len())..].to_vec()
-    };
-    aggregate(events)
+    aggregate(LOG.with(|l| l.borrow().get(mark..).unwrap_or_default().to_vec()))
 }
 
-/// Consumes everything recorded so far into an [`ObsReport`], leaving the
-/// collector empty.
+/// Consumes everything the calling thread recorded into an [`ObsReport`],
+/// leaving its log empty.
 pub fn drain() -> ObsReport {
-    flush_local();
-    let events = std::mem::take(&mut *EVENTS.lock().unwrap_or_else(|e| e.into_inner()));
-    aggregate(events)
+    aggregate(take_since(0))
 }
 
-/// Clears the calling thread's buffer and the global collector (test
-/// isolation helper).
-pub fn reset() {
-    LOCAL.with(|l| l.borrow_mut().clear());
-    EVENTS.lock().unwrap_or_else(|e| e.into_inner()).clear();
+/// A metrics window over the calling thread's recording: the scenario
+/// `Runner` opens one per run. Opened at [`Level::Off`], it raises the
+/// thread to [`Level::Counters`], and when it closes — or unwinds out of
+/// a panicking run — it removes the window's events and restores `Off`,
+/// so the thread's log is as it found it. Opened above `Off`, it reports
+/// without removing anything, and an enclosing capture sees every event.
+#[must_use = "a window measures the run it is bound to; close it for the report"]
+pub struct Window {
+    mark: usize,
+    raised: bool,
+}
+
+impl Window {
+    /// Opens a window at the calling thread's current log position.
+    pub fn open() -> Window {
+        let raised = level() == Level::Off;
+        if raised {
+            set_level(Level::Counters);
+        }
+        Window {
+            mark: mark(),
+            raised,
+        }
+    }
+
+    /// Aggregates what the calling thread recorded since [`Window::open`].
+    pub fn close(self) -> ObsReport {
+        if self.raised {
+            aggregate(take_since(self.mark))
+        } else {
+            report_since(self.mark)
+        }
+    }
+}
+
+impl Drop for Window {
+    fn drop(&mut self) {
+        if self.raised {
+            take_since(self.mark);
+            set_level(Level::Off);
+        }
+    }
 }
 
 /// Escapes `s` as the body of a JSON string (backslash, quote, control
@@ -659,22 +655,14 @@ impl ObsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
+    use std::sync::Barrier;
 
-    /// Obs state is process-global; tests that touch the level or the
-    /// collector serialize through this lock so they can't see each
-    /// other's events.
-    fn lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_level(Level::Off);
-        reset();
-        guard
-    }
+    // The level and the log belong to the thread that records, and every
+    // test runs on a thread of its own, so these tests need no lock: each
+    // starts at `Off` with an empty log.
 
     #[test]
     fn off_level_records_nothing() {
-        let _g = lock();
         counter_add("test.off.counter", 5);
         observe("test.off.hist", 42);
         {
@@ -685,7 +673,6 @@ mod tests {
 
     #[test]
     fn counters_and_histograms_aggregate() {
-        let _g = lock();
         set_level(Level::Counters);
         counter_add("test.agg.b", 2);
         counter_add("test.agg.a", 1);
@@ -719,7 +706,6 @@ mod tests {
 
     #[test]
     fn spans_nest_and_aggregate() {
-        let _g = lock();
         set_level(Level::Trace);
         {
             let _outer = span("test.span.outer");
@@ -754,7 +740,6 @@ mod tests {
 
     #[test]
     fn par_capture_merges_in_unit_order_and_counters_are_thread_invariant() {
-        let _g = lock();
         set_level(Level::Counters);
         let run = |threads: usize| {
             let _ = crate::par::par_indexed_with(threads, 16, |i| {
@@ -778,8 +763,28 @@ mod tests {
     }
 
     #[test]
+    fn pool_workers_record_at_the_submitting_threads_level() {
+        // Two units that wait for each other run on two threads at once,
+        // so a pool worker runs one of them.
+        let both = Barrier::new(2);
+        let region = || {
+            crate::par::par_indexed_with(2, 2, |i| {
+                both.wait();
+                counter_add("test.pool.units", 1);
+                i
+            })
+        };
+        set_level(Level::Counters);
+        region();
+        assert_eq!(drain().counter("test.pool.units"), 2);
+        // The worker that just counted now runs at this thread's `Off`.
+        set_level(Level::Off);
+        region();
+        assert!(drain().is_empty());
+    }
+
+    #[test]
     fn mark_and_report_since_carve_a_window_nondestructively() {
-        let _g = lock();
         set_level(Level::Counters);
         counter_add("test.window.before", 1);
         let m = mark();
@@ -794,9 +799,110 @@ mod tests {
         assert_eq!(all.counter("test.window.inside"), 2);
     }
 
+    // The two tests below assert only after their threads have joined,
+    // so a failing check can never leave the other thread parked on a
+    // barrier.
+
+    #[test]
+    fn a_window_never_contains_events_recorded_on_another_thread() {
+        let step = Barrier::new(2);
+        let (theirs, window, rest) = std::thread::scope(|s| {
+            let other = s.spawn(|| {
+                // A second run on its own thread, inside this thread's
+                // window: it opens and closes a window of its own.
+                set_level(Level::Counters);
+                step.wait();
+                let m = mark();
+                counter_add("test.iso.theirs", 1);
+                let theirs = report_since(m);
+                step.wait();
+                theirs
+            });
+            set_level(Level::Counters);
+            let m = mark();
+            counter_add("test.iso.mine", 1);
+            step.wait();
+            step.wait();
+            let window = report_since(m);
+            set_level(Level::Off);
+            (other.join().unwrap(), window, drain())
+        });
+        assert_eq!(theirs.counter("test.iso.theirs"), 1);
+        assert_eq!(window.counter("test.iso.mine"), 1);
+        assert_eq!(window.counter("test.iso.theirs"), 0, "{window:?}");
+        assert_eq!(rest.counter("test.iso.theirs"), 0, "{rest:?}");
+    }
+
+    #[test]
+    fn another_threads_level_never_changes_what_this_thread_records() {
+        let step = Barrier::new(2);
+        let (level_seen, at_off, at_counters) = std::thread::scope(|s| {
+            s.spawn(|| {
+                set_level(Level::Trace);
+                step.wait(); // raised while this thread is Off
+                step.wait();
+                set_level(Level::Off);
+                step.wait(); // lowered while this thread counts
+            });
+            step.wait();
+            let level_seen = level();
+            counter_add("test.level.off", 1);
+            {
+                let _span = span("test.level.span");
+            }
+            let at_off = drain();
+            set_level(Level::Counters);
+            step.wait();
+            step.wait();
+            counter_add("test.level.on", 1);
+            set_level(Level::Off);
+            (level_seen, at_off, drain())
+        });
+        assert_eq!(level_seen, Level::Off);
+        assert!(
+            at_off.is_empty(),
+            "recorded at another thread's level: {at_off:?}"
+        );
+        assert_eq!(at_counters.counter("test.level.on"), 1, "{at_counters:?}");
+    }
+
+    #[test]
+    fn a_raised_window_leaves_the_log_and_level_as_it_found_them() {
+        let window = Window::open();
+        assert_eq!(level(), Level::Counters);
+        counter_add("test.window.run", 3);
+        assert_eq!(window.close().counter("test.window.run"), 3);
+        assert_eq!(level(), Level::Off);
+        assert!(drain().is_empty());
+        // A panicking run unwinds through its window the same way.
+        let unwound = std::panic::catch_unwind(|| {
+            let _window = Window::open();
+            counter_add("test.window.panic", 1);
+            panic!("run failed");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(level(), Level::Off);
+        assert!(drain().is_empty());
+    }
+
+    #[test]
+    fn a_window_inside_a_capture_reports_without_removing() {
+        set_level(Level::Trace);
+        counter_add("test.capture.before", 1);
+        let window = Window::open();
+        counter_add("test.capture.inside", 2);
+        let report = window.close();
+        assert_eq!(level(), Level::Trace);
+        assert_eq!(report.counter("test.capture.before"), 0);
+        assert_eq!(report.counter("test.capture.inside"), 2);
+        let all = drain();
+        set_level(Level::Off);
+        assert_eq!(all.counter("test.capture.before"), 1);
+        assert_eq!(all.counter("test.capture.inside"), 2);
+    }
+
     #[test]
     fn warn_is_recorded_when_counting() {
-        let _g = lock();
         set_level(Level::Counters);
         warn("test warning: something odd");
         let report = drain();
@@ -806,7 +912,6 @@ mod tests {
 
     #[test]
     fn chrome_json_has_trace_events_array() {
-        let _g = lock();
         set_level(Level::Trace);
         {
             let _span = span("test.chrome.span");
@@ -823,7 +928,6 @@ mod tests {
 
     #[test]
     fn metrics_json_is_deterministic_and_complete() {
-        let _g = lock();
         set_level(Level::Counters);
         counter_add("test.mj.z", 1);
         counter_add("test.mj.a", 2);
@@ -842,23 +946,21 @@ mod tests {
 
     #[test]
     fn bucket_bounds() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(u64::MAX), 64);
+        assert_eq!(bucket_lo(0), 0);
+        assert_eq!(bucket_lo(1), 1);
+        assert_eq!(bucket_lo(2), 2);
+        assert_eq!(bucket_lo(3), 2);
+        assert_eq!(bucket_lo(4), 4);
+        assert_eq!(bucket_lo(1000), 512);
+        assert_eq!(bucket_lo(u64::MAX), 1 << 63);
     }
 
-    /// Builds a HistogramStat the same way `aggregate` does, from raw
-    /// sample values, without touching the global recorder.
+    /// A histogram of raw sample values, recorded directly.
     fn hist_of(samples: &[u64]) -> HistogramStat {
-        let mut counts = [0u64; 65];
+        let mut h = HistogramStat::new("test.q");
         for &v in samples {
-            counts[bucket_index(v) as usize] += 1;
+            h.record(v);
         }
-        let mut h = HistogramStat::from_counts("test.q", &counts);
-        h.sum = samples.iter().sum();
         h
     }
 
@@ -924,23 +1026,14 @@ mod tests {
     }
 
     #[test]
-    fn from_counts_matches_aggregate_shape() {
-        let _g = lock();
+    fn observed_samples_aggregate_like_recorded_ones() {
         set_level(Level::Counters);
-        reset();
         for v in [0u64, 1, 2, 3, 1000] {
-            observe("test.fc", v);
+            observe("test.q", v);
         }
         let report = drain();
         set_level(Level::Off);
-        let via_events = report
-            .histograms
-            .iter()
-            .find(|h| h.name == "test.fc")
-            .unwrap();
-        let mut direct = hist_of(&[0, 1, 2, 3, 1000]);
-        direct.name = "test.fc".to_string();
-        assert_eq!(via_events, &direct);
+        assert_eq!(report.histograms, vec![hist_of(&[0, 1, 2, 3, 1000])]);
     }
 
     #[test]

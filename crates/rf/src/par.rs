@@ -27,6 +27,12 @@
 //! which participant runs which unit — never the unit→result mapping or
 //! the merge order — so it is free to vary without breaking determinism.
 //!
+//! Observability follows the same rule. The [`crate::obs`] level is per
+//! thread, so every participant records at the level of the thread that
+//! submitted the work, each unit's events are captured on the thread that
+//! ran it, and they are appended to the submitting thread's log in unit
+//! order after the join: the log reads as a serial run's would.
+//!
 //! ## Thread-count selection
 //!
 //! Every primitive takes an explicit thread budget; `threads == 1` runs
@@ -163,7 +169,13 @@ where
     // event log matches a serial run exactly (see `crate::obs`).
     let shards: std::sync::Mutex<Vec<(usize, Vec<crate::obs::Event>)>> =
         std::sync::Mutex::new(Vec::new());
+    // The obs level is per thread: every participant records at the
+    // submitting thread's level, as a serial run on that thread would.
+    // Pool workers record nothing outside a participation, so the level
+    // one leaves behind is never read.
+    let level = crate::obs::level();
     let work = || {
+        crate::obs::set_level(level);
         // One activation per participant: scratch is lazily built on the
         // first claimed unit and reused for the rest of this call.
         let mut scratch: Option<S> = None;
@@ -174,9 +186,9 @@ where
             }
             let end = (start + batch).min(n);
             for i in start..end {
-                let mark = crate::obs::capture_mark();
+                let mark = crate::obs::mark();
                 let u = f(scratch.get_or_insert_with(&init), i);
-                let events = crate::obs::capture_since(mark);
+                let events = crate::obs::take_since(mark);
                 // SAFETY: `i < n <= capacity`, and the batch claim gives
                 // this participant exclusive ownership of slot `i`.
                 #[allow(unsafe_code)]

@@ -226,6 +226,28 @@ impl RunCache {
         Ok(())
     }
 
+    /// Every `.run` file in the cache directory, each paired with whether
+    /// it is *stale* (written under an older [`FORMAT_VERSION`], so no
+    /// lookup can reach it). Other files, in-flight `.tmp*` writes among
+    /// them, are skipped. A missing directory is an empty cache.
+    fn scan(&self) -> std::io::Result<Vec<(fs::DirEntry, bool)>> {
+        let entries = match fs::read_dir(&self.dir) {
+            Ok(e) => e,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(e),
+        };
+        let current = format!("-v{FORMAT_VERSION}.run");
+        Ok(entries
+            .flatten()
+            .filter_map(|entry| {
+                let name = entry.file_name();
+                let name = name.to_str()?;
+                let stale = !name.ends_with(&current);
+                name.ends_with(".run").then_some((entry, stale))
+            })
+            .collect())
+    }
+
     /// One full lifecycle sweep: format-version GC (stale-version entries
     /// can never be addressed again), then age expiry, then LRU-by-mtime
     /// eviction until the surviving `.run` bytes fit under `max_bytes`.
@@ -233,33 +255,21 @@ impl RunCache {
     /// into the shared [`RunCache::evicted`] counters. A missing
     /// directory is an empty cache: `(0, 0)`.
     pub fn enforce_policy(&self) -> std::io::Result<(usize, u64)> {
-        let entries = match fs::read_dir(&self.dir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((0, 0)),
-            Err(e) => return Err(e),
-        };
-        let current = format!("-v{FORMAT_VERSION}.run");
         let now = SystemTime::now();
         let mut removed = 0usize;
         let mut reclaimed = 0u64;
         // Survivors of GC + age expiry, as (mtime, bytes, path).
         let mut live: Vec<(SystemTime, u64, PathBuf)> = Vec::new();
         let mut live_bytes = 0u64;
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if !name.ends_with(".run") {
-                continue;
-            }
+        for (entry, stale) in self.scan()? {
             let Ok(meta) = entry.metadata() else { continue };
             let bytes = meta.len();
             let mtime = meta.modified().unwrap_or(now);
-            let stale_version = !name.ends_with(&current);
             let expired = self
                 .policy
                 .max_age
                 .is_some_and(|max| now.duration_since(mtime).is_ok_and(|age| age > max));
-            if stale_version || expired {
+            if stale || expired {
                 fs::remove_file(entry.path())?;
                 removed += 1;
                 reclaimed += bytes;
@@ -294,24 +304,15 @@ impl RunCache {
     }
 
     /// Scans the cache directory and reports entry/byte/stale counts. A
-    /// missing directory is an empty cache. Non-`.run` files (including
-    /// in-flight `.tmp*` writes) are ignored.
+    /// missing or unreadable directory is an empty cache. Non-`.run` files
+    /// (including in-flight `.tmp*` writes) are ignored.
     pub fn stats(&self) -> CacheStats {
         let mut stats = CacheStats::default();
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return stats;
-        };
-        let current = format!("-v{FORMAT_VERSION}.run");
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if !name.ends_with(".run") {
-                continue;
-            }
-            if name.ends_with(&current) {
-                stats.entries += 1;
-            } else {
+        for (entry, stale) in self.scan().unwrap_or_default() {
+            if stale {
                 stats.stale += 1;
+            } else {
+                stats.entries += 1;
             }
             if let Ok(meta) = entry.metadata() {
                 stats.bytes += meta.len();
@@ -327,22 +328,12 @@ impl RunCache {
     pub fn prune_stale(&self) -> std::io::Result<(usize, u64)> {
         let mut removed = 0;
         let mut bytes = 0u64;
-        let entries = match fs::read_dir(&self.dir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((0, 0)),
-            Err(e) => return Err(e),
-        };
-        let current = format!("-v{FORMAT_VERSION}.run");
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.ends_with(".run") && !name.ends_with(&current) {
-                if let Ok(meta) = entry.metadata() {
-                    bytes += meta.len();
-                }
-                fs::remove_file(entry.path())?;
-                removed += 1;
+        for (entry, _) in self.scan()?.into_iter().filter(|&(_, stale)| stale) {
+            if let Ok(meta) = entry.metadata() {
+                bytes += meta.len();
             }
+            fs::remove_file(entry.path())?;
+            removed += 1;
         }
         Ok((removed, bytes))
     }

@@ -91,7 +91,7 @@ impl Table {
         &self.labels[row]
     }
 
-    /// Renders the aligned human-readable table (what `scenario run`
+    /// Renders the aligned human-readable table (what `mmtag run`
     /// prints).
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -25,8 +25,8 @@
 //!   selects its operating point from that estimate (DESIGN.md §14),
 //! * [`obs`] — the observability layer (re-exported from `mmtag_rf::obs`):
 //!   span timers, counters and histograms whose recording never perturbs
-//!   simulated results; the [`scenario`] `Runner` attaches its aggregate
-//!   report to every run manifest,
+//!   simulated results; the [`scenario`] `Runner` attaches the calling
+//!   thread's aggregate report to every run manifest,
 //! * [`scene`] — a room: one reader, tags, walls; produces the ray sets the
 //!   channel layer consumes,
 //! * [`metrics`] — streaming summary statistics and time series,

@@ -9,13 +9,16 @@
 //! [`ScenarioSpec`], a [`Runner`] executes specs through the deterministic
 //! parallel engine ([`crate::par`] + [`crate::rng::SeedTree`]), and the
 //! result comes back as a [`RunRecord`]: the tables plus a [`Manifest`]
-//! recording seed, thread count, wall time and a hash of the spec that
-//! produced them.
+//! recording seed, thread count, wall time, a hash of the spec that
+//! produced them and the run's observability metrics. Those metrics are
+//! the calling thread's own (see [`Runner::run`]): concurrent runs on
+//! other threads never leak into them, and a run the caller did not ask
+//! to trace leaves no events behind.
 //!
 //! The [`Registry`] maps scenario names to runnable instances so campaign
-//! tooling (the `scenario` binary, the CLI `run` command, the CI smoke
-//! step) can enumerate and execute every experiment uniformly. Specs are
-//! plain data: this crate sits *below* the device models, so the
+//! tooling (the CLI `scenarios` and `run` commands, the benchmark, the
+//! smoke tests) can enumerate and execute every experiment uniformly.
+//! Specs are plain data: this crate sits *below* the device models, so the
 //! reader/tag/scene fields are declarative configs ([`ReaderSpec`],
 //! [`TagSpec`], [`SceneSpec`]) that the `mmtag` core crate interprets into
 //! live objects (`mmtag::scenario`).
@@ -534,8 +537,9 @@ pub struct Manifest {
     pub wall_ms: f64,
     /// Hex [`ScenarioSpec::hash`] of the executed spec.
     pub spec_hash: String,
-    /// Observability aggregates recorded during the run (empty when the
-    /// global [`obs::Level`] is `Off`). Counters and histograms are
+    /// Observability aggregates recorded during the run on the calling
+    /// thread and the pool workers it fanned out to (counters at least:
+    /// spans too under a trace capture). Counters and histograms are
     /// bit-identical at any thread count; span wall times — like
     /// [`Manifest::wall_ms`] — are machine-dependent and excluded from the
     /// determinism contract.
@@ -680,16 +684,19 @@ impl Runner {
 
     /// Runs a scenario, timing it and recording the manifest (including
     /// the observability aggregates recorded over the run — see
-    /// [`Manifest::metrics`]). The metrics window is carved out with
-    /// [`obs::mark`]/[`obs::report_since`], so an enclosing trace capture
-    /// (e.g. the CLI `--trace` flag) still sees everything.
+    /// [`Manifest::metrics`]). The metrics come from an [`obs::Window`]
+    /// on the calling thread, so runs on other threads never show up in
+    /// them, and an enclosing trace capture (e.g. the CLI `--trace` flag)
+    /// still sees everything.
     ///
-    /// If the obs level is `Off`, the runner raises it to `Counters` for
-    /// the duration of the run (and restores it afterwards) so the
-    /// manifest's metrics block is populated by default. Counter and
-    /// histogram recording is deterministic — integer aggregates of
-    /// per-unit contributions — so this changes no output bytes except
-    /// the metrics block itself, which is thread-count invariant.
+    /// If the thread's obs level is `Off`, the runner raises it to
+    /// `Counters` for the duration of the run so the manifest's metrics
+    /// block is populated by default; afterwards — also when the scenario
+    /// panics — it removes the run's events and restores `Off`, so
+    /// repeated runs leave nothing behind. Counter and histogram
+    /// recording is deterministic — integer aggregates of per-unit
+    /// contributions — so this changes no output bytes except the metrics
+    /// block itself, which is thread-count invariant.
     ///
     /// # Examples
     ///
@@ -726,11 +733,7 @@ impl Runner {
     /// assert_eq!(record.tables[0].len(), 2);
     /// ```
     pub fn run(&self, scenario: &dyn Scenario) -> RunRecord {
-        let raise_to_counters = obs::level() == obs::Level::Off;
-        if raise_to_counters {
-            obs::set_level(obs::Level::Counters);
-        }
-        let obs_mark = obs::mark();
+        let window = obs::Window::open();
         let spec = scenario.spec();
         let spec_hash = {
             let _span = obs::span("runner.canonicalize");
@@ -792,10 +795,7 @@ impl Runner {
             let rows: usize = tables.iter().map(Table::len).sum();
             obs::counter_add("runner.table_rows", rows as u64);
         }
-        let metrics = obs::report_since(obs_mark);
-        if raise_to_counters {
-            obs::set_level(obs::Level::Off);
-        }
+        let metrics = window.close();
         RunRecord {
             manifest: Manifest {
                 scenario: spec.name.clone(),
@@ -832,7 +832,7 @@ impl Default for Runner {
 }
 
 /// Name → scenario map: the single place every experiment is enumerable
-/// from. Figure binaries, the CLI and the CI smoke step all resolve
+/// from. The CLI, the benchmark and the smoke tests all resolve
 /// scenarios here instead of wiring experiments by hand.
 #[derive(Default)]
 pub struct Registry {

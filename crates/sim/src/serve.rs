@@ -14,9 +14,10 @@
 //!   *streams*: one `sweep_point` line per grid point followed by a
 //!   summary line. Each request line is read once by
 //!   [`crate::json::parse_flat`]: a line that is not one flat object of
-//!   at most [`crate::json::FLAT_MEMBERS`] escape-free members is
-//!   answered `bad_request` with id 0, since its id cannot be trusted,
-//!   and members the protocol does not define are ignored. Replies are
+//!   at most [`crate::json::FLAT_MEMBERS`] escape-free members (a line
+//!   that is not UTF-8 included) is answered `bad_request` with id 0,
+//!   since its id cannot be trusted, the connection stays open, and
+//!   members the protocol does not define are ignored. Replies are
 //!   written with a fixed key order by [`crate::json`]'s writers, and
 //!   [`crate::json::parse_json`] reads them on the client side.
 //! * **bounded admission** — jobs pass through an [`AdmissionQueue`]
@@ -34,6 +35,13 @@
 //!   bilinear in 2-D) from a cached sweep table without re-simulating,
 //!   and every answer carries provenance: the spec hash and the grid
 //!   corners the value was interpolated between.
+//! * **bounded state** — the in-memory store holds at most
+//!   `memory_capacity` runs, and evicting a run drops its request-tuple
+//!   index entries too. Observability state is per thread: each job's
+//!   [`Runner`] records its manifest metrics on the thread that ran it
+//!   and removes them when the run ends, so nothing accumulates and no
+//!   job's events reach another's. `status` reports executor time per
+//!   admitted queue item as p50/p99 of an [`obs::HistogramStat`].
 //!
 //! # Determinism
 //!
@@ -457,16 +465,8 @@ impl MemoryStore {
         }
     }
 
-    fn get_by_params(&mut self, key: &ReqKey) -> Option<Arc<StoredRun>> {
-        let spec_key = *self.params.get(key)?;
-        match self.map.get(&spec_key) {
-            Some(run) => Some(Arc::clone(run)),
-            None => {
-                // The run was evicted; drop the dangling index entry.
-                self.params.remove(key);
-                None
-            }
-        }
+    fn get_by_params(&self, key: &ReqKey) -> Option<Arc<StoredRun>> {
+        self.get_by_key(*self.params.get(key)?)
     }
 
     fn get_by_key(&self, key: u64) -> Option<Arc<StoredRun>> {
@@ -485,6 +485,9 @@ impl MemoryStore {
         while self.map.len() > self.capacity {
             let evict = self.order.pop_front().expect("order tracks map");
             self.map.remove(&evict);
+            // Every request tuple that named the evicted run goes with it,
+            // so the index is bounded by the runs the store holds.
+            self.params.retain(|_, k| *k != evict);
         }
     }
 }
@@ -617,33 +620,6 @@ struct Stats {
     rejected: AtomicU64,
 }
 
-/// Lock-free log₂ latency histogram, bucket-compatible with
-/// [`obs::HistogramStat::from_counts`].
-struct AtomicHist {
-    counts: [AtomicU64; 65],
-}
-
-impl AtomicHist {
-    fn new() -> AtomicHist {
-        AtomicHist {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    fn record(&self, v: u64) {
-        let idx = if v == 0 {
-            0
-        } else {
-            64 - v.leading_zeros() as usize
-        };
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> [u64; 65] {
-        std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed))
-    }
-}
-
 /// A unit of work: the reseeded/minimized scenario plus the
 /// single-flight slot its waiters block on. One admission-queue item is
 /// the `Vec` of one request's uncached jobs: N cold sweep points cost
@@ -709,7 +685,8 @@ pub struct Engine {
     store: Mutex<MemoryStore>,
     inflight: Mutex<HashMap<u64, Arc<Flight>>>,
     stats: Stats,
-    job_us: AtomicHist,
+    /// Executor time per admitted queue item, µs.
+    job_us: Mutex<obs::HistogramStat>,
 }
 
 impl Engine {
@@ -723,7 +700,7 @@ impl Engine {
             store: Mutex::new(MemoryStore::new(config.memory_capacity)),
             inflight: Mutex::new(HashMap::new()),
             stats: Stats::default(),
-            job_us: AtomicHist::new(),
+            job_us: Mutex::new(obs::HistogramStat::new("serve.job_us")),
             config,
         }
     }
@@ -1081,7 +1058,13 @@ impl Engine {
         let s = self.stats();
         let cache_stats = self.cache.as_ref().map(RunCache::stats).unwrap_or_default();
         let (evicted, evicted_bytes) = self.cache.as_ref().map(RunCache::evicted).unwrap_or((0, 0));
-        let hist = obs::HistogramStat::from_counts("serve.job_us", &self.job_us.snapshot());
+        let (job_p50_us, job_p99_us) = {
+            let hist = self
+                .job_us
+                .lock()
+                .expect("job_us is never held across a panic");
+            (hist.p50(), hist.p99())
+        };
         let _ = writeln!(
             out,
             "{{\"id\":{id},\"ok\":true,\"op\":\"status\",\"scenarios\":{},\"queue_depth\":{},\
@@ -1109,8 +1092,8 @@ impl Engine {
             cache_stats.stale,
             evicted,
             evicted_bytes,
-            hist.p50(),
-            hist.p99(),
+            job_p50_us,
+            job_p99_us,
         );
     }
 
@@ -1148,13 +1131,11 @@ impl Engine {
                 self.execute_point(job, 1);
             });
         }
+        let us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
         self.job_us
-            .record(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
-        // Discard this item's obs events so a long-lived daemon's global
-        // event log stays bounded. Consequence: an in-process server
-        // cannot run under an enclosing trace capture — the bench
-        // harness runs its serving pass before the traced pass.
-        obs::drain();
+            .lock()
+            .expect("job_us is never held across a panic")
+            .record(us);
     }
 
     /// Runs one point with a `threads`-wide [`Runner`] and publishes
@@ -1163,8 +1144,6 @@ impl Engine {
         // Classify from the runner's own lookup outcome, not a pre-check:
         // a corrupt or truncated entry fails to load and is simulated, and
         // the evictor may remove an entry between a check and the run.
-        // (The manifest's hit/miss counters say the same, but concurrent
-        // jobs share one obs log, so the daemon keeps its own tally.)
         let mut runner = Runner::with_threads(threads);
         if let Some(cache) = &self.cache {
             runner = runner.with_cache(cache.clone());
@@ -1509,9 +1488,10 @@ fn conn_loop(shared: &Arc<Shared>, stream: AnyStream) {
             let _ = reader.get_mut().write_all(out.as_bytes());
             break;
         }
-        let Ok(line) = std::str::from_utf8(&line) else {
-            break;
-        };
+        // A line that is not UTF-8 is not JSON either: the engine answers
+        // it `bad_request` with id 0, as it answers any line that is not
+        // one flat object, and the connection stays open.
+        let line = std::str::from_utf8(&line).unwrap_or("\u{fffd}");
         let trimmed = line.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {
             continue;
@@ -2100,6 +2080,31 @@ mod tests {
     }
 
     #[test]
+    fn evicted_runs_leave_the_request_index_with_them() {
+        // Every distinct seed is a new run under a new request tuple. The
+        // store keeps `memory_capacity` (4) runs, and the index must not
+        // keep a tuple for each run it ever held.
+        let (engine, executions) = inline_engine();
+        let mut out = String::new();
+        for seed in 0..1000 {
+            out.clear();
+            let req =
+                format!(r#"{{"id":{seed},"op":"run","scenario":"t90-triple","seed":{seed}}}"#);
+            engine.handle_line(&req, &mut out);
+            assert!(out.contains("\"ok\":true"), "{out}");
+        }
+        assert_eq!(executions.load(Ordering::SeqCst), 1000);
+        let store = engine.store.lock().unwrap();
+        assert_eq!(store.map.len(), store.capacity);
+        assert!(
+            store.params.len() <= store.capacity,
+            "{} index entries for {} stored runs",
+            store.params.len(),
+            store.map.len()
+        );
+    }
+
+    #[test]
     fn stats_snapshot_hit_ratio() {
         let s = StatsSnapshot {
             memory_hits: 6,
@@ -2334,6 +2339,53 @@ mod tests {
         assert!(status.contains("\"ok\":true"), "{status}");
         let bye = client.roundtrip(r#"{"id":3,"op":"shutdown"}"#).unwrap();
         assert!(bye.contains("\"op\":\"shutdown\""));
+        server.join();
+    }
+
+    #[test]
+    fn non_utf8_request_line_is_answered_and_the_connection_kept() {
+        let spec = ScenarioSpec::paper_link("t96-utf8", "non-UTF-8 line test")
+            .with_axis("x", AxisKind::Values(vec![0.0]));
+        let mut registry = Registry::new();
+        registry.register(Box::new(Counting {
+            spec,
+            executions: Arc::new(AtomicUsize::new(0)),
+        }));
+        let server = Server::builder(registry)
+            .tcp("127.0.0.1:0")
+            .config(EngineConfig {
+                executors: 1,
+                job_threads: 1,
+                queue_capacity: 4,
+                memory_capacity: 4,
+            })
+            .start()
+            .unwrap();
+        let stream = TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
+        // A daemon that hangs up fails the reads below at once; one that
+        // stops answering fails them at the timeout instead of hanging.
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(&stream);
+        let mut answer = |line: &[u8]| {
+            writer.write_all(line).unwrap();
+            let mut response = String::new();
+            reader.read_line(&mut response).unwrap();
+            response
+        };
+        assert_eq!(
+            answer(b"\xff\xfe\n"),
+            "{\"id\":0,\"ok\":false,\"error\":\"bad_request\"}\n"
+        );
+        let status = answer(b"{\"id\":2,\"op\":\"status\"}\n");
+        assert!(
+            status.starts_with("{\"id\":2,\"ok\":true,\"op\":\"status\""),
+            "{status}"
+        );
+        let bye = answer(b"{\"id\":3,\"op\":\"shutdown\"}\n");
+        assert!(bye.contains("\"op\":\"shutdown\""), "{bye}");
         server.join();
     }
 

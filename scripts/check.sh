@@ -54,10 +54,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # already run the doctested examples.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
-# Registry smoke: list every registered scenario, then run each E1–E31
-# entry end to end through the Runner at reduced size.
-cargo run -q --release -p mmtag-bench --bin scenario -- list
-cargo run -q --release -p mmtag-bench --bin scenario -- smoke
+# Registry listing through the CLI front door. Running every E1–E31 entry
+# end to end at reduced size is `cargo test` above
+# (`every_scenario_smokes_and_is_thread_count_invariant` at 1 and 8
+# threads against pinned digests, `serial_runner` on a 1-thread runner).
+cargo run -q --release -p mmtag-cli -- scenarios
 
 # City-scale smoke: one hundred thousand tags through the city engine via
 # the CLI — the production path (SoA tag state, per-tag parallel barrier,
@@ -71,13 +72,13 @@ cargo run -q --release -p mmtag-cli -- city --tags 100000 --rounds 5 --seed 7
 # must replay byte-identically, and a third must say it was a cache hit.
 rate_dir="$work/rate"
 mkdir "$rate_dir"
-MMTAG_CACHE_DIR="$rate_dir" cargo run -q --release -p mmtag-bench --bin scenario -- \
-    run e29-rate-region --quick --csv > "$rate_dir/first.csv"
-MMTAG_CACHE_DIR="$rate_dir" cargo run -q --release -p mmtag-bench --bin scenario -- \
-    run e29-rate-region --quick --csv > "$rate_dir/second.csv"
+MMTAG_CACHE_DIR="$rate_dir" cargo run -q --release -p mmtag-cli -- \
+    run e29-rate-region --quick 1 --format csv > "$rate_dir/first.csv"
+MMTAG_CACHE_DIR="$rate_dir" cargo run -q --release -p mmtag-cli -- \
+    run e29-rate-region --quick 1 --format csv > "$rate_dir/second.csv"
 cmp "$rate_dir/first.csv" "$rate_dir/second.csv"
-MMTAG_CACHE_DIR="$rate_dir" cargo run -q --release -p mmtag-bench --bin scenario -- \
-    run e29-rate-region --quick --json > "$rate_dir/hit.json"
+MMTAG_CACHE_DIR="$rate_dir" cargo run -q --release -p mmtag-cli -- \
+    run e29-rate-region --quick 1 --format json > "$rate_dir/hit.json"
 grep -q '"runner.cache.hit": 1' "$rate_dir/hit.json"
 
 # Run-cache round trip: the same scenario twice into a fresh store. The
@@ -87,15 +88,15 @@ cache_dir="$work/cache"
 mkdir "$cache_dir"
 cache_a="$cache_dir/first.csv"
 cache_b="$cache_dir/second.csv"
-MMTAG_CACHE_DIR="$cache_dir" cargo run -q --release -p mmtag-bench --bin scenario -- \
-    run e02-link-budget --quick --csv > "$cache_a"
-MMTAG_CACHE_DIR="$cache_dir" cargo run -q --release -p mmtag-bench --bin scenario -- \
-    run e02-link-budget --quick --csv > "$cache_b"
+MMTAG_CACHE_DIR="$cache_dir" cargo run -q --release -p mmtag-cli -- \
+    run e02-link-budget --quick 1 --format csv > "$cache_a"
+MMTAG_CACHE_DIR="$cache_dir" cargo run -q --release -p mmtag-cli -- \
+    run e02-link-budget --quick 1 --format csv > "$cache_b"
 cmp "$cache_a" "$cache_b"
 # (to a file, not a pipe: `grep -q` would close the pipe at first match
 # and the writer would die on SIGPIPE/broken pipe)
-MMTAG_CACHE_DIR="$cache_dir" cargo run -q --release -p mmtag-bench --bin scenario -- \
-    run e02-link-budget --quick --json > "$cache_dir/hit.json"
+MMTAG_CACHE_DIR="$cache_dir" cargo run -q --release -p mmtag-cli -- \
+    run e02-link-budget --quick 1 --format json > "$cache_dir/hit.json"
 grep -q '"runner.cache.hit": 1' "$cache_dir/hit.json"
 
 # Serve smoke: start the daemon on a Unix socket with a fresh cache,
@@ -150,4 +151,4 @@ rf_t1=$(date +%s)
 echo "rf crate release build (clean): $((rf_t1 - rf_t0))s"
 rm -rf target/rf-build-timing
 
-echo "check.sh: fmt + build + tests + masked-libm tests + clippy + scenario smoke + rate-region smoke + cache round-trip + serve smoke all green"
+echo "check.sh: fmt + build + tests + masked-libm tests + clippy + scenario list + rate-region smoke + cache round-trip + serve smoke all green"

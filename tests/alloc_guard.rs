@@ -9,7 +9,10 @@
 //!
 //! The counter is thread-local so the libtest harness (which prints and
 //! spawns from other threads) cannot pollute a measurement, and so the
-//! guard tests can still run concurrently with each other.
+//! guard tests can still run concurrently with each other. The obs
+//! recording level is per thread as well: another test's `Runner::run`
+//! raises only its own thread to `Counters`, so a loop measured beside it
+//! records nothing and allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -42,18 +45,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The obs recording level is process-global, and `Runner::run` raises it
-/// to `Counters` while a scenario runs (the serve test's warm-up runs 17).
-/// A kernel loop measured concurrently would then record obs events — heap
-/// pushes on its own thread. Every test here holds this lock for its whole
-/// body, so no measurement overlaps another test's runs.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    // A panicking test poisons the lock; the `()` it guards stays valid.
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Runs `f` and returns how many times this thread hit the allocator.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOC_CALLS.with(|c| c.get());
@@ -64,7 +55,6 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 #[test]
 fn ber_trial_loop_is_allocation_free_in_steady_state() {
-    let _serial = serial();
     use mmtag_phy::waveform::{
         count_bit_errors_scratch, Awgn, OokModem, TrialScratch, MC_CHUNK_BITS,
     };
@@ -111,7 +101,6 @@ fn ber_trial_loop_is_allocation_free_in_steady_state() {
 
 #[test]
 fn outage_trial_loop_is_allocation_free_in_steady_state() {
-    let _serial = serial();
     use mmtag_channel::fading::{FadeScratch, RicianFading};
     use mmtag_rf::rng::SeedTree;
     use mmtag_rf::units::Db;
@@ -149,7 +138,6 @@ fn outage_trial_loop_is_allocation_free_in_steady_state() {
 
 #[test]
 fn rate_region_chunk_is_allocation_free_in_steady_state() {
-    let _serial = serial();
     use mmtag_channel::cascade::{HopModel, MultiTagCascade};
     use mmtag_phy::constellation::TagConstellation;
     use mmtag_rf::rng::SeedTree;
@@ -192,7 +180,6 @@ fn rate_region_chunk_is_allocation_free_in_steady_state() {
 
 #[test]
 fn radix4_fft_and_welch_are_allocation_free_after_planning() {
-    let _serial = serial();
     use mmtag_rf::complex::Complex;
     use mmtag_rf::fft::{FftPlan, WelchPlan};
 
@@ -233,7 +220,6 @@ fn radix4_fft_and_welch_are_allocation_free_after_planning() {
 
 #[test]
 fn gaussian_fill_is_allocation_free_into_existing_buffers() {
-    let _serial = serial();
     use mmtag_rf::rng::{box_muller_certified, uniform_pairs, Rng, SeedTree};
 
     // The fused Box–Muller pipeline (DESIGN.md §11) stages everything in
@@ -267,7 +253,6 @@ fn gaussian_fill_is_allocation_free_into_existing_buffers() {
 
 #[test]
 fn aloha_drain_loop_is_allocation_free_in_steady_state() {
-    let _serial = serial();
     use mmtag_mac::aloha::{inventory_until_drained_scratch, AlohaScratch, QAlgorithm};
     use mmtag_rf::rng::SeedTree;
 
@@ -308,7 +293,6 @@ fn aloha_drain_loop_is_allocation_free_in_steady_state() {
 
 #[test]
 fn pool_dispatch_is_allocation_free_in_steady_state() {
-    let _serial = serial();
     use mmtag_rf::par::par_indexed_scratch_with;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -361,7 +345,6 @@ fn pool_dispatch_is_allocation_free_in_steady_state() {
 
 #[test]
 fn calendar_queue_event_cycle_is_allocation_free_in_steady_state() {
-    let _serial = serial();
     use mmtag_sim::des::CalendarQueue;
     use mmtag_sim::time::Duration;
 
@@ -412,7 +395,6 @@ fn calendar_queue_event_cycle_is_allocation_free_in_steady_state() {
 
 #[test]
 fn city_event_loop_is_allocation_free_in_steady_state() {
-    let _serial = serial();
     use mmtag_mac::city::{CityConfig, CityEngine};
     use mmtag_sim::SeedTree;
 
@@ -456,7 +438,6 @@ fn city_event_loop_is_allocation_free_in_steady_state() {
 
 #[test]
 fn serve_cache_hit_query_path_is_allocation_free_in_steady_state() {
-    let _serial = serial();
     use mmtag_sim::cache::{CachePolicy, RunCache};
     use mmtag_sim::experiment::Table;
     use mmtag_sim::scenario::{AxisKind, Registry, RunContext, Scenario, ScenarioSpec};
