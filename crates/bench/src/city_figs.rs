@@ -4,7 +4,7 @@
 //! These are the §9 "network of mmTags" endgame runs: a reader grid
 //! inventorying 10³–10⁵ mobile, energy-harvesting tags through
 //! [`mmtag_mac::city::CityEngine`]. Both scenarios run the production
-//! engine — per-tag barrier, sharded calendar-queue rounds — at the
+//! engine — per-tag barrier, sharded per-slot rounds — at the
 //! context's thread budget: E27 hands the budget to each engine in turn
 //! (its 10⁵-tag point is most of its work), E28 fans its nine independent
 //! engines out across it, one thread each. The registry smoke, the
@@ -18,8 +18,11 @@ use mmtag_sim::par::par_map_with;
 use mmtag_sim::scenario::{AxisKind, RunContext, ScenarioSpec};
 
 /// **E27** spec: tag-density sweep (10³ → 10⁵ tags) on the dense city.
-/// The axis is `Values`, so even the minimized smoke size keeps the 10⁵
-/// point — the smoke tests genuinely run a hundred thousand tags.
+/// The axis is `Values`, and minimizing keeps its first `max_points`
+/// values: the three-point smoke size (`run_minimized(_, 3, _)`, as in
+/// `mmtag run --quick` and the registry smoke tests) keeps the 10⁵ point,
+/// while two-point runs — `crates/bench/tests/city.rs`'s `(2, 50)` and
+/// perfbench's `(2, 100)` warm-up — stop at 10⁴.
 pub(crate) fn e27_spec(seed: u64) -> ScenarioSpec {
     ScenarioSpec::paper_link(
         "e27-city-density",

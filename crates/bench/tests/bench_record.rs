@@ -129,6 +129,13 @@ fn committed_record_meets_its_floors() {
             let eff = row(m, "ratio");
             assert!(eff >= 0.55, "{w} {m} = {eff} is below 0.55");
         }
+        // Tracing is cheap enough to leave on: a traced stretch costs at
+        // most 5% more than an untraced one.
+        let overhead = row("trace_overhead_frac", "ratio");
+        assert!(
+            overhead <= 0.05,
+            "{w} trace_overhead_frac = {overhead} is above 0.05"
+        );
         // Cache-first serving: simulating one point costs at least ten
         // times a memory hit plus its socket round trip.
         let point_ms = row("runner.point_ms", "ms");

@@ -19,34 +19,44 @@ use mmtag_rf::rng::{SeedTree, Xoshiro256pp};
 use mmtag_sim::experiment::linspace;
 use mmtag_sim::scenario::Runner;
 use std::fmt::Write as _;
+use std::path::Path;
 
-/// Top-level dispatch. Unknown/missing commands return the help text.
+/// Top-level dispatch, with the run cache in its default directory
+/// ([`mmtag_sim::cache::default_dir`]). Unknown/missing commands return
+/// the help text.
+pub fn run(args: &Args) -> Result<String, ArgError> {
+    run_in(args, &mmtag_sim::cache::default_dir())
+}
+
+/// [`run`] with the run cache (`run`, `serve`) rooted at `cache_dir`.
 ///
 /// `--trace <file>` (valid on every command but `serve`) turns the calling
 /// thread's observability level up to [`obs::Level::Trace`] for the
 /// duration of the command — the pool workers it fans out to record at
-/// its level — and writes the recorded spans as Chrome tracing JSON (load
-/// the file at `chrome://tracing` or in Perfetto). Tracing never changes
+/// its level — and, when the command succeeds, writes the recorded spans
+/// as Chrome tracing JSON (load the file at `chrome://tracing` or in
+/// Perfetto). A failed command writes no file. Tracing never changes
 /// command output — the engine merges observability events in
 /// deterministic unit order, so traced and untraced runs print identical
 /// bytes.
-pub fn run(args: &Args) -> Result<String, ArgError> {
+fn run_in(args: &Args, cache_dir: &Path) -> Result<String, ArgError> {
     let Some(trace_path) = args.options.get("trace") else {
-        return dispatch(args);
+        return dispatch(args, cache_dir);
     };
     obs::set_level(obs::Level::Trace);
-    let result = dispatch(args);
+    let result = dispatch(args, cache_dir);
     obs::set_level(obs::Level::Off);
     let report = obs::drain();
+    let out = result?;
     std::fs::write(trace_path, report.to_chrome_json()).map_err(|e| ArgError::TraceWrite {
         path: trace_path.clone(),
         message: e.to_string(),
     })?;
-    result
+    Ok(out)
 }
 
 /// Routes a parsed command line to its command function.
-fn dispatch(args: &Args) -> Result<String, ArgError> {
+fn dispatch(args: &Args, cache_dir: &Path) -> Result<String, ArgError> {
     if args.command.as_deref() != Some("run") {
         if let Some(op) = &args.operand {
             return Err(ArgError::UnexpectedPositional(op.clone()));
@@ -62,15 +72,15 @@ fn dispatch(args: &Args) -> Result<String, ArgError> {
         Some("energy") => cmd_energy(args),
         Some("compare") => Ok(cmd_compare()),
         Some("scenarios") => Ok(cmd_scenarios()),
-        Some("run") => cmd_run(args),
-        Some("serve") => cmd_serve(args),
+        Some("run") => cmd_run(args, cache_dir),
+        Some("serve") => cmd_serve(args, cache_dir),
         _ => Ok(help()),
     }
 }
 
 /// `mmtag serve`: the simulation-as-a-service daemon. Blocks until some
 /// client sends `{"op":"shutdown"}`, then returns a shutdown summary.
-fn cmd_serve(args: &Args) -> Result<String, ArgError> {
+fn cmd_serve(args: &Args, cache_dir: &Path) -> Result<String, ArgError> {
     use mmtag_sim::serve::{EngineConfig, Server};
     if args.options.contains_key("trace") {
         // The obs level and log are per thread: a trace captures the
@@ -98,7 +108,7 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
             max_bytes: (max_bytes > 0).then_some(max_bytes),
             max_age: (max_age_secs > 0).then(|| std::time::Duration::from_secs(max_age_secs)),
         };
-        builder = builder.cache(mmtag_sim::cache::RunCache::at_default_dir().with_policy(policy));
+        builder = builder.cache(mmtag_sim::cache::RunCache::at(cache_dir).with_policy(policy));
     }
     let socket = args.options.get("socket");
     let tcp = args.options.get("tcp");
@@ -434,7 +444,7 @@ fn cmd_scenarios() -> String {
     out
 }
 
-fn cmd_run(args: &Args) -> Result<String, ArgError> {
+fn cmd_run(args: &Args, cache_dir: &Path) -> Result<String, ArgError> {
     let Some(name) = args.operand.as_deref() else {
         return Err(ArgError::MissingValue("<scenario name>".into()));
     };
@@ -456,7 +466,7 @@ fn cmd_run(args: &Args) -> Result<String, ArgError> {
     // skips the execution spans the trace exists to record.
     let cached = !args.options.contains_key("no-cache") && !args.options.contains_key("trace");
     let runner = if cached {
-        Runner::new().with_cache(mmtag_sim::cache::RunCache::at_default_dir())
+        Runner::new().with_cache(mmtag_sim::cache::RunCache::at(cache_dir))
     } else {
         Runner::new()
     };
@@ -476,29 +486,40 @@ fn cmd_run(args: &Args) -> Result<String, ArgError> {
 mod tests {
     use super::*;
 
-    /// Points the run cache at a fresh per-process temp directory so the
-    /// `run` goldens can never be satisfied by stale entries a previous
-    /// build left in `target/mmtag-run-cache` — each test process proves
-    /// the current code (first run) and the replay path (second run).
-    fn isolate_cache_dir() {
-        static ONCE: std::sync::Once = std::sync::Once::new();
-        ONCE.call_once(|| {
-            let dir =
-                std::env::temp_dir().join(format!("mmtag-cli-test-cache-{}", std::process::id()));
-            std::env::set_var("MMTAG_CACHE_DIR", dir);
-        });
+    /// A run-cache directory owned by one test: unique, empty until a
+    /// command stores into it, and removed on drop. The `run` goldens can
+    /// therefore never be satisfied by stale entries a previous build left
+    /// in `target/mmtag-run-cache` — a test proves the current code (first
+    /// run) and, if it runs again in the same directory, the replay path.
+    struct CacheDir(std::path::PathBuf);
+
+    impl CacheDir {
+        fn new() -> Self {
+            static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let name = format!("mmtag-cli-test-cache-{}-{n}", std::process::id());
+            CacheDir(std::env::temp_dir().join(name))
+        }
+
+        fn run(&self, line: &[&str]) -> String {
+            run_in(&Args::parse(line.iter().copied()).unwrap(), &self.0).unwrap()
+        }
+    }
+
+    impl Drop for CacheDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     fn run_line(line: &[&str]) -> String {
-        isolate_cache_dir();
-        run(&Args::parse(line.iter().copied()).unwrap()).unwrap()
+        CacheDir::new().run(line)
     }
 
     fn run_err(line: &[&str]) -> ArgError {
-        isolate_cache_dir();
         match Args::parse(line.iter().copied()) {
             Err(e) => e,
-            Ok(a) => run(&a).unwrap_err(),
+            Ok(a) => run_in(&a, &CacheDir::new().0).unwrap_err(),
         }
     }
 
@@ -667,15 +688,16 @@ mod tests {
         // First call populates the cache, second replays from it, and
         // --no-cache recomputes — all three must print the same bytes
         // (wall_ms lives in the manifest, which `render` omits).
-        let first = run_line(&["run", "e06-beamwidth", "--quick", "1"]);
-        let replayed = run_line(&["run", "e06-beamwidth", "--quick", "1"]);
-        let recomputed = run_line(&["run", "e06-beamwidth", "--quick", "1", "--no-cache"]);
+        let cache = CacheDir::new();
+        let first = cache.run(&["run", "e06-beamwidth", "--quick", "1"]);
+        let replayed = cache.run(&["run", "e06-beamwidth", "--quick", "1"]);
+        let recomputed = cache.run(&["run", "e06-beamwidth", "--quick", "1", "--no-cache"]);
         assert_eq!(first, replayed);
         assert_eq!(first, recomputed);
         // The JSON metrics block reports which path served the run.
-        let json = run_line(&["run", "e06-beamwidth", "--format", "json", "--quick", "1"]);
+        let json = cache.run(&["run", "e06-beamwidth", "--format", "json", "--quick", "1"]);
         assert!(json.contains("\"runner.cache.hit\": 1"), "{json}");
-        let bypassed = run_line(&[
+        let bypassed = cache.run(&[
             "run",
             "e06-beamwidth",
             "--format",
@@ -728,6 +750,31 @@ mod tests {
             other => panic!("expected a serve error, got {other:?}"),
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn failed_command_writes_no_trace_file() {
+        let path = std::env::temp_dir().join(format!(
+            "mmtag-cli-failed-trace-test-{}.json",
+            std::process::id()
+        ));
+        let err = run_err(&[
+            "link",
+            "--range-ft",
+            "banana",
+            "--trace",
+            path.to_str().unwrap(),
+        ]);
+        assert_eq!(
+            err,
+            ArgError::BadValue {
+                flag: "range-ft".into(),
+                raw: "banana".into()
+            }
+        );
+        let written = path.exists();
+        let _ = std::fs::remove_file(&path);
+        assert!(!written, "a failed command left a trace file behind");
     }
 
     #[test]

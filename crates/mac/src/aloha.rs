@@ -92,10 +92,9 @@ impl FramedAloha {
     /// [`Rng::index`] per tag — the same stream as
     /// [`FramedAloha::run_round_counts`]) into the scratch's
     /// parallel slot arrays (occupancy histogram + last-writer owner)
-    /// and nothing else. Event engines that classify slots *as DES
-    /// events* (the city engine's per-slot timeline) run on this and do
-    /// their own accounting from [`AlohaScratch::slot_count`] /
-    /// [`AlohaScratch::slot_owner`].
+    /// and nothing else. The city engine, which plays each frame slot by
+    /// slot, runs on this and does its own accounting from
+    /// [`AlohaScratch::slot_count`] / [`AlohaScratch::slot_owner`].
     ///
     /// # Panics
     /// Panics on a zero frame size.
@@ -141,8 +140,8 @@ impl AlohaScratch {
 
     /// The per-slot occupancy histogram of the last round run on this
     /// scratch (empty before any round). Slot `s` saw `slot_count()[s]`
-    /// tags: 0 = idle, 1 = a successful read, ≥ 2 = a collision. Event
-    /// engines walk this to emit one DES event per slot.
+    /// tags: 0 = idle, 1 = a successful read, ≥ 2 = a collision. The city
+    /// engine walks this slot by slot, one DES event per slot.
     pub fn slot_count(&self) -> &[u32] {
         &self.slot_count
     }

@@ -10,26 +10,26 @@
 //!
 //! Time is divided into global **rounds** (the barriers). Each round:
 //!
-//! 1. **Barrier (parallel per tag, then a short serial tail)** — one
-//!    pure per-tag function places tag `i` on its
-//!    [`mmtag_sim::mobility::Linear`] trajectory, harvests its energy and,
-//!    if it is unread and energized, walks the readers in ascending index
-//!    and keeps the nearest covering one (squared-distance compare,
-//!    boundary inclusive, blockage via [`mmtag_sim::geom::line_of_sight`],
-//!    exact ties to the lower reader index). That pass writes `assigned`
-//!    over disjoint tag chunks ([`mmtag_sim::par::par_fill_chunks_with`]),
-//!    so it is bit-identical at any thread count. The serial tail applies
-//!    the harvest and the response debit to the energy array and builds
-//!    the pending lists: a flat CSR over tag indices, ascending per
-//!    reader.
+//! 1. **Barrier (parallel per tag, then a short serial tail)** — the
+//!    barrier walks the ascending list of unread tags. One pure per-tag
+//!    function places tag `i` on its [`mmtag_sim::mobility::Linear`]
+//!    trajectory and, if it can pay for a response after the harvest,
+//!    walks the readers in ascending index and keeps the nearest covering
+//!    one (squared-distance compare, boundary inclusive, blockage via
+//!    [`mmtag_sim::geom::line_of_sight`] against that reader's own wall
+//!    list, exact ties to the lower reader index). That pass writes one
+//!    reader per listed tag over disjoint chunks of the list
+//!    ([`mmtag_sim::par::par_fill_chunks_with`]), so it is bit-identical
+//!    at any thread count. The serial tail applies the harvest and the
+//!    response debit to the listed tags' energy and builds the pending
+//!    lists: a flat CSR over tag indices, ascending per reader.
 //! 2. **Round (sharded)** — readers are partitioned into contiguous
 //!    spatial shards. Per reader: draw the framed-Aloha slot choices
 //!    ([`FramedAloha::fill_round`], one RNG draw per pending tag from the
 //!    reader-and-round-indexed [`SeedTree`] stream), then play the frame
-//!    as *per-slot DES events* on the shard's [`CalendarQueue`] — each
-//!    event classifies its slot from the histogram (empty / read /
-//!    collision) and marks the read tag. The Q algorithm adapts per
-//!    reader exactly as in [`crate::aloha`].
+//!    slot by slot — each slot one DES event, classified from the
+//!    histogram (empty / read / collision), a read marking its tag. The
+//!    Q algorithm adapts per reader exactly as in [`crate::aloha`].
 //! 3. **Merge (serial, fixed shard order)** — shard outputs (reads, Q
 //!    updates, per-reader elapsed, tallies) are applied in shard index
 //!    order, the same unit-order merge argument the obs layer uses.
@@ -46,10 +46,10 @@
 //! produces identical tables. The barrier is a per-tag pure function
 //! with disjoint writes, so its thread count cannot matter either. The
 //! tests pin this at the engine level (stats and per-tag read flags
-//! across shard and thread counts), at the barrier level (the per-tag
-//! pass against its single oracle, a reader-major spatial-hash barrier,
-//! every round at 1, 2 and 4 threads) and at the queue level
-//! ([`CalendarQueue`] against its heap oracle in `mmtag_sim::des`).
+//! across shard and thread counts) and at the barrier level (the per-tag
+//! pass against its single oracle, a reader-major spatial-hash barrier
+//! over the full wall list and every tag, every round at 1, 2 and 4
+//! threads).
 //!
 //! Why the per-tag pass equals its oracle: the reader-major barrier in
 //! this module's tests visits each reader's coverage disc through a
@@ -62,15 +62,51 @@
 //! the world. (Rounding can place a tag in the disc up to an ulp past
 //! the disc's bounding box; the hash would miss it only if a cell edge
 //! fell inside that sliver, which the reader grids here cannot produce —
-//! their centres, radius and cell edges are multiples of 12.5 m.) So
-//! `assigned` is identical, without rebuilding a hash each round.
+//! their centres, radius and cell edges are multiples of 12.5 m.) The
+//! per-tag pass skips work the oracle does; the first two arguments
+//! below show each skip changes nothing, so `assigned` is identical
+//! without rebuilding a hash each round. The third covers the round.
+//!
+//! **Per-reader wall lists.** [`CityEngine::new`] keeps, for each reader,
+//! the walls whose nearest point ([`Segment::dist_sq`]) lies within
+//! `c + 1 m` of it, `c` = `coverage_m`, and a tag tests only its
+//! candidate reader's list. No other wall can block a tag that reader
+//! covers:
+//!
+//! - A tag pends only with `d2 <= c²`, so its path to the reader is at
+//!   most `c` long and lies inside the reader's coverage disc (the disc
+//!   is convex).
+//! - A crossing [`Segment::blocks`] accepts lies within
+//!   [`crossing_slack`]`(c, wall length, span)` of the path and the wall,
+//!   summed, where `span` bounds the distance from the tag to the wall's
+//!   endpoint: the farthest wall endpoint from any reader, plus `c`. So
+//!   a blocking wall's nearest point is within `c + slack` of the reader
+//!   (plus ulps of the coordinates and of the distance `new` rounds).
+//! - In the 4 × 4 city (`c = 37.5 m`, walls 40 m long, endpoints within
+//!   20 m of the 200 m-square world) the slack is at most 0.24 m, inside
+//!   the 1 m margin. It grows with the world, past the margin at about
+//!   20 × 20 readers at the 50 m pitch; there `new` keeps every wall for
+//!   every reader, so the lists are exact at any size.
+//!
+//! **The unread list.** The barrier walks an ascending list of unread
+//! tags instead of all `n`, and a tag read in a round leaves the list at
+//! the next barrier. Skipping read tags changes nothing the round reads:
+//! a read tag pends at no reader and no longer harvests, so a walk over
+//! all `n` tags would leave it out of the pending CSR and its energy as
+//! it is. The list stays ascending, so the stable counting sort still
+//! gives each reader's CSR slice in ascending tag order.
+//!
+//! **The slot loop.** A reader's frame is a DES timeline with slot `s`
+//! at `base + s · slot`. Those times are distinct and increase with `s`,
+//! so a time-ordered event queue pops them in slot order; the loop
+//! `for s in 0..frame` classifies the same slots in that same order and
+//! counts one event per slot, without scheduling them.
 
 use crate::aloha::{AlohaScratch, FramedAloha, QAlgorithm, RoundCounts};
 use mmtag_rf::obs;
 use mmtag_rf::rng::Rng;
 use mmtag_rf::units::Angle;
-use mmtag_sim::des::CalendarQueue;
-use mmtag_sim::geom::{line_of_sight, Segment, Vec2};
+use mmtag_sim::geom::{crossing_slack, line_of_sight, Segment, Vec2};
 use mmtag_sim::mobility::{Linear, Mobility, Pose};
 use mmtag_sim::par::par_fill_chunks_with;
 use mmtag_sim::time::{Duration, Instant};
@@ -89,7 +125,16 @@ const UNASSIGNED: u32 = u32::MAX;
 /// balance across workers.
 const BARRIER_CHUNK: usize = 1024;
 
-/// Configuration of a city deployment.
+/// How far past `coverage_m` a reader's wall list reaches, meters: the
+/// headroom over [`crossing_slack`], by which a crossing
+/// [`Segment::blocks`] accepts can sit off the wall and the tag–reader
+/// path (module doc).
+const WALL_MARGIN_M: f64 = 1.0;
+
+/// Configuration of a city deployment. Any size gives the same result
+/// as testing every wall on every path: where the wall lists' margin
+/// would not cover the crossing test's rounding, every reader keeps every
+/// wall (module doc).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CityConfig {
     /// Tag population.
@@ -209,8 +254,16 @@ impl TagSoA {
     /// from `[0.5, 1.0)` — all streams from `rng`.
     pub fn populate<R: Rng + ?Sized>(cfg: &CityConfig, rng: &mut R) -> Self {
         let (_, max) = cfg.world();
-        let mut tags = TagSoA::default();
-        for _ in 0..cfg.tags {
+        let n = cfg.tags;
+        let mut tags = TagSoA {
+            x0: Vec::with_capacity(n),
+            y0: Vec::with_capacity(n),
+            vx: Vec::with_capacity(n),
+            vy: Vec::with_capacity(n),
+            energy: Vec::with_capacity(n),
+            read: Vec::with_capacity(n),
+        };
+        for _ in 0..n {
             tags.x0.push(rng.f64() * max.x);
             tags.y0.push(rng.f64() * max.y);
             let heading = rng.f64() * std::f64::consts::TAU;
@@ -257,31 +310,49 @@ impl CityStats {
     }
 }
 
-/// One slot of one reader's frame, as a DES event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct SlotEvent(u32);
-
-/// Per-worker scratch for the round phase: the shard's event queue and
-/// the Aloha slot arrays. Standard scratch ownership rules (DESIGN.md
-/// §8): one worker at a time, reused across shards and rounds, retained
-/// capacity ⇒ allocation-free steady state.
-struct ShardScratch {
-    queue: CalendarQueue<SlotEvent>,
-    aloha: AlohaScratch,
+/// Each reader's wall list: the walls (in wall order) whose nearest point
+/// lies within `coverage_m + WALL_MARGIN_M` of it, or every wall where
+/// [`crossing_slack`] exceeds the margin. The module doc shows no other
+/// wall can block a tag the reader covers.
+fn reader_walls(cfg: &CityConfig, readers: &[Vec2], walls: &[Segment]) -> Vec<Vec<Segment>> {
+    let c = cfg.coverage_m;
+    let span = walls
+        .iter()
+        .flat_map(|w| [w.a, w.b])
+        .flat_map(|e| readers.iter().map(move |&rp| e.sub(rp).norm()))
+        .fold(0.0, f64::max)
+        + c;
+    let wall_len = walls
+        .iter()
+        .map(|w| w.length().meters())
+        .fold(0.0, f64::max);
+    let reach = if crossing_slack(c, wall_len, span) <= WALL_MARGIN_M {
+        c + WALL_MARGIN_M
+    } else {
+        f64::INFINITY
+    };
+    readers
+        .iter()
+        .map(|&rp| {
+            let near = walls.iter().filter(|w| w.dist_sq(rp) <= reach * reach);
+            near.copied().collect()
+        })
+        .collect()
 }
 
-impl ShardScratch {
-    /// Scratch whose calendar ring is laid out at slot width — the
-    /// natural inter-event gap of a frame — so pops resolve in the
-    /// cursor's own window instead of scanning adjacent empty buckets.
-    /// Layout is a constant-factor knob only: pop order is identical for
-    /// any width (see [`CalendarQueue`]).
-    fn for_slots(slot: Duration) -> Self {
-        ShardScratch {
-            queue: CalendarQueue::with_layout(slot, 64),
-            aloha: AlohaScratch::default(),
-        }
+/// `cfg.blockers` random wall segments, each `0.8 · reader_spacing_m`
+/// long and centred in the world, from `tree`'s `city-walls` stream.
+fn random_walls(cfg: &CityConfig, tree: &SeedTree) -> Vec<Segment> {
+    let (_, max) = cfg.world();
+    let mut wall_rng = tree.rng("city-walls");
+    let mut walls = Vec::with_capacity(cfg.blockers);
+    for _ in 0..cfg.blockers {
+        let c = Vec2::new(wall_rng.f64() * max.x, wall_rng.f64() * max.y);
+        let th = wall_rng.f64() * std::f64::consts::TAU;
+        let half = Vec2::new(th.cos(), th.sin()).scale(cfg.reader_spacing_m * 0.4);
+        walls.push(Segment::new(c.sub(half), c.add(half)));
     }
+    walls
 }
 
 /// What one shard reports back for the serial merge.
@@ -323,7 +394,6 @@ fn shard_round(
     pend_entries: &[u32],
     lo: usize,
     hi: usize,
-    queue: &mut CalendarQueue<SlotEvent>,
     aloha: &mut AlohaScratch,
     out: &mut ShardOut,
 ) {
@@ -338,27 +408,20 @@ fn shard_round(
             .rng_indexed("round", k);
         let frame = qs[r].frame_size();
         FramedAloha.fill_round(n_pending, frame, &mut rng, aloha);
-        // Play the frame as per-slot DES events. Queue time is a
-        // shard-local event clock (each batch is scheduled relative to
-        // `now` and drained fully), so one queue serves every reader.
-        let base = queue.now();
-        for s in 0..frame {
-            queue.schedule_at(base + cfg.slot.times(s as u64), SlotEvent(s as u32));
-        }
+        // Play the frame slot by slot, in the order its DES events would
+        // pop (module doc).
         let mut counts = RoundCounts {
             successes: 0,
             empty_slots: 0,
             collision_slots: 0,
             frame_size: frame,
         };
-        while let Some((_, SlotEvent(s))) = queue.pop() {
-            let s = s as usize;
-            match aloha.slot_count()[s] {
+        for (&n, &owner) in aloha.slot_count().iter().zip(aloha.slot_owner()) {
+            match n {
                 0 => counts.empty_slots += 1,
                 1 => {
                     counts.successes += 1;
-                    out.reads
-                        .push(pend_entries[p0 + aloha.slot_owner()[s] as usize]);
+                    out.reads.push(pend_entries[p0 + owner as usize]);
                 }
                 _ => counts.collision_slots += 1,
             }
@@ -383,31 +446,27 @@ fn position_at(tags: &TagSoA, i: usize, t: Instant) -> Vec2 {
     traj.pose_at(t).position
 }
 
-/// A tag's stored energy after the round's harvest: every unread tag
-/// charges toward the cap.
-fn harvested(cfg: &CityConfig, energy: f64, read: bool) -> f64 {
-    if read {
-        energy
-    } else {
-        (energy + cfg.harvest_per_round).min(ENERGY_CAP)
-    }
+/// An unread tag's stored energy after the round's harvest: it charges
+/// toward the cap. A read tag no longer harvests.
+fn harvested(cfg: &CityConfig, energy: f64) -> f64 {
+    (energy + cfg.harvest_per_round).min(ENERGY_CAP)
 }
 
-/// The barrier's per-tag function: the reader tag `i` pends at in the
-/// round at time `t`, or [`UNASSIGNED`] when it is read, cannot pay for a
-/// response after the harvest, or no reader covers it in line of sight.
+/// The barrier's per-tag function: the reader that unread tag `i` pends
+/// at in the round at time `t`, or [`UNASSIGNED`] when it cannot pay for
+/// a response after the harvest or no reader covers it in line of sight.
 /// Readers are walked in ascending index and one wins when
 /// `d2 <= coverage²` (boundary inclusive), `d2 < best` (exact ties stay
-/// with the lower index) and the path is unblocked.
+/// with the lower index) and no wall on its list blocks the path.
 fn tag_reader(
     cfg: &CityConfig,
     readers: &[Vec2],
-    walls: &[Segment],
+    walls: &[Vec<Segment>],
     tags: &TagSoA,
     t: Instant,
     i: usize,
 ) -> u32 {
-    if tags.read[i] || harvested(cfg, tags.energy[i], false) < cfg.tx_cost {
+    if harvested(cfg, tags.energy[i]) < cfg.tx_cost {
         return UNASSIGNED;
     }
     let position = position_at(tags, i, t);
@@ -416,7 +475,7 @@ fn tag_reader(
     let mut reader = UNASSIGNED;
     for (r, &rp) in readers.iter().enumerate() {
         let d2 = position.dist_sq(rp);
-        if d2 <= coverage_sq && d2 < best && line_of_sight(position, rp, walls) {
+        if d2 <= coverage_sq && d2 < best && line_of_sight(position, rp, &walls[r]) {
             best = d2;
             reader = r as u32;
         }
@@ -450,34 +509,41 @@ fn apply_out(
 }
 
 /// The city inventory engine. Construct once per run; drive with
-/// [`CityEngine::run_rounds`] (parallel barrier and sharded calendar-queue
-/// rounds, any thread count) or [`CityEngine::step_round`] (one serial
-/// round on persistent scratch through the same barrier — the
-/// allocation-free path the workspace alloc guard measures).
+/// [`CityEngine::run_rounds`] (parallel barrier and sharded rounds, any
+/// thread count) or [`CityEngine::step_round`] (one serial round on
+/// persistent scratch through the same barrier — the allocation-free
+/// path the workspace alloc guard measures).
 pub struct CityEngine {
     cfg: CityConfig,
     tree: SeedTree,
     readers: Vec<Vec2>,
-    walls: Vec<Segment>,
+    /// Each reader's wall list ([`reader_walls`]).
+    walls: Vec<Vec<Segment>>,
     tags: TagSoA,
     qs: Vec<QAlgorithm>,
     reader_elapsed: Vec<Duration>,
     round: u64,
     stats: CityStats,
-    // Barrier scratch — flat, retained across rounds.
+    // Barrier state and scratch — flat, retained across rounds.
+    /// Unread tags, ascending; a tag read in a round leaves at the next
+    /// barrier.
+    unread: Vec<u32>,
+    /// The reader each `unread` tag pends at this round, or
+    /// [`UNASSIGNED`]; parallel to `unread`.
     assigned: Vec<u32>,
     pend_starts: Vec<u32>,
     pend_entries: Vec<u32>,
     cursor: Vec<u32>,
     // Serial round scratch (the `step_round` path).
-    serial: ShardScratch,
+    serial: AlohaScratch,
     serial_out: ShardOut,
 }
 
 impl CityEngine {
     /// Builds the deployment: readers on their grid, `cfg.blockers`
-    /// random wall segments, and a tag population — all randomness from
-    /// labeled `tree` streams, so two engines built from the same
+    /// random wall segments (kept as per-reader wall lists, exact at any
+    /// world size: module doc), and a tag population — all randomness
+    /// from labeled `tree` streams, so two engines built from the same
     /// `(cfg, tree)` are identical.
     pub fn new(cfg: CityConfig, tree: SeedTree) -> Self {
         assert!(cfg.tags > 0, "city needs at least one tag");
@@ -491,15 +557,7 @@ impl CityEngine {
                 ));
             }
         }
-        let (_, max) = cfg.world();
-        let mut wall_rng = tree.rng("city-walls");
-        let mut walls = Vec::with_capacity(cfg.blockers);
-        for _ in 0..cfg.blockers {
-            let c = Vec2::new(wall_rng.f64() * max.x, wall_rng.f64() * max.y);
-            let th = wall_rng.f64() * std::f64::consts::TAU;
-            let half = Vec2::new(th.cos(), th.sin()).scale(cfg.reader_spacing_m * 0.4);
-            walls.push(Segment::new(c.sub(half), c.add(half)));
-        }
+        let walls = reader_walls(&cfg, &readers, &random_walls(&cfg, &tree));
         let mut tag_rng = tree.rng("city-tags");
         let tags = TagSoA::populate(&cfg, &mut tag_rng);
         let n_readers = cfg.n_readers();
@@ -508,6 +566,7 @@ impl CityEngine {
             tree,
             readers,
             walls,
+            unread: (0..tags.len() as u32).collect(),
             tags,
             qs: vec![QAlgorithm::new(); n_readers],
             reader_elapsed: vec![Duration::ZERO; n_readers],
@@ -517,7 +576,7 @@ impl CityEngine {
             pend_starts: Vec::new(),
             pend_entries: Vec::new(),
             cursor: Vec::new(),
-            serial: ShardScratch::for_slots(cfg.slot),
+            serial: AlohaScratch::default(),
             serial_out: ShardOut::default(),
         }
     }
@@ -549,25 +608,32 @@ impl CityEngine {
         s
     }
 
-    /// The round barrier at a `threads` budget: the per-tag pass
-    /// ([`tag_reader`]) fills `assigned` over disjoint tag chunks, then a
-    /// serial tail applies harvest and response debit to the energy array
-    /// and builds the pending CSR. Bit-identical at any `threads`;
+    /// The round barrier at a `threads` budget: tags read last round
+    /// leave the unread list, the per-tag pass ([`tag_reader`]) fills
+    /// `assigned` over disjoint chunks of that list, then a serial tail
+    /// applies harvest and response debit to the listed tags' energy and
+    /// builds the pending CSR. Bit-identical at any `threads`;
     /// allocation-free once the scratch vectors have warmed up.
     fn barrier(&mut self, k: u64, threads: usize) {
         let _span = obs::span("mac.city.barrier");
-        let n = self.tags.len();
         let t = Instant::ZERO + self.cfg.round_period.times(k);
-        self.assigned.resize(n, UNASSIGNED);
-        let (cfg, readers, walls, tags) =
-            (&self.cfg, &self.readers[..], &self.walls[..], &self.tags);
+        let read = &self.tags.read;
+        self.unread.retain(|&i| !read[i as usize]);
+        self.assigned.resize(self.unread.len(), UNASSIGNED);
+        let (cfg, readers, walls, tags, unread) = (
+            &self.cfg,
+            &self.readers[..],
+            &self.walls[..],
+            &self.tags,
+            &self.unread[..],
+        );
         par_fill_chunks_with(
             threads,
             &mut self.assigned,
             BARRIER_CHUNK,
             |start, chunk| {
-                for (j, a) in chunk.iter_mut().enumerate() {
-                    *a = tag_reader(cfg, readers, walls, tags, t, start + j);
+                for (a, &i) in chunk.iter_mut().zip(&unread[start..]) {
+                    *a = tag_reader(cfg, readers, walls, tags, t, i as usize);
                 }
             },
         );
@@ -575,14 +641,15 @@ impl CityEngine {
         let nr = self.readers.len();
         self.pend_starts.clear();
         self.pend_starts.resize(nr + 1, 0);
-        for i in 0..n {
-            self.tags.energy[i] = harvested(&self.cfg, self.tags.energy[i], self.tags.read[i]);
-            if self.assigned[i] != UNASSIGNED {
-                self.pend_starts[self.assigned[i] as usize + 1] += 1;
+        for (&i, &a) in self.unread.iter().zip(&self.assigned) {
+            let e = &mut self.tags.energy[i as usize];
+            *e = harvested(&self.cfg, *e);
+            if a != UNASSIGNED {
+                self.pend_starts[a as usize + 1] += 1;
             }
         }
-        // Pending CSR: stable counting sort by reader ⇒ ascending tag
-        // index within each reader's slice.
+        // Pending CSR: stable counting sort by reader over the ascending
+        // list ⇒ ascending tag index within each reader's slice.
         for r in 0..nr {
             self.pend_starts[r + 1] += self.pend_starts[r];
         }
@@ -590,19 +657,18 @@ impl CityEngine {
         self.cursor.extend_from_slice(&self.pend_starts[..nr]);
         self.pend_entries.clear();
         self.pend_entries.resize(self.pend_starts[nr] as usize, 0);
-        for i in 0..n {
-            let a = self.assigned[i];
+        for (&i, &a) in self.unread.iter().zip(&self.assigned) {
             if a != UNASSIGNED {
-                self.pend_entries[self.cursor[a as usize] as usize] = i as u32;
+                self.pend_entries[self.cursor[a as usize] as usize] = i;
                 self.cursor[a as usize] += 1;
                 // Responding costs energy whether or not the slot is clean.
-                self.tags.energy[i] -= self.cfg.tx_cost;
+                self.tags.energy[i as usize] -= self.cfg.tx_cost;
             }
         }
     }
 
-    /// One serial round on the engine-owned calendar queue and scratch —
-    /// zero allocations in steady state (the alloc guard drives this).
+    /// One serial round on the engine-owned scratch — zero allocations in
+    /// steady state (the alloc guard drives this).
     /// Returns the stats snapshot after the round.
     pub fn step_round(&mut self) -> CityStats {
         self.barrier(self.round, 1);
@@ -627,8 +693,7 @@ impl CityEngine {
             &self.pend_entries,
             0,
             nr,
-            &mut self.serial.queue,
-            &mut self.serial.aloha,
+            &mut self.serial,
             &mut self.serial_out,
         );
         apply_out(
@@ -644,7 +709,7 @@ impl CityEngine {
 
     /// Runs `cfg.rounds` rounds with an explicit thread budget: the
     /// barrier's per-tag pass runs over tag chunks and the sharded
-    /// calendar-queue rounds over readers, both via [`mmtag_sim::par`]
+    /// rounds over readers, both via [`mmtag_sim::par`]
     /// (indexed work units, per-worker scratch), with shards merged in
     /// fixed shard order — bit-identical at any `threads` and any
     /// `cfg.shards`.
@@ -661,12 +726,11 @@ impl CityEngine {
             let qs = &self.qs;
             let pend_starts = &self.pend_starts;
             let pend_entries = &self.pend_entries;
-            let slot = self.cfg.slot;
             let outs: Vec<ShardOut> = mmtag_sim::par::par_indexed_scratch_with(
                 threads,
                 shards,
-                move || ShardScratch::for_slots(slot),
-                |sc, s| {
+                AlohaScratch::default,
+                |aloha, s| {
                     let lo = (s * per).min(nr);
                     let hi = ((s + 1) * per).min(nr);
                     let mut out = ShardOut::default();
@@ -679,8 +743,7 @@ impl CityEngine {
                         pend_entries,
                         lo,
                         hi,
-                        &mut sc.queue,
-                        &mut sc.aloha,
+                        aloha,
                         &mut out,
                     );
                     out
@@ -716,14 +779,15 @@ mod tests {
         cfg
     }
 
-    /// The barrier's single oracle: a reader-major barrier. It rebuilds a
-    /// [`SpatialHash`] over every tag's position, harvests, then walks
-    /// readers in ascending index and offers each in-disc, unread,
-    /// energized tag that reader when it is strictly nearer than the
-    /// tag's best so far and in line of sight; the pending CSR (stable
-    /// counting sort) and the response debit follow. Writes the same
-    /// engine state the production barrier does.
-    fn reader_major_barrier(eng: &mut CityEngine, k: u64) {
+    /// The barrier's single oracle: a reader-major barrier over every tag
+    /// and the full wall list. It rebuilds a [`SpatialHash`] over every
+    /// tag's position, harvests, then walks readers in ascending index and
+    /// offers each in-disc, unread, energized tag that reader when it is
+    /// strictly nearer than the tag's best so far and no wall in `walls`
+    /// blocks the path; the pending CSR (stable counting sort) and the
+    /// response debit follow. Writes the same engine state the production
+    /// barrier's round reads.
+    fn reader_major_barrier(eng: &mut CityEngine, walls: &[Segment], k: u64) {
         let cfg = eng.cfg;
         let n = eng.tags.len();
         let t = Instant::ZERO + cfg.round_period.times(k);
@@ -746,7 +810,7 @@ mod tests {
                     return;
                 }
                 let d2 = positions[i].dist_sq(rp);
-                if d2 < best_d2[i] && line_of_sight(positions[i], rp, &eng.walls) {
+                if d2 < best_d2[i] && line_of_sight(positions[i], rp, walls) {
                     best_d2[i] = d2;
                     assigned[i] = r as u32;
                 }
@@ -771,14 +835,30 @@ mod tests {
                 tags.energy[i] -= cfg.tx_cost;
             }
         }
-        eng.assigned = assigned;
         eng.pend_starts = starts;
         eng.pend_entries = entries;
     }
 
+    /// Every tag's reader this round, read back from the pending CSR
+    /// ([`UNASSIGNED`] for a tag pending nowhere).
+    fn assignment(eng: &CityEngine) -> Vec<u32> {
+        let mut assigned = vec![UNASSIGNED; eng.tags.len()];
+        for r in 0..eng.readers.len() {
+            let (p0, p1) = (eng.pend_starts[r] as usize, eng.pend_starts[r + 1] as usize);
+            for &i in &eng.pend_entries[p0..p1] {
+                assigned[i as usize] = r as u32;
+            }
+        }
+        assigned
+    }
+
+    /// Tags `0..PLANTED` are placed by [`plant_edge_cases`].
+    const PLANTED: usize = 11;
+
     /// Plants the barrier's edge cases over the first tags of a 3 × 2
-    /// city (readers at x ∈ {25, 75, 125}, y ∈ {25, 75}; coverage 37.5 m).
-    fn plant_edge_cases(tags: &mut TagSoA) {
+    /// city (readers at x ∈ {25, 75, 125}, y ∈ {25, 75}; coverage 37.5 m)
+    /// and returns the walls planted with them.
+    fn plant_edge_cases(tags: &mut TagSoA) -> Vec<Segment> {
         let mut place = |i: usize, x: f64, y: f64, vx: f64, vy: f64| {
             tags.x0[i] = x;
             tags.y0[i] = y;
@@ -794,6 +874,10 @@ mod tests {
         // Starting outside the world and moving further out.
         place(3, -5.0, 90.0, -6.0, 2.0);
         place(4, 150.5, -0.5, 3.0, -3.0);
+        // 37.45 m below reader 0, near its rim; no other reader covers it.
+        place(9, 25.0, -12.45, 0.0, 0.0);
+        // 15 m from reader 1 and 35 m from reader 4.
+        place(10, 75.0, 40.0, 0.0, 0.0);
         // Already read: never assigned, never harvests.
         tags.read[5] = true;
         tags.read[6] = true;
@@ -801,6 +885,18 @@ mod tests {
         // short of the response cost (0.05 + 0.05 == 0.1 exactly).
         tags.energy[7] = 0.0;
         tags.energy[8] = 0.05;
+        let tilt = 1e-10;
+        vec![
+            // Nearest point 37.4 m from reader 0, just inside coverage:
+            // it cuts tag 9 off.
+            Segment::new(Vec2::new(20.0, -12.4), Vec2::new(30.0, -12.4)),
+            // Nearest point 38.6 m from reader 0, just past its list.
+            Segment::new(Vec2::new(20.0, -13.6), Vec2::new(30.0, -13.6)),
+            // Nearly collinear with tag 10's path to reader 1 (|denom| =
+            // 3e-9, just above EPS), crossing it halfway: tag 10 falls
+            // back to reader 4.
+            Segment::new(Vec2::new(75.0 - tilt, 28.0), Vec2::new(75.0 + tilt, 37.0)),
+        ]
     }
 
     #[test]
@@ -814,15 +910,21 @@ mod tests {
             for threads in [1usize, 2, 4] {
                 let mut oracle = CityEngine::new(cfg, tree);
                 let mut fast = CityEngine::new(cfg, tree);
-                plant_edge_cases(&mut oracle.tags);
+                let mut walls = random_walls(&cfg, &tree);
+                walls.extend(plant_edge_cases(&mut oracle.tags));
                 plant_edge_cases(&mut fast.tags);
+                fast.walls = reader_walls(&cfg, &fast.readers, &walls);
+                // Energy bits of each tag as of the round it was read.
+                let mut frozen: Vec<Option<u64>> = vec![None; cfg.tags];
+                let mut checked_read = 0usize;
                 let mut left_world = false;
                 for k in 0..cfg.rounds as u64 {
-                    reader_major_barrier(&mut oracle, k);
+                    reader_major_barrier(&mut oracle, &walls, k);
                     fast.barrier(k, threads);
                     let at =
                         format!("speed={speed} blockers={blockers} threads={threads} round={k}");
-                    assert_eq!(oracle.assigned, fast.assigned, "assigned, {at}");
+                    let assigned = assignment(&fast);
+                    assert_eq!(assignment(&oracle), assigned, "assigned, {at}");
                     assert_eq!(oracle.pend_starts, fast.pend_starts, "pend_starts, {at}");
                     assert_eq!(oracle.pend_entries, fast.pend_entries, "pend_entries, {at}");
                     assert_eq!(
@@ -831,26 +933,44 @@ mod tests {
                         "energy, {at}"
                     );
                     if k == 0 && blockers == 0 {
-                        assert_eq!(fast.assigned[0], 0, "rim tag takes reader 0, {at}");
-                        assert_eq!(fast.assigned[1], 0, "tie goes to the lower index, {at}");
-                        assert_eq!(fast.assigned[2], 0, "four-way tie, {at}");
-                        assert_ne!(fast.assigned[8], UNASSIGNED, "cost-exact tag, {at}");
+                        assert_eq!(assigned[0], 0, "rim tag takes reader 0, {at}");
+                        assert_eq!(assigned[1], 0, "tie goes to the lower index, {at}");
+                        assert_eq!(assigned[2], 0, "four-way tie, {at}");
+                        assert_ne!(assigned[8], UNASSIGNED, "cost-exact tag, {at}");
+                        assert_eq!(assigned[10], 4, "collinear wall blocks reader 1, {at}");
                     }
                     if k == 0 {
-                        assert_eq!(fast.assigned[5], UNASSIGNED, "read tag, {at}");
-                        assert_eq!(fast.assigned[7], UNASSIGNED, "starved tag, {at}");
+                        assert_eq!(assigned[5], UNASSIGNED, "read tag, {at}");
+                        assert_eq!(assigned[7], UNASSIGNED, "starved tag, {at}");
+                        assert_eq!(assigned[9], UNASSIGNED, "rim wall blocks tag 9, {at}");
+                    }
+                    for (i, f) in frozen.iter().enumerate() {
+                        if let Some(e) = *f {
+                            assert_eq!(assigned[i], UNASSIGNED, "read tag {i} pends, {at}");
+                            assert_eq!(fast.tags.energy[i].to_bits(), e, "tag {i} energy, {at}");
+                            checked_read += 1;
+                        }
                     }
                     let (min, max) = cfg.world();
                     let t = Instant::ZERO + cfg.round_period.times(k);
-                    left_world |= (9..fast.tags.len()).any(|i| {
+                    left_world |= (PLANTED..fast.tags.len()).any(|i| {
                         let p = position_at(&fast.tags, i, t);
                         p.x < min.x || p.y < min.y || p.x > max.x || p.y > max.y
                     });
                     oracle.play_serial_round();
                     fast.play_serial_round();
+                    for (f, (&read, &e)) in frozen
+                        .iter_mut()
+                        .zip(fast.tags.read.iter().zip(&fast.tags.energy))
+                    {
+                        if read && f.is_none() {
+                            *f = Some(e.to_bits());
+                        }
+                    }
                 }
                 assert_eq!(oracle.stats(), fast.stats());
                 assert_eq!(oracle.tags.read, fast.tags.read);
+                assert!(checked_read > 0, "no read tag was checked in a later round");
                 assert_eq!(
                     left_world,
                     speed > 0.0,
@@ -858,6 +978,26 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn wall_lists_keep_every_wall_where_the_margin_falls_short() {
+        let tree = SeedTree::new(0x3A11);
+        let mut cfg = CityConfig::dense(1, 1);
+        cfg.blockers = 12;
+        let eng = CityEngine::new(cfg, tree);
+        let walls = random_walls(&cfg, &tree);
+        assert!(
+            eng.walls.iter().all(|w| w.len() < walls.len()),
+            "4 × 4 lists cull"
+        );
+        // A 60 × 60 grid puts a wall endpoint ≥ 2 km from some reader:
+        // the slack passes the margin and every list is the full list.
+        cfg.readers_x = 60;
+        cfg.readers_y = 60;
+        let eng = CityEngine::new(cfg, tree);
+        let walls = random_walls(&cfg, &tree);
+        assert!(eng.walls.iter().all(|w| *w == walls));
     }
 
     #[test]

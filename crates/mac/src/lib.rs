@@ -28,9 +28,10 @@
 //! * [`gen2`] — a Gen2-style inventory protocol with explicit reader and
 //!   tag state machines (Query → RN16 → ACK → EPC handshake),
 //! * [`city`] — the city-scale sharded event engine: a reader grid
-//!   inventorying 10⁵⁺ mobile tags on calendar-queue DES shards with
-//!   struct-of-arrays tag state, bit-identical at any thread or shard
-//!   count.
+//!   inventorying 10⁵⁺ mobile tags — a per-tag barrier over the unread
+//!   tags with per-reader wall lists, then sharded rounds that play each
+//!   frame slot by slot — with struct-of-arrays tag state, bit-identical
+//!   at any thread or shard count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

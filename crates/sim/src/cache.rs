@@ -165,14 +165,6 @@ impl RunCache {
         )
     }
 
-    /// The default store: `MMTAG_CACHE_DIR` if set, else
-    /// `target/mmtag-run-cache` under the current directory — inside the
-    /// build tree on purpose, so `cargo clean` invalidates it together
-    /// with the code that produced it.
-    pub fn at_default_dir() -> Self {
-        Self::at(default_dir())
-    }
-
     /// The directory this cache reads and writes.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -339,7 +331,10 @@ impl RunCache {
     }
 }
 
-/// The default cache directory (see [`RunCache::at_default_dir`]).
+/// The default cache directory: `MMTAG_CACHE_DIR` if set, else
+/// `target/mmtag-run-cache` under the current directory — inside the
+/// build tree on purpose, so `cargo clean` invalidates it together with
+/// the code that produced it.
 pub fn default_dir() -> PathBuf {
     match std::env::var_os("MMTAG_CACHE_DIR") {
         Some(dir) if !dir.is_empty() => PathBuf::from(dir),

@@ -29,7 +29,8 @@ struct Entry<E> {
     event: E,
 }
 
-/// A bucketed calendar-queue scheduler: the engine behind city-scale runs.
+/// A bucketed calendar-queue scheduler: the engine behind beam
+/// acquisition (E19) and the timed inventory.
 ///
 /// `(time, seq)` pop order with FIFO tie-breaking, lazy cancellation,
 /// panic on scheduling into the past — with events in a ring of time

@@ -12,6 +12,38 @@ use mmtag_rf::units::{Angle, Distance};
 /// Geometric tolerance for intersection tests, meters.
 const EPS: f64 = 1e-9;
 
+/// An upper bound, in meters, on how far off the path `p → q` plus how far
+/// off the wall `a → b` the exact crossing point of a pair
+/// [`Segment::blocks`] accepts can lie, given `|q − p| ≤ path_len`,
+/// `|b − a| ≤ wall_len` and `|a − p| ≤ span`; infinity where rounding can
+/// place it anywhere. A caller that needs every wall able to block the
+/// paths inside a region searches this far past the region.
+///
+/// The crossing test rounds `r = q − p`, `s = b − a`, `qp = a − p`, the
+/// cross products `denom = r×s`, `qp×s` and `qp×r`, and the quotients
+/// `t = qp×s / denom`, `u = qp×r / denom`. A rounded cross product `a×b`
+/// is off by at most `γ|a||b|`, `γ = 2⁻⁵² + 2⁻¹⁰⁶`: two products and a
+/// difference round once each, and `|a.x·b.y| + |a.y·b.x| ≤ |a||b|`.
+/// The test accepts only a computed `t` inside `(0, 1)` with
+/// `|denom| ≥ EPS`, and division rounds monotonically, so the rounded
+/// `qp×s` lies strictly between 0 and the rounded `denom`. The exact
+/// `t* = qp×s / denom` is then in `(−δ_t, 1 + δ_t)` with
+/// `δ_t = γ|s|(|qp| + |r|) / (EPS − γ|r||s|)`, so the crossing lies within
+/// `δ_t|r|` of the path; likewise `u*` with
+/// `δ_u = γ|r|(|qp| + |s|) / (EPS − γ|r||s|)` and `δ_u|s|` of the wall.
+/// The rounded differences move the segments by a few ulps of the
+/// coordinates more.
+pub fn crossing_slack(path_len: f64, wall_len: f64, span: f64) -> f64 {
+    // The double just above γ.
+    const GAMMA: f64 = f64::EPSILON * (1.0 + f64::EPSILON);
+    let room = EPS - GAMMA * path_len * wall_len;
+    if room <= 0.0 {
+        return f64::INFINITY;
+    }
+    let (rs, qr, qs) = (path_len * wall_len, span * path_len, span * wall_len);
+    GAMMA * (path_len * (qs + rs) + wall_len * (qr + rs)) / room
+}
+
 /// A 2-D point/vector in meters.
 ///
 /// `add`/`sub` are inherent methods rather than `std::ops` impls on
@@ -143,12 +175,27 @@ impl Segment {
         segment_intersection(p, q, self.a, self.b)
     }
 
+    /// The point a fraction `t` of the way from `a` to `b`.
+    fn at(&self, t: f64) -> Vec2 {
+        self.a.add(self.b.sub(self.a).scale(t))
+    }
+
+    /// The fraction `t` (0 at `a`, 1 at `b`) of `p`'s orthogonal
+    /// projection onto this segment's infinite line.
+    fn project(&self, p: Vec2) -> f64 {
+        let d = self.b.sub(self.a);
+        p.sub(self.a).dot(d) / d.dot(d)
+    }
+
     /// Mirror image of a point across this segment's infinite line.
     pub fn mirror(&self, p: Vec2) -> Vec2 {
-        let d = self.b.sub(self.a);
-        let t = p.sub(self.a).dot(d) / d.dot(d);
-        let foot = self.a.add(d.scale(t));
+        let foot = self.at(self.project(p));
         foot.add(foot.sub(p))
+    }
+
+    /// Squared distance from `p` to this segment's nearest point, m².
+    pub fn dist_sq(&self, p: Vec2) -> f64 {
+        self.at(self.project(p).clamp(0.0, 1.0)).dist_sq(p)
     }
 
     /// The specular reflection point on this segment for a path from `src`
@@ -279,6 +326,27 @@ mod tests {
         let img = wall.mirror(Vec2::new(0.0, 1.0));
         assert!((img.x - 4.0).abs() < 1e-12);
         assert!((img.y - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dist_sq_is_to_the_nearest_point() {
+        let wall = Segment::new(Vec2::new(0.0, 0.0), Vec2::new(4.0, 0.0));
+        assert_eq!(wall.dist_sq(Vec2::new(1.0, 3.0)), 9.0);
+        assert_eq!(wall.dist_sq(Vec2::new(-3.0, 4.0)), 25.0);
+        assert_eq!(wall.dist_sq(Vec2::new(7.0, -4.0)), 25.0);
+        assert_eq!(wall.dist_sq(Vec2::new(2.0, 0.0)), 0.0);
+    }
+
+    #[test]
+    fn crossing_slack_grows_with_the_geometry() {
+        // 37.5 m paths and 40 m walls whose endpoints lie ≤ 313.3 m from
+        // the path's start: the 4 × 4 city.
+        let city = crossing_slack(37.5, 40.0, 313.3);
+        assert!(city > 0.2 && city < 0.24, "{city}");
+        assert!(crossing_slack(37.5, 40.0, 1500.0) > 1.0);
+        assert_eq!(crossing_slack(0.0, 40.0, 313.3), 0.0);
+        // Where γ|r||s| reaches EPS rounding can put a crossing anywhere.
+        assert_eq!(crossing_slack(3e3, 3e3, 1.0), f64::INFINITY);
     }
 
     #[test]

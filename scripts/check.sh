@@ -62,7 +62,7 @@ cargo run -q --release -p mmtag-cli -- scenarios
 
 # City-scale smoke: one hundred thousand tags through the city engine via
 # the CLI — the production path (SoA tag state, per-tag parallel barrier,
-# sharded calendar-queue rounds, shard merge) at full density, not the
+# sharded per-slot rounds, shard merge) at full density, not the
 # minimized smoke size.
 cargo run -q --release -p mmtag-cli -- city --tags 100000 --rounds 5 --seed 7
 

@@ -399,10 +399,10 @@ fn city_event_loop_is_allocation_free_in_steady_state() {
     use mmtag_sim::SeedTree;
 
     // The engine contract: one full city round — the per-tag barrier
-    // (mobility, harvest, reader assignment) and its pending CSR, per-slot
-    // DES events on the calendar queue, merge — performs zero steady-state
-    // allocation once the engine-owned scratch has reached its high-water
-    // marks.
+    // (mobility, harvest, reader assignment) over the unread tags and its
+    // pending CSR, each frame played slot by slot, merge — performs zero
+    // steady-state allocation once the engine-owned scratch has reached
+    // its high-water marks.
     let mut cfg = CityConfig::dense(2_000, 0);
     cfg.readers_x = 3;
     cfg.readers_y = 2;
@@ -410,8 +410,8 @@ fn city_event_loop_is_allocation_free_in_steady_state() {
     let mut eng = CityEngine::new(cfg, SeedTree::new(0xC17A));
 
     // Warm-up: lets the Q algorithms climb to their peak frame sizes and
-    // every scratch vector (assignments, pending CSR, slot arrays,
-    // calendar buckets, shard output) reach steady shape.
+    // every scratch vector (assignments, pending CSR, slot arrays, shard
+    // output) reach steady shape.
     let mut warm = Default::default();
     for _ in 0..8 {
         warm = eng.step_round();
