@@ -122,13 +122,6 @@ impl LinearArray {
         af.norm_sqr() / (self.n as f64 * self.n as f64)
     }
 
-    /// Peak broadside array power gain over a single element: `N` for
-    /// uniform excitation (coherent voltage gain `N`, power `N²`, divided by
-    /// `N` element feeds).
-    pub fn array_gain(&self) -> f64 {
-        self.n as f64
-    }
-
     /// Half-power beamwidth (degrees) of the broadside beam, found
     /// numerically on the normalized array-factor power pattern.
     ///

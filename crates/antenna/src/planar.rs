@@ -103,11 +103,6 @@ impl<E: ElementPattern> PlanarVanAtta<E> {
         false
     }
 
-    /// Grid dimensions `(nx, ny)`.
-    pub fn dims(&self) -> (usize, usize) {
-        (self.nx, self.ny)
-    }
-
     /// Switches the modulation state (all switches together, §6).
     pub fn set_reflective(&mut self, reflective: bool) {
         self.reflective = reflective;

@@ -7,9 +7,9 @@ use mmtag::prelude::*;
 use mmtag::scenario::{build_reader, build_tag, offset_poses};
 use mmtag_channel::delay::DelayProfile;
 use mmtag_mac::gen2::{run_gen2_inventory, Gen2Tag, Gen2Timing};
-use mmtag_phy::cancellation::{AdcClip, Canceller, LeakageChannel};
+use mmtag_phy::cancellation::{AdcClip, LeakageChannel, ReceiveChain};
 use mmtag_phy::waveform::{Awgn, OokModem};
-use mmtag_rf::rng::{Rng, Xoshiro256pp};
+use mmtag_rf::rng::Xoshiro256pp;
 use mmtag_sim::experiment::Table;
 use mmtag_sim::mobility::Pose;
 use mmtag_sim::scenario::{AxisKind, RunContext, ScenarioSpec};
@@ -195,50 +195,40 @@ pub(crate) fn e26_spec(bits: usize, seed: u64) -> ScenarioSpec {
 pub(crate) fn e26_body(ctx: &RunContext) -> Vec<Table> {
     let bits = ctx.spec.trials;
     let modem = OokModem::new(4);
-    let adc = AdcClip { full_scale: 4.0 };
     let mut t = Table::new(
         "E26 — self-interference cancellation at the waveform level",
         &["leak_over_signal_db", "ber_no_cancel", "ber_cancelled"],
     );
-    // Every (leak, cancel) cell seeds its own generator — the plain run
-    // from the spec seed, the cancelled run from seed + 1 — so the cells
-    // are independent and fan out at the runner's thread budget.
-    let leaks = ctx.spec.values("leak_over_signal_db");
-    let cells: Vec<(f64, bool)> = leaks
+    // One seed per column — the plain reader from the spec seed, the
+    // cancelling one from seed + 1 — and every leak level of a column reads
+    // that seed's stream from its start, so its rows share one noise
+    // realization. The two seeds fan out at the runner's thread budget.
+    let leaks_db = ctx.spec.values("leak_over_signal_db");
+    let leaks: Vec<LeakageChannel> = leaks_db
         .iter()
-        .flat_map(|&leak_db| [(leak_db, false), (leak_db, true)])
-        .collect();
-    let bers = mmtag_sim::par::par_map_with(ctx.threads, &cells, |_, &(leak_db, cancel)| {
-        let amplitude = 10f64.powf(leak_db / 20.0);
-        let seed = ctx.spec.seed + u64::from(cancel);
-        let mut rng = Xoshiro256pp::seed_from(seed);
-        let data: Vec<bool> = (0..bits).map(|_| rng.bit()).collect();
-        let leakage = LeakageChannel {
-            amplitude,
+        .map(|&leak_db| LeakageChannel {
+            amplitude: 10f64.powf(leak_db / 20.0),
             phase: 0.9,
             drift_per_sample: 1e-8,
+        })
+        .collect();
+    let errors = mmtag_sim::par::par_map_with(ctx.threads, &[false, true], |_, &cancel| {
+        let chain = ReceiveChain {
+            modem,
+            awgn: Awgn::for_eb_n0(&modem, 12.0),
+            adc: AdcClip { full_scale: 4.0 },
+            quiet: 2048,
+            cancel_alpha: cancel.then_some(1e-3),
         };
-        let awgn = Awgn::for_eb_n0(&modem, 12.0);
-        let mut quiet = vec![mmtag_rf::Complex::ZERO; 2048];
-        leakage.apply(&mut quiet);
-        awgn.apply(&mut quiet, &mut rng);
-        let mut samples = modem.modulate(&data);
-        leakage.apply(&mut samples);
-        awgn.apply(&mut samples, &mut rng);
-        if cancel {
-            let mut c = Canceller::train(&quiet, 1e-3);
-            c.cancel(&mut samples);
-        }
-        adc.apply(&mut samples);
-        let soft = modem.soft_bits(&samples);
-        data.iter()
-            .zip(soft.iter().map(|&s| s > 0.0))
-            .filter(|(a, b)| *a != b)
-            .count() as f64
-            / bits as f64
+        let mut rng = Xoshiro256pp::seed_from(ctx.spec.seed.wrapping_add(u64::from(cancel)));
+        chain.bit_errors(&leaks, bits, &mut rng)
     });
-    for (i, &leak_db) in leaks.iter().enumerate() {
-        t.push_row(&[leak_db, bers[2 * i], bers[2 * i + 1]]);
+    for (i, &leak_db) in leaks_db.iter().enumerate() {
+        t.push_row(&[
+            leak_db,
+            errors[0][i] as f64 / bits as f64,
+            errors[1][i] as f64 / bits as f64,
+        ]);
     }
     vec![t]
 }
@@ -315,6 +305,17 @@ mod tests {
                 t.cell(row, 0)
             );
             assert!(yes < 0.01, "cancelled BER {yes}");
+        }
+    }
+
+    #[test]
+    fn cancellation_runs_at_the_largest_seed() {
+        // The cancelled column's seed is seed + 1, which wraps to 0 here
+        // (a debug build checks the addition).
+        let t = FigScenario::new(e26_spec(200, u64::MAX), e26_body).table();
+        assert_eq!(t.len(), 3);
+        for row in 0..t.len() {
+            assert!((0.0..=1.0).contains(&t.cell(row, 2)), "{}", t.cell(row, 2));
         }
     }
 }

@@ -14,13 +14,13 @@ use mmtag_mac::capture::capture_gain;
 use mmtag_mac::mimo::mimo_inventory;
 use mmtag_mac::ScanSchedule;
 use mmtag_mac::SectorScheduler;
-use mmtag_phy::bpsk::{measure_bpsk_ber, skip_measure_bpsk_ber, BpskModem};
+use mmtag_phy::bpsk::{measure_bpsk_ber, measure_bpsk_ber_raws, BpskModem};
 use mmtag_phy::pulse::PulseShaper;
 use mmtag_phy::spectrum::Spectrum;
-use mmtag_phy::waveform::{measure_ber, skip_measure_ber, OokModem};
+use mmtag_phy::waveform::{measure_ber, measure_ber_raws, OokModem};
 use mmtag_rf::rng::Xoshiro256pp;
 use mmtag_sim::experiment::Table;
-use mmtag_sim::par::par_map_with;
+use mmtag_sim::par::par_stream_cells_with;
 use mmtag_sim::scenario::{AxisKind, RunContext, ScenarioSpec};
 
 /// **E13** spec: the channel half-width sweep under `seed`.
@@ -203,34 +203,32 @@ pub(crate) fn e16_body(ctx: &RunContext) -> Vec<Table> {
     let bpsk = BpskModem::new(4);
     let snrs = ctx.spec.values("eb_n0_db");
     // The (SNR, modem) cells read one sequential stream in turn: OOK, then
-    // BPSK, at each SNR. One serial walk that skips exactly what each cell
-    // draws snapshots every cell's starting generator, so the cells run
-    // concurrently on the very draws they would read in turn.
+    // BPSK, at each SNR. Each starts from a jump of the seeded stream past
+    // the raws the cells before it read, so the cells run concurrently on
+    // the very draws they would read in turn.
     let cells: Vec<(f64, bool)> = snrs
         .iter()
         .flat_map(|&snr| [(snr, false), (snr, true)])
         .collect();
-    let mut walk = Xoshiro256pp::seed_from(ctx.spec.seed);
-    let mut starts = Vec::with_capacity(cells.len());
-    for (i, &(_, is_bpsk)) in cells.iter().enumerate() {
-        starts.push(walk.clone());
-        if i + 1 == cells.len() {
-            break; // nothing reads past the last cell
-        }
-        if is_bpsk {
-            skip_measure_bpsk_ber(&bpsk, bits, &mut walk);
-        } else {
-            skip_measure_ber(&ook, bits, &mut walk);
-        }
-    }
-    let bers = par_map_with(ctx.threads, &cells, |i, &(snr, is_bpsk)| {
-        let mut rng = starts[i].clone();
-        if is_bpsk {
-            measure_bpsk_ber(&bpsk, snr, bits, &mut rng)
-        } else {
-            measure_ber(&ook, snr, bits, true, &mut rng)
-        }
-    });
+    let bers = par_stream_cells_with(
+        ctx.threads,
+        &Xoshiro256pp::seed_from(ctx.spec.seed),
+        &cells,
+        |&(_, is_bpsk)| {
+            if is_bpsk {
+                measure_bpsk_ber_raws(&bpsk, bits)
+            } else {
+                measure_ber_raws(&ook, bits)
+            }
+        },
+        |rng, &(snr, is_bpsk)| {
+            if is_bpsk {
+                measure_bpsk_ber(&bpsk, snr, bits, rng)
+            } else {
+                measure_ber(&ook, snr, bits, true, rng)
+            }
+        },
+    );
     let mut t = Table::new(
         "E16 — BPSK backscatter vs OOK: measured BER at equal Eb/N0",
         &["eb_n0_db", "ook_ber", "bpsk_ber"],

@@ -75,6 +75,71 @@ const SMOKE_DIGESTS: [(&str, u64); 31] = [
     ("e31-rate-vs-states", 0x4658_feb8_20a9_b7ca),
 ];
 
+#[test]
+#[ignore = "every scenario at published size; run in release: cargo test --release -p mmtag-bench --test scenarios -- --ignored"]
+fn every_scenario_matches_its_published_size_digest() {
+    let reg = registry();
+    let runner = Runner::new();
+    let mut changed = Vec::new();
+    for s in reg.iter() {
+        let name = s.spec().name.as_str();
+        let want = PUBLISHED_DIGESTS
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("{name}: no pinned digest"))
+            .1;
+        let got = fnv1a(runner.run(s).render().as_bytes());
+        if got != want {
+            changed.push(format!("{name}: {got:#018x}, pinned {want:#018x}"));
+        }
+    }
+    assert!(
+        changed.is_empty(),
+        "published-size tables changed:\n{}",
+        changed.join("\n")
+    );
+}
+
+/// FNV-1a digest of each scenario's rendered tables at its published size
+/// and seed (`Runner::run` on the registry as shipped). The smoke digests
+/// above see a few hundred trials; these see every block, chunk and cell
+/// a published table is built from. A kernel, queue or engine rewrite
+/// must leave every byte unchanged; a deliberate model change updates its
+/// row here.
+const PUBLISHED_DIGESTS: [(&str, u64); 31] = [
+    ("e01-s11", 0x32e7_0470_698a_5a13),
+    ("e02-link-budget", 0xc6cb_cbb4_f5f7_2d6e),
+    ("e03-retro", 0x2ae5_3a74_39dc_f917),
+    ("e04-comparison", 0xa2b8_7b21_02c7_828d),
+    ("e05-ber", 0xf2d1_8348_38a9_7ef6),
+    ("e06-beamwidth", 0x939d_3645_a14d_2ab0),
+    ("e07-aloha", 0x1366_1e3c_fe0e_703f),
+    ("e08-mobility", 0x5459_d592_fbd4_09a2),
+    ("e09-selfint", 0x3e88_8f12_2f88_d5f3),
+    ("e10-power", 0xca29_5c4b_b73b_e1c4),
+    ("e11-60ghz", 0xe79a_00e9_a9c1_fc8e),
+    ("e12-nlos", 0x2410_bdec_6b5a_3a0b),
+    ("e13-spectrum", 0xb1ca_a230_ca35_cd4e),
+    ("e14-ablation", 0x865d_afd4_3dea_781b),
+    ("e15-fading", 0x82d8_739b_054f_4fd1),
+    ("e16-bpsk", 0x4b39_7e3e_8c1d_e264),
+    ("e17-planar", 0x7599_bb7a_bea4_9b2c),
+    ("e18-storage", 0x09aa_a8ba_f079_1d9f),
+    ("e19-acquisition", 0x357f_bad1_ba34_9a16),
+    ("e20-pulse", 0xe8e9_2a69_da18_88ac),
+    ("e21-capture", 0xe25d_869a_95b3_6ea5),
+    ("e22-mimo", 0xa00c_ea1b_26c1_6896),
+    ("e23-delay-spread", 0xdd2f_1d62_40b5_61b8),
+    ("e24-gen2", 0x3e6c_234f_04f1_f9e3),
+    ("e25-localization", 0xd417_07b3_775b_47aa),
+    ("e26-cancellation", 0xa3f3_8e5b_3777_398f),
+    ("e27-city-density", 0x0b2d_f365_4cb9_31aa),
+    ("e28-city-mobility", 0x9980_1829_7c6b_ebac),
+    ("e29-rate-region", 0x5036_c048_a71a_07c1),
+    ("e30-rate-vs-tags", 0x6b69_765b_c888_63a2),
+    ("e31-rate-vs-states", 0x20af_789c_9dac_6906),
+];
+
 /// 64-bit FNV-1a over the rendered tables.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {

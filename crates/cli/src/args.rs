@@ -36,6 +36,15 @@ pub enum ArgError {
         /// The raw value.
         raw: String,
     },
+    /// A value parsed but lies outside what the flag accepts.
+    OutOfRange {
+        /// The flag name.
+        flag: String,
+        /// The raw value.
+        raw: String,
+        /// What the flag accepts.
+        want: &'static str,
+    },
     /// Something that is neither the subcommand nor a flag appeared.
     UnexpectedPositional(String),
     /// A scenario name that is not in the registry.
@@ -60,6 +69,9 @@ impl std::fmt::Display for ArgError {
             ArgError::MissingValue(flag) => write!(f, "--{flag} needs a value"),
             ArgError::BadValue { flag, raw } => {
                 write!(f, "--{flag}: cannot parse '{raw}' as a number")
+            }
+            ArgError::OutOfRange { flag, raw, want } => {
+                write!(f, "--{flag}: '{raw}' is not {want}")
             }
             ArgError::UnexpectedPositional(s) => write!(f, "unexpected argument '{s}'"),
             ArgError::UnknownName(s) => {
@@ -129,6 +141,35 @@ impl Args {
                 flag: flag.to_string(),
                 raw: raw.clone(),
             }),
+        }
+    }
+
+    /// A positive, finite float option with a default (distances).
+    pub fn positive_f64_or(&self, flag: &str, default: f64) -> Result<f64, ArgError> {
+        let value = self.f64_or(flag, default)?;
+        if value.is_finite() && value > 0.0 {
+            Ok(value)
+        } else {
+            Err(self.out_of_range(flag, "a positive, finite number"))
+        }
+    }
+
+    /// A positive integer option with a default (counts).
+    pub fn positive_usize_or(&self, flag: &str, default: usize) -> Result<usize, ArgError> {
+        let value = self.usize_or(flag, default)?;
+        if value > 0 {
+            Ok(value)
+        } else {
+            Err(self.out_of_range(flag, "a positive integer"))
+        }
+    }
+
+    /// The error for a `flag` whose given value lies outside `want`.
+    fn out_of_range(&self, flag: &str, want: &'static str) -> ArgError {
+        ArgError::OutOfRange {
+            flag: flag.to_string(),
+            raw: self.str_or(flag, ""),
+            want,
         }
     }
 
@@ -225,6 +266,29 @@ mod tests {
     fn no_command_is_fine() {
         let a = Args::parse(Vec::<String>::new()).unwrap();
         assert!(a.command.is_none());
+    }
+
+    #[test]
+    fn positive_options_refuse_zero_negative_and_non_finite_values() {
+        for raw in ["0", "-3", "inf", "NaN"] {
+            let a = Args::parse(["link", "--range", raw]).unwrap();
+            assert_eq!(
+                a.positive_f64_or("range", 4.0),
+                Err(ArgError::OutOfRange {
+                    flag: "range".into(),
+                    raw: raw.into(),
+                    want: "a positive, finite number"
+                })
+            );
+        }
+        let a = Args::parse(["city", "--tags", "0"]).unwrap();
+        assert!(matches!(
+            a.positive_usize_or("tags", 1),
+            Err(ArgError::OutOfRange { .. })
+        ));
+        let a = Args::parse(["link"]).unwrap();
+        assert_eq!(a.positive_f64_or("range", 4.0), Ok(4.0));
+        assert_eq!(a.positive_usize_or("tags", 2), Ok(2));
     }
 
     #[test]

@@ -226,7 +226,7 @@ fn reader_spec(args: &Args) -> Result<ReaderSpec, ArgError> {
 }
 
 fn cmd_link(args: &Args) -> Result<String, ArgError> {
-    let range = args.f64_or("range-ft", 4.0)?;
+    let range = args.positive_f64_or("range-ft", 4.0)?;
     let rotation = args.f64_or("rotation-deg", 0.0)?;
     let tag = build_tag(&tag_spec(args)?);
     let reader = build_reader(&reader_spec(args)?);
@@ -254,8 +254,8 @@ fn cmd_link(args: &Args) -> Result<String, ArgError> {
 }
 
 fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
-    let from = args.f64_or("from-ft", 2.0)?;
-    let to = args.f64_or("to-ft", 12.0)?;
+    let from = args.positive_f64_or("from-ft", 2.0)?;
+    let to = args.positive_f64_or("to-ft", 12.0)?;
     let points = args.usize_or("points", 11)?;
     let tag = build_tag(&tag_spec(args)?);
     let reader = build_reader(&reader_spec(args)?);
@@ -321,7 +321,7 @@ fn cmd_inventory(args: &Args) -> Result<String, ArgError> {
 
 fn cmd_city(args: &Args) -> Result<String, ArgError> {
     let mut cfg = CityConfig::dense(
-        args.usize_or("tags", 100_000)?,
+        args.positive_usize_or("tags", 100_000)?,
         args.usize_or("rounds", 10)?,
     );
     cfg.shards = args.usize_or("shards", cfg.shards)?;
@@ -353,7 +353,7 @@ fn cmd_city(args: &Args) -> Result<String, ArgError> {
 }
 
 fn cmd_locate(args: &Args) -> Result<String, ArgError> {
-    let range = args.f64_or("range-ft", 6.0)?;
+    let range = args.positive_f64_or("range-ft", 6.0)?;
     let bearing = args.f64_or("bearing-deg", 20.0)?;
     let reader = build_reader(&ReaderSpec::mmtag_setup());
     let tag = build_tag(&TagSpec::prototype());
@@ -604,6 +604,81 @@ mod tests {
                 raw: "abc".into()
             }
         );
+    }
+
+    /// The argument error a distance flag's out-of-range value gets.
+    fn not_a_distance(flag: &str, raw: &str) -> ArgError {
+        ArgError::OutOfRange {
+            flag: flag.into(),
+            raw: raw.into(),
+            want: "a positive, finite number",
+        }
+    }
+
+    #[test]
+    fn link_at_zero_range_is_an_argument_error() {
+        assert_eq!(
+            run_err(&["link", "--range-ft", "0"]),
+            not_a_distance("range-ft", "0")
+        );
+    }
+
+    #[test]
+    fn link_at_negative_range_is_an_argument_error() {
+        assert_eq!(
+            run_err(&["link", "--range-ft", "-3"]),
+            not_a_distance("range-ft", "-3")
+        );
+    }
+
+    #[test]
+    fn link_at_non_finite_range_is_an_argument_error() {
+        for raw in ["inf", "NaN"] {
+            assert_eq!(
+                run_err(&["link", "--range-ft", raw]),
+                not_a_distance("range-ft", raw)
+            );
+        }
+    }
+
+    #[test]
+    fn locate_at_zero_range_is_an_argument_error() {
+        assert_eq!(
+            run_err(&["locate", "--range-ft", "0"]),
+            not_a_distance("range-ft", "0")
+        );
+    }
+
+    #[test]
+    fn sweep_from_zero_range_is_an_argument_error() {
+        assert_eq!(
+            run_err(&["sweep", "--from-ft", "0"]),
+            not_a_distance("from-ft", "0")
+        );
+        assert_eq!(
+            run_err(&["sweep", "--to-ft", "0"]),
+            not_a_distance("to-ft", "0")
+        );
+    }
+
+    #[test]
+    fn city_of_zero_tags_is_an_argument_error_and_writes_no_trace() {
+        let path = std::env::temp_dir().join(format!(
+            "mmtag-cli-zero-tags-trace-test-{}.json",
+            std::process::id()
+        ));
+        let err = run_err(&["city", "--tags", "0", "--trace", path.to_str().unwrap()]);
+        let written = path.exists();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            err,
+            ArgError::OutOfRange {
+                flag: "tags".into(),
+                raw: "0".into(),
+                want: "a positive integer"
+            }
+        );
+        assert!(!written, "a refused command left a trace file behind");
     }
 
     #[test]

@@ -82,11 +82,6 @@ impl MmTag {
         self.config
     }
 
-    /// The RF front end (mutable access for impairment studies).
-    pub fn reflector_mut(&mut self) -> &mut VanAttaArray<PatchElement> {
-        &mut self.reflector
-    }
-
     /// The RF front end.
     pub fn reflector(&self) -> &VanAttaArray<PatchElement> {
         &self.reflector

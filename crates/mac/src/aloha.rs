@@ -25,9 +25,6 @@ pub fn slotted_aloha_throughput(g: f64) -> f64 {
     g * (-g).exp()
 }
 
-/// The offered load that maximizes slotted-Aloha throughput (`G = 1`).
-pub const OPTIMAL_LOAD: f64 = 1.0;
-
 /// Maximum slotted-Aloha throughput, `1/e`.
 pub fn max_throughput() -> f64 {
     (-1.0f64).exp()

@@ -78,13 +78,6 @@ impl ScanSchedule {
         self.dwell
             .times((self.positions() * other.positions()) as u64)
     }
-
-    /// Worst-case time to *find* a tag: one full sweep (the tag answers
-    /// whenever the beam lands on it — retrodirectivity means no tag-side
-    /// search).
-    pub fn worst_case_acquisition(&self) -> Duration {
-        self.sweep_time()
-    }
 }
 
 /// Positions visited by a coarse-to-fine hierarchical search that halves

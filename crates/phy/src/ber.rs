@@ -85,9 +85,6 @@ pub fn required_eb_n0_db<F: Fn(f64) -> f64>(ber_fn: F, target: f64) -> Db {
 /// rate mapping so the reproduction matches the paper's own arithmetic.
 pub const PAPER_ASK_SNR_DB: f64 = 7.0;
 
-/// The paper's working BER target for the rate tables.
-pub const PAPER_BER_TARGET: f64 = 1e-3;
-
 #[cfg(test)]
 mod tests {
     use super::*;

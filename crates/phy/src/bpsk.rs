@@ -248,15 +248,14 @@ fn exact_bpsk_statistic(u1: &[f64], u2: &[f64], a: f64, sigma: f64) -> f64 {
     sum
 }
 
-/// Advances `rng` exactly as far as one [`measure_bpsk_ber`] call over
-/// `n_bits` bits does, without computing anything: one raw per bit
-/// ([`Rng::bit`]), then two Box–Muller draws per sample — [`Awgn::apply`]
+/// The raw draws one [`measure_bpsk_ber`] call over `n_bits` bits reads
+/// when no Box–Muller `u1` is redrawn: one per bit ([`Rng::bit`]), then
+/// two Box–Muller draws of two raws each per sample — [`Awgn::apply`]
 /// takes one scalar [`Rng::normal`] for I and one for Q, over
 /// `n_bits · sps` samples. The BPSK twin of
-/// [`crate::waveform::skip_measure_ber`].
-pub fn skip_measure_bpsk_ber<R: Rng + ?Sized>(modem: &BpskModem, n_bits: usize, rng: &mut R) {
-    rng.skip_raw(n_bits as u64);
-    rng.skip_box_muller((2 * n_bits * modem.samples_per_symbol) as u64);
+/// [`crate::waveform::measure_ber_raws`].
+pub fn measure_bpsk_ber_raws(modem: &BpskModem, n_bits: usize) -> u64 {
+    (n_bits + 4 * n_bits * modem.samples_per_symbol) as u64
 }
 
 #[cfg(test)]
@@ -481,7 +480,7 @@ mod tests {
                 let mut measured = Xoshiro256pp::seed_from(0xB95C ^ n_bits as u64);
                 let mut skipped = measured.clone();
                 measure_bpsk_ber(&modem, 5.0, n_bits, &mut measured);
-                skip_measure_bpsk_ber(&modem, n_bits, &mut skipped);
+                skipped.skip_raw(measure_bpsk_ber_raws(&modem, n_bits));
                 assert_eq!(measured, skipped, "sps={sps} n_bits={n_bits}");
             }
         }

@@ -10,7 +10,7 @@
 //! * [`OokModem::demodulate_coherent`] / [`OokModem::demodulate_noncoherent`] — matched
 //!   filter plus threshold (the reader side),
 //! * [`measure_ber`] — the Monte-Carlo harness on one sequential stream
-//!   ([`skip_measure_ber`] states how far one call advances it), and
+//!   ([`measure_ber_raws`] states how far one call advances it), and
 //!   [`measure_ber_par_with`] / [`ber_sweep_par_with`] — the same harness
 //!   chunked over the [`mmtag_rf::par`] engine at an explicit thread
 //!   budget (one RNG stream per bit-chunk, so parallel estimates are
@@ -89,7 +89,7 @@ impl OokModem {
     }
 
     /// The sample level `bit` is sent at: the amplitude for a mark, else 0.
-    fn level(&self, bit: bool) -> f64 {
+    pub(crate) fn level(&self, bit: bool) -> f64 {
         if self.is_mark(bit) {
             self.amplitude
         } else {
@@ -200,8 +200,13 @@ impl Awgn {
     }
 
     /// Adds noise to samples in place, one scalar [`Rng::normal`] per
-    /// component (cosine branch only — **sampler v1**). The BER kernel
-    /// ([`count_bit_errors_scratch`]) instead consumes one
+    /// component (cosine branch only — **sampler v1**). The BPSK counter
+    /// ([`crate::bpsk::measure_bpsk_ber`], E16) and E26's receive chain
+    /// ([`crate::cancellation::ReceiveChain::bit_errors`]) read this
+    /// stream: both reproduce this noise bit for bit while computing only
+    /// the in-phase draws no decision can do without, and keep the
+    /// allocating chain through this method as their test oracle. The OOK
+    /// BER kernel ([`count_bit_errors_scratch`]) instead consumes one
     /// [`Rng::normal_pair`] per sample, a *different* (equally valid)
     /// noise stream from the same seed.
     pub fn apply<R: Rng + ?Sized>(&self, samples: &mut [Complex], rng: &mut R) {
@@ -552,17 +557,16 @@ pub fn measure_ber<R: Rng + ?Sized>(
     count_bit_errors(modem, eb_n0_db, n_bits, coherent, rng) as f64 / n_bits as f64
 }
 
-/// Advances `rng` exactly as far as one [`measure_ber`] call over
-/// `n_bits` bits does, without computing anything. The kernel
-/// ([`count_bit_errors_scratch`]) draws one raw per bit
-/// ([`Rng::fill_bits`]), then one Box–Muller draw per sample
-/// ([`uniform_pairs`] over `n_bits · sps` pairs, group by group) —
-/// whatever the SNR, the demodulator or how many decisions replay. A generator cloned after this call is the one the
+/// The raw draws one [`measure_ber`] call over `n_bits` bits reads when
+/// no Box–Muller `u1` is redrawn: one per bit ([`Rng::fill_bits`]), then
+/// two per sample ([`uniform_pairs`] over `n_bits · sps` pairs, group by
+/// group) — whatever the SNR, the demodulator or how many decisions
+/// replay. Each redrawn `u1` (p = 2⁻⁵³ per draw) adds one. A generator
+/// jumped this far ([`Rng::skip_raw`]) is, barring a redraw, the one the
 /// next call on the same stream starts from, which is how a sequence of
 /// `measure_ber` calls on one stream can run concurrently.
-pub fn skip_measure_ber<R: Rng + ?Sized>(modem: &OokModem, n_bits: usize, rng: &mut R) {
-    rng.skip_raw(n_bits as u64);
-    rng.skip_box_muller((n_bits * modem.samples_per_symbol) as u64);
+pub fn measure_ber_raws(modem: &OokModem, n_bits: usize) -> u64 {
+    (n_bits + 2 * n_bits * modem.samples_per_symbol) as u64
 }
 
 /// Parallel Monte-Carlo BER at a `threads` budget: `n_bits` split into
@@ -1089,7 +1093,7 @@ pub(crate) mod tests {
                     let mut measured = Xoshiro256pp::seed_from(0x5C1F ^ n_bits as u64);
                     let mut skipped = measured.clone();
                     measure_ber(&modem, 5.0, n_bits, coherent, &mut measured);
-                    skip_measure_ber(&modem, n_bits, &mut skipped);
+                    skipped.skip_raw(measure_ber_raws(&modem, n_bits));
                     assert_eq!(
                         measured, skipped,
                         "sps={sps} n_bits={n_bits} coherent={coherent}"

@@ -37,6 +37,7 @@
 use mmtag_channel::cascade::{CascadeDraw, CascadeStreams, MultiTagCascade};
 use mmtag_phy::constellation::TagConstellation;
 use mmtag_rf::math::{exp_lanes, LANES};
+use mmtag_rf::obs;
 use mmtag_rf::par;
 use mmtag_rf::rng::{Rng, SeedTree, Xoshiro256pp};
 use mmtag_rf::Complex;
@@ -197,6 +198,14 @@ pub struct RatePoint {
 /// work chunk `chunk` below `tree`, accumulating the primary-rate and
 /// backscatter-MI sums at every modulation depth.
 ///
+/// A depth row whose tuple points all coincide by value — μ = 0 holds
+/// every tag in its beam state — takes the MI log sum without an `exp`
+/// pass: each difference `x_t − x_u` is zero, so each argument is
+/// `|n|² − |n|²` = 0 exactly and each term `exp(0)` = 1, every inner sum
+/// is `T` and the log sum is `NOISE_DRAWS · T` copies of `log₂ T`, added
+/// in turn as the `exp` pass would add them. Counts those rows
+/// (`sim.rate_region.coincident_rows`).
+///
 /// # Determinism
 /// All randomness comes from `tree`: per-tag cascade streams via
 /// [`CascadeStreams::reseed`] and one `"rate-noise"` stream for the MI
@@ -233,6 +242,10 @@ pub fn sum_rate_chunk(
         buf.clear();
         buf.resize(padded, 0.0);
     }
+
+    let log2_t = (tuples as f64).log2();
+    let coincident_sum = (0..NOISE_DRAWS * tuples).fold(0.0, |sum, _| sum + log2_t);
+    let mut coincident_rows = 0;
 
     let mut out = RateCurves::zero();
     for _ in 0..trials {
@@ -307,12 +320,20 @@ pub fn sum_rate_chunk(
                 scratch.x_re[t] = h.re * rho_b_sqrt;
                 scratch.x_im[t] = h.im * rho_b_sqrt;
             }
-            let mi_sum = backscatter_log_sum(&scratch.x_re, &scratch.x_im, tuples, &noise);
-            let mi = (tuples as f64).log2() - mi_sum / (tuples * NOISE_DRAWS) as f64;
+            let (x_re, x_im) = (&scratch.x_re[..tuples], &scratch.x_im[..tuples]);
+            let mi_sum = if x_re.iter().all(|&r| r == x_re[0]) && x_im.iter().all(|&i| i == x_im[0])
+            {
+                coincident_rows += 1;
+                coincident_sum
+            } else {
+                backscatter_log_sum(&scratch.x_re, &scratch.x_im, tuples, &noise)
+            };
+            let mi = log2_t - mi_sum / (tuples * NOISE_DRAWS) as f64;
             out.backscatter[j] += mi / cfg.symbol_ratio;
         }
         out.trials += 1;
     }
+    obs::counter_add("sim.rate_region.coincident_rows", coincident_rows);
     out
 }
 

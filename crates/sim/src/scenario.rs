@@ -375,12 +375,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Builder: replaces the reader config.
-    pub fn with_reader(mut self, reader: ReaderSpec) -> Self {
-        self.reader = reader;
-        self
-    }
-
     /// Builder: replaces the tag config.
     pub fn with_tag(mut self, tag: TagSpec) -> Self {
         self.tag = tag;
@@ -668,12 +662,6 @@ impl Runner {
     /// `runner.cache.miss` counter in its metrics block.
     pub fn with_cache(mut self, cache: crate::cache::RunCache) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Drops any attached run cache.
-    pub fn without_cache(mut self) -> Self {
-        self.cache = None;
         self
     }
 

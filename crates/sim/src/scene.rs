@@ -75,13 +75,6 @@ impl Scene {
         self
     }
 
-    /// Sets the per-bounce reflection loss (positive dB).
-    pub fn set_reflection_loss(&mut self, loss: Db) -> &mut Self {
-        assert!(loss.db() >= 0.0, "reflection loss is a positive dB value");
-        self.reflection_loss = loss.db();
-        self
-    }
-
     /// The walls.
     pub fn walls(&self) -> &[Segment] {
         &self.walls

@@ -26,14 +26,15 @@ cargo build --release
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # Its own tests run every workload briefly; `repro_cold_passes_its_checks`
 # regenerates every table at published size and compares the digests
-# across passes and against a 1-thread child process — the only gate that
-# exercises the parallel decompositions (city barrier, E16/E26/E28 cell
-# fan-out, E29's one chunk-grid estimate shared by all eleven weights), the
-# certified bit-error counters (E5/E16/serve-sweep's OOK
+# across passes and against a 1-thread child process. With the pinned
+# published-size digests below, it is what exercises the parallel
+# decompositions (city barrier, E16's jumped stream cells, E26/E28 cell
+# fan-out, E29's one chunk-grid estimate shared by all eleven weights),
+# the certified bit-error counters (E5/E16/serve-sweep's OOK
 # `count_bit_errors_scratch`, E16's BPSK `measure_bpsk_ber`: fast `ln_lanes`
-# decisions with exact libm replay inside the rounding margin) and the
-# lane MI estimator (E29–E31's `exp` terms eight per pass on `exp_lanes`)
-# at full size before the benchmark itself.
+# decisions with exact libm replay inside the rounding margin), E26's
+# streamed receive chain and the lane MI estimator (E29–E31's `exp` terms
+# eight per pass on `exp_lanes`) at full size.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q
 # Cross-CPU margin: glibc picks its libm `ln`/`exp`/`sin`/`cos` variants by
@@ -47,6 +48,11 @@ GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 cargo test -q -p mmtag-bench --test s
 # variant) over 2²⁸ arguments: too slow for the debug run above, where
 # both are #[ignore]d and 2²⁰-input sweeps stand in.
 cargo test --release --offline -q -p mmtag-rf --lib -- --ignored
+# Every registry scenario at its published size and seed against the
+# table digests pinned in the test: the smoke digests above see a few
+# hundred trials, this sees every block, chunk and cell a published table
+# is built from. #[ignore]d in the debug run for the same reason.
+cargo test --release --offline -q -p mmtag-bench --test scenarios -- --ignored
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Rustdoc gate: every public item documented (the crates' warn(missing_docs)
