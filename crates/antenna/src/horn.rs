@@ -27,14 +27,6 @@ impl HornAntenna {
         }
     }
 
-    /// A horn with the given boresight gain and −25 dB sidelobe floor.
-    pub fn with_gain(gain: Dbi) -> Self {
-        HornAntenna {
-            gain,
-            sidelobe_floor: 10f64.powf(-25.0 / 10.0),
-        }
-    }
-
     /// Half-power beamwidth implied by the gain, assuming a symmetric beam:
     /// `θ = √(41253 / G_lin)` degrees.
     pub fn half_power_beamwidth(&self) -> Angle {
@@ -48,19 +40,6 @@ impl HornAntenna {
         let x = off.normalized().radians() / hpbw;
         let main = self.gain.linear() * (-4.0 * std::f64::consts::LN_2 * x * x).exp();
         main.max(self.gain.linear() * self.sidelobe_floor)
-    }
-
-    /// True if `off` is within the half-power beamwidth.
-    pub fn within_beam(&self, off: Angle) -> bool {
-        off.normalized().radians().abs() <= 0.5 * self.half_power_beamwidth().radians()
-    }
-
-    /// Number of beam positions needed to sweep `sector` with half-beamwidth
-    /// overlap — the reader's scan-cost model (§4: "it steers these beams
-    /// together while transmitting a query signal").
-    pub fn scan_positions(&self, sector: Angle) -> usize {
-        let step = 0.5 * self.half_power_beamwidth().radians();
-        (sector.radians() / step).ceil().max(1.0) as usize
     }
 }
 
@@ -99,26 +78,12 @@ mod tests {
     }
 
     #[test]
-    fn within_beam_boundary() {
-        let h = HornAntenna::standard_gain_20dbi();
-        assert!(h.within_beam(Angle::from_degrees(10.0)));
-        assert!(!h.within_beam(Angle::from_degrees(11.0)));
-    }
-
-    #[test]
-    fn higher_gain_means_narrower_beam_and_more_scan_positions() {
-        let lo = HornAntenna::with_gain(Dbi::new(15.0));
-        let hi = HornAntenna::with_gain(Dbi::new(25.0));
+    fn higher_gain_means_narrower_beam() {
+        let horn = |db| HornAntenna {
+            gain: Dbi::new(db),
+            ..HornAntenna::standard_gain_20dbi()
+        };
+        let (lo, hi) = (horn(15.0), horn(25.0));
         assert!(hi.half_power_beamwidth().degrees() < lo.half_power_beamwidth().degrees());
-        let sector = Angle::from_degrees(120.0);
-        assert!(hi.scan_positions(sector) > lo.scan_positions(sector));
-    }
-
-    #[test]
-    fn scan_positions_cover_sector() {
-        let h = HornAntenna::standard_gain_20dbi();
-        // 120° sector with ~10.2° steps ⇒ 12 positions.
-        let n = h.scan_positions(Angle::from_degrees(120.0));
-        assert!((11..=13).contains(&n), "positions = {n}");
     }
 }

@@ -5,22 +5,14 @@
 //! watts) and are costly (hundreds of dollars)". We model one anyway, for two
 //! reasons: the *reader* is allowed to use one (it has wall power), and the
 //! energy/cost comparison tables need concrete numbers for the alternative
-//! the tag rejects.
-//!
-//! The model includes the non-ideality that matters at mmWave: *quantized*
-//! phase shifters (real phased arrays use 2–6 control bits), which produce
-//! beam-pointing error and gain ripple.
+//! the tag rejects: its DC power and component cost.
 
 use crate::array::LinearArray;
-use mmtag_rf::units::Angle;
-use mmtag_rf::Complex;
 
 /// A phased array with `B`-bit quantized phase shifters and a power model.
 #[derive(Clone, Debug)]
 pub struct PhasedArray {
     array: LinearArray,
-    /// Phase-shifter resolution in bits; `None` = ideal continuous phase.
-    phase_bits: Option<u8>,
     /// DC power drawn by one phase-shifter + driver chain, watts.
     per_element_power_w: f64,
     /// Component cost of one element chain, USD.
@@ -35,27 +27,9 @@ impl PhasedArray {
     pub fn typical(n: usize) -> Self {
         PhasedArray {
             array: LinearArray::half_wavelength(n),
-            phase_bits: Some(4),
             per_element_power_w: 0.150,
             per_element_cost_usd: 15.0,
         }
-    }
-
-    /// An idealized array with continuous phase control (for comparisons).
-    pub fn ideal(n: usize) -> Self {
-        PhasedArray {
-            array: LinearArray::half_wavelength(n),
-            phase_bits: None,
-            per_element_power_w: 0.150,
-            per_element_cost_usd: 15.0,
-        }
-    }
-
-    /// Sets the phase-shifter resolution.
-    pub fn with_phase_bits(mut self, bits: u8) -> Self {
-        assert!((1..=16).contains(&bits), "phase bits must be 1–16");
-        self.phase_bits = Some(bits);
-        self
     }
 
     /// The underlying geometry.
@@ -71,49 +45,6 @@ impl PhasedArray {
     /// Always false; arrays have ≥ 1 element.
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// Quantizes a phase to the shifter grid.
-    fn quantize(&self, phase: f64) -> f64 {
-        match self.phase_bits {
-            None => phase,
-            Some(b) => {
-                let steps = (1u32 << b) as f64;
-                let step = std::f64::consts::TAU / steps;
-                (phase / step).round() * step
-            }
-        }
-    }
-
-    /// The feed weights that steer the beam to `steer`, after quantization.
-    pub fn weights(&self, steer: Angle) -> Vec<Complex> {
-        (0..self.array.len())
-            .map(|k| {
-                let ideal = -self.array.element_phase(k, steer);
-                Complex::from_phase(self.quantize(ideal))
-            })
-            .collect()
-    }
-
-    /// Realized normalized power gain toward `theta` for a beam commanded to
-    /// `steer` (1.0 = ideal coherent gain).
-    pub fn realized_gain(&self, steer: Angle, theta: Angle) -> f64 {
-        let w = self.weights(steer);
-        let af = self.array.response(&w, theta);
-        af.norm_sqr() / (self.array.len() as f64).powi(2)
-    }
-
-    /// Worst-case steering loss (dB) over a scan range due to phase
-    /// quantization, sampled at `samples` angles.
-    pub fn quantization_loss_db(&self, scan_limit: Angle, samples: usize) -> f64 {
-        let mut worst: f64 = 0.0;
-        for i in 0..samples {
-            let frac = i as f64 / (samples.max(2) - 1) as f64;
-            let a = Angle::from_radians(scan_limit.radians() * (2.0 * frac - 1.0));
-            let g = self.realized_gain(a, a);
-            worst = worst.max(-10.0 * g.log10());
-        }
-        worst
     }
 
     /// Total DC power, watts. This is the number that rules phased arrays
@@ -133,38 +64,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ideal_array_has_full_gain_everywhere_in_scan() {
-        let pa = PhasedArray::ideal(8);
-        for deg in [-60.0, -20.0, 0.0, 35.0, 60.0] {
-            let a = Angle::from_degrees(deg);
-            assert!((pa.realized_gain(a, a) - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn quantized_array_loses_fractions_of_db() {
-        // 4-bit shifters: classic quantization loss bound ≈ 0.06 dB mean,
-        // worst-case well under 1 dB.
-        let pa = PhasedArray::typical(16);
-        let loss = pa.quantization_loss_db(Angle::from_degrees(60.0), 181);
-        assert!(loss > 0.0 && loss < 1.0, "loss = {loss} dB");
-        // Coarser shifters lose more.
-        let pa2 = PhasedArray::typical(16).with_phase_bits(2);
-        let loss2 = pa2.quantization_loss_db(Angle::from_degrees(60.0), 181);
-        assert!(loss2 > loss, "2-bit {loss2} vs 4-bit {loss}");
-    }
-
-    #[test]
-    fn beam_still_points_roughly_at_command() {
-        let pa = PhasedArray::typical(12);
-        let steer = Angle::from_degrees(25.0);
-        // Gain at the commanded angle beats gain 5° away.
-        let at = pa.realized_gain(steer, steer);
-        let off = pa.realized_gain(steer, Angle::from_degrees(30.0));
-        assert!(at > off);
-    }
-
-    #[test]
     fn power_is_watts_scale_for_realistic_sizes() {
         // §5: "high power consumption (a few watts)". A 16–32 element array
         // at 150 mW/element lands at 2.4–4.8 W.
@@ -176,11 +75,5 @@ mod tests {
     fn cost_is_hundreds_of_dollars_for_realistic_sizes() {
         // §5: "costly (hundreds of dollars)".
         assert!(PhasedArray::typical(32).cost_usd() >= 400.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "phase bits")]
-    fn zero_phase_bits_is_a_bug() {
-        let _ = PhasedArray::typical(8).with_phase_bits(0);
     }
 }

@@ -25,9 +25,6 @@ pub struct Direction {
 }
 
 impl Direction {
-    /// Broadside.
-    pub const BROADSIDE: Direction = Direction { u: 0.0, v: 0.0 };
-
     /// From spherical angles: polar `theta` off broadside, azimuth `phi`.
     pub fn from_spherical(theta: Angle, phi: Angle) -> Self {
         let st = theta.radians().sin();
@@ -40,11 +37,6 @@ impl Direction {
     /// The polar angle off broadside this direction corresponds to.
     pub fn polar(&self) -> Angle {
         Angle::from_radians((self.u * self.u + self.v * self.v).sqrt().min(1.0).asin())
-    }
-
-    /// True if the direction is physically visible (`u² + v² ≤ 1`).
-    pub fn is_visible(&self) -> bool {
-        self.u * self.u + self.v * self.v <= 1.0 + 1e-12
     }
 }
 
@@ -63,14 +55,6 @@ pub struct PlanarVanAtta<E: ElementPattern = PatchElement> {
     reflective: bool,
     /// Absorbing-state residual amplitude per element.
     off_state_leakage: f64,
-}
-
-impl PlanarVanAtta<PatchElement> {
-    /// A 6 × 4 grid at λ/2 — what the prototype's 60 × 45 mm board area
-    /// supports if fully populated.
-    pub fn mmtag_planar() -> Self {
-        PlanarVanAtta::new(6, 4, 0.5, 0.5, PatchElement::mmtag_default())
-    }
 }
 
 impl<E: ElementPattern> PlanarVanAtta<E> {
@@ -197,7 +181,6 @@ mod tests {
         // holds it for combined azimuth+elevation offsets.
         let p = ideal(6, 4);
         let skew = Direction { u: 0.35, v: 0.45 };
-        assert!(skew.is_visible());
         let g = p.monostatic_gain(skew);
         assert!((g - 576.0).abs() / 576.0 < 1e-9, "skew gain {g}");
     }
@@ -242,8 +225,9 @@ mod tests {
 
     #[test]
     fn patch_elements_roll_off_at_wide_polar_angles() {
-        let p = PlanarVanAtta::mmtag_planar();
-        let g0 = p.monostatic_gain(Direction::BROADSIDE);
+        // A 6 × 4 grid at λ/2: the prototype's 60 × 45 mm board, populated.
+        let p = PlanarVanAtta::new(6, 4, 0.5, 0.5, PatchElement::mmtag_default());
+        let g0 = p.monostatic_gain(Direction { u: 0.0, v: 0.0 });
         let g60 = p.monostatic_gain(Direction::from_spherical(
             Angle::from_degrees(60.0),
             Angle::from_degrees(30.0),
@@ -255,8 +239,6 @@ mod tests {
     fn direction_cosine_helpers() {
         let d = Direction::from_spherical(Angle::from_degrees(90.0), Angle::ZERO);
         assert!((d.u - 1.0).abs() < 1e-12 && d.v.abs() < 1e-12);
-        assert!(d.is_visible());
-        assert!(!Direction { u: 0.9, v: 0.9 }.is_visible());
         let back = Direction { u: 0.5, v: 0.0 }.polar();
         assert!((back.degrees() - 30.0).abs() < 1e-9);
     }

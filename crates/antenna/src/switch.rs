@@ -59,17 +59,6 @@ impl RfSwitch {
         Complex::new(self.on_resistance_ohms, w * self.series_inductance_h)
     }
 
-    /// Impedance of the branch when pinched off: the small `C_off` in series
-    /// with the parasitic inductance — nearly an open at 24 GHz, so the
-    /// antenna is left almost undisturbed.
-    pub fn off_impedance(&self, f: Frequency) -> Complex {
-        let w = std::f64::consts::TAU * f.hz();
-        Complex::new(
-            0.5,
-            w * self.series_inductance_h - 1.0 / (w * self.off_capacitance_f),
-        )
-    }
-
     /// Energy to charge/discharge the gate once: `C·V²` joules per
     /// transition (the driver dissipates CV² per full cycle; we book the
     /// per-transition half at each edge for rate-dependent accounting).
@@ -83,11 +72,6 @@ impl RfSwitch {
     /// is `R/2`; callers apply that factor.
     pub fn drive_power_w(&self, toggle_rate_hz: f64) -> f64 {
         self.energy_per_transition_j() * toggle_rate_hz
-    }
-
-    /// True if the switch can keep up with the requested OOK symbol rate.
-    pub fn supports_symbol_rate(&self, symbol_rate_hz: f64) -> bool {
-        symbol_rate_hz <= self.max_toggle_rate_hz
     }
 }
 
@@ -113,15 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn off_impedance_is_nearly_open() {
-        let sw = RfSwitch::ce3520k3();
-        let z = sw.off_impedance(Frequency::from_ghz(24.0));
-        // 0.08 pF at 24 GHz ⇒ |X_C| ≈ 83 Ω, minus ωL ≈ 7.5 Ω ⇒ ≈ −75 Ω:
-        // large compared to the 50 Ω system, so the antenna stays tuned.
-        assert!(z.im.abs() > 40.0, "off-state reactance {}", z.im);
-    }
-
-    #[test]
     fn gate_energy_is_sub_picojoule() {
         let sw = RfSwitch::ce3520k3();
         let e = sw.energy_per_transition_j();
@@ -137,13 +112,5 @@ mod tests {
         let sw = RfSwitch::ce3520k3();
         let p = sw.drive_power_w(0.5e9);
         assert!(p > 10e-6 && p < 200e-6, "drive power = {p} W");
-    }
-
-    #[test]
-    fn switch_supports_paper_symbol_rates() {
-        let sw = RfSwitch::ce3520k3();
-        assert!(sw.supports_symbol_rate(1e9)); // 1 Gbps OOK
-        assert!(sw.supports_symbol_rate(2e9)); // full 2 GHz BW OOK
-        assert!(!sw.supports_symbol_rate(10e9));
     }
 }

@@ -63,45 +63,6 @@ impl Microstrip {
     pub fn loss(&self, length: Distance) -> Db {
         Db::new(-self.loss_db_per_m * length.meters())
     }
-
-    /// Designs Van Atta pair line lengths for an `n`-element array with
-    /// element `spacing`, such that every pair's electrical length is equal
-    /// **modulo 2π** at `f`.
-    ///
-    /// Pair `k` (elements `k` and `n−1−k`) must route across
-    /// `(n−1−2k)·spacing` of board; the returned lengths start from the
-    /// longest (outermost) pair's physical span and pad each inner pair up
-    /// to the next whole guided wavelength above it.
-    ///
-    /// Returns one length per pair (`ceil(n/2)`); for odd `n` the middle
-    /// "pair" is the self-connected element with a stub of one λ_g.
-    pub fn vanatta_pair_lengths(&self, n: usize, spacing: Distance, f: Frequency) -> Vec<Distance> {
-        assert!(n >= 2, "a Van Atta array needs at least one pair");
-        let lam = self.guided_wavelength(f).meters();
-        let pairs = n.div_ceil(2);
-        // Longest direct span: outer pair, plus ~30% routing detour margin.
-        let longest = (n - 1) as f64 * spacing.meters() * 1.3;
-        let target_cycles = (longest / lam).ceil().max(1.0);
-        (0..pairs)
-            .map(|k| {
-                let direct = (n - 1 - 2 * k) as f64 * spacing.meters() * 1.3;
-                // Meander the line up to the common electrical length.
-                let cycles_needed = target_cycles;
-                let len = if direct <= cycles_needed * lam {
-                    cycles_needed * lam
-                } else {
-                    (direct / lam).ceil() * lam
-                };
-                Distance::from_meters(len)
-            })
-            .collect()
-    }
-
-    /// Phase error (radians) a fabrication length tolerance `tol` causes at
-    /// `f` — the quantity fed to the Van Atta sensitivity ablation.
-    pub fn phase_error_for_tolerance(&self, tol: Distance, f: Frequency) -> f64 {
-        self.phase(tol, f)
-    }
 }
 
 impl Default for Microstrip {
@@ -145,37 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_lengths_are_phase_equal_mod_two_pi() {
-        let m = ms();
-        let spacing = Distance::from_mm(6.25); // λ/2 at 24 GHz
-        for n in [4, 6, 8, 5, 7] {
-            let lens = m.vanatta_pair_lengths(n, spacing, F24);
-            assert_eq!(lens.len(), n.div_ceil(2));
-            let ref_phase = m.phase(lens[0], F24) % std::f64::consts::TAU;
-            for (k, l) in lens.iter().enumerate() {
-                let p = m.phase(*l, F24) % std::f64::consts::TAU;
-                let d = (p - ref_phase).abs();
-                let d = d.min(std::f64::consts::TAU - d);
-                assert!(d < 1e-6, "n={n} pair {k}: Δφ = {d}");
-            }
-        }
-    }
-
-    #[test]
-    fn pair_lengths_cover_their_physical_span() {
-        let m = ms();
-        let spacing = Distance::from_mm(6.25);
-        let lens = m.vanatta_pair_lengths(6, spacing, F24);
-        // Outer pair must bridge 5 × 6.25 mm = 31.25 mm (plus detour).
-        assert!(lens[0].mm() >= 5.0 * 6.25);
-        // Inner pairs are padded *up*, never shorter than their span.
-        for (k, l) in lens.iter().enumerate() {
-            let span = (6 - 1 - 2 * k) as f64 * 6.25;
-            assert!(l.mm() >= span, "pair {k}: {} < {span}", l.mm());
-        }
-    }
-
-    #[test]
     fn loss_scales_with_length() {
         let m = ms();
         let l = m.loss(Distance::from_mm(30.0));
@@ -187,7 +117,7 @@ mod tests {
     fn fabrication_tolerance_phase_error_is_small_but_nonzero() {
         // ±50 µm etch tolerance at 24 GHz on this stack: ~0.042·2π rad.
         let m = ms();
-        let err = m.phase_error_for_tolerance(Distance::from_mm(0.05), F24);
+        let err = m.phase(Distance::from_mm(0.05), F24);
         assert!(err > 0.02 && err < 0.1, "err = {err} rad");
     }
 

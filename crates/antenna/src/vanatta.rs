@@ -67,7 +67,9 @@ pub struct VanAttaArray<E: ElementPattern = PatchElement> {
 impl VanAttaArray<PatchElement> {
     /// The prototype the paper fabricated (§7): 6 patch elements at λ/2,
     /// Van Atta wiring, equal-length lines, 0.5 dB line loss, −20 dB
-    /// off-state leakage.
+    /// off-state leakage. A test fixture: production builds its tag
+    /// through `mmtag::MmTag`; this module's and the radar model's tests
+    /// check patterns on it.
     pub fn mmtag_prototype() -> Self {
         VanAttaArray::new(
             LinearArray::half_wavelength(6),
@@ -144,11 +146,6 @@ impl<E: ElementPattern> VanAttaArray<E> {
         for s in &mut self.element_active {
             *s = reflective;
         }
-    }
-
-    /// True when the tag is currently in the reflective state.
-    pub fn is_reflective(&self) -> bool {
-        self.element_active.iter().all(|&s| s)
     }
 
     /// Disables one element permanently (models a failed switch/antenna).
@@ -242,7 +239,9 @@ impl<E: ElementPattern> VanAttaArray<E> {
 
     /// The angle at which the reflected beam peaks for illumination from
     /// `theta`, found by a fine scan. A Van Atta array returns ≈ `theta`;
-    /// a specular array returns ≈ `−theta`.
+    /// a specular array returns ≈ `−theta`. A test reference: no scenario
+    /// calls it; this module's and the property tests check
+    /// [`VanAttaArray::bistatic_gain`]'s retrodirectivity through it.
     pub fn reflection_peak_angle(&self, theta: Angle) -> Angle {
         let mut best = (f64::MIN, 0.0);
         let mut a = -90.0;
@@ -270,33 +269,6 @@ impl<E: ElementPattern> VanAttaArray<E> {
     }
 }
 
-impl<E: ElementPattern + Sync> VanAttaArray<E> {
-    /// Monostatic gain evaluated at every angle in `angles`, in order,
-    /// computed in parallel over the [`mmtag_rf::par`] engine at a
-    /// `threads` budget. Each angle is one pure work unit, so the result is
-    /// identical to the serial `angles.iter().map(|&a|
-    /// self.monostatic_gain(a))` at any thread count. This is the hot loop
-    /// of every retrodirectivity figure (Fig. 5-style gain-vs-angle cuts).
-    pub fn monostatic_sweep_par_with(&self, threads: usize, angles: &[Angle]) -> Vec<f64> {
-        mmtag_rf::par::par_map_with(threads, angles, |_, &a| self.monostatic_gain(a))
-    }
-
-    /// Bistatic-gain cut: the re-radiated power toward each `psi_outs`
-    /// angle for illumination from `theta_in`, in parallel at a `threads`
-    /// budget. One call of this shape (a fine ψ scan) underlies
-    /// [`VanAttaArray::reflection_peak_angle`].
-    pub fn bistatic_cut_par_with(
-        &self,
-        threads: usize,
-        theta_in: Angle,
-        psi_outs: &[Angle],
-    ) -> Vec<f64> {
-        mmtag_rf::par::par_map_with(threads, psi_outs, |_, &psi| {
-            self.bistatic_gain(theta_in, psi)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,11 +282,13 @@ mod tests {
 
     #[test]
     fn parallel_sweep_matches_serial_bitwise() {
+        // The gain kernels are pure: mapped over the pool at any thread
+        // count they equal the serial map bit for bit.
         let v = VanAttaArray::mmtag_prototype();
         let angles: Vec<Angle> = (-60..=60).map(|d| Angle::from_degrees(d as f64)).collect();
         let serial: Vec<f64> = angles.iter().map(|&a| v.monostatic_gain(a)).collect();
         for threads in [1, 2, 4, 8] {
-            let par = v.monostatic_sweep_par_with(threads, &angles);
+            let par = mmtag_rf::par::par_map_with(threads, &angles, |_, &a| v.monostatic_gain(a));
             assert!(
                 serial
                     .iter()
@@ -323,10 +297,11 @@ mod tests {
                 "threads={threads}"
             );
         }
-        let cut = v.bistatic_cut_par_with(4, Angle::from_degrees(20.0), &angles);
+        let theta_in = Angle::from_degrees(20.0);
+        let cut = mmtag_rf::par::par_map_with(4, &angles, |_, &psi| v.bistatic_gain(theta_in, psi));
         let cut_serial: Vec<f64> = angles
             .iter()
-            .map(|&psi| v.bistatic_gain(Angle::from_degrees(20.0), psi))
+            .map(|&psi| v.bistatic_gain(theta_in, psi))
             .collect();
         assert_eq!(cut, cut_serial);
     }
@@ -449,9 +424,12 @@ mod tests {
     fn absorbing_state_preserves_switch_state_flags() {
         let mut v = ideal(4, ReflectorWiring::VanAtta);
         v.set_reflective(false);
-        assert!(!v.is_reflective());
+        assert!(v.element_active.iter().all(|&s| !s));
         let _ = v.modulation_contrast(Angle::ZERO);
-        assert!(!v.is_reflective(), "contrast probe must restore state");
+        assert!(
+            v.element_active.iter().all(|&s| !s),
+            "contrast probe must restore state"
+        );
     }
 
     #[test]

@@ -50,21 +50,6 @@ pub fn path_absorption(freq: Frequency, distance: Distance) -> Db {
     Db::new(specific_attenuation_db_per_km(freq) * distance.meters() / 1000.0)
 }
 
-/// Rain attenuation (ITU-R P.838 power-law fit, horizontal polarization),
-/// dB/km, for a rain rate in mm/h. Indoor backscatter never sees this, but
-/// outdoor deployments (smart-city tags) would.
-pub fn rain_attenuation_db_per_km(freq: Frequency, rain_rate_mm_h: f64) -> f64 {
-    assert!(rain_rate_mm_h >= 0.0, "rain rate cannot be negative");
-    // k and α fits near the two bands we care about (24 and 60 GHz).
-    let f = freq.ghz();
-    let (k, alpha) = if f < 40.0 {
-        (0.124, 1.061) // ~25 GHz
-    } else {
-        (0.700, 0.851) // ~60 GHz
-    };
-    k * rain_rate_mm_h.powf(alpha)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,19 +87,5 @@ mod tests {
             specific_attenuation_db_per_km(Frequency::from_ghz(150.0)),
             0.5
         );
-    }
-
-    #[test]
-    fn heavy_rain_matters_at_60ghz_kilometer_scale() {
-        let a = rain_attenuation_db_per_km(Frequency::from_ghz(60.0), 25.0);
-        assert!(a > 5.0, "heavy rain at 60 GHz: {a} dB/km");
-        let b = rain_attenuation_db_per_km(Frequency::from_ghz(24.0), 25.0);
-        assert!(b < a);
-    }
-
-    #[test]
-    #[should_panic(expected = "rain rate")]
-    fn negative_rain_is_a_bug() {
-        let _ = rain_attenuation_db_per_km(Frequency::from_ghz(24.0), -1.0);
     }
 }

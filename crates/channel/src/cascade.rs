@@ -23,8 +23,8 @@
 //! Fading is per-hop Rician with unit mean power, the same normalization as
 //! [`crate::fading::RicianFading`]; `K = ∞` is accepted and collapses a hop
 //! to its deterministic LOS coefficient, which is what the closed-form
-//! rate-region anchor (`mmtag_sim::rate_region::awgn_primary_rate_anchor`)
-//! and the differential tests key on.
+//! primary-rate anchor in `mmtag_sim::rate_region`'s tests and the
+//! differential tests key on.
 
 use mmtag_rf::rng::{Rng, SeedTree, Xoshiro256pp};
 use mmtag_rf::Complex;
@@ -207,21 +207,6 @@ impl MultiTagCascade {
     /// Number of tags in the scene.
     pub fn n_tags(&self) -> usize {
         self.tag_distances_m.len()
-    }
-
-    /// The direct-path model.
-    pub fn direct_hop(&self) -> HopModel {
-        self.direct
-    }
-
-    /// The forward-hop (reader→tag) model.
-    pub fn forward_hop(&self) -> HopModel {
-        self.forward
-    }
-
-    /// The backward-hop (tag→receiver) model.
-    pub fn backward_hop(&self) -> HopModel {
-        self.backward
     }
 
     /// The (forward, backward) distances of tag `i` in meters.

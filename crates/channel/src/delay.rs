@@ -39,16 +39,6 @@ impl DelayProfile {
         DelayProfile { taps }
     }
 
-    /// Builds directly from (delay, power) taps (for tests and synthetic
-    /// channels).
-    pub fn from_taps(taps: Vec<(f64, f64)>) -> Self {
-        assert!(
-            taps.iter().all(|&(t, p)| t >= 0.0 && p >= 0.0),
-            "delays and powers must be non-negative"
-        );
-        DelayProfile { taps }
-    }
-
     /// Number of taps.
     pub fn len(&self) -> usize {
         self.taps.len()
@@ -125,9 +115,14 @@ mod tests {
     use super::*;
     use mmtag_rf::units::{Angle, Db, Distance};
 
+    /// A profile built directly from (delay, power) taps.
+    fn taps(taps: Vec<(f64, f64)>) -> DelayProfile {
+        DelayProfile { taps }
+    }
+
     #[test]
     fn single_path_has_zero_spread() {
-        let p = DelayProfile::from_taps(vec![(10e-9, 1.0)]);
+        let p = taps(vec![(10e-9, 1.0)]);
         assert_eq!(p.rms_delay_spread().unwrap(), 0.0);
         assert!(p.coherence_bandwidth().is_none());
         assert!(p.is_flat_for(Bandwidth::from_ghz(100.0)));
@@ -136,22 +131,22 @@ mod tests {
     #[test]
     fn two_equal_taps_spread_is_half_separation() {
         // στ of two equal-power taps Δτ apart is Δτ/2.
-        let p = DelayProfile::from_taps(vec![(0.0, 1.0), (8e-9, 1.0)]);
+        let p = taps(vec![(0.0, 1.0), (8e-9, 1.0)]);
         assert!((p.rms_delay_spread().unwrap() - 4e-9).abs() < 1e-15);
         assert!((p.mean_delay().unwrap() - 4e-9).abs() < 1e-15);
     }
 
     #[test]
     fn weak_echo_barely_moves_spread() {
-        let strong = DelayProfile::from_taps(vec![(0.0, 1.0), (10e-9, 1.0)]);
-        let weak = DelayProfile::from_taps(vec![(0.0, 1.0), (10e-9, 0.01)]);
+        let strong = taps(vec![(0.0, 1.0), (10e-9, 1.0)]);
+        let weak = taps(vec![(0.0, 1.0), (10e-9, 0.01)]);
         assert!(weak.rms_delay_spread().unwrap() < strong.rms_delay_spread().unwrap() / 3.0);
     }
 
     #[test]
     fn coherence_bandwidth_rule_of_thumb() {
         // στ = 10 ns ⇒ Bc = 20 MHz.
-        let p = DelayProfile::from_taps(vec![(0.0, 1.0), (20e-9, 1.0)]);
+        let p = taps(vec![(0.0, 1.0), (20e-9, 1.0)]);
         let bc = p.coherence_bandwidth().unwrap();
         assert!((bc.mhz() - 20.0).abs() < 1e-6, "Bc = {bc}");
         assert!(p.is_flat_for(Bandwidth::from_mhz(20.0)));
@@ -216,11 +211,5 @@ mod tests {
             "echo at {} dB must be OOK-benign",
             10.0 * echo.log10()
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_delay_is_a_bug() {
-        let _ = DelayProfile::from_taps(vec![(-1e-9, 1.0)]);
     }
 }

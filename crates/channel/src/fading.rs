@@ -7,16 +7,16 @@
 //! margin the Fig. 7 rate thresholds need in a real room.
 //!
 //! Outage estimation is Monte-Carlo over many independent fades, so it is
-//! also one of the stack's parallel hot paths: [`RicianFading::outage_probability_par_with`]
-//! runs the trial loop chunked over the [`mmtag_rf::par`] engine at an
-//! explicit thread budget with one [`SeedTree`] stream per chunk,
-//! bit-identical at any thread count.
+//! also one of the stack's parallel hot paths: [`outage_grid_par_with`]
+//! runs every (cell × trial chunk) of a sweep over the [`mmtag_rf::par`]
+//! engine at an explicit thread budget with one [`SeedTree`] stream per
+//! chunk, bit-identical at any thread count.
 //!
 //! The chunk kernel is the lane [`RicianFading::count_outages_scratch`]
 //! (DESIGN.md §11): it streams one Box–Muller pair per fade out of the
 //! fused block pipeline ([`normal_pair_block`] — **sampler v2**, half the
-//! transcendental calls of the scalar [`RicianFading::sample`], which
-//! burns two cosine-branch draws) and counts threshold crossings on each
+//! transcendental calls of the scalar sampler in this module's tests,
+//! which burns two cosine-branch draws) and counts threshold crossings on each
 //! L1-resident block, [`mmtag_rf::math::LANES`] trials per pass with
 //! lane-local counters reduced in a fixed order. Its test oracle, in
 //! this module's tests, draws one [`Rng::normal_pair`] per trial and
@@ -28,7 +28,6 @@ use mmtag_rf::obs;
 use mmtag_rf::par;
 use mmtag_rf::rng::{normal_pair_block, Rng, SeedTree, BM_BLOCK};
 use mmtag_rf::units::Db;
-use mmtag_rf::Complex;
 
 /// Trials per work unit for parallel outage estimation. Fixed (not derived
 /// from the thread count) so the chunk decomposition — and therefore the
@@ -86,20 +85,6 @@ impl RicianFading {
     /// The linear K-factor.
     pub fn k(&self) -> f64 {
         self.k
-    }
-
-    /// Samples one complex channel coefficient `h` with `E[|h|²] = 1`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Complex {
-        // h = √(K/(K+1)) + √(1/(K+1))·CN(0,1)
-        let los = (self.k / (self.k + 1.0)).sqrt();
-        let sigma = (0.5 / (self.k + 1.0)).sqrt();
-        let g = Complex::new(rng.normal() * sigma, rng.normal() * sigma);
-        Complex::new(los, 0.0) + g
-    }
-
-    /// Samples the power gain `|h|²` (linear, mean 1).
-    pub fn sample_power<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.sample(rng).norm_sqr()
     }
 
     /// The lane outage kernel (DESIGN.md §11): streams Gaussian pairs
@@ -163,27 +148,6 @@ impl RicianFading {
         obs::observe("channel.outage.chunk_outages", outages as u64);
         outages
     }
-
-    /// Parallel Monte-Carlo outage probability at a `threads` budget,
-    /// chunked over the [`mmtag_rf::par`] engine: chunk `i` draws its
-    /// fades from `tree.rng_indexed("outage-chunk", i)`, so the estimate
-    /// is bit-identical at any thread count. The single-cell special case
-    /// of [`outage_grid_par_with`].
-    pub fn outage_probability_par_with(
-        &self,
-        threads: usize,
-        margin: Db,
-        trials: usize,
-        tree: &SeedTree,
-    ) -> f64 {
-        let _span = obs::span("channel.outage.point");
-        let cell = OutageCell {
-            fader: *self,
-            margin,
-            tree: *tree,
-        };
-        outage_grid_par_with(threads, std::slice::from_ref(&cell), trials)[0]
-    }
 }
 
 /// Linear power threshold for a fade `margin` dB below the (unit) mean.
@@ -210,11 +174,10 @@ pub struct OutageCell {
 /// at a time (which strands workers whenever `trials` is small relative
 /// to `OUTAGE_CHUNK_TRIALS × threads`).
 ///
-/// Per-cell results are **bit-identical** to calling
-/// [`RicianFading::outage_probability_par_with`] cell by cell at any thread
-/// count: unit `(c, i)` draws from `cells[c].tree.rng_indexed
-/// ("outage-chunk", i)` — exactly the stream the per-cell path uses —
-/// and chunk counts are folded in chunk order per cell.
+/// Per-cell results are **bit-identical** at any thread count to the
+/// per-cell serial loop (this module's tests keep it as the reference):
+/// unit `(c, i)` draws from `cells[c].tree.rng_indexed("outage-chunk",
+/// i)`, and chunk counts are folded in chunk order per cell.
 ///
 /// # Panics
 /// Panics when `trials == 0`.
@@ -246,6 +209,42 @@ pub fn outage_grid_par_with(threads: usize, cells: &[OutageCell], trials: usize)
 mod tests {
     use super::*;
     use mmtag_rf::rng::Xoshiro256pp;
+    use mmtag_rf::Complex;
+
+    /// The scalar sampler (**sampler v1**): one power gain `|h|²` (linear,
+    /// mean 1) from `h = √(K/(K+1)) + √(1/(K+1))·CN(0,1)`, two
+    /// cosine-branch [`Rng::normal`] draws per fade — the independent
+    /// stream the lane kernel is checked against statistically.
+    fn sample_power<R: Rng + ?Sized>(fader: &RicianFading, rng: &mut R) -> f64 {
+        let los = (fader.k() / (fader.k() + 1.0)).sqrt();
+        let sigma = (0.5 / (fader.k() + 1.0)).sqrt();
+        let g = Complex::new(rng.normal() * sigma, rng.normal() * sigma);
+        (Complex::new(los, 0.0) + g).norm_sqr()
+    }
+
+    /// The per-cell reference for [`outage_grid_par_with`]: chunk `i` of
+    /// one cell draws from `tree.rng_indexed("outage-chunk", i)` and the
+    /// chunk counts are summed in chunk order, serially, with no grid.
+    fn outage_probability(fader: &RicianFading, margin: Db, trials: usize, tree: &SeedTree) -> f64 {
+        let mut scratch = FadeScratch::new();
+        let outages: usize = (0..trials.div_ceil(OUTAGE_CHUNK_TRIALS))
+            .map(|ci| {
+                let len = OUTAGE_CHUNK_TRIALS.min(trials - ci * OUTAGE_CHUNK_TRIALS);
+                let mut rng = tree.rng_indexed("outage-chunk", ci as u64);
+                fader.count_outages_scratch(margin, len, &mut rng, &mut scratch)
+            })
+            .sum();
+        outages as f64 / trials as f64
+    }
+
+    /// One cell of `fader` at `margin` on `tree`, for one-cell grids.
+    fn cell(fader: RicianFading, margin: Db, tree: SeedTree) -> OutageCell {
+        OutageCell {
+            fader,
+            margin,
+            tree,
+        }
+    }
 
     #[test]
     fn mean_power_is_unity() {
@@ -256,7 +255,7 @@ mod tests {
             RicianFading::new(100.0),
         ] {
             let n = 200_000;
-            let mean: f64 = (0..n).map(|_| fader.sample_power(&mut rng)).sum::<f64>() / n as f64;
+            let mean: f64 = (0..n).map(|_| sample_power(&fader, &mut rng)).sum::<f64>() / n as f64;
             assert!((mean - 1.0).abs() < 0.02, "K={}: mean={mean}", fader.k());
         }
     }
@@ -265,7 +264,8 @@ mod tests {
     fn rayleigh_outage_matches_closed_form() {
         // Rayleigh power is exponential: P(|h|² < t) = 1 − e^(−t).
         let fader = RicianFading::rayleigh();
-        let p = fader.outage_probability_par_with(1, Db::new(10.0), 200_000, &SeedTree::new(42));
+        let one = cell(fader, Db::new(10.0), SeedTree::new(42));
+        let p = outage_grid_par_with(1, &[one], 200_000)[0];
         let expected = 1.0 - (-0.1f64).exp(); // t = 10^(−1)
         assert!((p - expected).abs() < 0.005, "got {p}, want {expected}");
     }
@@ -274,11 +274,12 @@ mod tests {
     fn parallel_outage_matches_closed_form_and_is_thread_invariant() {
         let tree = SeedTree::new(2024);
         let fader = RicianFading::rayleigh();
-        let serial = fader.outage_probability_par_with(1, Db::new(10.0), 200_000, &tree);
+        let one = [cell(fader, Db::new(10.0), tree)];
+        let serial = outage_grid_par_with(1, &one, 200_000)[0];
         let expected = 1.0 - (-0.1f64).exp();
         assert!((serial - expected).abs() < 0.005, "got {serial}");
         for threads in [2, 4, 8] {
-            let par = fader.outage_probability_par_with(threads, Db::new(10.0), 200_000, &tree);
+            let par = outage_grid_par_with(threads, &one, 200_000)[0];
             assert_eq!(serial.to_bits(), par.to_bits(), "threads={threads}");
         }
     }
@@ -287,8 +288,10 @@ mod tests {
     fn higher_k_means_fewer_deep_fades() {
         let tree = SeedTree::new(3);
         let deep = Db::new(10.0);
-        let ray = RicianFading::rayleigh().outage_probability_par_with(1, deep, 100_000, &tree);
-        let rice = RicianFading::mmwave_los().outage_probability_par_with(1, deep, 100_000, &tree);
+        let ray =
+            outage_grid_par_with(1, &[cell(RicianFading::rayleigh(), deep, tree)], 100_000)[0];
+        let rice =
+            outage_grid_par_with(1, &[cell(RicianFading::mmwave_los(), deep, tree)], 100_000)[0];
         assert!(
             rice < ray / 10.0,
             "K=10 dB outage {rice} must be ≪ Rayleigh {ray}"
@@ -300,7 +303,7 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from(11);
         let fader = RicianFading::new(1000.0);
         for _ in 0..1000 {
-            let p = fader.sample_power(&mut rng);
+            let p = sample_power(&fader, &mut rng);
             assert!((0.8..1.25).contains(&p), "K=1000 sample {p}");
         }
     }
@@ -310,13 +313,13 @@ mod tests {
         let a: Vec<f64> = {
             let mut rng = Xoshiro256pp::seed_from(5);
             (0..10)
-                .map(|_| RicianFading::mmwave_los().sample_power(&mut rng))
+                .map(|_| sample_power(&RicianFading::mmwave_los(), &mut rng))
                 .collect()
         };
         let b: Vec<f64> = {
             let mut rng = Xoshiro256pp::seed_from(5);
             (0..10)
-                .map(|_| RicianFading::mmwave_los().sample_power(&mut rng))
+                .map(|_| sample_power(&RicianFading::mmwave_los(), &mut rng))
                 .collect()
         };
         assert_eq!(a, b);
@@ -433,14 +436,14 @@ mod tests {
     #[test]
     fn batch_and_scalar_outage_agree_statistically() {
         // The lane kernel (sampler v2) draws a different stream than the
-        // scalar sampler-v1 `sample_power`, but both must estimate the
+        // scalar sampler-v1 `sample_power` above, but both must estimate the
         // same outage within Monte-Carlo error.
         let fader = RicianFading::rayleigh();
         let n = 200_000;
         let mut rng = Xoshiro256pp::seed_from(8);
         let threshold = outage_threshold(Db::new(10.0));
         let scalar = (0..n)
-            .filter(|_| fader.sample_power(&mut rng) < threshold)
+            .filter(|_| sample_power(&fader, &mut rng) < threshold)
             .count() as f64
             / n as f64;
         let mut rng = Xoshiro256pp::seed_from(8);
@@ -457,7 +460,7 @@ mod tests {
     #[test]
     fn outage_grid_is_bit_identical_to_per_cell_calls() {
         // The flattened (cell × chunk) grid must reproduce the per-cell
-        // parallel path exactly — same streams, same fold order — at any
+        // serial loop exactly — same streams, same fold order — at any
         // thread count, including chunk-uneven trial totals.
         let root = SeedTree::new(77);
         let cells: Vec<OutageCell> = [0.0, 5.0, 10.0]
@@ -474,10 +477,7 @@ mod tests {
         for trials in [1000usize, OUTAGE_CHUNK_TRIALS + 1, 40_000] {
             let per_cell: Vec<f64> = cells
                 .iter()
-                .map(|c| {
-                    c.fader
-                        .outage_probability_par_with(1, c.margin, trials, &c.tree)
-                })
+                .map(|c| outage_probability(&c.fader, c.margin, trials, &c.tree))
                 .collect();
             for threads in [1usize, 2, 4, 8] {
                 let grid = outage_grid_par_with(threads, &cells, trials);

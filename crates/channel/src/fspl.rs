@@ -26,6 +26,10 @@ pub fn free_space_path_loss(freq: Frequency, distance: Distance) -> Db {
 }
 
 /// One-way Friis received power: `Pr = Pt + Gt + Gr − FSPL(d)`.
+///
+/// A test reference: no scenario calls it; this module's and the property
+/// tests check it, and the radar model's tests check the bistatic
+/// backscatter budget against two Friis legs composed through it.
 pub fn friis_received_power(
     tx_power: Dbm,
     tx_gain: Dbi,
@@ -34,14 +38,6 @@ pub fn friis_received_power(
     distance: Distance,
 ) -> Dbm {
     tx_power + tx_gain.as_db() + rx_gain.as_db() - free_space_path_loss(freq, distance)
-}
-
-/// The far-field (Fraunhofer) distance of an aperture of size `d`:
-/// `2d²/λ`. Link budgets below this range are optimistic; the paper's 2 ft
-/// minimum range is safely beyond it for a 60 × 45 mm tag.
-pub fn far_field_distance(freq: Frequency, aperture: Distance) -> Distance {
-    let lambda = freq.wavelength().meters();
-    Distance::from_meters(2.0 * aperture.meters() * aperture.meters() / lambda)
 }
 
 #[cfg(test)]
@@ -82,15 +78,6 @@ mod tests {
             Distance::from_meters(1.0),
         );
         assert!((p.dbm() - (13.01 + 40.0 - 60.06)).abs() < 0.05);
-    }
-
-    #[test]
-    fn far_field_of_tag_is_under_two_feet() {
-        // Tag is 60 × 45 mm (§7, Fig. 5): 2·0.06²/λ ≈ 0.58 m ≈ 1.9 ft,
-        // so the paper's 2 ft closest measurement is (just) in the far field.
-        let d = far_field_distance(Frequency::from_ghz(24.0), Distance::from_mm(60.0));
-        assert!((d.meters() - 0.576).abs() < 0.01, "far field = {d}");
-        assert!(d.feet() < 2.0);
     }
 
     #[test]

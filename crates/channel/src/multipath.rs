@@ -14,7 +14,6 @@
 //! best ray and coherently/non-coherently combining them.
 
 use mmtag_rf::units::{Angle, Db, Distance};
-use mmtag_rf::Complex;
 
 /// One propagation path between reader and tag.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -81,19 +80,9 @@ impl RaySet {
         &self.rays
     }
 
-    /// True when no path exists at all.
-    pub fn is_blocked(&self) -> bool {
-        self.rays.is_empty()
-    }
-
     /// The LOS ray, if present.
     pub fn los(&self) -> Option<&Ray> {
         self.rays.iter().find(|r| r.is_los())
-    }
-
-    /// Removes the LOS ray (models a blocker stepping into the direct path).
-    pub fn block_los(&mut self) {
-        self.rays.retain(|r| !r.is_los());
     }
 
     /// The strongest ray under a per-ray link evaluation `f`, which maps a
@@ -104,25 +93,6 @@ impl RaySet {
             .iter()
             .map(|r| (r, f(r)))
             .max_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
-    /// Non-coherent (power) sum of per-ray powers in dBm — an upper bound
-    /// used for wideband signals where rays resolve in delay.
-    pub fn total_power_dbm<F: Fn(&Ray) -> f64>(&self, f: F) -> Option<f64> {
-        if self.rays.is_empty() {
-            return None;
-        }
-        let lin: f64 = self.rays.iter().map(|r| 10f64.powf(f(r) / 10.0)).sum();
-        Some(10.0 * lin.log10())
-    }
-
-    /// Coherent sum of complex per-ray amplitudes (narrowband fading): `f`
-    /// maps a ray to its complex amplitude (e.g. √power with phase from the
-    /// electrical path length). Returns combined power in dB relative to the
-    /// amplitudes' unit.
-    pub fn coherent_power<F: Fn(&Ray) -> Complex>(&self, f: F) -> f64 {
-        let sum: Complex = self.rays.iter().map(f).sum();
-        sum.norm_sqr()
     }
 }
 
@@ -162,9 +132,9 @@ mod tests {
     #[test]
     fn blocking_los_falls_back_to_reflection() {
         // §4's claim: with LOS blocked the link survives on the NLOS ray.
-        let mut set = sample_set();
-        set.block_los();
-        assert!(!set.is_blocked());
+        let all = sample_set();
+        let set = RaySet::from_rays(all.rays().iter().filter(|r| !r.is_los()).copied().collect());
+        assert!(!set.rays().is_empty());
         let (best, p) = set.best_ray_by(eval).unwrap();
         assert_eq!(best.bounces, 1);
         assert!(p < eval(&sample_set().rays()[0]), "NLOS is weaker than LOS");
@@ -173,44 +143,8 @@ mod tests {
     #[test]
     fn fully_blocked_channel_reports_none() {
         let set = RaySet::blocked();
-        assert!(set.is_blocked());
+        assert!(set.rays().is_empty());
         assert!(set.best_ray_by(eval).is_none());
-        assert!(set.total_power_dbm(eval).is_none());
-    }
-
-    #[test]
-    fn total_power_at_least_best_ray() {
-        let set = sample_set();
-        let (_, best) = set.best_ray_by(eval).unwrap();
-        let total = set.total_power_dbm(eval).unwrap();
-        assert!(total >= best);
-        assert!(total < best + 3.01); // two rays can at most double power
-    }
-
-    #[test]
-    fn coherent_sum_can_fade_destructively() {
-        // Two equal-amplitude rays exactly out of phase cancel.
-        let set = RaySet::from_rays(vec![
-            Ray::los(Distance::from_feet(4.0), Angle::ZERO, Angle::ZERO),
-            Ray {
-                length: Distance::from_feet(8.0),
-                reflection_loss: Db::ZERO,
-                aod_reader: Angle::ZERO,
-                aoa_tag: Angle::ZERO,
-                bounces: 1,
-            },
-        ]);
-        let p = set.coherent_power(|r| {
-            if r.is_los() {
-                Complex::ONE
-            } else {
-                Complex::from_phase(std::f64::consts::PI)
-            }
-        });
-        assert!(p < 1e-20, "destructive combination: {p}");
-        // In phase they quadruple the power of one ray.
-        let p2 = set.coherent_power(|_| Complex::ONE);
-        assert!((p2 - 4.0).abs() < 1e-12);
     }
 
     #[test]

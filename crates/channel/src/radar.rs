@@ -101,6 +101,7 @@ impl Default for BackscatterLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fspl::friis_received_power;
     use mmtag_antenna::VanAttaArray;
     use mmtag_rf::units::Angle;
 
@@ -186,6 +187,24 @@ mod tests {
         let mono = link.received_power(tag_gain(), d);
         let bi = link.received_power_bistatic(tag_gain(), d, d, Db::ZERO);
         assert!((mono - bi).db().abs() < 1e-9);
+    }
+
+    #[test]
+    fn bistatic_budget_is_two_friis_legs() {
+        // Out: the reader's horn to an isotropic tag port over `d_f`; back:
+        // that port to the reader's receive horn over `d_r`. The tag's
+        // round-trip gain and the implementation loss ride on top.
+        let link = BackscatterLink::mmtag_setup();
+        let iso = Dbi::new(0.0);
+        for (df, dr) in [(1.0, 1.0), (0.6, 2.5), (3.0, 1.2)] {
+            let (d_f, d_r) = (Distance::from_meters(df), Distance::from_meters(dr));
+            let at_tag =
+                friis_received_power(link.tx_power, link.reader_tx_gain, iso, link.frequency, d_f);
+            let back = friis_received_power(at_tag, iso, link.reader_rx_gain, link.frequency, d_r);
+            let want = back + tag_gain() - link.implementation_loss;
+            let got = link.received_power_bistatic(tag_gain(), d_f, d_r, Db::ZERO);
+            assert!((got - want).db().abs() < 1e-9, "d_f={df} d_r={dr}");
+        }
     }
 
     #[test]

@@ -144,14 +144,34 @@ impl Args {
         }
     }
 
-    /// A positive, finite float option with a default (distances).
-    pub fn positive_f64_or(&self, flag: &str, default: f64) -> Result<f64, ArgError> {
+    /// A float option with a default that must satisfy `ok`; `want` says
+    /// what the flag accepts when it does not.
+    pub fn f64_where_or(
+        &self,
+        flag: &str,
+        default: f64,
+        want: &'static str,
+        ok: impl Fn(f64) -> bool,
+    ) -> Result<f64, ArgError> {
         let value = self.f64_or(flag, default)?;
-        if value.is_finite() && value > 0.0 {
+        if ok(value) {
             Ok(value)
         } else {
-            Err(self.out_of_range(flag, "a positive, finite number"))
+            Err(self.out_of_range(flag, want))
         }
+    }
+
+    /// A positive, finite float option with a default (distances,
+    /// magnitudes).
+    pub fn positive_f64_or(&self, flag: &str, default: f64) -> Result<f64, ArgError> {
+        self.f64_where_or(flag, default, "a positive, finite number", |v| {
+            v.is_finite() && v > 0.0
+        })
+    }
+
+    /// A finite float option with a default (angles).
+    pub fn finite_f64_or(&self, flag: &str, default: f64) -> Result<f64, ArgError> {
+        self.f64_where_or(flag, default, "a finite number", f64::is_finite)
     }
 
     /// A positive integer option with a default (counts).

@@ -214,20 +214,27 @@ GLOBAL FLAGS:
 /// scenario spec layer.
 fn tag_spec(args: &Args) -> Result<TagSpec, ArgError> {
     Ok(TagSpec {
-        elements: args.usize_or("elements", 6)?,
-        band_ghz: args.f64_or("band-ghz", 24.0)?,
+        elements: args.positive_usize_or("elements", 6)?,
+        band_ghz: band_ghz(args)?,
         wiring: WiringSpec::parse(&args.str_or("wiring", "vanatta")),
     })
 }
 
 /// The reader retuned to `--band-ghz`, via the scenario spec layer.
 fn reader_spec(args: &Args) -> Result<ReaderSpec, ArgError> {
-    Ok(ReaderSpec::at_band(args.f64_or("band-ghz", 24.0)?))
+    Ok(ReaderSpec::at_band(band_ghz(args)?))
+}
+
+/// `--band-ghz`: a carrier within the tag model's 1–300 GHz.
+fn band_ghz(args: &Args) -> Result<f64, ArgError> {
+    args.f64_where_or("band-ghz", 24.0, "a carrier within 1–300 GHz", |ghz| {
+        (1.0..=300.0).contains(&ghz)
+    })
 }
 
 fn cmd_link(args: &Args) -> Result<String, ArgError> {
     let range = args.positive_f64_or("range-ft", 4.0)?;
-    let rotation = args.f64_or("rotation-deg", 0.0)?;
+    let rotation = args.finite_f64_or("rotation-deg", 0.0)?;
     let tag = build_tag(&tag_spec(args)?);
     let reader = build_reader(&reader_spec(args)?);
     let scene = build_scene(&SceneSpec::free_space());
@@ -324,8 +331,13 @@ fn cmd_city(args: &Args) -> Result<String, ArgError> {
         args.positive_usize_or("tags", 100_000)?,
         args.usize_or("rounds", 10)?,
     );
-    cfg.shards = args.usize_or("shards", cfg.shards)?;
-    cfg.speed_mps = args.f64_or("speed-mps", cfg.speed_mps)?;
+    cfg.shards = args.positive_usize_or("shards", cfg.shards)?;
+    cfg.speed_mps = args.f64_where_or(
+        "speed-mps",
+        cfg.speed_mps,
+        "a finite, non-negative speed",
+        |v| v.is_finite() && v >= 0.0,
+    )?;
     cfg.blockers = args.usize_or("blockers", cfg.blockers)?;
     let seed = args.u64_or("seed", 1)?;
     let mut eng = CityEngine::new(cfg, SeedTree::new(seed));
@@ -354,7 +366,7 @@ fn cmd_city(args: &Args) -> Result<String, ArgError> {
 
 fn cmd_locate(args: &Args) -> Result<String, ArgError> {
     let range = args.positive_f64_or("range-ft", 6.0)?;
-    let bearing = args.f64_or("bearing-deg", 20.0)?;
+    let bearing = args.finite_f64_or("bearing-deg", 20.0)?;
     let reader = build_reader(&ReaderSpec::mmtag_setup());
     let tag = build_tag(&TagSpec::prototype());
     let scene = build_scene(&SceneSpec::free_space());
@@ -379,11 +391,11 @@ fn cmd_locate(args: &Args) -> Result<String, ArgError> {
 }
 
 fn cmd_energy(args: &Args) -> Result<String, ArgError> {
-    let rate = DataRate::from_mbps(args.f64_or("rate-mbps", 1000.0)?);
+    let rate = DataRate::from_mbps(args.positive_f64_or("rate-mbps", 1000.0)?);
     let solar = Harvester::IndoorSolar {
-        area_cm2: args.f64_or("solar-cm2", 10.0)?,
+        area_cm2: args.positive_f64_or("solar-cm2", 10.0)?,
     };
-    let cap = StorageCap::new(args.f64_or("cap-uf", 100.0)? * 1e-6, 1.8, 3.3);
+    let cap = StorageCap::new(args.positive_f64_or("cap-uf", 100.0)? * 1e-6, 1.8, 3.3);
     let budget = EnergyBudget::for_tag(&build_tag(&TagSpec::prototype()), rate);
 
     let mut out = String::new();
@@ -679,6 +691,64 @@ mod tests {
             }
         );
         assert!(!written, "a refused command left a trace file behind");
+    }
+
+    /// Every number outside what its command models is refused with the
+    /// argument error (exit 1, no `--trace` file), where each of these
+    /// used to panic, print NaN, or run with a value the engine replaced.
+    #[test]
+    fn out_of_domain_numbers_are_argument_errors_and_write_no_trace() {
+        const FINITE: &str = "a finite number";
+        const POSITIVE: &str = "a positive, finite number";
+        const COUNT: &str = "a positive integer";
+        const BAND: &str = "a carrier within 1–300 GHz";
+        const SPEED: &str = "a finite, non-negative speed";
+        let cases: &[(&str, &str, &str, &str)] = &[
+            ("locate", "bearing-deg", "nan", FINITE),
+            ("locate", "bearing-deg", "inf", FINITE),
+            ("link", "rotation-deg", "nan", FINITE),
+            ("link", "rotation-deg", "inf", FINITE),
+            ("link", "rotation-deg", "-inf", FINITE),
+            ("link", "band-ghz", "0", BAND),
+            ("link", "band-ghz", "nan", BAND),
+            ("link", "band-ghz", "-24", BAND),
+            ("link", "band-ghz", "400", BAND),
+            ("sweep", "band-ghz", "0", BAND),
+            ("sweep", "band-ghz", "400", BAND),
+            ("link", "elements", "0", COUNT),
+            ("sweep", "elements", "0", COUNT),
+            ("energy", "rate-mbps", "nan", POSITIVE),
+            ("energy", "rate-mbps", "-1", POSITIVE),
+            ("energy", "rate-mbps", "0", POSITIVE),
+            ("energy", "cap-uf", "0", POSITIVE),
+            ("energy", "cap-uf", "-100", POSITIVE),
+            ("energy", "solar-cm2", "0", POSITIVE),
+            ("energy", "solar-cm2", "-5", POSITIVE),
+            ("city", "speed-mps", "nan", SPEED),
+            ("city", "speed-mps", "inf", SPEED),
+            ("city", "speed-mps", "-1", SPEED),
+            ("city", "shards", "0", COUNT),
+        ];
+        let path = std::env::temp_dir().join(format!(
+            "mmtag-cli-out-of-domain-trace-test-{}.json",
+            std::process::id()
+        ));
+        let trace = path.to_str().unwrap();
+        for &(command, flag, raw, want) in cases {
+            let err = run_err(&[command, &format!("--{flag}"), raw, "--trace", trace]);
+            let written = path.exists();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(
+                err,
+                ArgError::OutOfRange {
+                    flag: flag.into(),
+                    raw: raw.into(),
+                    want
+                },
+                "{command} --{flag} {raw}"
+            );
+            assert!(!written, "{command} --{flag} {raw} left a trace file");
+        }
     }
 
     #[test]

@@ -32,7 +32,6 @@
 //! |---|---|
 //! | [`tag`] | the mmTag device: Van Atta array + RF switches + modulator |
 //! | [`reader`] | TX/RX chains, beam steering, self-interference budget |
-//! | [`adaptation`] | hysteretic time-domain rate control over the ladder |
 //! | [`link`] | end-to-end link evaluation over a scene (power → SNR → rate) |
 //! | [`energy`] | tag power budget, harvesting, the batteryless argument |
 //! | [`storage`] | capacitor-buffered burst operation under harvesting |
@@ -48,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptation;
 pub mod baseline;
 pub mod energy;
 pub mod link;

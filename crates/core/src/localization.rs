@@ -16,7 +16,7 @@
 use crate::link::ray_power;
 use crate::reader::Reader;
 use crate::tag::MmTag;
-use mmtag_rf::units::{Angle, Db, Distance};
+use mmtag_rf::units::{Angle, Distance};
 use mmtag_sim::mobility::Pose;
 use mmtag_sim::{Scene, Vec2};
 
@@ -141,13 +141,6 @@ pub fn position_error(estimate: &PositionEstimate, truth: Pose) -> Distance {
     estimate.position.distance_to(truth.position)
 }
 
-/// The range bias the unknown implementation loss would cause if it were
-/// mis-calibrated by `delta`: `d⁻⁴` spreads dB error by a factor 1/40 in
-/// log-range, i.e. range error ≈ `10^(Δ/40) − 1`.
-pub fn range_bias_for_loss_error(delta: Db) -> f64 {
-    10f64.powf(delta.db() / 40.0) - 1.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,11 +242,19 @@ mod tests {
 
     #[test]
     fn range_bias_formula() {
-        // 4 dB of calibration error ⇒ 10^(0.1) − 1 ≈ 26% range bias:
-        // the honest limitation of RSS ranging.
-        let b = range_bias_for_loss_error(Db::new(4.0));
+        // The estimate inverts a d⁻⁴ law, so an RSS (or implementation-loss)
+        // error of Δ dB scales the range by 10^(Δ/40): 4 dB of calibration
+        // error ⇒ 10^(0.1) − 1 ≈ 26% range bias — the honest limitation of
+        // RSS ranging.
+        let reader = Reader::mmtag_setup();
+        let tag = MmTag::prototype();
+        let calibrated = estimate_range(&reader, &tag, -70.0).meters();
+        let b = estimate_range(&reader, &tag, -74.0).meters() / calibrated - 1.0;
         assert!((b - 0.259).abs() < 0.01, "bias {b}");
-        assert_eq!(range_bias_for_loss_error(Db::ZERO), 0.0);
+        assert!(
+            (b - (10f64.powf(4.0 / 40.0) - 1.0)).abs() < 1e-12,
+            "bias {b}"
+        );
     }
 
     #[test]

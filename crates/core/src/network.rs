@@ -98,17 +98,6 @@ impl Network {
         series
     }
 
-    /// Mean of each tag's achievable rate at time `t` (network capacity
-    /// snapshot under SDM round-robin — each tag is served while the beam
-    /// dwells on it).
-    pub fn mean_rate(&self, t: Instant) -> DataRate {
-        if self.tags.is_empty() {
-            return DataRate::ZERO;
-        }
-        let sum: f64 = self.snapshot(t).iter().map(|r| r.rate.bps()).sum();
-        DataRate::from_bps(sum / self.tags.len() as f64)
-    }
-
     /// Angles of all currently-linkable tags as seen from the reader at
     /// time `t` (the input to sectoring/inventory).
     pub fn tag_angles(&self, t: Instant) -> Vec<Angle> {
@@ -228,12 +217,13 @@ mod tests {
         let mut net = Network::new(Scene::free_space(), Reader::mmtag_setup(), reader_pose());
         net.add_tag(MmTag::prototype(), static_tag_at(4.0));
         net.add_tag(MmTag::prototype(), static_tag_at(10.0));
-        let mean = net.mean_rate(Instant::ZERO);
-        assert!((mean.bps() - (1e9 + 10e6) / 2.0).abs() < 1.0);
-        assert_eq!(
+        let snap = net.snapshot(Instant::ZERO);
+        let mean = snap.iter().map(|r| r.rate.bps()).sum::<f64>() / snap.len() as f64;
+        assert!((mean - (1e9 + 10e6) / 2.0).abs() < 1.0);
+        assert!(
             Network::new(Scene::free_space(), Reader::mmtag_setup(), reader_pose())
-                .mean_rate(Instant::ZERO),
-            DataRate::ZERO
+                .snapshot(Instant::ZERO)
+                .is_empty()
         );
     }
 

@@ -145,12 +145,6 @@ impl Reader {
         Dbm::from_mw(n + i)
     }
 
-    /// SI degradation at `bandwidth`: how far the effective floor sits above
-    /// the thermal floor.
-    pub fn si_degradation(&self, bandwidth: Bandwidth) -> Db {
-        self.effective_floor(bandwidth) - self.noise.floor(bandwidth)
-    }
-
     /// The total TX→RX isolation needed so that residual SI sits at or
     /// below the thermal noise floor for `bandwidth` (the "SI-free" design
     /// point used by experiment E9).
@@ -168,6 +162,12 @@ impl Default for Reader {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// SI degradation at `bandwidth`: how far the effective floor sits
+    /// above the thermal floor.
+    fn si_degradation(r: &Reader, bandwidth: Bandwidth) -> Db {
+        r.effective_floor(bandwidth) - r.noise.floor(bandwidth)
+    }
 
     #[test]
     fn setup_matches_paper() {
@@ -194,7 +194,7 @@ mod tests {
         // nowhere near enough.
         let r = Reader::mmtag_setup();
         assert!((r.residual_si().dbm() + 27.0).abs() < 0.1);
-        let deg = r.si_degradation(Bandwidth::from_ghz(2.0));
+        let deg = si_degradation(&r, Bandwidth::from_ghz(2.0));
         assert!(deg.db() > 45.0, "degradation {deg}");
     }
 
@@ -215,7 +215,7 @@ mod tests {
             antenna_isolation: Db::new(40.0),
             cancellation: Db::new(60.0),
         });
-        let deg = r.si_degradation(Bandwidth::from_ghz(2.0));
+        let deg = si_degradation(&r, Bandwidth::from_ghz(2.0));
         // 100 dB total: residual −87 dBm, 11 dB under the floor ⇒ < 0.4 dB.
         assert!(deg.db() < 0.5, "degradation {deg}");
     }

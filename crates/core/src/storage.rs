@@ -26,15 +26,6 @@ pub struct StorageCap {
 }
 
 impl StorageCap {
-    /// A typical 100 µF ceramic bank, 1.8–3.3 V window.
-    pub fn ceramic_100uf() -> Self {
-        StorageCap {
-            capacitance_f: 100e-6,
-            v_min: 1.8,
-            v_max: 3.3,
-        }
-    }
-
     /// Creates a capacitor, validating the voltage window.
     ///
     /// # Panics
@@ -67,7 +58,9 @@ pub struct BurstCycle {
 }
 
 impl BurstCycle {
-    /// Total cycle period.
+    /// Total cycle period. A test reference: E18 reads the burst and the
+    /// duty cycle; this module's and the core property tests check the
+    /// cycle's energy balance over it.
     pub fn period(&self) -> Duration {
         self.burst + self.recharge
     }
@@ -120,127 +113,16 @@ pub fn average_throughput_bps(cycle: &BurstCycle, rate_bps: f64) -> f64 {
     rate_bps * cycle.duty_cycle
 }
 
-/// A piecewise-constant harvested-power profile over time (e.g. office
-/// lighting: 100 µW for 10 h, near-zero overnight).
-#[derive(Clone, Debug)]
-pub struct HarvestProfile {
-    /// (duration, power_w) segments, repeated cyclically.
-    segments: Vec<(Duration, f64)>,
-}
-
-impl HarvestProfile {
-    /// Builds a cyclic profile from segments.
-    ///
-    /// # Panics
-    /// Panics on an empty profile or negative powers.
-    pub fn new(segments: Vec<(Duration, f64)>) -> Self {
-        assert!(!segments.is_empty(), "profile needs at least one segment");
-        assert!(
-            segments
-                .iter()
-                .all(|&(d, p)| p >= 0.0 && d > Duration::ZERO),
-            "segments need positive duration and non-negative power"
-        );
-        HarvestProfile { segments }
-    }
-
-    /// A 24-hour office-lighting cycle: 10 h of light at `lit_power_w`,
-    /// 14 h of dark at 2% of it (emergency lighting).
-    pub fn office_day(lit_power_w: f64) -> Self {
-        Self::new(vec![
-            (Duration::from_secs(10 * 3600), lit_power_w),
-            (Duration::from_secs(14 * 3600), 0.02 * lit_power_w),
-        ])
-    }
-
-    /// One full cycle's duration.
-    pub fn period(&self) -> Duration {
-        self.segments
-            .iter()
-            .fold(Duration::ZERO, |acc, &(d, _)| acc + d)
-    }
-
-    /// Mean harvested power over a cycle.
-    pub fn mean_power_w(&self) -> f64 {
-        let total_j: f64 = self
-            .segments
-            .iter()
-            .map(|&(d, p)| d.as_secs_f64() * p)
-            .sum();
-        total_j / self.period().as_secs_f64()
-    }
-
-    /// The segments.
-    pub fn segments(&self) -> &[(Duration, f64)] {
-        &self.segments
-    }
-}
-
-/// Result of a profile-driven storage simulation.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct HarvestRun {
-    /// Total bits delivered.
-    pub bits_delivered: f64,
-    /// Total time spent transmitting.
-    pub tx_time: Duration,
-    /// Total simulated time.
-    pub elapsed: Duration,
-    /// Per-segment delivered bits (one entry per profile segment crossed).
-    pub per_segment_bits: Vec<f64>,
-}
-
-impl HarvestRun {
-    /// Long-run average throughput, bits/second.
-    pub fn average_throughput_bps(&self) -> f64 {
-        if self.elapsed == Duration::ZERO {
-            0.0
-        } else {
-            self.bits_delivered / self.elapsed.as_secs_f64()
-        }
-    }
-}
-
-/// Simulates the tag's capacitor through `cycles` repetitions of a harvest
-/// profile: within each segment the steady-state burst cycle for that
-/// segment's power governs transmission; energy carried in the cap is
-/// conserved across segment boundaries (we track the duty fraction
-/// directly, which is exact for segments ≫ one burst period).
-pub fn simulate_profile(
-    budget: &EnergyBudget,
-    profile: &HarvestProfile,
-    cap: &StorageCap,
-    rate_bps: f64,
-    cycles: usize,
-) -> HarvestRun {
-    assert!(cycles >= 1, "need at least one cycle");
-    assert!(rate_bps > 0.0, "rate must be positive");
-    let mut run = HarvestRun::default();
-    for _ in 0..cycles {
-        for &(seg_dur, power_w) in profile.segments() {
-            let harvester = Harvester::RfRectenna {
-                dc_power_w: power_w,
-            };
-            let seg_bits = match steady_state_cycle(budget, harvester, cap) {
-                None => 0.0,
-                Some(cycle) => {
-                    let tx_s = seg_dur.as_secs_f64() * cycle.duty_cycle;
-                    run.tx_time = run.tx_time + Duration::from_secs_f64(tx_s);
-                    tx_s * rate_bps
-                }
-            };
-            run.bits_delivered += seg_bits;
-            run.per_segment_bits.push(seg_bits);
-            run.elapsed = run.elapsed + seg_dur;
-        }
-    }
-    run
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tag::MmTag;
     use mmtag_rf::units::DataRate;
+
+    /// A typical 100 µF ceramic bank, 1.8–3.3 V window.
+    fn ceramic_100uf() -> StorageCap {
+        StorageCap::new(100e-6, 1.8, 3.3)
+    }
 
     fn gbps_budget() -> EnergyBudget {
         EnergyBudget::for_tag(&MmTag::prototype(), DataRate::from_gbps(1.0))
@@ -248,7 +130,7 @@ mod tests {
 
     #[test]
     fn usable_energy_quadratic_in_voltage() {
-        let cap = StorageCap::ceramic_100uf();
+        let cap = ceramic_100uf();
         // ½·100µF·(3.3² − 1.8²) = 382.5 µJ.
         assert!((cap.usable_energy_j() - 382.5e-6).abs() < 1e-9);
     }
@@ -257,7 +139,7 @@ mod tests {
     fn burst_cycle_steady_state_balances_energy() {
         let b = gbps_budget();
         let solar = Harvester::IndoorSolar { area_cm2: 10.0 };
-        let cap = StorageCap::ceramic_100uf();
+        let cap = ceramic_100uf();
         let cycle = steady_state_cycle(&b, solar, &cap).unwrap();
         // Energy balance: harvested over the period = consumed over it.
         let p_h = solar.power_w();
@@ -297,7 +179,7 @@ mod tests {
         let cycle = steady_state_cycle(
             &b,
             Harvester::IndoorSolar { area_cm2: 10.0 },
-            &StorageCap::ceramic_100uf(),
+            &ceramic_100uf(),
         )
         .unwrap();
         let bits = bits_per_burst(&cycle, 1e9);
@@ -310,7 +192,7 @@ mod tests {
         let cycle = steady_state_cycle(
             &b,
             Harvester::RfRectenna { dc_power_w: 0.1e-6 },
-            &StorageCap::ceramic_100uf(),
+            &ceramic_100uf(),
         );
         assert!(cycle.is_none());
     }
@@ -321,7 +203,7 @@ mod tests {
         let cycle = steady_state_cycle(
             &b,
             Harvester::RfRectenna { dc_power_w: 10e-3 },
-            &StorageCap::ceramic_100uf(),
+            &ceramic_100uf(),
         )
         .unwrap();
         assert_eq!(cycle.duty_cycle, 1.0);
@@ -331,68 +213,10 @@ mod tests {
     #[test]
     fn average_throughput_is_rate_times_duty() {
         let b = gbps_budget();
-        let cycle =
-            steady_state_cycle(&b, Harvester::Vibration, &StorageCap::ceramic_100uf()).unwrap();
+        let cycle = steady_state_cycle(&b, Harvester::Vibration, &ceramic_100uf()).unwrap();
         let avg = average_throughput_bps(&cycle, 1e9);
         assert!((avg - 1e9 * cycle.duty_cycle).abs() < 1.0);
         assert!(avg > 1e8, "vibration sustains {avg} bps on average");
-    }
-
-    #[test]
-    fn office_profile_statistics() {
-        let p = HarvestProfile::office_day(100e-6);
-        assert_eq!(p.period(), Duration::from_secs(24 * 3600));
-        // Mean: (10h·100 + 14h·2) / 24h ≈ 42.8 µW.
-        assert!((p.mean_power_w() * 1e6 - 42.83).abs() < 0.1);
-    }
-
-    #[test]
-    fn day_night_cycle_concentrates_throughput_in_daylight() {
-        let b = gbps_budget();
-        let profile = HarvestProfile::office_day(100e-6);
-        let run = simulate_profile(&b, &profile, &StorageCap::ceramic_100uf(), 1e9, 2);
-        assert_eq!(run.per_segment_bits.len(), 4); // 2 cycles × 2 segments
-                                                   // Daylight segments (even indices) dominate: 2 µW of night light
-                                                   // barely exceeds the logic draw.
-        let day: f64 = run.per_segment_bits.iter().step_by(2).sum();
-        let night: f64 = run.per_segment_bits.iter().skip(1).step_by(2).sum();
-        // Duty ratio ≈ 66× scaled by the 10 h/14 h split ⇒ ~47×.
-        assert!(day > 30.0 * night.max(1.0), "day {day} vs night {night}");
-        // Average throughput is meaningfully positive nonetheless.
-        assert!(
-            run.average_throughput_bps() > 50e6,
-            "avg {}",
-            run.average_throughput_bps()
-        );
-    }
-
-    #[test]
-    fn profile_average_matches_segment_weighted_duty() {
-        // The simulation must agree with the closed-form duty cycles
-        // applied segment by segment.
-        let b = gbps_budget();
-        let profile = HarvestProfile::new(vec![
-            (Duration::from_secs(3600), 100e-6),
-            (Duration::from_secs(3600), 50e-6),
-        ]);
-        let run = simulate_profile(&b, &profile, &StorageCap::ceramic_100uf(), 1e9, 1);
-        let d1 = b.sustainable_duty_cycle(Harvester::RfRectenna { dc_power_w: 100e-6 });
-        let d2 = b.sustainable_duty_cycle(Harvester::RfRectenna { dc_power_w: 50e-6 });
-        let expected = (d1 + d2) / 2.0 * 1e9;
-        assert!(
-            (run.average_throughput_bps() - expected).abs() / expected < 1e-9,
-            "sim {} vs closed form {expected}",
-            run.average_throughput_bps()
-        );
-    }
-
-    #[test]
-    fn dead_profile_delivers_nothing() {
-        let b = gbps_budget();
-        let profile = HarvestProfile::new(vec![(Duration::from_secs(60), 0.0)]);
-        let run = simulate_profile(&b, &profile, &StorageCap::ceramic_100uf(), 1e9, 3);
-        assert_eq!(run.bits_delivered, 0.0);
-        assert_eq!(run.tx_time, Duration::ZERO);
     }
 
     #[test]

@@ -25,18 +25,15 @@ pub fn slotted_aloha_throughput(g: f64) -> f64 {
     g * (-g).exp()
 }
 
-/// Maximum slotted-Aloha throughput, `1/e`.
-pub fn max_throughput() -> f64 {
-    (-1.0f64).exp()
-}
-
 /// A framed-Aloha round executor.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FramedAloha;
 
 impl FramedAloha {
     /// Expected fraction of tags read in one round of `L` slots with `n`
-    /// tags: `(1 − 1/L)^{n−1}` per tag (closed form, for validation).
+    /// tags: `(1 − 1/L)^{n−1}` per tag. A test reference: no scenario
+    /// calls it; the round kernels' tests and the city engine's
+    /// framed-Aloha anchor check production code against this closed form.
     pub fn expected_read_fraction(n_tags: usize, frame_size: usize) -> f64 {
         if n_tags == 0 {
             return 0.0;
@@ -48,8 +45,8 @@ impl FramedAloha {
     /// (one [`Rng::index`] draw per tag) and returns the slot *counts* —
     /// no per-tag owner list, no materialized read list — using a
     /// caller-owned [`AlohaScratch`]. Drain loops that only need the
-    /// aggregate statistics (every inventory ensemble) run on this and
-    /// allocate nothing in steady state.
+    /// aggregate statistics (E07's drain, the sectored inventory) run on
+    /// this and allocate nothing in steady state.
     ///
     /// # Panics
     /// Panics on a zero frame size.
@@ -185,7 +182,9 @@ impl QAlgorithm {
         }
     }
 
-    /// Starts from a specific `Q` (0–15).
+    /// Starts from a specific `Q` (0–15). A test fixture: every production
+    /// reader starts from [`QAlgorithm::new`]; the Q-adaptation tests here
+    /// and in the property tests start from other values.
     pub fn with_q(q: f64) -> Self {
         assert!((0.0..=15.0).contains(&q), "Q must be within 0–15");
         QAlgorithm { q_fp: q, step: 0.2 }
@@ -290,30 +289,16 @@ pub fn inventory_until_drained_scratch<R: Rng + ?Sized>(
     stats
 }
 
-/// An ensemble of `reps` independent [`inventory_until_drained`] runs over
-/// the [`mmtag_sim::par`] engine at a `threads` budget: repetition `i`
-/// draws all its slot choices from `tree.rng_indexed("aloha-rep", i)`, so
-/// the ensemble is bit-identical at any thread count and repetition `i`'s
-/// outcome never depends on how many repetitions were requested.
-pub fn inventory_ensemble_par_with(
-    threads: usize,
-    n_tags: usize,
-    q: QAlgorithm,
-    max_rounds: usize,
-    reps: usize,
-    tree: &mmtag_sim::SeedTree,
-) -> Vec<InventoryStats> {
-    let _span = obs::span("mac.aloha.ensemble");
-    mmtag_sim::par::par_indexed_scratch_with(threads, reps, AlohaScratch::new, |scratch, i| {
-        let mut rng = tree.rng_indexed("aloha-rep", i as u64);
-        inventory_until_drained_scratch(n_tags, q, max_rounds, &mut rng, scratch)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmtag_rf::rng::Xoshiro256pp;
+
+    /// Maximum slotted-Aloha throughput, `1/e` (the closed-form peak of
+    /// [`slotted_aloha_throughput`] at `G = 1`).
+    fn max_throughput() -> f64 {
+        (-1.0f64).exp()
+    }
 
     /// Outcome of one oracle round: the slot statistics plus the read list.
     #[derive(Clone, Debug, PartialEq, Eq)]
@@ -449,17 +434,24 @@ mod tests {
 
     #[test]
     fn ensemble_is_thread_invariant_and_rep_stable() {
+        // Repetition i drains from its own stream on the pool, each worker
+        // reusing one scratch across the repetitions it claims: a reused
+        // scratch carries nothing from one drain into the next.
         let tree = mmtag_sim::SeedTree::new(0xA70A);
-        let serial = inventory_ensemble_par_with(1, 50, QAlgorithm::new(), 200, 12, &tree);
+        let drains = |threads, reps| {
+            mmtag_sim::par::par_indexed_scratch_with(threads, reps, AlohaScratch::new, |s, i| {
+                let mut rng = tree.rng_indexed("aloha-rep", i as u64);
+                inventory_until_drained_scratch(50, QAlgorithm::new(), 200, &mut rng, s)
+            })
+        };
+        let serial = drains(1, 12);
         assert_eq!(serial.len(), 12);
         assert!(serial.iter().all(|s| s.tags_read == 50));
         for threads in [2, 4, 8] {
-            let par = inventory_ensemble_par_with(threads, 50, QAlgorithm::new(), 200, 12, &tree);
-            assert_eq!(serial, par, "threads={threads}");
+            assert_eq!(serial, drains(threads, 12), "threads={threads}");
         }
         // Repetition i's result doesn't depend on the ensemble size.
-        let fewer = inventory_ensemble_par_with(4, 50, QAlgorithm::new(), 200, 5, &tree);
-        assert_eq!(&serial[..5], &fewer[..]);
+        assert_eq!(&serial[..5], &drains(4, 5)[..]);
     }
 
     #[test]

@@ -244,11 +244,6 @@ impl TagSoA {
         self.x0.is_empty()
     }
 
-    /// Tags read so far.
-    pub fn read_count(&self) -> usize {
-        self.read.iter().filter(|&&r| r).count()
-    }
-
     /// A population scattered uniformly over the config's world with
     /// random headings at the config's speed and initial energy drawn
     /// from `[0.5, 1.0)` — all streams from `rng`.
@@ -296,18 +291,6 @@ pub struct CityStats {
     /// Inventory duration: the slowest reader's clock (readers operate
     /// concurrently in deployment, so the field is the makespan).
     pub elapsed: Duration,
-}
-
-impl CityStats {
-    /// Tags read per second of *simulated* time (0 when no time passed).
-    pub fn tags_per_sim_sec(&self) -> f64 {
-        let s = self.elapsed.as_secs_f64();
-        if s > 0.0 {
-            self.tags_read as f64 / s
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Each reader's wall list: the walls (in wall order) whose nearest point
@@ -1030,6 +1013,44 @@ mod tests {
         assert_eq!(stepped.tags().read, whole.tags().read);
     }
 
+    /// The engine against a model outside its own code: one reader over a
+    /// wall-free world it fully covers, static tags, and the default
+    /// energy (every tag starts at 0.5–1.0 against a 0.1 response cost,
+    /// so none stalls). Round 1 is then one framed-Aloha frame of
+    /// `QAlgorithm::new().frame_size()` slots, and the mean read count
+    /// over seeds must match `n·(1 − 1/L)^(n−1)` within 4 standard
+    /// errors computed from the runs themselves.
+    #[test]
+    fn first_round_of_one_reader_matches_framed_aloha() {
+        const SEEDS: u64 = 400;
+        let frame = QAlgorithm::new().frame_size();
+        assert_eq!(frame, 16);
+        for n in [5usize, 20, 40] {
+            let mut cfg = CityConfig::dense(n, 1);
+            cfg.readers_x = 1;
+            cfg.readers_y = 1;
+            cfg.blockers = 0;
+            cfg.speed_mps = 0.0;
+            let reads: Vec<f64> = (0..SEEDS)
+                .map(|seed| {
+                    let mut eng = CityEngine::new(cfg, SeedTree::new(seed));
+                    let stats = eng.run_rounds(1);
+                    assert_eq!(stats.slots, frame as u64, "n={n} seed={seed}");
+                    stats.tags_read as f64
+                })
+                .collect();
+            let mean = reads.iter().sum::<f64>() / SEEDS as f64;
+            let var = reads.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / (SEEDS - 1) as f64;
+            let se = (var / SEEDS as f64).sqrt();
+            let want = n as f64 * FramedAloha::expected_read_fraction(n, frame);
+            let z = (mean - want) / se;
+            assert!(
+                z.abs() <= 4.0,
+                "n={n}: mean reads {mean:.3} vs n·(1 − 1/L)^(n−1) = {want:.3} (z = {z:.2})"
+            );
+        }
+    }
+
     #[test]
     fn static_full_coverage_city_drains_completely() {
         let mut cfg = small(400, 40);
@@ -1042,9 +1063,8 @@ mod tests {
             stats.tags_read as usize, cfg.tags,
             "full coverage + enough rounds must drain every tag"
         );
-        assert_eq!(eng.tags().read_count(), cfg.tags);
+        assert_eq!(eng.tags().read.iter().filter(|&&r| r).count(), cfg.tags);
         assert!(stats.elapsed > Duration::ZERO);
-        assert!(stats.tags_per_sim_sec() > 0.0);
     }
 
     #[test]
@@ -1097,6 +1117,6 @@ mod tests {
             assert!(tags.y0[i] >= 0.0 && tags.y0[i] < max.y);
             assert!((0.5..1.0).contains(&tags.energy[i]));
         }
-        assert_eq!(tags.read_count(), 0);
+        assert!(tags.read.iter().all(|&r| !r));
     }
 }

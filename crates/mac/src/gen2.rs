@@ -266,252 +266,6 @@ pub fn run_gen2_inventory<R: Rng + ?Sized>(
     stats
 }
 
-/// Struct-of-arrays tag population: the hot-loop representation of
-/// [`Gen2Tag`]. One `Vec` per field (EPC, FSM state, slot counter, RN16)
-/// instead of a `Vec` of structs, so the per-command sweep touches only
-/// the fields it needs — the state scan that dominates large populations
-/// walks a dense `TagState` array instead of striding over 24-byte
-/// structs.
-///
-/// Semantics are pinned to the AoS reference: the same command applied to
-/// tag `i` performs the same state transition and the same RNG draws as
-/// [`Gen2Tag::on_command`], in the same index order, so a whole inventory
-/// is bit-identical (the differential test drives both).
-#[derive(Clone, Debug, Default)]
-pub struct Gen2SoA {
-    epc: Vec<u64>,
-    state: Vec<TagState>,
-    slot: Vec<u32>,
-    rn16: Vec<u16>,
-}
-
-impl Gen2SoA {
-    /// An empty population.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A fresh population of `n` tags with EPCs `0..n`, all `Ready` —
-    /// the same population the ensembles build.
-    pub fn with_population(n: usize) -> Self {
-        let mut soa = Self::new();
-        for epc in 0..n as u64 {
-            soa.push(epc);
-        }
-        soa
-    }
-
-    /// Appends a `Ready` tag with the given EPC.
-    pub fn push(&mut self, epc: u64) {
-        self.epc.push(epc);
-        self.state.push(TagState::Ready);
-        self.slot.push(0);
-        self.rn16.push(0);
-    }
-
-    /// Number of tags.
-    pub fn len(&self) -> usize {
-        self.epc.len()
-    }
-
-    /// True when the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.epc.is_empty()
-    }
-
-    /// Tag `i`'s FSM state.
-    pub fn state(&self, i: usize) -> TagState {
-        self.state[i]
-    }
-
-    /// Tag `i`'s EPC.
-    pub fn epc(&self, i: usize) -> u64 {
-        self.epc[i]
-    }
-
-    /// True when every tag is `Acknowledged` (round complete).
-    pub fn all_acknowledged(&self) -> bool {
-        self.state.iter().all(|&s| s == TagState::Acknowledged)
-    }
-
-    /// Applies `cmd` to tag `i` — [`Gen2Tag::on_command`] transition for
-    /// transition, draw for draw, against the parallel arrays.
-    pub fn on_command<R: Rng + ?Sized>(
-        &mut self,
-        i: usize,
-        cmd: Command,
-        rng: &mut R,
-    ) -> Option<Reply> {
-        match (self.state[i], cmd) {
-            (TagState::Acknowledged, _) => None,
-            (_, Command::Query { q }) | (_, Command::QueryAdjust { q }) => {
-                self.slot[i] = rng.below(1u64 << u64::from(q.min(15))) as u32;
-                if self.slot[i] == 0 {
-                    self.state[i] = TagState::Reply;
-                    self.rn16[i] = rng.u16();
-                    Some(Reply::Rn16(self.rn16[i]))
-                } else {
-                    self.state[i] = TagState::Arbitrate;
-                    None
-                }
-            }
-            (TagState::Arbitrate, Command::QueryRep) => {
-                self.slot[i] -= 1;
-                if self.slot[i] == 0 {
-                    self.state[i] = TagState::Reply;
-                    self.rn16[i] = rng.u16();
-                    Some(Reply::Rn16(self.rn16[i]))
-                } else {
-                    None
-                }
-            }
-            (TagState::Reply, Command::Ack { rn16 }) => {
-                if rn16 == self.rn16[i] {
-                    self.state[i] = TagState::Acknowledged;
-                    Some(Reply::Epc(self.epc[i]))
-                } else {
-                    self.state[i] = TagState::Ready;
-                    None
-                }
-            }
-            (TagState::Reply, Command::QueryRep) => {
-                self.state[i] = TagState::Ready;
-                None
-            }
-            _ => None,
-        }
-    }
-}
-
-/// [`run_gen2_inventory`] over the struct-of-arrays population: the same
-/// reader policy, command sequence and per-tag RNG stream (tags visited
-/// in index order on every command), so the returned [`Gen2Stats`] are
-/// bit-identical to the AoS reference. Reply buffers are reused across
-/// commands, so steady state allocates only for the growing EPC list.
-pub fn run_gen2_inventory_soa<R: Rng + ?Sized>(
-    tags: &mut Gen2SoA,
-    timing: Gen2Timing,
-    max_commands: usize,
-    rng: &mut R,
-) -> Gen2Stats {
-    let mut stats = Gen2Stats::default();
-    let mut q_fp: f64 = 4.0;
-    let mut cur_q: u8 = 4;
-    let mut replies: Vec<Reply> = Vec::new();
-
-    let issue = |cmd: Command,
-                 tags: &mut Gen2SoA,
-                 stats: &mut Gen2Stats,
-                 replies: &mut Vec<Reply>,
-                 rng: &mut R| {
-        stats.commands += 1;
-        stats.elapsed = stats.elapsed + timing.command;
-        replies.clear();
-        for i in 0..tags.len() {
-            if let Some(r) = tags.on_command(i, cmd, rng) {
-                replies.push(r);
-            }
-        }
-    };
-
-    // Initial Query.
-    issue(
-        Command::Query { q: cur_q },
-        tags,
-        &mut stats,
-        &mut replies,
-        rng,
-    );
-    let mut slots_left: u32 = 1u32 << cur_q;
-
-    while stats.commands < max_commands {
-        // Classify this slot: count RN16s without materializing them.
-        let mut rn16_count = 0usize;
-        let mut lone_rn16 = 0u16;
-        for r in &replies {
-            if let Reply::Rn16(x) = r {
-                rn16_count += 1;
-                lone_rn16 = *x;
-            }
-        }
-        match rn16_count {
-            0 => {
-                stats.empties += 1;
-                stats.elapsed = stats.elapsed + timing.rn16; // listen window
-                q_fp = (q_fp - 0.35).max(0.0);
-            }
-            1 => {
-                stats.singles += 1;
-                stats.elapsed = stats.elapsed + timing.rn16;
-                // Handshake: ACK, collect the EPC.
-                issue(
-                    Command::Ack { rn16: lone_rn16 },
-                    tags,
-                    &mut stats,
-                    &mut replies,
-                    rng,
-                );
-                stats.elapsed = stats.elapsed + timing.epc;
-                for r in &replies {
-                    if let Reply::Epc(epc) = r {
-                        stats.epcs.push(*epc);
-                    }
-                }
-            }
-            _ => {
-                stats.collisions += 1;
-                stats.elapsed = stats.elapsed + timing.rn16;
-                q_fp = (q_fp + 0.35).min(15.0);
-            }
-        }
-
-        // Done?
-        if tags.all_acknowledged() {
-            break;
-        }
-
-        // Next slot — same QueryAdjust-on-Q-move policy as the reference.
-        slots_left = slots_left.saturating_sub(1);
-        let rounded = q_fp.round() as u8;
-        if rounded != cur_q || slots_left == 0 {
-            cur_q = rounded;
-            issue(
-                Command::QueryAdjust { q: cur_q },
-                tags,
-                &mut stats,
-                &mut replies,
-                rng,
-            );
-            slots_left = 1u32 << cur_q;
-        } else {
-            issue(Command::QueryRep, tags, &mut stats, &mut replies, rng);
-        }
-    }
-    stats
-}
-
-/// An ensemble of `reps` independent Gen2 inventories over a fresh
-/// `n_tags`-tag population (EPCs `0..n_tags`), run over the
-/// [`mmtag_sim::par`] engine at a `threads` budget. Repetition `i` draws
-/// all its slot counters and RN16s from `tree.rng_indexed("gen2-rep", i)`,
-/// so the ensemble is bit-identical at any thread count.
-pub fn gen2_ensemble_par_with(
-    threads: usize,
-    n_tags: usize,
-    timing: Gen2Timing,
-    max_commands: usize,
-    reps: usize,
-    tree: &mmtag_sim::SeedTree,
-) -> Vec<Gen2Stats> {
-    // SoA hot path; bit-identical to the AoS reference (the differential
-    // test pins `run_gen2_inventory_soa` against `run_gen2_inventory`).
-    mmtag_sim::par::par_indexed_with(threads, reps, |i| {
-        let mut rng = tree.rng_indexed("gen2-rep", i as u64);
-        let mut tags = Gen2SoA::with_population(n_tags);
-        run_gen2_inventory_soa(&mut tags, timing, max_commands, &mut rng)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,14 +296,26 @@ mod tests {
 
     #[test]
     fn ensemble_is_thread_invariant() {
+        // E24's shape: one population per work unit, each drawing from its
+        // own `SeedTree` subtree.
         let tree = mmtag_sim::SeedTree::new(0x6E2);
-        let timing = Gen2Timing::fast_mmwave();
-        let serial = gen2_ensemble_par_with(1, 30, timing, 5000, 8, &tree);
-        assert_eq!(serial.len(), 8);
-        assert!(serial.iter().all(|s| s.epcs.len() == 30));
+        let pops = [30usize, 1, 12, 30, 7, 30, 20, 30];
+        let sweep = |threads| {
+            mmtag_sim::par::par_sweep_with(threads, &tree, "gen2-pop", &pops, |sub, &n| {
+                let mut rng = sub.rng("inventory");
+                run_gen2_inventory(
+                    &mut population(n),
+                    Gen2Timing::fast_mmwave(),
+                    5000,
+                    &mut rng,
+                )
+            })
+        };
+        let serial = sweep(1);
+        assert_eq!(serial.len(), pops.len());
+        assert!(serial.iter().zip(&pops).all(|(s, &n)| s.epcs.len() == n));
         for threads in [2, 4, 8] {
-            let par = gen2_ensemble_par_with(threads, 30, timing, 5000, 8, &tree);
-            assert_eq!(serial, par, "threads={threads}");
+            assert_eq!(serial, sweep(threads), "threads={threads}");
         }
     }
 
@@ -649,42 +415,6 @@ mod tests {
         let t = stats.elapsed.as_secs_f64();
         let floor = stats.epcs.len() as f64 * Gen2Timing::fast_mmwave().epc.as_secs_f64();
         assert!(t > floor, "elapsed must exceed the pure-EPC floor");
-    }
-
-    #[test]
-    fn soa_inventory_is_bit_identical_to_aos() {
-        // Same seed, same population ⇒ the SoA engine must reproduce the
-        // AoS reference stat for stat (EPC order, command count, elapsed
-        // time), across populations that exercise empties, collisions and
-        // Q re-adjustment.
-        for n in [0usize, 1, 7, 40, 150] {
-            let mut a = Xoshiro256pp::seed_from(0x50A + n as u64);
-            let mut b = Xoshiro256pp::seed_from(0x50A + n as u64);
-            let mut aos: Vec<Gen2Tag> = (0..n as u64).map(Gen2Tag::new).collect();
-            let mut soa = Gen2SoA::with_population(n);
-            let want = run_gen2_inventory(&mut aos, Gen2Timing::fast_mmwave(), 200_000, &mut a);
-            let got = run_gen2_inventory_soa(&mut soa, Gen2Timing::fast_mmwave(), 200_000, &mut b);
-            assert_eq!(want, got, "population {n}");
-            // Post-inventory FSM states agree tag for tag, and the RNG
-            // streams are at the same position.
-            for (i, t) in aos.iter().enumerate() {
-                assert_eq!(t.state(), soa.state(i), "tag {i} of {n}");
-            }
-            assert_eq!(a.next_u64(), b.next_u64(), "population {n}");
-        }
-    }
-
-    #[test]
-    fn soa_population_mirrors_tag_constructor() {
-        let soa = Gen2SoA::with_population(3);
-        assert_eq!(soa.len(), 3);
-        assert!(!soa.is_empty());
-        assert!(Gen2SoA::new().is_empty());
-        for i in 0..3 {
-            assert_eq!(soa.epc(i), i as u64);
-            assert_eq!(soa.state(i), TagState::Ready);
-        }
-        assert!(!soa.all_acknowledged());
     }
 
     #[test]

@@ -66,30 +66,21 @@ impl ScanSchedule {
             .expect("positions() >= 1")
     }
 
-    /// Time for one full sweep.
+    /// Time for one full sweep. A test reference: the scenarios read
+    /// acquisition latency from [`crate::acquisition`]; its tests and this
+    /// module's check it against this closed form.
     pub fn sweep_time(&self) -> Duration {
         self.dwell.times(self.positions() as u64)
     }
 
     /// Cost of a *two-sided* search (both endpoints have to scan, the
     /// conventional mmWave situation the paper contrasts against): the
-    /// product of both nodes' positions, times the dwell.
+    /// product of both nodes' positions, times the dwell. A test reference,
+    /// like [`ScanSchedule::sweep_time`].
     pub fn two_sided_sweep_time(&self, other: &ScanSchedule) -> Duration {
         self.dwell
             .times((self.positions() * other.positions()) as u64)
     }
-}
-
-/// Positions visited by a coarse-to-fine hierarchical search that halves
-/// the beamwidth each stage from `sector` down to `final_beamwidth`
-/// (two probes per stage, binary descent) — the exhaustive scan's rival.
-pub fn hierarchical_probe_count(sector: Angle, final_beamwidth: Angle) -> usize {
-    assert!(
-        final_beamwidth.radians() > 0.0,
-        "beamwidth must be positive"
-    );
-    let levels = (sector.radians() / final_beamwidth.radians()).log2().ceil();
-    (2.0 * levels.max(1.0)) as usize
 }
 
 #[cfg(test)]
@@ -155,20 +146,6 @@ mod tests {
             Duration::from_millis(1),
         );
         assert!(narrow.positions() > wide.positions());
-    }
-
-    #[test]
-    fn hierarchical_search_is_logarithmic() {
-        let probes = hierarchical_probe_count(Angle::from_degrees(120.0), Angle::from_degrees(7.5));
-        // log2(120/7.5) = 4 levels × 2 probes = 8 ≪ 16 exhaustive positions.
-        assert_eq!(probes, 8);
-        let exhaustive = ScanSchedule::new(
-            Angle::from_degrees(120.0),
-            Angle::from_degrees(7.5),
-            Duration::from_millis(1),
-        )
-        .positions();
-        assert!(probes < exhaustive);
     }
 
     #[test]

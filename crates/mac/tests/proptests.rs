@@ -6,8 +6,8 @@
 //! builds offline); each assertion prints the inputs that produced it.
 
 use mmtag_mac::aloha::{
-    inventory_until_drained, slotted_aloha_throughput, AlohaScratch, FramedAloha, QAlgorithm,
-    RoundCounts,
+    inventory_until_drained, inventory_until_drained_scratch, slotted_aloha_throughput,
+    AlohaScratch, FramedAloha, QAlgorithm, RoundCounts,
 };
 use mmtag_mac::scan::ScanSchedule;
 use mmtag_mac::sdm::SectorScheduler;
@@ -180,31 +180,25 @@ fn sdm_reads_everything() {
     }
 }
 
-/// Parallel inventory ensembles are bit-identical across thread counts for
-/// random populations and ensemble sizes.
+/// Inventory ensembles on the pool — repetition `i` drains from its own
+/// stream, each worker reusing one scratch across the repetitions it
+/// claims — are bit-identical across thread counts for random populations
+/// and ensemble sizes.
 #[test]
 fn ensembles_are_thread_invariant() {
     for mut rng in cases("ensemble").take(10) {
         let tree = SeedTree::new(rng.next_u64());
         let n = 1 + rng.index(120);
         let reps = 1 + rng.index(10);
-        let serial = mmtag_mac::aloha::inventory_ensemble_par_with(
-            1,
-            n,
-            QAlgorithm::new(),
-            100_000,
-            reps,
-            &tree,
-        );
+        let ensemble = |threads| {
+            mmtag_sim::par::par_indexed_scratch_with(threads, reps, AlohaScratch::new, |s, i| {
+                let mut rng = tree.rng_indexed("aloha-rep", i as u64);
+                inventory_until_drained_scratch(n, QAlgorithm::new(), 100_000, &mut rng, s)
+            })
+        };
+        let serial = ensemble(1);
         let threads = 2 + rng.index(7);
-        let par = mmtag_mac::aloha::inventory_ensemble_par_with(
-            threads,
-            n,
-            QAlgorithm::new(),
-            100_000,
-            reps,
-            &tree,
-        );
+        let par = ensemble(threads);
         assert_eq!(serial, par, "n={n} reps={reps} threads={threads}");
         assert!(serial.iter().all(|s| s.tags_read == n));
     }

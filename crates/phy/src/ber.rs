@@ -98,6 +98,24 @@ mod tests {
     }
 
     #[test]
+    fn inversion_matches_the_q_inverse_closed_form() {
+        // Q(√(2x)) = p ⇒ x = Q⁻¹(p)²/2 for BPSK, and Q(√x) = p ⇒
+        // x = Q⁻¹(p)² for coherent OOK: the numeric inversion of each
+        // curve must land on the closed form at every target.
+        use mmtag_rf::special::q_inverse;
+        for p in [0.1, 1e-2, 1e-3, 1e-5, 1e-7] {
+            let q = q_inverse(p);
+            let bpsk = required_eb_n0_db(bpsk_ber, p).db();
+            let ook = required_eb_n0_db(ook_coherent_ber, p).db();
+            assert!(
+                (bpsk - 10.0 * (q * q / 2.0).log10()).abs() < 1e-6,
+                "p={p}: {bpsk}"
+            );
+            assert!((ook - 10.0 * (q * q).log10()).abs() < 1e-6, "p={p}: {ook}");
+        }
+    }
+
+    #[test]
     fn bpsk_anchor_1e5_at_9_6db() {
         let snr = required_eb_n0_db(bpsk_ber, 1e-5);
         assert!((snr.db() - 9.59).abs() < 0.05, "got {snr}");

@@ -51,39 +51,6 @@ impl TagConstellation {
         }
     }
 
-    /// Square M-QAM states on the `{±1, ±3, …}` lattice, peak-normalized
-    /// (norm-∞: divided by the largest state magnitude, as in the RIScatter
-    /// configs) then scaled by α. `m` must be an even power of two ≥ 4
-    /// (4, 16, 64, …) so the lattice is square.
-    ///
-    /// # Panics
-    /// Panics if `m` is not an even power of two ≥ 4, or if
-    /// `scatter_ratio` is outside `(0, 1]`.
-    pub fn qam(m: usize, scatter_ratio: f64) -> Self {
-        let side = (m as f64).sqrt().round() as usize;
-        assert!(
-            m >= 4 && side * side == m && side.is_power_of_two(),
-            "square QAM needs m ∈ {{4, 16, 64, …}}"
-        );
-        Self::check_ratio(scatter_ratio);
-        let mut points = Vec::with_capacity(m);
-        for i in 0..side {
-            for q in 0..side {
-                let re = (2 * i) as f64 - (side - 1) as f64;
-                let im = (2 * q) as f64 - (side - 1) as f64;
-                points.push(Complex::new(re, im));
-            }
-        }
-        let peak = points.iter().map(|p| p.abs()).fold(0.0, f64::max);
-        for p in &mut points {
-            *p = p.scale(scatter_ratio / peak);
-        }
-        TagConstellation {
-            points,
-            scatter_ratio,
-        }
-    }
-
     fn check_ratio(scatter_ratio: f64) {
         assert!(
             scatter_ratio.is_finite() && scatter_ratio > 0.0 && scatter_ratio <= 1.0,
@@ -127,38 +94,9 @@ mod tests {
     }
 
     #[test]
-    fn qam_is_peak_normalized() {
-        for m in [4, 16, 64] {
-            let c = TagConstellation::qam(m, 1.0);
-            assert_eq!(c.order(), m);
-            let peak = c.points().iter().map(|p| p.abs()).fold(0.0, f64::max);
-            assert!((peak - 1.0).abs() < 1e-12, "peak {peak} for m={m}");
-            // Corner states touch the unit circle; inner ones stay inside.
-            assert!(c.points().iter().all(|p| p.abs() <= 1.0 + 1e-12));
-        }
-    }
-
-    #[test]
-    fn qam4_matches_qpsk_up_to_rotation() {
-        // 4-QAM peak-normalized is {(±1 ± j)/√2} — the same points as
-        // π/4-rotated QPSK.
-        let qam = TagConstellation::qam(4, 1.0);
-        let r = 1.0 / 2.0_f64.sqrt();
-        for p in qam.points() {
-            assert!((p.re.abs() - r).abs() < 1e-12 && (p.im.abs() - r).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "at least 2 states")]
     fn psk_needs_two_states() {
         let _ = TagConstellation::psk(1, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "square QAM")]
-    fn qam_rejects_non_square_orders() {
-        let _ = TagConstellation::qam(8, 0.5);
     }
 
     #[test]

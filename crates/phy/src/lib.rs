@@ -20,11 +20,7 @@
 //! * [`pulse`] — raised-cosine pulse shaping (slew-limited switching):
 //!   tighter spectra, so the same channel carries up to 1.5× the rate,
 //! * [`cancellation`] — waveform-level self-interference cancellation
-//!   (train + track the leaked carrier, §9's reader-side open problem),
-//! * [`sync`] — preamble correlation and frame alignment,
-//! * [`coding`] — Manchester line coding and LFSR whitening (OOK needs
-//!   transition density; a long run of '1' bits is silence),
-//! * [`frame`] — framing with CRC-16/CCITT and CRC-32 integrity.
+//!   (train + track the leaked carrier, §9's reader-side open problem).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,14 +28,11 @@
 pub mod ber;
 pub mod bpsk;
 pub mod cancellation;
-pub mod coding;
 pub mod constellation;
-pub mod frame;
 pub mod modulation;
 pub mod pulse;
 pub mod rate;
 pub mod spectrum;
-pub mod sync;
 pub mod waveform;
 
 pub use modulation::Modulation;

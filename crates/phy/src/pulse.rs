@@ -108,7 +108,8 @@ impl PulseShaper {
     }
 
     /// Samples the shaped waveform back at symbol centers (compensating the
-    /// filter delay) — for verifying the ISI-free property.
+    /// filter delay). A test reference: this module's and the property
+    /// tests verify [`PulseShaper::shape`]'s ISI-free property through it.
     pub fn symbol_samples(&self, shaped: &[Complex], n_symbols: usize) -> Vec<f64> {
         (0..n_symbols)
             .map(|s| {

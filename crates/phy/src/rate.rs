@@ -109,20 +109,19 @@ impl RateAdaptation {
             .map(|r| r.rate)
             .unwrap_or(DataRate::ZERO)
     }
-
-    /// Shannon capacity at the same received power over the widest rung —
-    /// the information-theoretic ceiling, for perspective rows in the
-    /// comparison tables.
-    pub fn shannon_capacity(&self, received: Dbm) -> DataRate {
-        let widest = self.ladder[0].bandwidth;
-        let snr = self.noise.snr(received, widest).linear();
-        DataRate::from_bps(widest.hz() * (1.0 + snr).log2())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Shannon capacity at `received` over the widest rung: the
+    /// information-theoretic ceiling on every rung's rate.
+    fn shannon_capacity(ra: &RateAdaptation, received: Dbm) -> DataRate {
+        let widest = ra.ladder[0].bandwidth;
+        let snr = ra.noise.snr(received, widest).linear();
+        DataRate::from_bps(widest.hz() * (1.0 + snr).log2())
+    }
 
     #[test]
     fn paper_ladder_thresholds() {
@@ -185,7 +184,7 @@ mod tests {
         let ra = RateAdaptation::paper_ladder();
         for p in [-60.0, -70.0, -80.0] {
             let ook = ra.achievable_rate(Dbm::new(p));
-            let cap = ra.shannon_capacity(Dbm::new(p));
+            let cap = shannon_capacity(&ra, Dbm::new(p));
             assert!(cap.bps() > ook.bps(), "at {p} dBm: cap {cap} vs {ook}");
         }
     }

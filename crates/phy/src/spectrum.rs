@@ -94,7 +94,9 @@ impl Spectrum {
 
     /// The two-sided occupied bandwidth holding `fraction` of the total
     /// power, in symbol-rate units: grows a symmetric window outward from
-    /// the center until the fraction is captured.
+    /// the center until the fraction is captured. A test reference: E20
+    /// and E13 read [`Spectrum::power_within`]; this module's and the pulse
+    /// tests check the Welch PSD's shape through it.
     ///
     /// # Panics
     /// Panics unless `fraction` is in (0, 1).

@@ -11,10 +11,10 @@
 //!   filter plus threshold (the reader side),
 //! * [`measure_ber`] — the Monte-Carlo harness on one sequential stream
 //!   ([`measure_ber_raws`] states how far one call advances it), and
-//!   [`measure_ber_par_with`] / [`ber_sweep_par_with`] — the same harness
-//!   chunked over the [`mmtag_rf::par`] engine at an explicit thread
-//!   budget (one RNG stream per bit-chunk, so parallel estimates are
-//!   bit-identical at any thread count) behind experiment E5.
+//!   [`ber_sweep_par_with`] — the same harness chunked over the
+//!   [`mmtag_rf::par`] engine at an explicit thread budget (one RNG stream
+//!   per (point, bit-chunk), so parallel estimates are bit-identical at
+//!   any thread count) behind experiment E5 and serve's sweeps.
 //!
 //! Bit convention: §6 of the paper maps data bit **0** to the reflective
 //! state ("the switches are off and the amplitude of the reflected power is
@@ -146,8 +146,7 @@ impl OokModem {
     }
 
     /// Zero-mean soft bit statistics oriented so that *positive = logical
-    /// `true` bit*, regardless of which bit the mark state carries. This is
-    /// what preamble correlation (`mmtag_phy::sync`) should be fed: with the
+    /// `true` bit*, regardless of which bit the mark state carries: with the
     /// paper's §6 mapping (bit 0 = mark = high amplitude) the raw matched-
     /// filter output has inverted polarity relative to the logical bits.
     pub fn soft_bits(&self, samples: &[Complex]) -> Vec<f64> {
@@ -200,7 +199,8 @@ impl Awgn {
     }
 
     /// Adds noise to samples in place, one scalar [`Rng::normal`] per
-    /// component (cosine branch only — **sampler v1**). The BPSK counter
+    /// component (cosine branch only — **sampler v1**). A test reference:
+    /// no production path calls it. The BPSK counter
     /// ([`crate::bpsk::measure_bpsk_ber`], E16) and E26's receive chain
     /// ([`crate::cancellation::ReceiveChain::bit_errors`]) read this
     /// stream: both reproduce this noise bit for bit while computing only
@@ -567,36 +567,6 @@ pub fn measure_ber<R: Rng + ?Sized>(
 /// `measure_ber` calls on one stream can run concurrently.
 pub fn measure_ber_raws(modem: &OokModem, n_bits: usize) -> u64 {
     (n_bits + 2 * n_bits * modem.samples_per_symbol) as u64
-}
-
-/// Parallel Monte-Carlo BER at a `threads` budget: `n_bits` split into
-/// [`MC_CHUNK_BITS`]-sized chunks over the [`mmtag_rf::par`] engine, chunk
-/// `i` drawing its bits and noise from `tree.rng_indexed("ber-chunk", i)`.
-/// The estimate is bit-identical at any thread count.
-pub fn measure_ber_par_with(
-    threads: usize,
-    modem: &OokModem,
-    eb_n0_db: f64,
-    n_bits: usize,
-    coherent: bool,
-    tree: &SeedTree,
-) -> f64 {
-    assert!(n_bits > 0, "need at least one bit");
-    let _span = obs::span("phy.ber.point");
-    let awgn = Awgn::for_eb_n0(modem, eb_n0_db);
-    let errors: u64 = par::par_chunks_scratch_with(
-        threads,
-        n_bits,
-        MC_CHUNK_BITS,
-        TrialScratch::new,
-        |scratch, ci, range| {
-            let mut rng = tree.rng_indexed("ber-chunk", ci as u64);
-            count_bit_errors_scratch(modem, &awgn, range.len(), coherent, &mut rng, scratch) as u64
-        },
-    )
-    .into_iter()
-    .sum();
-    errors as f64 / n_bits as f64
 }
 
 /// A full BER-vs-SNR sweep at a `threads` budget, parallelized over

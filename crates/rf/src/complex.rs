@@ -26,8 +26,6 @@ impl Complex {
     pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
     /// The multiplicative identity.
     pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
-    /// The imaginary unit `j`.
-    pub const J: Complex = Complex { re: 0.0, im: 1.0 };
 
     /// Creates a complex number from rectangular components.
     #[inline]
@@ -242,12 +240,14 @@ mod tests {
     use std::f64::consts::PI;
 
     const EPS: f64 = 1e-12;
+    /// The imaginary unit `j`.
+    const J: Complex = Complex { re: 0.0, im: 1.0 };
 
     #[test]
     fn construction_and_identities() {
         assert_eq!(Complex::ZERO + Complex::ONE, Complex::ONE);
-        assert_eq!(Complex::ONE * Complex::J, Complex::J);
-        assert_eq!(Complex::J * Complex::J, -Complex::ONE);
+        assert_eq!(Complex::ONE * J, J);
+        assert_eq!(J * J, -Complex::ONE);
     }
 
     #[test]
@@ -302,7 +302,7 @@ mod tests {
 
     #[test]
     fn exp_of_j_pi_is_minus_one() {
-        let z = (Complex::J * PI).exp();
+        let z = (J * PI).exp();
         assert!((z + Complex::ONE).abs() < 1e-12);
     }
 

@@ -16,12 +16,6 @@ pub const BOLTZMANN: f64 = 1.380_649e-23;
 /// the paper.
 pub const ROOM_TEMPERATURE_K: f64 = 300.0;
 
-/// Thermal noise power spectral density `kT` at [`ROOM_TEMPERATURE_K`],
-/// expressed in dBm/Hz. `10·log10(kT / 1 mW)` ≈ −173.83 dBm/Hz at 300 K.
-pub fn thermal_noise_dbm_per_hz() -> f64 {
-    10.0 * (BOLTZMANN * ROOM_TEMPERATURE_K / 1e-3).log10()
-}
-
 /// Characteristic impedance assumed for all one-port S-parameter work, ohms.
 pub const Z0_OHMS: f64 = 50.0;
 
@@ -31,7 +25,8 @@ mod tests {
 
     #[test]
     fn thermal_noise_near_minus_174() {
-        let n = thermal_noise_dbm_per_hz();
+        // kT at the room temperature, in dBm/Hz.
+        let n = 10.0 * (BOLTZMANN * ROOM_TEMPERATURE_K / 1e-3).log10();
         // −173.98 dBm/Hz at 290 K; at 300 K it is −173.83.
         assert!((n - (-173.83)).abs() < 0.01, "got {n}");
     }

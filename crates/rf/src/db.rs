@@ -20,19 +20,6 @@ pub fn db_to_lin(x: f64) -> f64 {
     10f64.powf(x / 10.0)
 }
 
-/// Converts a linear *amplitude* (voltage/field) ratio to decibels:
-/// `20·log10(x)`.
-#[inline]
-pub fn amplitude_to_db(x: f64) -> f64 {
-    20.0 * x.log10()
-}
-
-/// Converts decibels to a linear *amplitude* ratio: `10^(x/20)`.
-#[inline]
-pub fn db_to_amplitude(x: f64) -> f64 {
-    10f64.powf(x / 20.0)
-}
-
 /// Converts power in milliwatts to dBm.
 #[inline]
 pub fn mw_to_dbm(mw: f64) -> f64 {
@@ -58,12 +45,6 @@ mod tests {
     }
 
     #[test]
-    fn amplitude_anchors() {
-        assert!((amplitude_to_db(10.0) - 20.0).abs() < 1e-12);
-        assert!((amplitude_to_db(2.0) - 6.0206).abs() < 1e-4);
-    }
-
-    #[test]
     fn paper_tx_power_20mw_is_13dbm() {
         // §7: "The reader's peak transmission power is set to 20 milliwatt".
         assert!((mw_to_dbm(20.0) - 13.0103).abs() < 1e-4);
@@ -79,7 +60,6 @@ mod tests {
     fn roundtrips() {
         for x in [1e-9, 1e-3, 1.0, 42.0, 1e6] {
             assert!((db_to_lin(lin_to_db(x)) - x).abs() / x < 1e-12);
-            assert!((db_to_amplitude(amplitude_to_db(x)) - x).abs() / x < 1e-12);
         }
     }
 }

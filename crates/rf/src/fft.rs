@@ -149,7 +149,8 @@ impl FftPlan {
     }
 
     /// The butterfly radix this plan runs: 4 for power-of-4 sizes, 2
-    /// otherwise.
+    /// otherwise. A test reference: this module's and the allocation
+    /// guard's tests check which kernel [`FftPlan::new`] picks.
     pub fn radix(&self) -> u32 {
         match self.kernel {
             FftKernel::Radix2 => 2,
@@ -261,7 +262,9 @@ impl FftPlan {
     }
 
     /// In-place inverse FFT through the cached tables (normalized by
-    /// `1/N`).
+    /// `1/N`). A test reference: no scenario inverts a spectrum; this
+    /// module's and the allocation guard's tests check [`FftPlan::fft`]
+    /// by round trip through it.
     ///
     /// # Panics
     /// Panics if `buf.len()` differs from the plan size.

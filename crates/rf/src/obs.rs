@@ -384,11 +384,6 @@ impl HistogramStat {
         self.quantile(0.50)
     }
 
-    /// 95th-percentile bucket bound — `quantile(0.95)`.
-    pub fn p95(&self) -> u64 {
-        self.quantile(0.95)
-    }
-
     /// 99th-percentile bucket bound — `quantile(0.99)`.
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
@@ -998,7 +993,6 @@ mod tests {
         assert_eq!(h.buckets.len(), 1);
         assert_eq!(h.buckets[0].lo, 512);
         assert_eq!(h.p50(), 512);
-        assert_eq!(h.p95(), 512);
         assert_eq!(h.p99(), 512);
     }
 
@@ -1020,7 +1014,6 @@ mod tests {
         samples.push(4096);
         let h = hist_of(&samples);
         assert_eq!(h.p50(), 1);
-        assert_eq!(h.p95(), 1);
         assert_eq!(h.p99(), 1);
         assert_eq!(h.quantile(1.0), 4096);
     }

@@ -44,7 +44,6 @@
 //! binaries — and pass the result down, so a body run under a 1-thread
 //! runner is serial all the way down.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 
@@ -269,58 +268,6 @@ unsafe impl<U: Send> Send for SendPtr<U> {}
 #[allow(unsafe_code)]
 unsafe impl<U: Send> Sync for SendPtr<U> {}
 
-/// The scratch-carrying variant of [`par_chunks_with`] (*map chunks with
-/// scratch*): fixed-size chunk decomposition, with each worker reusing one
-/// lazily-initialized workspace across all the chunks it claims. This is
-/// the shape of every zero-allocation Monte-Carlo hot path: chunk `i`
-/// seeds its own RNG stream from `i`, borrows the worker's scratch, and
-/// fully overwrites whatever it reads.
-///
-/// # Panics
-/// Panics when `chunk_size == 0`.
-pub fn par_chunks_scratch_with<S, U, I, F>(
-    threads: usize,
-    total: usize,
-    chunk_size: usize,
-    init: I,
-    f: F,
-) -> Vec<U>
-where
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, Range<usize>) -> U + Sync,
-{
-    assert!(chunk_size > 0, "chunk size must be ≥ 1");
-    let n_chunks = total.div_ceil(chunk_size);
-    par_indexed_scratch_with(threads, n_chunks, init, |scratch, i| {
-        let start = i * chunk_size;
-        let end = (start + chunk_size).min(total);
-        f(scratch, i, start..end)
-    })
-}
-
-/// Splits `0..total` into fixed-size chunks (the last may be short) and
-/// evaluates `f(chunk_index, chunk_range)` in parallel; results come back
-/// in chunk order. The decomposition depends only on `(total,
-/// chunk_size)`, so chunked Monte-Carlo seeded by chunk index is
-/// reproducible at any thread count.
-///
-/// # Panics
-/// Panics when `chunk_size == 0`.
-pub fn par_chunks_with<U, F>(threads: usize, total: usize, chunk_size: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize, Range<usize>) -> U + Sync,
-{
-    assert!(chunk_size > 0, "chunk size must be ≥ 1");
-    let n_chunks = total.div_ceil(chunk_size);
-    par_indexed_with(threads, n_chunks, |i| {
-        let start = i * chunk_size;
-        let end = (start + chunk_size).min(total);
-        f(i, start..end)
-    })
-}
-
 /// Fills `out` in place over fixed-size chunks (the last may be short):
 /// `f(start, chunk)` receives the disjoint sub-slice
 /// `out[start..start + chunk.len()]` and writes it. Chunks run in
@@ -384,12 +331,22 @@ mod tests {
 
     #[test]
     fn chunk_decomposition_is_exact() {
-        let ranges = par_chunks_with(4, 10, 3, |i, r| (i, r));
-        assert_eq!(ranges, vec![(0, 0..3), (1, 3..6), (2, 6..9), (3, 9..10)]);
+        // Each slot records its chunk's (start, len): chunk k covers
+        // `k·size .. min((k+1)·size, total)`, only the last one short.
+        let decompose = |total: usize, size: usize| {
+            let mut out = vec![(0, 0); total];
+            par_fill_chunks_with(4, &mut out, size, |start, c| {
+                let len = c.len();
+                c.fill((start, len));
+            });
+            out.dedup();
+            out
+        };
+        assert_eq!(decompose(10, 3), vec![(0, 3), (3, 3), (6, 3), (9, 1)]);
         // total divisible by chunk: no runt chunk.
-        assert_eq!(par_chunks_with(2, 6, 3, |_, r| r.len()), vec![3, 3]);
+        assert_eq!(decompose(6, 3), vec![(0, 3), (3, 3)]);
         // empty input: no chunks at all.
-        assert!(par_chunks_with(2, 0, 3, |_, _| 0).is_empty());
+        assert!(decompose(0, 3).is_empty());
     }
 
     #[test]
@@ -483,14 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_scratch_decomposition_matches_plain_chunks() {
-        let plain = par_chunks_with(4, 10, 3, |i, r| (i, r));
-        let scratched = par_chunks_scratch_with(4, 10, 3, || (), |(), i, r| (i, r));
-        assert_eq!(plain, scratched);
-        assert!(par_chunks_scratch_with(2, 0, 3, || (), |(), _, _| 0).is_empty());
-    }
-
-    #[test]
     fn scratch_worker_panics_propagate() {
         let result = std::panic::catch_unwind(|| {
             par_indexed_scratch_with(
@@ -531,7 +480,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk size")]
     fn zero_chunk_is_a_bug() {
-        let _ = par_chunks_with(2, 10, 0, |_, _| 0);
+        par_fill_chunks_with(2, &mut [0u8; 10], 0, |_, _| {});
     }
 
     #[test]

@@ -31,11 +31,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Error function `erf(x) = 1 − erfc(x)`.
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
-}
-
 /// Gaussian Q-function: the probability that a standard normal exceeds `x`.
 ///
 /// `Q(x) = 0.5·erfc(x/√2)`.
@@ -47,6 +42,10 @@ pub fn q_function(x: f64) -> f64 {
 ///
 /// Accurate to ~1e-10 in the argument, far tighter than any link-budget use.
 /// Returns `+inf` for `p <= 0` and `-inf` for `p >= 1`.
+///
+/// A test reference: no scenario calls it; this module's and the property
+/// tests check it, and `phy::ber`'s tests check the BER-curve inversion
+/// `required_eb_n0_db` against the closed form it gives.
 pub fn q_inverse(p: f64) -> f64 {
     if p <= 0.0 {
         return f64::INFINITY;
@@ -92,8 +91,9 @@ mod tests {
 
     #[test]
     fn erf_is_odd() {
+        // erf = 1 − erfc is odd, so erfc(x) + erfc(−x) = 2.
         for x in [0.1, 0.5, 1.0, 2.0, 3.0] {
-            assert!((erf(x) + erf(-x)).abs() < 1e-7);
+            assert!((erfc(x) + erfc(-x) - 2.0).abs() < 1e-7);
         }
     }
 

@@ -102,11 +102,6 @@ impl<E> CalendarQueue<E> {
         self.live.len()
     }
 
-    /// True when no events remain.
-    pub fn is_idle(&self) -> bool {
-        self.pending() == 0
-    }
-
     fn bucket_of(&self, at: Instant) -> usize {
         ((at.as_nanos() / self.width_ns) % self.buckets.len() as u64) as usize
     }
@@ -239,21 +234,6 @@ impl<E> CalendarQueue<E> {
         self.now = entry.at;
         self.processed += 1;
         (entry.at, entry.event)
-    }
-
-    /// Runs until the queue drains or `limit` events have been processed,
-    /// passing each event to `handler` together with `&mut Self` so the
-    /// handler can schedule more. Returns the number processed.
-    ///
-    /// This is the convenience driver for simple simulations; complex ones
-    /// (which need to borrow external state) drive `pop` themselves.
-    pub fn run_with<F: FnMut(&mut Self, Instant, E)>(&mut self, limit: u64, mut handler: F) -> u64 {
-        let start = self.processed;
-        while self.processed - start < limit {
-            let Some((t, e)) = self.pop() else { break };
-            handler(self, t, e);
-        }
-        self.processed - start
     }
 }
 
@@ -414,33 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn run_with_drives_chained_events() {
-        // A self-rescheduling tick: event n schedules n+1 until 5.
-        let mut s = queue();
-        s.schedule_at(Instant::from_nanos(1), 0u32);
-        let mut seen = Vec::new();
-        s.run_with(100, |s, _, n| {
-            seen.push(n);
-            if n < 5 {
-                s.schedule_in(Duration::from_nanos(1), n + 1);
-            }
-        });
-        assert_eq!(seen, [0, 1, 2, 3, 4, 5]);
-        assert!(s.is_idle());
-    }
-
-    #[test]
-    fn run_with_respects_limit() {
-        let mut s = queue();
-        for i in 0..10u64 {
-            s.schedule_at(Instant::from_nanos(i), i);
-        }
-        let n = s.run_with(3, |_, _, _| {});
-        assert_eq!(n, 3);
-        assert_eq!(s.pending(), 7);
-    }
-
-    #[test]
     #[should_panic(expected = "into the past")]
     fn scheduling_into_the_past_is_a_bug() {
         let mut s = queue();
@@ -560,15 +513,15 @@ mod tests {
                 heap.schedule_at(now + Duration::from_nanos(d), n + 1);
             }
         }
-        cal.run_with(1_000, |s, _, n| {
-            seen_cal.push((s.now(), n));
+        while let Some((_, n)) = cal.pop() {
+            seen_cal.push((cal.now(), n));
             if let Some(d) = step(n) {
-                s.schedule_in(Duration::from_nanos(d), n + 1);
+                cal.schedule_in(Duration::from_nanos(d), n + 1);
             }
-        });
+        }
         assert_eq!(seen_heap.len(), 804);
         assert_eq!(seen_heap, seen_cal);
-        assert!(heap.pending() == 0 && cal.is_idle());
+        assert!(heap.pending() == 0 && cal.pending() == 0);
     }
 
     #[test]

@@ -75,7 +75,8 @@ impl Json {
         }
     }
 
-    /// The object members, if this is an object.
+    /// The object members, if this is an object. A test reference: the
+    /// bench-record and perfbench tests walk parsed records through it.
     pub fn as_obj(&self) -> Option<&[(String, Json)]> {
         match self {
             Json::Obj(members) => Some(members),

@@ -443,43 +443,38 @@ pub fn rate_region_grid_par_with(
         .collect()
 }
 
-/// Closed-form primary-rate anchor for the degenerate single-tag AWGN
-/// scene (one tag, every K-factor infinite): with no fading the beam state
-/// is the reflection state maximizing `Re(c)`, and the depth-0 primary
-/// rate is exactly `log2(1 + ρ·|1 + a·ĉ|²)` — the number
-/// `tests::single_tag_awgn_matches_closed_form` pins the Monte-Carlo
-/// estimate against.
-///
-/// # Panics
-/// Panics unless the scene has exactly one tag and all three K-factors
-/// are infinite.
-pub fn awgn_primary_rate_anchor(cfg: &RateRegionConfig) -> f64 {
-    assert_eq!(cfg.cascade.n_tags(), 1, "anchor is single-tag");
-    assert!(
-        cfg.cascade.direct_hop().k().is_infinite()
-            && cfg.cascade.forward_hop().k().is_infinite()
-            && cfg.cascade.backward_hop().k().is_infinite(),
-        "anchor needs K = ∞ on every path"
-    );
-    let a = cfg.cascade.relative_amplitude(0);
-    let beam = cfg
-        .constellation
-        .points()
-        .iter()
-        .copied()
-        .fold(None::<Complex>, |best, c| match best {
-            Some(b) if b.re >= c.re => Some(b),
-            _ => Some(c),
-        })
-        .expect("constellation is non-empty");
-    let h = Complex::new(1.0, 0.0) + beam.scale(a);
-    (1.0 + cfg.rho() * h.norm_sqr()).log2()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmtag_channel::cascade::HopModel;
+
+    /// Closed-form primary-rate anchor for the degenerate single-tag AWGN
+    /// scene (one tag, every K-factor infinite): with no fading the beam state
+    /// is the reflection state maximizing `Re(c)`, and the depth-0 primary
+    /// rate is exactly `log2(1 + ρ·|1 + a·ĉ|²)` — the number
+    /// `single_tag_awgn_matches_closed_form` pins the Monte-Carlo estimate
+    /// against.
+    ///
+    /// The caller builds all three hops with K = ∞.
+    ///
+    /// # Panics
+    /// Panics unless the scene has exactly one tag.
+    fn awgn_primary_rate_anchor(cfg: &RateRegionConfig) -> f64 {
+        assert_eq!(cfg.cascade.n_tags(), 1, "anchor is single-tag");
+        let a = cfg.cascade.relative_amplitude(0);
+        let beam = cfg
+            .constellation
+            .points()
+            .iter()
+            .copied()
+            .fold(None::<Complex>, |best, c| match best {
+                Some(b) if b.re >= c.re => Some(b),
+                _ => Some(c),
+            })
+            .expect("constellation is non-empty");
+        let h = Complex::new(1.0, 0.0) + beam.scale(a);
+        (1.0 + cfg.rho() * h.norm_sqr()).log2()
+    }
 
     fn small_cfg() -> RateRegionConfig {
         RateRegionConfig {

@@ -20,6 +20,11 @@ trap cleanup EXIT
 
 cargo fmt --all --check
 cargo build --release
+# The six examples are entry points like the CLI and the scenarios, but
+# `cargo test` only compiles them: run each one to its end.
+for example in examples/*.rs; do
+    cargo run -q --release -p mmtag --example "$(basename "$example" .rs)" > /dev/null
+done
 # The repository benchmark (BENCHMARK.json) builds perfbench/, a separate
 # workspace outside this one: build it here so a removed or renamed public
 # item it calls fails the gate instead of only the benchmark run.
@@ -157,4 +162,4 @@ rf_t1=$(date +%s)
 echo "rf crate release build (clean): $((rf_t1 - rf_t0))s"
 rm -rf target/rf-build-timing
 
-echo "check.sh: fmt + build + tests + masked-libm tests + clippy + scenario list + rate-region smoke + cache round-trip + serve smoke all green"
+echo "check.sh: fmt + build + examples + tests + masked-libm tests + clippy + scenario list + rate-region smoke + cache round-trip + serve smoke all green"

@@ -3,26 +3,32 @@
 //! The engine's contract (DESIGN.md, README): parallel output is
 //! **bit-identical** to serial output at *any* thread count, because work
 //! is split into fixed-size indexed units whose RNG streams derive only
-//! from `(root seed, label, unit index)`. These tests pin that contract —
-//! and the `SeedTree` derivation itself — so a refactor that silently
-//! changes either shows up as a red test, not as unreproducible figures.
+//! from `(root seed, label, unit index)`. These tests pin that contract on
+//! E5's BER sweep (one point and several), the MAC inventories (E24's
+//! Gen2 sweep, Aloha drains on per-worker scratch), the `par_indexed_with`
+//! primitive and the runner's persistent pool — and the `SeedTree`
+//! derivation itself — so a refactor that silently changes either shows
+//! up as a red test, not as unreproducible figures. The per-layer engines
+//! the scenarios run carry their own thread-count tests beside their code.
 
-use mmtag_mac::aloha::{inventory_ensemble_par_with, QAlgorithm};
-use mmtag_mac::gen2::{gen2_ensemble_par_with, Gen2Timing};
-use mmtag_phy::waveform::{ber_sweep_par_with, measure_ber_par_with, OokModem};
+use mmtag_mac::aloha::{inventory_until_drained_scratch, AlohaScratch, QAlgorithm};
+use mmtag_mac::gen2::{run_gen2_inventory, Gen2Tag, Gen2Timing};
+use mmtag_phy::waveform::{ber_sweep_par_with, OokModem};
 use mmtag_rf::rng::{Rng, SeedTree};
+use mmtag_sim::par::{par_indexed_scratch_with, par_sweep_with};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// A single BER point is bit-identical at 1, 2, 4 and 8 threads.
+/// A single BER point (a one-point sweep, its chunks the only work units)
+/// is bit-identical at 1, 2, 4 and 8 threads.
 #[test]
 fn ber_point_is_thread_invariant() {
     let tree = SeedTree::new(0xD15C);
     let modem = OokModem::new(4);
-    let reference = measure_ber_par_with(1, &modem, 7.0, 60_000, true, &tree);
+    let reference = ber_sweep_par_with(1, &modem, &[7.0], 60_000, true, &tree)[0];
     assert!(reference > 0.0, "7 dB Eb/N0 must show some errors");
     for threads in THREAD_COUNTS {
-        let ber = measure_ber_par_with(threads, &modem, 7.0, 60_000, true, &tree);
+        let ber = ber_sweep_par_with(threads, &modem, &[7.0], 60_000, true, &tree)[0];
         assert_eq!(
             ber.to_bits(),
             reference.to_bits(),
@@ -31,9 +37,11 @@ fn ber_point_is_thread_invariant() {
     }
 }
 
-/// A multi-point sweep (parallel over SNR × chunk) is bit-identical too,
-/// and each point matches the equivalent single-point call — the sweep's
-/// flattened work units must reduce exactly like the per-point path.
+/// A multi-point sweep (parallel over SNR × chunk) is bit-identical at
+/// every thread count too: the flattened (point, chunk) work units must
+/// reduce to the same per-point sums whoever runs them. (Point `i` draws
+/// from the `"snr"` subtree at index `i`, so it does not equal a one-point
+/// sweep at that SNR, which draws from index 0.)
 #[test]
 fn ber_sweep_is_thread_invariant_and_point_consistent() {
     let tree = SeedTree::new(0xD15C);
@@ -52,30 +60,43 @@ fn ber_sweep_is_thread_invariant_and_point_consistent() {
     }
 }
 
-/// MAC-layer ensembles (framed-slotted Aloha and the Gen2-style handshake)
-/// return identical statistics at every thread count.
+/// MAC-layer ensembles — Gen2 inventories swept over populations as E24
+/// runs them, and framed-Aloha drains on per-worker scratch — return
+/// identical statistics at every thread count.
 #[test]
 fn mac_ensembles_are_thread_invariant() {
     let tree = SeedTree::new(0x77A6);
-    let aloha_ref = inventory_ensemble_par_with(1, 48, QAlgorithm::new(), 50_000, 12, &tree);
-    let gen2_ref = gen2_ensemble_par_with(1, 48, Gen2Timing::fast_mmwave(), 500_000, 12, &tree);
+    let aloha = |threads| {
+        par_indexed_scratch_with(threads, 12, AlohaScratch::new, |scratch, i| {
+            let mut rng = tree.rng_indexed("aloha-rep", i as u64);
+            inventory_until_drained_scratch(48, QAlgorithm::new(), 50_000, &mut rng, scratch)
+        })
+    };
+    let pops = [48usize, 1, 16, 48, 33, 48, 2, 48, 40, 48, 9, 48];
+    let gen2 = |threads| {
+        par_sweep_with(threads, &tree, "gen2-pop", &pops, |sub, &n| {
+            let mut rng = sub.rng("inventory");
+            let mut tags: Vec<Gen2Tag> = (0..n).map(|i| Gen2Tag::new(i as u64)).collect();
+            run_gen2_inventory(&mut tags, Gen2Timing::fast_mmwave(), 500_000, &mut rng)
+        })
+    };
+    let (aloha_ref, gen2_ref) = (aloha(1), gen2(1));
     for threads in THREAD_COUNTS {
-        let aloha = inventory_ensemble_par_with(threads, 48, QAlgorithm::new(), 50_000, 12, &tree);
         assert_eq!(
-            aloha, aloha_ref,
+            aloha(threads),
+            aloha_ref,
             "Aloha ensemble diverged at {threads} threads"
         );
-        let gen2 =
-            gen2_ensemble_par_with(threads, 48, Gen2Timing::fast_mmwave(), 500_000, 12, &tree);
         assert_eq!(
-            gen2, gen2_ref,
+            gen2(threads),
+            gen2_ref,
             "Gen2 ensemble diverged at {threads} threads"
         );
     }
 }
 
-/// The engine primitives themselves: `par_indexed_with` and
-/// `par_chunks_with` preserve order and content at any thread count.
+/// The engine primitive itself: `par_indexed_with` preserves order and
+/// content at any thread count.
 #[test]
 fn par_primitives_preserve_index_order() {
     let serial: Vec<u64> = (0..999u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
@@ -85,20 +106,6 @@ fn par_primitives_preserve_index_order() {
         assert_eq!(
             par, serial,
             "par_indexed_with broke order at {threads} threads"
-        );
-    }
-    // Chunk decomposition: 10_000 items in chunks of 256 → 40 chunks, the
-    // last one partial. Each chunk reports (start, len).
-    let expect: Vec<(usize, usize)> = (0..40)
-        .map(|c| (c * 256, if c == 39 { 10_000 - 39 * 256 } else { 256 }))
-        .collect();
-    for threads in THREAD_COUNTS {
-        let chunks = mmtag_rf::par::par_chunks_with(threads, 10_000, 256, |_, range| {
-            (range.start, range.len())
-        });
-        assert_eq!(
-            chunks, expect,
-            "par_chunks_with mis-split at {threads} threads"
         );
     }
 }
@@ -151,7 +158,7 @@ fn pool_reuse_across_runner_calls_is_deterministic() {
     use mmtag_sim::experiment::Table;
     use mmtag_sim::scenario::{AxisKind, RunContext, Runner, Scenario, ScenarioSpec};
 
-    /// A par-heavy scenario: one BER point per axis value, each computed
+    /// A par-heavy scenario: one BER sweep over the axis values, computed
     /// through the pool-backed parallel engine at the runner's budget.
     struct PoolHeavy {
         spec: ScenarioSpec,
@@ -162,11 +169,11 @@ fn pool_reuse_across_runner_calls_is_deterministic() {
         }
         fn run(&self, ctx: &RunContext) -> Vec<Table> {
             let modem = OokModem::new(4);
+            let snrs = ctx.spec.values("snr_db");
+            let bers =
+                ber_sweep_par_with(ctx.threads, &modem, &snrs, ctx.spec.trials, true, &ctx.tree);
             let mut t = Table::new("pooled ber", &["snr_db", "ber"]);
-            for (i, snr) in ctx.spec.values("snr_db").iter().enumerate() {
-                let tree = ctx.tree.subtree_indexed("snr", i as u64);
-                let ber =
-                    measure_ber_par_with(ctx.threads, &modem, *snr, ctx.spec.trials, true, &tree);
+            for (snr, ber) in snrs.iter().zip(bers) {
                 t.push_row(&[*snr, ber]);
             }
             vec![t]
