@@ -9,7 +9,7 @@
 //! * [`vanatta`] — the paper's core contribution: the passive retrodirective
 //!   Van Atta reflector (§5.2, Eqs. 1–5), plus the specular-mirror and
 //!   fixed-beam wirings used as baselines,
-//! * [`phased`] — a conventional phased array with a power/cost model, the
+//! * [`phased`] — a conventional phased array with a DC power model, the
 //!   "what mmTag avoids" baseline (§5),
 //! * [`planar`] — 2-D (grid) Van Atta arrays: retrodirectivity in both
 //!   planes, the natural production extension of the 1-D prototype,

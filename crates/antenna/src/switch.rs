@@ -6,13 +6,12 @@
 //! (reflective) and shorted (non-reflective) states; the data stream on the
 //! gate line is the OOK modulator.
 //!
-//! The switch matters to the rest of the stack through exactly three things:
+//! The switch matters to the rest of the stack through exactly two things:
 //!
 //! 1. the impedance it presents in each state (consumed by
 //!    [`sparams`](crate::sparams) to produce Fig. 6),
 //! 2. the energy it burns per transition (`C·V²` gate charging — the
-//!    dominant term in the tag's power budget, see `mmtag::energy`),
-//! 3. how fast it can toggle (bounds the OOK symbol rate).
+//!    dominant term in the tag's power budget, see `mmtag::energy`).
 
 use mmtag_rf::units::Frequency;
 use mmtag_rf::Complex;
@@ -30,8 +29,6 @@ pub struct RfSwitch {
     pub gate_capacitance_f: f64,
     /// Gate drive voltage swing, volts.
     pub gate_swing_v: f64,
-    /// Maximum toggle rate, transitions per second.
-    pub max_toggle_rate_hz: f64,
     /// Unit cost, USD.
     pub cost_usd: f64,
 }
@@ -47,7 +44,6 @@ impl RfSwitch {
             series_inductance_h: 0.05e-9,
             gate_capacitance_f: 0.25e-12,
             gate_swing_v: 1.0,
-            max_toggle_rate_hz: 4e9,
             cost_usd: 0.60,
         }
     }

@@ -1,6 +1,6 @@
-//! Shard-merge determinism at the registry level: the city scenarios'
-//! rendered tables are bit-identical at any worker-thread count, and the
-//! engine's stats are bit-identical across shard counts. Mirrors the
+//! Range-merge determinism at the registry level: the city scenarios'
+//! rendered tables are bit-identical at any worker-thread count, and so
+//! are the engine's stats, whose reader ranges follow the thread count. Mirrors the
 //! thread-invariance harness of `tests/obs.rs` (this file never touches
 //! the obs level, so it needs no serialization guard).
 
@@ -28,14 +28,16 @@ fn city_scenario_tables_are_bit_identical_at_any_thread_count() {
 }
 
 #[test]
-fn stats_do_not_depend_on_the_shard_count() {
-    let base = CityConfig::dense(1_500, 4);
+fn stats_do_not_depend_on_the_thread_count() {
+    let cfg = CityConfig::dense(1_500, 4);
     let tree = SeedTree::new(0x5AA4D);
-    let mut one = CityEngine::new(CityConfig { shards: 1, ..base }, tree);
-    let want = one.run_rounds(4);
-    for shards in [2usize, 5, 16, 64] {
-        let mut eng = CityEngine::new(CityConfig { shards, ..base }, tree);
-        assert_eq!(eng.run_rounds(4), want, "shards={shards}");
-        assert_eq!(eng.tags().read, one.tags().read, "shards={shards}");
+    let mut one = CityEngine::new(cfg, tree);
+    let want = one.run_rounds(1);
+    // One reader range per thread: 16 threads give one per reader, and
+    // 64 clamp to the same 16.
+    for threads in [2usize, 5, 16, 64] {
+        let mut eng = CityEngine::new(cfg, tree);
+        assert_eq!(eng.run_rounds(threads), want, "threads={threads}");
+        assert_eq!(eng.tags().read, one.tags().read, "threads={threads}");
     }
 }

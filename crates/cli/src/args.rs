@@ -5,8 +5,14 @@
 //! ([`BOOL_FLAGS`]). Deliberately minimal (the allowed dependency set has
 //! no `clap`); the parser is a plain data structure so every command's
 //! argument handling is unit-testable without process spawning.
+//!
+//! Every accessor records the flag it reads, so the flags a command takes
+//! are named once, where it reads them: [`Args::refuse_unread`] turns any
+//! flag given but never read (a misspelling, a flag of another command)
+//! into an argument error.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Flags that take no value: presence stores `"1"` in the option map.
 /// Kept as an explicit list so `--flag` with a forgotten value keeps
@@ -20,8 +26,11 @@ pub struct Args {
     pub command: Option<String>,
     /// A second positional operand (only `run <scenario>` uses one).
     pub operand: Option<String>,
-    /// Option map: `--range 4` → `("range", "4")`.
-    pub options: BTreeMap<String, String>,
+    /// Option map: `--range 4` → `("range", "4")`. Read only through the
+    /// accessors, which record each read in `read`.
+    options: BTreeMap<String, String>,
+    /// Every flag an accessor has looked up, given or not.
+    read: RefCell<BTreeSet<String>>,
 }
 
 /// Errors from parsing or extracting arguments.
@@ -47,6 +56,13 @@ pub enum ArgError {
     },
     /// Something that is neither the subcommand nor a flag appeared.
     UnexpectedPositional(String),
+    /// A flag the command does not read.
+    UnknownFlag {
+        /// The command, empty when none was given.
+        command: String,
+        /// The flag name.
+        flag: String,
+    },
     /// A scenario name that is not in the registry.
     UnknownName(String),
     /// The `--trace` output file could not be written.
@@ -74,6 +90,12 @@ impl std::fmt::Display for ArgError {
                 write!(f, "--{flag}: '{raw}' is not {want}")
             }
             ArgError::UnexpectedPositional(s) => write!(f, "unexpected argument '{s}'"),
+            ArgError::UnknownFlag { command, flag } => {
+                write!(
+                    f,
+                    "`mmtag {command}` takes no --{flag} flag (see `mmtag help`)"
+                )
+            }
             ArgError::UnknownName(s) => {
                 write!(f, "unknown scenario '{s}' (see `mmtag scenarios`)")
             }
@@ -122,26 +144,50 @@ impl Args {
         Ok(out)
     }
 
-    /// A float option with a default.
-    pub fn f64_or(&self, flag: &str, default: f64) -> Result<f64, ArgError> {
-        match self.options.get(flag) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| ArgError::BadValue {
-                flag: flag.to_string(),
-                raw: raw.clone(),
+    /// The raw value of `flag`, if given; records the read.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(flag.to_string());
+        self.options.get(flag).map(String::as_str)
+    }
+
+    /// Whether `flag` was given (boolean flags); records the read.
+    pub fn has(&self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+
+    /// The error for the first flag given (in name order) that no accessor
+    /// has read, if any: call once the command has read every flag it
+    /// takes.
+    pub fn refuse_unread(&self) -> Result<(), ArgError> {
+        let read = self.read.borrow();
+        match self.options.keys().find(|flag| !read.contains(*flag)) {
+            None => Ok(()),
+            Some(flag) => Err(ArgError::UnknownFlag {
+                command: self.command.clone().unwrap_or_default(),
+                flag: flag.clone(),
             }),
         }
     }
 
-    /// An integer option with a default.
-    pub fn usize_or(&self, flag: &str, default: usize) -> Result<usize, ArgError> {
-        match self.options.get(flag) {
+    /// A number option with a default.
+    fn parsed_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, ArgError> {
+        match self.value(flag) {
             None => Ok(default),
             Some(raw) => raw.parse().map_err(|_| ArgError::BadValue {
                 flag: flag.to_string(),
-                raw: raw.clone(),
+                raw: raw.to_string(),
             }),
         }
+    }
+
+    /// A float option with a default.
+    pub fn f64_or(&self, flag: &str, default: f64) -> Result<f64, ArgError> {
+        self.parsed_or(flag, default)
+    }
+
+    /// An integer option with a default.
+    pub fn usize_or(&self, flag: &str, default: usize) -> Result<usize, ArgError> {
+        self.parsed_or(flag, default)
     }
 
     /// A float option with a default that must satisfy `ok`; `want` says
@@ -169,9 +215,11 @@ impl Args {
         })
     }
 
-    /// A finite float option with a default (angles).
-    pub fn finite_f64_or(&self, flag: &str, default: f64) -> Result<f64, ArgError> {
-        self.f64_where_or(flag, default, "a finite number", f64::is_finite)
+    /// An angle option in degrees with a default, within ±360°.
+    pub fn angle_deg_or(&self, flag: &str, default: f64) -> Result<f64, ArgError> {
+        self.f64_where_or(flag, default, "an angle within ±360°", |deg| {
+            (-360.0..=360.0).contains(&deg)
+        })
     }
 
     /// A positive integer option with a default (counts).
@@ -195,21 +243,12 @@ impl Args {
 
     /// A u64 option with a default (seeds).
     pub fn u64_or(&self, flag: &str, default: u64) -> Result<u64, ArgError> {
-        match self.options.get(flag) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| ArgError::BadValue {
-                flag: flag.to_string(),
-                raw: raw.clone(),
-            }),
-        }
+        self.parsed_or(flag, default)
     }
 
     /// A string option with a default.
     pub fn str_or(&self, flag: &str, default: &str) -> String {
-        self.options
-            .get(flag)
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
+        self.value(flag).unwrap_or(default).to_string()
     }
 }
 

@@ -40,7 +40,7 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
 /// deterministic unit order, so traced and untraced runs print identical
 /// bytes.
 fn run_in(args: &Args, cache_dir: &Path) -> Result<String, ArgError> {
-    let Some(trace_path) = args.options.get("trace") else {
+    let Some(trace_path) = args.value("trace") else {
         return dispatch(args, cache_dir);
     };
     obs::set_level(obs::Level::Trace);
@@ -49,20 +49,21 @@ fn run_in(args: &Args, cache_dir: &Path) -> Result<String, ArgError> {
     let report = obs::drain();
     let out = result?;
     std::fs::write(trace_path, report.to_chrome_json()).map_err(|e| ArgError::TraceWrite {
-        path: trace_path.clone(),
+        path: trace_path.to_string(),
         message: e.to_string(),
     })?;
     Ok(out)
 }
 
-/// Routes a parsed command line to its command function.
+/// Routes a parsed command line to its command function, then refuses a
+/// flag the command did not read (the command's output is dropped).
 fn dispatch(args: &Args, cache_dir: &Path) -> Result<String, ArgError> {
     if args.command.as_deref() != Some("run") {
         if let Some(op) = &args.operand {
             return Err(ArgError::UnexpectedPositional(op.clone()));
         }
     }
-    match args.command.as_deref() {
+    let out = match args.command.as_deref() {
         Some("link") => cmd_link(args),
         Some("sweep") => cmd_sweep(args),
         Some("s11") => cmd_s11(args),
@@ -75,14 +76,16 @@ fn dispatch(args: &Args, cache_dir: &Path) -> Result<String, ArgError> {
         Some("run") => cmd_run(args, cache_dir),
         Some("serve") => cmd_serve(args, cache_dir),
         _ => Ok(help()),
-    }
+    }?;
+    args.refuse_unread()?;
+    Ok(out)
 }
 
 /// `mmtag serve`: the simulation-as-a-service daemon. Blocks until some
 /// client sends `{"op":"shutdown"}`, then returns a shutdown summary.
 fn cmd_serve(args: &Args, cache_dir: &Path) -> Result<String, ArgError> {
     use mmtag_sim::serve::{EngineConfig, Server};
-    if args.options.contains_key("trace") {
+    if args.has("trace") {
         // The obs level and log are per thread: a trace captures the
         // thread that runs the command, and the daemon's jobs run on its
         // executor threads, so the file would hold none of their spans.
@@ -99,24 +102,27 @@ fn cmd_serve(args: &Args, cache_dir: &Path) -> Result<String, ArgError> {
         memory_capacity: args.usize_or("memory-cap", 256)?.max(1),
     };
     let mut builder = Server::builder(registry()).config(config);
-    if !args.options.contains_key("no-cache") {
-        // Lifecycle budgets: 0 (the default) means unbounded. Enforcement
-        // is amortized on the store path; the hit path never scans.
-        let max_bytes = args.u64_or("cache-max-bytes", 0)?;
-        let max_age_secs = args.u64_or("cache-max-age", 0)?;
+    // Lifecycle budgets: 0 (the default) means unbounded. Enforcement is
+    // amortized on the store path; the hit path never scans.
+    let max_bytes = args.u64_or("cache-max-bytes", 0)?;
+    let max_age_secs = args.u64_or("cache-max-age", 0)?;
+    if !args.has("no-cache") {
         let policy = mmtag_sim::cache::CachePolicy {
             max_bytes: (max_bytes > 0).then_some(max_bytes),
             max_age: (max_age_secs > 0).then(|| std::time::Duration::from_secs(max_age_secs)),
         };
         builder = builder.cache(mmtag_sim::cache::RunCache::at(cache_dir).with_policy(policy));
     }
-    let socket = args.options.get("socket");
-    let tcp = args.options.get("tcp");
+    let socket = args.value("socket");
+    let tcp = args.value("tcp");
     if socket.is_none() && tcp.is_none() {
         return Err(ArgError::Serve {
             message: "need a listener: --socket <path> and/or --tcp <host:port>".into(),
         });
     }
+    // Every flag is read by now: refuse a stray one here, not after a
+    // client has shut the daemon down.
+    args.refuse_unread()?;
     #[cfg(unix)]
     if let Some(path) = socket {
         builder = builder.unix(path);
@@ -177,9 +183,8 @@ COMMANDS:
   sweep      power/rate vs range      --from-ft 2 --to-ft 12 --points 11
   s11        element S11, both switch states (Fig. 6 anchors)
   inventory  timed multi-tag read     --tags 48 --seed 1
-  city       city-scale sharded       --tags 100000 --rounds 10 --seed 1
-             inventory (E27/E28)      --shards 4 --speed-mps 1.5
-                                      --blockers 4
+  city       city-scale inventory     --tags 100000 --rounds 10 --seed 1
+             (E27/E28)                --speed-mps 1.5 --blockers 4
   locate     scan-based positioning   --range-ft 6 --bearing-deg 20
   energy     batteryless budget       --rate-mbps 1000 --solar-cm2 10
                                       --cap-uf 100
@@ -200,6 +205,9 @@ COMMANDS:
                                       --cache-max-age SECS expire old entries
                                       (0 = unbounded; amortized on store)
   help       this text
+
+Angles (--rotation-deg, --bearing-deg) lie within ±360°. A flag its
+command does not take is an error.
 
 GLOBAL FLAGS:
   --trace <file>   record span timings and write Chrome tracing JSON
@@ -234,7 +242,7 @@ fn band_ghz(args: &Args) -> Result<f64, ArgError> {
 
 fn cmd_link(args: &Args) -> Result<String, ArgError> {
     let range = args.positive_f64_or("range-ft", 4.0)?;
-    let rotation = args.finite_f64_or("rotation-deg", 0.0)?;
+    let rotation = args.angle_deg_or("rotation-deg", 0.0)?;
     let tag = build_tag(&tag_spec(args)?);
     let reader = build_reader(&reader_spec(args)?);
     let scene = build_scene(&SceneSpec::free_space());
@@ -331,7 +339,6 @@ fn cmd_city(args: &Args) -> Result<String, ArgError> {
         args.positive_usize_or("tags", 100_000)?,
         args.usize_or("rounds", 10)?,
     );
-    cfg.shards = args.positive_usize_or("shards", cfg.shards)?;
     cfg.speed_mps = args.f64_where_or(
         "speed-mps",
         cfg.speed_mps,
@@ -345,10 +352,9 @@ fn cmd_city(args: &Args) -> Result<String, ArgError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "city inventory: {} tags, {} readers, {} shards (seed {seed}):",
+        "city inventory: {} tags, {} readers (seed {seed}):",
         cfg.tags,
-        cfg.n_readers(),
-        cfg.shards
+        cfg.n_readers()
     );
     let _ = writeln!(out, "  rounds          : {}", stats.rounds);
     let _ = writeln!(
@@ -366,7 +372,7 @@ fn cmd_city(args: &Args) -> Result<String, ArgError> {
 
 fn cmd_locate(args: &Args) -> Result<String, ArgError> {
     let range = args.positive_f64_or("range-ft", 6.0)?;
-    let bearing = args.finite_f64_or("bearing-deg", 20.0)?;
+    let bearing = args.angle_deg_or("bearing-deg", 20.0)?;
     let reader = build_reader(&ReaderSpec::mmtag_setup());
     let tag = build_tag(&TagSpec::prototype());
     let scene = build_scene(&SceneSpec::free_space());
@@ -465,8 +471,7 @@ fn cmd_run(args: &Args, cache_dir: &Path) -> Result<String, ArgError> {
         return Err(ArgError::UnknownName(name.to_string()));
     };
     let reseeded = args
-        .options
-        .get("seed")
+        .value("seed")
         .map(|_| -> Result<_, ArgError> {
             let seed = args.u64_or("seed", 0)?;
             Ok(s.with_spec(s.spec().clone().with_seed(seed)))
@@ -476,7 +481,7 @@ fn cmd_run(args: &Args, cache_dir: &Path) -> Result<String, ArgError> {
     // Identical specs replay from the content-addressed run cache unless
     // the user opts out; --trace implies --no-cache because a cache hit
     // skips the execution spans the trace exists to record.
-    let cached = !args.options.contains_key("no-cache") && !args.options.contains_key("trace");
+    let cached = !args.has("no-cache") && !args.has("trace");
     let runner = if cached {
         Runner::new().with_cache(mmtag_sim::cache::RunCache::at(cache_dir))
     } else {
@@ -583,6 +588,8 @@ mod tests {
         );
     }
 
+    /// The elapsed time is the run's own accounting: 12 sectors × 10 µs
+    /// of steering plus 192 slots × 3.28 µs.
     #[test]
     fn golden_inventory() {
         assert_eq!(
@@ -591,7 +598,7 @@ mod tests {
              \x20 tags read       : 12\n\
              \x20 sectors visited : 12\n\
              \x20 Aloha slots     : 192\n\
-             \x20 elapsed         : 697.280 µs\n"
+             \x20 elapsed         : 749.760 µs\n"
         );
     }
 
@@ -698,17 +705,21 @@ mod tests {
     /// used to panic, print NaN, or run with a value the engine replaced.
     #[test]
     fn out_of_domain_numbers_are_argument_errors_and_write_no_trace() {
-        const FINITE: &str = "a finite number";
+        const ANGLE: &str = "an angle within ±360°";
         const POSITIVE: &str = "a positive, finite number";
         const COUNT: &str = "a positive integer";
         const BAND: &str = "a carrier within 1–300 GHz";
         const SPEED: &str = "a finite, non-negative speed";
         let cases: &[(&str, &str, &str, &str)] = &[
-            ("locate", "bearing-deg", "nan", FINITE),
-            ("locate", "bearing-deg", "inf", FINITE),
-            ("link", "rotation-deg", "nan", FINITE),
-            ("link", "rotation-deg", "inf", FINITE),
-            ("link", "rotation-deg", "-inf", FINITE),
+            ("locate", "bearing-deg", "nan", ANGLE),
+            ("locate", "bearing-deg", "inf", ANGLE),
+            ("locate", "bearing-deg", "1e300", ANGLE),
+            ("locate", "bearing-deg", "-360.5", ANGLE),
+            ("link", "rotation-deg", "nan", ANGLE),
+            ("link", "rotation-deg", "inf", ANGLE),
+            ("link", "rotation-deg", "-inf", ANGLE),
+            ("link", "rotation-deg", "1e20", ANGLE),
+            ("link", "rotation-deg", "361", ANGLE),
             ("link", "band-ghz", "0", BAND),
             ("link", "band-ghz", "nan", BAND),
             ("link", "band-ghz", "-24", BAND),
@@ -727,7 +738,6 @@ mod tests {
             ("city", "speed-mps", "nan", SPEED),
             ("city", "speed-mps", "inf", SPEED),
             ("city", "speed-mps", "-1", SPEED),
-            ("city", "shards", "0", COUNT),
         ];
         let path = std::env::temp_dir().join(format!(
             "mmtag-cli-out-of-domain-trace-test-{}.json",
@@ -749,6 +759,61 @@ mod tests {
             );
             assert!(!written, "{command} --{flag} {raw} left a trace file");
         }
+    }
+
+    /// A flag its command does not read — misspelt, another command's,
+    /// or removed — is an argument error that writes no `--trace` file,
+    /// not a flag silently ignored.
+    #[test]
+    fn flags_a_command_does_not_take_are_argument_errors_and_write_no_trace() {
+        let cases: &[(&[&str], &str)] = &[
+            (&["link", "--range", "10"], "range"),
+            (&["sweep", "--point", "5"], "point"),
+            (&["s11", "--band-ghz", "60"], "band-ghz"),
+            (&["inventory", "--tag", "12"], "tag"),
+            (&["city", "--tag", "100"], "tag"),
+            (
+                &["city", "--tags", "100", "--rounds", "1", "--shards", "4"],
+                "shards",
+            ),
+            (&["locate", "--bearing", "20"], "bearing"),
+            (&["energy", "--cap", "100"], "cap"),
+            (&["compare", "--format", "csv"], "format"),
+            (&["scenarios", "--quick", "1"], "quick"),
+            (
+                &["run", "e06-beamwidth", "--quick", "1", "--fromat", "csv"],
+                "fromat",
+            ),
+            (&["link", "--no-cache"], "no-cache"),
+        ];
+        let path = std::env::temp_dir().join(format!(
+            "mmtag-cli-unknown-flag-trace-test-{}.json",
+            std::process::id()
+        ));
+        let trace = path.to_str().unwrap();
+        for &(line, flag) in cases {
+            let err = run_err(&[line, &["--trace", trace]].concat());
+            let written = path.exists();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(
+                err,
+                ArgError::UnknownFlag {
+                    command: line[0].into(),
+                    flag: flag.into()
+                },
+                "{line:?}"
+            );
+            assert!(!written, "{line:?} left a trace file");
+        }
+        // serve refuses `--trace` itself, and a stray flag before it binds
+        // a listener.
+        assert_eq!(
+            run_err(&["serve", "--tcp", "127.0.0.1:0", "--memroy-cap", "5"]),
+            ArgError::UnknownFlag {
+                command: "serve".into(),
+                flag: "memroy-cap".into()
+            }
+        );
     }
 
     #[test]

@@ -3,15 +3,18 @@
 //! §5 of the paper: conventional mmWave links need *both* endpoints to
 //! search for the aligned beam pair; mmTag removes the tag side entirely —
 //! the tag is always aligned, so the reader's sweep alone finds it. This
-//! module simulates both procedures on the event scheduler and measures
-//! time-to-acquisition, including re-acquisition of a tag that moves to a
-//! new bearing mid-search (the §2.2 "when a node moves … it needs to search
-//! again" cost).
+//! module prices both procedures as time-to-acquisition.
+//!
+//! The search is an exhaustive probe order — for each node position, the
+//! reader's full sweep — with probes one dwell apart. The probe that finds
+//! the tag is therefore number `aligned_node · reader_positions +
+//! aligned_reader + 1`, and the latency is that number of dwells, exact in
+//! integer nanoseconds; this module's tests hold the closed form to a walk
+//! over every probe.
 
 use crate::scan::ScanSchedule;
 use mmtag_rf::units::Angle;
-use mmtag_sim::des::CalendarQueue;
-use mmtag_sim::time::{Duration, Instant};
+use mmtag_sim::time::Duration;
 
 /// Which endpoints must search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,69 +38,28 @@ pub struct Acquisition {
     pub probes: usize,
 }
 
-/// Event type for the acquisition scan.
-#[derive(Clone, Copy, Debug)]
-struct Probe {
-    reader_pos: usize,
-    node_pos: usize,
-}
-
-/// Simulates an acquisition: the reader sweeps `scan`'s positions (and the
-/// far node its own, in [`SearchMode::TwoSided`]); a probe succeeds when
-/// the reader's beam covers the tag bearing (and, two-sided, the node's
-/// chosen position equals its aligned one, taken to be the last index
-/// probed — worst case). `tag_bearing` is the tag's true direction.
+/// The acquisition of a tag at `tag_bearing`: the reader sweeps `scan`'s
+/// positions (and, in [`SearchMode::TwoSided`], the far node its own, one
+/// reader sweep per node position); a probe succeeds when the reader's
+/// beam covers the tag bearing (and, two-sided, the node's position equals
+/// its aligned one, taken to be the last it tries — worst case).
 ///
-/// Returns `None` if the tag is outside the scanned sector entirely.
+/// Returns `None` if the tag is outside the scanned sector entirely, or
+/// when a two-sided node has no positions to try.
 pub fn acquire(scan: &ScanSchedule, mode: SearchMode, tag_bearing: Angle) -> Option<Acquisition> {
     let half_sector = 0.5 * scan.sector.radians();
     if tag_bearing.normalized().radians().abs() > half_sector + 0.5 * scan.beamwidth.radians() {
         return None;
     }
-    let aligned_reader = scan.position_for(tag_bearing);
-    let reader_n = scan.positions();
-
-    let (node_n, aligned_node) = match mode {
-        SearchMode::OneSided => (1usize, 0usize),
-        // Worst case: the node's correct position is the last it tries.
-        SearchMode::TwoSided { node_positions } => (node_positions, node_positions - 1),
+    let aligned_node = match mode {
+        SearchMode::OneSided => 0,
+        SearchMode::TwoSided { node_positions } => node_positions.checked_sub(1)?,
     };
-
-    // Probes sit one dwell apart, so one bucket per dwell (at least 1 ns:
-    // a zero-dwell schedule is valid and stacks every probe at t = 0). The
-    // ring regrows past four entries per bucket, so it is sized for the
-    // whole burst of probes up front: with a fixed 64-bucket start, the
-    // regrowth allocations made E19 ~10% slower than a binary heap.
-    let mut sched: CalendarQueue<Probe> = CalendarQueue::with_layout(
-        scan.dwell.max(Duration::from_nanos(1)),
-        (node_n * reader_n).div_ceil(4).max(1),
-    );
-    // Exhaustive probe order: for each node position, sweep the reader.
-    let mut t = Instant::ZERO;
-    for np in 0..node_n {
-        for rp in 0..reader_n {
-            sched.schedule_at(
-                t,
-                Probe {
-                    reader_pos: rp,
-                    node_pos: np,
-                },
-            );
-            t += scan.dwell;
-        }
-    }
-
-    let mut probes = 0usize;
-    while let Some((at, probe)) = sched.pop() {
-        probes += 1;
-        if probe.reader_pos == aligned_reader && probe.node_pos == aligned_node {
-            return Some(Acquisition {
-                latency: at.duration_since(Instant::ZERO) + scan.dwell,
-                probes,
-            });
-        }
-    }
-    None
+    let probes = aligned_node * scan.positions() + scan.position_for(tag_bearing) + 1;
+    Some(Acquisition {
+        latency: scan.dwell.times(probes as u64),
+        probes,
+    })
 }
 
 /// Worst-case acquisition latency over every bearing in the sector.
@@ -156,6 +118,84 @@ mod tests {
     fn out_of_sector_tag_is_never_found() {
         let s = scan();
         assert!(acquire(&s, SearchMode::OneSided, Angle::from_degrees(90.0)).is_none());
+    }
+
+    /// The closed form's oracle: walk the probes in search order — for
+    /// each node position, the reader's full sweep — one dwell apart, and
+    /// stop at the first that covers both aligned positions (two-sided:
+    /// the node's last position).
+    fn probe_walk(
+        scan: &ScanSchedule,
+        mode: SearchMode,
+        tag_bearing: Angle,
+    ) -> Option<Acquisition> {
+        let reach = 0.5 * (scan.sector.radians() + scan.beamwidth.radians());
+        if tag_bearing.normalized().radians().abs() > reach {
+            return None;
+        }
+        let node_n = match mode {
+            SearchMode::OneSided => 1,
+            SearchMode::TwoSided { node_positions } => node_positions,
+        };
+        let aligned_reader = scan.position_for(tag_bearing);
+        let mut latency = Duration::ZERO;
+        let mut probes = 0;
+        for node in 0..node_n {
+            for reader in 0..scan.positions() {
+                latency = latency + scan.dwell;
+                probes += 1;
+                if reader == aligned_reader && node == node_n - 1 {
+                    return Some(Acquisition { latency, probes });
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn acquire_matches_the_probe_walk_at_every_bearing() {
+        let modes = [
+            SearchMode::OneSided,
+            SearchMode::TwoSided { node_positions: 0 },
+            SearchMode::TwoSided { node_positions: 1 },
+            SearchMode::TwoSided { node_positions: 3 },
+            SearchMode::TwoSided { node_positions: 12 },
+        ];
+        let mut found = 0usize;
+        let mut missed = 0usize;
+        for (sector, beamwidth) in [(120.0, 5.0), (120.0, 20.0), (90.0, 45.0), (10.0, 40.0)] {
+            for dwell in [
+                Duration::from_millis(1),
+                Duration::from_nanos(3),
+                Duration::ZERO,
+            ] {
+                let s = ScanSchedule::new(
+                    Angle::from_degrees(sector),
+                    Angle::from_degrees(beamwidth),
+                    dwell,
+                );
+                let centres = (0..s.positions()).map(|i| s.angle_of(i));
+                let sweep = (-400..=400).map(|d| Angle::from_degrees(d as f64 * 0.25));
+                for bearing in centres.chain(sweep) {
+                    for mode in modes {
+                        let want = probe_walk(&s, mode, bearing);
+                        assert_eq!(
+                            acquire(&s, mode, bearing),
+                            want,
+                            "sector {sector}°, beam {beamwidth}°, dwell {dwell}, {mode:?}, \
+                             bearing {}°",
+                            bearing.degrees()
+                        );
+                        if want.is_some() {
+                            found += 1;
+                        } else {
+                            missed += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(found > 0 && missed > 0, "found {found}, missed {missed}");
     }
 
     #[test]

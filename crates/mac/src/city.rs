@@ -1,10 +1,10 @@
-//! City-scale sharded inventory: many readers, dense mobile tag fields.
+//! City-scale inventory: many readers, dense mobile tag fields.
 //!
 //! §9's end state is *network-scale* operation — readers inventorying
 //! dense tag deployments under mobility and blockage. This module is the
 //! engine for that regime: a discrete-event inventory over 10⁵–10⁶ tags,
 //! built from the workspace's determinism primitives so the result is
-//! bit-identical at any thread count *and* any shard count.
+//! bit-identical at any thread count.
 //!
 //! ## Structure
 //!
@@ -23,30 +23,32 @@
 //!    at any thread count. The serial tail applies the harvest and the
 //!    response debit to the listed tags' energy and builds the pending
 //!    lists: a flat CSR over tag indices, ascending per reader.
-//! 2. **Round (sharded)** — readers are partitioned into contiguous
-//!    spatial shards. Per reader: draw the framed-Aloha slot choices
+//! 2. **Round (one reader range per thread)** — the readers are split
+//!    into contiguous ranges, one per thread of the budget (at most one
+//!    per reader), each with its own output and Aloha scratch. Per
+//!    reader: draw the framed-Aloha slot choices
 //!    ([`FramedAloha::fill_round`], one RNG draw per pending tag from the
 //!    reader-and-round-indexed [`SeedTree`] stream), then play the frame
 //!    slot by slot — each slot one DES event, classified from the
 //!    histogram (empty / read / collision), a read marking its tag. The
 //!    Q algorithm adapts per reader exactly as in [`crate::aloha`].
-//! 3. **Merge (serial, fixed shard order)** — shard outputs (reads, Q
-//!    updates, per-reader elapsed, tallies) are applied in shard index
-//!    order, the same unit-order merge argument the obs layer uses.
+//! 3. **Merge (serial, fixed range order)** — range outputs (reads, Q
+//!    updates, per-reader elapsed, tallies) are applied in range order,
+//!    the same unit-order merge argument the obs layer uses.
 //!
 //! ## Why the result is bit-identical everywhere
 //!
-//! Within a round, shards share no mutable state: every per-(reader,
-//! round) RNG stream is derived from the seed tree, so shard work is a
+//! Within a round, ranges share no mutable state: every per-(reader,
+//! round) RNG stream is derived from the seed tree, so range work is a
 //! pure function of the barrier snapshot. A tag is pending at exactly
-//! one reader, so shard outputs are disjoint and the merge operations
+//! one reader, so range outputs are disjoint and the merge operations
 //! (set a read flag, overwrite one reader's Q, add to one reader's
 //! clock, integer sums) are grouping-invariant — regrouping readers into
-//! different shard counts, or running shards on different thread counts,
-//! produces identical tables. The barrier is a per-tag pure function
-//! with disjoint writes, so its thread count cannot matter either. The
-//! tests pin this at the engine level (stats and per-tag read flags
-//! across shard and thread counts) and at the barrier level (the per-tag
+//! the ranges another thread budget gives produces identical tables.
+//! The barrier is a per-tag pure function with disjoint writes, so its
+//! thread count cannot matter either. The tests pin this at the engine
+//! level (stats and per-tag read flags across thread counts) and at the
+//! barrier level (the per-tag
 //! pass against its single oracle, a reader-major spatial-hash barrier
 //! over the full wall list and every tag, every round at 1, 2 and 4
 //! threads).
@@ -164,8 +166,6 @@ pub struct CityConfig {
     /// Energy one backscatter response costs; tags below this stall
     /// (keep harvesting, skip the round).
     pub tx_cost: f64,
-    /// Spatial shards the reader grid is partitioned into.
-    pub shards: usize,
 }
 
 impl CityConfig {
@@ -190,7 +190,6 @@ impl CityConfig {
             blockers: 4,
             harvest_per_round: 0.05,
             tx_cost: 0.1,
-            shards: 4,
         }
     }
 
@@ -272,8 +271,8 @@ impl TagSoA {
 }
 
 /// Aggregate result of a city run. `PartialEq`/`Eq` are exact — the
-/// determinism tests compare these across thread counts, shard counts
-/// and engines bit for bit.
+/// determinism tests compare these across thread counts and engines bit
+/// for bit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CityStats {
     /// Global rounds executed.
@@ -338,9 +337,12 @@ fn random_walls(cfg: &CityConfig, tree: &SeedTree) -> Vec<Segment> {
     walls
 }
 
-/// What one shard reports back for the serial merge.
+/// What one reader range reports back for the serial merge, with the
+/// Aloha scratch its frames are drawn into. The engine keeps one per
+/// range across rounds.
 #[derive(Clone, Debug, Default)]
 struct ShardOut {
+    aloha: AlohaScratch,
     /// `(reader, adapted Q, clock increment)` per active reader, in
     /// ascending reader order.
     updates: Vec<(u32, QAlgorithm, Duration)>,
@@ -364,7 +366,7 @@ impl ShardOut {
 }
 
 /// Runs round `k` for the contiguous reader range `lo..hi` — the pure
-/// shard function. Reads only the barrier snapshot (`qs`, pending CSR),
+/// range function. Reads only the barrier snapshot (`qs`, pending CSR),
 /// draws from per-(reader, round) seed-tree streams, and reports every
 /// mutation through `out`.
 #[allow(clippy::too_many_arguments)]
@@ -377,7 +379,6 @@ fn shard_round(
     pend_entries: &[u32],
     lo: usize,
     hi: usize,
-    aloha: &mut AlohaScratch,
     out: &mut ShardOut,
 ) {
     for r in lo..hi {
@@ -390,7 +391,7 @@ fn shard_round(
             .subtree_indexed("city-reader", r as u64)
             .rng_indexed("round", k);
         let frame = qs[r].frame_size();
-        FramedAloha.fill_round(n_pending, frame, &mut rng, aloha);
+        FramedAloha.fill_round(n_pending, frame, &mut rng, &mut out.aloha);
         // Play the frame slot by slot, in the order its DES events would
         // pop (module doc).
         let mut counts = RoundCounts {
@@ -399,7 +400,7 @@ fn shard_round(
             collision_slots: 0,
             frame_size: frame,
         };
-        for (&n, &owner) in aloha.slot_count().iter().zip(aloha.slot_owner()) {
+        for (&n, &owner) in out.aloha.slot_count().iter().zip(out.aloha.slot_owner()) {
             match n {
                 0 => counts.empty_slots += 1,
                 1 => {
@@ -466,8 +467,8 @@ fn tag_reader(
     reader
 }
 
-/// Applies one shard's output — called serially, in shard index order.
-/// Every operation touches state no other shard touches (a tag pends at
+/// Applies one range's output — called serially, in range order. Every
+/// operation touches state no other range touches (a tag pends at
 /// exactly one reader), so the merge is grouping-invariant.
 fn apply_out(
     tags: &mut TagSoA,
@@ -492,10 +493,7 @@ fn apply_out(
 }
 
 /// The city inventory engine. Construct once per run; drive with
-/// [`CityEngine::run_rounds`] (parallel barrier and sharded rounds, any
-/// thread count) or [`CityEngine::step_round`] (one serial round on
-/// persistent scratch through the same barrier — the allocation-free
-/// path the workspace alloc guard measures).
+/// [`CityEngine::run_rounds`] at any thread budget.
 pub struct CityEngine {
     cfg: CityConfig,
     tree: SeedTree,
@@ -517,9 +515,8 @@ pub struct CityEngine {
     pend_starts: Vec<u32>,
     pend_entries: Vec<u32>,
     cursor: Vec<u32>,
-    // Serial round scratch (the `step_round` path).
-    serial: AlohaScratch,
-    serial_out: ShardOut,
+    /// One output per reader range of the round, kept across rounds.
+    outs: Vec<ShardOut>,
 }
 
 impl CityEngine {
@@ -559,8 +556,7 @@ impl CityEngine {
             pend_starts: Vec::new(),
             pend_entries: Vec::new(),
             cursor: Vec::new(),
-            serial: AlohaScratch::default(),
-            serial_out: ShardOut::default(),
+            outs: Vec::new(),
         }
     }
 
@@ -650,99 +646,52 @@ impl CityEngine {
         }
     }
 
-    /// One serial round on the engine-owned scratch — zero allocations in
-    /// steady state (the alloc guard drives this).
-    /// Returns the stats snapshot after the round.
-    pub fn step_round(&mut self) -> CityStats {
-        self.barrier(self.round, 1);
-        self.play_serial_round();
-        self.stats()
-    }
-
-    /// The round phase of [`CityEngine::step_round`]: every reader's
-    /// frame over the pending CSR the barrier just built, on the
-    /// engine-owned scratch, merged and counted.
-    fn play_serial_round(&mut self) {
-        let k = self.round;
+    /// The round after its barrier: the readers split into one contiguous
+    /// range per thread (`threads.clamp(1, readers)`), each range's frames
+    /// played into its own engine-owned [`ShardOut`] in parallel, the
+    /// outputs merged in range order. Bit-identical at any `threads`;
+    /// allocation-free once warm at a fixed `threads`.
+    fn play_round(&mut self, threads: usize) {
         let _span = obs::span("mac.city.round");
-        self.serial_out.clear();
+        let k = self.round;
         let nr = self.readers.len();
-        shard_round(
+        let ranges = threads.clamp(1, nr);
+        self.outs.resize_with(ranges, ShardOut::default);
+        let (cfg, tree, qs, pend_starts, pend_entries) = (
             &self.cfg,
             &self.tree,
-            k,
-            &self.qs,
-            &self.pend_starts,
-            &self.pend_entries,
-            0,
-            nr,
-            &mut self.serial,
-            &mut self.serial_out,
+            &self.qs[..],
+            &self.pend_starts[..],
+            &self.pend_entries[..],
         );
-        apply_out(
-            &mut self.tags,
-            &mut self.qs,
-            &mut self.reader_elapsed,
-            &mut self.stats,
-            &self.serial_out,
-        );
+        par_fill_chunks_with(threads, &mut self.outs, 1, |range, out| {
+            let out = &mut out[0];
+            out.clear();
+            let (lo, hi) = (range * nr / ranges, (range + 1) * nr / ranges);
+            shard_round(cfg, tree, k, qs, pend_starts, pend_entries, lo, hi, out);
+        });
+        for out in &self.outs {
+            apply_out(
+                &mut self.tags,
+                &mut self.qs,
+                &mut self.reader_elapsed,
+                &mut self.stats,
+                out,
+            );
+        }
         self.round += 1;
         self.stats.rounds += 1;
     }
 
-    /// Runs `cfg.rounds` rounds with an explicit thread budget: the
-    /// barrier's per-tag pass runs over tag chunks and the sharded
-    /// rounds over readers, both via [`mmtag_sim::par`]
-    /// (indexed work units, per-worker scratch), with shards merged in
-    /// fixed shard order — bit-identical at any `threads` and any
-    /// `cfg.shards`.
+    /// Runs `cfg.rounds` rounds at a `threads` budget: each round's
+    /// barrier runs its per-tag pass over tag chunks and the round its
+    /// reader ranges, both via [`mmtag_sim::par`] — bit-identical at any
+    /// `threads`.
     pub fn run_rounds(&mut self, threads: usize) -> CityStats {
         let _span = obs::span("mac.city.run");
-        let shards = self.cfg.shards.max(1);
-        let nr = self.readers.len();
-        let per = nr.div_ceil(shards);
         for _ in 0..self.cfg.rounds {
-            let k = self.round;
-            self.barrier(k, threads);
-            let cfg = &self.cfg;
-            let tree = &self.tree;
-            let qs = &self.qs;
-            let pend_starts = &self.pend_starts;
-            let pend_entries = &self.pend_entries;
-            let outs: Vec<ShardOut> = mmtag_sim::par::par_indexed_scratch_with(
-                threads,
-                shards,
-                AlohaScratch::default,
-                |aloha, s| {
-                    let lo = (s * per).min(nr);
-                    let hi = ((s + 1) * per).min(nr);
-                    let mut out = ShardOut::default();
-                    shard_round(
-                        cfg,
-                        tree,
-                        k,
-                        qs,
-                        pend_starts,
-                        pend_entries,
-                        lo,
-                        hi,
-                        aloha,
-                        &mut out,
-                    );
-                    out
-                },
-            );
-            for out in &outs {
-                apply_out(
-                    &mut self.tags,
-                    &mut self.qs,
-                    &mut self.reader_elapsed,
-                    &mut self.stats,
-                    out,
-                );
-            }
-            self.round += 1;
-            self.stats.rounds += 1;
+            self.barrier(self.round, threads);
+            self.play_round(threads);
         }
         obs::counter_add("mac.city.events", self.stats.events);
         obs::counter_add("mac.city.reads", self.stats.tags_read);
@@ -940,8 +889,8 @@ mod tests {
                         let p = position_at(&fast.tags, i, t);
                         p.x < min.x || p.y < min.y || p.x > max.x || p.y > max.y
                     });
-                    oracle.play_serial_round();
-                    fast.play_serial_round();
+                    oracle.play_round(threads);
+                    fast.play_round(threads);
                     for (f, (&read, &e)) in frozen
                         .iter_mut()
                         .zip(fast.tags.read.iter().zip(&fast.tags.energy))
@@ -984,33 +933,20 @@ mod tests {
     }
 
     #[test]
-    fn stats_are_invariant_across_shard_counts() {
+    fn stats_are_invariant_across_thread_counts() {
         let base = small(600, 5);
         let tree = SeedTree::new(0x5A4D);
-        let mut one = CityEngine::new(CityConfig { shards: 1, ..base }, tree);
-        let want = one.run_rounds(2);
+        let mut one = CityEngine::new(base, tree);
+        let want = one.run_rounds(1);
         assert!(want.tags_read > 0, "a live city must read tags");
         assert_eq!(want.events, want.slots, "one DES event per slot");
-        for shards in [2usize, 3, 6, 16] {
-            let mut eng = CityEngine::new(CityConfig { shards, ..base }, tree);
-            let got = eng.run_rounds(2);
-            assert_eq!(want, got, "shards={shards}");
-            assert_eq!(one.tags().read, eng.tags().read, "shards={shards}");
+        // 8 threads exceed the 6 readers: one range per reader.
+        for threads in [2usize, 3, 4, 8] {
+            let mut eng = CityEngine::new(base, tree);
+            let got = eng.run_rounds(threads);
+            assert_eq!(want, got, "threads={threads}");
+            assert_eq!(one.tags().read, eng.tags().read, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn step_round_matches_run_rounds() {
-        let cfg = small(500, 4);
-        let tree = SeedTree::new(0x57E9);
-        let mut stepped = CityEngine::new(cfg, tree);
-        let mut whole = CityEngine::new(cfg, tree);
-        let mut last = CityStats::default();
-        for _ in 0..cfg.rounds {
-            last = stepped.step_round();
-        }
-        assert_eq!(last, whole.run_rounds(4));
-        assert_eq!(stepped.tags().read, whole.tags().read);
     }
 
     /// The engine against a model outside its own code: one reader over a

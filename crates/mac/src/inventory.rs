@@ -1,18 +1,18 @@
-//! Discrete-event inventory: wall-clock time to read a tag population.
+//! Timed inventory: wall-clock time to read a tag population.
 //!
 //! The slot-count statistics of [`crate::aloha`] become *time* once each
 //! slot has a duration (set by the uplink data rate and the tag-ID frame
 //! length) and the reader pays beam-steering time between sectors. This
-//! module runs that full timeline on the `mmtag-sim` scheduler and is the
-//! engine behind the warehouse-inventory example and experiment E7.
+//! module runs that full timeline — sector by sector, round by round, on
+//! one clock — and is the engine behind the CLI `inventory` command and
+//! the warehouse-inventory example.
 
 use crate::aloha::{AlohaScratch, FramedAloha, QAlgorithm};
 use crate::scan::ScanSchedule;
 use crate::sdm::SectorScheduler;
 use mmtag_rf::rng::Rng;
 use mmtag_rf::units::{Angle, DataRate};
-use mmtag_sim::des::CalendarQueue;
-use mmtag_sim::time::{Duration, Instant};
+use mmtag_sim::time::Duration;
 
 /// Timing parameters of one inventory slot.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -32,19 +32,11 @@ impl SlotTiming {
     }
 }
 
-/// Events of the inventory state machine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Event {
-    /// Steer to sector `idx` and start its inventory.
-    EnterSector(usize),
-    /// Run one Aloha round in sector `idx`.
-    Round(usize),
-}
-
 /// Result of a timed inventory run.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TimedInventory {
-    /// Total elapsed simulation time.
+    /// Total elapsed simulation time: `steer_time` per sector visited plus
+    /// one slot duration per Aloha slot.
     pub elapsed: Duration,
     /// Total tags read.
     pub tags_read: usize,
@@ -55,11 +47,10 @@ pub struct TimedInventory {
     pub sectors_visited: usize,
 }
 
-/// Runs a full SDM inventory on the event scheduler: the reader raster-scans
-/// its sectors; in each occupied sector it runs adaptive framed Aloha until
-/// the sector drains, then steers onward. `steer_time` is the beam switch
-/// cost between positions; an empty sector costs one probe round of the
-/// minimum frame size.
+/// Runs a full SDM inventory: the reader raster-scans its sectors; in each
+/// it pays `steer_time` to point the beam, then runs adaptive framed Aloha
+/// until the sector drains and steers onward. An empty sector costs one
+/// probe round of the minimum frame size (one slot).
 pub fn run_timed_inventory<R: Rng + ?Sized>(
     scan: ScanSchedule,
     tag_angles: &[Angle],
@@ -68,53 +59,30 @@ pub fn run_timed_inventory<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> TimedInventory {
     let partition = SectorScheduler::partition(scan, tag_angles);
-    let mut unread: Vec<usize> = partition.sector_counts().to_vec();
-    let mut qs: Vec<QAlgorithm> = vec![QAlgorithm::new(); unread.len()];
     let slot = timing.slot_duration();
-
-    // Events land whole slots apart, so one bucket per slot (at least
-    // 1 ns: a zero-length slot is a valid timing).
-    let mut sched: CalendarQueue<Event> =
-        CalendarQueue::with_layout(slot.max(Duration::from_nanos(1)), 64);
     let mut result = TimedInventory::default();
     let mut scratch = AlohaScratch::new();
-    sched.schedule_at(Instant::ZERO, Event::EnterSector(0));
-
-    while let Some((_, ev)) = sched.pop() {
-        match ev {
-            Event::EnterSector(idx) => {
-                if idx >= unread.len() {
-                    continue; // sweep complete
-                }
-                result.sectors_visited += 1;
-                sched.schedule_in(steer_time, Event::Round(idx));
-            }
-            Event::Round(idx) => {
-                if unread[idx] == 0 {
-                    // One probe round of the minimum frame to discover
-                    // emptiness, then move on.
-                    result.slots += 1;
-                    sched.schedule_in(slot, Event::EnterSector(idx + 1));
-                    continue;
-                }
-                let frame = qs[idx].frame_size();
-                // Counts kernel: one slot draw per unread tag, only the
-                // histogram materialized — the event loop stays
-                // allocation-free in steady state.
-                let counts = FramedAloha.run_round_counts(unread[idx], frame, rng, &mut scratch);
-                unread[idx] -= counts.successes;
-                result.tags_read += counts.successes;
-                result.slots += frame;
-                qs[idx].update_counts(&counts);
-                let round_time = slot.times(frame as u64);
-                if unread[idx] == 0 {
-                    sched.schedule_in(round_time, Event::EnterSector(idx + 1));
-                } else {
-                    sched.schedule_in(round_time, Event::Round(idx));
-                }
-            }
+    for &in_sector in partition.sector_counts() {
+        result.sectors_visited += 1;
+        result.elapsed = result.elapsed + steer_time;
+        if in_sector == 0 {
+            result.slots += 1;
+            result.elapsed = result.elapsed + slot;
+            continue;
         }
-        result.elapsed = sched.now().duration_since(Instant::ZERO);
+        let mut unread = in_sector;
+        let mut q = QAlgorithm::new();
+        while unread > 0 {
+            let frame = q.frame_size();
+            // Counts kernel: one slot draw per unread tag, only the
+            // histogram materialized.
+            let counts = FramedAloha.run_round_counts(unread, frame, rng, &mut scratch);
+            unread -= counts.successes;
+            result.tags_read += counts.successes;
+            result.slots += frame;
+            result.elapsed = result.elapsed + slot.times(frame as u64);
+            q.update_counts(&counts);
+        }
     }
     result
 }
@@ -178,6 +146,36 @@ mod tests {
         );
         assert_eq!(r.tags_read, 0);
         assert_eq!(r.slots, scan().positions()); // one probe per sector
+    }
+
+    /// The timeline's accounting, exactly: every sector visited costs one
+    /// steer, every slot one slot duration — the last round and the last
+    /// empty sector's probe included.
+    #[test]
+    fn elapsed_is_steering_plus_slots() {
+        for (n, rate_mbps, steer_us, seed) in [
+            (0usize, 100.0, 10, 1u64),
+            (1, 100.0, 10, 2),
+            (12, 39.0, 10, 7),
+            (60, 1000.0, 0, 3),
+            (200, 10.0, 25, 4),
+        ] {
+            // Clustered on the left half: the sweep ends on empty sectors.
+            let tags: Vec<Angle> = (0..n)
+                .map(|i| Angle::from_degrees(-58.0 + 50.0 * i as f64 / n.max(1) as f64))
+                .collect();
+            let t = timing(rate_mbps);
+            let steer = Duration::from_micros(steer_us);
+            let r =
+                run_timed_inventory(scan(), &tags, t, steer, &mut Xoshiro256pp::seed_from(seed));
+            assert_eq!(r.tags_read, n);
+            assert_eq!(r.sectors_visited, scan().positions());
+            assert_eq!(
+                r.elapsed,
+                steer.times(r.sectors_visited as u64) + t.slot_duration().times(r.slots as u64),
+                "n={n} rate={rate_mbps} Mbps steer={steer}"
+            );
+        }
     }
 
     #[test]

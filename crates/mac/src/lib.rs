@@ -19,8 +19,8 @@
 //!   coarse-to-fine hierarchical search) with time costs,
 //! * [`sdm`] — the beam-sector scheduler: tags are partitioned by angle so
 //!   only same-sector tags contend,
-//! * [`inventory`] — a discrete-event inventory simulation combining scan,
-//!   sectoring and Aloha into wall-clock time-to-read-all numbers,
+//! * [`inventory`] — a timed inventory combining scan, sectoring and
+//!   Aloha into wall-clock time-to-read-all numbers,
 //! * [`capture`] — the capture effect: the d⁻⁴ power spread lets a real
 //!   receiver decode the strongest tag out of a collision,
 //! * [`mimo`] — §9's multi-beam proposal: K simultaneous beams inventory
@@ -29,9 +29,9 @@
 //!   tag state machines (Query → RN16 → ACK → EPC handshake),
 //! * [`city`] — the city-scale sharded event engine: a reader grid
 //!   inventorying 10⁵⁺ mobile tags — a per-tag barrier over the unread
-//!   tags with per-reader wall lists, then sharded rounds that play each
-//!   frame slot by slot — with struct-of-arrays tag state, bit-identical
-//!   at any thread or shard count.
+//!   tags with per-reader wall lists, then rounds sharded one reader range
+//!   per thread that play each frame slot by slot — with struct-of-arrays
+//!   tag state, bit-identical at any thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

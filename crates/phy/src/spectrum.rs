@@ -29,8 +29,9 @@ impl Spectrum {
     /// oversampling, using `n_bits` bits and an `nfft`-point Welch PSD.
     ///
     /// # Panics
-    /// Panics if `nfft` is not a power of two or the waveform is shorter
-    /// than one segment.
+    /// Panics unless `nfft` is a power of four, at least 4 (the one FFT
+    /// kernel's sizes; every caller uses 1024 = 4⁵), or if the waveform
+    /// is shorter than one segment.
     pub fn of_ook<R: Rng + ?Sized>(
         modem: &OokModem,
         n_bits: usize,
@@ -234,8 +235,8 @@ mod tests {
         let mut bits = vec![false; 4096];
         rng.fill_bits(&mut bits);
         let samples = modem.modulate(&bits);
-        let free = Spectrum::of_samples(&samples, 8, 512);
-        let plan = WelchPlan::new(512);
+        let free = Spectrum::of_samples(&samples, 8, 1024);
+        let plan = WelchPlan::new(1024);
         let planned = Spectrum::of_samples_with_plan(&plan, &samples, 8);
         for (a, b) in free.psd().iter().zip(planned.psd()) {
             assert_eq!(a.to_bits(), b.to_bits());

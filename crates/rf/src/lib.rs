@@ -7,7 +7,7 @@
 //! * [`units`] — strongly-typed physical quantities (frequency, power,
 //!   distance, angles, bandwidth, data rate) with explicit conversions,
 //! * [`db`] — decibel ↔ linear conversions done once, correctly,
-//! * [`fft`] — radix-2 FFT and Welch PSD for spectrum analysis,
+//! * [`fft`] — radix-4 FFT and Welch PSD for spectrum analysis,
 //! * [`constants`] — the physical constants the link budget rests on,
 //! * [`special`] — `erf`/`erfc`/Q-function needed for BER theory,
 //! * [`rng`] — the in-house xoshiro256++ generator, sampler trait and

@@ -3,15 +3,19 @@
 //! Deliberately minimal: a time-ordered priority queue of typed events with
 //! FIFO tie-breaking. The *caller* owns the simulation state and drives the
 //! loop (`while let Some(...) = sched.pop()`), which keeps borrow-checking
-//! trivial and makes every protocol simulation in `mmtag-mac`/`mmtag` an
-//! ordinary, testable state machine rather than a callback soup.
+//! trivial and keeps a protocol simulation an ordinary, testable state
+//! machine rather than a callback soup.
 //!
 //! Determinism guarantees:
 //! * events at equal times pop in scheduling order (sequence numbers),
 //! * no wall-clock, no threads, no interior mutability,
 //! * time never moves backwards (scheduling into the past panics).
 //!
-//! [`CalendarQueue`] is the one production scheduler. Its test oracle is
+//! No production path schedules events: the timelines the workspace
+//! models are presorted — beam acquisition (`mmtag_mac::acquisition`) is
+//! a closed form, the timed inventory and the city engine's frames are
+//! loops over a clock — so none needs a queue. perfbench's
+//! `sim.des.ns_per_event` row times [`CalendarQueue`]. Its test oracle is
 //! a binary-heap scheduler over the same `(time, seq)` keys, kept in this
 //! module's tests: differential tests drive both through randomized
 //! schedules with ties, cancellations and `schedule_in` chains, and
@@ -29,8 +33,7 @@ struct Entry<E> {
     event: E,
 }
 
-/// A bucketed calendar-queue scheduler: the engine behind beam
-/// acquisition (E19) and the timed inventory.
+/// A bucketed calendar-queue scheduler.
 ///
 /// `(time, seq)` pop order with FIFO tie-breaking, lazy cancellation,
 /// panic on scheduling into the past — with events in a ring of time

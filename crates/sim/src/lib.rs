@@ -8,7 +8,8 @@
 //! hidden global time.
 //!
 //! * [`time`] — nanosecond-resolution simulation time,
-//! * [`des`] — a deterministic discrete-event scheduler,
+//! * [`des`] — a deterministic discrete-event scheduler (perfbench times
+//!   it; no production path schedules events),
 //! * [`geom`] — 2-D geometry: vectors, wall segments, line-of-sight tests
 //!   and image-method specular reflections,
 //! * [`spatial`] — a uniform-grid spatial hash (CSR layout, counting-sort

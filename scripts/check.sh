@@ -73,9 +73,18 @@ cargo run -q --release -p mmtag-cli -- scenarios
 
 # City-scale smoke: one hundred thousand tags through the city engine via
 # the CLI — the production path (SoA tag state, per-tag parallel barrier,
-# sharded per-slot rounds, shard merge) at full density, not the
-# minimized smoke size.
-cargo run -q --release -p mmtag-cli -- city --tags 100000 --rounds 5 --seed 7
+# per-slot rounds over one reader range per thread, range merge) at full
+# density, not the minimized smoke size. The ranges follow the thread
+# budget, so a 1-thread run and a default-budget run must print the same
+# bytes.
+city_dir="$work/city"
+mkdir "$city_dir"
+MMTAG_THREADS=1 cargo run -q --release -p mmtag-cli -- \
+    city --tags 100000 --rounds 5 --seed 7 > "$city_dir/one-thread.txt"
+cargo run -q --release -p mmtag-cli -- \
+    city --tags 100000 --rounds 5 --seed 7 > "$city_dir/default.txt"
+cat "$city_dir/default.txt"
+cmp "$city_dir/one-thread.txt" "$city_dir/default.txt"
 
 # Rate-region smoke (E29, small grid): the multi-tag sweep end to end —
 # cascade channel, tag constellations, one chunk-grid estimate shared by
@@ -162,4 +171,4 @@ rf_t1=$(date +%s)
 echo "rf crate release build (clean): $((rf_t1 - rf_t0))s"
 rm -rf target/rf-build-timing
 
-echo "check.sh: fmt + build + examples + tests + masked-libm tests + clippy + scenario list + rate-region smoke + cache round-trip + serve smoke all green"
+echo "check.sh: fmt + build + examples + tests + masked-libm tests + clippy + scenario list + city thread-invariance smoke + rate-region smoke + cache round-trip + serve smoke all green"
