@@ -55,30 +55,36 @@ fn run_in(args: &Args, cache_dir: &Path) -> Result<String, ArgError> {
     Ok(out)
 }
 
-/// Routes a parsed command line to its command function, then refuses a
-/// flag the command did not read (the command's output is dropped).
+/// Routes a parsed command line to its command function. Every command
+/// reads all of its flags first and refuses one it did not read
+/// ([`Args::refuse_unread`]) before it does any work, so a misspelt flag
+/// costs no run, writes no run-cache entry and starts no daemon.
 fn dispatch(args: &Args, cache_dir: &Path) -> Result<String, ArgError> {
     if args.command.as_deref() != Some("run") {
         if let Some(op) = &args.operand {
             return Err(ArgError::UnexpectedPositional(op.clone()));
         }
     }
-    let out = match args.command.as_deref() {
+    match args.command.as_deref() {
         Some("link") => cmd_link(args),
         Some("sweep") => cmd_sweep(args),
-        Some("s11") => cmd_s11(args),
         Some("inventory") => cmd_inventory(args),
         Some("city") => cmd_city(args),
         Some("locate") => cmd_locate(args),
         Some("energy") => cmd_energy(args),
-        Some("compare") => Ok(cmd_compare()),
-        Some("scenarios") => Ok(cmd_scenarios()),
         Some("run") => cmd_run(args, cache_dir),
         Some("serve") => cmd_serve(args, cache_dir),
-        _ => Ok(help()),
-    }?;
-    args.refuse_unread()?;
-    Ok(out)
+        other => {
+            // The rest take no flags.
+            args.refuse_unread()?;
+            Ok(match other {
+                Some("s11") => cmd_s11(),
+                Some("compare") => cmd_compare(),
+                Some("scenarios") => cmd_scenarios(),
+                _ => help(),
+            })
+        }
+    }
 }
 
 /// `mmtag serve`: the simulation-as-a-service daemon. Blocks until some
@@ -243,8 +249,10 @@ fn band_ghz(args: &Args) -> Result<f64, ArgError> {
 fn cmd_link(args: &Args) -> Result<String, ArgError> {
     let range = args.positive_f64_or("range-ft", 4.0)?;
     let rotation = args.angle_deg_or("rotation-deg", 0.0)?;
-    let tag = build_tag(&tag_spec(args)?);
-    let reader = build_reader(&reader_spec(args)?);
+    let (tag, reader) = (tag_spec(args)?, reader_spec(args)?);
+    args.refuse_unread()?;
+    let tag = build_tag(&tag);
+    let reader = build_reader(&reader);
     let scene = build_scene(&SceneSpec::free_space());
     let (rp, tp) = offset_poses(range, rotation, 0.0);
     let report = evaluate_link(&reader, &tag, &scene, rp, tp);
@@ -272,8 +280,10 @@ fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
     let from = args.positive_f64_or("from-ft", 2.0)?;
     let to = args.positive_f64_or("to-ft", 12.0)?;
     let points = args.usize_or("points", 11)?;
-    let tag = build_tag(&tag_spec(args)?);
-    let reader = build_reader(&reader_spec(args)?);
+    let (tag, reader) = (tag_spec(args)?, reader_spec(args)?);
+    args.refuse_unread()?;
+    let tag = build_tag(&tag);
+    let reader = build_reader(&reader);
     let scene = build_scene(&SceneSpec::free_space());
 
     let mut out = String::from("range_ft  power_dbm  rate\n");
@@ -289,7 +299,7 @@ fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
-fn cmd_s11(_args: &Args) -> Result<String, ArgError> {
+fn cmd_s11() -> String {
     let e = ElementPort::mmtag_default();
     let f0 = Frequency::from_ghz(24.0);
     let mut out = String::from("element S11 at the 24 GHz carrier:\n");
@@ -304,12 +314,13 @@ fn cmd_s11(_args: &Args) -> Result<String, ArgError> {
         e.s11_db(f0, SwitchState::On)
     );
     let _ = writeln!(out, "  −10 dB bandwidth       : {}", e.matched_bandwidth());
-    Ok(out)
+    out
 }
 
 fn cmd_inventory(args: &Args) -> Result<String, ArgError> {
     let n = args.usize_or("tags", 48)?;
     let seed = args.u64_or("seed", 1)?;
+    args.refuse_unread()?;
     let mut net = Network::new(
         build_scene(&SceneSpec::free_space()),
         build_reader(&ReaderSpec::mmtag_setup()),
@@ -347,6 +358,7 @@ fn cmd_city(args: &Args) -> Result<String, ArgError> {
     )?;
     cfg.blockers = args.usize_or("blockers", cfg.blockers)?;
     let seed = args.u64_or("seed", 1)?;
+    args.refuse_unread()?;
     let mut eng = CityEngine::new(cfg, SeedTree::new(seed));
     let stats = eng.run_rounds(mmtag_rf::par::thread_limit());
     let mut out = String::new();
@@ -373,6 +385,7 @@ fn cmd_city(args: &Args) -> Result<String, ArgError> {
 fn cmd_locate(args: &Args) -> Result<String, ArgError> {
     let range = args.positive_f64_or("range-ft", 6.0)?;
     let bearing = args.angle_deg_or("bearing-deg", 20.0)?;
+    args.refuse_unread()?;
     let reader = build_reader(&ReaderSpec::mmtag_setup());
     let tag = build_tag(&TagSpec::prototype());
     let scene = build_scene(&SceneSpec::free_space());
@@ -402,6 +415,7 @@ fn cmd_energy(args: &Args) -> Result<String, ArgError> {
         area_cm2: args.positive_f64_or("solar-cm2", 10.0)?,
     };
     let cap = StorageCap::new(args.positive_f64_or("cap-uf", 100.0)? * 1e-6, 1.8, 3.3);
+    args.refuse_unread()?;
     let budget = EnergyBudget::for_tag(&build_tag(&TagSpec::prototype()), rate);
 
     let mut out = String::new();
@@ -482,17 +496,20 @@ fn cmd_run(args: &Args, cache_dir: &Path) -> Result<String, ArgError> {
     // the user opts out; --trace implies --no-cache because a cache hit
     // skips the execution spans the trace exists to record.
     let cached = !args.has("no-cache") && !args.has("trace");
+    let quick = args.usize_or("quick", 0)? != 0;
+    let format = args.str_or("format", "table");
+    args.refuse_unread()?;
     let runner = if cached {
         Runner::new().with_cache(mmtag_sim::cache::RunCache::at(cache_dir))
     } else {
         Runner::new()
     };
-    let record = if args.usize_or("quick", 0)? != 0 {
+    let record = if quick {
         runner.run_minimized(s, 3, 200)
     } else {
         runner.run(s)
     };
-    match args.str_or("format", "table").as_str() {
+    match format.as_str() {
         "csv" => Ok(record.to_csv()),
         "json" => Ok(record.to_json() + "\n"),
         _ => Ok(record.render()),
@@ -763,7 +780,8 @@ mod tests {
 
     /// A flag its command does not read — misspelt, another command's,
     /// or removed — is an argument error that writes no `--trace` file,
-    /// not a flag silently ignored.
+    /// not a flag silently ignored, and it is refused before the command
+    /// runs anything or stores into the run cache.
     #[test]
     fn flags_a_command_does_not_take_are_argument_errors_and_write_no_trace() {
         let cases: &[(&[&str], &str)] = &[
@@ -784,6 +802,7 @@ mod tests {
                 &["run", "e06-beamwidth", "--quick", "1", "--fromat", "csv"],
                 "fromat",
             ),
+            (&["run", "e05-ber", "--fromat", "csv"], "fromat"),
             (&["link", "--no-cache"], "no-cache"),
         ];
         let path = std::env::temp_dir().join(format!(
@@ -792,18 +811,29 @@ mod tests {
         ));
         let trace = path.to_str().unwrap();
         for &(line, flag) in cases {
-            let err = run_err(&[line, &["--trace", trace]].concat());
+            let want = ArgError::UnknownFlag {
+                command: line[0].into(),
+                flag: flag.into(),
+            };
+            let cache = CacheDir::new();
+            let traced = Args::parse([line, &["--trace", trace]].concat()).unwrap();
+            let err = run_in(&traced, &cache.0).unwrap_err();
             let written = path.exists();
             let _ = std::fs::remove_file(&path);
-            assert_eq!(
-                err,
-                ArgError::UnknownFlag {
-                    command: line[0].into(),
-                    flag: flag.into()
-                },
-                "{line:?}"
-            );
+            assert_eq!(err, want, "{line:?}");
             assert!(!written, "{line:?} left a trace file");
+            // Refused before any work: no instrumented stage ran (the
+            // runner and the BER and city kernels all record events at
+            // this level) and the run cache stayed untouched.
+            obs::set_level(obs::Level::Trace);
+            let start = obs::mark();
+            let err = dispatch(&Args::parse(line.iter().copied()).unwrap(), &cache.0);
+            let events = obs::mark() - start;
+            obs::set_level(obs::Level::Off);
+            obs::drain();
+            assert_eq!(err.unwrap_err(), want, "{line:?}");
+            assert_eq!(events, 0, "{line:?} did work before refusing the flag");
+            assert!(!cache.0.exists(), "{line:?} wrote into the run cache");
         }
         // serve refuses `--trace` itself, and a stray flag before it binds
         // a listener.

@@ -14,36 +14,43 @@
 //!   [`ber_sweep_par_with`] — the same harness chunked over the
 //!   [`mmtag_rf::par`] engine at an explicit thread budget (one RNG stream
 //!   per (point, bit-chunk), so parallel estimates are bit-identical at
-//!   any thread count) behind experiment E5 and serve's sweeps.
+//!   any thread count) behind experiment E5 and serve's sweeps; its work
+//!   unit is a group of up to [`LANES`] equal-length chunks counted side
+//!   by side.
 //!
 //! Bit convention: §6 of the paper maps data bit **0** to the reflective
 //! state ("the switches are off and the amplitude of the reflected power is
 //! high") and bit **1** to absorption. [`OokModem`] uses `mark_bit` to hold
 //! that mapping so the same modem expresses either convention.
 //!
-//! ## The certified kernel and [`TrialScratch`]
+//! ## The certified kernels, [`TrialScratch`] and [`LaneScratch`]
 //!
-//! The Monte-Carlo trial loop is the stack's hottest path. Its one
-//! production implementation is [`count_bit_errors_scratch`] (DESIGN.md
-//! §11): all bits drawn first, then the waveform streamed through
-//! groups of whole symbols held in a caller-owned, group-sized
-//! [`TrialScratch`] — noise from the certified Box–Muller block
-//! ([`uniform_pairs`] + [`box_muller_certified`], `ln` through the
-//! vectorized [`mmtag_rf::math::ln_lanes`]), a fused modulate+noise pass,
-//! and a matched filter that carries [`mmtag_rf::math::LANES`] symbols
-//! side by side. Each threshold decision stands when the fast statistic
-//! clears the threshold by a margin a rounding analysis proves larger
-//! than any gap to the exact statistic; a symbol inside the margin is
-//! replayed through the exact libm chain from its kept uniforms. The
-//! steady state of a trial loop performs **zero heap allocations**
-//! (verified by the repo's allocation-guard integration test). Its test
+//! The Monte-Carlo trial loop is the stack's hottest path. It has two
+//! production shapes sharing one certificate, one exact replay and one
+//! set of math lanes (DESIGN.md §11). [`count_bit_errors_scratch`] counts
+//! one stream of any [`Rng`] (E16's sequential cells, perfbench's probe):
+//! all bits drawn first, then the waveform streamed through groups of
+//! whole symbols held in a caller-owned, group-sized [`TrialScratch`] —
+//! noise from the certified Box–Muller block ([`uniform_pairs`] +
+//! [`box_muller_certified`], `ln` through the vectorized
+//! [`mmtag_rf::math::ln_lanes`]), a fused modulate+noise pass, and a
+//! matched filter that carries [`LANES`] symbols side by side.
+//! [`count_bit_errors_lanes`] counts up to [`LANES`] independent xoshiro
+//! streams at once (E5's and serve's sweeps): the same stages laid out
+//! across streams in a [`LaneScratch`], so one [`XoshiroLanes`] step draws
+//! for every stream. Each threshold decision stands when the fast
+//! statistic clears the threshold by a margin a rounding analysis proves
+//! larger than any gap to the exact statistic; a symbol inside the margin
+//! is replayed through the exact libm chain from its kept uniforms. The
+//! steady state of either trial loop performs **zero heap allocations**
+//! (verified by the repo's allocation-guard integration test). Their test
 //! oracle is the allocating chain above, written out in this module's
 //! tests: one [`Rng::bit`] per bit, [`OokModem::modulate`], one
 //! [`Rng::normal_pair`] added per sample, then
 //! [`OokModem::demodulate_coherent`] / [`OokModem::demodulate_noncoherent`].
-//! The kernel matches it bit for bit — same counts, same RNG stream
-//! position — at the production margin and with every decision forced
-//! through the replay.
+//! Both kernels match it bit for bit — same counts, same RNG stream
+//! position, lane by lane — at the production margin and with every
+//! decision forced through the replay.
 //!
 //! Noise streams are **sampler v2**: AWGN consumes both Box–Muller
 //! branches through [`Rng::normal_pair`] (one uniform pair per complex
@@ -55,7 +62,8 @@ use mmtag_rf::math::LANES;
 use mmtag_rf::obs;
 use mmtag_rf::par;
 use mmtag_rf::rng::{
-    box_muller_certified, box_muller_exact, uniform_pairs, Rng, SeedTree, BM_BLOCK,
+    box_muller_certified, box_muller_exact, uniform_pairs, uniform_pairs_lanes, Rng, SeedTree,
+    Xoshiro256pp, XoshiroLanes, BM_BLOCK,
 };
 use mmtag_rf::Complex;
 
@@ -223,6 +231,21 @@ impl Awgn {
 /// over the worst case).
 pub(crate) const CERT_MARGIN: f64 = 1.0 / (1u64 << 36) as f64;
 
+/// One symbol's certificate bound `Σⱼ Bⱼ`, evaluated as
+/// `sps·|a| + noise·Σⱼ r'ⱼ` for level `a`, where `noise = q·|σ|` (`q = 2`
+/// when the envelope adds the Q component's noise).
+#[inline]
+fn cert_bound(sps: usize, a: f64, noise: f64, sum_r: f64) -> f64 {
+    sps as f64 * a.abs() + noise * sum_r
+}
+
+/// True when the fast statistic decides `S > θ` for certain: it clears
+/// the threshold by more than `margin·Σⱼ Bⱼ`. A NaN statistic never does.
+#[inline]
+fn certified(fast: f64, threshold: f64, bound: f64, margin: f64) -> bool {
+    (fast - threshold).abs() > margin * bound
+}
+
 /// The largest oversampling factor the certificate covers: its fold-error
 /// term grows with the number of samples summed per symbol, and the
 /// derivation bounds it for `sps ≤ 2¹²`.
@@ -345,19 +368,16 @@ impl SymbolGroup {
         let mut sum_r = [0.0f64; BM_BLOCK];
         fold_symbols(&re[..lanes * sps], sps, &mut stat[..lanes]);
         fold_symbols(&r[..lanes * sps], sps, &mut sum_r[..lanes]);
-        // Σⱼ Bⱼ = sps·|a| + q·|σ|·Σⱼ r'ⱼ, with q = 2 when the envelope
-        // adds the Q component's noise.
-        let mut noise_terms = sigma.abs();
         if !coherent {
             let mut sum_im = [0.0f64; BM_BLOCK];
             fold_symbols(&im[..lanes * sps], sps, &mut sum_im[..lanes]);
             for (s, q) in stat.iter_mut().zip(&sum_im).take(bits.len()) {
                 *s = s.hypot(*q);
             }
-            noise_terms *= 2.0;
         }
+        let noise = noise_terms(sigma, coherent);
         for ((b, &sr), &bit) in bound.iter_mut().zip(&sum_r).zip(bits) {
-            *b = sps as f64 * modem.level(bit).abs() + noise_terms * sr;
+            *b = cert_bound(sps, modem.level(bit), noise, sr);
         }
     }
 }
@@ -485,12 +505,13 @@ fn count_certified<R: Rng + ?Sized>(
         group.ook(rng, modem, sigma, coherent, group_bits);
         for (l, &bit) in group_bits.iter().enumerate() {
             let fast = group.stat[l];
-            let s = if (fast - threshold).abs() > margin * group.bound[l] {
+            let s = if certified(fast, threshold, group.bound[l], margin) {
                 fast
             } else {
                 let at = l * sps..(l + 1) * sps;
+                let pairs = group.u1[at.clone()].iter().zip(&group.u2[at]);
                 let a = modem.level(bit);
-                exact_ook_statistic(&group.u1[at.clone()], &group.u2[at], a, sigma, coherent)
+                exact_ook_statistic(pairs.map(|(&v1, &v2)| (v1, v2)), a, sigma, coherent)
             };
             let decided = (s > threshold) == modem.mark_bit;
             errors += u64::from(decided != bit);
@@ -502,15 +523,30 @@ fn count_certified<R: Rng + ?Sized>(
     errors
 }
 
+/// `q·|σ|`, the noise factor of every `Bⱼ`: `q = 2` when the envelope
+/// adds the Q component's noise.
+fn noise_terms(sigma: f64, coherent: bool) -> f64 {
+    if coherent {
+        sigma.abs()
+    } else {
+        2.0 * sigma.abs()
+    }
+}
+
 /// One symbol's exact matched-filter statistic, replayed from its kept
-/// uniforms: each sample's pair through [`box_muller_exact`] (libm `ln`),
-/// `a + σ·nᵢ` and `0.0 + σ·n_q`, summed first to last from `0.0`, then
-/// the real part (coherent) or the `hypot` envelope — the allocating
-/// chain's arithmetic, operation for operation.
+/// uniform pairs `(u1, u2)`, first sample first: each pair through
+/// [`box_muller_exact`] (libm `ln`), `a + σ·nᵢ` and `0.0 + σ·n_q`, summed
+/// first to last from `0.0`, then the real part (coherent) or the `hypot`
+/// envelope — the allocating chain's arithmetic, operation for operation.
 #[cold]
-fn exact_ook_statistic(u1: &[f64], u2: &[f64], a: f64, sigma: f64, coherent: bool) -> f64 {
+fn exact_ook_statistic(
+    pairs: impl Iterator<Item = (f64, f64)>,
+    a: f64,
+    sigma: f64,
+    coherent: bool,
+) -> f64 {
     let (mut sum_re, mut sum_im) = (0.0f64, 0.0f64);
-    for (&v1, &v2) in u1.iter().zip(u2) {
+    for (v1, v2) in pairs {
         let (ni, nq) = box_muller_exact(v1, v2);
         sum_re += a + sigma * ni;
         sum_im += 0.0 + sigma * nq;
@@ -520,6 +556,192 @@ fn exact_ook_statistic(u1: &[f64], u2: &[f64], a: f64, sigma: f64, coherent: boo
     } else {
         sum_re.hypot(sum_im)
     }
+}
+
+/// Caller-owned workspace for the lane counter
+/// ([`count_bit_errors_lanes`]), under [`TrialScratch`]'s ownership rules:
+/// one worker at a time, every value written before it is read. It holds
+/// one byte per symbol step for the lanes' bits and one group of sample
+/// steps laid out across streams (`[k][l]` is sample `k` of lane `l`):
+/// as many whole symbols as fit in [`BM_BLOCK`] steps (4 KiB per buffer)
+/// where `sps ≤ 64`, one symbol's `sps` steps above. Nothing shrinks, so
+/// a warm scratch never allocates.
+#[derive(Clone, Debug, Default)]
+pub struct LaneScratch {
+    /// Per symbol step, bit `l` is lane `l`'s data bit.
+    bits: Vec<u8>,
+    /// Kept `u1` uniforms, for exact replay.
+    u1: Vec<[f64; LANES]>,
+    /// Kept `u2` uniforms, for exact replay.
+    u2: Vec<[f64; LANES]>,
+    /// Fast Box–Muller radii `r'`.
+    r: Vec<[f64; LANES]>,
+    /// Cosine-branch noise.
+    re: Vec<[f64; LANES]>,
+    /// Sine-branch noise.
+    im: Vec<[f64; LANES]>,
+}
+
+impl LaneScratch {
+    /// An empty workspace; buffers are sized lazily by the first call.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// [`count_bit_errors_scratch`] on up to [`LANES`] equal-length streams at
+/// once: stream `l` draws from `rngs[l]` at noise `awgns[l]`, and count
+/// `l` is exactly what [`count_bit_errors_scratch`] returns on that stream
+/// — the same decisions, and each generator left where that call leaves
+/// it. Counts past `rngs.len()` are zero.
+///
+/// The streams run side by side in vector lanes, laid out across streams
+/// (sample `k` of lane `l` at `[k][l]`), so the serial xoshiro draws of
+/// one stream become one [`XoshiroLanes`] step for all of them:
+///
+/// * each lane's bits are drawn first, as the single-stream kernel draws
+///   them, one byte per symbol step holding every lane's bit;
+/// * then groups of whole symbols: [`uniform_pairs_lanes`] (a rejected
+///   `u1` is compacted inside its own lane's stream), the certified
+///   Box–Muller math over the group ([`box_muller_certified`]), and
+///   per-lane running matched-filter and radius sums folded in the
+///   single-stream kernel's order;
+/// * every lane decides branch-free under the same certificate
+///   (`|S' − θ| > K·Σⱼ Bⱼ`), with one test per symbol step for any lane
+///   inside the margin; such a lane's symbol replays through the same
+///   exact libm chain from its kept uniforms.
+///
+/// Idle lanes (past `rngs.len()`) run a noise-free copy of lane 0's
+/// stream that is never counted, replayed or written back.
+///
+/// # Panics
+/// Panics if `rngs` and `awgns` differ in length or exceed [`LANES`], or
+/// if `samples_per_symbol` exceeds [`MAX_CERTIFIED_SPS`].
+pub fn count_bit_errors_lanes(
+    modem: &OokModem,
+    awgns: &[Awgn],
+    n_bits: usize,
+    coherent: bool,
+    rngs: &mut [Xoshiro256pp],
+    scratch: &mut LaneScratch,
+) -> [usize; LANES] {
+    count_certified_lanes(modem, awgns, n_bits, coherent, rngs, scratch, CERT_MARGIN)
+}
+
+/// [`count_bit_errors_lanes`] at an explicit certificate margin factor
+/// (production passes [`CERT_MARGIN`]; the tests pass `∞` to force every
+/// decision through the exact replay).
+fn count_certified_lanes(
+    modem: &OokModem,
+    awgns: &[Awgn],
+    n_bits: usize,
+    coherent: bool,
+    rngs: &mut [Xoshiro256pp],
+    scratch: &mut LaneScratch,
+    margin: f64,
+) -> [usize; LANES] {
+    let streams = rngs.len();
+    assert!(
+        streams <= LANES && awgns.len() == streams,
+        "one noise level per stream, at most {LANES} streams"
+    );
+    let sps = modem.samples_per_symbol;
+    assert!(
+        sps <= MAX_CERTIFIED_SPS,
+        "the decision certificate covers at most {MAX_CERTIFIED_SPS} samples per symbol"
+    );
+    let mut errors = [0usize; LANES];
+    let Some(first) = rngs.first() else {
+        return errors;
+    };
+    let _span = obs::span("phy.ber.lanes");
+    let mut lanes = XoshiroLanes::new(&std::array::from_fn(|l| {
+        rngs.get(l).unwrap_or(first).clone()
+    }));
+    let active: [bool; LANES] = std::array::from_fn(|l| l < streams);
+    let sigma: [f64; LANES] = std::array::from_fn(|l| awgns.get(l).map_or(0.0, |a| a.sigma));
+    let noise = sigma.map(|s| noise_terms(s, coherent));
+    let LaneScratch {
+        bits,
+        u1,
+        u2,
+        r,
+        re,
+        im,
+    } = scratch;
+    bits.resize(n_bits, 0);
+    for b in bits.iter_mut() {
+        let raw = lanes.next_u64s();
+        *b = (0..LANES).fold(0, |m, l| m | ((raw[l] >> 63) as u8) << l);
+    }
+    let symbols = (BM_BLOCK / sps).max(1);
+    for buf in [&mut *u1, &mut *u2, &mut *r, &mut *re, &mut *im] {
+        buf.resize(symbols * sps, [0.0; LANES]);
+    }
+    let threshold = modem.decision_threshold();
+    let decided = |s: f64| (s > threshold) == modem.mark_bit;
+    for group_bits in bits.chunks(symbols) {
+        let ns = group_bits.len() * sps;
+        uniform_pairs_lanes(&mut lanes, &mut u1[..ns], &mut u2[..ns]);
+        box_muller_certified(
+            u1[..ns].as_flattened(),
+            u2[..ns].as_flattened(),
+            r[..ns].as_flattened_mut(),
+            re[..ns].as_flattened_mut(),
+            im[..ns].as_flattened_mut(),
+        );
+        for (at, &mask) in (0..ns).step_by(sps).zip(group_bits) {
+            let at = at..at + sps;
+            let bit: [bool; LANES] = std::array::from_fn(|l| mask >> l & 1 == 1);
+            let a = bit.map(|b| modem.level(b));
+            // Fused modulate + AWGN + matched filter, per lane the
+            // single-stream kernel's `a + σ·nᵢ` folded from `0.0`.
+            let mut stat = [0.0f64; LANES];
+            let mut sum_r = [0.0f64; LANES];
+            for (x, rk) in re[at.clone()].iter().zip(&r[at.clone()]) {
+                for l in 0..LANES {
+                    stat[l] += a[l] + sigma[l] * x[l];
+                    sum_r[l] += rk[l];
+                }
+            }
+            if !coherent {
+                let mut sum_im = [0.0f64; LANES];
+                for y in &im[at.clone()] {
+                    for l in 0..LANES {
+                        sum_im[l] += 0.0 + sigma[l] * y[l];
+                    }
+                }
+                for l in 0..LANES {
+                    stat[l] = stat[l].hypot(sum_im[l]);
+                }
+            }
+            let mut inside = [false; LANES];
+            for l in 0..LANES {
+                let bound = cert_bound(sps, a[l], noise[l], sum_r[l]);
+                inside[l] = active[l] & !certified(stat[l], threshold, bound, margin);
+                errors[l] += usize::from(decided(stat[l]) != bit[l]);
+            }
+            // One test for the whole step keeps the lanes branch-free;
+            // a lane inside the margin is rare (DESIGN.md §11).
+            if inside.contains(&true) {
+                for l in (0..LANES).filter(|&l| inside[l]) {
+                    let pairs = u1[at.clone()].iter().zip(&u2[at.clone()]);
+                    let pairs = pairs.map(|(v1, v2)| (v1[l], v2[l]));
+                    let exact = exact_ook_statistic(pairs, a[l], sigma[l], coherent);
+                    errors[l] -= usize::from(decided(stat[l]) != bit[l]);
+                    errors[l] += usize::from(decided(exact) != bit[l]);
+                }
+            }
+        }
+    }
+    for (l, rng) in rngs.iter_mut().enumerate() {
+        *rng = lanes.lane(l);
+    }
+    obs::counter_add("phy.ber.bits", (n_bits * streams) as u64);
+    for &e in &errors[..streams] {
+        obs::observe("phy.ber.chunk_errors", e as u64);
+    }
+    errors
 }
 
 /// Bits per work unit for the parallel BER harness. Fixed (never derived
@@ -570,12 +792,20 @@ pub fn measure_ber_raws(modem: &OokModem, n_bits: usize) -> u64 {
 }
 
 /// A full BER-vs-SNR sweep at a `threads` budget, parallelized over
-/// *both* axes: every (SNR point, bit-chunk) pair is one independent work
-/// unit, so a sweep with few points still saturates a many-core machine.
+/// *both* axes: every (SNR point, bit-chunk) pair is an independent
+/// stream, so a sweep with few points still saturates a many-core machine.
 /// Point `si` chunk `ci` draws from
 /// `tree.subtree_indexed("snr", si).rng_indexed("ber-chunk", ci)` — each
 /// point's randomness is independent of the sweep length, and the whole
 /// sweep is bit-identical at any thread count.
+///
+/// The pool's work unit is a group of up to [`LANES`] chunks of equal
+/// length, counted side by side by [`count_bit_errors_lanes`]: every
+/// point's full [`MC_CHUNK_BITS`] chunks first, then each point's partial
+/// chunk. The grouping depends only on the point count and
+/// `bits_per_point`, and each point's integer counts are summed before
+/// the one division, so every estimate is what counting each chunk alone
+/// gives.
 pub fn ber_sweep_par_with(
     threads: usize,
     modem: &OokModem,
@@ -586,24 +816,50 @@ pub fn ber_sweep_par_with(
 ) -> Vec<f64> {
     assert!(bits_per_point > 0, "need at least one bit per point");
     let _span = obs::span("phy.ber.sweep");
-    let chunks_per_point = bits_per_point.div_ceil(MC_CHUNK_BITS);
-    let units = snrs_db.len() * chunks_per_point;
+    let (full, tail) = (
+        bits_per_point / MC_CHUNK_BITS,
+        bits_per_point % MC_CHUNK_BITS,
+    );
+    // (point, chunk) pairs: the full chunks, then the partial ones.
+    let mut chunks: Vec<(usize, usize)> = (0..snrs_db.len())
+        .flat_map(|si| (0..full).map(move |ci| (si, ci)))
+        .collect();
+    let split = chunks.len();
+    if tail > 0 {
+        chunks.extend((0..snrs_db.len()).map(|si| (si, full)));
+    }
+    let groups: Vec<(&[(usize, usize)], usize)> = chunks[..split]
+        .chunks(LANES)
+        .map(|g| (g, MC_CHUNK_BITS))
+        .chain(chunks[split..].chunks(LANES).map(|g| (g, tail)))
+        .collect();
     let awgns: Vec<Awgn> = snrs_db
         .iter()
         .map(|&snr| Awgn::for_eb_n0(modem, snr))
         .collect();
-    let errors = par::par_indexed_scratch_with(threads, units, TrialScratch::new, |scratch, u| {
-        let (si, ci) = (u / chunks_per_point, u % chunks_per_point);
-        let lo = ci * MC_CHUNK_BITS;
-        let n = MC_CHUNK_BITS.min(bits_per_point - lo);
-        let mut rng = tree
-            .subtree_indexed("snr", si as u64)
-            .rng_indexed("ber-chunk", ci as u64);
-        count_bit_errors_scratch(modem, &awgns[si], n, coherent, &mut rng, scratch) as u64
-    });
-    errors
-        .chunks(chunks_per_point)
-        .map(|point| point.iter().sum::<u64>() as f64 / bits_per_point as f64)
+    let count_group = |scratch: &mut LaneScratch, g: usize| {
+        let (group, n) = groups[g];
+        let chunk = |l: usize| group[l.min(group.len() - 1)];
+        let mut rngs: [Xoshiro256pp; LANES] = std::array::from_fn(|l| {
+            let (si, ci) = chunk(l);
+            tree.subtree_indexed("snr", si as u64)
+                .rng_indexed("ber-chunk", ci as u64)
+        });
+        let noise: [Awgn; LANES] = std::array::from_fn(|l| awgns[chunk(l).0]);
+        let k = group.len();
+        count_bit_errors_lanes(modem, &noise[..k], n, coherent, &mut rngs[..k], scratch)
+    };
+    let errors =
+        par::par_indexed_scratch_with(threads, groups.len(), LaneScratch::new, count_group);
+    let mut point_errors = vec![0u64; snrs_db.len()];
+    for ((group, _), counts) in groups.iter().zip(&errors) {
+        for (&(si, _), &e) in group.iter().zip(counts) {
+            point_errors[si] += e as u64;
+        }
+    }
+    point_errors
+        .iter()
+        .map(|&e| e as f64 / bits_per_point as f64)
         .collect()
 }
 
@@ -775,7 +1031,7 @@ pub(crate) mod tests {
         assert_eq!(modem.matched_filter(&samples).len(), 1);
     }
 
-    /// The lane kernel's oracle: the allocating chain, stage by stage —
+    /// Both kernels' oracle: the allocating chain, stage by stage —
     /// one [`Rng::bit`] per bit, [`OokModem::modulate`], one
     /// [`Rng::normal_pair`] added per sample, then the demodulator — with
     /// the errors counted against the sent bits.
@@ -821,7 +1077,8 @@ pub(crate) mod tests {
 
     #[test]
     fn lane_kernel_is_bit_identical_to_batch_kernel() {
-        // The kernel contract: the SoA lane kernel returns the same count
+        // The kernel contract: the single-stream kernel (its matched
+        // filter carries LANES symbols side by side) returns the same count
         // AND leaves the RNG at the same stream position as the allocating
         // oracle chain, at every length class — empty, sub-lane, the
         // 8-lane boundary and its neighbours, and long chunks that
@@ -940,9 +1197,9 @@ pub(crate) mod tests {
                     group.ook(&mut rng, &modem, sigma, coherent, &bits);
                     for (l, &bit) in bits.iter().enumerate() {
                         let at = l * sps..(l + 1) * sps;
+                        let pairs = group.u1[at.clone()].iter().zip(&group.u2[at]);
                         let exact = exact_ook_statistic(
-                            &group.u1[at.clone()],
-                            &group.u2[at],
+                            pairs.map(|(&v1, &v2)| (v1, v2)),
                             modem.level(bit),
                             sigma,
                             coherent,
@@ -985,9 +1242,9 @@ pub(crate) mod tests {
                 uniform_pairs(&mut b, &mut u1, &mut u2);
                 for (k, (&bit, z)) in bits.iter().zip(modem.matched_filter(&samples)).enumerate() {
                     let at = k * sps..(k + 1) * sps;
+                    let pairs = u1[at.clone()].iter().zip(&u2[at]);
                     let got = exact_ook_statistic(
-                        &u1[at.clone()],
-                        &u2[at],
+                        pairs.map(|(&v1, &v2)| (v1, v2)),
                         modem.level(bit),
                         sigma,
                         coherent,
@@ -1042,6 +1299,233 @@ pub(crate) mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Runs the lane counter at `margin` on `streams` (one noise level
+    /// each) and holds every lane to the allocating oracle and to
+    /// [`count_bit_errors_scratch`] on a clone of its stream: the same
+    /// count, and each generator left where both of them leave theirs.
+    fn assert_lanes_match(
+        modem: &OokModem,
+        awgns: &[Awgn],
+        n: usize,
+        coherent: bool,
+        streams: &[Xoshiro256pp],
+        margin: f64,
+        case: &str,
+    ) {
+        let mut rngs = streams.to_vec();
+        let got = count_certified_lanes(
+            modem,
+            awgns,
+            n,
+            coherent,
+            &mut rngs,
+            &mut LaneScratch::new(),
+            margin,
+        );
+        for (l, (start, awgn)) in streams.iter().zip(awgns).enumerate() {
+            let mut oracle_rng = start.clone();
+            let want = oracle_bit_errors(modem, awgn, n, coherent, &mut oracle_rng);
+            let mut scalar_rng = start.clone();
+            let scalar = count_bit_errors_scratch(
+                modem,
+                awgn,
+                n,
+                coherent,
+                &mut scalar_rng,
+                &mut TrialScratch::new(),
+            );
+            assert_eq!(got[l], want, "{case}: lane {l} against the oracle");
+            assert_eq!(scalar, want, "{case}: lane {l}, single-stream kernel");
+            assert_eq!(rngs[l], oracle_rng, "{case}: lane {l} stream position");
+            assert_eq!(scalar_rng, oracle_rng, "{case}: lane {l} scalar position");
+        }
+        assert!(
+            got[streams.len()..].iter().all(|&e| e == 0),
+            "{case}: idle lanes"
+        );
+    }
+
+    #[test]
+    fn lane_counter_matches_the_oracle_and_the_single_stream_kernel_on_every_lane() {
+        // Every length class (empty, sub-group, the 8-symbol boundary and
+        // its neighbours, a full chunk plus a tail), every sps class (one
+        // sample, odd, the production 4, a full lane, 64 samples per
+        // symbol — one symbol per group — and 100, whose symbol spans two
+        // blocks of the uniform stage), both modes and mark conventions,
+        // a different σ per lane, idle lanes, and both margins.
+        let cases: &[(usize, &[usize])] = &[
+            (0, &[1, 4, 64]),
+            (1, &[1, 3, 4, 8, 64, 100]),
+            (7, &[1, 3, 4, 8, 64]),
+            (8, &[1, 3, 4, 8, 64]),
+            (9, &[1, 3, 4, 8, 64, 100]),
+            (17, &[1, 3, 4, 8, 64, 100]),
+            (1000, &[1, 3, 4, 8]),
+            (MC_CHUNK_BITS + 13, &[1, 4]),
+        ];
+        for (ci, &(n, spss)) in cases.iter().enumerate() {
+            for (si, &sps) in spss.iter().enumerate() {
+                let big = n * sps > 8_000;
+                for (mi, &(coherent, mark_bit)) in
+                    [(true, false), (false, true), (true, true), (false, false)]
+                        .iter()
+                        .enumerate()
+                        .take(if big { 2 } else { 4 })
+                {
+                    let modem = OokModem {
+                        mark_bit,
+                        ..OokModem::new(sps)
+                    };
+                    // All eight lanes, then five with three idle, then one.
+                    let k = [LANES, 5, 1][(ci + si + mi) % 3];
+                    let awgns: Vec<Awgn> = (0..k)
+                        .map(|l| Awgn::for_eb_n0(&modem, CERT_SNRS_DB[l % 6] + l as f64))
+                        .collect();
+                    let seed = 0x1A4E ^ (n as u64) << 12 ^ (sps as u64) << 32 ^ mi as u64;
+                    let streams: Vec<Xoshiro256pp> = (0..k)
+                        .map(|l| Xoshiro256pp::seed_from(seed ^ (l as u64) << 40))
+                        .collect();
+                    let margins: &[f64] = if big {
+                        &[CERT_MARGIN]
+                    } else {
+                        &[f64::INFINITY, CERT_MARGIN]
+                    };
+                    for &margin in margins {
+                        let case = format!(
+                            "n={n} sps={sps} coherent={coherent} mark_bit={mark_bit} \
+                             streams={k} margin={margin}"
+                        );
+                        assert_lanes_match(&modem, &awgns, n, coherent, &streams, margin, &case);
+                    }
+                }
+            }
+        }
+    }
+
+    /// xoshiro256's state one step back: the inverse of the step in
+    /// [`Xoshiro256pp::next_u64`], in the state layout of
+    /// [`Xoshiro256pp::from_state`].
+    fn step_back([s0, s1, s2, s3]: [u64; 4]) -> [u64; 4] {
+        let s3_s1 = s3.rotate_right(45);
+        let old0 = s0 ^ s3_s1;
+        // s1 ^ s2 = old1 ^ (old1 << 17); the shift-XOR inverts in three more.
+        let y = s1 ^ s2;
+        let old1 = y ^ y << 17 ^ y << 34 ^ y << 51;
+        [old0, old1, s1 ^ old1 ^ old0, s3_s1 ^ old1]
+    }
+
+    /// A generator whose raw draw number `at` (from 0) is
+    /// [`REJECTED_U1`]: the state that emits it (`s0 = 0`,
+    /// `s3 = 0x7FF.rotate_right(23)`) stepped back `at` times.
+    fn planted_stream(seed: u64, at: usize) -> Xoshiro256pp {
+        let mut words = Xoshiro256pp::seed_from(seed);
+        let mut state = [
+            0,
+            words.next_u64(),
+            words.next_u64(),
+            REJECTED_U1.rotate_right(23),
+        ];
+        for _ in 0..at {
+            state = step_back(state);
+        }
+        let planted = Xoshiro256pp::from_state(state);
+        let mut probe = planted.clone();
+        probe.skip_raw(at as u64);
+        assert_eq!(
+            probe.next_u64(),
+            REJECTED_U1,
+            "the plant lands at draw {at}"
+        );
+        planted
+    }
+
+    #[test]
+    fn lane_counter_compacts_a_rejection_inside_its_own_lane() {
+        // One lane's u1 raw is the 2⁻⁵³ rejection: in the first pair, mid
+        // group, in a later group, at sps = 64 past the first symbol, and
+        // at sps = 100 in the second uniform block of a symbol. That lane
+        // redraws from its own stream only; every lane must still match
+        // the oracle and the single-stream kernel, counts and end
+        // positions.
+        let n = 40usize;
+        let plants = [
+            (1usize, 0usize),
+            (4, 5),
+            (4, 130),
+            (3, 100),
+            (64, 70),
+            (100, 170),
+        ];
+        for (sps, pair) in plants {
+            for coherent in [true, false] {
+                let modem = OokModem::new(sps);
+                let planted_lane = (sps + pair) % LANES;
+                let streams: Vec<Xoshiro256pp> = (0..LANES)
+                    .map(|l| {
+                        let seed = 0xBAD ^ (sps as u64) << 8 ^ l as u64;
+                        if l == planted_lane {
+                            planted_stream(seed, n + 2 * pair)
+                        } else {
+                            Xoshiro256pp::seed_from(seed)
+                        }
+                    })
+                    .collect();
+                let awgns: Vec<Awgn> = (0..LANES)
+                    .map(|l| Awgn::for_eb_n0(&modem, 3.0 + l as f64))
+                    .collect();
+                for margin in [f64::INFINITY, CERT_MARGIN] {
+                    let case = format!("sps={sps} pair {pair} coherent={coherent} margin={margin}");
+                    assert_lanes_match(&modem, &awgns, n, coherent, &streams, margin, &case);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "release-only: 2 × 10⁶ symbols; run by scripts/check.sh"]
+    fn lane_counter_matches_the_single_stream_kernel_over_a_million_symbols_per_mode() {
+        // Production margin, the certificate's SNR points across the lanes
+        // (and two lanes past them), chunk-sized streams as the BER sweep
+        // runs them.
+        let modem = OokModem::new(4);
+        let awgns: Vec<Awgn> = (0..LANES)
+            .map(|l| Awgn::for_eb_n0(&modem, CERT_SNRS_DB[l % 6] - 2.0 * (l / 6) as f64))
+            .collect();
+        let mut lanes = LaneScratch::new();
+        let mut single = TrialScratch::new();
+        for coherent in [true, false] {
+            let mut symbols = 0usize;
+            for call in 0..16u64 {
+                let streams: Vec<Xoshiro256pp> = (0..LANES as u64)
+                    .map(|l| Xoshiro256pp::seed_from(0x3E6 ^ call << 8 ^ l))
+                    .collect();
+                let mut rngs = streams.clone();
+                let got = count_bit_errors_lanes(
+                    &modem,
+                    &awgns,
+                    MC_CHUNK_BITS,
+                    coherent,
+                    &mut rngs,
+                    &mut lanes,
+                );
+                for (l, mut rng) in streams.into_iter().enumerate() {
+                    let want = count_bit_errors_scratch(
+                        &modem,
+                        &awgns[l],
+                        MC_CHUNK_BITS,
+                        coherent,
+                        &mut rng,
+                        &mut single,
+                    );
+                    assert_eq!(got[l], want, "coherent={coherent} call {call} lane {l}");
+                    assert_eq!(rngs[l], rng, "coherent={coherent} call {call} lane {l}");
+                }
+                symbols += LANES * MC_CHUNK_BITS;
+            }
+            assert!(symbols >= 1_000_000, "only {symbols} symbols");
         }
     }
 

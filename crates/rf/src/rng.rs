@@ -9,7 +9,7 @@
 //! cheaper than the ChaCha-based `StdRng` the stack previously pulled in
 //! from the `rand` crate.
 //!
-//! Three pieces live here:
+//! Four pieces live here:
 //!
 //! * [`Rng`] — the sampler trait the whole workspace writes against:
 //!   uniform `u64`/`f64`, bounded integers, Bernoulli, the standard
@@ -24,6 +24,11 @@
 //!   counts without walking it, which is how
 //!   `mmtag_sim::par::par_stream_cells_with` runs the consumers of one
 //!   stream concurrently,
+//! * [`XoshiroLanes`] — [`crate::math::LANES`] of those generators stepped
+//!   in lockstep, one vector of state words each, lane `l` bit-identical
+//!   to the generator it was built from: independent equal-length streams
+//!   (the BER sweep's chunks) draw side by side without changing one of
+//!   them, which lifts the serial-draw ceiling of one stream,
 //! * [`SeedTree`] — deterministic derivation of *independent named
 //!   streams* from one experiment seed, the substrate that makes chunked
 //!   parallel Monte-Carlo (see [`crate::par`]) bit-identical at any thread
@@ -41,8 +46,13 @@
 //! exact ones, and hands its uniforms back so a consumer can replay any
 //! pair exactly ([`box_muller_exact`]) — which is what the bit-error
 //! counters do whenever a threshold decision is too close to call.
+//! [`uniform_pairs_lanes`] is the uniform stage across the streams of an
+//! [`XoshiroLanes`], laid out across streams and compacting a rejected
+//! `u1` inside its own lane, so the certified block runs on its output
+//! unchanged.
 
 use crate::complex::Complex;
+use crate::math::LANES;
 use std::f64::consts::TAU;
 
 /// A deterministic random sampler.
@@ -352,6 +362,74 @@ pub fn uniform_pairs<R: Rng + ?Sized>(rng: &mut R, u1: &mut [f64], u2: &mut [f64
     }
 }
 
+/// [`uniform_pairs`] across the [`LANES`] streams of `rng`, laid out
+/// across streams: `u1[k][l]`/`u2[k][l]` is lane `l`'s `k`-th accepted
+/// pair, exactly the one [`uniform_pairs`] on that lane's own
+/// [`Xoshiro256pp`] would write to slot `k`, and every lane's stream ends
+/// where that call leaves it.
+///
+/// All lanes draw in lockstep, [`BM_BLOCK`] pair steps at a time, with
+/// one OR-folded rejection flag per lane. A lane that drew a rejected
+/// `u1` in the block (p = 2⁻⁵³ per draw) is compacted inside its own
+/// stream by [`uniform_pairs`]' own compaction, pulling extras from that
+/// lane alone; the other lanes keep their raws.
+///
+/// # Panics
+/// Panics if the two halves differ in length.
+pub fn uniform_pairs_lanes(
+    rng: &mut XoshiroLanes,
+    u1: &mut [[f64; LANES]],
+    u2: &mut [[f64; LANES]],
+) {
+    assert_eq!(u1.len(), u2.len(), "uniform halves must have equal length");
+    let mut raw1 = [[0u64; LANES]; BM_BLOCK];
+    let mut raw2 = [[0u64; LANES]; BM_BLOCK];
+    for (b1, b2) in u1.chunks_mut(BM_BLOCK).zip(u2.chunks_mut(BM_BLOCK)) {
+        let n = b1.len();
+        let mut rejected = [false; LANES];
+        for (a, b) in raw1[..n].iter_mut().zip(&mut raw2[..n]) {
+            *a = rng.next_u64s();
+            *b = rng.next_u64s();
+            for l in 0..LANES {
+                rejected[l] |= a[l] >> 11 == 0;
+            }
+        }
+        if rejected.contains(&true) {
+            compact_rejected_lanes(rng, &mut raw1, &mut raw2, n, rejected);
+        }
+        for ((x1, x2), (a, b)) in b1.iter_mut().zip(b2.iter_mut()).zip(raw1.iter().zip(&raw2)) {
+            for l in 0..LANES {
+                x1[l] = (a[l] >> 11) as f64 * F64_SCALE;
+                x2[l] = (b[l] >> 11) as f64 * F64_SCALE;
+            }
+        }
+    }
+}
+
+/// The rejection path of [`uniform_pairs_lanes`]: each lane flagged in
+/// `rejected` is gathered, compacted by [`compact_rejected_pairs`] with
+/// its own stream supplying the extras, and scattered back.
+#[cold]
+fn compact_rejected_lanes(
+    rng: &mut XoshiroLanes,
+    raw1: &mut [[u64; LANES]; BM_BLOCK],
+    raw2: &mut [[u64; LANES]; BM_BLOCK],
+    n: usize,
+    rejected: [bool; LANES],
+) {
+    for l in (0..LANES).filter(|&l| rejected[l]) {
+        let mut lane1: [u64; BM_BLOCK] = std::array::from_fn(|k| raw1[k][l]);
+        let mut lane2: [u64; BM_BLOCK] = std::array::from_fn(|k| raw2[k][l]);
+        let mut stream = rng.lane(l);
+        compact_rejected_pairs(&mut stream, &mut lane1, &mut lane2, n);
+        rng.set_lane(l, &stream);
+        for k in 0..n {
+            raw1[k][l] = lane1[k];
+            raw2[k][l] = lane2[k];
+        }
+    }
+}
+
 /// The rejection path of [`uniform_pairs`]: re-reads the first `n` raw
 /// pairs in stream order (`raw1[0], raw2[0], raw1[1], …`), skips every
 /// `u1` raw the scalar chain rejects, pulls fresh raws once the buffer is
@@ -395,7 +473,7 @@ fn compact_rejected_pairs<R: Rng + ?Sized>(
 /// `r·sin 2πu2` from [`crate::math::sincos_2pi_lanes`] (scalar
 /// [`crate::math::sincos_2pi`] for a sub-lane tail — bit-identical).
 fn box_muller_tail(r: &mut [f64], u2: &[f64], z0: &mut [f64], z1: &mut [f64]) {
-    use crate::math::{sincos_2pi, sincos_2pi_lanes, LANES};
+    use crate::math::{sincos_2pi, sincos_2pi_lanes};
     let full = r.len() - r.len() % LANES;
     let lanes = r[..full]
         .chunks_exact_mut(LANES)
@@ -437,7 +515,7 @@ fn box_muller_tail(r: &mut [f64], u2: &[f64], z0: &mut [f64], z1: &mut [f64]) {
 /// # Panics
 /// Panics if the five slices differ in length.
 pub fn box_muller_certified(u1: &[f64], u2: &[f64], r: &mut [f64], z0: &mut [f64], z1: &mut [f64]) {
-    use crate::math::{ln_lanes, LANES};
+    use crate::math::ln_lanes;
     let n = u1.len();
     assert!(
         u2.len() == n && r.len() == n && z0.len() == n && z1.len() == n,
@@ -489,20 +567,40 @@ impl Xoshiro256pp {
         }
         Xoshiro256pp { s }
     }
+
+    /// The generator at raw state `s`, as the reference implementation
+    /// stores it. Tests build generators at chosen states with it (the
+    /// lane counter's tests plant a `u1` rejection one step-inverse walk
+    /// before it is drawn).
+    ///
+    /// # Panics
+    /// Panics on the all-zero state, the one xoshiro never leaves.
+    pub fn from_state(s: [u64; 4]) -> Self {
+        assert!(s != [0; 4], "xoshiro256 has no all-zero state");
+        Xoshiro256pp { s }
+    }
+}
+
+/// One xoshiro256++ step: the output of state `[s0, s1, s2, s3]` and the
+/// state after it. [`Xoshiro256pp`] and every lane of [`XoshiroLanes`]
+/// step through this one function.
+#[inline(always)]
+fn xoshiro_step([s0, s1, s2, s3]: [u64; 4]) -> (u64, [u64; 4]) {
+    let out = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
+    let t = s1 << 17;
+    let mut s2 = s2 ^ s0;
+    let mut s3 = s3 ^ s1;
+    let s1 = s1 ^ s2;
+    let s0 = s0 ^ s3;
+    s2 ^= t;
+    s3 = s3.rotate_left(45);
+    (out, [s0, s1, s2, s3])
 }
 
 impl Rng for Xoshiro256pp {
     fn next_u64(&mut self) -> u64 {
-        let [s0, s1, s2, s3] = self.s;
-        let out = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
-        let t = s1 << 17;
-        let mut s2 = s2 ^ s0;
-        let mut s3 = s3 ^ s1;
-        let s1 = s1 ^ s2;
-        let s0 = s0 ^ s3;
-        s2 ^= t;
-        s3 = s3.rotate_left(45);
-        self.s = [s0, s1, s2, s3];
+        let (out, s) = xoshiro_step(self.s);
+        self.s = s;
         out
     }
 
@@ -534,6 +632,55 @@ impl Rng for Xoshiro256pp {
             }
         }
         self.s = acc;
+    }
+}
+
+/// [`LANES`] xoshiro256++ generators stepped in lockstep: each state word
+/// is a `[u64; LANES]`, so one step is the scalar step's shifts, XORs and
+/// rotates on whole vectors (the same `xoshiro_step` per lane, which the
+/// compiler vectorizes across lanes), and lane `l` of every draw is
+/// bit-identical to what the [`Xoshiro256pp`] it was built from would
+/// draw. Consumers
+/// that own independent equal-length streams (the BER sweep's chunks) run
+/// them side by side without changing one of them.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct XoshiroLanes {
+    s: [[u64; LANES]; 4],
+}
+
+impl XoshiroLanes {
+    /// Lane `l` starts where `gens[l]` stands.
+    pub fn new(gens: &[Xoshiro256pp; LANES]) -> Self {
+        XoshiroLanes {
+            s: std::array::from_fn(|w| std::array::from_fn(|l| gens[l].s[w])),
+        }
+    }
+
+    /// The next raw draw of every lane.
+    #[inline]
+    pub fn next_u64s(&mut self) -> [u64; LANES] {
+        let [s0, s1, s2, s3] = &mut self.s;
+        let mut out = [0u64; LANES];
+        for l in 0..LANES {
+            let next;
+            (out[l], next) = xoshiro_step([s0[l], s1[l], s2[l], s3[l]]);
+            [s0[l], s1[l], s2[l], s3[l]] = next;
+        }
+        out
+    }
+
+    /// Lane `l` as a scalar generator at its current position.
+    pub fn lane(&self, l: usize) -> Xoshiro256pp {
+        Xoshiro256pp {
+            s: std::array::from_fn(|w| self.s[w][l]),
+        }
+    }
+
+    /// Moves lane `l` to `gen`'s position; the other lanes stay put.
+    fn set_lane(&mut self, l: usize, gen: &Xoshiro256pp) {
+        for (w, &word) in self.s.iter_mut().zip(&gen.s) {
+            w[l] = word;
+        }
     }
 }
 
@@ -1008,6 +1155,35 @@ mod tests {
             c.fill_bits(&mut bits);
             assert_eq!(a, b, "n={n} vs bit()");
             assert_eq!(a, c, "n={n} vs fill_bits");
+        }
+    }
+
+    #[test]
+    fn lanes_draw_each_stream_as_its_own_generator() {
+        // Raw draws, then the uniform stage over two full blocks and a
+        // partial one: lane `l` must see exactly what its scalar
+        // generator gives, and end where that generator ends.
+        let gens: [Xoshiro256pp; LANES] =
+            std::array::from_fn(|l| Xoshiro256pp::seed_from(0x1A7E ^ l as u64));
+        let mut lanes = XoshiroLanes::new(&gens);
+        let mut scalar = gens.clone();
+        for _ in 0..100 {
+            let draw = lanes.next_u64s();
+            for (l, g) in scalar.iter_mut().enumerate() {
+                assert_eq!(draw[l], g.next_u64(), "lane {l}");
+            }
+        }
+        let steps = 2 * BM_BLOCK + 11;
+        let (mut u1, mut u2) = (vec![[0.0; LANES]; steps], vec![[0.0; LANES]; steps]);
+        uniform_pairs_lanes(&mut lanes, &mut u1, &mut u2);
+        for (l, g) in scalar.iter_mut().enumerate() {
+            let (mut w1, mut w2) = (vec![0.0; steps], vec![0.0; steps]);
+            uniform_pairs(g, &mut w1, &mut w2);
+            for k in 0..steps {
+                assert_eq!(u1[k][l].to_bits(), w1[k].to_bits(), "lane {l} u1[{k}]");
+                assert_eq!(u2[k][l].to_bits(), w2[k].to_bits(), "lane {l} u2[{k}]");
+            }
+            assert_eq!(lanes.lane(l), *g, "lane {l} end position");
         }
     }
 

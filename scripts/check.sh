@@ -35,8 +35,9 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # published-size digests below, it is what exercises the parallel
 # decompositions (city barrier, E16's jumped stream cells, E26/E28 cell
 # fan-out, E29's one chunk-grid estimate shared by all eleven weights),
-# the certified bit-error counters (E5/E16/serve-sweep's OOK
-# `count_bit_errors_scratch`, E16's BPSK `measure_bpsk_ber`: fast `ln_lanes`
+# the certified bit-error counters (E5's and serve-sweep's OOK
+# `count_bit_errors_lanes`, eight chunk streams side by side; E16's OOK
+# `count_bit_errors_scratch` and BPSK `measure_bpsk_ber`: fast `ln_lanes`
 # decisions with exact libm replay inside the rounding margin), E26's
 # streamed receive chain and the lane MI estimator (E29–E31's `exp` terms
 # eight per pass on `exp_lanes`) at full size.
@@ -53,6 +54,9 @@ GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 cargo test -q -p mmtag-bench --test s
 # variant) over 2²⁸ arguments: too slow for the debug run above, where
 # both are #[ignore]d and 2²⁰-input sweeps stand in.
 cargo test --release --offline -q -p mmtag-rf --lib -- --ignored
+# The lane OOK counter against the single-stream kernel over 10⁶ symbols
+# per demodulator at the certificate's SNR points, #[ignore]d likewise.
+cargo test --release --offline -q -p mmtag-phy --lib -- --ignored
 # Every registry scenario at its published size and seed against the
 # table digests pinned in the test: the smoke digests above see a few
 # hundred trials, this sees every block, chunk and cell a published table

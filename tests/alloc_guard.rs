@@ -100,6 +100,59 @@ fn ber_trial_loop_is_allocation_free_in_steady_state() {
 }
 
 #[test]
+fn ber_lane_loop_is_allocation_free_in_steady_state() {
+    use mmtag_phy::waveform::{count_bit_errors_lanes, Awgn, LaneScratch, OokModem, MC_CHUNK_BITS};
+    use mmtag_rf::math::LANES;
+    use mmtag_rf::rng::{SeedTree, Xoshiro256pp};
+
+    let tree = SeedTree::new(0xA110C);
+    let modem = OokModem::new(4);
+    let awgns = [Awgn::for_eb_n0(&modem, 7.0); LANES];
+    let streams = |group: usize| -> [Xoshiro256pp; LANES] {
+        std::array::from_fn(|l| tree.rng_indexed("alloc-ber-lanes", (group * LANES + l) as u64))
+    };
+    let mut scratch = LaneScratch::new();
+
+    // Warm-up: the first group of chunks grows the bit buffer to full
+    // chunk size and the sample buffers to one group of symbol steps.
+    let warm = count_bit_errors_lanes(
+        &modem,
+        &awgns,
+        MC_CHUNK_BITS,
+        true,
+        &mut streams(0),
+        &mut scratch,
+    );
+
+    // Both demodulators, all eight lanes and three (five idle).
+    let (allocs, errors) = allocations_during(|| {
+        let mut total = 0usize;
+        for group in 0..8 {
+            let k = [LANES, 3][group % 2];
+            let counts = count_bit_errors_lanes(
+                &modem,
+                &awgns[..k],
+                MC_CHUNK_BITS,
+                group < 4,
+                &mut streams(group)[..k],
+                &mut scratch,
+            );
+            total += counts.iter().sum::<usize>();
+        }
+        total
+    });
+    assert_eq!(
+        allocs, 0,
+        "warm lane BER loop allocated {allocs} times over 8 groups of chunks"
+    );
+    // The loop really ran: group 0 repeats the warm-up counts.
+    assert!(
+        errors >= warm.iter().sum::<usize>(),
+        "steady-state loop did no work"
+    );
+}
+
+#[test]
 fn outage_trial_loop_is_allocation_free_in_steady_state() {
     use mmtag_channel::fading::{FadeScratch, RicianFading};
     use mmtag_rf::rng::SeedTree;
