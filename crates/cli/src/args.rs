@@ -233,7 +233,7 @@ impl Args {
     }
 
     /// The error for a `flag` whose given value lies outside `want`.
-    fn out_of_range(&self, flag: &str, want: &'static str) -> ArgError {
+    pub fn out_of_range(&self, flag: &str, want: &'static str) -> ArgError {
         ArgError::OutOfRange {
             flag: flag.to_string(),
             raw: self.str_or(flag, ""),

@@ -230,7 +230,8 @@ fn tag_spec(args: &Args) -> Result<TagSpec, ArgError> {
     Ok(TagSpec {
         elements: args.positive_usize_or("elements", 6)?,
         band_ghz: band_ghz(args)?,
-        wiring: WiringSpec::parse(&args.str_or("wiring", "vanatta")),
+        wiring: WiringSpec::parse(&args.str_or("wiring", "vanatta"))
+            .ok_or_else(|| args.out_of_range("wiring", "one of vanatta, fixed, mirror"))?,
     })
 }
 
@@ -498,6 +499,9 @@ fn cmd_run(args: &Args, cache_dir: &Path) -> Result<String, ArgError> {
     let cached = !args.has("no-cache") && !args.has("trace");
     let quick = args.usize_or("quick", 0)? != 0;
     let format = args.str_or("format", "table");
+    if !["table", "csv", "json"].contains(&format.as_str()) {
+        return Err(args.out_of_range("format", "one of table, csv, json"));
+    }
     args.refuse_unread()?;
     let runner = if cached {
         Runner::new().with_cache(mmtag_sim::cache::RunCache::at(cache_dir))
@@ -805,35 +809,12 @@ mod tests {
             (&["run", "e05-ber", "--fromat", "csv"], "fromat"),
             (&["link", "--no-cache"], "no-cache"),
         ];
-        let path = std::env::temp_dir().join(format!(
-            "mmtag-cli-unknown-flag-trace-test-{}.json",
-            std::process::id()
-        ));
-        let trace = path.to_str().unwrap();
         for &(line, flag) in cases {
             let want = ArgError::UnknownFlag {
                 command: line[0].into(),
                 flag: flag.into(),
             };
-            let cache = CacheDir::new();
-            let traced = Args::parse([line, &["--trace", trace]].concat()).unwrap();
-            let err = run_in(&traced, &cache.0).unwrap_err();
-            let written = path.exists();
-            let _ = std::fs::remove_file(&path);
-            assert_eq!(err, want, "{line:?}");
-            assert!(!written, "{line:?} left a trace file");
-            // Refused before any work: no instrumented stage ran (the
-            // runner and the BER and city kernels all record events at
-            // this level) and the run cache stayed untouched.
-            obs::set_level(obs::Level::Trace);
-            let start = obs::mark();
-            let err = dispatch(&Args::parse(line.iter().copied()).unwrap(), &cache.0);
-            let events = obs::mark() - start;
-            obs::set_level(obs::Level::Off);
-            obs::drain();
-            assert_eq!(err.unwrap_err(), want, "{line:?}");
-            assert_eq!(events, 0, "{line:?} did work before refusing the flag");
-            assert!(!cache.0.exists(), "{line:?} wrote into the run cache");
+            assert_refused_before_any_work(line, want, "unknown-flag");
         }
         // serve refuses `--trace` itself, and a stray flag before it binds
         // a listener.
@@ -844,6 +825,58 @@ mod tests {
                 flag: "memroy-cap".into()
             }
         );
+    }
+
+    /// A value an enum-valued flag does not name is refused like an
+    /// out-of-domain number, not run as the flag's default.
+    #[test]
+    fn unknown_flag_values_are_argument_errors_and_write_no_trace() {
+        const WIRING: &str = "one of vanatta, fixed, mirror";
+        let cases: &[(&[&str], &str, &str, &str)] = &[
+            (&["link", "--wiring", "banana"], "wiring", "banana", WIRING),
+            (&["sweep", "--wiring", "Fixed"], "wiring", "Fixed", WIRING),
+            (
+                &["run", "e02-link-budget", "--format", "xml"],
+                "format",
+                "xml",
+                "one of table, csv, json",
+            ),
+        ];
+        for &(line, flag, raw, want) in cases {
+            let want = ArgError::OutOfRange {
+                flag: flag.into(),
+                raw: raw.into(),
+                want,
+            };
+            assert_refused_before_any_work(line, want, "unknown-value");
+        }
+    }
+
+    /// Asserts `line` fails with `want` and writes no `--trace` file, and
+    /// that it is refused before any work: no instrumented stage runs
+    /// (the runner and the BER and city kernels all record events at
+    /// `obs::Level::Trace`) and the run cache stays untouched.
+    fn assert_refused_before_any_work(line: &[&str], want: ArgError, tag: &str) {
+        let path = std::env::temp_dir().join(format!(
+            "mmtag-cli-{tag}-trace-test-{}.json",
+            std::process::id()
+        ));
+        let cache = CacheDir::new();
+        let traced = Args::parse([line, &["--trace", path.to_str().unwrap()]].concat()).unwrap();
+        let err = run_in(&traced, &cache.0).unwrap_err();
+        let written = path.exists();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(err, want, "{line:?}");
+        assert!(!written, "{line:?} left a trace file");
+        obs::set_level(obs::Level::Trace);
+        let start = obs::mark();
+        let err = dispatch(&Args::parse(line.iter().copied()).unwrap(), &cache.0);
+        let events = obs::mark() - start;
+        obs::set_level(obs::Level::Off);
+        obs::drain();
+        assert_eq!(err.unwrap_err(), want, "{line:?}");
+        assert_eq!(events, 0, "{line:?} did work before refusing");
+        assert!(!cache.0.exists(), "{line:?} wrote into the run cache");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! one clock — and is the engine behind the CLI `inventory` command and
 //! the warehouse-inventory example.
 
-use crate::aloha::{AlohaScratch, FramedAloha, QAlgorithm};
+use crate::aloha::{inventory_until_drained_scratch, AlohaScratch, QAlgorithm};
 use crate::scan::ScanSchedule;
 use crate::sdm::SectorScheduler;
 use mmtag_rf::rng::Rng;
@@ -59,31 +59,23 @@ pub fn run_timed_inventory<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> TimedInventory {
     let partition = SectorScheduler::partition(scan, tag_angles);
-    let slot = timing.slot_duration();
     let mut result = TimedInventory::default();
     let mut scratch = AlohaScratch::new();
     for &in_sector in partition.sector_counts() {
+        let drained = inventory_until_drained_scratch(
+            in_sector,
+            QAlgorithm::new(),
+            usize::MAX,
+            rng,
+            &mut scratch,
+        );
         result.sectors_visited += 1;
-        result.elapsed = result.elapsed + steer_time;
-        if in_sector == 0 {
-            result.slots += 1;
-            result.elapsed = result.elapsed + slot;
-            continue;
-        }
-        let mut unread = in_sector;
-        let mut q = QAlgorithm::new();
-        while unread > 0 {
-            let frame = q.frame_size();
-            // Counts kernel: one slot draw per unread tag, only the
-            // histogram materialized.
-            let counts = FramedAloha.run_round_counts(unread, frame, rng, &mut scratch);
-            unread -= counts.successes;
-            result.tags_read += counts.successes;
-            result.slots += frame;
-            result.elapsed = result.elapsed + slot.times(frame as u64);
-            q.update_counts(&counts);
-        }
+        result.tags_read += drained.tags_read;
+        // An empty sector drains in no rounds but costs its probe slot.
+        result.slots += drained.total_slots.max(1);
     }
+    result.elapsed = steer_time.times(result.sectors_visited as u64)
+        + timing.slot_duration().times(result.slots as u64);
     result
 }
 

@@ -38,20 +38,19 @@
 //! The batch Gaussian samplers run a fused Box–Muller block with one
 //! uniform stage ([`uniform_pairs`]: the serial raw draws and the `u1`
 //! rejection) and two `ln` stages. The **exact block**
-//! ([`normal_pair_block`], behind [`Rng::fill_normal`] and
-//! [`Rng::fill_complex_normal`]) uses libm `ln` and is bit-identical to
-//! the scalar [`Rng::normal_pair`] chain. The **certified block**
-//! ([`uniform_pairs`] + [`box_muller_certified`]) uses the vectorized
-//! [`crate::math::ln_lanes`], so its values are only within ~2⁻⁵⁰ of the
-//! exact ones, and hands its uniforms back so a consumer can replay any
-//! pair exactly ([`box_muller_exact`]) — which is what the bit-error
-//! counters do whenever a threshold decision is too close to call.
+//! ([`normal_pair_block`], behind [`Rng::fill_normal`]) uses libm `ln`
+//! and is bit-identical to the scalar [`Rng::normal_pair`] chain. The
+//! **certified block** ([`uniform_pairs`] + [`box_muller_certified`])
+//! uses the vectorized [`crate::math::ln_lanes`], so its values are
+//! only within ~2⁻⁵⁰ of the exact ones, and hands its uniforms back so
+//! a consumer can replay any pair exactly ([`box_muller_exact`]) — which
+//! is what the bit-error counters do whenever a threshold decision is
+//! too close to call.
 //! [`uniform_pairs_lanes`] is the uniform stage across the streams of an
 //! [`XoshiroLanes`], laid out across streams and compacting a rejected
 //! `u1` inside its own lane, so the certified block runs on its output
 //! unchanged.
 
-use crate::complex::Complex;
 use crate::math::LANES;
 use std::f64::consts::TAU;
 
@@ -191,37 +190,6 @@ pub trait Rng {
         }
     }
 
-    /// Fills `out` with circularly-symmetric unit-variance-per-component
-    /// complex normals: one [`Rng::normal_pair`] per element (`re` takes
-    /// the cosine branch, `im` the sine). This is the AWGN/fading workhorse
-    /// — a complex sample needs exactly one pair, so nothing is discarded.
-    /// Runs the same block pipeline as [`Rng::fill_normal`]; bit-identical
-    /// to one scalar [`Rng::normal_pair`] per element.
-    fn fill_complex_normal(&mut self, out: &mut [Complex]) {
-        let mut z0 = [0.0f64; BM_BLOCK];
-        let mut z1 = [0.0f64; BM_BLOCK];
-        let mut blocks = out.chunks_exact_mut(BM_BLOCK);
-        for block in &mut blocks {
-            normal_pair_block(self, &mut z0, &mut z1, BM_BLOCK);
-            for ((z, a), b) in block.iter_mut().zip(&z0).zip(&z1) {
-                *z = Complex::new(*a, *b);
-            }
-        }
-        let rem = blocks.into_remainder();
-        normal_pair_block(self, &mut z0, &mut z1, rem.len());
-        for ((z, a), b) in rem.iter_mut().zip(&z0).zip(&z1) {
-            *z = Complex::new(*a, *b);
-        }
-    }
-
-    /// Fills `out` with uniform `f64`s in `[0, 1)`; element `i` is
-    /// bit-identical to the `i`-th scalar [`Rng::f64`] draw.
-    fn fill_uniform(&mut self, out: &mut [f64]) {
-        for x in out {
-            *x = self.f64();
-        }
-    }
-
     /// Fills `out` with fair coin flips; element `i` is bit-identical to
     /// the `i`-th scalar [`Rng::bit`] draw (one raw `u64` per bit), so
     /// batch bit generation never perturbs an existing seeded stream.
@@ -245,9 +213,8 @@ pub trait Rng {
     /// sample. One draw is a `u1` raw, redrawn while its top 53 bits are
     /// zero (the `u1 = 0` rejection every Gaussian sampler here applies),
     /// plus one `u2` raw — exactly what one [`Rng::normal`] or
-    /// [`Rng::normal_pair`] call, one [`Rng::fill_complex_normal`] element,
-    /// one [`uniform_pairs`] pair, or two [`Rng::fill_normal`] outputs
-    /// consume.
+    /// [`Rng::normal_pair`] call, one [`uniform_pairs`] pair, or two
+    /// [`Rng::fill_normal`] outputs consume.
     fn skip_box_muller(&mut self, n: u64) {
         for _ in 0..n {
             while self.next_u64() >> 11 == 0 {}
@@ -891,7 +858,7 @@ mod tests {
     /// [`Rng::normal_pair`] draws, flattened `(cos, sin)`. `fill_normal`
     /// over `n` outputs must equal the first `n` values of
     /// `normal_pairs(rng, n.div_ceil(2))` (an odd tail keeps the cosine
-    /// branch), and `fill_complex_normal` must take one pair per element.
+    /// branch).
     fn normal_pairs<R: Rng + ?Sized>(rng: &mut R, pairs: usize) -> Vec<f64> {
         (0..pairs)
             .flat_map(|_| {
@@ -1014,22 +981,6 @@ mod tests {
             let reference = normal_pairs(&mut b, n.div_ceil(2));
             for (i, (x, y)) in lanes.iter().zip(&reference).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "n={n} sample {i}");
-            }
-            assert_eq!(a.next_u64(), b.next_u64(), "n={n} stream position");
-        }
-    }
-
-    #[test]
-    fn lane_pipeline_fill_complex_normal_is_bit_identical_to_reference() {
-        for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000, 100_000] {
-            let mut a = Xoshiro256pp::seed_from(0xC03 ^ n as u64);
-            let mut b = a.clone();
-            let mut lanes = vec![Complex::ZERO; n];
-            a.fill_complex_normal(&mut lanes);
-            let reference = normal_pairs(&mut b, n);
-            for (i, (x, y)) in lanes.iter().zip(reference.chunks_exact(2)).enumerate() {
-                assert_eq!(x.re.to_bits(), y[0].to_bits(), "n={n} sample {i} re");
-                assert_eq!(x.im.to_bits(), y[1].to_bits(), "n={n} sample {i} im");
             }
             assert_eq!(a.next_u64(), b.next_u64(), "n={n} stream position");
         }
@@ -1281,9 +1232,6 @@ mod tests {
                 uniform_pairs(&mut r, &mut u1, &mut u2);
                 assert_eq!(r.next_u64(), want, "script {si} n={n} uniform_pairs");
                 let mut r = fresh();
-                r.fill_complex_normal(&mut vec![Complex::ZERO; n]);
-                assert_eq!(r.next_u64(), want, "script {si} n={n} fill_complex_normal");
-                let mut r = fresh();
                 r.fill_normal(&mut vec![0.0; 2 * n]);
                 assert_eq!(r.next_u64(), want, "script {si} n={n} fill_normal");
             }
@@ -1300,27 +1248,9 @@ mod tests {
     }
 
     #[test]
-    fn fill_complex_normal_is_one_pair_per_sample() {
-        let mut a = Xoshiro256pp::seed_from(9);
-        let mut b = Xoshiro256pp::seed_from(9);
-        let mut out = vec![Complex::ZERO; 257];
-        a.fill_complex_normal(&mut out);
-        for (z, pair) in out.iter().zip(normal_pairs(&mut b, 257).chunks_exact(2)) {
-            assert_eq!(z.re.to_bits(), pair[0].to_bits());
-            assert_eq!(z.im.to_bits(), pair[1].to_bits());
-        }
-        assert_eq!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn fill_uniform_and_fill_bits_match_scalar_draws() {
+    fn fill_bits_matches_scalar_draws() {
         let mut a = Xoshiro256pp::seed_from(55);
         let mut b = Xoshiro256pp::seed_from(55);
-        let mut us = vec![0.0f64; 129];
-        a.fill_uniform(&mut us);
-        for u in &us {
-            assert_eq!(u.to_bits(), b.f64().to_bits());
-        }
         let mut bits = vec![false; 129];
         a.fill_bits(&mut bits);
         for bit in &bits {

@@ -41,7 +41,7 @@
 //! * [`json`] — the minimal JSON DOM parser every reader in the
 //!   workspace shares (bench-report verifier, serve clients),
 //! * [`serve`] — simulation-as-a-service: a line-delimited JSON protocol
-//!   over TCP/Unix sockets with a bounded priority admission queue,
+//!   over TCP/Unix sockets with a bounded FIFO admission queue,
 //!   single-flight deduplication, cache-first execution and interpolated
 //!   surface queries over cached sweep grids.
 

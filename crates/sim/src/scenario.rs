@@ -149,13 +149,16 @@ impl WiringSpec {
         }
     }
 
-    /// Parses a CLI-style wiring name; unknown strings mean Van Atta.
-    pub fn parse(s: &str) -> Self {
-        match s {
-            "fixed" => WiringSpec::FixedBeam,
-            "mirror" => WiringSpec::Specular,
-            _ => WiringSpec::VanAtta,
-        }
+    /// Parses a CLI-style wiring name ([`WiringSpec::name`]); `None` for
+    /// any other string.
+    pub fn parse(s: &str) -> Option<Self> {
+        [
+            WiringSpec::VanAtta,
+            WiringSpec::FixedBeam,
+            WiringSpec::Specular,
+        ]
+        .into_iter()
+        .find(|w| w.name() == s)
     }
 }
 
@@ -761,20 +764,11 @@ impl Runner {
         if !served_from_cache {
             if let Some(cache) = &self.cache {
                 let _span = obs::span("runner.cache.store");
-                match cache.store(spec, &tables) {
-                    Ok(()) => {
-                        // A store already paid for a full simulation, so a
-                        // directory scan is in the noise — surface the
-                        // store's size in this run's manifest metrics.
-                        let stats = cache.stats();
-                        obs::counter_add("runner.cache.entries", stats.entries as u64);
-                        obs::counter_add("runner.cache.bytes", stats.bytes);
-                        obs::counter_add("runner.cache.stale", stats.stale as u64);
-                    }
-                    Err(e) => obs::warn(&format!(
+                if let Err(e) = cache.store(spec, &tables) {
+                    obs::warn(&format!(
                         "mmtag: run cache store failed ({}): {e}",
                         cache.dir().display()
-                    )),
+                    ));
                 }
             }
         }

@@ -224,8 +224,9 @@ fn scalar_text(rng: &mut Xoshiro256pp) -> String {
 /// exactly when `parse_json` reads it as an object with at most
 /// `FLAT_MEMBERS` distinct keys and scalar values only, and the line
 /// holds no backslash. When both accept, every member agrees. Lines
-/// are random flat requests over the protocol's 11 keys plus unknown
-/// ones, each given one mutation.
+/// are random flat requests over the protocol's 10 keys, `priority`
+/// (which serve ignores like any unknown member) and unknown ones, each
+/// given one mutation.
 #[test]
 fn flat_reader_and_dom_share_one_grammar() {
     const KEYS: [&str; 11] = [
