@@ -225,7 +225,7 @@ pub(crate) fn e16_body(ctx: &RunContext) -> Vec<Table> {
             if is_bpsk {
                 measure_bpsk_ber(&bpsk, snr, bits, rng)
             } else {
-                measure_ber(&ook, snr, bits, true, rng)
+                measure_ber(&ook, snr, bits, rng)
             }
         },
     );

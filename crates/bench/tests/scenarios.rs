@@ -76,6 +76,67 @@ const SMOKE_DIGESTS: [(&str, u64); 31] = [
 ];
 
 #[test]
+fn every_scenario_keeps_its_pinned_spec_hash() {
+    let reg = registry();
+    let changed: Vec<String> = reg
+        .iter()
+        .filter_map(|s| {
+            let name = s.spec().name.as_str();
+            let want = SPEC_HASHES
+                .iter()
+                .find(|(n, _)| *n == name)
+                .unwrap_or_else(|| panic!("{name}: no pinned spec hash"))
+                .1;
+            let got = s.spec().hash();
+            (got != want).then(|| format!("{name}: {got:#018x}, pinned {want:#018x}"))
+        })
+        .collect();
+    assert!(
+        changed.is_empty(),
+        "spec hashes changed:\n{}",
+        changed.join("\n")
+    );
+}
+
+/// Each registry scenario's `spec().hash()`: the key of its run-cache
+/// entries and the `spec_hash` of every serve response for it. A change to
+/// `ScenarioSpec::canonical` or to a registered spec re-keys the cache and
+/// changes those responses; a deliberate one updates its row here.
+const SPEC_HASHES: [(&str, u64); 31] = [
+    ("e01-s11", 0x9248_adb9_8c3e_0356),
+    ("e02-link-budget", 0xb8e7_2a44_5c97_4cd1),
+    ("e03-retro", 0x7cae_ffb3_c204_2b54),
+    ("e04-comparison", 0x9450_df54_ba07_5743),
+    ("e05-ber", 0x9b7e_dd0e_516a_c3be),
+    ("e06-beamwidth", 0x6d5a_7f3b_3086_9ca8),
+    ("e07-aloha", 0x96a4_74b3_4e25_cac2),
+    ("e08-mobility", 0x405b_464c_94ad_9cb6),
+    ("e09-selfint", 0x78c9_37e3_6c7d_f3e2),
+    ("e10-power", 0x71b6_3b30_9ba7_364a),
+    ("e11-60ghz", 0x9fb1_b511_dce4_c55b),
+    ("e12-nlos", 0x0922_5118_fc11_9904),
+    ("e13-spectrum", 0x15b7_efbf_591a_8316),
+    ("e14-ablation", 0x364c_6544_6b77_620e),
+    ("e15-fading", 0x125d_594c_6190_e634),
+    ("e16-bpsk", 0x8761_cbb0_5f52_337e),
+    ("e17-planar", 0xa3a6_e748_279e_9984),
+    ("e18-storage", 0x18af_cb65_2927_ff42),
+    ("e19-acquisition", 0x6c5d_58fe_1b80_6dc0),
+    ("e20-pulse", 0x6840_a2fd_4da4_5a09),
+    ("e21-capture", 0x9653_631a_6c80_7536),
+    ("e22-mimo", 0xdf82_ccd1_4d55_598c),
+    ("e23-delay-spread", 0x82af_aaa7_076a_c1ec),
+    ("e24-gen2", 0xb93f_5a33_2f27_3d60),
+    ("e25-localization", 0x8731_1fc1_ccb7_eed4),
+    ("e26-cancellation", 0x7083_00a5_5ec8_58f1),
+    ("e27-city-density", 0x69c6_fb72_5561_507f),
+    ("e28-city-mobility", 0x9c94_e94b_8557_3dd8),
+    ("e29-rate-region", 0xdd4d_79f6_9337_760e),
+    ("e30-rate-vs-tags", 0xd6b5_5cdf_e3bf_e7bd),
+    ("e31-rate-vs-states", 0x76a1_716e_4199_4161),
+];
+
+#[test]
 #[ignore = "every scenario at published size; run in release: cargo test --release -p mmtag-bench --test scenarios -- --ignored"]
 fn every_scenario_matches_its_published_size_digest() {
     let reg = registry();

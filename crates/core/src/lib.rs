@@ -73,7 +73,7 @@ pub mod prelude {
     pub use crate::tag::MmTag;
     pub use mmtag_antenna::{ReflectorWiring, VanAttaArray};
     pub use mmtag_channel::{BackscatterLink, NoiseModel};
-    pub use mmtag_phy::{Modulation, RateAdaptation};
+    pub use mmtag_phy::RateAdaptation;
     pub use mmtag_rf::units::{Angle, Bandwidth, DataRate, Db, Dbi, Dbm, Distance, Frequency};
     pub use mmtag_sim::mobility::{Linear, Mobility, Pose, Spin, Static, Waypoints};
     pub use mmtag_sim::scenario::{

@@ -9,7 +9,6 @@
 //! | coherent OOK          | `Q(√(Eb/N0))`                         |
 //! | non-coherent OOK      | `½·e^(−Eb/N0 / 2)` (envelope detect)  |
 //! | BPSK (antipodal)      | `Q(√(2·Eb/N0))`                       |
-//! | M-QAM (Gray, approx.) | standard nearest-neighbour expression |
 //!
 //! The paper's quoted "SNR of 7 dB for BER of 10⁻³" matches the antipodal
 //! curve (6.8 dB); unipolar coherent OOK needs 3 dB more. The waveform-level
@@ -37,23 +36,6 @@ pub fn ook_noncoherent_ber(eb_n0: f64) -> f64 {
 pub fn bpsk_ber(eb_n0: f64) -> f64 {
     assert!(eb_n0 >= 0.0, "SNR must be non-negative");
     q_function((2.0 * eb_n0).sqrt())
-}
-
-/// Gray-coded square M-QAM approximate BER (nearest-neighbour bound):
-/// `(4/log2 M)·(1 − 1/√M)·Q(√(3·log2 M/(M−1) · Eb/N0))`.
-///
-/// # Panics
-/// Panics unless `m` is a square power of four (4, 16, 64, 256).
-pub fn mqam_ber(m: u32, eb_n0: f64) -> f64 {
-    assert!(
-        matches!(m, 4 | 16 | 64 | 256),
-        "M-QAM model supports square constellations 4/16/64/256"
-    );
-    assert!(eb_n0 >= 0.0, "SNR must be non-negative");
-    let mf = m as f64;
-    let k = mf.log2();
-    let arg = (3.0 * k / (mf - 1.0) * eb_n0).sqrt();
-    (4.0 / k) * (1.0 - 1.0 / mf.sqrt()) * q_function(arg)
 }
 
 /// Numerically inverts a monotone BER curve: the `Eb/N0` (dB) at which
@@ -144,15 +126,10 @@ mod tests {
 
     #[test]
     fn ber_curves_are_monotone_decreasing() {
-        let mut prev = [1.0f64; 4];
+        let mut prev = [1.0f64; 3];
         for snr_db in 0..20 {
             let x = 10f64.powf(snr_db as f64 / 10.0);
-            let cur = [
-                ook_coherent_ber(x),
-                ook_noncoherent_ber(x),
-                bpsk_ber(x),
-                mqam_ber(16, x),
-            ];
+            let cur = [ook_coherent_ber(x), ook_noncoherent_ber(x), bpsk_ber(x)];
             for (p, c) in prev.iter().zip(cur.iter()) {
                 assert!(c < p);
             }
@@ -161,24 +138,11 @@ mod tests {
     }
 
     #[test]
-    fn qam_hierarchy_at_fixed_snr() {
-        let x = 10f64.powf(12.0 / 10.0);
-        assert!(mqam_ber(16, x) < mqam_ber(64, x));
-        assert!(mqam_ber(64, x) < mqam_ber(256, x));
-    }
-
-    #[test]
     fn zero_snr_gives_half_ber() {
         // The erfc approximation is good to ~1e-7; that bounds Q(0) too.
         assert!((ook_coherent_ber(0.0) - 0.5).abs() < 1e-6);
         assert!((bpsk_ber(0.0) - 0.5).abs() < 1e-6);
         assert!((ook_noncoherent_ber(0.0) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "square constellations")]
-    fn odd_qam_size_is_a_bug() {
-        let _ = mqam_ber(32, 10.0);
     }
 
     #[test]

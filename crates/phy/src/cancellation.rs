@@ -367,7 +367,7 @@ mod tests {
         let ber = chain_ber(true, 12.0, 100_000, 2);
         // Clean-channel OOK at 12 dB: ~3.4e-5.
         let mut rng = Xoshiro256pp::seed_from(3);
-        let clean = measure_ber(&OokModem::new(4), 12.0, 100_000, true, &mut rng);
+        let clean = measure_ber(&OokModem::new(4), 12.0, 100_000, &mut rng);
         assert!(
             ber <= clean * 5.0 + 2e-4,
             "cancelled BER {ber} vs clean {clean}"

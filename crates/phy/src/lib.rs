@@ -6,7 +6,6 @@
 //! "standard data rate tables based on the ASK modulation and BER of 10⁻³"
 //! (§8). This crate implements both halves honestly:
 //!
-//! * [`modulation`] — the modulation schemes and their spectral efficiencies,
 //! * [`ber`] — closed-form BER curves (Q-function theory) and numeric
 //!   inversion ("what SNR buys BER 10⁻³?"),
 //! * [`rate`] — the paper's bandwidth → rate mapping (Fig. 7's annotations)
@@ -29,12 +28,10 @@ pub mod ber;
 pub mod bpsk;
 pub mod cancellation;
 pub mod constellation;
-pub mod modulation;
 pub mod pulse;
 pub mod rate;
 pub mod spectrum;
 pub mod waveform;
 
-pub use modulation::Modulation;
 pub use rate::RateAdaptation;
 pub use waveform::OokModem;

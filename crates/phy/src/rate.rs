@@ -6,13 +6,15 @@
 //!
 //! Concretely: the reader chooses a receive bandwidth `B`; its noise floor is
 //! `kTB·NF`; if the tag's signal clears that floor by the 7 dB ASK threshold,
-//! the link sustains OOK at `B/2` bits/s. [`RateAdaptation`] walks a ladder
+//! the link sustains OOK at `B/2` bits/s — the conservative occupancy rule
+//! (symbol rate `B/2` keeps the main lobe within the channel) at one bit per
+//! OOK symbol, which turns Fig. 7's 2 GHz / 200 MHz / 20 MHz into its
+//! 1 Gbps / 100 Mbps / 10 Mbps annotations. [`RateAdaptation`] walks a ladder
 //! of bandwidths from widest to narrowest and returns the fastest rung the
 //! measured power supports — exactly how the paper reads 1 Gbps @ 4 ft and
 //! 10 Mbps @ 10 ft off its own figure.
 
 use crate::ber::PAPER_ASK_SNR_DB;
-use crate::modulation::Modulation;
 use mmtag_channel::NoiseModel;
 use mmtag_rf::units::{Bandwidth, DataRate, Db, Dbm};
 
@@ -29,7 +31,6 @@ pub struct RateRung {
 #[derive(Clone, Debug)]
 pub struct RateAdaptation {
     noise: NoiseModel,
-    modulation: Modulation,
     required_snr: Db,
     ladder: Vec<RateRung>,
 }
@@ -42,7 +43,6 @@ impl RateAdaptation {
     pub fn paper_ladder() -> Self {
         Self::new(
             NoiseModel::mmtag_reader(),
-            Modulation::Ook,
             Db::new(PAPER_ASK_SNR_DB),
             &[
                 Bandwidth::from_ghz(2.0),
@@ -54,26 +54,20 @@ impl RateAdaptation {
         )
     }
 
-    /// Builds a ladder from arbitrary bandwidths (sorted widest-first
-    /// internally).
-    pub fn new(
-        noise: NoiseModel,
-        modulation: Modulation,
-        required_snr: Db,
-        bandwidths: &[Bandwidth],
-    ) -> Self {
+    /// Builds an OOK ladder from arbitrary bandwidths (sorted widest-first
+    /// internally); each rung carries `B/2` bits/s.
+    pub fn new(noise: NoiseModel, required_snr: Db, bandwidths: &[Bandwidth]) -> Self {
         assert!(!bandwidths.is_empty(), "ladder needs at least one rung");
         let mut ladder: Vec<RateRung> = bandwidths
             .iter()
             .map(|&b| RateRung {
                 bandwidth: b,
-                rate: modulation.bit_rate(b),
+                rate: DataRate::from_bps(b.hz() / 2.0),
             })
             .collect();
         ladder.sort_by(|a, b| b.bandwidth.hz().total_cmp(&a.bandwidth.hz()));
         RateAdaptation {
             noise,
-            modulation,
             required_snr,
             ladder,
         }
@@ -82,11 +76,6 @@ impl RateAdaptation {
     /// The ladder, widest rung first.
     pub fn rungs(&self) -> &[RateRung] {
         &self.ladder
-    }
-
-    /// The modulation in use.
-    pub fn modulation(&self) -> Modulation {
-        self.modulation
     }
 
     /// Minimum received power that sustains a given rung.
@@ -193,7 +182,6 @@ mod tests {
     fn custom_ladder_sorts_widest_first() {
         let ra = RateAdaptation::new(
             NoiseModel::mmtag_reader(),
-            Modulation::Ook,
             Db::new(7.0),
             &[Bandwidth::from_mhz(20.0), Bandwidth::from_ghz(2.0)],
         );
@@ -203,11 +191,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one rung")]
     fn empty_ladder_is_a_bug() {
-        let _ = RateAdaptation::new(
-            NoiseModel::mmtag_reader(),
-            Modulation::Ook,
-            Db::new(7.0),
-            &[],
-        );
+        let _ = RateAdaptation::new(NoiseModel::mmtag_reader(), Db::new(7.0), &[]);
     }
 }

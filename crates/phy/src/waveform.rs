@@ -7,8 +7,9 @@
 //! * [`OokModem::modulate`] — maps bits to rectangular OOK pulses at a
 //!   configurable oversampling factor (the tag side: switch open = mark),
 //! * [`Awgn`] — complex white Gaussian noise calibrated to a target `Eb/N0`,
-//! * [`OokModem::demodulate_coherent`] / [`OokModem::demodulate_noncoherent`] — matched
-//!   filter plus threshold (the reader side),
+//! * [`OokModem::demodulate_coherent`] — matched filter plus a threshold
+//!   on the real part (the reader side: the reader generates the carrier,
+//!   so the backscatter it hears is phase-coherent),
 //! * [`measure_ber`] — the Monte-Carlo harness on one sequential stream
 //!   ([`measure_ber_raws`] states how far one call advances it), and
 //!   [`ber_sweep_par_with`] — the same harness chunked over the
@@ -33,8 +34,9 @@
 //! whole symbols held in a caller-owned, group-sized [`TrialScratch`] —
 //! noise from the certified Box–Muller block ([`uniform_pairs`] +
 //! [`box_muller_certified`], `ln` through the vectorized
-//! [`mmtag_rf::math::ln_lanes`]), a fused modulate+noise pass, and a
-//! matched filter that carries [`LANES`] symbols side by side.
+//! [`mmtag_rf::math::ln_lanes`], the in-phase noise only), a fused
+//! modulate+noise pass, and a matched filter that carries [`LANES`]
+//! symbols side by side.
 //! [`count_bit_errors_lanes`] counts up to [`LANES`] independent xoshiro
 //! streams at once (E5's and serve's sweeps): the same stages laid out
 //! across streams in a [`LaneScratch`], so one [`XoshiroLanes`] step draws
@@ -47,10 +49,11 @@
 //! oracle is the allocating chain above, written out in this module's
 //! tests: one [`Rng::bit`] per bit, [`OokModem::modulate`], one
 //! [`Rng::normal_pair`] added per sample, then
-//! [`OokModem::demodulate_coherent`] / [`OokModem::demodulate_noncoherent`].
-//! Both kernels match it bit for bit — same counts, same RNG stream
-//! position, lane by lane — at the production margin and with every
-//! decision forced through the replay.
+//! [`OokModem::demodulate_coherent`]. Both kernels match it bit for bit —
+//! same counts, same RNG stream position, lane by lane — at the
+//! production margin and with every decision forced through the replay.
+//! The kernels decide coherently only: the non-coherent (envelope) model
+//! is the closed form [`crate::ber::ook_noncoherent_ber`].
 //!
 //! Noise streams are **sampler v2**: AWGN consumes both Box–Muller
 //! branches through [`Rng::normal_pair`] (one uniform pair per complex
@@ -133,8 +136,8 @@ impl OokModem {
             .collect()
     }
 
-    /// The decision threshold shared by both demodulators: half the
-    /// integrated mark level.
+    /// The decision threshold of the demodulator and the bit-error
+    /// counters: half the integrated mark level.
     fn decision_threshold(&self) -> f64 {
         0.5 * self.amplitude * self.samples_per_symbol as f64
     }
@@ -165,19 +168,6 @@ impl OokModem {
         let mean: f64 = matched.iter().map(|c| c.re).sum::<f64>() / matched.len() as f64;
         let sign = if self.mark_bit { 1.0 } else { -1.0 };
         matched.iter().map(|c| sign * (c.re - mean)).collect()
-    }
-
-    /// Non-coherent demodulation: envelope threshold. Works without phase
-    /// tracking at a ~0.5–1 dB penalty (see [`crate::ber`]).
-    pub fn demodulate_noncoherent(&self, samples: &[Complex]) -> Vec<bool> {
-        let threshold = self.decision_threshold();
-        self.matched_filter(samples)
-            .into_iter()
-            .map(|s| {
-                let mark = s.abs() > threshold;
-                mark == self.mark_bit
-            })
-            .collect()
     }
 }
 
@@ -232,11 +222,10 @@ impl Awgn {
 pub(crate) const CERT_MARGIN: f64 = 1.0 / (1u64 << 36) as f64;
 
 /// One symbol's certificate bound `Σⱼ Bⱼ`, evaluated as
-/// `sps·|a| + noise·Σⱼ r'ⱼ` for level `a`, where `noise = q·|σ|` (`q = 2`
-/// when the envelope adds the Q component's noise).
+/// `sps·|a| + |σ|·Σⱼ r'ⱼ` for level `a`.
 #[inline]
-fn cert_bound(sps: usize, a: f64, noise: f64, sum_r: f64) -> f64 {
-    sps as f64 * a.abs() + noise * sum_r
+fn cert_bound(sps: usize, a: f64, sigma: f64, sum_r: f64) -> f64 {
+    sps as f64 * a.abs() + sigma.abs() * sum_r
 }
 
 /// True when the fast statistic decides `S > θ` for certain: it clears
@@ -276,7 +265,7 @@ pub(crate) fn fold_symbols(x: &[f64], sps: usize, out: &mut [f64]) {
 
 /// One group of symbols' buffers, shared by the streamed OOK and BPSK
 /// kernels: the kept uniforms, the fast radii, and the noisy waveform's
-/// I and Q components, each `group_symbols(sps)·sps` long, plus each
+/// in-phase component, each `group_symbols(sps)·sps` long, plus each
 /// symbol's fast statistic and certificate bound. Every value a kernel
 /// reads is written first in the same group (a partial last lane folds
 /// stale samples into sums nobody reads).
@@ -290,8 +279,6 @@ pub(crate) struct SymbolGroup {
     pub(crate) r: Vec<f64>,
     /// I components: the cosine-branch noise, then the noisy samples.
     pub(crate) re: Vec<f64>,
-    /// Q components: the sine-branch noise, then the noisy samples.
-    pub(crate) im: Vec<f64>,
     /// Per symbol: the fast statistic `S'`.
     pub(crate) stat: Vec<f64>,
     /// Per symbol: the certificate's `Σⱼ Bⱼ`.
@@ -303,13 +290,7 @@ impl SymbolGroup {
     /// a warm scratch resizes without allocating).
     pub(crate) fn reserve_for(&mut self, sps: usize) {
         let symbols = group_symbols(sps);
-        for buf in [
-            &mut self.u1,
-            &mut self.u2,
-            &mut self.r,
-            &mut self.re,
-            &mut self.im,
-        ] {
+        for buf in [&mut self.u1, &mut self.u2, &mut self.r, &mut self.re] {
             buf.resize(symbols * sps, 0.0);
         }
         self.stat.resize(symbols, 0.0);
@@ -319,14 +300,7 @@ impl SymbolGroup {
     /// One OOK group: draws `bits.len() · sps` pairs through the certified
     /// block, modulates and adds the noise, and writes symbol `l`'s fast
     /// statistic `S'` to `stat[l]` and its `Σⱼ Bⱼ` to `bound[l]`.
-    fn ook<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        modem: &OokModem,
-        sigma: f64,
-        coherent: bool,
-        bits: &[bool],
-    ) {
+    fn ook<R: Rng + ?Sized>(&mut self, rng: &mut R, modem: &OokModem, sigma: f64, bits: &[bool]) {
         let sps = modem.samples_per_symbol;
         let ns = bits.len() * sps;
         let SymbolGroup {
@@ -334,50 +308,25 @@ impl SymbolGroup {
             u2,
             r,
             re,
-            im,
             stat,
             bound,
         } = self;
         uniform_pairs(rng, &mut u1[..ns], &mut u2[..ns]);
-        box_muller_certified(
-            &u1[..ns],
-            &u2[..ns],
-            &mut r[..ns],
-            &mut re[..ns],
-            &mut im[..ns],
-        );
+        box_muller_certified(&u1[..ns], &u2[..ns], &mut r[..ns], &mut re[..ns]);
         // Fused modulate + AWGN, elementwise the allocating chain's
-        // `a + σ·nᵢ` on I and `0.0 + σ·n_q` on Q (the explicit `0.0 +`
-        // rewrites a −0.0 exactly as a complex `+=` does).
-        for ((xr, xi), &bit) in re[..ns]
-            .chunks_exact_mut(sps)
-            .zip(im[..ns].chunks_exact_mut(sps))
-            .zip(bits)
-        {
+        // `a + σ·nᵢ` on I.
+        for (x, &bit) in re[..ns].chunks_exact_mut(sps).zip(bits) {
             let a = modem.level(bit);
-            for v in xr {
+            for v in x {
                 *v = a + sigma * *v;
-            }
-            if !coherent {
-                for v in xi {
-                    *v = 0.0 + sigma * *v;
-                }
             }
         }
         let lanes = bits.len().div_ceil(LANES) * LANES;
         let mut sum_r = [0.0f64; BM_BLOCK];
         fold_symbols(&re[..lanes * sps], sps, &mut stat[..lanes]);
         fold_symbols(&r[..lanes * sps], sps, &mut sum_r[..lanes]);
-        if !coherent {
-            let mut sum_im = [0.0f64; BM_BLOCK];
-            fold_symbols(&im[..lanes * sps], sps, &mut sum_im[..lanes]);
-            for (s, q) in stat.iter_mut().zip(&sum_im).take(bits.len()) {
-                *s = s.hypot(*q);
-            }
-        }
-        let noise = noise_terms(sigma, coherent);
         for ((b, &sr), &bit) in bound.iter_mut().zip(&sum_r).zip(bits) {
-            *b = cert_bound(sps, modem.level(bit), noise, sr);
+            *b = cert_bound(sps, modem.level(bit), sigma, sr);
         }
     }
 }
@@ -427,23 +376,23 @@ impl TrialScratch {
 ///   [`mmtag_rf::math::ln_lanes`] instead of libm `ln`, and the uniforms
 ///   kept;
 /// * a fused modulate+noise sweep and a lane matched filter give each
-///   symbol its fast statistic `S'` (real part, or envelope) together
-///   with `Σⱼ Bⱼ`, `Bⱼ = |a| + |σ|·r'ⱼ` (twice the noise term for the
-///   envelope);
+///   symbol its fast statistic `S'` (the real part) together with
+///   `Σⱼ Bⱼ`, `Bⱼ = |a| + |σ|·r'ⱼ`;
 /// * the decision `S' > θ` stands when `|S' − θ| > K·Σⱼ Bⱼ`, a margin
 ///   the rounding analysis proves larger than any gap to the exact
 ///   statistic; otherwise that one symbol is replayed through the exact
 ///   libm chain from its kept uniforms ([`box_muller_exact`]). At
 ///   published sizes no symbol has needed a replay.
 ///
-/// [`count_bit_errors`] is a thin wrapper over this with a one-shot
-/// workspace; the chunked Monte-Carlo loops instead thread one
-/// [`TrialScratch`] per worker through the scratch-carrying parallel
-/// engine, so buffer allocation amortizes across every chunk a worker
-/// claims.
+/// [`measure_ber`] runs this kernel with a one-shot workspace; a caller
+/// counting many chunks threads one [`TrialScratch`] through all of them,
+/// so buffer allocation amortizes across every chunk it counts.
+///
+/// `coherent` must be `true`: the kernel decides on the real part only.
 ///
 /// # Panics
-/// Panics if `samples_per_symbol` exceeds [`MAX_CERTIFIED_SPS`].
+/// Panics if `coherent` is `false` or `samples_per_symbol` exceeds
+/// [`MAX_CERTIFIED_SPS`].
 ///
 /// # Examples
 ///
@@ -473,8 +422,15 @@ pub fn count_bit_errors_scratch<R: Rng + ?Sized>(
     rng: &mut R,
     scratch: &mut TrialScratch,
 ) -> usize {
-    count_certified(modem, awgn, n_bits, coherent, rng, scratch, CERT_MARGIN)
+    assert!(coherent, "{COHERENT_ONLY}");
+    count_certified(modem, awgn, n_bits, rng, scratch, CERT_MARGIN)
 }
+
+/// Why `coherent = false` panics: the certified counters implement one
+/// detector. `coherent` stays on [`count_bit_errors_scratch`] and
+/// [`ber_sweep_par_with`] only because perfbench passes it positionally.
+const COHERENT_ONLY: &str = "the certified BER counters decide coherently only; \
+                             ber::ook_noncoherent_ber is the non-coherent (envelope) model";
 
 /// [`count_bit_errors_scratch`] at an explicit certificate margin factor
 /// (production passes [`CERT_MARGIN`]; the tests pass `∞` to force every
@@ -483,7 +439,6 @@ fn count_certified<R: Rng + ?Sized>(
     modem: &OokModem,
     awgn: &Awgn,
     n_bits: usize,
-    coherent: bool,
     rng: &mut R,
     scratch: &mut TrialScratch,
     margin: f64,
@@ -502,7 +457,7 @@ fn count_certified<R: Rng + ?Sized>(
     let threshold = modem.decision_threshold();
     let mut errors = 0u64;
     for group_bits in bits.chunks(group_symbols(sps)) {
-        group.ook(rng, modem, sigma, coherent, group_bits);
+        group.ook(rng, modem, sigma, group_bits);
         for (l, &bit) in group_bits.iter().enumerate() {
             let fast = group.stat[l];
             let s = if certified(fast, threshold, group.bound[l], margin) {
@@ -511,7 +466,7 @@ fn count_certified<R: Rng + ?Sized>(
                 let at = l * sps..(l + 1) * sps;
                 let pairs = group.u1[at.clone()].iter().zip(&group.u2[at]);
                 let a = modem.level(bit);
-                exact_ook_statistic(pairs.map(|(&v1, &v2)| (v1, v2)), a, sigma, coherent)
+                exact_ook_statistic(pairs.map(|(&v1, &v2)| (v1, v2)), a, sigma)
             };
             let decided = (s > threshold) == modem.mark_bit;
             errors += u64::from(decided != bit);
@@ -523,39 +478,18 @@ fn count_certified<R: Rng + ?Sized>(
     errors
 }
 
-/// `q·|σ|`, the noise factor of every `Bⱼ`: `q = 2` when the envelope
-/// adds the Q component's noise.
-fn noise_terms(sigma: f64, coherent: bool) -> f64 {
-    if coherent {
-        sigma.abs()
-    } else {
-        2.0 * sigma.abs()
-    }
-}
-
 /// One symbol's exact matched-filter statistic, replayed from its kept
-/// uniform pairs `(u1, u2)`, first sample first: each pair through
-/// [`box_muller_exact`] (libm `ln`), `a + σ·nᵢ` and `0.0 + σ·n_q`, summed
-/// first to last from `0.0`, then the real part (coherent) or the `hypot`
-/// envelope — the allocating chain's arithmetic, operation for operation.
+/// uniform pairs `(u1, u2)`, first sample first: each pair's cosine
+/// branch through [`box_muller_exact`] (libm `ln`), `a + σ·nᵢ`, summed
+/// first to last from `0.0` — the allocating chain's real part,
+/// operation for operation.
 #[cold]
-fn exact_ook_statistic(
-    pairs: impl Iterator<Item = (f64, f64)>,
-    a: f64,
-    sigma: f64,
-    coherent: bool,
-) -> f64 {
-    let (mut sum_re, mut sum_im) = (0.0f64, 0.0f64);
+fn exact_ook_statistic(pairs: impl Iterator<Item = (f64, f64)>, a: f64, sigma: f64) -> f64 {
+    let mut sum = 0.0f64;
     for (v1, v2) in pairs {
-        let (ni, nq) = box_muller_exact(v1, v2);
-        sum_re += a + sigma * ni;
-        sum_im += 0.0 + sigma * nq;
+        sum += a + sigma * box_muller_exact(v1, v2).0;
     }
-    if coherent {
-        sum_re
-    } else {
-        sum_re.hypot(sum_im)
-    }
+    sum
 }
 
 /// Caller-owned workspace for the lane counter
@@ -578,8 +512,6 @@ pub struct LaneScratch {
     r: Vec<[f64; LANES]>,
     /// Cosine-branch noise.
     re: Vec<[f64; LANES]>,
-    /// Sine-branch noise.
-    im: Vec<[f64; LANES]>,
 }
 
 impl LaneScratch {
@@ -621,11 +553,10 @@ pub fn count_bit_errors_lanes(
     modem: &OokModem,
     awgns: &[Awgn],
     n_bits: usize,
-    coherent: bool,
     rngs: &mut [Xoshiro256pp],
     scratch: &mut LaneScratch,
 ) -> [usize; LANES] {
-    count_certified_lanes(modem, awgns, n_bits, coherent, rngs, scratch, CERT_MARGIN)
+    count_certified_lanes(modem, awgns, n_bits, rngs, scratch, CERT_MARGIN)
 }
 
 /// [`count_bit_errors_lanes`] at an explicit certificate margin factor
@@ -635,7 +566,6 @@ fn count_certified_lanes(
     modem: &OokModem,
     awgns: &[Awgn],
     n_bits: usize,
-    coherent: bool,
     rngs: &mut [Xoshiro256pp],
     scratch: &mut LaneScratch,
     margin: f64,
@@ -660,14 +590,12 @@ fn count_certified_lanes(
     }));
     let active: [bool; LANES] = std::array::from_fn(|l| l < streams);
     let sigma: [f64; LANES] = std::array::from_fn(|l| awgns.get(l).map_or(0.0, |a| a.sigma));
-    let noise = sigma.map(|s| noise_terms(s, coherent));
     let LaneScratch {
         bits,
         u1,
         u2,
         r,
         re,
-        im,
     } = scratch;
     bits.resize(n_bits, 0);
     for b in bits.iter_mut() {
@@ -675,7 +603,7 @@ fn count_certified_lanes(
         *b = (0..LANES).fold(0, |m, l| m | ((raw[l] >> 63) as u8) << l);
     }
     let symbols = (BM_BLOCK / sps).max(1);
-    for buf in [&mut *u1, &mut *u2, &mut *r, &mut *re, &mut *im] {
+    for buf in [&mut *u1, &mut *u2, &mut *r, &mut *re] {
         buf.resize(symbols * sps, [0.0; LANES]);
     }
     let threshold = modem.decision_threshold();
@@ -688,7 +616,6 @@ fn count_certified_lanes(
             u2[..ns].as_flattened(),
             r[..ns].as_flattened_mut(),
             re[..ns].as_flattened_mut(),
-            im[..ns].as_flattened_mut(),
         );
         for (at, &mask) in (0..ns).step_by(sps).zip(group_bits) {
             let at = at..at + sps;
@@ -704,20 +631,9 @@ fn count_certified_lanes(
                     sum_r[l] += rk[l];
                 }
             }
-            if !coherent {
-                let mut sum_im = [0.0f64; LANES];
-                for y in &im[at.clone()] {
-                    for l in 0..LANES {
-                        sum_im[l] += 0.0 + sigma[l] * y[l];
-                    }
-                }
-                for l in 0..LANES {
-                    stat[l] = stat[l].hypot(sum_im[l]);
-                }
-            }
             let mut inside = [false; LANES];
             for l in 0..LANES {
-                let bound = cert_bound(sps, a[l], noise[l], sum_r[l]);
+                let bound = cert_bound(sps, a[l], sigma[l], sum_r[l]);
                 inside[l] = active[l] & !certified(stat[l], threshold, bound, margin);
                 errors[l] += usize::from(decided(stat[l]) != bit[l]);
             }
@@ -727,7 +643,7 @@ fn count_certified_lanes(
                 for l in (0..LANES).filter(|&l| inside[l]) {
                     let pairs = u1[at.clone()].iter().zip(&u2[at.clone()]);
                     let pairs = pairs.map(|(v1, v2)| (v1[l], v2[l]));
-                    let exact = exact_ook_statistic(pairs, a[l], sigma[l], coherent);
+                    let exact = exact_ook_statistic(pairs, a[l], sigma[l]);
                     errors[l] -= usize::from(decided(stat[l]) != bit[l]);
                     errors[l] += usize::from(decided(exact) != bit[l]);
                 }
@@ -749,41 +665,26 @@ fn count_certified_lanes(
 /// randomness each chunk consumes — is identical at any worker budget.
 pub const MC_CHUNK_BITS: usize = 8_192;
 
-/// Bit errors of the full modulate → AWGN → demodulate chain over `n_bits`
-/// random bits drawn from `rng`. The core both the serial and the parallel
-/// BER estimators share — a thin wrapper over
-/// [`count_bit_errors_scratch`] with a one-shot workspace (**sampler v2**
-/// noise).
-pub fn count_bit_errors<R: Rng + ?Sized>(
-    modem: &OokModem,
-    eb_n0_db: f64,
-    n_bits: usize,
-    coherent: bool,
-    rng: &mut R,
-) -> usize {
-    let awgn = Awgn::for_eb_n0(modem, eb_n0_db);
-    let mut scratch = TrialScratch::new();
-    count_bit_errors_scratch(modem, &awgn, n_bits, coherent, rng, &mut scratch)
-}
-
-/// Monte-Carlo BER of the full modulate → AWGN → demodulate chain at a mean
-/// `Eb/N0`, over `n_bits` random bits. `coherent` picks the demodulator.
+/// Monte-Carlo BER of the full modulate → AWGN → coherent demodulate
+/// chain at a mean `Eb/N0`, over `n_bits` random bits drawn from `rng`:
+/// [`count_bit_errors_scratch`]'s count with a one-shot workspace
+/// (**sampler v2** noise).
 pub fn measure_ber<R: Rng + ?Sized>(
     modem: &OokModem,
     eb_n0_db: f64,
     n_bits: usize,
-    coherent: bool,
     rng: &mut R,
 ) -> f64 {
     assert!(n_bits > 0, "need at least one bit");
-    count_bit_errors(modem, eb_n0_db, n_bits, coherent, rng) as f64 / n_bits as f64
+    let awgn = Awgn::for_eb_n0(modem, eb_n0_db);
+    let mut scratch = TrialScratch::new();
+    count_certified(modem, &awgn, n_bits, rng, &mut scratch, CERT_MARGIN) as f64 / n_bits as f64
 }
 
 /// The raw draws one [`measure_ber`] call over `n_bits` bits reads when
 /// no Box–Muller `u1` is redrawn: one per bit ([`Rng::fill_bits`]), then
 /// two per sample ([`uniform_pairs`] over `n_bits · sps` pairs, group by
-/// group) — whatever the SNR, the demodulator or how many decisions
-/// replay. Each redrawn `u1` (p = 2⁻⁵³ per draw) adds one. A generator
+/// group) — whatever the SNR or how many decisions replay. Each redrawn `u1` (p = 2⁻⁵³ per draw) adds one. A generator
 /// jumped this far ([`Rng::skip_raw`]) is, barring a redraw, the one the
 /// next call on the same stream starts from, which is how a sequence of
 /// `measure_ber` calls on one stream can run concurrently.
@@ -806,6 +707,10 @@ pub fn measure_ber_raws(modem: &OokModem, n_bits: usize) -> u64 {
 /// `bits_per_point`, and each point's integer counts are summed before
 /// the one division, so every estimate is what counting each chunk alone
 /// gives.
+///
+/// # Panics
+/// Panics if `coherent` is `false` (the counters decide coherently only)
+/// or `bits_per_point` is zero.
 pub fn ber_sweep_par_with(
     threads: usize,
     modem: &OokModem,
@@ -814,6 +719,7 @@ pub fn ber_sweep_par_with(
     coherent: bool,
     tree: &SeedTree,
 ) -> Vec<f64> {
+    assert!(coherent, "{COHERENT_ONLY}");
     assert!(bits_per_point > 0, "need at least one bit per point");
     let _span = obs::span("phy.ber.sweep");
     let (full, tail) = (
@@ -847,7 +753,7 @@ pub fn ber_sweep_par_with(
         });
         let noise: [Awgn; LANES] = std::array::from_fn(|l| awgns[chunk(l).0]);
         let k = group.len();
-        count_bit_errors_lanes(modem, &noise[..k], n, coherent, &mut rngs[..k], scratch)
+        count_bit_errors_lanes(modem, &noise[..k], n, &mut rngs[..k], scratch)
     };
     let errors =
         par::par_indexed_scratch_with(threads, groups.len(), LaneScratch::new, count_group);
@@ -918,7 +824,6 @@ pub(crate) mod tests {
         let samples = modem.modulate(&bits);
         assert_eq!(samples.len(), 64 * 4);
         assert_eq!(modem.demodulate_coherent(&samples), bits);
-        assert_eq!(modem.demodulate_noncoherent(&samples), bits);
     }
 
     #[test]
@@ -951,7 +856,7 @@ pub(crate) mod tests {
         let modem = OokModem::new(4);
         let mut rng = Xoshiro256pp::seed_from(2024);
         let eb_n0_db = 10.0;
-        let measured = measure_ber(&modem, eb_n0_db, 400_000, true, &mut rng);
+        let measured = measure_ber(&modem, eb_n0_db, 400_000, &mut rng);
         let theory = ook_coherent_ber(10f64.powf(eb_n0_db / 10.0));
         // theory ≈ 7.8e-4; allow 4σ of the binomial estimator plus an
         // absolute 1e-5.
@@ -966,7 +871,7 @@ pub(crate) mod tests {
     fn monte_carlo_matches_theory_at_6db() {
         let modem = OokModem::new(4);
         let mut rng = Xoshiro256pp::seed_from(7);
-        let measured = measure_ber(&modem, 6.0, 200_000, true, &mut rng);
+        let measured = measure_ber(&modem, 6.0, 200_000, &mut rng);
         let theory = ook_coherent_ber(10f64.powf(0.6));
         assert!(
             (measured - theory).abs() / theory < 0.1,
@@ -975,22 +880,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn noncoherent_is_worse_but_close() {
-        let modem = OokModem::new(4);
-        let mut rng = Xoshiro256pp::seed_from(99);
-        let coh = measure_ber(&modem, 9.0, 300_000, true, &mut rng);
-        let non = measure_ber(&modem, 9.0, 300_000, false, &mut rng);
-        assert!(non > coh, "non-coherent {non} must exceed coherent {coh}");
-        assert!(non < coh * 10.0, "but within an order of magnitude");
-    }
-
-    #[test]
     fn ber_decreases_with_snr() {
         let modem = OokModem::new(4);
         let mut rng = Xoshiro256pp::seed_from(5);
-        let b4 = measure_ber(&modem, 4.0, 100_000, true, &mut rng);
-        let b8 = measure_ber(&modem, 8.0, 100_000, true, &mut rng);
-        let b12 = measure_ber(&modem, 12.0, 100_000, true, &mut rng);
+        let b4 = measure_ber(&modem, 4.0, 100_000, &mut rng);
+        let b8 = measure_ber(&modem, 8.0, 100_000, &mut rng);
+        let b12 = measure_ber(&modem, 12.0, 100_000, &mut rng);
         assert!(b4 > b8 && b8 > b12, "{b4} > {b8} > {b12} violated");
     }
 
@@ -998,8 +893,8 @@ pub(crate) mod tests {
     fn oversampling_does_not_change_ber() {
         // Matched filtering makes BER depend only on Eb/N0, not on sps.
         let mut rng = Xoshiro256pp::seed_from(31);
-        let b2 = measure_ber(&OokModem::new(2), 8.0, 200_000, true, &mut rng);
-        let b16 = measure_ber(&OokModem::new(16), 8.0, 200_000, true, &mut rng);
+        let b2 = measure_ber(&OokModem::new(2), 8.0, 200_000, &mut rng);
+        let b16 = measure_ber(&OokModem::new(16), 8.0, 200_000, &mut rng);
         assert!(
             (b2 - b16).abs() < 0.3 * (b2 + b16),
             "sps=2 {b2} vs sps=16 {b16}"
@@ -1039,7 +934,6 @@ pub(crate) mod tests {
         modem: &OokModem,
         awgn: &Awgn,
         n_bits: usize,
-        coherent: bool,
         rng: &mut R,
     ) -> usize {
         let bits: Vec<bool> = (0..n_bits).map(|_| rng.bit()).collect();
@@ -1048,11 +942,7 @@ pub(crate) mod tests {
             let (ni, nq) = rng.normal_pair();
             *s += Complex::new(awgn.sigma * ni, awgn.sigma * nq);
         }
-        let decided = if coherent {
-            modem.demodulate_coherent(&samples)
-        } else {
-            modem.demodulate_noncoherent(&samples)
-        };
+        let decided = modem.demodulate_coherent(&samples);
         bits.iter().zip(&decided).filter(|(a, b)| a != b).count()
     }
 
@@ -1082,17 +972,10 @@ pub(crate) mod tests {
         // AND leaves the RNG at the same stream position as the allocating
         // oracle chain, at every length class — empty, sub-lane, the
         // 8-lane boundary and its neighbours, and long chunks that
-        // exercise many full lane blocks plus a tail — in both modes and
-        // under both mark conventions.
-        let combos = |n: usize| -> &'static [(bool, bool)] {
-            if n <= 1_000 {
-                &[(true, false), (true, true), (false, false), (false, true)]
-            } else {
-                &[(true, false), (false, true)]
-            }
-        };
+        // exercise many full lane blocks plus a tail — under both mark
+        // conventions.
         for &n in &[0usize, 1, 7, 8, 9, 1000, 100_000] {
-            for &(coherent, mark_bit) in combos(n) {
+            for mark_bit in [false, true] {
                 for sps in [1usize, 4] {
                     let modem = OokModem {
                         mark_bit,
@@ -1102,18 +985,12 @@ pub(crate) mod tests {
                     let mut rng_a = Xoshiro256pp::seed_from(0xB17 ^ n as u64);
                     let mut rng_b = Xoshiro256pp::seed_from(0xB17 ^ n as u64);
                     let mut scratch = TrialScratch::new();
-                    let lanes = count_bit_errors_scratch(
-                        &modem,
-                        &awgn,
-                        n,
-                        coherent,
-                        &mut rng_a,
-                        &mut scratch,
-                    );
-                    let oracle = oracle_bit_errors(&modem, &awgn, n, coherent, &mut rng_b);
+                    let lanes =
+                        count_bit_errors_scratch(&modem, &awgn, n, true, &mut rng_a, &mut scratch);
+                    let oracle = oracle_bit_errors(&modem, &awgn, n, &mut rng_b);
                     assert_eq!(
                         lanes, oracle,
-                        "count diverged at n={n} coherent={coherent} mark_bit={mark_bit} sps={sps}"
+                        "count diverged at n={n} mark_bit={mark_bit} sps={sps}"
                     );
                     assert_eq!(
                         rng_a.next_u64(),
@@ -1136,34 +1013,22 @@ pub(crate) mod tests {
         for sps in [1usize, 3, 4, 8] {
             for n in [1usize, 7, 9, 16, 17, 1000] {
                 for (si, &snr) in CERT_SNRS_DB.iter().enumerate() {
-                    for coherent in [true, false] {
-                        let modem = OokModem {
-                            mark_bit: si % 2 == 1,
-                            ..OokModem::new(sps)
-                        };
-                        let awgn = Awgn::for_eb_n0(&modem, snr);
-                        let seed = 0xCE27 ^ (n as u64) << 8 ^ (sps as u64) << 20 ^ si as u64;
-                        let mut oracle_rng = Xoshiro256pp::seed_from(seed);
-                        let want = oracle_bit_errors(&modem, &awgn, n, coherent, &mut oracle_rng);
-                        let next = oracle_rng.next_u64();
-                        for margin in [f64::INFINITY, CERT_MARGIN] {
-                            let mut rng = Xoshiro256pp::seed_from(seed);
-                            let mut scratch = TrialScratch::new();
-                            let got = count_certified(
-                                &modem,
-                                &awgn,
-                                n,
-                                coherent,
-                                &mut rng,
-                                &mut scratch,
-                                margin,
-                            );
-                            let case = format!(
-                                "sps={sps} n={n} snr={snr} coherent={coherent} margin={margin}"
-                            );
-                            assert_eq!(got, want, "{case}");
-                            assert_eq!(rng.next_u64(), next, "{case}: stream position");
-                        }
+                    let modem = OokModem {
+                        mark_bit: si % 2 == 1,
+                        ..OokModem::new(sps)
+                    };
+                    let awgn = Awgn::for_eb_n0(&modem, snr);
+                    let seed = 0xCE27 ^ (n as u64) << 8 ^ (sps as u64) << 20 ^ si as u64;
+                    let mut oracle_rng = Xoshiro256pp::seed_from(seed);
+                    let want = oracle_bit_errors(&modem, &awgn, n, &mut oracle_rng);
+                    let next = oracle_rng.next_u64();
+                    for margin in [f64::INFINITY, CERT_MARGIN] {
+                        let mut rng = Xoshiro256pp::seed_from(seed);
+                        let mut scratch = TrialScratch::new();
+                        let got = count_certified(&modem, &awgn, n, &mut rng, &mut scratch, margin);
+                        let case = format!("sps={sps} n={n} snr={snr} margin={margin}");
+                        assert_eq!(got, want, "{case}");
+                        assert_eq!(rng.next_u64(), next, "{case}: stream position");
                     }
                 }
             }
@@ -1175,48 +1040,42 @@ pub(crate) mod tests {
         // The fast statistic of every symbol against its exact replay:
         // the worst |S' − S| must stay 2⁸ below the margin K·Σ Bⱼ the
         // kernel accepts decisions at (DESIGN.md §11 derives ≤ 2⁻³⁹·⁹).
-        for coherent in [true, false] {
-            let mut worst = 0.0f64;
-            let mut symbols = 0usize;
-            let cases = [
-                (1usize, 300_000usize),
-                (4, 550_000),
-                (8, 130_000),
-                (64, 20_000),
-            ];
-            for (case, (sps, per_case)) in cases.into_iter().enumerate() {
-                let modem = OokModem::new(sps);
-                let mut rng = Xoshiro256pp::seed_from(0x4EAD ^ case as u64);
-                let mut group = SymbolGroup::default();
-                group.reserve_for(sps);
-                let mut bits = vec![false; group_symbols(sps)];
-                for g in 0..per_case.div_ceil(bits.len()) {
-                    let snr = CERT_SNRS_DB[g % CERT_SNRS_DB.len()];
-                    let sigma = Awgn::for_eb_n0(&modem, snr).sigma;
-                    rng.fill_bits(&mut bits);
-                    group.ook(&mut rng, &modem, sigma, coherent, &bits);
-                    for (l, &bit) in bits.iter().enumerate() {
-                        let at = l * sps..(l + 1) * sps;
-                        let pairs = group.u1[at.clone()].iter().zip(&group.u2[at]);
-                        let exact = exact_ook_statistic(
-                            pairs.map(|(&v1, &v2)| (v1, v2)),
-                            modem.level(bit),
-                            sigma,
-                            coherent,
-                        );
-                        worst = worst
-                            .max((group.stat[l] - exact).abs() / (CERT_MARGIN * group.bound[l]));
-                    }
-                    symbols += bits.len();
+        let mut worst = 0.0f64;
+        let mut symbols = 0usize;
+        let cases = [
+            (1usize, 300_000usize),
+            (4, 550_000),
+            (8, 130_000),
+            (64, 20_000),
+        ];
+        for (case, (sps, per_case)) in cases.into_iter().enumerate() {
+            let modem = OokModem::new(sps);
+            let mut rng = Xoshiro256pp::seed_from(0x4EAD ^ case as u64);
+            let mut group = SymbolGroup::default();
+            group.reserve_for(sps);
+            let mut bits = vec![false; group_symbols(sps)];
+            for g in 0..per_case.div_ceil(bits.len()) {
+                let snr = CERT_SNRS_DB[g % CERT_SNRS_DB.len()];
+                let sigma = Awgn::for_eb_n0(&modem, snr).sigma;
+                rng.fill_bits(&mut bits);
+                group.ook(&mut rng, &modem, sigma, &bits);
+                for (l, &bit) in bits.iter().enumerate() {
+                    let at = l * sps..(l + 1) * sps;
+                    let pairs = group.u1[at.clone()].iter().zip(&group.u2[at]);
+                    let pairs = pairs.map(|(&v1, &v2)| (v1, v2));
+                    let exact = exact_ook_statistic(pairs, modem.level(bit), sigma);
+                    worst =
+                        worst.max((group.stat[l] - exact).abs() / (CERT_MARGIN * group.bound[l]));
                 }
+                symbols += bits.len();
             }
-            assert!(symbols >= 1_000_000, "only {symbols} symbols");
-            assert!(
-                worst <= 2f64.powi(-8),
-                "coherent={coherent}: worst |S' − S| is 2^{:.1} of the margin",
-                worst.log2()
-            );
         }
+        assert!(symbols >= 1_000_000, "only {symbols} symbols");
+        assert!(
+            worst <= 2f64.powi(-8),
+            "worst |S' − S| is 2^{:.1} of the margin",
+            worst.log2()
+        );
     }
 
     #[test]
@@ -1225,37 +1084,26 @@ pub(crate) mod tests {
         // its statistic must be the oracle's matched-filter output itself,
         // bit for bit, not merely decide the same way.
         for sps in [1usize, 4, 8] {
-            for coherent in [true, false] {
-                let modem = OokModem::new(sps);
-                let sigma = Awgn::for_eb_n0(&modem, 2.0).sigma;
-                let n = 300;
-                let mut a = Xoshiro256pp::seed_from(0x2E91 ^ sps as u64);
-                let mut b = a.clone();
-                let bits: Vec<bool> = (0..n).map(|_| a.bit()).collect();
-                let mut samples = modem.modulate(&bits);
-                for s in &mut samples {
-                    let (ni, nq) = a.normal_pair();
-                    *s += Complex::new(sigma * ni, sigma * nq);
-                }
-                b.skip_raw(n as u64);
-                let (mut u1, mut u2) = (vec![0.0; n * sps], vec![0.0; n * sps]);
-                uniform_pairs(&mut b, &mut u1, &mut u2);
-                for (k, (&bit, z)) in bits.iter().zip(modem.matched_filter(&samples)).enumerate() {
-                    let at = k * sps..(k + 1) * sps;
-                    let pairs = u1[at.clone()].iter().zip(&u2[at]);
-                    let got = exact_ook_statistic(
-                        pairs.map(|(&v1, &v2)| (v1, v2)),
-                        modem.level(bit),
-                        sigma,
-                        coherent,
-                    );
-                    let want = if coherent { z.re } else { z.abs() };
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "sps={sps} coherent={coherent} symbol {k}"
-                    );
-                }
+            let modem = OokModem::new(sps);
+            let sigma = Awgn::for_eb_n0(&modem, 2.0).sigma;
+            let n = 300;
+            let mut a = Xoshiro256pp::seed_from(0x2E91 ^ sps as u64);
+            let mut b = a.clone();
+            let bits: Vec<bool> = (0..n).map(|_| a.bit()).collect();
+            let mut samples = modem.modulate(&bits);
+            for s in &mut samples {
+                let (ni, nq) = a.normal_pair();
+                *s += Complex::new(sigma * ni, sigma * nq);
+            }
+            b.skip_raw(n as u64);
+            let (mut u1, mut u2) = (vec![0.0; n * sps], vec![0.0; n * sps]);
+            uniform_pairs(&mut b, &mut u1, &mut u2);
+            for (k, (&bit, z)) in bits.iter().zip(modem.matched_filter(&samples)).enumerate() {
+                let at = k * sps..(k + 1) * sps;
+                let pairs = u1[at.clone()].iter().zip(&u2[at]);
+                let pairs = pairs.map(|(&v1, &v2)| (v1, v2));
+                let got = exact_ook_statistic(pairs, modem.level(bit), sigma);
+                assert_eq!(got.to_bits(), z.re.to_bits(), "sps={sps} symbol {k}");
             }
         }
     }
@@ -1275,28 +1123,18 @@ pub(crate) mod tests {
                 &[first_pair + 2 * (n * sps - 3)],
             ];
             for (pi, plant) in plants.iter().enumerate() {
-                for coherent in [true, false] {
-                    let modem = OokModem::new(sps);
-                    let awgn = Awgn::for_eb_n0(&modem, 3.0);
-                    let fresh = || ScriptedRng::planted(0xBAD ^ pi as u64, n + 2 * n * sps, plant);
-                    let mut oracle_rng = fresh();
-                    let want = oracle_bit_errors(&modem, &awgn, n, coherent, &mut oracle_rng);
-                    for margin in [f64::INFINITY, CERT_MARGIN] {
-                        let mut rng = fresh();
-                        let got = count_certified(
-                            &modem,
-                            &awgn,
-                            n,
-                            coherent,
-                            &mut rng,
-                            &mut TrialScratch::new(),
-                            margin,
-                        );
-                        let case =
-                            format!("sps={sps} plant {pi} coherent={coherent} margin={margin}");
-                        assert_eq!(got, want, "{case}");
-                        assert_eq!(rng.next_u64(), oracle_rng.clone().next_u64(), "{case}");
-                    }
+                let modem = OokModem::new(sps);
+                let awgn = Awgn::for_eb_n0(&modem, 3.0);
+                let fresh = || ScriptedRng::planted(0xBAD ^ pi as u64, n + 2 * n * sps, plant);
+                let mut oracle_rng = fresh();
+                let want = oracle_bit_errors(&modem, &awgn, n, &mut oracle_rng);
+                for margin in [f64::INFINITY, CERT_MARGIN] {
+                    let mut rng = fresh();
+                    let mut scratch = TrialScratch::new();
+                    let got = count_certified(&modem, &awgn, n, &mut rng, &mut scratch, margin);
+                    let case = format!("sps={sps} plant {pi} margin={margin}");
+                    assert_eq!(got, want, "{case}");
+                    assert_eq!(rng.next_u64(), oracle_rng.clone().next_u64(), "{case}");
                 }
             }
         }
@@ -1310,30 +1148,22 @@ pub(crate) mod tests {
         modem: &OokModem,
         awgns: &[Awgn],
         n: usize,
-        coherent: bool,
         streams: &[Xoshiro256pp],
         margin: f64,
         case: &str,
     ) {
         let mut rngs = streams.to_vec();
-        let got = count_certified_lanes(
-            modem,
-            awgns,
-            n,
-            coherent,
-            &mut rngs,
-            &mut LaneScratch::new(),
-            margin,
-        );
+        let mut scratch = LaneScratch::new();
+        let got = count_certified_lanes(modem, awgns, n, &mut rngs, &mut scratch, margin);
         for (l, (start, awgn)) in streams.iter().zip(awgns).enumerate() {
             let mut oracle_rng = start.clone();
-            let want = oracle_bit_errors(modem, awgn, n, coherent, &mut oracle_rng);
+            let want = oracle_bit_errors(modem, awgn, n, &mut oracle_rng);
             let mut scalar_rng = start.clone();
             let scalar = count_bit_errors_scratch(
                 modem,
                 awgn,
                 n,
-                coherent,
+                true,
                 &mut scalar_rng,
                 &mut TrialScratch::new(),
             );
@@ -1354,8 +1184,8 @@ pub(crate) mod tests {
         // its neighbours, a full chunk plus a tail), every sps class (one
         // sample, odd, the production 4, a full lane, 64 samples per
         // symbol — one symbol per group — and 100, whose symbol spans two
-        // blocks of the uniform stage), both modes and mark conventions,
-        // a different σ per lane, idle lanes, and both margins.
+        // blocks of the uniform stage), both mark conventions, a
+        // different σ per lane, idle lanes, and both margins.
         let cases: &[(usize, &[usize])] = &[
             (0, &[1, 4, 64]),
             (1, &[1, 3, 4, 8, 64, 100]),
@@ -1369,12 +1199,7 @@ pub(crate) mod tests {
         for (ci, &(n, spss)) in cases.iter().enumerate() {
             for (si, &sps) in spss.iter().enumerate() {
                 let big = n * sps > 8_000;
-                for (mi, &(coherent, mark_bit)) in
-                    [(true, false), (false, true), (true, true), (false, false)]
-                        .iter()
-                        .enumerate()
-                        .take(if big { 2 } else { 4 })
-                {
+                for (mi, mark_bit) in [false, true].into_iter().enumerate() {
                     let modem = OokModem {
                         mark_bit,
                         ..OokModem::new(sps)
@@ -1395,10 +1220,9 @@ pub(crate) mod tests {
                     };
                     for &margin in margins {
                         let case = format!(
-                            "n={n} sps={sps} coherent={coherent} mark_bit={mark_bit} \
-                             streams={k} margin={margin}"
+                            "n={n} sps={sps} mark_bit={mark_bit} streams={k} margin={margin}"
                         );
-                        assert_lanes_match(&modem, &awgns, n, coherent, &streams, margin, &case);
+                        assert_lanes_match(&modem, &awgns, n, &streams, margin, &case);
                     }
                 }
             }
@@ -1460,68 +1284,63 @@ pub(crate) mod tests {
             (100, 170),
         ];
         for (sps, pair) in plants {
-            for coherent in [true, false] {
-                let modem = OokModem::new(sps);
-                let planted_lane = (sps + pair) % LANES;
-                let streams: Vec<Xoshiro256pp> = (0..LANES)
-                    .map(|l| {
-                        let seed = 0xBAD ^ (sps as u64) << 8 ^ l as u64;
-                        if l == planted_lane {
-                            planted_stream(seed, n + 2 * pair)
-                        } else {
-                            Xoshiro256pp::seed_from(seed)
-                        }
-                    })
-                    .collect();
-                let awgns: Vec<Awgn> = (0..LANES)
-                    .map(|l| Awgn::for_eb_n0(&modem, 3.0 + l as f64))
-                    .collect();
-                for margin in [f64::INFINITY, CERT_MARGIN] {
-                    let case = format!("sps={sps} pair {pair} coherent={coherent} margin={margin}");
-                    assert_lanes_match(&modem, &awgns, n, coherent, &streams, margin, &case);
-                }
+            let modem = OokModem::new(sps);
+            let planted_lane = (sps + pair) % LANES;
+            let streams: Vec<Xoshiro256pp> = (0..LANES)
+                .map(|l| {
+                    let seed = 0xBAD ^ (sps as u64) << 8 ^ l as u64;
+                    if l == planted_lane {
+                        planted_stream(seed, n + 2 * pair)
+                    } else {
+                        Xoshiro256pp::seed_from(seed)
+                    }
+                })
+                .collect();
+            let awgns: Vec<Awgn> = (0..LANES)
+                .map(|l| Awgn::for_eb_n0(&modem, 3.0 + l as f64))
+                .collect();
+            for margin in [f64::INFINITY, CERT_MARGIN] {
+                let case = format!("sps={sps} pair {pair} margin={margin}");
+                assert_lanes_match(&modem, &awgns, n, &streams, margin, &case);
             }
         }
     }
 
     #[test]
     #[ignore = "release-only: 2 × 10⁶ symbols; run by scripts/check.sh"]
-    fn lane_counter_matches_the_single_stream_kernel_over_a_million_symbols_per_mode() {
+    fn lane_counter_matches_the_single_stream_kernel_over_a_million_symbols_per_mark_convention() {
         // Production margin, the certificate's SNR points across the lanes
         // (and two lanes past them), chunk-sized streams as the BER sweep
         // runs them.
-        let modem = OokModem::new(4);
-        let awgns: Vec<Awgn> = (0..LANES)
-            .map(|l| Awgn::for_eb_n0(&modem, CERT_SNRS_DB[l % 6] - 2.0 * (l / 6) as f64))
-            .collect();
         let mut lanes = LaneScratch::new();
         let mut single = TrialScratch::new();
-        for coherent in [true, false] {
+        for mark_bit in [false, true] {
+            let modem = OokModem {
+                mark_bit,
+                ..OokModem::new(4)
+            };
+            let awgns: Vec<Awgn> = (0..LANES)
+                .map(|l| Awgn::for_eb_n0(&modem, CERT_SNRS_DB[l % 6] - 2.0 * (l / 6) as f64))
+                .collect();
             let mut symbols = 0usize;
             for call in 0..16u64 {
                 let streams: Vec<Xoshiro256pp> = (0..LANES as u64)
                     .map(|l| Xoshiro256pp::seed_from(0x3E6 ^ call << 8 ^ l))
                     .collect();
                 let mut rngs = streams.clone();
-                let got = count_bit_errors_lanes(
-                    &modem,
-                    &awgns,
-                    MC_CHUNK_BITS,
-                    coherent,
-                    &mut rngs,
-                    &mut lanes,
-                );
+                let got =
+                    count_bit_errors_lanes(&modem, &awgns, MC_CHUNK_BITS, &mut rngs, &mut lanes);
                 for (l, mut rng) in streams.into_iter().enumerate() {
                     let want = count_bit_errors_scratch(
                         &modem,
                         &awgns[l],
                         MC_CHUNK_BITS,
-                        coherent,
+                        true,
                         &mut rng,
                         &mut single,
                     );
-                    assert_eq!(got[l], want, "coherent={coherent} call {call} lane {l}");
-                    assert_eq!(rngs[l], rng, "coherent={coherent} call {call} lane {l}");
+                    assert_eq!(got[l], want, "mark_bit={mark_bit} call {call} lane {l}");
+                    assert_eq!(rngs[l], rng, "mark_bit={mark_bit} call {call} lane {l}");
                 }
                 symbols += LANES * MC_CHUNK_BITS;
             }
@@ -1539,20 +1358,30 @@ pub(crate) mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "ber::ook_noncoherent_ber")]
+    fn kernel_refuses_the_envelope_detector() {
+        let modem = OokModem::new(4);
+        let awgn = Awgn::for_eb_n0(&modem, 10.0);
+        let mut rng = Xoshiro256pp::seed_from(1);
+        count_bit_errors_scratch(&modem, &awgn, 1, false, &mut rng, &mut TrialScratch::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "ber::ook_noncoherent_ber")]
+    fn sweep_refuses_the_envelope_detector() {
+        ber_sweep_par_with(1, &OokModem::new(4), &[6.0], 1, false, &SeedTree::new(1));
+    }
+
+    #[test]
     fn measure_ber_advances_the_stream_as_stated() {
         for sps in [1usize, 4] {
             let modem = OokModem::new(sps);
             for n_bits in [1usize, 7, 9, 100, 1001] {
-                for coherent in [true, false] {
-                    let mut measured = Xoshiro256pp::seed_from(0x5C1F ^ n_bits as u64);
-                    let mut skipped = measured.clone();
-                    measure_ber(&modem, 5.0, n_bits, coherent, &mut measured);
-                    skipped.skip_raw(measure_ber_raws(&modem, n_bits));
-                    assert_eq!(
-                        measured, skipped,
-                        "sps={sps} n_bits={n_bits} coherent={coherent}"
-                    );
-                }
+                let mut measured = Xoshiro256pp::seed_from(0x5C1F ^ n_bits as u64);
+                let mut skipped = measured.clone();
+                measure_ber(&modem, 5.0, n_bits, &mut measured);
+                skipped.skip_raw(measure_ber_raws(&modem, n_bits));
+                assert_eq!(measured, skipped, "sps={sps} n_bits={n_bits}");
             }
         }
     }

@@ -44,6 +44,4 @@ pub mod special;
 pub mod units;
 
 pub use complex::Complex;
-pub use units::{
-    Angle, Bandwidth, DataRate, Db, Dbi, Dbm, Distance, Frequency, Power, Temperature,
-};
+pub use units::{Angle, Bandwidth, DataRate, Db, Dbi, Dbm, Distance, Frequency, Temperature};

@@ -42,10 +42,11 @@
 //! and is bit-identical to the scalar [`Rng::normal_pair`] chain. The
 //! **certified block** ([`uniform_pairs`] + [`box_muller_certified`])
 //! uses the vectorized [`crate::math::ln_lanes`], so its values are
-//! only within ~2⁻⁵⁰ of the exact ones, and hands its uniforms back so
-//! a consumer can replay any pair exactly ([`box_muller_exact`]) — which
-//! is what the bit-error counters do whenever a threshold decision is
-//! too close to call.
+//! only within ~2⁻⁵⁰ of the exact ones, computes only the cosine branch
+//! (the one value per pair the bit-error counters read), and hands its
+//! uniforms back so a consumer can replay any pair exactly
+//! ([`box_muller_exact`]) — which is what the counters do whenever a
+//! threshold decision is too close to call.
 //! [`uniform_pairs_lanes`] is the uniform stage across the streams of an
 //! [`XoshiroLanes`], laid out across streams and compacting a rejected
 //! `u1` inside its own lane, so the certified block runs on its output
@@ -269,7 +270,8 @@ const F64_SCALE: f64 = 1.0 / (1u64 << 53) as f64;
 ///    two blocks do not share),
 /// 3. one lane pass for the radius `√(−2·ln u1)`,
 ///    [`crate::math::sincos_2pi_lanes`] ([`crate::math::LANES`]
-///    polynomial lanes at a time) and the output products (shared).
+///    polynomial lanes at a time) and the output products (shared; the
+///    certified block stores only the cosine products).
 ///
 /// Bit-identity holds because each pair undergoes exactly the scalar
 /// chain's operation sequence — elementwise reordering across independent
@@ -289,7 +291,7 @@ pub fn normal_pair_block<R: Rng + ?Sized>(
     for (ri, a) in r[..n].iter_mut().zip(&u1[..n]) {
         *ri = a.ln();
     }
-    box_muller_tail(&mut r[..n], &u2[..n], &mut z0[..n], &mut z1[..n]);
+    box_muller_tail(&mut r[..n], &u2[..n], &mut z0[..n], Some(&mut z1[..n]));
 }
 
 /// The uniform stage both Box–Muller blocks share: fills `u1`/`u2` with
@@ -436,56 +438,59 @@ fn compact_rejected_pairs<R: Rng + ?Sized>(
 }
 
 /// Stage 3, shared by both blocks: `r` holds `ln u1` on entry and the
-/// radius `√(−2·ln u1)` on exit; `z0`/`z1` receive `r·cos 2πu2` and
-/// `r·sin 2πu2` from [`crate::math::sincos_2pi_lanes`] (scalar
-/// [`crate::math::sincos_2pi`] for a sub-lane tail — bit-identical).
-fn box_muller_tail(r: &mut [f64], u2: &[f64], z0: &mut [f64], z1: &mut [f64]) {
+/// radius `√(−2·ln u1)` on exit; `z0` receives the cosine branch
+/// `r·cos 2πu2` and `z1`, where given, the sine branch `r·sin 2πu2`, from
+/// [`crate::math::sincos_2pi_lanes`] (scalar [`crate::math::sincos_2pi`]
+/// for a sub-lane tail — bit-identical).
+fn box_muller_tail(r: &mut [f64], u2: &[f64], z0: &mut [f64], mut z1: Option<&mut [f64]>) {
     use crate::math::{sincos_2pi, sincos_2pi_lanes};
     let full = r.len() - r.len() % LANES;
-    let lanes = r[..full]
-        .chunks_exact_mut(LANES)
-        .zip(u2[..full].chunks_exact(LANES))
-        .zip(
-            z0[..full]
-                .chunks_exact_mut(LANES)
-                .zip(z1[..full].chunks_exact_mut(LANES)),
-        );
-    for ((rl, ul), (c_out, s_out)) in lanes {
-        let (s, c) = sincos_2pi_lanes(ul.try_into().expect("chunks_exact yields LANES"));
-        for l in 0..LANES {
-            rl[l] = (-2.0 * rl[l]).sqrt();
-            c_out[l] = rl[l] * c[l];
-            s_out[l] = rl[l] * s[l];
+    for at in (0..full).step_by(LANES) {
+        let lanes = at..at + LANES;
+        let (s, c) = sincos_2pi_lanes(u2[lanes.clone()].try_into().expect("LANES uniforms"));
+        let rl = &mut r[lanes.clone()];
+        for (rv, (c_out, c)) in rl.iter_mut().zip(z0[lanes.clone()].iter_mut().zip(c)) {
+            *rv = (-2.0 * *rv).sqrt();
+            *c_out = *rv * c;
+        }
+        if let Some(z1) = z1.as_deref_mut() {
+            for (s_out, (rv, s)) in z1[lanes].iter_mut().zip(rl.iter().zip(s)) {
+                *s_out = rv * s;
+            }
         }
     }
     for i in full..r.len() {
         r[i] = (-2.0 * r[i]).sqrt();
         let (s, c) = sincos_2pi(u2[i]);
         z0[i] = r[i] * c;
-        z1[i] = r[i] * s;
+        if let Some(z1) = z1.as_deref_mut() {
+            z1[i] = r[i] * s;
+        }
     }
 }
 
 /// The certified block's math: the shared pipeline with
 /// [`crate::math::ln_lanes`] in place of libm `ln`. For uniforms from
 /// [`uniform_pairs`] it writes the fast radius `r' = √(−2·ln_lanes(u1))`
-/// to `r` and `r'·cos 2πu2`, `r'·sin 2πu2` to `z0`, `z1`.
+/// to `r` and the cosine branch `r'·cos 2πu2` to `z0`. It computes no
+/// sine branch: the bit-error counters read only the in-phase noise of a
+/// draw (coherent OOK's real part; BPSK's I pair).
 ///
-/// These pairs are **not** the exact ones: `r'` is within about 2⁻⁵⁰
-/// relative of the exact radius, so each value is within that of what
-/// [`Rng::normal_pair`] returns for the same draw. A consumer that needs
-/// an exact value — the bit-error counters, when a decision falls inside
-/// their rounding certificate's margin — replays that pair from the
-/// uniforms it kept with [`box_muller_exact`] (DESIGN.md §11, "Certified
-/// decisions").
+/// These values are **not** the exact ones: `r'` is within about 2⁻⁵⁰
+/// relative of the exact radius, so each value is within that of the
+/// cosine branch [`Rng::normal_pair`] returns for the same draw. A
+/// consumer that needs an exact value — the bit-error counters, when a
+/// decision falls inside their rounding certificate's margin — replays
+/// that pair from the uniforms it kept with [`box_muller_exact`]
+/// (DESIGN.md §11, "Certified decisions").
 ///
 /// # Panics
-/// Panics if the five slices differ in length.
-pub fn box_muller_certified(u1: &[f64], u2: &[f64], r: &mut [f64], z0: &mut [f64], z1: &mut [f64]) {
+/// Panics if the four slices differ in length.
+pub fn box_muller_certified(u1: &[f64], u2: &[f64], r: &mut [f64], z0: &mut [f64]) {
     use crate::math::ln_lanes;
     let n = u1.len();
     assert!(
-        u2.len() == n && r.len() == n && z0.len() == n && z1.len() == n,
+        u2.len() == n && r.len() == n && z0.len() == n,
         "certified block slices must have equal length"
     );
     let mut ul = u1.chunks_exact(LANES);
@@ -499,7 +504,7 @@ pub fn box_muller_certified(u1: &[f64], u2: &[f64], r: &mut [f64], z0: &mut [f64
         pad[..tail_u.len()].copy_from_slice(tail_u);
         tail_r.copy_from_slice(&ln_lanes(&pad)[..tail_u.len()]);
     }
-    box_muller_tail(r, u2, z0, z1);
+    box_muller_tail(r, u2, z0, None);
 }
 
 /// One **exact** Box–Muller pair from its kept uniforms: `(r·cos 2πu2,
@@ -987,24 +992,25 @@ mod tests {
     }
 
     /// Draws `n` pairs through the certified block — [`uniform_pairs`]
-    /// then [`box_muller_certified`] — returning `(u1, u2, r, z0, z1)`.
-    fn certified_pairs<R: Rng + ?Sized>(rng: &mut R, n: usize) -> [Vec<f64>; 5] {
-        let [mut u1, mut u2, mut r, mut z0, mut z1] = [(); 5].map(|_| vec![0.0f64; n]);
+    /// then [`box_muller_certified`] — returning `(u1, u2, r, z0)`.
+    fn certified_pairs<R: Rng + ?Sized>(rng: &mut R, n: usize) -> [Vec<f64>; 4] {
+        let [mut u1, mut u2, mut r, mut z0] = [(); 4].map(|_| vec![0.0f64; n]);
         uniform_pairs(rng, &mut u1, &mut u2);
-        box_muller_certified(&u1, &u2, &mut r, &mut z0, &mut z1);
-        [u1, u2, r, z0, z1]
+        box_muller_certified(&u1, &u2, &mut r, &mut z0);
+        [u1, u2, r, z0]
     }
 
     #[test]
     fn certified_block_hands_back_the_exact_draws() {
         // Every kept (u1, u2) replays to the exact pair the scalar chain
         // draws at that position, bit for bit, and the stream ends where
-        // n scalar draws leave it; the fast values sit within the ln_lanes
-        // bound of the exact ones. Lengths straddle lanes and blocks.
+        // n scalar draws leave it; the fast radius and cosine branch sit
+        // within the ln_lanes bound of the exact ones. Lengths straddle
+        // lanes and blocks.
         for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 130, 1000] {
             let mut a = Xoshiro256pp::seed_from(0xCE27 ^ n as u64);
             let mut b = a.clone();
-            let [u1, u2, r, z0, z1] = certified_pairs(&mut a, n);
+            let [u1, u2, r, z0] = certified_pairs(&mut a, n);
             for i in 0..n {
                 let (e0, e1) = b.normal_pair();
                 let (x0, x1) = box_muller_exact(u1[i], u2[i]);
@@ -1019,7 +1025,6 @@ mod tests {
                     "n={n} {i}"
                 );
                 assert!((z0[i] - e0).abs() <= exact_r * 2f64.powi(-49), "n={n} {i}");
-                assert!((z1[i] - e1).abs() <= exact_r * 2f64.powi(-49), "n={n} {i}");
             }
             assert_eq!(a.next_u64(), b.next_u64(), "n={n} stream position");
         }

@@ -379,28 +379,6 @@ impl fmt::Display for Dbi {
     }
 }
 
-/// Generic absolute power that remembers whether it is meaningful.
-///
-/// [`Dbm`] cannot represent "no signal at all" without resorting to −∞; this
-/// tiny enum makes that case explicit where links can be fully blocked.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum Power {
-    /// A finite received power.
-    Some(Dbm),
-    /// No propagation path exists (fully blocked, or no tag in beam).
-    None,
-}
-
-impl Power {
-    /// The power, or `None` if there is no signal.
-    pub fn dbm(self) -> Option<f64> {
-        match self {
-            Power::Some(p) => Some(p.dbm()),
-            Power::None => None,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Bandwidth & data rate
 // ---------------------------------------------------------------------------

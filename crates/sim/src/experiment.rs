@@ -207,18 +207,6 @@ pub fn linspace(start: f64, stop: f64, points: usize) -> Vec<f64> {
     }
 }
 
-/// Builds a logarithmic sweep from `start` to `stop` (both positive).
-pub fn logspace(start: f64, stop: f64, points: usize) -> Vec<f64> {
-    assert!(
-        start > 0.0 && stop > 0.0,
-        "logspace needs positive endpoints"
-    );
-    linspace(start.ln(), stop.ln(), points)
-        .into_iter()
-        .map(f64::exp)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,14 +335,6 @@ mod tests {
         assert_eq!(csv_field("a\nb"), "\"a\nb\"");
         assert_eq!(csv_field("plain"), "plain");
         assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
-    }
-
-    #[test]
-    fn logspace_is_geometric() {
-        let v = logspace(1.0, 100.0, 3);
-        assert!((v[0] - 1.0).abs() < 1e-12);
-        assert!((v[1] - 10.0).abs() < 1e-9);
-        assert!((v[2] - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!
 //! Everything here is `std`-only, including the JSON writer.
 
-use crate::experiment::{linspace, logspace, Table};
+use crate::experiment::{linspace, Table};
 use crate::json;
 use crate::obs;
 use crate::rng::SeedTree;
@@ -202,15 +202,6 @@ pub enum AxisKind {
         /// Sample count.
         points: usize,
     },
-    /// Geometric sweep (see [`logspace`]).
-    Logspace {
-        /// First value (> 0).
-        start: f64,
-        /// Last value (> 0).
-        stop: f64,
-        /// Sample count.
-        points: usize,
-    },
     /// An explicit value list.
     Values(Vec<f64>),
 }
@@ -233,11 +224,6 @@ impl SweepAxis {
                 stop,
                 points,
             } => linspace(*start, *stop, *points),
-            AxisKind::Logspace {
-                start,
-                stop,
-                points,
-            } => logspace(*start, *stop, *points),
             AxisKind::Values(v) => v.clone(),
         }
     }
@@ -245,7 +231,7 @@ impl SweepAxis {
     /// Number of sweep points.
     pub fn len(&self) -> usize {
         match &self.kind {
-            AxisKind::Linspace { points, .. } | AxisKind::Logspace { points, .. } => *points,
+            AxisKind::Linspace { points, .. } => *points,
             AxisKind::Values(v) => v.len(),
         }
     }
@@ -255,8 +241,8 @@ impl SweepAxis {
         self.len() == 0
     }
 
-    /// The same axis clamped to at most `max` points (Linspace/Logspace
-    /// shrink their sample count; Values truncate).
+    /// The same axis clamped to at most `max` points (Linspace shrinks its
+    /// sample count; Values truncate).
     pub fn clamped(&self, max: usize) -> SweepAxis {
         let kind = match &self.kind {
             AxisKind::Linspace {
@@ -264,15 +250,6 @@ impl SweepAxis {
                 stop,
                 points,
             } => AxisKind::Linspace {
-                start: *start,
-                stop: *stop,
-                points: (*points).min(max),
-            },
-            AxisKind::Logspace {
-                start,
-                stop,
-                points,
-            } => AxisKind::Logspace {
                 start: *start,
                 stop: *stop,
                 points: (*points).min(max),
@@ -445,13 +422,6 @@ impl ScenarioSpec {
                     points,
                 } => {
                     let _ = write!(out, "axis={}:lin({start},{stop},{points});", a.label);
-                }
-                AxisKind::Logspace {
-                    start,
-                    stop,
-                    points,
-                } => {
-                    let _ = write!(out, "axis={}:log({start},{stop},{points});", a.label);
                 }
                 AxisKind::Values(v) => {
                     let _ = write!(out, "axis={}:values(", a.label);

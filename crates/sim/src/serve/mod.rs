@@ -548,6 +548,69 @@ mod tests {
         server.join(); // must not hang: second client's read EOFs
     }
 
+    /// A fresh directory for one socket-path test.
+    #[cfg(unix)]
+    fn socket_dir(name: &str) -> std::path::PathBuf {
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos();
+        let dir =
+            std::env::temp_dir().join(format!("mmtag-serve-{name}-{}-{nanos}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A one-scenario registry for the socket-path tests.
+    #[cfg(unix)]
+    fn one_scenario_registry() -> Registry {
+        let spec = ScenarioSpec::paper_link("t96-path", "socket path test")
+            .with_axis("x", AxisKind::Values(vec![0.0]));
+        let mut registry = Registry::new();
+        registry.register(Box::new(Counting {
+            spec,
+            executions: Arc::new(AtomicUsize::new(0)),
+        }));
+        registry
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn unix_listener_refuses_a_path_that_holds_a_regular_file() {
+        let dir = socket_dir("not-a-socket");
+        let path = dir.join("notes.txt");
+        std::fs::write(&path, "keep me\n").unwrap();
+        let err = Server::builder(one_scenario_registry())
+            .unix(&path)
+            .tcp("127.0.0.1:0")
+            .start()
+            .err()
+            .expect("a regular file at the socket path must refuse the start");
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists, "{err}");
+        assert!(err.to_string().contains("notes.txt"), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "keep me\n");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn unix_listener_replaces_a_stale_socket() {
+        let dir = socket_dir("stale-socket");
+        let path = dir.join("mmtag.sock");
+        drop(std::os::unix::net::UnixListener::bind(&path).unwrap());
+        assert!(path.exists(), "a dropped listener leaves its socket file");
+        let server = Server::builder(one_scenario_registry())
+            .unix(&path)
+            .start()
+            .unwrap();
+        let mut client = Client::connect_unix(&path).unwrap();
+        let bye = client.roundtrip(r#"{"id":1,"op":"shutdown"}"#).unwrap();
+        assert!(bye.contains("\"ok\":true"), "{bye}");
+        server.join();
+        assert!(!path.exists(), "socket file must be removed on shutdown");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn finished_connection_handlers_are_reaped_at_the_next_accept() {
         let spec = ScenarioSpec::paper_link("t94-reap", "handler reap test")

@@ -124,8 +124,9 @@ impl ServerBuilder {
         self
     }
 
-    /// Adds a Unix-domain listener at `path` (a stale socket file from
-    /// a previous run is removed at bind).
+    /// Adds a Unix-domain listener at `path`. A socket file left there
+    /// by a previous run is replaced at bind; any other file at `path`
+    /// makes [`ServerBuilder::start`] fail with `AlreadyExists`.
     #[cfg(unix)]
     pub fn unix(mut self, path: impl Into<PathBuf>) -> Self {
         self.unix = Some(path.into());
@@ -134,7 +135,16 @@ impl ServerBuilder {
 
     /// Binds the listeners, pre-spawns the job-thread pool workers, and
     /// starts executor, acceptor and connection threads.
+    ///
+    /// # Errors
+    /// `AlreadyExists`, before anything is bound, if the Unix listener's
+    /// path holds a file that is not a socket; otherwise whatever binding
+    /// or spawning fails with.
     pub fn start(self) -> io::Result<Server> {
+        #[cfg(unix)]
+        if let Some(path) = &self.unix {
+            remove_stale_socket(path)?;
+        }
         let mut config = self.config;
         // A socket server with zero executors would deadlock: handlers
         // block on flights nobody drains. Inline mode is engine-only.
@@ -163,9 +173,6 @@ impl ServerBuilder {
         }
         #[cfg(unix)]
         if let Some(path) = &self.unix {
-            if path.exists() {
-                std::fs::remove_file(path)?;
-            }
             let listener = UnixListener::bind(path)?;
             let wake_path = path.clone();
             wake.push(Box::new(move || drop(UnixStream::connect(&wake_path))));
@@ -213,6 +220,24 @@ impl ServerBuilder {
             tcp_addr,
             unix_path: self.unix,
         })
+    }
+}
+
+/// Clears the way for a Unix listener at `path`: removes a socket left
+/// there by an earlier run and refuses any other file (a symlink
+/// included) with `AlreadyExists`, so a mistyped `--socket` never
+/// deletes a user's file.
+#[cfg(unix)]
+fn remove_stale_socket(path: &std::path::Path) -> io::Result<()> {
+    use std::os::unix::fs::FileTypeExt;
+    match std::fs::symlink_metadata(path) {
+        Ok(meta) if meta.file_type().is_socket() => std::fs::remove_file(path),
+        Ok(_) => Err(io::Error::new(
+            io::ErrorKind::AlreadyExists,
+            format!("{} exists and is not a socket", path.display()),
+        )),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(e),
     }
 }
 

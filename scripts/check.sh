@@ -55,7 +55,7 @@ GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 cargo test -q -p mmtag-bench --test s
 # both are #[ignore]d and 2²⁰-input sweeps stand in.
 cargo test --release --offline -q -p mmtag-rf --lib -- --ignored
 # The lane OOK counter against the single-stream kernel over 10⁶ symbols
-# per demodulator at the certificate's SNR points, #[ignore]d likewise.
+# per mark convention at the certificate's SNR points, #[ignore]d likewise.
 cargo test --release --offline -q -p mmtag-phy --lib -- --ignored
 # Every registry scenario at its published size and seed against the
 # table digests pinned in the test: the smoke digests above see a few

@@ -115,16 +115,9 @@ fn ber_lane_loop_is_allocation_free_in_steady_state() {
 
     // Warm-up: the first group of chunks grows the bit buffer to full
     // chunk size and the sample buffers to one group of symbol steps.
-    let warm = count_bit_errors_lanes(
-        &modem,
-        &awgns,
-        MC_CHUNK_BITS,
-        true,
-        &mut streams(0),
-        &mut scratch,
-    );
+    let warm = count_bit_errors_lanes(&modem, &awgns, MC_CHUNK_BITS, &mut streams(0), &mut scratch);
 
-    // Both demodulators, all eight lanes and three (five idle).
+    // All eight lanes and three (five idle).
     let (allocs, errors) = allocations_during(|| {
         let mut total = 0usize;
         for group in 0..8 {
@@ -133,7 +126,6 @@ fn ber_lane_loop_is_allocation_free_in_steady_state() {
                 &modem,
                 &awgns[..k],
                 MC_CHUNK_BITS,
-                group < 4,
                 &mut streams(group)[..k],
                 &mut scratch,
             );
@@ -279,19 +271,19 @@ fn gaussian_fill_is_allocation_free_into_existing_buffers() {
     let tree = SeedTree::new(0xF111);
     let mut rng = tree.rng_indexed("alloc-fill", 0);
     let mut z = vec![0.0f64; 10_001]; // odd length exercises the tail
-    let [mut u1, mut u2, mut r, mut z0, mut z1] = [(); 5].map(|_| vec![0.0f64; 4_099]);
+    let [mut u1, mut u2, mut r, mut z0] = [(); 4].map(|_| vec![0.0f64; 4_099]);
 
     rng.fill_normal(&mut z);
     uniform_pairs(&mut rng, &mut u1, &mut u2);
-    box_muller_certified(&u1, &u2, &mut r, &mut z0, &mut z1);
+    box_muller_certified(&u1, &u2, &mut r, &mut z0);
 
     let (allocs, sum) = allocations_during(|| {
         let mut acc = 0.0f64;
         for _ in 0..8 {
             rng.fill_normal(&mut z);
             uniform_pairs(&mut rng, &mut u1, &mut u2);
-            box_muller_certified(&u1, &u2, &mut r, &mut z0, &mut z1);
-            acc += z[0] + z0[0] + z1[0];
+            box_muller_certified(&u1, &u2, &mut r, &mut z0);
+            acc += z[0] + z0[0];
         }
         acc
     });

@@ -30,7 +30,7 @@ fn measured_ber_at_4ft_meets_design_target() {
     assert!(eb_n0 >= 9.7, "Eb/N0 at 4 ft = {eb_n0} dB");
     let modem = OokModem::new(4);
     let mut rng = Xoshiro256pp::seed_from(4242);
-    let ber = measure_ber(&modem, eb_n0, 300_000, true, &mut rng);
+    let ber = measure_ber(&modem, eb_n0, 300_000, &mut rng);
     assert!(ber <= 1.5e-3, "BER at the 4 ft operating point: {ber}");
 }
 
