@@ -201,6 +201,48 @@ const PUBLISHED_DIGESTS: [(&str, u64); 31] = [
     ("e31-rate-vs-states", 0x20af_789c_9dac_6906),
 ];
 
+/// Integer bit-error counts of the certified BER counters at published
+/// size and seed: E05's `ook_measured` column (15 SNR points, seed 2024)
+/// and E16's `ook_ber`/`bpsk_ber` pairs (5 SNR points, seed 5), each
+/// `ber × trials`. The rendered tables print a BER ≥ 10⁻³ to three
+/// decimals, so the digests above cannot see one flipped decision among
+/// 200 000 bits in E05's 0–6 dB rows; these counts can.
+const E05_OOK_ERRORS: [u64; 15] = [
+    31947, 26639, 20920, 15935, 11270, 7659, 4661, 2548, 1162, 477, 160, 30, 6, 3, 0,
+];
+const E16_ERRORS: [(u64, u64); 5] = [(15860, 4549), (7546, 1142), (2587, 140), (472, 4), (38, 0)];
+
+/// The error counts in `column` of `table`'s rows, checking that every
+/// cell is exactly `count / trials`.
+fn error_counts(table: &mmtag_sim::experiment::Table, column: usize, trials: usize) -> Vec<u64> {
+    (0..table.len())
+        .map(|row| {
+            let ber = table.cell(row, column);
+            let count = (ber * trials as f64).round();
+            assert_eq!(ber, count / trials as f64, "row {row}: not a count");
+            count as u64
+        })
+        .collect()
+}
+
+#[test]
+#[ignore = "E05 and E16 at published size; run in release: cargo test --release -p mmtag-bench --test scenarios -- --ignored"]
+fn ber_scenarios_keep_their_exact_error_counts_at_published_size() {
+    let reg = registry();
+    let runner = Runner::new();
+    let e05 = reg.get("e05-ber").expect("e05-ber is registered");
+    let trials = e05.spec().trials;
+    let record = runner.run(e05);
+    assert_eq!(error_counts(&record.tables[0], 4, trials), E05_OOK_ERRORS);
+    let e16 = reg.get("e16-bpsk").expect("e16-bpsk is registered");
+    let trials = e16.spec().trials;
+    let record = runner.run(e16);
+    let ook = error_counts(&record.tables[0], 1, trials);
+    let bpsk = error_counts(&record.tables[0], 2, trials);
+    let got: Vec<(u64, u64)> = ook.into_iter().zip(bpsk).collect();
+    assert_eq!(got, E16_ERRORS);
+}
+
 /// 64-bit FNV-1a over the rendered tables.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {

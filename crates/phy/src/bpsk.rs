@@ -19,19 +19,24 @@
 //! ([`crate::waveform::count_bit_errors_scratch`], DESIGN.md §11): all
 //! bits first, then groups of whole symbols whose uniforms come from the
 //! shared uniform stage (the I pair, then the Q pair, per sample), only
-//! the I noise through the certified Box–Muller math, and each sign
+//! the I noise through the certified Box–Muller math (`f32` after the
+//! `ln`), the samples and the matched filter in `f32`, and each sign
 //! decision accepted when the fast statistic clears zero by the
 //! certificate's margin, else replayed exactly with libm `ln` and
-//! `cos(2π·u2)` from the kept uniforms. The chain itself lives on as the
-//! kernel's oracle in this module's tests.
+//! `cos(2π·u2)` from the kept uniforms (counted in `phy.ber.replays`).
+//! The certificate covers libm's cosine here as well as the turn-based
+//! one the OOK chain uses: its cosine term is an absolute bound on the
+//! fast cosine's gap to `cos 2πu2`, which both exact chains meet to
+//! 10⁻¹⁴. The chain itself lives on as the kernel's oracle in this
+//! module's tests.
 
 use std::f64::consts::TAU;
 
 use crate::waveform::{
-    fold_symbols, group_symbols, Awgn, SymbolGroup, CERT_MARGIN, MAX_CERTIFIED_SPS,
+    certified, fast_margin, group_symbols, Awgn, SymbolGroup, CERT_MARGIN, MAX_CERTIFIED_SPS,
 };
-use mmtag_rf::math::LANES;
-use mmtag_rf::rng::{box_muller_certified, uniform_pairs, Rng, BM_BLOCK};
+use mmtag_rf::obs;
+use mmtag_rf::rng::{box_muller_certified, uniform_pairs, Rng};
 use mmtag_rf::Complex;
 
 /// Rectangular-pulse BPSK modulator/demodulator (±A antipodal).
@@ -140,14 +145,16 @@ fn count_bpsk_errors<R: Rng + ?Sized>(
     let mut bits = vec![false; n_bits];
     rng.fill_bits(&mut bits);
     let mut group = BpskGroup::new(sps);
-    let mut errors = 0usize;
+    let margin = fast_margin(margin, modem.amplitude, awgn.sigma);
+    let (mut errors, mut replays) = (0usize, 0u64);
     for group_bits in bits.chunks(group_symbols(sps)) {
         group.draw(rng, modem, awgn.sigma, group_bits);
         for (l, &bit) in group_bits.iter().enumerate() {
-            let fast = group.samples.stat[l];
-            let s = if fast.abs() > margin * group.samples.bound[l] {
+            let fast = f64::from(group.samples.stat[l]);
+            let s = if certified(fast, 0.0, group.samples.bound[l], margin) {
                 fast
             } else {
+                replays += 1;
                 let at = l * sps..(l + 1) * sps;
                 let samples = &group.samples;
                 let a = modem.level(bit);
@@ -156,6 +163,7 @@ fn count_bpsk_errors<R: Rng + ?Sized>(
             errors += usize::from((s > 0.0) != bit);
         }
     }
+    obs::counter_add("phy.ber.replays", replays);
     errors
 }
 
@@ -182,19 +190,13 @@ impl BpskGroup {
 
     /// Draws one group's `2·bits.len()·sps` pairs, runs the certified
     /// Box–Muller math on the I pairs only, and writes symbol `l`'s fast
-    /// matched-filter sum `S'` to `stat[l]` and its `Σⱼ Bⱼ` to `bound[l]`
-    /// of the shared [`SymbolGroup`].
+    /// matched-filter sum `S'` to `stat[l]` and its certificate bound to
+    /// `bound[l]` of the shared [`SymbolGroup`]
+    /// ([`SymbolGroup::modulate_and_fold`]).
     fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R, modem: &BpskModem, sigma: f64, bits: &[bool]) {
         let sps = modem.samples_per_symbol;
         let ns = bits.len() * sps;
-        let SymbolGroup {
-            u1,
-            u2,
-            r,
-            re,
-            stat,
-            bound,
-        } = &mut self.samples;
+        let SymbolGroup { u1, u2, r, re, .. } = &mut self.samples;
         uniform_pairs(
             rng,
             &mut self.pair_u1[..2 * ns],
@@ -208,21 +210,8 @@ impl BpskGroup {
             (*x1, *x2) = (p1[0], p2[0]);
         }
         box_muller_certified(&u1[..ns], &u2[..ns], &mut r[..ns], &mut re[..ns]);
-        for (x, &bit) in re[..ns].chunks_exact_mut(sps).zip(bits) {
-            let a = modem.level(bit);
-            for v in x {
-                *v = a + sigma * *v;
-            }
-        }
-        let lanes = bits.len().div_ceil(LANES) * LANES;
-        let mut sum_r = [0.0f64; BM_BLOCK];
-        fold_symbols(&re[..lanes * sps], sps, &mut stat[..lanes]);
-        fold_symbols(&r[..lanes * sps], sps, &mut sum_r[..lanes]);
-        // Σⱼ Bⱼ = sps·|a| + |σ|·Σⱼ r'ⱼ; every BPSK symbol has |a| = A.
-        let levels = sps as f64 * modem.amplitude.abs();
-        for (b, &sr) in bound.iter_mut().zip(&sum_r).take(bits.len()) {
-            *b = levels + sigma.abs() * sr;
-        }
+        self.samples
+            .modulate_and_fold(sps, sigma, bits, |bit| modem.level(bit));
     }
 }
 
@@ -255,7 +244,7 @@ pub fn measure_bpsk_ber_raws(modem: &BpskModem, n_bits: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::ber::bpsk_ber;
-    use crate::waveform::tests::{ScriptedRng, CERT_SNRS_DB};
+    use crate::waveform::tests::{recorded_replays, ScriptedRng, CERT_SNRS_DB};
     use crate::waveform::{measure_ber, OokModem};
     use mmtag_rf::rng::Xoshiro256pp;
 
@@ -315,7 +304,8 @@ mod tests {
     #[test]
     fn certificate_margin_has_2_pow_8_headroom_over_a_million_symbols() {
         // Each symbol's fast sum against its exact libm replay: the worst
-        // |S' − S| stays 2⁸ below the margin K·Σ Bⱼ (DESIGN.md §11).
+        // |S' − S| stays 2⁸ below the margin K·(sps + 15)·Σ Bⱼ
+        // (DESIGN.md §11).
         let mut worst = 0.0f64;
         let mut symbols = 0usize;
         let cases = [
@@ -342,8 +332,8 @@ mod tests {
                         modem.level(bit),
                         sigma,
                     );
-                    worst = worst
-                        .max((samples.stat[l] - exact).abs() / (CERT_MARGIN * samples.bound[l]));
+                    let gap = (f64::from(samples.stat[l]) - exact).abs();
+                    worst = worst.max(gap / (CERT_MARGIN * samples.bound[l]));
                 }
                 symbols += bits.len();
             }
@@ -410,6 +400,31 @@ mod tests {
                     assert_eq!(got, want, "{case}");
                     assert_eq!(rng.next_u64(), oracle_rng.clone().next_u64(), "{case}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_counts_its_replays_once_per_call() {
+        // Margin ∞: one replay per symbol; the production margin still
+        // reports its (small) count; a NaN σ replays every decision.
+        let modem = BpskModem::new(4);
+        let n = 2_000;
+        for (sigma, margin) in [
+            (modem.awgn_for(0.0).sigma, f64::INFINITY),
+            (modem.awgn_for(0.0).sigma, CERT_MARGIN),
+            (f64::NAN, CERT_MARGIN),
+        ] {
+            let awgn = Awgn { sigma };
+            let (calls, replays) = recorded_replays(|| {
+                let mut rng = Xoshiro256pp::seed_from(0xB9E);
+                count_bpsk_errors(&modem, &awgn, n, &mut rng, margin);
+            });
+            assert_eq!(calls, 1, "sigma={sigma} margin={margin}");
+            if margin.is_infinite() || sigma.is_nan() {
+                assert_eq!(replays, n as u64, "sigma={sigma} margin={margin}");
+            } else {
+                assert!(replays <= n as u64 / 100, "{replays}");
             }
         }
     }

@@ -34,16 +34,19 @@
 //! whole symbols held in a caller-owned, group-sized [`TrialScratch`] —
 //! noise from the certified Box–Muller block ([`uniform_pairs`] +
 //! [`box_muller_certified`], `ln` through the vectorized
-//! [`mmtag_rf::math::ln_lanes`], the in-phase noise only), a fused
-//! modulate+noise pass, and a matched filter that carries [`LANES`]
-//! symbols side by side.
+//! [`mmtag_rf::math::ln_lanes`] in `f64` and everything after it in `f32`
+//! lanes, the in-phase noise only), a fused modulate+noise pass, and a
+//! matched filter that carries [`LANES`] symbols side by side, both in
+//! `f32`.
 //! [`count_bit_errors_lanes`] counts up to [`LANES`] independent xoshiro
 //! streams at once (E5's and serve's sweeps): the same stages laid out
 //! across streams in a [`LaneScratch`], so one [`XoshiroLanes`] step draws
 //! for every stream. Each threshold decision stands when the fast
-//! statistic clears the threshold by a margin a rounding analysis proves
-//! larger than any gap to the exact statistic; a symbol inside the margin
-//! is replayed through the exact libm chain from its kept uniforms. The
+//! statistic, compared in `f64`, clears the threshold by a margin a
+//! rounding analysis at `f32`'s `u = 2⁻²⁴` proves larger than any gap to
+//! the exact statistic; a symbol inside the margin is replayed through
+//! the exact libm chain from its kept uniforms, and each call adds its
+//! replays to the `phy.ber.replays` counter. The
 //! steady state of either trial loop performs **zero heap allocations**
 //! (verified by the repo's allocation-guard integration test). Their test
 //! oracle is the allocating chain above, written out in this module's
@@ -214,25 +217,46 @@ impl Awgn {
     }
 }
 
-/// The certificate's margin factor `K = 2⁻³⁶`: a fast decision stands
-/// when its statistic clears the threshold by more than `K·Σⱼ Bⱼ`
-/// (DESIGN.md §11, "Certified decisions", derives `|S' − S| ≤ 2⁻³⁹·⁹·Σⱼ Bⱼ`
-/// for every symbol the kernels accept, so `K` leaves a factor of ≥ 15
-/// over the worst case).
-pub(crate) const CERT_MARGIN: f64 = 1.0 / (1u64 << 36) as f64;
+/// The certificate's margin factor `K = 2⁻¹⁶ = 2⁸·u` (`u = 2⁻²⁴`, the
+/// `f32` unit roundoff): a fast decision stands when its statistic clears
+/// the threshold by more than `K·(sps + 15)·Σⱼ Bⱼ` (DESIGN.md §11,
+/// "Certified decisions", derives `|S' − S| ≤ (sps + 15)·u·Σⱼ Bⱼ` for
+/// every `sps ≤` [`MAX_CERTIFIED_SPS`], so `K` leaves a factor of 2⁸ over
+/// the worst case).
+pub(crate) const CERT_MARGIN: f64 = 1.0 / (1u64 << 16) as f64;
 
-/// One symbol's certificate bound `Σⱼ Bⱼ`, evaluated as
-/// `sps·|a| + |σ|·Σⱼ r'ⱼ` for level `a`.
+/// One symbol's certificate bound `(sps + 15)·Σⱼ Bⱼ`, with `Σⱼ Bⱼ`
+/// evaluated as `sps·|a| + |σ|·Σⱼ r'ⱼ` for level `a`. `sps + 15` counts
+/// the `u·Σⱼ Bⱼ` steps the fast statistic can err by: the fold's
+/// `sps − 1` `f32` additions, and 16 that hold the sample's roundings
+/// (10.8) with the fold's excess over `sps − 1` (DESIGN.md §11).
 #[inline]
-fn cert_bound(sps: usize, a: f64, sigma: f64, sum_r: f64) -> f64 {
-    sps as f64 * a.abs() + sigma.abs() * sum_r
+fn cert_bound(sps: usize, a: f64, sigma: f64, sum_r: f32) -> f64 {
+    (sps + 15) as f64 * (sps as f64 * a.abs() + sigma.abs() * f64::from(sum_r))
 }
 
 /// True when the fast statistic decides `S > θ` for certain: it clears
-/// the threshold by more than `margin·Σⱼ Bⱼ`. A NaN statistic never does.
+/// the threshold by more than `margin·bound`. The comparison runs in
+/// `f64`, where the `f32` statistic is exact, so `θ` is never rounded. A
+/// NaN statistic or bound never clears it.
 #[inline]
-fn certified(fast: f64, threshold: f64, bound: f64, margin: f64) -> bool {
+pub(crate) fn certified(fast: f64, threshold: f64, bound: f64, margin: f64) -> bool {
     (fast - threshold).abs() > margin * bound
+}
+
+/// The margin a call at level `amplitude` and noise `sigma` decides at:
+/// `margin` when both are zero or of a magnitude in `[2⁻⁶⁰, 2⁶⁰]` — then
+/// every product and sum the `f32` fast path forms from them is a normal
+/// `f32` or exact, as the certificate assumes — and `∞` otherwise, which
+/// sends every decision of the call through the exact replay. A NaN is
+/// never in range.
+pub(crate) fn fast_margin(margin: f64, amplitude: f64, sigma: f64) -> f64 {
+    let in_range = |x: f64| x == 0.0 || (2f64.powi(-60)..=2f64.powi(60)).contains(&x.abs());
+    if in_range(amplitude) && in_range(sigma) {
+        margin
+    } else {
+        f64::INFINITY
+    }
 }
 
 /// The largest oversampling factor the certificate covers: its fold-error
@@ -248,12 +272,11 @@ pub(crate) fn group_symbols(sps: usize) -> usize {
 }
 
 /// Sums each symbol's `sps` consecutive samples of `x`, first to last
-/// from `0.0` — the order `Complex::sum` uses in the matched filter, so
-/// each sum carries the same rounding — [`LANES`] independent symbols
-/// side by side. `out.len()` symbols, a multiple of [`LANES`].
-pub(crate) fn fold_symbols(x: &[f64], sps: usize, out: &mut [f64]) {
+/// from `0.0` in `f32`, [`LANES`] independent symbols side by side.
+/// `out.len()` symbols, a multiple of [`LANES`].
+fn fold_symbols(x: &[f32], sps: usize, out: &mut [f32]) {
     for (seg, sums) in x.chunks_exact(LANES * sps).zip(out.chunks_exact_mut(LANES)) {
-        let mut acc = [0.0f64; LANES];
+        let mut acc = [0.0f32; LANES];
         for j in 0..sps {
             for l in 0..LANES {
                 acc[l] += seg[l * sps + j];
@@ -276,12 +299,12 @@ pub(crate) struct SymbolGroup {
     /// Kept `u2` uniforms, for exact replay.
     pub(crate) u2: Vec<f64>,
     /// Fast Box–Muller radii `r'`.
-    pub(crate) r: Vec<f64>,
+    pub(crate) r: Vec<f32>,
     /// I components: the cosine-branch noise, then the noisy samples.
-    pub(crate) re: Vec<f64>,
+    pub(crate) re: Vec<f32>,
     /// Per symbol: the fast statistic `S'`.
-    pub(crate) stat: Vec<f64>,
-    /// Per symbol: the certificate's `Σⱼ Bⱼ`.
+    pub(crate) stat: Vec<f32>,
+    /// Per symbol: the certificate bound, [`cert_bound`].
     pub(crate) bound: Vec<f64>,
 }
 
@@ -290,7 +313,10 @@ impl SymbolGroup {
     /// a warm scratch resizes without allocating).
     pub(crate) fn reserve_for(&mut self, sps: usize) {
         let symbols = group_symbols(sps);
-        for buf in [&mut self.u1, &mut self.u2, &mut self.r, &mut self.re] {
+        for buf in [&mut self.u1, &mut self.u2] {
+            buf.resize(symbols * sps, 0.0);
+        }
+        for buf in [&mut self.r, &mut self.re] {
             buf.resize(symbols * sps, 0.0);
         }
         self.stat.resize(symbols, 0.0);
@@ -298,35 +324,41 @@ impl SymbolGroup {
     }
 
     /// One OOK group: draws `bits.len() · sps` pairs through the certified
-    /// block, modulates and adds the noise, and writes symbol `l`'s fast
-    /// statistic `S'` to `stat[l]` and its `Σⱼ Bⱼ` to `bound[l]`.
+    /// block and hands the I noise to [`SymbolGroup::modulate_and_fold`].
     fn ook<R: Rng + ?Sized>(&mut self, rng: &mut R, modem: &OokModem, sigma: f64, bits: &[bool]) {
         let sps = modem.samples_per_symbol;
         let ns = bits.len() * sps;
-        let SymbolGroup {
-            u1,
-            u2,
-            r,
-            re,
-            stat,
-            bound,
-        } = self;
+        let SymbolGroup { u1, u2, r, re, .. } = self;
         uniform_pairs(rng, &mut u1[..ns], &mut u2[..ns]);
         box_muller_certified(&u1[..ns], &u2[..ns], &mut r[..ns], &mut re[..ns]);
-        // Fused modulate + AWGN, elementwise the allocating chain's
-        // `a + σ·nᵢ` on I.
-        for (x, &bit) in re[..ns].chunks_exact_mut(sps).zip(bits) {
-            let a = modem.level(bit);
+        self.modulate_and_fold(sps, sigma, bits, |bit| modem.level(bit));
+    }
+
+    /// With `re` holding the group's cosine-branch noise: the fused
+    /// modulate + AWGN pass in `f32` (`a + σ·nᵢ` on I, `a = level(bit)`),
+    /// then symbol `l`'s fast statistic `S'` to `stat[l]` and its
+    /// [`cert_bound`] to `bound[l]`.
+    pub(crate) fn modulate_and_fold(
+        &mut self,
+        sps: usize,
+        sigma: f64,
+        bits: &[bool],
+        level: impl Fn(bool) -> f64,
+    ) {
+        let ns = bits.len() * sps;
+        let sigma32 = sigma as f32;
+        for (x, &bit) in self.re[..ns].chunks_exact_mut(sps).zip(bits) {
+            let a = level(bit) as f32;
             for v in x {
-                *v = a + sigma * *v;
+                *v = a + sigma32 * *v;
             }
         }
         let lanes = bits.len().div_ceil(LANES) * LANES;
-        let mut sum_r = [0.0f64; BM_BLOCK];
-        fold_symbols(&re[..lanes * sps], sps, &mut stat[..lanes]);
-        fold_symbols(&r[..lanes * sps], sps, &mut sum_r[..lanes]);
-        for ((b, &sr), &bit) in bound.iter_mut().zip(&sum_r).zip(bits) {
-            *b = cert_bound(sps, modem.level(bit), sigma, sr);
+        let mut sum_r = [0.0f32; BM_BLOCK];
+        fold_symbols(&self.re[..lanes * sps], sps, &mut self.stat[..lanes]);
+        fold_symbols(&self.r[..lanes * sps], sps, &mut sum_r[..lanes]);
+        for ((b, &sr), &bit) in self.bound.iter_mut().zip(&sum_r).zip(bits) {
+            *b = cert_bound(sps, level(bit), sigma, sr);
         }
     }
 }
@@ -372,17 +404,20 @@ impl TrialScratch {
 ///   group-sized whatever `n_bits` is;
 /// * each group's noise comes from the **certified** Box–Muller block
 ///   ([`uniform_pairs`] + [`box_muller_certified`]): the same draws as the
-///   exact chain, but the radius through the vectorized
-///   [`mmtag_rf::math::ln_lanes`] instead of libm `ln`, and the uniforms
-///   kept;
-/// * a fused modulate+noise sweep and a lane matched filter give each
-///   symbol its fast statistic `S'` (the real part) together with
-///   `Σⱼ Bⱼ`, `Bⱼ = |a| + |σ|·r'ⱼ`;
-/// * the decision `S' > θ` stands when `|S' − θ| > K·Σⱼ Bⱼ`, a margin
-///   the rounding analysis proves larger than any gap to the exact
-///   statistic; otherwise that one symbol is replayed through the exact
-///   libm chain from its kept uniforms ([`box_muller_exact`]). At
-///   published sizes no symbol has needed a replay.
+///   exact chain, but `ln` through the vectorized
+///   [`mmtag_rf::math::ln_lanes`] instead of libm, everything after it in
+///   `f32`, and the uniforms kept;
+/// * a fused modulate+noise sweep and a lane matched filter, both in
+///   `f32`, give each symbol its fast statistic `S'` (the real part)
+///   together with `Σⱼ Bⱼ`, `Bⱼ = |a| + |σ|·r'ⱼ`;
+/// * the decision `S' > θ` stands when `|S' − θ| > K·(sps + 15)·Σⱼ Bⱼ`
+///   (compared in `f64`), a margin the rounding analysis proves larger
+///   than any gap to the exact statistic; otherwise that one symbol is
+///   replayed through the exact libm chain from its kept uniforms
+///   ([`box_muller_exact`]), and so is every symbol of a call whose `σ`
+///   or amplitude lies outside the range `f32` covers. At published size
+///   E05 replays 555 of its 3 000 000 decisions and E16 185 of 1 000 000
+///   (their manifests' `phy.ber.replays`).
 ///
 /// [`measure_ber`] runs this kernel with a one-shot workspace; a caller
 /// counting many chunks threads one [`TrialScratch`] through all of them,
@@ -454,15 +489,17 @@ fn count_certified<R: Rng + ?Sized>(
     rng.fill_bits(bits);
     group.reserve_for(sps);
     let sigma = awgn.sigma;
+    let margin = fast_margin(margin, modem.amplitude, sigma);
     let threshold = modem.decision_threshold();
-    let mut errors = 0u64;
+    let (mut errors, mut replays) = (0u64, 0u64);
     for group_bits in bits.chunks(group_symbols(sps)) {
         group.ook(rng, modem, sigma, group_bits);
         for (l, &bit) in group_bits.iter().enumerate() {
-            let fast = group.stat[l];
+            let fast = f64::from(group.stat[l]);
             let s = if certified(fast, threshold, group.bound[l], margin) {
                 fast
             } else {
+                replays += 1;
                 let at = l * sps..(l + 1) * sps;
                 let pairs = group.u1[at.clone()].iter().zip(&group.u2[at]);
                 let a = modem.level(bit);
@@ -474,6 +511,7 @@ fn count_certified<R: Rng + ?Sized>(
     }
     let errors = errors as usize;
     obs::counter_add("phy.ber.bits", n_bits as u64);
+    obs::counter_add("phy.ber.replays", replays);
     obs::observe("phy.ber.chunk_errors", errors as u64);
     errors
 }
@@ -497,9 +535,9 @@ fn exact_ook_statistic(pairs: impl Iterator<Item = (f64, f64)>, a: f64, sigma: f
 /// one worker at a time, every value written before it is read. It holds
 /// one byte per symbol step for the lanes' bits and one group of sample
 /// steps laid out across streams (`[k][l]` is sample `k` of lane `l`):
-/// as many whole symbols as fit in [`BM_BLOCK`] steps (4 KiB per buffer)
-/// where `sps ≤ 64`, one symbol's `sps` steps above. Nothing shrinks, so
-/// a warm scratch never allocates.
+/// as many whole symbols as fit in [`BM_BLOCK`] steps (4 KiB per `f64`
+/// buffer, 2 KiB per `f32` one) where `sps ≤ 64`, one symbol's `sps`
+/// steps above. Nothing shrinks, so a warm scratch never allocates.
 #[derive(Clone, Debug, Default)]
 pub struct LaneScratch {
     /// Per symbol step, bit `l` is lane `l`'s data bit.
@@ -509,9 +547,9 @@ pub struct LaneScratch {
     /// Kept `u2` uniforms, for exact replay.
     u2: Vec<[f64; LANES]>,
     /// Fast Box–Muller radii `r'`.
-    r: Vec<[f64; LANES]>,
+    r: Vec<[f32; LANES]>,
     /// Cosine-branch noise.
-    re: Vec<[f64; LANES]>,
+    re: Vec<[f32; LANES]>,
 }
 
 impl LaneScratch {
@@ -535,13 +573,13 @@ impl LaneScratch {
 ///   them, one byte per symbol step holding every lane's bit;
 /// * then groups of whole symbols: [`uniform_pairs_lanes`] (a rejected
 ///   `u1` is compacted inside its own lane's stream), the certified
-///   Box–Muller math over the group ([`box_muller_certified`]), and
-///   per-lane running matched-filter and radius sums folded in the
-///   single-stream kernel's order;
+///   Box–Muller math over the group ([`box_muller_certified`], `f32`
+///   after the `ln`), and per-lane running `f32` matched-filter and
+///   radius sums folded in the single-stream kernel's order;
 /// * every lane decides branch-free under the same certificate
-///   (`|S' − θ| > K·Σⱼ Bⱼ`), with one test per symbol step for any lane
-///   inside the margin; such a lane's symbol replays through the same
-///   exact libm chain from its kept uniforms.
+///   (`|S' − θ| > K·(sps + 15)·Σⱼ Bⱼ`), with one test per symbol step
+///   for any lane inside the margin; such a lane's symbol replays
+///   through the same exact libm chain from its kept uniforms.
 ///
 /// Idle lanes (past `rngs.len()`) run a noise-free copy of lane 0's
 /// stream that is never counted, replayed or written back.
@@ -590,6 +628,8 @@ fn count_certified_lanes(
     }));
     let active: [bool; LANES] = std::array::from_fn(|l| l < streams);
     let sigma: [f64; LANES] = std::array::from_fn(|l| awgns.get(l).map_or(0.0, |a| a.sigma));
+    let sigma32 = sigma.map(|s| s as f32);
+    let margins = sigma.map(|s| fast_margin(margin, modem.amplitude, s));
     let LaneScratch {
         bits,
         u1,
@@ -603,11 +643,15 @@ fn count_certified_lanes(
         *b = (0..LANES).fold(0, |m, l| m | ((raw[l] >> 63) as u8) << l);
     }
     let symbols = (BM_BLOCK / sps).max(1);
-    for buf in [&mut *u1, &mut *u2, &mut *r, &mut *re] {
+    for buf in [&mut *u1, &mut *u2] {
+        buf.resize(symbols * sps, [0.0; LANES]);
+    }
+    for buf in [&mut *r, &mut *re] {
         buf.resize(symbols * sps, [0.0; LANES]);
     }
     let threshold = modem.decision_threshold();
     let decided = |s: f64| (s > threshold) == modem.mark_bit;
+    let mut replays = 0u64;
     for group_bits in bits.chunks(symbols) {
         let ns = group_bits.len() * sps;
         uniform_pairs_lanes(&mut lanes, &mut u1[..ns], &mut u2[..ns]);
@@ -621,26 +665,29 @@ fn count_certified_lanes(
             let at = at..at + sps;
             let bit: [bool; LANES] = std::array::from_fn(|l| mask >> l & 1 == 1);
             let a = bit.map(|b| modem.level(b));
-            // Fused modulate + AWGN + matched filter, per lane the
-            // single-stream kernel's `a + σ·nᵢ` folded from `0.0`.
-            let mut stat = [0.0f64; LANES];
-            let mut sum_r = [0.0f64; LANES];
+            let a32 = a.map(|v| v as f32);
+            // Fused modulate + AWGN + matched filter in `f32`, per lane
+            // the single-stream kernel's `a + σ·nᵢ` folded from `0.0`.
+            let mut stat = [0.0f32; LANES];
+            let mut sum_r = [0.0f32; LANES];
             for (x, rk) in re[at.clone()].iter().zip(&r[at.clone()]) {
                 for l in 0..LANES {
-                    stat[l] += a[l] + sigma[l] * x[l];
+                    stat[l] += a32[l] + sigma32[l] * x[l];
                     sum_r[l] += rk[l];
                 }
             }
+            let stat = stat.map(f64::from);
             let mut inside = [false; LANES];
             for l in 0..LANES {
                 let bound = cert_bound(sps, a[l], sigma[l], sum_r[l]);
-                inside[l] = active[l] & !certified(stat[l], threshold, bound, margin);
+                inside[l] = active[l] & !certified(stat[l], threshold, bound, margins[l]);
                 errors[l] += usize::from(decided(stat[l]) != bit[l]);
             }
             // One test for the whole step keeps the lanes branch-free;
             // a lane inside the margin is rare (DESIGN.md §11).
             if inside.contains(&true) {
                 for l in (0..LANES).filter(|&l| inside[l]) {
+                    replays += 1;
                     let pairs = u1[at.clone()].iter().zip(&u2[at.clone()]);
                     let pairs = pairs.map(|(v1, v2)| (v1[l], v2[l]));
                     let exact = exact_ook_statistic(pairs, a[l], sigma[l]);
@@ -654,6 +701,7 @@ fn count_certified_lanes(
         *rng = lanes.lane(l);
     }
     obs::counter_add("phy.ber.bits", (n_bits * streams) as u64);
+    obs::counter_add("phy.ber.replays", replays);
     for &e in &errors[..streams] {
         obs::observe("phy.ber.chunk_errors", e as u64);
     }
@@ -1038,8 +1086,9 @@ pub(crate) mod tests {
     #[test]
     fn certificate_margin_has_2_pow_8_headroom_over_a_million_symbols() {
         // The fast statistic of every symbol against its exact replay:
-        // the worst |S' − S| must stay 2⁸ below the margin K·Σ Bⱼ the
-        // kernel accepts decisions at (DESIGN.md §11 derives ≤ 2⁻³⁹·⁹).
+        // the worst |S' − S| must stay 2⁸ below the margin
+        // K·(sps + 15)·Σ Bⱼ the kernel accepts decisions at (DESIGN.md §11
+        // derives ≤ u·(sps + 15)·Σ Bⱼ with u = 2⁻²⁴, and K = 2⁸·u).
         let mut worst = 0.0f64;
         let mut symbols = 0usize;
         let cases = [
@@ -1064,8 +1113,8 @@ pub(crate) mod tests {
                     let pairs = group.u1[at.clone()].iter().zip(&group.u2[at]);
                     let pairs = pairs.map(|(&v1, &v2)| (v1, v2));
                     let exact = exact_ook_statistic(pairs, modem.level(bit), sigma);
-                    worst =
-                        worst.max((group.stat[l] - exact).abs() / (CERT_MARGIN * group.bound[l]));
+                    let gap = (f64::from(group.stat[l]) - exact).abs();
+                    worst = worst.max(gap / (CERT_MARGIN * group.bound[l]));
                 }
                 symbols += bits.len();
             }
@@ -1345,6 +1394,93 @@ pub(crate) mod tests {
                 symbols += LANES * MC_CHUNK_BITS;
             }
             assert!(symbols >= 1_000_000, "only {symbols} symbols");
+        }
+    }
+
+    /// The `phy.ber.replays` count events `run` records: one per counter
+    /// call, whatever the margin, and their total.
+    pub(crate) fn recorded_replays(run: impl FnOnce()) -> (usize, u64) {
+        obs::set_level(obs::Level::Counters);
+        obs::drain();
+        run();
+        let report = obs::drain();
+        obs::set_level(obs::Level::Off);
+        let calls = report
+            .events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    obs::Event::Count {
+                        name: "phy.ber.replays",
+                        ..
+                    }
+                )
+            })
+            .count();
+        (calls, report.counter("phy.ber.replays"))
+    }
+
+    #[test]
+    fn both_kernels_count_their_replays_once_per_call() {
+        // Margin ∞ replays every decision: one per symbol, and one per
+        // symbol of each active lane. At the production margin the count
+        // is still reported, and is a sliver of the decisions.
+        let modem = OokModem::new(4);
+        let awgn = Awgn::for_eb_n0(&modem, 0.0);
+        let n = 2_000;
+        for margin in [f64::INFINITY, CERT_MARGIN] {
+            let (calls, single) = recorded_replays(|| {
+                let mut rng = Xoshiro256pp::seed_from(0x4E9);
+                count_certified(&modem, &awgn, n, &mut rng, &mut TrialScratch::new(), margin);
+            });
+            assert_eq!(calls, 1, "margin={margin}");
+            let (calls, lanes) = recorded_replays(|| {
+                let mut rngs: Vec<Xoshiro256pp> =
+                    (0..3).map(|l| Xoshiro256pp::seed_from(0x4E9 ^ l)).collect();
+                let mut scratch = LaneScratch::new();
+                count_certified_lanes(&modem, &[awgn; 3], n, &mut rngs, &mut scratch, margin);
+            });
+            assert_eq!(calls, 1, "margin={margin}");
+            if margin.is_infinite() {
+                assert_eq!((single, lanes), (n as u64, 3 * n as u64));
+            } else {
+                assert!(single <= n as u64 / 100 && lanes <= 3 * n as u64 / 100);
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_noise_replays_every_decision() {
+        // σ outside [2⁻⁶⁰, 2⁶⁰] (or NaN) leaves the range the f32 fast
+        // path's certificate covers: every decision takes the exact chain
+        // and still matches the oracle.
+        let modem = OokModem::new(4);
+        let n = 40;
+        for sigma in [1e-30, 1e30, f64::NAN] {
+            let awgn = Awgn { sigma };
+            let mut oracle_rng = Xoshiro256pp::seed_from(0x516);
+            let want = oracle_bit_errors(&modem, &awgn, n, &mut oracle_rng);
+            let mut got = 0;
+            let (_, replays) = recorded_replays(|| {
+                let mut rng = Xoshiro256pp::seed_from(0x516);
+                got = count_bit_errors_scratch(
+                    &modem,
+                    &awgn,
+                    n,
+                    true,
+                    &mut rng,
+                    &mut TrialScratch::new(),
+                );
+            });
+            assert_eq!((got, replays), (want, n as u64), "sigma={sigma}");
+            let mut rngs = [Xoshiro256pp::seed_from(0x516)];
+            let (_, replays) = recorded_replays(|| {
+                got =
+                    count_bit_errors_lanes(&modem, &[awgn], n, &mut rngs, &mut LaneScratch::new())
+                        [0];
+            });
+            assert_eq!((got, replays), (want, n as u64), "sigma={sigma} lanes");
         }
     }
 

@@ -18,6 +18,9 @@
 //! which side of a threshold a statistic falls on, under a rounding
 //! certificate that replays the exact libm chain whenever the margin is
 //! too thin to be sure (DESIGN.md §11, "Certified decisions").
+//! [`cos_2pi_lanes_f32`] is the same certificate's cosine: the turn-based
+//! kernel in `f32`, eight lanes per 256-bit register, within 2⁻²³
+//! absolute of `cos 2πu`.
 //!
 //! [`exp_lanes`] is the opposite case: a lane port of the main path of
 //! glibc's FMA `exp` (from ARM's optimized-routines), bit-identical to
@@ -170,6 +173,54 @@ pub fn sincos_2pi_lanes(u: &[f64; LANES]) -> ([f64; LANES], [f64; LANES]) {
         c[l] = f64::from_bits(cm.to_bits() ^ ((q.wrapping_add(1) & 2) << 62));
     }
     (s, c)
+}
+
+/// Degree-7 odd minimax polynomial for `sin(x)` on `[-π/4, π/4]` in
+/// single precision (Cephes `sinf`), evaluated as `x + x·z·P(z)`.
+const SIN_COEF_F32: [f32; 3] = [-0.000_195_152_96, 0.008_332_161, -0.166_666_55];
+
+/// Degree-8 even minimax polynomial for `cos(x)` on `[-π/4, π/4]` in
+/// single precision (Cephes `cosf`), evaluated as `1 − z/2 + z²·P(z)`.
+const COS_COEF_F32: [f32; 3] = [2.443_315_7e-5, -0.001_388_731_6, 0.041_666_646];
+
+/// `2²³ + 2²²`: [`QUADRANT_MAGIC`] for `f32`, exact for `|k| < 2²²`.
+const QUADRANT_MAGIC_F32: f32 = 12_582_912.0;
+
+/// `cos(2πu)` for [`LANES`] single-precision arguments `u ∈ [0, 1]` —
+/// the certified Box–Muller block's cosine ([`crate::rng::box_muller_certified`]),
+/// within **2⁻²³ absolute** of the true `cos(2πu)`, and never above 1 in
+/// magnitude (measured 2⁻²³·¹⁵ over every `f32` in `[0, 1]` by this
+/// module's tests).
+///
+/// [`sincos_2pi_lanes`]' turn-based reduction and bit-select quadrant
+/// rotation in `f32`, with Cephes' single-precision polynomials: `4u` is
+/// exact, and so is `f = 4u − k` (Sterbenz), so the only rounding before
+/// the polynomials is `x = f·π/2`. Eight lanes fill one 256-bit register
+/// where the `f64` kernel fills two. Nothing needs it bit-identical to a
+/// reference: the bit-error counters decide with it only under a
+/// certificate that replays the exact chain near the threshold
+/// (DESIGN.md §11). E15's outage counter and the exact block keep the
+/// `f64` kernel.
+#[inline]
+pub fn cos_2pi_lanes_f32(u: &[f32; LANES]) -> [f32; LANES] {
+    let [s0, s1, s2] = SIN_COEF_F32;
+    let [c0, c1, c2] = COS_COEF_F32;
+    let mut c = [0.0f32; LANES];
+    for l in 0..LANES {
+        let scaled = 4.0 * u[l];
+        let k = (scaled + 0.5).floor();
+        let f = scaled - k;
+        let x = f * std::f32::consts::FRAC_PI_2;
+        let z = x * x;
+        let sv = x + x * z * ((s0 * z + s1) * z + s2);
+        let cv = 1.0 - 0.5 * z + z * z * ((c0 * z + c1) * z + c2);
+        // cos(kπ/2 + x): quadrants 1 and 3 take the sine, 1 and 2 negate.
+        let q = (k + QUADRANT_MAGIC_F32).to_bits();
+        let swap = (q & 1).wrapping_neg();
+        let cm = (cv.to_bits() & !swap) | (sv.to_bits() & swap);
+        c[l] = f32::from_bits(cm ^ ((q.wrapping_add(1) & 2) << 30));
+    }
+    c
 }
 
 /// `ln 2` split in two: [`LN2_HI`] carries only its top 32 significant
@@ -491,6 +542,74 @@ mod tests {
                 (ss.to_bits(), cs.to_bits())
             );
         }
+    }
+
+    /// The documented absolute bound of [`cos_2pi_lanes_f32`] against
+    /// `cos(2πu)`.
+    const COS_F32_BOUND: f64 = 1.0 / (1u64 << 23) as f64;
+
+    /// Runs every `step`-th `f32` whose bits lie in `bits` through
+    /// [`cos_2pi_lanes_f32`] and returns the largest gap to `cos(2πu)` —
+    /// [`sincos_2pi_lanes`] on the widened argument, within 10⁻¹⁴ of it —
+    /// with its argument, asserting on the way that no lane exceeds 1 in
+    /// magnitude.
+    fn worst_cos_f32_gap(bits: std::ops::RangeInclusive<u32>, step: u32) -> (f64, f32) {
+        let mut worst = (0.0f64, 0.0f32);
+        let (first, last) = bits.into_inner();
+        for base in (first..=last).step_by((step * LANES as u32) as usize) {
+            let u: [f32; LANES] = std::array::from_fn(|l| {
+                f32::from_bits(base.saturating_add(l as u32 * step).min(last))
+            });
+            let got = cos_2pi_lanes_f32(&u);
+            let (_, want) = sincos_2pi_lanes(&u.map(f64::from));
+            let gap: [f64; LANES] = std::array::from_fn(|l| (f64::from(got[l]) - want[l]).abs());
+            assert!(
+                got.iter().all(|c| c.abs() <= 1.0),
+                "|cos| > 1 near u = {:e}",
+                u[0]
+            );
+            if gap.iter().any(|&g| g > worst.0) {
+                for l in 0..LANES {
+                    if gap[l] > worst.0 {
+                        worst = (gap[l], u[l]);
+                    }
+                }
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn cos_2pi_lanes_f32_tracks_cos_over_the_unit_turn() {
+        // Every 64th f32 in [0, 1], then the 2¹⁰ f32 neighbours of every
+        // eighth of a turn (the quadrant boundaries and the sin/cos
+        // switch points) and of 1.
+        let one = 1.0f32.to_bits();
+        let mut worst = worst_cos_f32_gap(0..=one, 64);
+        for eighth in 1..=8u32 {
+            let at = (eighth as f32 / 8.0).to_bits();
+            let w = worst_cos_f32_gap(at - 512..=(at + 512).min(one), 1);
+            if w.0 > worst.0 {
+                worst = w;
+            }
+        }
+        assert!(
+            worst.0 <= COS_F32_BOUND,
+            "cos_2pi_lanes_f32 off by 2^{:.2} at u = {:e}",
+            worst.0.log2(),
+            worst.1
+        );
+    }
+
+    #[test]
+    #[ignore = "every f32 in [0, 1]; run in release: cargo test --release -p mmtag-rf --lib -- --ignored"]
+    fn cos_2pi_lanes_f32_tracks_cos_at_every_f32_in_the_unit_turn() {
+        let (gap, at) = worst_cos_f32_gap(0..=1.0f32.to_bits(), 1);
+        assert!(
+            gap <= COS_F32_BOUND,
+            "cos_2pi_lanes_f32 off by 2^{:.2} at u = {at:e}",
+            gap.log2()
+        );
     }
 
     /// The documented bound of [`ln_lanes`] against libm `ln`.

@@ -41,12 +41,13 @@
 //! ([`normal_pair_block`], behind [`Rng::fill_normal`]) uses libm `ln`
 //! and is bit-identical to the scalar [`Rng::normal_pair`] chain. The
 //! **certified block** ([`uniform_pairs`] + [`box_muller_certified`])
-//! uses the vectorized [`crate::math::ln_lanes`], so its values are
-//! only within ~2⁻⁵⁰ of the exact ones, computes only the cosine branch
-//! (the one value per pair the bit-error counters read), and hands its
-//! uniforms back so a consumer can replay any pair exactly
-//! ([`box_muller_exact`]) — which is what the counters do whenever a
-//! threshold decision is too close to call.
+//! takes `ln` through the vectorized [`crate::math::ln_lanes`] and runs
+//! everything after it in `f32` lanes, so its values are only within
+//! ~2⁻²¹ of the exact ones; it computes only the cosine branch (the one
+//! value per pair the bit-error counters read), and hands its uniforms
+//! back so a consumer can replay any pair exactly ([`box_muller_exact`])
+//! — which is what the counters do whenever a threshold decision is too
+//! close to call.
 //! [`uniform_pairs_lanes`] is the uniform stage across the streams of an
 //! [`XoshiroLanes`], laid out across streams and compacting a rejected
 //! `u1` inside its own lane, so the certified block runs on its output
@@ -259,19 +260,17 @@ const F64_SCALE: f64 = 1.0 / (1u64 << 53) as f64;
 /// `z1` (sine branches), **bit-identical** to `n` scalar
 /// [`Rng::normal_pair`] calls — same values, same stream consumption.
 ///
-/// This is the **exact block**. It and the certified block
-/// ([`uniform_pairs`] + [`box_muller_certified`]) are one pipeline of flat
-/// fixed-width sweeps over stack arrays (structure-of-arrays, no per-pair
-/// control flow), which is what lets the compiler autovectorize it:
+/// This is the **exact block**: flat fixed-width sweeps over stack arrays
+/// (structure-of-arrays, no per-pair control flow), which is what lets
+/// the compiler autovectorize it:
 ///
 /// 1. the uniform stage, [`uniform_pairs`] — the serial raw draws, the
-///    `u1` rejection and the 2⁻⁵³ ladder (shared),
-/// 2. `ln u1` — here libm's, one scalar call per pair (the only stage the
-///    two blocks do not share),
+///    `u1` rejection and the 2⁻⁵³ ladder (shared with the certified
+///    block, [`box_muller_certified`]),
+/// 2. `ln u1` — libm's, one scalar call per pair,
 /// 3. one lane pass for the radius `√(−2·ln u1)`,
 ///    [`crate::math::sincos_2pi_lanes`] ([`crate::math::LANES`]
-///    polynomial lanes at a time) and the output products (shared; the
-///    certified block stores only the cosine products).
+///    polynomial lanes at a time) and both output products.
 ///
 /// Bit-identity holds because each pair undergoes exactly the scalar
 /// chain's operation sequence — elementwise reordering across independent
@@ -291,7 +290,7 @@ pub fn normal_pair_block<R: Rng + ?Sized>(
     for (ri, a) in r[..n].iter_mut().zip(&u1[..n]) {
         *ri = a.ln();
     }
-    box_muller_tail(&mut r[..n], &u2[..n], &mut z0[..n], Some(&mut z1[..n]));
+    box_muller_tail(&mut r[..n], &u2[..n], &mut z0[..n], &mut z1[..n]);
 }
 
 /// The uniform stage both Box–Muller blocks share: fills `u1`/`u2` with
@@ -437,12 +436,12 @@ fn compact_rejected_pairs<R: Rng + ?Sized>(
     }
 }
 
-/// Stage 3, shared by both blocks: `r` holds `ln u1` on entry and the
-/// radius `√(−2·ln u1)` on exit; `z0` receives the cosine branch
-/// `r·cos 2πu2` and `z1`, where given, the sine branch `r·sin 2πu2`, from
+/// Stage 3 of the exact block: `r` holds `ln u1` on entry and the radius
+/// `√(−2·ln u1)` on exit; `z0` receives the cosine branch `r·cos 2πu2` and
+/// `z1` the sine branch `r·sin 2πu2`, from
 /// [`crate::math::sincos_2pi_lanes`] (scalar [`crate::math::sincos_2pi`]
 /// for a sub-lane tail — bit-identical).
-fn box_muller_tail(r: &mut [f64], u2: &[f64], z0: &mut [f64], mut z1: Option<&mut [f64]>) {
+fn box_muller_tail(r: &mut [f64], u2: &[f64], z0: &mut [f64], z1: &mut [f64]) {
     use crate::math::{sincos_2pi, sincos_2pi_lanes};
     let full = r.len() - r.len() % LANES;
     for at in (0..full).step_by(LANES) {
@@ -453,58 +452,80 @@ fn box_muller_tail(r: &mut [f64], u2: &[f64], z0: &mut [f64], mut z1: Option<&mu
             *rv = (-2.0 * *rv).sqrt();
             *c_out = *rv * c;
         }
-        if let Some(z1) = z1.as_deref_mut() {
-            for (s_out, (rv, s)) in z1[lanes].iter_mut().zip(rl.iter().zip(s)) {
-                *s_out = rv * s;
-            }
+        for (s_out, (rv, s)) in z1[lanes].iter_mut().zip(rl.iter().zip(s)) {
+            *s_out = rv * s;
         }
     }
     for i in full..r.len() {
         r[i] = (-2.0 * r[i]).sqrt();
         let (s, c) = sincos_2pi(u2[i]);
         z0[i] = r[i] * c;
-        if let Some(z1) = z1.as_deref_mut() {
-            z1[i] = r[i] * s;
-        }
+        z1[i] = r[i] * s;
     }
 }
 
-/// The certified block's math: the shared pipeline with
-/// [`crate::math::ln_lanes`] in place of libm `ln`. For uniforms from
-/// [`uniform_pairs`] it writes the fast radius `r' = √(−2·ln_lanes(u1))`
-/// to `r` and the cosine branch `r'·cos 2πu2` to `z0`. It computes no
-/// sine branch: the bit-error counters read only the in-phase noise of a
-/// draw (coherent OOK's real part; BPSK's I pair).
+/// The certified block's math, in single precision after the `ln`: for
+/// uniforms from [`uniform_pairs`] it writes the fast radius
+/// `r' = √(f32(−2·ln_lanes(u1)))` to `r` and the cosine branch
+/// `r'·cos(2π·f32(u2))` to `z0`, both `f32`, [`LANES`] pairs per pass.
+/// `ln` stays in `f64` ([`crate::math::ln_lanes`]); the square root, the
+/// cosine ([`crate::math::cos_2pi_lanes_f32`]) and the product run on
+/// eight `f32` lanes, one 256-bit register each. It computes no sine
+/// branch: the bit-error counters read only the in-phase noise of a draw
+/// (coherent OOK's real part; BPSK's I pair).
 ///
-/// These values are **not** the exact ones: `r'` is within about 2⁻⁵⁰
-/// relative of the exact radius, so each value is within that of the
-/// cosine branch [`Rng::normal_pair`] returns for the same draw. A
-/// consumer that needs an exact value — the bit-error counters, when a
-/// decision falls inside their rounding certificate's margin — replays
-/// that pair from the uniforms it kept with [`box_muller_exact`]
-/// (DESIGN.md §11, "Certified decisions").
+/// These values are **not** the exact ones: `r'` is within 1.51·2⁻²⁴
+/// relative of the exact radius (two `f32` roundings and `ln_lanes`'
+/// 2⁻⁵⁰), and the cosine within 2⁻²³ + π·2⁻²⁴ absolute of the exact one
+/// (the kernel's bound plus `f32(u2)` moving the angle by up to
+/// 2π·2⁻²⁵), so each value is within 2⁻²¹·`r'` of the cosine branch
+/// [`Rng::normal_pair`] returns for the same draw. A consumer that
+/// needs an exact value — the bit-error counters, when a decision falls
+/// inside their rounding certificate's margin — replays that pair from
+/// the uniforms it kept with [`box_muller_exact`] (DESIGN.md §11,
+/// "Certified decisions").
 ///
 /// # Panics
 /// Panics if the four slices differ in length.
-pub fn box_muller_certified(u1: &[f64], u2: &[f64], r: &mut [f64], z0: &mut [f64]) {
-    use crate::math::ln_lanes;
+pub fn box_muller_certified(u1: &[f64], u2: &[f64], r: &mut [f32], z0: &mut [f32]) {
     let n = u1.len();
     assert!(
         u2.len() == n && r.len() == n && z0.len() == n,
         "certified block slices must have equal length"
     );
-    let mut ul = u1.chunks_exact(LANES);
-    let mut rl = r.chunks_exact_mut(LANES);
-    for (x, out) in (&mut ul).zip(&mut rl) {
-        out.copy_from_slice(&ln_lanes(x.try_into().expect("chunks_exact yields LANES")));
+    let full = n - n % LANES;
+    for at in (0..full).step_by(LANES) {
+        let lanes = at..at + LANES;
+        let (rl, zl) = certified_lanes(
+            u1[lanes.clone()].try_into().expect("LANES uniforms"),
+            u2[lanes.clone()].try_into().expect("LANES uniforms"),
+        );
+        r[lanes.clone()].copy_from_slice(&rl);
+        z0[lanes].copy_from_slice(&zl);
     }
-    let (tail_u, tail_r) = (ul.remainder(), rl.into_remainder());
-    if !tail_u.is_empty() {
-        let mut pad = [1.0f64; LANES];
-        pad[..tail_u.len()].copy_from_slice(tail_u);
-        tail_r.copy_from_slice(&ln_lanes(&pad)[..tail_u.len()]);
+    if full < n {
+        let (mut p1, mut p2) = ([1.0f64; LANES], [0.0f64; LANES]);
+        p1[..n - full].copy_from_slice(&u1[full..]);
+        p2[..n - full].copy_from_slice(&u2[full..]);
+        let (rl, zl) = certified_lanes(&p1, &p2);
+        r[full..].copy_from_slice(&rl[..n - full]);
+        z0[full..].copy_from_slice(&zl[..n - full]);
     }
-    box_muller_tail(r, u2, z0, None);
+}
+
+/// [`box_muller_certified`] on one lane group: `(r', r'·c')` in `f32`.
+#[inline]
+fn certified_lanes(u1: &[f64; LANES], u2: &[f64; LANES]) -> ([f32; LANES], [f32; LANES]) {
+    use crate::math::{cos_2pi_lanes_f32, ln_lanes};
+    let ln = ln_lanes(u1);
+    let c = cos_2pi_lanes_f32(&u2.map(|v| v as f32));
+    let mut r = [0.0f32; LANES];
+    let mut z0 = [0.0f32; LANES];
+    for l in 0..LANES {
+        r[l] = ((-2.0 * ln[l]) as f32).sqrt();
+        z0[l] = r[l] * c[l];
+    }
+    (r, z0)
 }
 
 /// One **exact** Box–Muller pair from its kept uniforms: `(r·cos 2πu2,
@@ -993,24 +1014,30 @@ mod tests {
 
     /// Draws `n` pairs through the certified block — [`uniform_pairs`]
     /// then [`box_muller_certified`] — returning `(u1, u2, r, z0)`.
-    fn certified_pairs<R: Rng + ?Sized>(rng: &mut R, n: usize) -> [Vec<f64>; 4] {
-        let [mut u1, mut u2, mut r, mut z0] = [(); 4].map(|_| vec![0.0f64; n]);
+    #[allow(clippy::type_complexity)]
+    fn certified_pairs<R: Rng + ?Sized>(
+        rng: &mut R,
+        n: usize,
+    ) -> (Vec<f64>, Vec<f64>, Vec<f32>, Vec<f32>) {
+        let (mut u1, mut u2) = (vec![0.0f64; n], vec![0.0f64; n]);
+        let (mut r, mut z0) = (vec![0.0f32; n], vec![0.0f32; n]);
         uniform_pairs(rng, &mut u1, &mut u2);
         box_muller_certified(&u1, &u2, &mut r, &mut z0);
-        [u1, u2, r, z0]
+        (u1, u2, r, z0)
     }
 
     #[test]
     fn certified_block_hands_back_the_exact_draws() {
         // Every kept (u1, u2) replays to the exact pair the scalar chain
         // draws at that position, bit for bit, and the stream ends where
-        // n scalar draws leave it; the fast radius and cosine branch sit
-        // within the ln_lanes bound of the exact ones. Lengths straddle
-        // lanes and blocks.
+        // n scalar draws leave it; the fast radius sits within 1.51·2⁻²⁴
+        // relative of the exact one and the cosine branch within 2⁻²¹ of
+        // the radius (the block's documented single-precision bounds).
+        // Lengths straddle lanes and blocks.
         for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 130, 1000] {
             let mut a = Xoshiro256pp::seed_from(0xCE27 ^ n as u64);
             let mut b = a.clone();
-            let [u1, u2, r, z0] = certified_pairs(&mut a, n);
+            let (u1, u2, r, z0) = certified_pairs(&mut a, n);
             for i in 0..n {
                 let (e0, e1) = b.normal_pair();
                 let (x0, x1) = box_muller_exact(u1[i], u2[i]);
@@ -1020,11 +1047,12 @@ mod tests {
                     "n={n} {i}"
                 );
                 let exact_r = (-2.0 * u1[i].ln()).sqrt();
+                let (r, z0) = (f64::from(r[i]), f64::from(z0[i]));
                 assert!(
-                    (r[i] - exact_r).abs() <= exact_r * 2f64.powi(-49),
+                    (r - exact_r).abs() <= exact_r * 1.51 * 2f64.powi(-24),
                     "n={n} {i}"
                 );
-                assert!((z0[i] - e0).abs() <= exact_r * 2f64.powi(-49), "n={n} {i}");
+                assert!((z0 - e0).abs() <= exact_r * 2f64.powi(-21), "n={n} {i}");
             }
             assert_eq!(a.next_u64(), b.next_u64(), "n={n} stream position");
         }
@@ -1047,7 +1075,7 @@ mod tests {
             for n in [1usize, 9, 64, 100] {
                 let mut a = ScriptedRng::new(script.clone(), 0xC0 ^ n as u64);
                 let mut b = ScriptedRng::new(script.clone(), 0xC0 ^ n as u64);
-                let [u1, u2, ..] = certified_pairs(&mut a, n);
+                let (u1, u2, ..) = certified_pairs(&mut a, n);
                 for i in 0..n {
                     let u = loop {
                         let u = b.f64();

@@ -48,12 +48,17 @@
 //! hex, wrong counts, version skew) makes the entry a **miss**, never a
 //! panic — a corrupted cache can cost a recompute, not an artifact.
 //! Writes go to a temp file first and are atomically renamed into
-//! place, so a crashed writer leaves no half-entry under the final name.
+//! place, so a running reader never sees a half-entry under the final
+//! name. A store does not `fsync`: an entry is a memo, and a load checks
+//! the magic line, the format version, the full canonical spec and every
+//! count, so whatever a crash leaves under the final name — an empty,
+//! zero-filled or cut file — loads as a miss, or as the stored tables
+//! bit for bit. Syncing the file would not have made the entry durable
+//! anyway without also syncing the directory after the rename.
 
 use crate::experiment::Table;
 use crate::scenario::ScenarioSpec;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -190,8 +195,9 @@ impl RunCache {
     }
 
     /// Stores a run's tables under `spec`'s key (atomic
-    /// write-then-rename; concurrent writers of the same spec converge
-    /// on identical bytes by determinism).
+    /// write-then-rename, unsynced — see the module docs; concurrent
+    /// writers of the same spec converge on identical bytes by
+    /// determinism).
     pub fn store(&self, spec: &ScenarioSpec, tables: &[Table]) -> std::io::Result<()> {
         fs::create_dir_all(&self.dir)?;
         let path = self.entry_path(spec);
@@ -200,11 +206,7 @@ impl RunCache {
         static STORE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let seq = STORE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let tmp = path.with_extension(format!("tmp{}-{seq}", std::process::id()));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(write_entry(spec, tables).as_bytes())?;
-            f.sync_all()?;
-        }
+        fs::write(&tmp, write_entry(spec, tables))?;
         fs::rename(&tmp, &path)?;
         // Amortized lifecycle enforcement: every Nth store sweeps the
         // directory. An enforcement I/O error must not fail the store —
@@ -576,6 +578,40 @@ mod tests {
         // A rewrite of the good bytes hits again.
         fs::write(&path, &good).unwrap();
         assert!(cache.load(&spec).is_some());
+        let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn every_cut_of_an_entry_is_a_miss_or_the_stored_tables() {
+        // What an unsynced store can leave after a crash: the entry cut
+        // at any byte, or a file of its length that holds only zeros.
+        let cache = temp_cache("cuts");
+        let spec = spec();
+        let stored = tables();
+        cache.store(&spec, &stored).unwrap();
+        let path = cache.entry_path(&spec);
+        let good = fs::read(&path).unwrap();
+        let mut hits = 0;
+        for cut in 0..=good.len() {
+            fs::write(&path, &good[..cut]).unwrap();
+            if let Some(loaded) = cache.load(&spec) {
+                hits += 1;
+                assert_eq!(loaded.len(), stored.len(), "cut at {cut}");
+                for (a, b) in stored.iter().zip(&loaded) {
+                    assert_eq!(a.render(), b.render(), "cut at {cut}");
+                    for r in 0..a.len() {
+                        for c in 0..a.columns().len() {
+                            let (x, y) = (a.cell(r, c), b.cell(r, c));
+                            assert_eq!(x.to_bits(), y.to_bits(), "cut at {cut}");
+                        }
+                    }
+                }
+            }
+        }
+        // Only the whole entry and the one missing its final newline.
+        assert_eq!(hits, 2);
+        fs::write(&path, vec![0u8; good.len()]).unwrap();
+        assert!(cache.load(&spec).is_none(), "a zero-filled entry must miss");
         let _ = fs::remove_dir_all(cache.dir());
     }
 

@@ -37,8 +37,9 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # fan-out, E29's one chunk-grid estimate shared by all eleven weights),
 # the certified bit-error counters (E5's and serve-sweep's OOK
 # `count_bit_errors_lanes`, eight chunk streams side by side; E16's OOK
-# `count_bit_errors_scratch` and BPSK `measure_bpsk_ber`: fast `ln_lanes`
-# decisions with exact libm replay inside the rounding margin), E26's
+# `count_bit_errors_scratch` and BPSK `measure_bpsk_ber`: fast decisions,
+# `ln_lanes` then `f32`, with exact libm replay inside the rounding
+# margin), E26's
 # streamed receive chain and the lane MI estimator (E29–E31's `exp` terms
 # eight per pass on `exp_lanes`) at full size.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
@@ -50,9 +51,10 @@ cargo test -q
 # first kernel that exposes raw libm bits fails here.
 GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 cargo test -q -p mmtag-bench --test scenarios
 # The certificate's `ln_lanes` bound (≤ 2⁻⁵⁰ relative to libm `ln`) over
-# 2²⁸ ladder inputs, and `exp_lanes` bit-equal to libm `exp` (glibc's FMA
+# 2²⁸ ladder inputs and its `cos_2pi_lanes_f32` bound (≤ 2⁻²³ absolute) at
+# every f32 in [0, 1], and `exp_lanes` bit-equal to libm `exp` (glibc's FMA
 # variant) over 2²⁸ arguments: too slow for the debug run above, where
-# both are #[ignore]d and 2²⁰-input sweeps stand in.
+# all three are #[ignore]d and smaller sweeps stand in.
 cargo test --release --offline -q -p mmtag-rf --lib -- --ignored
 # The lane OOK counter against the single-stream kernel over 10⁶ symbols
 # per mark convention at the certificate's SNR points, #[ignore]d likewise.

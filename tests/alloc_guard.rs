@@ -271,7 +271,8 @@ fn gaussian_fill_is_allocation_free_into_existing_buffers() {
     let tree = SeedTree::new(0xF111);
     let mut rng = tree.rng_indexed("alloc-fill", 0);
     let mut z = vec![0.0f64; 10_001]; // odd length exercises the tail
-    let [mut u1, mut u2, mut r, mut z0] = [(); 4].map(|_| vec![0.0f64; 4_099]);
+    let (mut u1, mut u2) = (vec![0.0f64; 4_099], vec![0.0f64; 4_099]);
+    let (mut r, mut z0) = (vec![0.0f32; 4_099], vec![0.0f32; 4_099]);
 
     rng.fill_normal(&mut z);
     uniform_pairs(&mut rng, &mut u1, &mut u2);
@@ -283,7 +284,7 @@ fn gaussian_fill_is_allocation_free_into_existing_buffers() {
             rng.fill_normal(&mut z);
             uniform_pairs(&mut rng, &mut u1, &mut u2);
             box_muller_certified(&u1, &u2, &mut r, &mut z0);
-            acc += z[0] + z0[0];
+            acc += z[0] + f64::from(z0[0]);
         }
         acc
     });
