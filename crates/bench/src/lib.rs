@@ -7,9 +7,8 @@
 //! its headline numbers (`cargo run -p mmtag-cli -- run e02-link-budget`).
 //! Nothing here times anything: the repository benchmark (`perfbench/`,
 //! declared in `BENCHMARK.json`) does, and `--bin bench_report` records
-//! its runs into `BENCH_report.json`. The [`loadgen`] module drives a
-//! `mmtag serve` daemon with a seeded request mix, one flat JSON object
-//! per line, the only request shape the daemon reads.
+//! its runs into `BENCH_report.json`. The `mmtag serve` daemon serves
+//! this registry, and `mmtag request` is its client.
 //!
 //! | experiment | paper artifact | registry scenario |
 //! |---|---|---|
@@ -44,7 +43,6 @@ pub mod antenna_figs;
 pub mod city_figs;
 pub mod eval;
 pub mod extensions;
-pub mod loadgen;
 pub mod network_figs;
 pub mod phy_figs;
 pub mod rate_figs;

@@ -3,7 +3,7 @@
 //! bodies at any worker count), bounded admission, single-flight
 //! deduplication, and transport liveness.
 
-use mmtag_bench::loadgen::{closed_loop, generate, Mix, Request};
+use mmtag_rf::rng::{Rng, SeedTree};
 use mmtag_sim::experiment::Table;
 use mmtag_sim::scenario::{AxisKind, Registry, RunContext, Scenario, ScenarioSpec};
 use mmtag_sim::serve::{Client, Engine, EngineConfig, Server};
@@ -15,6 +15,44 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("mmtag-serve-test-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// A seeded request log on `e02-link-budget` at 50 trials and 6 points:
+/// `n` lines over seeds 0–3, requests 0 and 1 both on seed 0 (a miss,
+/// then its hit). `sweep_percent` of the rest are `sweep` ops of
+/// `sweep_points` points, each based above the point seeds at a multiple
+/// of `sweep_points`; the others are 30% `run` and 70% `query` ops at an
+/// `x` in [2, 12] to three decimals. Equal arguments give the same lines,
+/// byte for byte.
+fn request_log(n: u64, root_seed: u64, sweep_percent: u64, sweep_points: u64) -> Vec<String> {
+    const SEED_POOL: u64 = 4;
+    const SIZE: &str = r#""trials":50,"points":6"#;
+    let tree = SeedTree::new(root_seed);
+    (0..n)
+        .map(|i| {
+            // The label the logs these tests replay were first drawn under.
+            let mut rng = tree.rng_indexed("loadgen", i);
+            let drawn = rng.next_u64() % SEED_POOL;
+            let seed = if i <= 1 { 0 } else { drawn };
+            let head = format!(r#"{{"id":{},"op":"#, i + 1);
+            let op_draw = rng.next_u64() % 100;
+            if i > 1 && op_draw < sweep_percent {
+                let base = SEED_POOL + drawn * sweep_points;
+                format!(
+                    r#"{head}"sweep","scenario":"e02-link-budget","seeds":{sweep_points},"seed":{base},{SIZE}}}"#
+                )
+            } else if op_draw % (100 - sweep_percent) < 30 {
+                format!(r#"{head}"run","scenario":"e02-link-budget","seed":{seed},{SIZE}}}"#)
+            } else {
+                let (lo, hi) = (2.0, 12.0);
+                let x = (lo * 1000.0 + rng.f64() * (hi - lo) * 1000.0).round() / 1000.0;
+                let x = x.clamp(lo, hi);
+                format!(
+                    r#"{head}"query","scenario":"e02-link-budget","seed":{seed},{SIZE},"x":{x}}}"#
+                )
+            }
+        })
+        .collect()
 }
 
 /// Replays one deterministic request log over a single connection and
@@ -35,20 +73,7 @@ fn replay(server: &Server, lines: &[String]) -> String {
 /// daemon gets a fresh cache directory so both start cold.
 #[test]
 fn replayed_request_log_is_byte_identical_across_worker_counts() {
-    let mix = Mix {
-        scenario: "e02-link-budget".to_string(),
-        seed_pool: 4,
-        trials: 50,
-        points: 6,
-        run_percent: 30,
-        sweep_percent: 0,
-        sweep_points: 4,
-        x_range: (2.0, 12.0),
-    };
-    let lines: Vec<String> = generate(&mix, 60, 0xD1FF)
-        .into_iter()
-        .map(|r| r.line)
-        .collect();
+    let lines = request_log(60, 0xD1FF, 0, 4);
     let mut transcripts = Vec::new();
     for workers in [1usize, 4] {
         let cache = temp_dir(&format!("diff-{workers}"));
@@ -99,18 +124,9 @@ fn sweep_responses_are_deterministic_across_executor_counts() {
             .parse()
             .unwrap()
     }
-    let mix = Mix {
-        scenario: "e02-link-budget".to_string(),
-        seed_pool: 4,
-        trials: 50,
-        points: 6,
-        run_percent: 30,
-        sweep_percent: 40,
-        sweep_points: 5,
-        x_range: (2.0, 12.0),
-    };
-    let requests = generate(&mix, 40, 0xA11CE);
-    assert!(requests.iter().any(|r| r.sweep), "mix must contain sweeps");
+    let is_sweep = |line: &str| line.contains(r#""op":"sweep""#);
+    let requests = request_log(40, 0xA11CE, 40, 5);
+    assert!(requests.iter().any(|r| is_sweep(r)), "the log holds sweeps");
     // (summary lines, per-sweep point lines sorted by index) per count.
     let mut replays: Vec<(Vec<String>, Vec<Vec<String>>)> = Vec::new();
     for workers in [1usize, 4] {
@@ -131,14 +147,16 @@ fn sweep_responses_are_deterministic_across_executor_counts() {
         let mut point_sets = Vec::new();
         let mut resp = String::new();
         for r in &requests {
-            if r.sweep {
-                client.sweep_into(&r.line, &mut resp).unwrap();
+            resp.clear();
+            client.roundtrip_into(r, &mut resp).unwrap();
+            if is_sweep(r) {
                 let mut lines: Vec<String> = resp.lines().map(str::to_string).collect();
                 summaries.push(lines.pop().expect("summary line"));
+                let points = lines.iter().filter(|l| l.contains(r#""op":"sweep_point""#));
+                assert_eq!((points.count(), lines.len()), (5, 5), "{resp}");
                 lines.sort_by_key(|l| point_index(l));
                 point_sets.push(lines);
             } else {
-                client.roundtrip_into(&r.line, &mut resp).unwrap();
                 assert!(resp.contains("\"ok\":true"), "{resp}");
             }
         }
@@ -159,37 +177,6 @@ fn sweep_responses_are_deterministic_across_executor_counts() {
         assert!(summary.contains("\"ok\":true"), "{summary}");
         assert!(summary.contains("\"failed\":0"), "{summary}");
     }
-}
-
-/// loadgen's closed loop stops at the first response that is not
-/// `"ok":true` and quotes it, so a mix whose queries fail cannot pass for
-/// one served from cache.
-#[test]
-fn closed_loop_fails_on_the_first_response_not_ok() {
-    let server = Server::builder(mmtag_bench::scenarios::registry())
-        .tcp("127.0.0.1:0")
-        .config(EngineConfig::default())
-        .start()
-        .unwrap();
-    let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
-    let request = |line: &str| Request {
-        line: line.to_string(),
-        sweep: false,
-    };
-    let run = request(
-        r#"{"id":1,"op":"run","scenario":"e02-link-budget","seed":0,"trials":50,"points":6}"#,
-    );
-    let summary = closed_loop(&mut client, std::slice::from_ref(&run)).unwrap();
-    assert_eq!(summary.requests, 1);
-    let out_of_range = request(
-        r#"{"id":2,"op":"query","scenario":"e02-link-budget","seed":0,"trials":50,"points":6,"x":1000}"#,
-    );
-    let err = closed_loop(&mut client, &[run, out_of_range])
-        .unwrap_err()
-        .to_string();
-    assert!(err.contains("\"error\":\"out_of_range\""), "{err}");
-    server.shutdown();
-    server.join();
 }
 
 /// A scenario that sleeps so tests can hold the executor busy, and

@@ -409,6 +409,39 @@ mod tests {
         assert!((ratio - 1.0).abs() < 0.05, "cascade power ratio {ratio}");
     }
 
+    /// The Ricean moments pin one hop's fade: E|g|² = 1 and E|g|⁴ =
+    /// (K² + 4K + 2)/(K + 1)², which is 2 at K = 0 (Rayleigh), each within
+    /// 4 of the sample's own standard errors; K = 5 is RIScatter's value.
+    /// At K = ∞ every fade is the unit LOS phasor, |g| = 1 exactly.
+    #[test]
+    fn hop_fades_match_the_ricean_moments() {
+        let mut rng = SeedTree::new(31).rng("ricean-moments");
+        let n = 200_000;
+        for k in [0.0, 5.0, 10.0] {
+            let hop = HopModel::new(2.0, k);
+            let (mut s2, mut s4, mut s8) = (0.0, 0.0, 0.0);
+            for _ in 0..n {
+                let p = hop.sample_fade(&mut rng).norm_sqr();
+                s2 += p;
+                s4 += p * p;
+                s8 += p.powi(4);
+            }
+            let (m2, m4, m8) = (s2 / n as f64, s4 / n as f64, s8 / n as f64);
+            let se2 = ((m4 - m2 * m2) / n as f64).sqrt();
+            let se4 = ((m8 - m4 * m4) / n as f64).sqrt();
+            let want4 = (k * k + 4.0 * k + 2.0) / ((k + 1.0) * (k + 1.0));
+            assert!((m2 - 1.0).abs() <= 4.0 * se2, "K={k}: E|g|² {m2} ± {se2}");
+            assert!(
+                (m4 - want4).abs() <= 4.0 * se4,
+                "K={k}: E|g|⁴ {m4} ± {se4} vs {want4}"
+            );
+        }
+        let los = HopModel::new(2.0, f64::INFINITY);
+        for _ in 0..1000 {
+            assert_eq!(los.sample_fade(&mut rng).norm_sqr(), 1.0);
+        }
+    }
+
     #[test]
     fn adding_a_tag_never_perturbs_earlier_tags() {
         let base = MultiTagCascade::new(

@@ -72,7 +72,8 @@ pub enum ArgError {
         /// The I/O error text.
         message: String,
     },
-    /// The `serve` daemon could not start or was misconfigured.
+    /// The `serve` daemon could not start or was misconfigured, or
+    /// `request` could not reach one or got a response that is not ok.
     Serve {
         /// What went wrong.
         message: String,

@@ -2,7 +2,9 @@
 //!
 //! Each command is a pure function from parsed [`Args`] to an output
 //! `String`, so the full command surface is unit-tested without spawning
-//! processes; `main` only dispatches and prints.
+//! processes; `main` only dispatches and prints. The one exception is
+//! [`request`], which streams: it reads request lines and writes each
+//! response as it lands, over any reader and writer.
 
 use crate::args::{ArgError, Args};
 use mmtag::baseline::comparison_rows;
@@ -17,13 +19,16 @@ use mmtag_mac::city::{CityConfig, CityEngine};
 use mmtag_rf::obs;
 use mmtag_rf::rng::{SeedTree, Xoshiro256pp};
 use mmtag_sim::experiment::linspace;
+use mmtag_sim::json::{parse_json, Json};
 use mmtag_sim::scenario::Runner;
+use mmtag_sim::serve::Client;
 use std::fmt::Write as _;
+use std::io::{BufRead, Write};
 use std::path::Path;
 
-/// Top-level dispatch, with the run cache in its default directory
-/// ([`mmtag_sim::cache::default_dir`]). Unknown/missing commands return
-/// the help text.
+/// Top-level dispatch for every command but [`request`], with the run
+/// cache in its default directory ([`mmtag_sim::cache::default_dir`]).
+/// Unknown/missing commands return the help text.
 pub fn run(args: &Args) -> Result<String, ArgError> {
     run_in(args, &mmtag_sim::cache::default_dir())
 }
@@ -102,10 +107,10 @@ fn cmd_serve(args: &Args, cache_dir: &Path) -> Result<String, ArgError> {
         });
     }
     let config = EngineConfig {
-        executors: args.usize_or("executors", 2)?.max(1),
-        job_threads: args.usize_or("job-threads", 2)?.max(1),
-        queue_capacity: args.usize_or("queue-cap", 64)?.max(1),
-        memory_capacity: args.usize_or("memory-cap", 256)?.max(1),
+        executors: args.positive_usize_or("executors", 2)?,
+        job_threads: args.positive_usize_or("job-threads", 2)?,
+        queue_capacity: args.positive_usize_or("queue-cap", 64)?,
+        memory_capacity: args.positive_usize_or("memory-cap", 256)?,
     };
     let mut builder = Server::builder(registry()).config(config);
     // Lifecycle budgets: 0 (the default) means unbounded. Enforcement is
@@ -175,6 +180,56 @@ fn cmd_serve(args: &Args, cache_dir: &Path) -> Result<String, ArgError> {
     ))
 }
 
+/// `mmtag request`: the client of a running `mmtag serve`. Sends each
+/// line of `input` as one request over `--socket <path>` or `--tcp
+/// <host:port>` and writes its response to `out` once it has landed, a
+/// sweep's point lines and summary included. Blank lines are skipped, as
+/// the daemon skips them. Fails right after writing the first response
+/// whose last line is not `"ok":true`, quoting it; no later line is sent.
+pub fn request(args: &Args, input: impl BufRead, mut out: impl Write) -> Result<(), ArgError> {
+    if let Some(op) = &args.operand {
+        return Err(ArgError::UnexpectedPositional(op.clone()));
+    }
+    let (socket, tcp) = (args.value("socket"), args.value("tcp"));
+    args.refuse_unread()?;
+    let serve_err = |message: String| ArgError::Serve { message };
+    let mut client = match (socket, tcp) {
+        #[cfg(unix)]
+        (Some(path), None) => Client::connect_unix(path),
+        #[cfg(not(unix))]
+        (Some(_), None) => {
+            return Err(serve_err(
+                "--socket requires Unix-domain sockets; use --tcp on this platform".into(),
+            ))
+        }
+        (None, Some(addr)) => Client::connect_tcp(addr),
+        _ => {
+            return Err(serve_err(
+                "need one listener: --socket <path> or --tcp <host:port>".into(),
+            ))
+        }
+    }
+    .map_err(|e| serve_err(format!("cannot connect: {e}")))?;
+    let mut response = String::new();
+    for line in input.lines() {
+        let line = line.map_err(|e| serve_err(format!("reading a request line: {e}")))?;
+        if line.is_empty() {
+            continue;
+        }
+        response.clear();
+        client
+            .roundtrip_into(&line, &mut response)
+            .and_then(|()| writeln!(out, "{response}"))
+            .and_then(|()| out.flush())
+            .map_err(|e| serve_err(format!("request {line}: {e}")))?;
+        let last = response.rsplit('\n').next().unwrap_or_default();
+        if !parse_json(last).is_ok_and(|reply| reply.get("ok") == Some(&Json::Bool(true))) {
+            return Err(serve_err(format!("request {line} failed: {response}")));
+        }
+    }
+    Ok(())
+}
+
 /// The help text.
 pub fn help() -> String {
     "\
@@ -210,12 +265,16 @@ COMMANDS:
                                       --cache-max-bytes N  evict LRU past N
                                       --cache-max-age SECS expire old entries
                                       (0 = unbounded; amortized on store)
+  request    send each stdin line to  --socket /tmp/mmtag.sock
+             a serve daemon, print    or --tcp 127.0.0.1:7117
+             each response; exit 1
+             after one not ok
   help       this text
 
 Angles (--rotation-deg, --bearing-deg) lie within ±360°. A flag its
 command does not take is an error.
 
-GLOBAL FLAGS:
+GLOBAL FLAGS (not on serve or request):
   --trace <file>   record span timings and write Chrome tracing JSON
                    (open at chrome://tracing); output bytes are unchanged
                    (on `run`, implies --no-cache so the execution spans
@@ -1023,6 +1082,152 @@ mod tests {
             other => panic!("expected a serve error, got {other:?}"),
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A zero serve count is refused like any other count flag, before
+    /// the daemon binds anything. A regular file holds the `--socket`
+    /// path, so a daemon that got as far as binding would refuse it (not
+    /// a socket) instead of blocking the test; the file must be left as
+    /// it was.
+    #[test]
+    fn serve_refuses_zero_counts_and_binds_nothing() {
+        let path =
+            std::env::temp_dir().join(format!("mmtag-cli-zero-count-test-{}", std::process::id()));
+        std::fs::write(&path, "not a socket").unwrap();
+        for flag in ["executors", "job-threads", "queue-cap", "memory-cap"] {
+            let err = run_err(&[
+                "serve",
+                "--socket",
+                path.to_str().unwrap(),
+                &format!("--{flag}"),
+                "0",
+            ]);
+            let want = ArgError::OutOfRange {
+                flag: flag.into(),
+                raw: "0".into(),
+                want: "a positive integer",
+            };
+            assert_eq!(err, want, "serve --{flag} 0");
+        }
+        let kept = std::fs::read_to_string(&path);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(kept.ok().as_deref(), Some("not a socket"));
+    }
+
+    /// Runs `mmtag request` on `line` over `input`; returns what it wrote
+    /// and its result.
+    fn request_out(line: &[&str], input: &str) -> (String, Result<(), ArgError>) {
+        let mut out = Vec::new();
+        let args = Args::parse(line.iter().copied()).unwrap();
+        let result = request(&args, input.as_bytes(), &mut out);
+        (String::from_utf8(out).unwrap(), result)
+    }
+
+    /// `request` takes exactly one of `--socket` and `--tcp` and nothing
+    /// else, and refuses anything more before it connects. (The input is
+    /// empty, so a request that did connect returns instead of waiting
+    /// for a reply the unaccepted connection never gets.)
+    #[test]
+    fn request_refuses_bad_flags_before_connecting() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let tcp = listener.local_addr().unwrap().to_string();
+        let tcp = tcp.as_str();
+        let listeners = ArgError::Serve {
+            message: "need one listener: --socket <path> or --tcp <host:port>".into(),
+        };
+        let unknown = |flag: &str| ArgError::UnknownFlag {
+            command: "request".into(),
+            flag: flag.into(),
+        };
+        let cases: &[(&[&str], ArgError)] = &[
+            (&["request"], listeners.clone()),
+            (&["request", "--tcp", tcp, "--socket", "x.sock"], listeners),
+            (
+                &["request", "--tcp", tcp, "--requests", "40"],
+                unknown("requests"),
+            ),
+            (
+                &["request", "--tcp", tcp, "--trace", "t.json"],
+                unknown("trace"),
+            ),
+            (
+                &["request", "--tcp", tcp, "log.txt"],
+                ArgError::UnexpectedPositional("log.txt".into()),
+            ),
+        ];
+        for (line, want) in cases {
+            assert_eq!(request_out(line, "").1.unwrap_err(), *want, "{line:?}");
+        }
+        let accepted = listener.accept().map(drop).map_err(|e| e.kind());
+        assert_eq!(accepted, Err(std::io::ErrorKind::WouldBlock));
+    }
+
+    /// `request` prints each response and stops right after the first
+    /// whose last line is not `"ok":true`, quoting it: the daemon never
+    /// sees the line after it.
+    #[test]
+    fn request_stops_after_the_first_response_not_ok() {
+        use mmtag_sim::serve::{EngineConfig, Server};
+        let server = Server::builder(registry())
+            .tcp("127.0.0.1:0")
+            .config(EngineConfig::default())
+            .start()
+            .unwrap();
+        let tcp = server.tcp_addr().unwrap().to_string();
+        let run =
+            r#"{"id":1,"op":"run","scenario":"e02-link-budget","seed":0,"trials":50,"points":6}"#;
+        let out_of_range = r#"{"id":2,"op":"query","scenario":"e02-link-budget","seed":0,"trials":50,"points":6,"x":1000}"#;
+        let input = format!("{run}\n{out_of_range}\n{run}\n");
+        let (out, result) = request_out(&["request", "--tcp", &tcp], &input);
+        let err = result.unwrap_err().to_string();
+        assert!(err.contains(r#""error":"out_of_range""#), "{err}");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "{out}");
+        assert!(
+            lines[0].starts_with(r#"{"id":1,"ok":true,"op":"run""#),
+            "{out}"
+        );
+        assert!(lines[1].starts_with(r#"{"id":2,"ok":false,"#), "{out}");
+        assert!(lines[1].contains(r#""error":"out_of_range""#), "{out}");
+        assert_eq!(server.engine().stats().requests, 2, "a third line was sent");
+        server.shutdown();
+        server.join();
+    }
+
+    /// A `sweep` line's whole stream is printed in order: its point lines
+    /// by index, then its summary. A blank line is skipped, not sent: sent
+    /// after the shutdown, it would meet a closed connection.
+    #[cfg(unix)]
+    #[test]
+    fn request_prints_a_sweep_stream_in_order() {
+        use mmtag_sim::serve::{EngineConfig, Server};
+        let sock = std::env::temp_dir().join(format!(
+            "mmtag-cli-request-sweep-test-{}.sock",
+            std::process::id()
+        ));
+        let server = Server::builder(registry())
+            .unix(&sock)
+            .config(EngineConfig::default())
+            .start()
+            .unwrap();
+        let sweep = r#"{"id":7,"op":"sweep","scenario":"e02-link-budget","seeds":3,"seed":5,"trials":50,"points":6}"#;
+        let input = format!("{sweep}\n{{\"id\":8,\"op\":\"shutdown\"}}\n\n");
+        let (out, result) = request_out(&["request", "--socket", sock.to_str().unwrap()], &input);
+        server.join();
+        result.unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 5, "{out}");
+        for (p, line) in lines[..3].iter().enumerate() {
+            let head = format!(r#"{{"id":7,"ok":true,"op":"sweep_point","point":{p},"#);
+            assert!(line.starts_with(&head), "{out}");
+        }
+        assert!(
+            lines[3].starts_with(r#"{"id":7,"ok":true,"op":"sweep","#),
+            "{out}"
+        );
+        assert!(lines[3].ends_with(r#""points":3,"failed":0}"#), "{out}");
+        assert_eq!(lines[4], r#"{"id":8,"ok":true,"op":"shutdown"}"#);
     }
 
     #[test]

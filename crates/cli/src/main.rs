@@ -21,7 +21,16 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match commands::run(&parsed) {
+    // `request` streams stdin's request lines to a daemon and each
+    // response to stdout as it lands; every other command returns its
+    // output whole.
+    let result = if parsed.command.as_deref() == Some("request") {
+        commands::request(&parsed, std::io::stdin().lock(), std::io::stdout().lock())
+            .map(|()| String::new())
+    } else {
+        commands::run(&parsed)
+    };
+    match result {
         Ok(out) => {
             print!("{out}");
             ExitCode::SUCCESS

@@ -1,16 +1,15 @@
-//! The blocking protocol client the CLI, the load generator and the
-//! tests use.
+//! The blocking protocol client `mmtag request`, the tests and the
+//! repository benchmark use.
 
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 
 use super::transport::Socket;
 
 /// A blocking protocol client: write one request line, read its
-/// response. Used by the CLI, the load generator, and the integration
-/// tests.
+/// response.
 pub struct Client {
     reader: BufReader<Box<dyn Socket>>,
     /// Reused request staging buffer: the request plus its newline go
@@ -29,7 +28,7 @@ impl Client {
 
     /// Connects over TCP (with `TCP_NODELAY`, as every line-oriented
     /// request/response protocol should).
-    pub fn connect_tcp(addr: SocketAddr) -> io::Result<Client> {
+    pub fn connect_tcp(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(Client::over(Box::new(stream)))
@@ -50,27 +49,12 @@ impl Client {
         Ok(response)
     }
 
-    /// Like [`Client::roundtrip`], but appends the response into a
-    /// caller-owned buffer (load generators reuse one buffer per
-    /// connection).
-    pub fn roundtrip_into(&mut self, request: &str, response: &mut String) -> io::Result<()> {
-        self.exchange(request, response).map(drop)
-    }
-
-    /// Sends a `sweep` request and appends the whole response stream —
-    /// every `sweep_point` line plus the terminating summary (or error)
-    /// line — into `response`, newline-separated with the final newline
-    /// trimmed. Returns how many `sweep_point` lines were streamed.
-    pub fn sweep_into(&mut self, request: &str, response: &mut String) -> io::Result<usize> {
-        self.exchange(request, response)
-    }
-
-    /// The one request path: writes `request` and its newline in one
-    /// write, then appends response lines to `response` up to the first
+    /// Like [`Client::roundtrip`], but appends the response to a
+    /// caller-owned buffer. The one request path: writes `request` and its
+    /// newline in one write, then reads response lines up to the first
     /// that is not a `sweep_point` line — a reply, a sweep's summary or a
-    /// whole-request error — and trims that line's newline. Returns how
-    /// many point lines came before it.
-    fn exchange(&mut self, request: &str, response: &mut String) -> io::Result<usize> {
+    /// whole-request error — and trims that line's newline.
+    pub fn roundtrip_into(&mut self, request: &str, response: &mut String) -> io::Result<()> {
         self.wbuf.clear();
         self.wbuf.push_str(request);
         if !request.ends_with('\n') {
@@ -79,7 +63,6 @@ impl Client {
         let stream = self.reader.get_mut();
         stream.write_all(self.wbuf.as_bytes())?;
         stream.flush()?;
-        let mut points = 0;
         loop {
             let start = response.len();
             if self.reader.read_line(response)? == 0 {
@@ -91,9 +74,8 @@ impl Client {
             if !response[start..].contains("\"op\":\"sweep_point\"") {
                 let end = response.trim_end_matches(['\n', '\r']).len();
                 response.truncate(end);
-                return Ok(points);
+                return Ok(());
             }
-            points += 1;
         }
     }
 }

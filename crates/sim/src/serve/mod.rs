@@ -1185,14 +1185,17 @@ mod tests {
         let mut client = Client::connect_tcp(server.tcp_addr().unwrap()).unwrap();
         let req = r#"{"id":1,"op":"sweep","scenario":"t92-sweep","seeds":6,"seed":3}"#;
         let mut stream = String::new();
-        let points = client.sweep_into(req, &mut stream).unwrap();
-        assert_eq!(points, 6);
+        client.roundtrip_into(req, &mut stream).unwrap();
+        let points = stream
+            .lines()
+            .filter(|l| l.contains("\"op\":\"sweep_point\""));
+        assert_eq!(points.count(), 6, "{stream}");
         assert_eq!(stream.lines().count(), 7, "{stream}");
         assert!(stream.ends_with("\"points\":6,\"failed\":0}"), "{stream}");
         assert_eq!(executions.load(Ordering::SeqCst), 6);
         // Cache-hot replay: byte-identical stream, no new executions.
         let mut hot = String::new();
-        assert_eq!(client.sweep_into(req, &mut hot).unwrap(), 6);
+        client.roundtrip_into(req, &mut hot).unwrap();
         assert_eq!(hot, stream);
         assert_eq!(executions.load(Ordering::SeqCst), 6);
         // Interleaved point ops still work on the same connection.

@@ -48,7 +48,8 @@ cargo test -q
 # CPU feature, and they may differ in the last ulp from host to host. Every
 # table's smoke digest must still match with the FMA/AVX2 variants masked
 # off — the decisions and sums built on libm absorb those ulps — so the
-# first kernel that exposes raw libm bits fails here.
+# first kernel that exposes raw libm bits fails here. The published-size
+# suite below runs masked too.
 GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 cargo test -q -p mmtag-bench --test scenarios
 # The certificate's `ln_lanes` bound (≤ 2⁻⁵⁰ relative to libm `ln`) over
 # 2²⁸ ladder inputs and its `cos_2pi_lanes_f32` bound (≤ 2⁻²³ absolute) at
@@ -64,6 +65,11 @@ cargo test --release --offline -q -p mmtag-phy --lib -- --ignored
 # hundred trials, this sees every block, chunk and cell a published table
 # is built from. #[ignore]d in the debug run for the same reason.
 cargo test --release --offline -q -p mmtag-bench --test scenarios -- --ignored
+# The same published-size digests, and E05's and E16's exact error counts,
+# with the FMA/AVX2 libm variants masked off: they must hold under the
+# libm another host may pick, not only under this host's.
+GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 \
+    cargo test --release --offline -q -p mmtag-bench --test scenarios -- --ignored
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Rustdoc gate: every public item documented (the crates' warn(missing_docs)
@@ -125,12 +131,12 @@ MMTAG_CACHE_DIR="$cache_dir" cargo run -q --release -p mmtag-cli -- \
     run e02-link-budget --quick 1 --format json > "$cache_dir/hit.json"
 grep -q '"runner.cache.hit": 1' "$cache_dir/hit.json"
 
-# Serve smoke: start the daemon on a Unix socket with a fresh cache,
-# drive it with a short deterministic loadgen mix (loadgen exits 1 on the
-# first request not answered "ok":true), assert the mix was served mostly
-# from cache (ratio >= 0.5 — each repeated seed must hit the memory store
-# or the disk RunCache), then shut the daemon down via the protocol and
-# wait for a clean exit.
+# Serve smoke: start the daemon on a Unix socket with a fresh cache and
+# feed `mmtag request` a fixed log of `run` and `query` ops on e05-ber
+# (`request` exits 1 right after the first response not "ok":true). The
+# log's ten ops use three seeds, so at most three are simulated: the
+# `status` line that ends it must report a hit ratio of at least 0.5, each
+# repeated seed served from the memory store or the disk RunCache.
 serve_dir="$work/serve"
 mkdir "$serve_dir"
 MMTAG_CACHE_DIR="$serve_dir/cache" cargo run -q --release -p mmtag-cli -- \
@@ -141,22 +147,32 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -S "$serve_dir/mmtag.sock" ]
-cargo run -q --release -p mmtag-bench --bin loadgen -- \
-    --socket "$serve_dir/mmtag.sock" --requests 40 --trials 2000 \
-    > "$serve_dir/loadgen.txt"
-cat "$serve_dir/loadgen.txt"
-grep -q 'cache hit ratio \(0\.[5-9]\|1\.\)' "$serve_dir/loadgen.txt"
+request() {
+    cargo run -q --release -p mmtag-cli -- request --socket "$serve_dir/mmtag.sock"
+}
+request > "$serve_dir/log.txt" <<'LOG'
+{"id":1,"op":"run","scenario":"e05-ber","seed":0,"trials":2000,"points":8}
+{"id":2,"op":"query","scenario":"e05-ber","seed":0,"trials":2000,"points":8,"x":7}
+{"id":3,"op":"run","scenario":"e05-ber","seed":1,"trials":2000,"points":8}
+{"id":4,"op":"query","scenario":"e05-ber","seed":2,"trials":2000,"points":8,"x":3.5}
+{"id":5,"op":"query","scenario":"e05-ber","seed":1,"trials":2000,"points":8,"x":10}
+{"id":6,"op":"run","scenario":"e05-ber","seed":2,"trials":2000,"points":8}
+{"id":7,"op":"query","scenario":"e05-ber","seed":0,"trials":2000,"points":8,"x":12.25}
+{"id":8,"op":"run","scenario":"e05-ber","seed":1,"trials":2000,"points":8}
+{"id":9,"op":"query","scenario":"e05-ber","seed":2,"trials":2000,"points":8,"x":0}
+{"id":10,"op":"query","scenario":"e05-ber","seed":0,"trials":2000,"points":8,"x":14}
+{"id":11,"op":"status"}
+LOG
+tail -n 1 "$serve_dir/log.txt"
+tail -n 1 "$serve_dir/log.txt" | grep -q '"cache_hit_ratio":\(0\.[5-9]\|1,\)'
 
 # Sweep smoke against the same daemon: one 6-point sweep request must
-# stream exactly 6 "sweep_point" lines, and a second (cache-hot) request
-# must produce a byte-identical response stream — the sweep op's
-# determinism contract over a real socket.
-cargo run -q --release -p mmtag-bench --bin loadgen -- \
-    --socket "$serve_dir/mmtag.sock" --one-sweep 6 --trials 2000 \
-    > "$serve_dir/sweep-cold.txt"
-cargo run -q --release -p mmtag-bench --bin loadgen -- \
-    --socket "$serve_dir/mmtag.sock" --one-sweep 6 --trials 2000 --shutdown \
-    > "$serve_dir/sweep-hot.txt"
+# stream exactly 6 "sweep_point" lines and a clean summary, and the same
+# request again (cache-hot) must produce a byte-identical response stream
+# — the sweep op's determinism contract over a real socket.
+sweep='{"id":1,"op":"sweep","scenario":"e05-ber","seeds":6,"seed":24301,"trials":2000,"points":8}'
+printf '%s\n' "$sweep" | request > "$serve_dir/sweep-cold.txt"
+printf '%s\n' "$sweep" '{"id":2,"op":"shutdown"}' | request > "$serve_dir/sweep-hot.txt"
 [ "$(grep -c '"op":"sweep_point"' "$serve_dir/sweep-cold.txt")" = 6 ]
 grep -q '"op":"sweep".*"points":6,"failed":0' "$serve_dir/sweep-cold.txt"
 # The hot run appends the shutdown line; compare only the sweep stream.
@@ -177,4 +193,4 @@ rf_t1=$(date +%s)
 echo "rf crate release build (clean): $((rf_t1 - rf_t0))s"
 rm -rf target/rf-build-timing
 
-echo "check.sh: fmt + build + examples + tests + masked-libm tests + clippy + scenario list + city thread-invariance smoke + rate-region smoke + cache round-trip + serve smoke all green"
+echo "check.sh: fmt + build + examples + tests + masked-libm smoke and published-size tests + clippy + scenario list + city thread-invariance smoke + rate-region smoke + cache round-trip + serve smoke all green"
