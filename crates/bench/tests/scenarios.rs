@@ -15,9 +15,10 @@ fn every_scenario_smokes_and_is_thread_count_invariant() {
         let a = serial.run_minimized(s, 3, 200);
         let b = parallel.run_minimized(s, 3, 200);
         assert!(!a.tables.is_empty(), "{}: no tables", s.spec().name);
+        // Every cell at full precision: `render()` prints three decimals.
         assert_eq!(
-            a.render(),
-            b.render(),
+            tables_csv(&a),
+            tables_csv(&b),
             "{}: output depends on thread count",
             s.spec().name
         );
@@ -36,6 +37,20 @@ fn every_scenario_smokes_and_is_thread_count_invariant() {
             "{name}: smoke-size tables changed"
         );
     }
+}
+
+/// Every table of `record` as CSV, each cell at shortest round-trip
+/// precision: [`mmtag_sim::scenario::RunRecord::to_csv`] without its
+/// manifest line, which names the thread count.
+fn tables_csv(record: &mmtag_sim::scenario::RunRecord) -> String {
+    let mut out = String::new();
+    for t in &record.tables {
+        out.push_str("# ");
+        out.push_str(t.title());
+        out.push('\n');
+        out.push_str(&t.to_csv());
+    }
+    out
 }
 
 /// FNV-1a digest of each scenario's smoke-size (`run_minimized(s, 3, 200)`)
@@ -149,9 +164,21 @@ fn every_scenario_matches_its_published_size_digest() {
             .find(|(n, _)| *n == name)
             .unwrap_or_else(|| panic!("{name}: no pinned digest"))
             .1;
-        let got = fnv1a(runner.run(s).render().as_bytes());
+        let want_csv = PUBLISHED_CSV_DIGESTS
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("{name}: no pinned CSV digest"))
+            .1;
+        let record = runner.run(s);
+        let got = fnv1a(record.render().as_bytes());
         if got != want {
             changed.push(format!("{name}: {got:#018x}, pinned {want:#018x}"));
+        }
+        let got = fnv1a(tables_csv(&record).as_bytes());
+        if got != want_csv {
+            changed.push(format!(
+                "{name} (CSV): {got:#018x}, pinned {want_csv:#018x}"
+            ));
         }
     }
     assert!(
@@ -201,6 +228,44 @@ const PUBLISHED_DIGESTS: [(&str, u64); 31] = [
     ("e31-rate-vs-states", 0x20af_789c_9dac_6906),
 ];
 
+/// FNV-1a digest of each scenario's tables at published size and seed as
+/// CSV ([`tables_csv`]): every cell at shortest round-trip precision, so
+/// a change in the last bit of any cell fails where the three-decimal
+/// render digests above pass.
+const PUBLISHED_CSV_DIGESTS: [(&str, u64); 31] = [
+    ("e01-s11", 0xb369_d4bb_f827_f061),
+    ("e02-link-budget", 0x653c_7078_3335_4926),
+    ("e03-retro", 0x04de_47c1_e2a8_9fa4),
+    ("e04-comparison", 0xe457_5b8c_9653_e83d),
+    ("e05-ber", 0x8922_90a2_0848_aec1),
+    ("e06-beamwidth", 0x0cb1_8268_edf8_ac2e),
+    ("e07-aloha", 0x00c5_5db8_65e3_1ff5),
+    ("e08-mobility", 0xea74_30fd_fe9c_aa51),
+    ("e09-selfint", 0xf24c_0cdf_6d0c_196c),
+    ("e10-power", 0x29a0_4149_6ffa_a6d0),
+    ("e11-60ghz", 0x13a6_c4d7_dacf_d0d9),
+    ("e12-nlos", 0x4eaa_e445_a2a8_f546),
+    ("e13-spectrum", 0xff59_6f00_a978_0eed),
+    ("e14-ablation", 0x1f2b_0a4b_96ba_f779),
+    ("e15-fading", 0x30a2_b4ac_08a2_65fc),
+    ("e16-bpsk", 0xf0be_c9fa_94b6_e5a3),
+    ("e17-planar", 0x82a8_5927_f75e_4290),
+    ("e18-storage", 0x8c7b_a500_3143_00c9),
+    ("e19-acquisition", 0x4e48_bf04_6aa9_6526),
+    ("e20-pulse", 0xe6b0_20d0_e1ad_b8df),
+    ("e21-capture", 0xdf23_e0e2_fad0_207e),
+    ("e22-mimo", 0x97d9_28f9_f965_f310),
+    ("e23-delay-spread", 0x8556_d72c_1d4e_00fa),
+    ("e24-gen2", 0x3752_81c0_7e45_8313),
+    ("e25-localization", 0xa8fd_7c0c_b297_5aba),
+    ("e26-cancellation", 0xa5ad_f002_178e_eefb),
+    ("e27-city-density", 0xbdd9_76fe_b2b9_caa2),
+    ("e28-city-mobility", 0xffaa_5ede_7431_c2a0),
+    ("e29-rate-region", 0x5203_8a89_ebf2_52a9),
+    ("e30-rate-vs-tags", 0x94dc_5c8b_5085_9c3b),
+    ("e31-rate-vs-states", 0xf774_5f14_db2e_f4be),
+];
+
 /// Integer bit-error counts of the certified BER counters at published
 /// size and seed: E05's `ook_measured` column (15 SNR points, seed 2024)
 /// and E16's `ook_ber`/`bpsk_ber` pairs (5 SNR points, seed 5), each
@@ -211,6 +276,19 @@ const E05_OOK_ERRORS: [u64; 15] = [
     31947, 26639, 20920, 15935, 11270, 7659, 4661, 2548, 1162, 477, 160, 30, 6, 3, 0,
 ];
 const E16_ERRORS: [(u64, u64); 5] = [(15860, 4549), (7546, 1142), (2587, 140), (472, 4), (38, 0)];
+
+/// E29–E31's depth-row traffic at published size and seed, as the manifest
+/// counts it: `(coincident_rows, fast_rows, exact_rows)`. Every trial's
+/// μ = 0 row takes the coincident sum, the other eight the fast estimator,
+/// and the exact pass reruns only the rows some weight's certificate
+/// could not rule out — three of E29's depths and one per E30/E31 cell.
+/// A certificate that stops certifying leaves every table unchanged and
+/// every row exact; these counts see it.
+const RATE_REGION_ROWS: [(&str, [u64; 3]); 3] = [
+    ("e29-rate-region", [800, 6_400, 2_400]),
+    ("e30-rate-vs-tags", [2_400, 19_200, 2_400]),
+    ("e31-rate-vs-states", [1_500, 12_000, 1_500]),
+];
 
 /// The error counts in `column` of `table`'s rows, checking that every
 /// cell is exactly `count / trials`.
@@ -241,6 +319,20 @@ fn ber_scenarios_keep_their_exact_error_counts_at_published_size() {
     let bpsk = error_counts(&record.tables[0], 2, trials);
     let got: Vec<(u64, u64)> = ook.into_iter().zip(bpsk).collect();
     assert_eq!(got, E16_ERRORS);
+}
+
+#[test]
+#[ignore = "E29–E31 at published size; run in release: cargo test --release -p mmtag-bench --test scenarios -- --ignored"]
+fn rate_region_scenarios_keep_their_row_counts_at_published_size() {
+    let reg = registry();
+    let runner = Runner::new();
+    for (name, want) in RATE_REGION_ROWS {
+        let scenario = reg.get(name).expect("rate-region scenario is registered");
+        let metrics = runner.run(scenario).manifest.metrics;
+        let rows = ["coincident_rows", "fast_rows", "exact_rows"]
+            .map(|kind| metrics.counter(&format!("sim.rate_region.{kind}")));
+        assert_eq!(rows, want, "{name}: (coincident, fast, exact) rows");
+    }
 }
 
 /// 64-bit FNV-1a over the rendered tables.

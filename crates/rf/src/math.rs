@@ -26,16 +26,22 @@
 //! glibc's FMA `exp` (from ARM's optimized-routines), bit-identical to
 //! `f64::exp` on the reference host, so the rate-region mutual-information
 //! estimator runs [`LANES`] terms per pass and every sum it feeds keeps
-//! its bits.
+//! its bits. [`exp_lanes_f32`] and [`log2_lanes_f32`] are that
+//! estimator's single-precision twins, eight lanes per 256-bit register:
+//! within 2⁻²³ and 2⁻²² relative of `e^x` and `log₂ x`, they feed only a
+//! fast pass whose certificate sends every row it cannot rule out to the
+//! exact estimator (DESIGN.md §14.5).
 //!
 //! **Fused multiply-add.** The kernels use plain `*` and `+` by default
-//! (Rust never contracts `a*b + c` on its own) and call `f64::mul_add`
-//! only where a kernel must reproduce a fused reference, as [`exp_lanes`]
-//! does. `mul_add` rounds once on every target — where the CPU has no FMA
-//! unit it calls the correctly rounded software `fma` — so it fixes the
-//! result and only its speed depends on the CPU; `.cargo/config.toml`'s
-//! `target-cpu=native` makes each one a single `vfmadd` on an FMA-capable
-//! x86-64 host.
+//! (Rust never contracts `a*b + c` on its own) and call `mul_add` only
+//! where a kernel must reproduce a fused reference, as [`exp_lanes`] does,
+//! or, in [`exp_lanes_f32`], whose bound is measured over every argument
+//! rather than pinned to a reference, where it saves instructions in the
+//! estimator's innermost loop. `mul_add` rounds once on every target —
+//! where the CPU has no FMA unit it calls the correctly rounded software
+//! `fma` — so it fixes the result and only its speed depends on the CPU;
+//! `.cargo/config.toml`'s `target-cpu=native` makes each one a single
+//! `vfmadd` on an FMA-capable x86-64 host.
 
 use std::f64::consts::FRAC_PI_2;
 
@@ -474,6 +480,132 @@ pub fn exp_lanes(x: &[f64; LANES]) -> [f64; LANES] {
     out
 }
 
+/// Lower end of [`exp_lanes_f32`]'s domain: `e^−87` is still a normal
+/// `f32`, so no lane result is subnormal.
+pub const EXP_F32_LO: f32 = -87.0;
+/// Upper end of [`exp_lanes_f32`]'s domain: `e^88` is below `f32::MAX`.
+pub const EXP_F32_HI: f32 = 88.0;
+/// Relative bound of [`exp_lanes_f32`] against `e^x` on its domain
+/// (measured 2⁻²³·³⁹ over every `f32` in it).
+pub const EXP_F32_REL_BOUND: f64 = 1.0 / (1u64 << 23) as f64;
+
+/// `ln 2` split for the `f32` reduction (Cephes `expf`'s `C1`, `C2`): the
+/// high part has nine significant bits, so `k·C1` is exact for every `k`
+/// the domain yields.
+const EXP_F32_C1: f32 = 0.693_359_4;
+const EXP_F32_C2: f32 = -2.121_944_4e-4;
+/// A degree-6 polynomial for `e^r` on `|r| ≤ ln 2/2`, evaluated as
+/// `1 + r + r²·P(r)` (`P` highest order first): a Chebyshev fit of
+/// `(e^r − 1 − r)/r²`, within 2⁻²⁶ relative of `e^r` before rounding —
+/// one degree below Cephes `expf`'s, at about the same measured bound.
+const EXP_F32_COEF: [f32; 5] = [
+    0.001_392_625,
+    0.008_363_233,
+    0.041_666_552,
+    0.166_665_76,
+    0.5,
+];
+
+/// `e^x` for [`LANES`] single-precision arguments — within
+/// [`EXP_F32_REL_BOUND`] (2⁻²³) relative of `e^x` at every `f32` in
+/// [`EXP_F32_LO`], [`EXP_F32_HI`] (measured over all of them by this
+/// module's tests). An argument below that range is raised to its lower
+/// end, so the lane returns `e^−87` ≈ 1.6·10⁻³⁸ rather than a smaller
+/// value; a NaN argument returns NaN. Arguments above it are outside the
+/// domain and return unspecified values (never a panic).
+///
+/// Cephes `expf`'s reduction on eight lanes: `k = round(x·log₂e)` by the
+/// `2²³ + 2²²` magic add, which also leaves `k` in the sum's low bits
+/// for building `2^k` in the exponent field (no `as` cast, which would
+/// keep the loop scalar; DESIGN.md §11), then `r = x − k·ln 2` in two
+/// steps and the polynomial, every multiply-add fused (module doc: nothing
+/// needs it bit-identical to a reference, and its bound is measured with
+/// the fusion). It is the fast estimator's `exp` in the rate-region sweep,
+/// whose certificate bounds its error (DESIGN.md §14.5), and must be
+/// inlined into that loop.
+#[inline]
+pub fn exp_lanes_f32(x: &[f32; LANES]) -> [f32; LANES] {
+    let [p0, p1, p2, p3, p4] = EXP_F32_COEF;
+    let bias = QUADRANT_MAGIC_F32.to_bits().wrapping_sub(127);
+    let mut out = [0.0f32; LANES];
+    for l in 0..LANES {
+        // `<` keeps a NaN, where `f32::max` would drop it.
+        let x = if x[l] < EXP_F32_LO { EXP_F32_LO } else { x[l] };
+        let shifted = x.mul_add(std::f32::consts::LOG2_E, QUADRANT_MAGIC_F32);
+        let k = shifted - QUADRANT_MAGIC_F32;
+        let r = (-k).mul_add(EXP_F32_C2, (-k).mul_add(EXP_F32_C1, x));
+        let p = p0
+            .mul_add(r, p1)
+            .mul_add(r, p2)
+            .mul_add(r, p3)
+            .mul_add(r, p4)
+            .mul_add(r * r, r)
+            + 1.0;
+        let scale = f32::from_bits(shifted.to_bits().wrapping_sub(bias) << 23);
+        out[l] = p * scale;
+    }
+    out
+}
+
+/// Relative bound of [`log2_lanes_f32`] against `log₂ x` for `x ≥ 1`
+/// (measured 2⁻²²·⁸⁶ over every finite `f32` from 1 up).
+pub const LOG2_F32_REL_BOUND: f64 = 1.0 / (1u64 << 22) as f64;
+
+/// Bit pattern of `√½` in `f32`: [`log2_lanes_f32`] splits every binade
+/// here so its mantissa lands in `[√½, √2)`.
+const SQRT_HALF_BITS_F32: u32 = 0x3f35_04f3;
+/// Cephes `logf`'s polynomial: `ln(1 + f) = f − f²/2 + f³·P(f)` for
+/// `1 + f ∈ [√½, √2)`, highest order first.
+const LOG_F32_COEF: [f32; 9] = [
+    7.037_683_6e-2,
+    -1.151_461e-1,
+    1.167_699_9e-1,
+    -1.242_014_1e-1,
+    1.424_932_3e-1,
+    -1.666_805_8e-1,
+    2.000_071_4e-1,
+    -2.499_999_4e-1,
+    3.333_333e-1,
+];
+/// `log₂e − 1`: `log₂ m = ln m + ln m·(log₂e − 1)` keeps the leading term
+/// unrounded.
+const LOG2_E_M1_F32: f32 = 0.442_695_04;
+
+/// `log₂ x` for [`LANES`] single-precision arguments `x ≥ 1` — within
+/// [`LOG2_F32_REL_BOUND`] (2⁻²²) relative of `log₂ x` at every finite
+/// `f32` `x ≥ 1` (measured over all of them by this module's tests), and
+/// exactly 0 at 1. Other positive normal arguments return a finite value
+/// the bound does not cover; zero, negative, subnormal and non-finite ones
+/// are outside the domain (unspecified results, never a panic).
+///
+/// Cephes `logf` on eight lanes, branch-free like [`ln_lanes`]: write
+/// `x = 2ᵉ·m` with `m ∈ [√½, √2)` by subtracting `√½`'s bit pattern, take
+/// `ln m` from the polynomial in `f = m − 1` (exact), and return
+/// `e + ln m·log₂e`, the `e` read back through the `2²³ + 2²²` magic add. It is
+/// the fast estimator's `log2` in the rate-region sweep (DESIGN.md §14.5).
+#[inline]
+pub fn log2_lanes_f32(x: &[f32; LANES]) -> [f32; LANES] {
+    let [c0, c1, c2, c3, c4, c5, c6, c7, c8] = LOG_F32_COEF;
+    let mut out = [0.0f32; LANES];
+    for l in 0..LANES {
+        let bits = x[l].to_bits();
+        let k = (bits.wrapping_sub(SQRT_HALF_BITS_F32) as i32) >> 23;
+        let m = f32::from_bits(bits.wrapping_sub((k as u32) << 23));
+        let e = f32::from_bits(QUADRANT_MAGIC_F32.to_bits().wrapping_add(k as u32))
+            - QUADRANT_MAGIC_F32;
+        let f = m - 1.0;
+        let z = f * f;
+        let p = ((((((((c0 * f + c1) * f + c2) * f + c3) * f + c4) * f + c5) * f + c6) * f + c7)
+            * f
+            + c8)
+            * f
+            * z;
+        let ln_m = f + (p - 0.5 * z);
+        out[l] = e + (ln_m + ln_m * LOG2_E_M1_F32);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -850,6 +982,178 @@ mod tests {
             }
             assert_exp_lanes_is_libm(&xs);
         }
+    }
+
+    /// Runs every `step`-th `f32` whose bits lie in `bits` through `kernel`
+    /// and returns the largest `gap(got, x)` with its argument.
+    fn worst_f32_gap(
+        bits: std::ops::RangeInclusive<u32>,
+        step: u32,
+        kernel: fn(&[f32; LANES]) -> [f32; LANES],
+        gap: impl Fn(&[f32; LANES], &[f32; LANES]) -> [f64; LANES],
+    ) -> (f64, f32) {
+        let mut worst = (0.0f64, 0.0f32);
+        let (first, last) = bits.into_inner();
+        for base in (first..=last).step_by((step * LANES as u32) as usize) {
+            let x: [f32; LANES] = std::array::from_fn(|l| {
+                f32::from_bits(base.saturating_add(l as u32 * step).min(last))
+            });
+            let g = gap(&kernel(&x), &x);
+            for l in 0..LANES {
+                // A NaN gap counts as the worst there is.
+                let g = if g[l].is_nan() { f64::INFINITY } else { g[l] };
+                if g > worst.0 {
+                    worst = (g, x[l]);
+                }
+            }
+        }
+        worst
+    }
+
+    /// `|exp_lanes_f32(x) − e^x| / e^x` per lane, against [`exp_lanes`] on
+    /// the widened arguments (within one `f64` ulp of `e^x`).
+    fn exp_f32_gap(got: &[f32; LANES], x: &[f32; LANES]) -> [f64; LANES] {
+        let want = exp_lanes(&x.map(f64::from));
+        std::array::from_fn(|l| (f64::from(got[l]) - want[l]).abs() / want[l])
+    }
+
+    /// `|log2_lanes_f32(x) − log₂ x| / log₂ x` per lane (0 at `x = 1`, where
+    /// the kernel must return exactly 0).
+    fn log2_f32_gap(got: &[f32; LANES], x: &[f32; LANES]) -> [f64; LANES] {
+        std::array::from_fn(|l| {
+            let want = f64::from(x[l]).log2();
+            let err = (f64::from(got[l]) - want).abs();
+            if want == 0.0 {
+                err
+            } else {
+                err / want
+            }
+        })
+    }
+
+    /// The bits of every `f32` in [`EXP_F32_LO`], [`EXP_F32_HI`], as the
+    /// negative half (−0 through −87) and the positive half (0 through 88).
+    fn exp_f32_domain() -> [std::ops::RangeInclusive<u32>; 2] {
+        [
+            (-0.0f32).to_bits()..=EXP_F32_LO.to_bits(),
+            0..=EXP_F32_HI.to_bits(),
+        ]
+    }
+
+    /// The worst relative gap of `exp_lanes_f32` over its domain at `step`,
+    /// plus the 2¹⁰ `f32` neighbours of every reduction boundary
+    /// `(k + ½)·ln 2` in the domain and of both domain ends.
+    fn worst_exp_f32(step: u32) -> (f64, f32) {
+        let mut worst = (0.0f64, 0.0f32);
+        let mut probe = |bits: std::ops::RangeInclusive<u32>, step: u32| {
+            let w = worst_f32_gap(bits, step, exp_lanes_f32, exp_f32_gap);
+            if w.0 > worst.0 {
+                worst = w;
+            }
+        };
+        for half in exp_f32_domain() {
+            probe(half, step);
+        }
+        let ln2 = std::f64::consts::LN_2;
+        let edges = (-126..=127).map(|k| ((f64::from(k) + 0.5) * ln2) as f32);
+        for edge in edges.chain([EXP_F32_LO, EXP_F32_HI]) {
+            if (EXP_F32_LO..=EXP_F32_HI).contains(&edge) {
+                // Magnitude grows with the bits on either side of zero.
+                let b = edge.to_bits();
+                let end = edge == EXP_F32_LO || edge == EXP_F32_HI;
+                probe(b - 512..=if end { b } else { b + 512 }, 1);
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn exp_lanes_f32_tracks_exp_over_its_domain() {
+        let (gap, at) = worst_exp_f32(256);
+        assert!(
+            gap <= EXP_F32_REL_BOUND,
+            "exp_lanes_f32 off by 2^{:.2} relative at x = {at:e}",
+            gap.log2()
+        );
+    }
+
+    #[test]
+    #[ignore = "every f32 in [−87, 88]; run in release: cargo test --release -p mmtag-rf --lib -- --ignored"]
+    fn exp_lanes_f32_tracks_exp_at_every_f32_in_its_domain() {
+        let (gap, at) = worst_exp_f32(1);
+        assert!(
+            gap <= EXP_F32_REL_BOUND,
+            "exp_lanes_f32 off by 2^{:.2} relative at x = {at:e}",
+            gap.log2()
+        );
+    }
+
+    #[test]
+    fn exp_lanes_f32_is_one_at_zero_and_raises_arguments_below_its_domain() {
+        let x = [
+            0.0,
+            -0.0,
+            -87.0,
+            -1e3,
+            f32::NEG_INFINITY,
+            88.0,
+            f32::NAN,
+            1.0,
+        ];
+        let got = exp_lanes_f32(&x);
+        assert_eq!(got[0], 1.0);
+        assert_eq!(got[1], 1.0);
+        assert_eq!(got[3], got[2]);
+        assert_eq!(got[4], got[2]);
+        assert!(got[2].is_normal() && got[2] > 0.0);
+        assert!(got[5].is_finite());
+        assert!(got[6].is_nan());
+    }
+
+    /// The worst relative gap of `log2_lanes_f32` over every finite `f32`
+    /// from 1 at `step`, plus the 2¹⁰ `f32` neighbours of every binade's
+    /// `√½·2ᵉ` split and power of two.
+    fn worst_log2_f32(step: u32) -> (f64, f32) {
+        let mut worst = worst_f32_gap(
+            1.0f32.to_bits()..=f32::MAX.to_bits(),
+            step,
+            log2_lanes_f32,
+            log2_f32_gap,
+        );
+        for e in 0..128 {
+            let pow = 2f32.powi(e);
+            for at in [pow, pow * std::f32::consts::SQRT_2] {
+                let b = at.to_bits().max(1.0f32.to_bits() + 512);
+                let hi = (b + 512).min(f32::MAX.to_bits());
+                let w = worst_f32_gap(b - 512..=hi, 1, log2_lanes_f32, log2_f32_gap);
+                if w.0 > worst.0 {
+                    worst = w;
+                }
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn log2_lanes_f32_tracks_log2_from_one_up() {
+        let (gap, at) = worst_log2_f32(128);
+        assert!(
+            gap <= LOG2_F32_REL_BOUND,
+            "log2_lanes_f32 off by 2^{:.2} relative at x = {at:e}",
+            gap.log2()
+        );
+        assert_eq!(log2_lanes_f32(&[1.0; LANES]), [0.0; LANES]);
+    }
+
+    #[test]
+    #[ignore = "every f32 from 1 up; run in release: cargo test --release -p mmtag-rf --lib -- --ignored"]
+    fn log2_lanes_f32_tracks_log2_at_every_f32_from_one_up() {
+        let (gap, at) = worst_log2_f32(1);
+        assert!(
+            gap <= LOG2_F32_REL_BOUND,
+            "log2_lanes_f32 off by 2^{:.2} relative at x = {at:e}",
+            gap.log2()
+        );
     }
 
     #[test]

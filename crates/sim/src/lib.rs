@@ -23,7 +23,9 @@
 //! * [`rate_region`] — the multi-tag primary-vs-backscatter rate-region
 //!   sweep (E29–E31): one trial-chunk grid estimates the depth curves
 //!   over the cascade channel and tag constellations, and every weight
-//!   selects its operating point from that estimate (DESIGN.md §14),
+//!   selects its operating point from that estimate — a certified `f32`
+//!   pass over every depth, then the exact estimator on the depths it
+//!   cannot rule out (DESIGN.md §14),
 //! * [`obs`] — the observability layer (re-exported from `mmtag_rf::obs`):
 //!   span timers, counters and histograms whose recording never perturbs
 //!   simulated results; the [`scenario`] `Runner` attaches the calling

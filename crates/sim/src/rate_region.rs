@@ -27,16 +27,24 @@
 //! draws from `tree/"rate-weight"[0]/…/"rate-chunk"[c]`, the chunks fold in
 //! chunk order, and the per-weight μ selection is a deterministic argmax
 //! over the folded curves — so tables are bit-identical at any thread
-//! count, and the chunk kernel ([`sum_rate_chunk`]) is allocation-free
-//! once its scratch is warm (enforced by `tests/alloc_guard.rs`). Because
-//! every weight maximizes over the same nine points, the boundary is
-//! monotone by construction: `R_p` never falls and `R_b` never rises as
-//! `w` grows, and weights that select the same depth report equal rows
-//! (DESIGN.md §14.4).
+//! count, and the chunk kernel ([`rate_chunk`]) is allocation-free once
+//! its scratch is warm (enforced by `tests/alloc_guard.rs`). Because every
+//! weight maximizes over the same nine points, the boundary is monotone by
+//! construction: `R_p` never falls and `R_b` never rises as `w` grows, and
+//! weights that select the same depth report equal rows (DESIGN.md §14.4).
+//!
+//! The grid runs in **two passes** (DESIGN.md §14.5). The first sums every
+//! depth's primary rate exactly and its backscatter mutual information
+//! through a single-precision estimator, with a bound on each row's
+//! distance from the exact sum. A weight then compares exactly only the
+//! depths the bounds cannot rule out, and the second pass runs the exact
+//! estimator on those rows alone — every printed value keeps its bits.
 
 use mmtag_channel::cascade::{CascadeDraw, CascadeStreams, MultiTagCascade};
 use mmtag_phy::constellation::TagConstellation;
-use mmtag_rf::math::{exp_lanes, LANES};
+use mmtag_rf::math::{
+    exp_lanes, exp_lanes_f32, log2_lanes_f32, EXP_F32_REL_BOUND, LANES, LOG2_F32_REL_BOUND,
+};
 use mmtag_rf::obs;
 use mmtag_rf::par;
 use mmtag_rf::rng::{Rng, SeedTree, Xoshiro256pp};
@@ -59,6 +67,24 @@ pub const NOISE_DRAWS: usize = 4;
 /// Largest supported joint alphabet `M^N`; the estimator is quadratic in
 /// this, so the cap keeps a single trial bounded.
 pub const MAX_TUPLES: usize = 4096;
+
+/// The certificate's margin `K = 2⁴`: a depth row drops out of a weight's
+/// exact comparison only when its fast objective trails by more than this
+/// many times the derived worst-case bound (DESIGN.md §14.5). The measured
+/// worst gap sits 2⁻⁵·⁴⁵ of that bound, so the certificate accepts at more
+/// than 2⁸ times it (the release headroom test), while every E29–E31
+/// weight still compares a single depth exactly.
+const MI_MARGIN: f64 = 16.0;
+
+/// `f32` unit roundoff.
+const U32: f64 = 1.0 / (1u64 << 24) as f64;
+/// `f64` unit roundoff.
+const U64: f64 = f64::EPSILON / 2.0;
+
+/// Largest noise power `|n|²` a fast row is bounded at: every argument of
+/// the fast `exp` then stays below [`mmtag_rf::math::EXP_F32_HI`]. A draw
+/// above it (probability e⁻⁶⁴) sends the trial's rows to the exact pass.
+const FAST_NOISE_POW_MAX: f64 = 64.0;
 
 /// One rate-region sweep problem: the cascade scene, the per-tag
 /// reflection alphabet (shared by all tags), the direct-link SNR and the
@@ -138,11 +164,60 @@ impl RateCurves {
     }
 }
 
-/// Caller-owned workspace for [`sum_rate_chunk`]: fading streams, the
-/// channel draw, per-tag beam states, the per-(tag, state) contribution
-/// table, the per-tuple equivalent channel and its scaled tuple points.
-/// Grown on first use, then reused allocation-free (DESIGN.md §8 scratch
-/// discipline).
+/// Which estimator one pass of [`rate_chunk`] runs on each depth row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ChunkPass {
+    /// Every row: the primary rate exactly, the backscatter MI through the
+    /// single-precision estimator with a bound on its distance from the
+    /// exact one (the grid's first pass).
+    Fast,
+    /// The rows marked `true`: primary rate and backscatter MI exactly,
+    /// bit-identical to [`sum_rate_chunk`]'s; the other rows stay 0 (the
+    /// grid's second pass).
+    Exact([bool; DEPTH_GRID]),
+}
+
+/// What one [`rate_chunk`] pass sums. Folded across chunks in chunk order,
+/// like [`RateCurves`].
+#[derive(Clone, Copy, Debug)]
+pub struct ChunkSums {
+    /// The rate sums. In a [`ChunkPass::Fast`] pass the backscatter sums
+    /// are the fast estimator's, except on trial-rows whose tuple points
+    /// coincide, which add the exact coincident sum.
+    pub curves: RateCurves,
+    /// Per row, Σ over its fast trial-rows of the derived bound on
+    /// `|fast − exact|` of that trial's backscatter term (DESIGN.md §14.5);
+    /// 0 in an exact pass and on rows where every trial-row coincided.
+    pub bound: [f64; DEPTH_GRID],
+    /// Per row, Σ over trial-rows of `|fast backscatter term|`, which the
+    /// bound on the folds' `f64` rounding scales with; 0 in an exact pass.
+    pub magnitude: [f64; DEPTH_GRID],
+}
+
+impl ChunkSums {
+    fn zero() -> Self {
+        ChunkSums {
+            curves: RateCurves::zero(),
+            bound: [0.0; DEPTH_GRID],
+            magnitude: [0.0; DEPTH_GRID],
+        }
+    }
+
+    /// Folds `other` into `self` (callers fold in chunk order).
+    fn accumulate(&mut self, other: &ChunkSums) {
+        self.curves.accumulate(&other.curves);
+        for j in 0..DEPTH_GRID {
+            self.bound[j] += other.bound[j];
+            self.magnitude[j] += other.magnitude[j];
+        }
+    }
+}
+
+/// Caller-owned workspace for [`rate_chunk`]: fading streams, the channel
+/// draw, per-tag beam states, the per-(tag, state) contribution table, the
+/// per-tuple equivalent channel and its scaled tuple points in `f64` and
+/// `f32`. Grown on first use, then reused allocation-free (DESIGN.md §8
+/// scratch discipline).
 #[derive(Clone, Debug)]
 pub struct RateScratch {
     streams: CascadeStreams,
@@ -155,6 +230,9 @@ pub struct RateScratch {
     /// parts, padded with zeros to a whole number of [`LANES`] blocks.
     x_re: Vec<f64>,
     x_im: Vec<f64>,
+    /// The same points rounded to `f32`, for the fast estimator.
+    xf_re: Vec<f32>,
+    xf_im: Vec<f32>,
 }
 
 impl RateScratch {
@@ -169,6 +247,8 @@ impl RateScratch {
             equiv: Vec::new(),
             x_re: Vec::new(),
             x_im: Vec::new(),
+            xf_re: Vec::new(),
+            xf_im: Vec::new(),
         }
     }
 }
@@ -194,23 +274,14 @@ pub struct RatePoint {
     pub weighted_sum: f64,
 }
 
-/// Runs one trial chunk: `trials` joint channel draws under the streams of
-/// work chunk `chunk` below `tree`, accumulating the primary-rate and
-/// backscatter-MI sums at every modulation depth.
-///
-/// A depth row whose tuple points all coincide by value — μ = 0 holds
-/// every tag in its beam state — takes the MI log sum without an `exp`
-/// pass: each difference `x_t − x_u` is zero, so each argument is
-/// `|n|² − |n|²` = 0 exactly and each term `exp(0)` = 1, every inner sum
-/// is `T` and the log sum is `NOISE_DRAWS · T` copies of `log₂ T`, added
-/// in turn as the `exp` pass would add them. Counts those rows
-/// (`sim.rate_region.coincident_rows`).
+/// Runs one trial chunk with every depth row exact: `trials` joint channel
+/// draws under the streams of work chunk `chunk` below `tree`,
+/// accumulating the primary-rate and backscatter-MI sums at every
+/// modulation depth — [`rate_chunk`] with every row in an exact pass.
 ///
 /// # Determinism
-/// All randomness comes from `tree`: per-tag cascade streams via
-/// [`CascadeStreams::reseed`] and one `"rate-noise"` stream for the MI
-/// estimator's noise draws. The same `(tree, chunk, trials)` triple always
-/// reproduces the same sums bit-for-bit, on any thread.
+/// The same `(tree, chunk, trials)` triple always reproduces the same sums
+/// bit-for-bit, on any thread (see [`rate_chunk`]).
 ///
 /// # Panics
 /// Panics on an invalid config (see [`RateRegionConfig::tuple_count`]).
@@ -221,6 +292,42 @@ pub fn sum_rate_chunk(
     trials: usize,
     scratch: &mut RateScratch,
 ) -> RateCurves {
+    let all = ChunkPass::Exact([true; DEPTH_GRID]);
+    rate_chunk(cfg, tree, chunk, trials, all, scratch).curves
+}
+
+/// Runs one pass over a trial chunk: `trials` joint channel draws under
+/// the streams of work chunk `chunk` below `tree`, summing, at each depth
+/// row `pass` selects, the primary rate and the backscatter MI through the
+/// estimator `pass` names. Both passes draw and use the same channel, beam
+/// states and noise, and the exact rows of either are the same
+/// computation, so a row's exact sums never depend on which other rows run.
+///
+/// A depth row whose tuple points all coincide by value — μ = 0 holds
+/// every tag in its beam state — takes the MI log sum without an `exp`
+/// pass in either estimator: each difference `x_t − x_u` is zero, so each
+/// argument is `|n|² − |n|²` = 0 exactly and each term `exp(0)` = 1, every
+/// inner sum is `T` and the log sum is `NOISE_DRAWS · T` copies of
+/// `log₂ T`, added in turn as the `exp` pass would add them. Counts those
+/// rows (`sim.rate_region.coincident_rows`) and the others, as
+/// `sim.rate_region.fast_rows` or `sim.rate_region.exact_rows`.
+///
+/// # Determinism
+/// All randomness comes from `tree`: per-tag cascade streams via
+/// [`CascadeStreams::reseed`] and one `"rate-noise"` stream for the MI
+/// estimator's noise draws. The same `(tree, chunk, trials, pass)`
+/// reproduces the same sums bit-for-bit, on any thread.
+///
+/// # Panics
+/// Panics on an invalid config (see [`RateRegionConfig::tuple_count`]).
+pub fn rate_chunk(
+    cfg: &RateRegionConfig,
+    tree: &SeedTree,
+    chunk: u64,
+    trials: usize,
+    pass: ChunkPass,
+    scratch: &mut RateScratch,
+) -> ChunkSums {
     let n_tags = cfg.cascade.n_tags();
     let tuples = cfg.tuple_count();
     let states = cfg.constellation.points();
@@ -229,6 +336,10 @@ pub fn sum_rate_chunk(
     // Coherent integration over symbol_ratio primary symbols boosts the
     // backscatter detection SNR by the same factor.
     let rho_b_sqrt = (rho * cfg.symbol_ratio).sqrt();
+    let (rows, fast) = match pass {
+        ChunkPass::Fast => ([true; DEPTH_GRID], true),
+        ChunkPass::Exact(rows) => (rows, false),
+    };
 
     scratch.streams.reseed(tree, chunk, n_tags);
     scratch.noise = tree.rng_indexed("rate-noise", chunk);
@@ -242,12 +353,16 @@ pub fn sum_rate_chunk(
         buf.clear();
         buf.resize(padded, 0.0);
     }
+    for buf in [&mut scratch.xf_re, &mut scratch.xf_im] {
+        buf.clear();
+        buf.resize(padded, 0.0);
+    }
 
     let log2_t = (tuples as f64).log2();
     let coincident_sum = (0..NOISE_DRAWS * tuples).fold(0.0, |sum, _| sum + log2_t);
-    let mut coincident_rows = 0;
+    let (mut coincident_rows, mut mi_rows) = (0, 0);
 
-    let mut out = RateCurves::zero();
+    let mut out = ChunkSums::zero();
     for _ in 0..trials {
         cfg.cascade
             .sample_into(&mut scratch.streams, &mut scratch.draw);
@@ -281,7 +396,7 @@ pub fn sum_rate_chunk(
             );
         }
 
-        for j in 0..DEPTH_GRID {
+        for j in (0..DEPTH_GRID).filter(|&j| rows[j]) {
             let mu = j as f64 / (DEPTH_GRID - 1) as f64;
 
             // Per-(tag, state) cascade contribution at this depth.
@@ -311,7 +426,7 @@ pub fn sum_rate_chunk(
             for h in &scratch.equiv {
                 rp += (1.0 + rho * h.norm_sqr()).log2();
             }
-            out.primary[j] += rp / tuples as f64;
+            out.curves.primary[j] += rp / tuples as f64;
 
             // Backscatter mutual information of the discrete tuple
             // alphabet in AWGN (Gauss-Hermite-free Monte-Carlo form):
@@ -321,19 +436,37 @@ pub fn sum_rate_chunk(
                 scratch.x_im[t] = h.im * rho_b_sqrt;
             }
             let (x_re, x_im) = (&scratch.x_re[..tuples], &scratch.x_im[..tuples]);
+            let mut bound = 0.0;
             let mi_sum = if x_re.iter().all(|&r| r == x_re[0]) && x_im.iter().all(|&i| i == x_im[0])
             {
                 coincident_rows += 1;
                 coincident_sum
+            } else if fast {
+                mi_rows += 1;
+                let (sum, delta) = fast_log_sum(scratch, tuples, &noise);
+                bound = delta;
+                sum
             } else {
+                mi_rows += 1;
                 backscatter_log_sum(&scratch.x_re, &scratch.x_im, tuples, &noise)
             };
             let mi = log2_t - mi_sum / (tuples * NOISE_DRAWS) as f64;
-            out.backscatter[j] += mi / cfg.symbol_ratio;
+            let term = mi / cfg.symbol_ratio;
+            out.curves.backscatter[j] += term;
+            if fast {
+                out.bound[j] += bound / cfg.symbol_ratio;
+                out.magnitude[j] += term.abs();
+            }
         }
-        out.trials += 1;
+        out.curves.trials += 1;
     }
     obs::counter_add("sim.rate_region.coincident_rows", coincident_rows);
+    let mi_counter = if fast {
+        "sim.rate_region.fast_rows"
+    } else {
+        "sim.rate_region.exact_rows"
+    };
+    obs::counter_add(mi_counter, mi_rows);
     out
 }
 
@@ -375,16 +508,162 @@ fn backscatter_log_sum(x_re: &[f64], x_im: &[f64], tuples: usize, noise: &[Compl
     mi_sum
 }
 
+/// The fast estimator on one row: centres and rounds the row's points to
+/// `f32`, runs [`backscatter_log_sum_f32`] and returns its log sum with the
+/// row's [`fast_row_bound`] `δ` (DESIGN.md §14.5).
+fn fast_log_sum(
+    scratch: &mut RateScratch,
+    tuples: usize,
+    noise: &[Complex; NOISE_DRAWS],
+) -> (f64, f64) {
+    // The estimator reads only differences x_t − x_u, so the points are
+    // centred on x_0 before rounding: R is then the spread of the
+    // alphabet, not its distance from the origin. Largest |x_t − x_0|²,
+    // kept NaN once a NaN point is seen.
+    let (c_re, c_im) = (scratch.x_re[0], scratch.x_im[0]);
+    let mut r2 = 0.0f64;
+    for t in 0..tuples {
+        let (re, im) = (scratch.x_re[t] - c_re, scratch.x_im[t] - c_im);
+        scratch.xf_re[t] = re as f32;
+        scratch.xf_im[t] = im as f32;
+        let m2 = re * re + im * im;
+        if m2 > r2 || m2.is_nan() {
+            r2 = m2;
+        }
+    }
+    let sum = backscatter_log_sum_f32(&scratch.xf_re, &scratch.xf_im, tuples, noise);
+    (sum, fast_row_bound(noise, tuples, r2.sqrt()))
+}
+
+/// [`backscatter_log_sum`] in single precision: the tuple points, the noise,
+/// every argument, [`exp_lanes_f32`], the inner sums and
+/// [`log2_lanes_f32`] in `f32` on [`LANES`] lanes (one 256-bit register),
+/// and only the `log2` terms folded in `f64`. Each lane adds its noise to
+/// its own point once per block, `d = (x_t + n) − x_u`, and takes `|n|²` as
+/// its own `u = t` difference's `|d|²` (one fused multiply-add each, like
+/// every `|d|²`), so that term is exactly `exp(0)` = 1, as in the exact
+/// loop, and every inner sum is at least 1.
+fn backscatter_log_sum_f32(x_re: &[f32], x_im: &[f32], tuples: usize, noise: &[Complex]) -> f64 {
+    let mut mi_sum = 0.0;
+    for n in noise {
+        let (nr, ni) = (n.re as f32, n.im as f32);
+        let blocks = x_re.chunks_exact(LANES).zip(x_im.chunks_exact(LANES));
+        for (b, (bre, bim)) in blocks.enumerate() {
+            let mut sr = [0.0f32; LANES];
+            let mut si = [0.0f32; LANES];
+            let mut n_pow = [0.0f32; LANES];
+            for l in 0..LANES {
+                sr[l] = bre[l] + nr;
+                si[l] = bim[l] + ni;
+                let (dr, di) = (sr[l] - bre[l], si[l] - bim[l]);
+                n_pow[l] = dr.mul_add(dr, di * di);
+            }
+            let mut inner = [0.0f32; LANES];
+            for (&ur, &ui) in x_re[..tuples].iter().zip(&x_im[..tuples]) {
+                let mut arg = [0.0f32; LANES];
+                for l in 0..LANES {
+                    let dr = sr[l] - ur;
+                    let di = si[l] - ui;
+                    arg[l] = n_pow[l] - dr.mul_add(dr, di * di);
+                }
+                let terms = exp_lanes_f32(&arg);
+                for l in 0..LANES {
+                    inner[l] += terms[l];
+                }
+            }
+            let logs = log2_lanes_f32(&inner);
+            for s in &logs[..LANES.min(tuples - b * LANES)] {
+                mi_sum += f64::from(*s);
+            }
+        }
+    }
+    mi_sum
+}
+
+/// `δ`: the bound on `|MI_fast − MI_exact|` for one trial-row of `tuples`
+/// points whose largest centred magnitude is `r`, under the trial's
+/// `noise` (DESIGN.md §14.5), or `∞` where the first-order derivation does
+/// not cover the row: a noise draw above [`FAST_NOISE_POW_MAX`], a relative
+/// error past 2⁻¹², or a non-finite `r`.
+fn fast_row_bound(noise: &[Complex; NOISE_DRAWS], tuples: usize, r: f64) -> f64 {
+    let t = tuples as f64;
+    let folds = (t - 1.0) * U32;
+    let gamma = folds / (1.0 - folds);
+    let mut sum = 0.0;
+    let mut nu_max = 0.0f64;
+    for n in noise {
+        let nu = n.norm_sqr();
+        nu_max = nu_max.max(nu);
+        // Relative error of one inner sum: the exp lane, the argument
+        // roundings weighted by their terms (split at s² = K), then the
+        // f32 fold.
+        let k = nu + t.ln() + 2.0;
+        let phi = 11.0 * nu + 7.0 * k + 6.0 * r * (nu.sqrt() + k.sqrt());
+        let terms = EXP_F32_REL_BOUND + 1.136 * U32 * phi + 2f64.powi(-100);
+        let rel = gamma * (1.0 + terms) + terms;
+        if rel.is_nan() || rel > 2f64.powi(-12) || nu > FAST_NOISE_POW_MAX {
+            return f64::INFINITY;
+        }
+        let log2_inner = t.log2() + std::f64::consts::LOG2_E * nu + rel;
+        sum += rel / ((1.0 - rel) * std::f64::consts::LN_2) + LOG2_F32_REL_BOUND * log2_inner;
+    }
+    // The f64 roundings of both estimators after the inner sums.
+    let tail = (1.0 + t.log2() + 2.0 * nu_max) / (1u64 << 36) as f64;
+    (1.0 + 2f64.powi(-10)) * sum / NOISE_DRAWS as f64 + tail
+}
+
+/// The objective `w·R_p + (1−w)·R_b` from un-normalized sums over `n`
+/// trials.
+fn objective(weight: f64, primary: f64, backscatter: f64, n: f64) -> f64 {
+    weight * primary / n + (1.0 - weight) * backscatter / n
+}
+
+/// The depth rows weight `weight` must compare exactly (DESIGN.md §14.5):
+/// every row whose fast objective plus its slack still reaches the largest
+/// fast objective minus slack, and every row whose fast objective or slack
+/// is not finite. `beta[j]` bounds `|fast − exact|` of row `j`'s
+/// backscatter sum (0: the fast sum is exact).
+fn candidate_rows(
+    weight: f64,
+    primary: &[f64; DEPTH_GRID],
+    fast: &[f64; DEPTH_GRID],
+    beta: &[f64; DEPTH_GRID],
+    n: f64,
+) -> [bool; DEPTH_GRID] {
+    let obj: [f64; DEPTH_GRID] = std::array::from_fn(|j| objective(weight, primary[j], fast[j], n));
+    let slack: [f64; DEPTH_GRID] = std::array::from_fn(|j| {
+        if beta[j] == 0.0 {
+            return 0.0;
+        }
+        // β through the objective, plus its `f64` roundings and the
+        // comparison's.
+        let c = 1.0 - weight;
+        let magnitude = (weight * primary[j] / n).abs() + c * (fast[j].abs() + beta[j]) / n;
+        c * beta[j] / n + 8.0 * U64 * magnitude
+    });
+    let lower = (0..DEPTH_GRID)
+        .map(|j| obj[j] - slack[j])
+        .filter(|v| v.is_finite())
+        .fold(f64::NEG_INFINITY, f64::max);
+    std::array::from_fn(|j| {
+        let upper = obj[j] + slack[j];
+        upper >= lower || upper.is_nan()
+    })
+}
+
 /// Traces the rate-region boundary: for every weight in `weights`, the
 /// operating point `(R_p, R_b)` at the depth maximizing
 /// `w·R_p + (1−w)·R_b`. All weights share one `trials`-trial estimate of
-/// the depth curves, dispatched as one chunk grid over `threads` workers.
+/// the depth curves, dispatched as one chunk grid over `threads` workers:
+/// a fast pass over every row, then an exact pass over the rows the fast
+/// pass's bounds leave in some weight's comparison (DESIGN.md §14.5).
 ///
 /// # Determinism
-/// Chunk `c` draws from `tree/"rate-weight"[0]` / chunk `c` streams; the
-/// chunks fold in chunk order and the depth argmax breaks ties toward
-/// smaller μ — the returned table is bit-identical at any `threads`, and
-/// each row is bit-identical to the single-weight call `[w]`.
+/// Chunk `c` draws from `tree/"rate-weight"[0]` / chunk `c` streams in
+/// both passes; the chunks fold in chunk order and the depth argmax over
+/// exact sums breaks ties toward smaller μ — the returned table is
+/// bit-identical at any `threads`, and to an all-exact estimate, and each
+/// row is bit-identical to the single-weight call `[w]`.
 ///
 /// # Panics
 /// Panics if `weights` is empty, `trials == 0`, any weight is outside
@@ -395,6 +674,19 @@ pub fn rate_region_grid_par_with(
     weights: &[f64],
     trials: usize,
     tree: &SeedTree,
+) -> Vec<RatePoint> {
+    rate_region_grid(threads, cfg, weights, trials, tree, MI_MARGIN)
+}
+
+/// [`rate_region_grid_par_with`] at certificate margin `margin`; `∞` sends
+/// every row with a fast trial-row through the exact pass.
+fn rate_region_grid(
+    threads: usize,
+    cfg: &RateRegionConfig,
+    weights: &[f64],
+    trials: usize,
+    tree: &SeedTree,
+    margin: f64,
 ) -> Vec<RatePoint> {
     assert!(!weights.is_empty(), "need at least one weight");
     assert!(trials > 0, "need at least one trial");
@@ -408,25 +700,57 @@ pub fn rate_region_grid_par_with(
     // w = 0 row always drew from, so their tables stay bit-identical.
     let subtree = tree.subtree_indexed("rate-weight", 0);
     let chunks = trials.div_ceil(RATE_CHUNK_TRIALS);
-    let curves: Vec<RateCurves> =
-        par::par_indexed_scratch_with(threads, chunks, RateScratch::new, |scratch, c| {
-            let done = c * RATE_CHUNK_TRIALS;
-            let chunk_trials = RATE_CHUNK_TRIALS.min(trials - done);
-            sum_rate_chunk(cfg, &subtree, c as u64, chunk_trials, scratch)
-        });
-    let mut total = RateCurves::zero();
-    for chunk in &curves {
-        total.accumulate(chunk);
+    let run = |pass: ChunkPass| {
+        let sums: Vec<ChunkSums> =
+            par::par_indexed_scratch_with(threads, chunks, RateScratch::new, |scratch, c| {
+                let done = c * RATE_CHUNK_TRIALS;
+                let chunk_trials = RATE_CHUNK_TRIALS.min(trials - done);
+                rate_chunk(cfg, &subtree, c as u64, chunk_trials, pass, scratch)
+            });
+        let mut total = ChunkSums::zero();
+        for chunk in &sums {
+            total.accumulate(chunk);
+        }
+        total
+    };
+
+    let fast = run(ChunkPass::Fast);
+    let n = fast.curves.trials as f64;
+    let primary = fast.curves.primary;
+    // β per row: the trial-rows' bounds plus the roundings of the two
+    // estimators' `f64` folds; 0 on a row whose every trial-row took the
+    // coincident sum, whose fast sum is then the exact one.
+    let folds = 3.0 * (trials + chunks + 1) as f64 * U64;
+    let beta: [f64; DEPTH_GRID] = std::array::from_fn(|j| {
+        let b = fast.bound[j];
+        if b == 0.0 {
+            0.0
+        } else {
+            margin * (b * (1.0 + 2f64.powi(-10)) + folds * (fast.magnitude[j] + b))
+        }
+    });
+    let candidates: Vec<[bool; DEPTH_GRID]> = weights
+        .iter()
+        .map(|&w| candidate_rows(w, &primary, &fast.curves.backscatter, &beta, n))
+        .collect();
+    let exact_rows: [bool; DEPTH_GRID] =
+        std::array::from_fn(|j| beta[j] != 0.0 && candidates.iter().any(|rows| rows[j]));
+    let mut backscatter = fast.curves.backscatter;
+    if exact_rows.contains(&true) {
+        let exact = run(ChunkPass::Exact(exact_rows));
+        for j in (0..DEPTH_GRID).filter(|&j| exact_rows[j]) {
+            backscatter[j] = exact.curves.backscatter[j];
+        }
     }
-    let n = total.trials as f64;
 
     weights
         .iter()
-        .map(|&weight| {
+        .zip(&candidates)
+        .map(|(&weight, rows)| {
             let mut best = 0;
             let mut best_obj = f64::NEG_INFINITY;
-            for j in 0..DEPTH_GRID {
-                let obj = weight * total.primary[j] / n + (1.0 - weight) * total.backscatter[j] / n;
+            for j in (0..DEPTH_GRID).filter(|&j| rows[j]) {
+                let obj = objective(weight, primary[j], backscatter[j], n);
                 if obj > best_obj {
                     best_obj = obj;
                     best = j;
@@ -435,8 +759,8 @@ pub fn rate_region_grid_par_with(
             RatePoint {
                 weight,
                 depth: best as f64 / (DEPTH_GRID - 1) as f64,
-                primary_rate: total.primary[best] / n,
-                backscatter_rate: total.backscatter[best] / n,
+                primary_rate: primary[best] / n,
+                backscatter_rate: backscatter[best] / n,
                 weighted_sum: best_obj,
             }
         })
@@ -805,5 +1129,384 @@ mod tests {
     fn out_of_range_weight_panics() {
         let tree = SeedTree::new(0).subtree("rate-bad-weight");
         let _ = rate_region_grid_par_with(1, &small_cfg(), &[1.5], 10, &tree);
+    }
+
+    /// The E29–E31 ring scene with `n_tags` tags switching `order`-PSK.
+    fn ring_cfg(n_tags: usize, order: usize) -> RateRegionConfig {
+        RateRegionConfig {
+            constellation: TagConstellation::psk(order, 0.5),
+            cascade: MultiTagCascade::ring(
+                n_tags,
+                10.0,
+                2.0,
+                HopModel::new(2.6, 5.0),
+                HopModel::new(2.4, 5.0),
+                HopModel::new(2.0, 5.0),
+            ),
+            ..small_cfg()
+        }
+    }
+
+    /// `(tags, PSK order)` of every E29–E31 cell: E29's (also E31's
+    /// 4-PSK), E30's 1–4 tags (2 tags is also E31's 2-PSK) and E31's 8-PSK.
+    const CELLS: [(usize, usize); 6] = [(2, 4), (1, 2), (2, 2), (3, 2), (4, 2), (2, 8)];
+
+    /// The grid as it was before the fast pass, kept as its oracle: every
+    /// chunk through [`sum_rate_chunk`], folded in chunk order, and each
+    /// weight's strict-`>` argmax over all nine exact depths.
+    fn all_exact_grid(
+        cfg: &RateRegionConfig,
+        weights: &[f64],
+        trials: usize,
+        tree: &SeedTree,
+    ) -> Vec<RatePoint> {
+        let subtree = tree.subtree_indexed("rate-weight", 0);
+        let mut scratch = RateScratch::new();
+        let mut total = RateCurves::zero();
+        for (c, done) in (0..trials).step_by(RATE_CHUNK_TRIALS).enumerate() {
+            let chunk_trials = RATE_CHUNK_TRIALS.min(trials - done);
+            total.accumulate(&sum_rate_chunk(
+                cfg,
+                &subtree,
+                c as u64,
+                chunk_trials,
+                &mut scratch,
+            ));
+        }
+        let n = total.trials as f64;
+        weights
+            .iter()
+            .map(|&weight| {
+                let (mut best, mut best_obj) = (0, f64::NEG_INFINITY);
+                for j in 0..DEPTH_GRID {
+                    let obj =
+                        weight * total.primary[j] / n + (1.0 - weight) * total.backscatter[j] / n;
+                    if obj > best_obj {
+                        (best, best_obj) = (j, obj);
+                    }
+                }
+                RatePoint {
+                    weight,
+                    depth: best as f64 / (DEPTH_GRID - 1) as f64,
+                    primary_rate: total.primary[best] / n,
+                    backscatter_rate: total.backscatter[best] / n,
+                    weighted_sum: best_obj,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn certified_rows_match_the_all_exact_estimate_at_1_2_8_threads() {
+        // Every E29–E31 cell plus the 3-PSK pair (T = 9, a ragged lane
+        // block), at E29's eleven weights: the production certificate and
+        // margin ∞, which sends every row with a fast trial-row through the
+        // exact pass, against the all-exact grid. T ≤ 4 cells run 260
+        // trials (a 4-trial last chunk), T = 9 and 16 sixty, T = 64 four.
+        let weights: Vec<f64> = (0..=10).map(|i| i as f64 / 10.0).collect();
+        let tree = SeedTree::new(23).subtree("rate-certified");
+        for (n_tags, order) in CELLS.into_iter().chain([(2, 3)]) {
+            let cfg = ring_cfg(n_tags, order);
+            let trials = match cfg.tuple_count() {
+                t if t <= 4 => 260,
+                t if t <= 16 => 60,
+                _ => 4,
+            };
+            let what = format!("{n_tags} tags, {order}-PSK");
+            let all_exact = all_exact_grid(&cfg, &weights, trials, &tree);
+            let forced = rate_region_grid(2, &cfg, &weights, trials, &tree, f64::INFINITY);
+            assert_eq!(bits(&forced), bits(&all_exact), "{what}, margin ∞");
+            for threads in [1, 2, 8] {
+                let window = obs::Window::open();
+                let got = rate_region_grid_par_with(threads, &cfg, &weights, trials, &tree);
+                let report = window.close();
+                assert_eq!(bits(&got), bits(&all_exact), "{what}, {threads} threads");
+                // Not vacuous: the certificate kept some rows out.
+                let rows = |name| report.counter(name);
+                let (exact, fast) = (
+                    rows("sim.rate_region.exact_rows"),
+                    rows("sim.rate_region.fast_rows"),
+                );
+                assert_eq!(fast, 8 * trials as u64, "{what}");
+                assert!(exact < fast, "{what}: {exact} exact rows of {fast}");
+            }
+            for (p, &w) in all_exact.iter().zip(&weights) {
+                let single = rate_region_grid_par_with(2, &cfg, &[w], trials, &tree);
+                assert_eq!(
+                    bits(std::slice::from_ref(p)),
+                    bits(&single),
+                    "{what}, w = {w}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exact_pass_rows_match_the_all_rows_kernel() {
+        // The second pass's rows are the all-exact kernel's rows, bit for
+        // bit, whichever other rows run; its unselected rows stay 0.
+        let cfg = ring_cfg(2, 4);
+        let tree = SeedTree::new(29).subtree("rate-exact-rows");
+        let mut scratch = RateScratch::new();
+        let all = sum_rate_chunk(&cfg, &tree, 3, 37, &mut scratch);
+        let rows = [false, true, false, false, true, true, false, false, true];
+        let some = rate_chunk(&cfg, &tree, 3, 37, ChunkPass::Exact(rows), &mut scratch);
+        for (j, &row) in rows.iter().enumerate() {
+            let want = if row {
+                (all.primary[j], all.backscatter[j])
+            } else {
+                (0.0, 0.0)
+            };
+            assert_eq!(
+                some.curves.primary[j].to_bits(),
+                want.0.to_bits(),
+                "row {j}"
+            );
+            assert_eq!(
+                some.curves.backscatter[j].to_bits(),
+                want.1.to_bits(),
+                "row {j}"
+            );
+            assert_eq!((some.bound[j], some.magnitude[j]), (0.0, 0.0));
+        }
+        // The fast pass's primary sums and coincident rows are exact.
+        let fast = rate_chunk(&cfg, &tree, 3, 37, ChunkPass::Fast, &mut scratch);
+        assert_eq!(fast.curves.trials, all.trials);
+        for j in 0..DEPTH_GRID {
+            assert_eq!(fast.curves.primary[j].to_bits(), all.primary[j].to_bits());
+        }
+        assert_eq!(fast.bound[0], 0.0, "μ = 0 rows coincide");
+        assert_eq!(
+            fast.curves.backscatter[0].to_bits(),
+            all.backscatter[0].to_bits()
+        );
+        assert!(fast.bound[1..].iter().all(|&b| b > 0.0));
+    }
+
+    /// The largest `|fast − exact| / (MI_MARGIN·δ)` over one-trial chunks
+    /// `0..trials` of every E29–E31 cell, where `δ` is the fast pass's
+    /// derived bound on that trial-row and `MI_MARGIN·δ` what the
+    /// certificate accepts, with the number of fast trial-rows compared.
+    fn worst_fast_gap(trials: u64) -> (f64, usize) {
+        let tree = SeedTree::new(31).subtree("rate-headroom");
+        let mut scratch = RateScratch::new();
+        let (mut worst, mut rows) = (0.0f64, 0);
+        let all = ChunkPass::Exact([true; DEPTH_GRID]);
+        for (n_tags, order) in CELLS {
+            let cfg = ring_cfg(n_tags, order);
+            for chunk in 0..trials {
+                let fast = rate_chunk(&cfg, &tree, chunk, 1, ChunkPass::Fast, &mut scratch);
+                let exact = rate_chunk(&cfg, &tree, chunk, 1, all, &mut scratch);
+                for j in (0..DEPTH_GRID).filter(|&j| fast.bound[j] > 0.0) {
+                    let gap = (fast.curves.backscatter[j] - exact.curves.backscatter[j]).abs();
+                    let ratio = gap / (MI_MARGIN * fast.bound[j]);
+                    worst = if ratio.is_nan() {
+                        f64::INFINITY
+                    } else {
+                        worst.max(ratio)
+                    };
+                    rows += 1;
+                }
+            }
+        }
+        (worst, rows)
+    }
+
+    #[test]
+    fn fast_rows_sit_2_pow_8_inside_the_certificate_margin() {
+        let (worst, rows) = worst_fast_gap(6);
+        assert!(rows >= 6 * 6 * 8, "only {rows} fast trial-rows");
+        assert!(
+            worst <= 2f64.powi(-8),
+            "worst gap is 2^{:.1} of the margin",
+            worst.log2()
+        );
+    }
+
+    #[test]
+    #[ignore = "10^5 trial-rows; run in release: cargo test --release -p mmtag-sim --lib -- --ignored"]
+    fn certificate_margin_has_2_pow_8_headroom_over_1e5_trial_rows() {
+        // DESIGN.md §14.5 derives δ as a worst case and the certificate
+        // accepts at MI_MARGIN·δ; the measured gap of every fast trial-row
+        // must stay 2⁸ below that.
+        let (worst, rows) = worst_fast_gap(2_100);
+        assert!(rows >= 100_000, "only {rows} fast trial-rows");
+        assert!(
+            worst <= 2f64.powi(-8),
+            "worst gap is 2^{:.1} of the margin",
+            worst.log2()
+        );
+    }
+
+    #[test]
+    fn non_finite_fast_values_and_bounds_stay_in_the_exact_set() {
+        let primary = [4.0; DEPTH_GRID];
+        let mut fast = [0.1; DEPTH_GRID];
+        fast[2] = 0.5; // the clear winner
+        let mut beta = [1e-6; DEPTH_GRID];
+        let n = 1.0;
+        let clear = candidate_rows(0.1, &primary, &fast, &beta, n);
+        assert_eq!(clear.iter().filter(|&&r| r).count(), 1);
+        assert!(clear[2]);
+        fast[4] = f64::NAN;
+        beta[6] = f64::INFINITY;
+        beta[7] = f64::NAN;
+        let rows = candidate_rows(0.1, &primary, &fast, &beta, n);
+        let kept: Vec<usize> = (0..DEPTH_GRID).filter(|&j| rows[j]).collect();
+        assert_eq!(kept, [2, 4, 6, 7]);
+        // A non-finite winner certifies nothing against it.
+        beta[2] = f64::INFINITY;
+        let rows = candidate_rows(0.1, &primary, &fast, &beta, n);
+        assert!(rows[2] && rows[4] && rows[6] && rows[7]);
+        // Out-of-range noise, a NaN point and an infinite point have no
+        // bound.
+        let calm = [Complex::new(0.5, -0.5); NOISE_DRAWS];
+        assert!(fast_row_bound(&calm, 16, 30.0).is_finite());
+        assert_eq!(fast_row_bound(&calm, 16, f64::NAN), f64::INFINITY);
+        assert_eq!(fast_row_bound(&calm, 16, f64::INFINITY), f64::INFINITY);
+        let mut loud = calm;
+        loud[3] = Complex::new(8.0, 1.0);
+        assert_eq!(fast_row_bound(&loud, 16, 1.0), f64::INFINITY);
+    }
+
+    /// Gauss–Hermite nodes and weights for `∫ e^{−x²} f(x) dx`: Newton's
+    /// method on the orthonormal Hermite recurrence from Numerical Recipes'
+    /// starting guesses (`gauher`).
+    fn gauss_hermite(n: usize) -> Vec<(f64, f64)> {
+        const PI_M4: f64 = 0.751_125_544_464_942_5; // π^(−1/4)
+        let nf = n as f64;
+        let mut nodes = vec![(0.0, 0.0); n];
+        let mut z = 0.0f64;
+        for i in 0..n.div_ceil(2) {
+            z = match i {
+                0 => (2.0 * nf + 1.0).sqrt() - 1.855_75 * (2.0 * nf + 1.0).powf(-1.0 / 6.0),
+                1 => z - 1.14 * nf.powf(0.426) / z,
+                2 => 1.86 * z - 0.86 * nodes[0].0,
+                3 => 1.91 * z - 0.91 * nodes[1].0,
+                _ => 2.0 * z - nodes[i - 2].0,
+            };
+            let mut pp = 0.0;
+            for _ in 0..100 {
+                let (mut p1, mut p2) = (PI_M4, 0.0);
+                for j in 1..=n {
+                    let p3 = p2;
+                    p2 = p1;
+                    let jf = j as f64;
+                    p1 = z * (2.0 / jf).sqrt() * p2 - ((jf - 1.0) / jf).sqrt() * p3;
+                }
+                pp = (2.0 * nf).sqrt() * p2;
+                let step = p1 / pp;
+                z -= step;
+                if step.abs() <= 1e-15 {
+                    break;
+                }
+            }
+            let w = 2.0 / (pp * pp);
+            nodes[i] = (z, w);
+            nodes[n - 1 - i] = (-z, w);
+        }
+        nodes
+    }
+
+    /// The mutual information `log₂ T − E_n[avg_t log₂ Σ_u e^{|n|² − |x_t − x_u + n|²}]`
+    /// of the points `x` in CN(0, 1) noise, by a 2-D `nodes`-point
+    /// Gauss–Hermite quadrature (`n`'s components are N(0, ½), density
+    /// `e^{−x²}/√π` each).
+    fn mixture_mi_quadrature(x: &[Complex], nodes: usize) -> f64 {
+        let gh = gauss_hermite(nodes);
+        let t = x.len() as f64;
+        let mut expect = 0.0;
+        for &(zr, wr) in &gh {
+            for &(zi, wi) in &gh {
+                let n = Complex::new(zr, zi);
+                let mut avg = 0.0;
+                for &xt in x {
+                    let inner: f64 = x
+                        .iter()
+                        .map(|&xu| (n.norm_sqr() - (xt - xu + n).norm_sqr()).exp())
+                        .sum();
+                    avg += inner.log2() / t;
+                }
+                expect += wr * wi * avg;
+            }
+        }
+        t.log2() - expect / std::f64::consts::PI
+    }
+
+    #[test]
+    fn gauss_hermite_rule_integrates_the_gaussian_moments() {
+        let gh = gauss_hermite(48);
+        let sqrt_pi = std::f64::consts::PI.sqrt();
+        let moment = |k: i32| gh.iter().map(|&(x, w)| w * x.powi(k)).sum::<f64>();
+        assert!((moment(0) - sqrt_pi).abs() < 1e-13);
+        assert!((moment(2) - sqrt_pi / 2.0).abs() < 1e-13);
+        assert!((moment(4) - 3.0 * sqrt_pi / 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn backscatter_mi_matches_gauss_hermite_at_finite_snr() {
+        // One tag with every K infinite: the channel is fixed (h_d = 1,
+        // v = a), so at μ = 1 the tuple points are √ρ·(1 + a·c_s) and the
+        // noise is the only randomness. The MI is then a fixed integral.
+        // Both estimators' chunk means must hold it within 4 batch-means
+        // standard errors over sixteen 256-trial chunks.
+        const CHUNKS: u64 = 16;
+        let mu_one = {
+            let mut rows = [false; DEPTH_GRID];
+            rows[DEPTH_GRID - 1] = true;
+            ChunkPass::Exact(rows)
+        };
+        let tree = SeedTree::new(37).subtree("rate-gauss-hermite");
+        let mut scratch = RateScratch::new();
+        let mut informative = 0;
+        for order in [2, 4] {
+            for snr_db in [-5.0, 0.0, 5.0] {
+                let cfg = RateRegionConfig {
+                    cascade: MultiTagCascade::new(
+                        10.0,
+                        HopModel::new(2.6, f64::INFINITY),
+                        HopModel::new(2.4, f64::INFINITY),
+                        HopModel::new(2.0, f64::INFINITY),
+                    )
+                    .with_tag(9.0, 2.0),
+                    constellation: TagConstellation::psk(order, 0.5),
+                    snr_db,
+                    symbol_ratio: 1.0,
+                };
+                let a = cfg.cascade.relative_amplitude(0);
+                let scale = cfg.rho().sqrt();
+                let points: Vec<Complex> = cfg
+                    .constellation
+                    .points()
+                    .iter()
+                    .map(|c| (Complex::new(1.0, 0.0) + c.scale(a)).scale(scale))
+                    .collect();
+                let want = mixture_mi_quadrature(&points, 48);
+                let finer = mixture_mi_quadrature(&points, 64);
+                assert!((want - finer).abs() < 1e-9, "quadrature {want} vs {finer}");
+                if want > 0.05 && want < 0.95 * (order as f64).log2() {
+                    informative += 1;
+                }
+                for pass in [mu_one, ChunkPass::Fast] {
+                    let means: Vec<f64> = (0..CHUNKS)
+                        .map(|c| {
+                            let sums =
+                                rate_chunk(&cfg, &tree, c, RATE_CHUNK_TRIALS, pass, &mut scratch);
+                            sums.curves.backscatter[DEPTH_GRID - 1] / RATE_CHUNK_TRIALS as f64
+                        })
+                        .collect();
+                    let k = CHUNKS as f64;
+                    let mean = means.iter().sum::<f64>() / k;
+                    let var = means.iter().map(|m| (m - mean).powi(2)).sum::<f64>() / (k - 1.0);
+                    let se = (var / k).sqrt();
+                    assert!(
+                        (mean - want).abs() <= 4.0 * se,
+                        "{order}-PSK at {snr_db} dB, {pass:?}: MC {mean} ± {se}, quadrature {want}"
+                    );
+                }
+            }
+        }
+        // The SNRs span the curve, not its floor or its ceiling.
+        assert!(informative >= 4, "only {informative} informative cases");
     }
 }

@@ -40,8 +40,9 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # `count_bit_errors_scratch` and BPSK `measure_bpsk_ber`: fast decisions,
 # `ln_lanes` then `f32`, with exact libm replay inside the rounding
 # margin), E26's
-# streamed receive chain and the lane MI estimator (E29–E31's `exp` terms
-# eight per pass on `exp_lanes`) at full size.
+# streamed receive chain and the lane MI estimator (E29–E31's certified
+# two passes: every row's `exp` terms in `f32` on `exp_lanes_f32`, then
+# the rows the certificate keeps exact on `exp_lanes`) at full size.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q
 # Cross-CPU margin: glibc picks its libm `ln`/`exp`/`sin`/`cos` variants by
@@ -53,21 +54,30 @@ cargo test -q
 GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 cargo test -q -p mmtag-bench --test scenarios
 # The certificate's `ln_lanes` bound (≤ 2⁻⁵⁰ relative to libm `ln`) over
 # 2²⁸ ladder inputs and its `cos_2pi_lanes_f32` bound (≤ 2⁻²³ absolute) at
-# every f32 in [0, 1], and `exp_lanes` bit-equal to libm `exp` (glibc's FMA
-# variant) over 2²⁸ arguments: too slow for the debug run above, where
-# all three are #[ignore]d and smaller sweeps stand in.
+# every f32 in [0, 1], `exp_lanes` bit-equal to libm `exp` (glibc's FMA
+# variant) over 2²⁸ arguments, and the rate-region fast pass's
+# `exp_lanes_f32` (≤ 2⁻²³ relative) and `log2_lanes_f32` (≤ 2⁻²²) bounds at
+# every f32 of their domains: too slow for the debug run above, where all
+# five are #[ignore]d and smaller sweeps stand in.
 cargo test --release --offline -q -p mmtag-rf --lib -- --ignored
 # The lane OOK counter against the single-stream kernel over 10⁶ symbols
 # per mark convention at the certificate's SNR points, #[ignore]d likewise.
 cargo test --release --offline -q -p mmtag-phy --lib -- --ignored
+# The rate-region certificate against the exact estimator over 10⁵ fast
+# trial-rows of E29–E31's cells: every gap 2⁸ inside the margin the
+# certificate accepts at, #[ignore]d likewise.
+cargo test --release --offline -q -p mmtag-sim --lib -- --ignored
 # Every registry scenario at its published size and seed against the
-# table digests pinned in the test: the smoke digests above see a few
-# hundred trials, this sees every block, chunk and cell a published table
-# is built from. #[ignore]d in the debug run for the same reason.
+# table digests pinned in the test, rendered and as CSV (every cell at
+# full precision), and E29–E31's depth-row counts: the smoke digests above
+# see a few hundred trials, this sees every block, chunk and cell a
+# published table is built from. #[ignore]d in the debug run for the same
+# reason.
 cargo test --release --offline -q -p mmtag-bench --test scenarios -- --ignored
-# The same published-size digests, and E05's and E16's exact error counts,
-# with the FMA/AVX2 libm variants masked off: they must hold under the
-# libm another host may pick, not only under this host's.
+# The same published-size digests, E05's and E16's exact error counts and
+# E29–E31's row counts, with the FMA/AVX2 libm variants masked off: they
+# must hold under the libm another host may pick, not only under this
+# host's.
 GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 \
     cargo test --release --offline -q -p mmtag-bench --test scenarios -- --ignored
 cargo clippy --workspace --all-targets -- -D warnings

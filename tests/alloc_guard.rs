@@ -186,7 +186,9 @@ fn rate_region_chunk_is_allocation_free_in_steady_state() {
     use mmtag_channel::cascade::{HopModel, MultiTagCascade};
     use mmtag_phy::constellation::TagConstellation;
     use mmtag_rf::rng::SeedTree;
-    use mmtag_sim::rate_region::{sum_rate_chunk, RateRegionConfig, RateScratch};
+    use mmtag_sim::rate_region::{
+        rate_chunk, sum_rate_chunk, ChunkPass, RateRegionConfig, RateScratch, DEPTH_GRID,
+    };
 
     const TRIALS: usize = 32;
     let cfg = RateRegionConfig {
@@ -205,6 +207,12 @@ fn rate_region_chunk_is_allocation_free_in_steady_state() {
     let tree = SeedTree::new(0x7A7E).subtree("alloc-rate");
     let mut scratch = RateScratch::new();
 
+    // The grid's two passes: every row fast, then some rows exact.
+    let mut some = [false; DEPTH_GRID];
+    some[3] = true;
+    some[8] = true;
+    let passes = [ChunkPass::Fast, ChunkPass::Exact(some)];
+
     // Warm-up: first chunk grows the stream set, draw buffers and the
     // per-tuple equivalent-channel table.
     let warm = sum_rate_chunk(&cfg, &tree, 0, TRIALS, &mut scratch);
@@ -213,6 +221,11 @@ fn rate_region_chunk_is_allocation_free_in_steady_state() {
         let mut total = 0u64;
         for ci in 0..16u64 {
             total += sum_rate_chunk(&cfg, &tree, ci, TRIALS, &mut scratch).trials;
+            for pass in passes {
+                total += rate_chunk(&cfg, &tree, ci, TRIALS, pass, &mut scratch)
+                    .curves
+                    .trials;
+            }
         }
         total
     });
@@ -220,7 +233,11 @@ fn rate_region_chunk_is_allocation_free_in_steady_state() {
         allocs, 0,
         "warm rate-region chunk loop allocated {allocs} times over 16 chunks"
     );
-    assert_eq!(trials, 16 * warm.trials, "steady-state loop did no work");
+    assert_eq!(
+        trials,
+        3 * 16 * warm.trials,
+        "steady-state loop did no work"
+    );
 }
 
 #[test]
