@@ -4,7 +4,7 @@
 //! These are the §9 "network of mmTags" endgame runs: a reader grid
 //! inventorying 10³–10⁵ mobile, energy-harvesting tags through
 //! [`mmtag_mac::city::CityEngine`]. Both scenarios run the production
-//! engine — per-tag barrier, sharded per-slot rounds — at the
+//! engine — chunk-kernel barrier, sharded per-slot rounds — at the
 //! context's thread budget: E27 hands the budget to each engine in turn
 //! (its 10⁵-tag point is most of its work), E28 fans its nine independent
 //! engines out across it, one thread each. The registry smoke, the

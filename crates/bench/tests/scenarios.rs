@@ -290,6 +290,17 @@ const RATE_REGION_ROWS: [(&str, [u64; 3]); 3] = [
     ("e31-rate-vs-states", [1_500, 12_000, 1_500]),
 ];
 
+/// E27's and E28's city-barrier work at published size and seed, as the
+/// manifest counts it: `(barrier_tags, wall_tests)` — the unread tags the
+/// barriers walked, and the tag–reader pairs that passed both distance
+/// predicates at a reader with walls and so met its wall list. A barrier
+/// that tests other pairs than the per-tag walk did moves `wall_tests`
+/// even where the tables stay the same.
+const CITY_BARRIER_COUNTS: [(&str, [u64; 2]); 2] = [
+    ("e27-city-density", [516_424, 337_027]),
+    ("e28-city-mobility", [836_073, 765_937]),
+];
+
 /// The error counts in `column` of `table`'s rows, checking that every
 /// cell is exactly `count / trials`.
 fn error_counts(table: &mmtag_sim::experiment::Table, column: usize, trials: usize) -> Vec<u64> {
@@ -332,6 +343,21 @@ fn rate_region_scenarios_keep_their_row_counts_at_published_size() {
         let rows = ["coincident_rows", "fast_rows", "exact_rows"]
             .map(|kind| metrics.counter(&format!("sim.rate_region.{kind}")));
         assert_eq!(rows, want, "{name}: (coincident, fast, exact) rows");
+    }
+}
+
+#[test]
+#[ignore = "E27–E28 at published size; run in release: cargo test --release -p mmtag-bench --test scenarios -- --ignored"]
+fn city_scenarios_keep_their_barrier_counts_at_published_size() {
+    let reg = registry();
+    for runner in [Runner::with_threads(1), Runner::new()] {
+        for (name, want) in CITY_BARRIER_COUNTS {
+            let scenario = reg.get(name).expect("city scenario is registered");
+            let metrics = runner.run(scenario).manifest.metrics;
+            let counts = ["barrier_tags", "wall_tests"]
+                .map(|kind| metrics.counter(&format!("mac.city.{kind}")));
+            assert_eq!(counts, want, "{name}: (barrier_tags, wall_tests)");
+        }
     }
 }
 

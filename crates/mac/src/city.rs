@@ -10,15 +10,18 @@
 //!
 //! Time is divided into global **rounds** (the barriers). Each round:
 //!
-//! 1. **Barrier (parallel per tag, then a short serial tail)** — the
-//!    barrier walks the ascending list of unread tags. One pure per-tag
-//!    function places tag `i` on its [`mmtag_sim::mobility::Linear`]
-//!    trajectory and, if it can pay for a response after the harvest,
-//!    walks the readers in ascending index and keeps the nearest covering
-//!    one (squared-distance compare, boundary inclusive, blockage via
-//!    [`mmtag_sim::geom::line_of_sight`] against that reader's own wall
-//!    list, exact ties to the lower reader index). That pass writes one
-//!    reader per listed tag over disjoint chunks of the list
+//! 1. **Barrier (parallel over chunks, then a short serial tail)** — the
+//!    barrier walks the ascending list of unread tags in 1024-tag chunks.
+//!    A chunk kernel places each tag on its
+//!    [`mmtag_sim::mobility::Linear`] trajectory and, if it can pay for a
+//!    response after the harvest, keeps the nearest covering reader in
+//!    line of sight (squared-distance compare, boundary inclusive,
+//!    blockage by that reader's own wall list, exact ties to the lower
+//!    reader index). It walks the readers reader-major, eight tags at a
+//!    time, and tests the tags that pass a walled reader's distance
+//!    compares eight at a time against each of its walls
+//!    ([`Segment::blocks_lanes`]). That pass writes one reader per listed
+//!    tag over disjoint chunks of the list
 //!    ([`mmtag_sim::par::par_fill_chunks_with`]), so it is bit-identical
 //!    at any thread count. The serial tail applies the harvest and the
 //!    response debit to the listed tags' energy and builds the pending
@@ -45,15 +48,15 @@
 //! (set a read flag, overwrite one reader's Q, add to one reader's
 //! clock, integer sums) are grouping-invariant — regrouping readers into
 //! the ranges another thread budget gives produces identical tables.
-//! The barrier is a per-tag pure function with disjoint writes, so its
-//! thread count cannot matter either. The tests pin this at the engine
-//! level (stats and per-tag read flags across thread counts) and at the
-//! barrier level (the per-tag
-//! pass against its single oracle, a reader-major spatial-hash barrier
-//! over the full wall list and every tag, every round at 1, 2 and 4
-//! threads).
+//! The barrier's kernel gives each tag a reader that depends on that tag
+//! alone, and chunks write disjoint slices, so its thread count cannot
+//! matter either. The tests pin this at the engine level (stats and
+//! per-tag read flags across thread counts) and at the barrier level
+//! (the kernel against its single oracle, a reader-major spatial-hash
+//! barrier over the full wall list and every tag, every round at 1, 2
+//! and 4 threads).
 //!
-//! Why the per-tag pass equals its oracle: the reader-major barrier in
+//! Why the kernel equals its oracle: the reader-major barrier in
 //! this module's tests visits each reader's coverage disc through a
 //! [`mmtag_sim::spatial::SpatialHash`] and offers every in-disc tag that
 //! reader when it beats the tag's best so far. Seen from one tag, that is
@@ -65,9 +68,29 @@
 //! the disc's bounding box; the hash would miss it only if a cell edge
 //! fell inside that sliver, which the reader grids here cannot produce —
 //! their centres, radius and cell edges are multiples of 12.5 m.) The
-//! per-tag pass skips work the oracle does; the first two arguments
-//! below show each skip changes nothing, so `assigned` is identical
-//! without rebuilding a hash each round. The third covers the round.
+//! kernel meets, for each tag, that same predicate sequence (next
+//! paragraph) and skips work the oracle does; the two arguments after it
+//! show each skip changes nothing, so `assigned` is identical without
+//! rebuilding a hash each round. The slot loop's argument covers the
+//! round.
+//!
+//! **The chunk kernel.** Per chunk of the unread list, stage 1 gathers
+//! every tag's position, `x0 + vx·s` and `y0 + vy·s` — the operations of
+//! [`mmtag_sim::mobility::Linear`]'s `pose_at` — and its energy gate
+//! into fixed-size arrays on the stack: a tag that cannot pay after the
+//! harvest starts at `best = −∞`, which no `d2` beats, and so do the
+//! padding lanes past the chunk's end. Stage 2 walks the readers in
+//! ascending index. At a reader with no walls, eight tags at a time take
+//! it where `d2 <= coverage² && d2 < best`. At a reader with walls, the
+//! tags that pass those compares are listed (branch-free, a lane block
+//! at a time) and tested eight at a time against each wall of its list;
+//! a tag no wall blocks takes the reader. So each tag meets the same predicates, on the same readers,
+//! in the same order as a per-tag ascending walk, and the arithmetic is
+//! the same too: `d2` is `dist_sq`'s two products and sum, and
+//! [`Segment::blocks_lanes`] is the scalar crossing test's operations in
+//! its order, with its `|denom|` and margin branches as masks. A
+//! reader's verdict on a tag reads nothing another tag wrote, so the
+//! order in which a reader visits its tags cannot matter.
 //!
 //! **Per-reader wall lists.** [`CityEngine::new`] keeps, for each reader,
 //! the walls whose nearest point ([`Segment::dist_sq`]) lies within
@@ -103,16 +126,30 @@
 //! so a time-ordered event queue pops them in slot order; the loop
 //! `for s in 0..frame` classifies the same slots in that same order and
 //! counts one event per slot, without scheduling them.
+//!
+//! **Why a chunk kernel.** A per-tag function once walked the readers
+//! for one tag at a time, and two variants of its walk were no faster:
+//! that loop fused a five-array gather, a branchy walk over the readers
+//! and scalar crossing tests into one body that never vectorized, so
+//! reshaping the walk inside it changed little. Split
+//! into passes, the walk runs eight tags per instruction and a wall
+//! meets eight tags that share a reader at once. Vectorizing across one
+//! tag's walls instead loses where the lists are short and gains far less
+//! where they are long: a tag meets only the walls of the readers that
+//! cover it, and still pays its own walk. The barrier counts the
+//! unread tags it walks (`mac.city.barrier_tags`) and the tag–reader
+//! pairs that reach a wall list (`mac.city.wall_tests`); the
+//! published-size suite pins both for E27 and E28.
 
 use crate::aloha::{AlohaScratch, FramedAloha, QAlgorithm, RoundCounts};
+use mmtag_rf::math::LANES;
 use mmtag_rf::obs;
 use mmtag_rf::rng::Rng;
-use mmtag_rf::units::Angle;
-use mmtag_sim::geom::{crossing_slack, line_of_sight, Segment, Vec2};
-use mmtag_sim::mobility::{Linear, Mobility, Pose};
+use mmtag_sim::geom::{crossing_slack, Segment, Vec2};
 use mmtag_sim::par::par_fill_chunks_with;
 use mmtag_sim::time::{Duration, Instant};
 use mmtag_sim::SeedTree;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Energy ceiling a tag's harvester can charge to (initial charge is
 /// drawn from `[0.5, 1.0)`, so the ceiling is "a full capacitor").
@@ -121,10 +158,10 @@ const ENERGY_CAP: f64 = 1.0;
 /// Sentinel for "not assigned to any reader this round".
 const UNASSIGNED: u32 = u32::MAX;
 
-/// Tags per work unit of the barrier's per-tag pass. Each tag's reader is
-/// a pure function of the tag, so any chunk size yields the same
-/// `assigned`; this one gives a 10⁵-tag city about a hundred units to
-/// balance across workers.
+/// Tags per work unit of the barrier's chunk kernel ([`chunk_readers`]),
+/// and the size of its stack arrays. Each tag's reader is a pure function
+/// of the tag, so any chunk size yields the same `assigned`; this one
+/// gives a 10⁵-tag city about a hundred units to balance across workers.
 const BARRIER_CHUNK: usize = 1024;
 
 /// How far past `coverage_m` a reader's wall list reaches, meters: the
@@ -421,50 +458,128 @@ fn shard_round(
     }
 }
 
-/// Tag `i`'s position at time `t`: a pure function of its start pose.
-fn position_at(tags: &TagSoA, i: usize, t: Instant) -> Vec2 {
-    let traj = Linear {
-        start: Pose::new(Vec2::new(tags.x0[i], tags.y0[i]), Angle::from_radians(0.0)),
-        velocity: Vec2::new(tags.vx[i], tags.vy[i]),
-    };
-    traj.pose_at(t).position
-}
-
 /// An unread tag's stored energy after the round's harvest: it charges
 /// toward the cap. A read tag no longer harvests.
 fn harvested(cfg: &CityConfig, energy: f64) -> f64 {
     (energy + cfg.harvest_per_round).min(ENERGY_CAP)
 }
 
-/// The barrier's per-tag function: the reader that unread tag `i` pends
-/// at in the round at time `t`, or [`UNASSIGNED`] when it cannot pay for
-/// a response after the harvest or no reader covers it in line of sight.
-/// Readers are walked in ascending index and one wins when
-/// `d2 <= coverage²` (boundary inclusive), `d2 < best` (exact ties stay
-/// with the lower index) and no wall on its list blocks the path.
-fn tag_reader(
+/// For each lane mask, its set lanes in ascending order (the rest 0).
+const SET_LANES: [[u8; LANES]; 1 << LANES] = {
+    let mut table = [[0u8; LANES]; 1 << LANES];
+    let mut mask = 0;
+    while mask < 1 << LANES {
+        let (mut l, mut k) = (0, 0);
+        while l < LANES {
+            if mask >> l & 1 == 1 {
+                table[mask][k] = l as u8;
+                k += 1;
+            }
+            l += 1;
+        }
+        mask += 1;
+    }
+    table
+};
+
+/// The barrier's chunk kernel: writes to `out` the reader each tag of
+/// `unread` (one chunk of the unread list, at most [`BARRIER_CHUNK`]
+/// tags) pends at in the round at time `t`, or [`UNASSIGNED`] when it
+/// cannot pay for a response after the harvest or no reader covers it in
+/// line of sight. A reader wins when `d2 <= coverage²` (boundary
+/// inclusive), `d2 < best` (exact ties stay with the lower index) and no
+/// wall on its list blocks the path. Stage 1 gathers positions and
+/// energy gates into stack arrays; stage 2 walks the readers in
+/// ascending index over [`LANES`] tags at a time (module doc, "The chunk
+/// kernel"). Returns its wall tests: the tag–reader pairs that passed
+/// both distance compares at a reader with walls.
+fn chunk_readers(
     cfg: &CityConfig,
     readers: &[Vec2],
     walls: &[Vec<Segment>],
     tags: &TagSoA,
     t: Instant,
-    i: usize,
-) -> u32 {
-    if harvested(cfg, tags.energy[i]) < cfg.tx_cost {
-        return UNASSIGNED;
+    unread: &[u32],
+    out: &mut [u32],
+) -> u64 {
+    let n = unread.len();
+    let padded = n.div_ceil(LANES) * LANES;
+    let s = t.as_secs_f64();
+    let mut px = [0.0f64; BARRIER_CHUNK];
+    let mut py = [0.0f64; BARRIER_CHUNK];
+    let mut best = [f64::NEG_INFINITY; BARRIER_CHUNK];
+    let mut reader = [UNASSIGNED; BARRIER_CHUNK];
+    for (j, &i) in unread.iter().enumerate() {
+        let i = i as usize;
+        px[j] = tags.x0[i] + tags.vx[i] * s;
+        py[j] = tags.y0[i] + tags.vy[i] * s;
+        best[j] = if harvested(cfg, tags.energy[i]) < cfg.tx_cost {
+            f64::NEG_INFINITY
+        } else {
+            f64::INFINITY
+        };
     }
-    let position = position_at(tags, i, t);
+    let (px, py) = (&px[..padded], &py[..padded]);
+    let (best, reader) = (&mut best[..padded], &mut reader[..padded]);
     let coverage_sq = cfg.coverage_m * cfg.coverage_m;
-    let mut best = f64::INFINITY;
-    let mut reader = UNASSIGNED;
-    for (r, &rp) in readers.iter().enumerate() {
-        let d2 = position.dist_sq(rp);
-        if d2 <= coverage_sq && d2 < best && line_of_sight(position, rp, &walls[r]) {
-            best = d2;
-            reader = r as u32;
+    // A walled reader's verdict on each tag's distance compares (0 or 1),
+    // and the chunk positions of the tags that passed them.
+    let mut pass = [0u8; BARRIER_CHUNK];
+    let mut passed = [0u32; BARRIER_CHUNK];
+    let mut wall_tests = 0;
+    for (r, (&rp, walls)) in readers.iter().zip(walls).enumerate() {
+        let r = r as u32;
+        // `Vec2::dist_sq`'s operations, in its order.
+        let d2 = |j: usize| {
+            let (dx, dy) = (px[j] - rp.x, py[j] - rp.y);
+            dx * dx + dy * dy
+        };
+        if walls.is_empty() {
+            for j in 0..padded {
+                let d2 = d2(j);
+                let take = (d2 <= coverage_sq) & (d2 < best[j]);
+                best[j] = if take { d2 } else { best[j] };
+                reader[j] = if take { r } else { reader[j] };
+            }
+            continue;
+        }
+        for j in 0..padded {
+            let d2 = d2(j);
+            pass[j] = u8::from((d2 <= coverage_sq) & (d2 < best[j]));
+        }
+        // Each lane block appends its passing lanes without a branch: all
+        // eight slots are written, and `m` advances past the set ones. The
+        // multiply copies byte `l`'s verdict to bit `56 + l` and to bits
+        // below 56 or past 63, every copy on a bit of its own, so nothing
+        // carries and the top byte is the block's lane mask.
+        let mut m = 0;
+        for (b, lanes) in pass[..padded].chunks_exact(LANES).enumerate() {
+            let word = u64::from_le_bytes(lanes.try_into().expect("a lane block is 8 bytes"));
+            let mask = (word.wrapping_mul(0x0102_0408_1020_4080) >> 56) as usize;
+            for (slot, &l) in passed[m..m + LANES].iter_mut().zip(&SET_LANES[mask]) {
+                *slot = (b * LANES) as u32 + u32::from(l);
+            }
+            m += mask.count_ones() as usize;
+        }
+        wall_tests += m as u64;
+        for group in passed[..m].chunks(LANES) {
+            let (mut gx, mut gy) = ([rp.x; LANES], [rp.y; LANES]);
+            for (l, &j) in group.iter().enumerate() {
+                (gx[l], gy[l]) = (px[j as usize], py[j as usize]);
+            }
+            let blocked = walls
+                .iter()
+                .fold(0u8, |acc, w| acc | w.blocks_lanes(&gx, &gy, rp));
+            for (l, &j) in group.iter().enumerate() {
+                if blocked >> l & 1 == 0 {
+                    best[j as usize] = d2(j as usize);
+                    reader[j as usize] = r;
+                }
+            }
         }
     }
-    reader
+    out.copy_from_slice(&reader[..n]);
+    wall_tests
 }
 
 /// Applies one range's output — called serially, in range order. Every
@@ -588,10 +703,12 @@ impl CityEngine {
     }
 
     /// The round barrier at a `threads` budget: tags read last round
-    /// leave the unread list, the per-tag pass ([`tag_reader`]) fills
+    /// leave the unread list, the chunk kernel ([`chunk_readers`]) fills
     /// `assigned` over disjoint chunks of that list, then a serial tail
     /// applies harvest and response debit to the listed tags' energy and
-    /// builds the pending CSR. Bit-identical at any `threads`;
+    /// builds the pending CSR. Counts the listed tags
+    /// (`mac.city.barrier_tags`) and the kernel's wall tests
+    /// (`mac.city.wall_tests`). Bit-identical at any `threads`;
     /// allocation-free once the scratch vectors have warmed up.
     fn barrier(&mut self, k: u64, threads: usize) {
         let _span = obs::span("mac.city.barrier");
@@ -606,16 +723,19 @@ impl CityEngine {
             &self.tags,
             &self.unread[..],
         );
+        let wall_tests = AtomicU64::new(0);
         par_fill_chunks_with(
             threads,
             &mut self.assigned,
             BARRIER_CHUNK,
             |start, chunk| {
-                for (a, &i) in chunk.iter_mut().zip(&unread[start..]) {
-                    *a = tag_reader(cfg, readers, walls, tags, t, i as usize);
-                }
+                let listed = &unread[start..start + chunk.len()];
+                let tests = chunk_readers(cfg, readers, walls, tags, t, listed, chunk);
+                wall_tests.fetch_add(tests, Ordering::Relaxed);
             },
         );
+        obs::counter_add("mac.city.barrier_tags", self.unread.len() as u64);
+        obs::counter_add("mac.city.wall_tests", wall_tests.into_inner());
         // Serial tail. Harvest, and count each reader's pending tags.
         let nr = self.readers.len();
         self.pend_starts.clear();
@@ -684,7 +804,7 @@ impl CityEngine {
     }
 
     /// Runs `cfg.rounds` rounds at a `threads` budget: each round's
-    /// barrier runs its per-tag pass over tag chunks and the round its
+    /// barrier runs its chunk kernel over tag chunks and the round its
     /// reader ranges, both via [`mmtag_sim::par`] — bit-identical at any
     /// `threads`.
     pub fn run_rounds(&mut self, threads: usize) -> CityStats {
@@ -702,7 +822,18 @@ impl CityEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmtag_rf::units::Angle;
+    use mmtag_sim::mobility::{Linear, Mobility, Pose};
     use mmtag_sim::spatial::SpatialHash;
+
+    /// Tag `i`'s position at time `t`, from its [`Linear`] trajectory.
+    fn position_at(tags: &TagSoA, i: usize, t: Instant) -> Vec2 {
+        let traj = Linear {
+            start: Pose::new(Vec2::new(tags.x0[i], tags.y0[i]), Angle::from_radians(0.0)),
+            velocity: Vec2::new(tags.vx[i], tags.vy[i]),
+        };
+        traj.pose_at(t).position
+    }
 
     fn small(tags: usize, rounds: usize) -> CityConfig {
         let mut cfg = CityConfig::dense(tags, rounds);
@@ -742,7 +873,7 @@ mod tests {
                     return;
                 }
                 let d2 = positions[i].dist_sq(rp);
-                if d2 < best_d2[i] && line_of_sight(positions[i], rp, walls) {
+                if d2 < best_d2[i] && walls.iter().all(|w| !w.blocks(positions[i], rp)) {
                     best_d2[i] = d2;
                     assigned[i] = r as u32;
                 }
@@ -908,6 +1039,98 @@ mod tests {
                     speed > 0.0,
                     "moving populations must drift out of the world, {speed}"
                 );
+            }
+        }
+    }
+
+    /// Plants the chunk kernel's own edge cases over the first tags of a
+    /// city on the 50 m grid (reader `(col, row)` at `(25 + 50·col,
+    /// 25 + 50·row)`, index `col + row·readers_x`) and returns the walls
+    /// planted with them:
+    /// - tag 12 sits on reader 0, energy-starved, inside a lane block of
+    ///   live tags: it pends nowhere in round 0 and at reader 0 in round 1;
+    /// - tag 13, at (48, 51), is covered by readers (0, 1), (0, 0),
+    ///   (1, 1) and (1, 0), nearest first, and the walls cut it off from
+    ///   the two nearest, so the third, (1, 1), takes it.
+    fn plant_kernel_cases(tags: &mut TagSoA) -> Vec<Segment> {
+        for (i, x, y) in [(12, 25.0, 25.0), (13, 48.0, 51.0)] {
+            (tags.x0[i], tags.y0[i], tags.vx[i], tags.vy[i]) = (x, y, 0.0, 0.0);
+        }
+        tags.energy[12] = 0.0;
+        vec![
+            // Across tag 13's path to reader (0, 1), mid-path and mid-wall.
+            Segment::new(Vec2::new(34.1, 60.7), Vec2::new(38.9, 65.3)),
+            // Across its path to reader (0, 0).
+            Segment::new(Vec2::new(33.9, 40.3), Vec2::new(39.1, 35.7)),
+        ]
+    }
+
+    #[test]
+    fn chunk_kernel_matches_reader_major_oracle_at_its_edges() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // 2,053 and 5,003 tags are no multiple of 8 and end in a partial
+        // 1024-tag chunk; 75 m of coverage is 1.5 pitches, so a tag of the
+        // 9 × 8 grid can have nine covering readers.
+        for (cols, rows, coverage, n) in [
+            (3usize, 2usize, 75.0, 2_053usize),
+            (9, 8, 37.5, 5_003),
+            (9, 8, 75.0, 5_003),
+        ] {
+            let mut cfg = CityConfig::dense(n, 4);
+            (cfg.readers_x, cfg.readers_y, cfg.coverage_m) = (cols, rows, coverage);
+            (cfg.speed_mps, cfg.blockers) = (6.0, 48);
+            let tree = SeedTree::new(0xC4E7);
+            for threads in [1usize, 2, 4] {
+                let mut oracle = CityEngine::new(cfg, tree);
+                let mut fast = CityEngine::new(cfg, tree);
+                let planted = plant_kernel_cases(&mut oracle.tags);
+                plant_kernel_cases(&mut fast.tags);
+                // No random wall may decide tag 13's case.
+                let third = cols + 1;
+                let (tag13, via) = (Vec2::new(48.0, 51.0), fast.readers[third]);
+                let mut walls = random_walls(&cfg, &tree);
+                walls.retain(|w| !w.blocks(tag13, via));
+                walls.extend(planted);
+                fast.walls = reader_walls(&cfg, &fast.readers, &walls);
+                for k in 0..cfg.rounds as u64 {
+                    reader_major_barrier(&mut oracle, &walls, k);
+                    fast.barrier(k, threads);
+                    let at = format!(
+                        "{cols} × {rows}, coverage {coverage}, threads={threads} round={k}"
+                    );
+                    let assigned = assignment(&fast);
+                    assert_eq!(assignment(&oracle), assigned, "assigned, {at}");
+                    assert_eq!(oracle.pend_starts, fast.pend_starts, "pend_starts, {at}");
+                    assert_eq!(oracle.pend_entries, fast.pend_entries, "pend_entries, {at}");
+                    assert_eq!(
+                        bits(&oracle.tags.energy),
+                        bits(&fast.tags.energy),
+                        "energy, {at}"
+                    );
+                    if k == 0 {
+                        assert_eq!(assigned[12], UNASSIGNED, "starved tag, {at}");
+                        assert_eq!(assigned[13], third as u32, "third reader, {at}");
+                        let t = Instant::ZERO;
+                        let covering = (0..n).map(|i| {
+                            let p = position_at(&fast.tags, i, t);
+                            let r2 = coverage * coverage;
+                            fast.readers
+                                .iter()
+                                .filter(|&&rp| p.dist_sq(rp) <= r2)
+                                .count()
+                        });
+                        if (cols, coverage) == (9, 75.0) {
+                            assert_eq!(covering.max(), Some(9), "nine covering readers, {at}");
+                        }
+                    }
+                    if k == 1 {
+                        assert_eq!(assigned[12], 0, "tag 12 paid after two harvests, {at}");
+                    }
+                    oracle.play_round(threads);
+                    fast.play_round(threads);
+                }
+                assert_eq!(oracle.stats(), fast.stats());
+                assert_eq!(oracle.tags.read, fast.tags.read);
             }
         }
     }

@@ -7,6 +7,7 @@
 //! straight-edge geometry — no meshes, no tolerance knobs beyond an explicit
 //! epsilon for endpoint grazing.
 
+use mmtag_rf::math::LANES;
 use mmtag_rf::units::{Angle, Distance};
 
 /// Geometric tolerance for intersection tests, meters.
@@ -204,7 +205,40 @@ impl Segment {
         let image = self.mirror(src);
         segment_intersection(image, dst, self.a, self.b)
     }
+
+    /// [`Self::blocks`] for [`LANES`] paths that share their end `q`: bit
+    /// `l` of the result is `self.blocks(Vec2::new(px[l], py[l]), q)`.
+    ///
+    /// The branch-free lane form of the scalar crossing test
+    /// (`segment_intersection`): the same operands and the same IEEE
+    /// operations in the same order (no `mul_add`), with `|denom| ≥ EPS`
+    /// and the range margins as masks instead of branches, so every
+    /// lane's verdict equals the scalar one. A lane whose `|denom|` is
+    /// below `EPS` divides anyway, but its mask is clear; a NaN `denom`
+    /// fails both forms' `t` tests.
+    pub fn blocks_lanes(&self, px: &[f64; LANES], py: &[f64; LANES], q: Vec2) -> u8 {
+        let s = self.b.sub(self.a);
+        let mut hits = 0u8;
+        for l in 0..LANES {
+            let (rx, ry) = (q.x - px[l], q.y - py[l]);
+            let denom = rx * s.y - ry * s.x;
+            let (qpx, qpy) = (self.a.x - px[l], self.a.y - py[l]);
+            let t = (qpx * s.y - qpy * s.x) / denom;
+            let u = (qpx * ry - qpy * rx) / denom;
+            let hit = (denom.abs() >= EPS)
+                & (t > CROSSING_MARGIN)
+                & (t < 1.0 - CROSSING_MARGIN)
+                & (u > CROSSING_MARGIN)
+                & (u < 1.0 - CROSSING_MARGIN);
+            hits |= u8::from(hit) << l;
+        }
+        hits
+    }
 }
+
+/// How far inside `(0, 1)` both segments' crossing parameters must lie
+/// for a proper crossing: endpoint grazing within it does not count.
+const CROSSING_MARGIN: f64 = 1e-7;
 
 /// Proper intersection point of segments `p1→p2` and `p3→p4`, excluding
 /// near-parallel and endpoint-grazing cases.
@@ -218,17 +252,12 @@ fn segment_intersection(p1: Vec2, p2: Vec2, p3: Vec2, p4: Vec2) -> Option<Vec2> 
     let qp = p3.sub(p1);
     let t = qp.cross(s) / denom;
     let u = qp.cross(r) / denom;
-    let margin = 1e-7;
+    let margin = CROSSING_MARGIN;
     if t > margin && t < 1.0 - margin && u > margin && u < 1.0 - margin {
         Some(p1.add(r.scale(t)))
     } else {
         None
     }
-}
-
-/// True if the straight path `p → q` is clear of every segment in `walls`.
-pub fn line_of_sight(p: Vec2, q: Vec2, walls: &[Segment]) -> bool {
-    walls.iter().all(|w| !w.blocks(p, q))
 }
 
 #[cfg(test)]
@@ -401,14 +430,102 @@ mod tests {
 
     #[test]
     fn line_of_sight_multiple_walls() {
-        let walls = vec![
+        let walls = [
             Segment::new(Vec2::new(1.0, -1.0), Vec2::new(1.0, 1.0)),
             Segment::new(Vec2::new(3.0, -1.0), Vec2::new(3.0, 1.0)),
         ];
-        assert!(!line_of_sight(Vec2::ORIGIN, Vec2::new(2.0, 0.0), &walls));
-        assert!(!line_of_sight(Vec2::ORIGIN, Vec2::new(4.0, 0.0), &walls));
-        assert!(line_of_sight(Vec2::ORIGIN, Vec2::new(0.5, 0.0), &walls));
-        assert!(line_of_sight(Vec2::ORIGIN, Vec2::new(-2.0, 0.0), &walls));
+        let clear = |q: Vec2| walls.iter().all(|w| !w.blocks(Vec2::ORIGIN, q));
+        assert!(!clear(Vec2::new(2.0, 0.0)));
+        assert!(!clear(Vec2::new(4.0, 0.0)));
+        assert!(clear(Vec2::new(0.5, 0.0)));
+        assert!(clear(Vec2::new(-2.0, 0.0)));
+    }
+
+    /// Asserts every lane of [`Segment::blocks_lanes`] over the paths
+    /// `ps[l] → q` equals [`Segment::blocks`], and returns the verdicts.
+    fn lanes_match_scalar(wall: &Segment, ps: [Vec2; LANES], q: Vec2) -> [bool; LANES] {
+        let hits = wall.blocks_lanes(&ps.map(|p| p.x), &ps.map(|p| p.y), q);
+        std::array::from_fn(|l| {
+            let scalar = wall.blocks(ps[l], q);
+            assert_eq!(
+                hits >> l & 1 == 1,
+                scalar,
+                "lane {l}: {wall:?}, {:?} → {q:?}",
+                ps[l]
+            );
+            scalar
+        })
+    }
+
+    #[test]
+    fn lane_wall_test_matches_the_scalar_one() {
+        use crate::rng::{Rng, SeedTree};
+        let both = |v: &[bool]| v.contains(&true) && v.contains(&false);
+        // Random walls and paths over a 100 m square.
+        let mut rng = SeedTree::new(0x1A4E).rng("lane-walls");
+        let mut point = || Vec2::new(rng.f64() * 100.0, rng.f64() * 100.0);
+        let mut verdicts = Vec::new();
+        for _ in 0..20_000 {
+            let wall = Segment::new(point(), point());
+            let q = point();
+            verdicts.extend(lanes_match_scalar(
+                &wall,
+                std::array::from_fn(|_| point()),
+                q,
+            ));
+        }
+        assert!(both(&verdicts), "random cases cross and miss");
+
+        // Parallel to the wall and collinear with it: `denom` is 0.
+        let wall = Segment::new(Vec2::new(0.0, 0.0), Vec2::new(10.0, 0.0));
+        let xs = [-3.0, -1.0, 0.0, 2.5, 5.0, 9.0, 10.0, 12.0];
+        for y in [0.0, 1.0] {
+            let hits = lanes_match_scalar(&wall, xs.map(|x| Vec2::new(x, y)), Vec2::new(20.0, y));
+            assert_eq!(hits, [false; LANES], "y = {y}");
+        }
+
+        // `|denom|` straddling `EPS`, with the crossing mid-path and
+        // mid-wall: the wall runs from (−δ, 1) to (δ, 2), δ = EPS/6, and a
+        // path from (x, 3) to the origin has `denom` = EPS − x.
+        let delta = EPS / 6.0;
+        let wall = Segment::new(Vec2::new(-delta, 1.0), Vec2::new(delta, 2.0));
+        let ps = std::array::from_fn(|l| Vec2::new(EPS * (l as f64 - 3.5) * 1e-3, 3.0));
+        let hits = lanes_match_scalar(&wall, ps, Vec2::ORIGIN);
+        assert!(both(&hits), "|denom| on both sides of EPS: {hits:?}");
+
+        // Crossings with `t` or `u` within the margin of 0 or 1. The wall
+        // is x = 0 from y = −1 to 1 and the paths end at q = (1, 0), so a
+        // path from (x, y) crosses at t = −x / (1 − x) and u = (1 + y/(1 − x)) / 2.
+        let wall = Segment::new(Vec2::new(0.0, -1.0), Vec2::new(0.0, 1.0));
+        let q = Vec2::new(1.0, 0.0);
+        let m = CROSSING_MARGIN;
+        for edge in [m, 1.0 - m] {
+            let near = |l: usize| edge + (l as f64 - 3.5) * 1e-12;
+            // t near the edge, u = 1/2.
+            let ps = std::array::from_fn(|l| Vec2::new(-near(l) / (1.0 - near(l)), 0.0));
+            let hits = lanes_match_scalar(&wall, ps, q);
+            assert!(both(&hits), "t near {edge}: {hits:?}");
+            // u near the edge, t = 1/2 (start at x = −1).
+            let ps = std::array::from_fn(|l| Vec2::new(-1.0, 4.0 * near(l) - 2.0));
+            let hits = lanes_match_scalar(&wall, ps, q);
+            assert!(both(&hits), "u near {edge}: {hits:?}");
+        }
+
+        // A wall endpoint on the path (u = 0 or 1 exactly), beside proper
+        // crossings and misses.
+        let ps =
+            [(-1.0, -2.0), (-1.0, 2.0), (-1.0, 0.0), (-1.0, 0.5)].map(|(x, y)| Vec2::new(x, y));
+        let ps = std::array::from_fn(|l| ps[l % 4]);
+        let hits = lanes_match_scalar(&wall, ps, q);
+        assert_eq!(hits[..4], [false, false, true, true]);
+
+        // Padding lanes past a chunk's end sit at the origin or at the
+        // path's own end (a zero-length path) and leave the live lanes'
+        // verdicts alone.
+        let live = Vec2::new(-1.0, 0.0);
+        let ps = std::array::from_fn(|l| [live, Vec2::ORIGIN, q][l % 3]);
+        let hits = lanes_match_scalar(&wall, ps, q);
+        assert_eq!(hits[..3], [true, false, false]);
     }
 
     #[test]

@@ -69,15 +69,16 @@ cargo test --release --offline -q -p mmtag-phy --lib -- --ignored
 cargo test --release --offline -q -p mmtag-sim --lib -- --ignored
 # Every registry scenario at its published size and seed against the
 # table digests pinned in the test, rendered and as CSV (every cell at
-# full precision), and E29–E31's depth-row counts: the smoke digests above
-# see a few hundred trials, this sees every block, chunk and cell a
-# published table is built from. #[ignore]d in the debug run for the same
-# reason.
+# full precision), E29–E31's depth-row counts and E27–E28's city-barrier
+# counts (tags walked, wall tests at 1 thread and the default budget):
+# the smoke digests above see a few hundred trials, this sees every
+# block, chunk and cell a published table is built from. #[ignore]d in
+# the debug run for the same reason.
 cargo test --release --offline -q -p mmtag-bench --test scenarios -- --ignored
-# The same published-size digests, E05's and E16's exact error counts and
-# E29–E31's row counts, with the FMA/AVX2 libm variants masked off: they
-# must hold under the libm another host may pick, not only under this
-# host's.
+# The same published-size digests, E05's and E16's exact error counts,
+# E29–E31's row counts and E27–E28's barrier counts, with the FMA/AVX2
+# libm variants masked off: they must hold under the libm another host
+# may pick, not only under this host's.
 GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 \
     cargo test --release --offline -q -p mmtag-bench --test scenarios -- --ignored
 cargo clippy --workspace --all-targets -- -D warnings
@@ -94,19 +95,26 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 cargo run -q --release -p mmtag-cli -- scenarios
 
 # City-scale smoke: one hundred thousand tags through the city engine via
-# the CLI — the production path (SoA tag state, per-tag parallel barrier,
-# per-slot rounds over one reader range per thread, range merge) at full
-# density, not the minimized smoke size. The ranges follow the thread
-# budget, so a 1-thread run and a default-budget run must print the same
-# bytes.
+# the CLI — the production path (SoA tag state, the barrier's chunk kernel
+# over chunks in parallel, per-slot rounds over one reader range per
+# thread, range merge) at full density, not the minimized smoke size. The
+# ranges follow the thread budget, so a 1-thread run and a default-budget
+# run must print the same bytes. The second city adds 48 walls and 6 m/s
+# tags, which drive the kernel's wall tests.
 city_dir="$work/city"
 mkdir "$city_dir"
-MMTAG_THREADS=1 cargo run -q --release -p mmtag-cli -- \
-    city --tags 100000 --rounds 5 --seed 7 > "$city_dir/one-thread.txt"
-cargo run -q --release -p mmtag-cli -- \
-    city --tags 100000 --rounds 5 --seed 7 > "$city_dir/default.txt"
-cat "$city_dir/default.txt"
-cmp "$city_dir/one-thread.txt" "$city_dir/default.txt"
+city_smoke() {
+    name=$1
+    shift
+    MMTAG_THREADS=1 cargo run -q --release -p mmtag-cli -- \
+        city --tags 100000 --rounds 5 --seed 7 "$@" > "$city_dir/$name-one-thread.txt"
+    cargo run -q --release -p mmtag-cli -- \
+        city --tags 100000 --rounds 5 --seed 7 "$@" > "$city_dir/$name.txt"
+    cat "$city_dir/$name.txt"
+    cmp "$city_dir/$name-one-thread.txt" "$city_dir/$name.txt"
+}
+city_smoke default
+city_smoke walls --blockers 48 --speed-mps 6
 
 # Rate-region smoke (E29, small grid): the multi-tag sweep end to end —
 # cascade channel, tag constellations, one chunk-grid estimate shared by

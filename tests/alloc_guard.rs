@@ -460,19 +460,22 @@ fn city_event_loop_is_allocation_free_in_steady_state() {
     use mmtag_sim::SeedTree;
 
     // The engine contract: a full city round through `run_rounds` — the
-    // per-tag barrier (mobility, harvest, reader assignment) over the
-    // unread tags and its pending CSR, each reader range's frames played
-    // slot by slot into its engine-owned output, merge — performs zero
-    // steady-state allocation on the calling thread once that scratch has
-    // reached its high-water marks at a fixed thread budget. At 2 threads
-    // the pool runs one range (and barrier chunks) on a worker, whose
-    // allocations this thread-local counter does not see; the outputs it
-    // fills are the same engine-owned vectors.
-    for threads in [1usize, 2] {
+    // barrier's chunk kernel (mobility, energy gate, reader assignment,
+    // wall tests) over the unread tags and its pending CSR, each reader
+    // range's frames played slot by slot into its engine-owned output,
+    // merge — performs zero steady-state allocation on the calling thread
+    // once that scratch has reached its high-water marks at a fixed thread
+    // budget. At 2 threads the pool runs one range (and barrier chunks) on
+    // a worker, whose allocations this thread-local counter does not see;
+    // the outputs it fills are the same engine-owned vectors. Beside the
+    // default 4 blockers, 48 blockers at 6 m/s drive the kernel's wall
+    // path (tags listed at walled readers, lane wall tests) hard.
+    for (speed, blockers, threads) in [(0.5, 4, 1usize), (0.5, 4, 2), (6.0, 48, 1), (6.0, 48, 2)] {
         let mut cfg = CityConfig::dense(2_000, 1);
         cfg.readers_x = 3;
         cfg.readers_y = 2;
-        cfg.speed_mps = 0.5;
+        cfg.speed_mps = speed;
+        cfg.blockers = blockers;
         let mut eng = CityEngine::new(cfg, SeedTree::new(0xC17A));
 
         // Warm-up: lets the Q algorithms climb to their peak frame sizes
@@ -492,7 +495,7 @@ fn city_event_loop_is_allocation_free_in_steady_state() {
         });
         assert_eq!(
             allocs, 0,
-            "warm city round allocated {allocs} times over 4 rounds at {threads} threads"
+            "warm city round allocated {allocs} times over 4 rounds at {threads} threads, {blockers} blockers"
         );
         assert!(
             stats.events > warm.events,
