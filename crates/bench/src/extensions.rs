@@ -14,13 +14,13 @@ use mmtag_mac::capture::capture_gain;
 use mmtag_mac::mimo::mimo_inventory;
 use mmtag_mac::ScanSchedule;
 use mmtag_mac::SectorScheduler;
-use mmtag_phy::bpsk::{measure_bpsk_ber, measure_bpsk_ber_raws, BpskModem};
+use mmtag_phy::bpsk::{measure_bpsk_ber, BpskModem};
 use mmtag_phy::pulse::PulseShaper;
 use mmtag_phy::spectrum::Spectrum;
-use mmtag_phy::waveform::{measure_ber, measure_ber_raws, OokModem};
+use mmtag_phy::waveform::{measure_ber, OokModem};
 use mmtag_rf::rng::Xoshiro256pp;
 use mmtag_sim::experiment::Table;
-use mmtag_sim::par::par_stream_cells_with;
+use mmtag_sim::par::par_sweep_with;
 use mmtag_sim::scenario::{AxisKind, RunContext, ScenarioSpec};
 
 /// **E13** spec: the channel half-width sweep under `seed`.
@@ -202,26 +202,19 @@ pub(crate) fn e16_body(ctx: &RunContext) -> Vec<Table> {
     let ook = OokModem::new(4);
     let bpsk = BpskModem::new(4);
     let snrs = ctx.spec.values("eb_n0_db");
-    // The (SNR, modem) cells read one sequential stream in turn: OOK, then
-    // BPSK, at each SNR. Each starts from a jump of the seeded stream past
-    // the raws the cells before it read, so the cells run concurrently on
-    // the very draws they would read in turn.
+    // Cell `i` draws from subtree ("cell", i): the order, OOK then BPSK at
+    // each SNR, and the labels fix the pinned table.
     let cells: Vec<(f64, bool)> = snrs
         .iter()
         .flat_map(|&snr| [(snr, false), (snr, true)])
         .collect();
-    let bers = par_stream_cells_with(
+    let bers = par_sweep_with(
         ctx.threads,
-        &Xoshiro256pp::seed_from(ctx.spec.seed),
+        &ctx.tree,
+        "cell",
         &cells,
-        |&(_, is_bpsk)| {
-            if is_bpsk {
-                measure_bpsk_ber_raws(&bpsk, bits)
-            } else {
-                measure_ber_raws(&ook, bits)
-            }
-        },
-        |rng, &(snr, is_bpsk)| {
+        |tree, &(snr, is_bpsk)| {
+            let rng = &mut tree.rng("ber");
             if is_bpsk {
                 measure_bpsk_ber(&bpsk, snr, bits, rng)
             } else {

@@ -116,3 +116,24 @@ fn an_untraced_run_leaves_an_empty_log_on_its_thread() {
         assert!(obs::drain().is_empty(), "threads={threads}");
     }
 }
+
+#[test]
+fn e16_counts_the_bits_of_both_modems() {
+    // Three SNRs, OOK and BPSK at each, 200 bits a cell: every cell adds
+    // its bits and one `phy.ber.chunk_errors` sample, BPSK's as OOK's.
+    let reg = registry();
+    let s = reg.get("e16-bpsk").expect("e16-bpsk is registered");
+    for threads in [1usize, 2] {
+        let m = Runner::with_threads(threads)
+            .run_minimized(s, 3, 200)
+            .manifest
+            .metrics;
+        assert_eq!(m.counter("phy.ber.bits"), 1_200, "threads={threads}");
+        let samples = m
+            .histograms
+            .iter()
+            .find(|h| h.name == "phy.ber.chunk_errors")
+            .map_or(0, |h| h.count);
+        assert_eq!(samples, 6, "threads={threads}");
+    }
+}

@@ -72,7 +72,7 @@ const SMOKE_DIGESTS: [(&str, u64); 31] = [
     ("e13-spectrum", 0xa3c1_090d_10a2_fd2d),
     ("e14-ablation", 0x01f3_c002_c838_3ccc),
     ("e15-fading", 0x06dd_2ce5_681c_2f5a),
-    ("e16-bpsk", 0x01d8_e6cb_756d_7e8f),
+    ("e16-bpsk", 0xce57_e936_05e3_e973),
     ("e17-planar", 0xd3be_7b07_e95c_e81e),
     ("e18-storage", 0xae23_98c0_0afe_0e51),
     ("e19-acquisition", 0x6e18_8210_a61b_6cf0),
@@ -210,7 +210,7 @@ const PUBLISHED_DIGESTS: [(&str, u64); 31] = [
     ("e13-spectrum", 0xb1ca_a230_ca35_cd4e),
     ("e14-ablation", 0x865d_afd4_3dea_781b),
     ("e15-fading", 0x82d8_739b_054f_4fd1),
-    ("e16-bpsk", 0x4b39_7e3e_8c1d_e264),
+    ("e16-bpsk", 0x179e_b717_8641_a696),
     ("e17-planar", 0x7599_bb7a_bea4_9b2c),
     ("e18-storage", 0x09aa_a8ba_f079_1d9f),
     ("e19-acquisition", 0x357f_bad1_ba34_9a16),
@@ -248,7 +248,7 @@ const PUBLISHED_CSV_DIGESTS: [(&str, u64); 31] = [
     ("e13-spectrum", 0xff59_6f00_a978_0eed),
     ("e14-ablation", 0x1f2b_0a4b_96ba_f779),
     ("e15-fading", 0x30a2_b4ac_08a2_65fc),
-    ("e16-bpsk", 0xf0be_c9fa_94b6_e5a3),
+    ("e16-bpsk", 0x7953_0165_bb2c_f018),
     ("e17-planar", 0x82a8_5927_f75e_4290),
     ("e18-storage", 0x8c7b_a500_3143_00c9),
     ("e19-acquisition", 0x4e48_bf04_6aa9_6526),
@@ -275,7 +275,7 @@ const PUBLISHED_CSV_DIGESTS: [(&str, u64); 31] = [
 const E05_OOK_ERRORS: [u64; 15] = [
     31947, 26639, 20920, 15935, 11270, 7659, 4661, 2548, 1162, 477, 160, 30, 6, 3, 0,
 ];
-const E16_ERRORS: [(u64, u64); 5] = [(15860, 4549), (7546, 1142), (2587, 140), (472, 4), (38, 0)];
+const E16_ERRORS: [(u64, u64); 5] = [(15860, 4502), (7567, 1222), (2561, 184), (467, 7), (47, 0)];
 
 /// E29–E31's depth-row traffic at published size and seed, as the manifest
 /// counts it: `(coincident_rows, fast_rows, exact_rows)`. Every trial's
@@ -330,6 +330,73 @@ fn ber_scenarios_keep_their_exact_error_counts_at_published_size() {
     let bpsk = error_counts(&record.tables[0], 2, trials);
     let got: Vec<(u64, u64)> = ook.into_iter().zip(bpsk).collect();
     assert_eq!(got, E16_ERRORS);
+}
+
+/// The two-sided 99.9% standard normal quantile.
+const Z_999: f64 = 3.2905;
+
+/// The Wilson score interval for `k` successes in `n` trials at normal
+/// quantile `z`.
+fn wilson(k: u64, n: usize, z: f64) -> (f64, f64) {
+    let (n, z2) = (n as f64, z * z);
+    let p = k as f64 / n;
+    let centre = (p + z2 / (2.0 * n)) / (1.0 + z2 / n);
+    let half = z / (1.0 + z2 / n) * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt();
+    (centre - half, centre + half)
+}
+
+#[test]
+fn pinned_error_counts_meet_their_closed_forms() {
+    // Every pinned count at its registry SNR and trial count: the closed
+    // form lies inside the count's 99.9% Wilson interval, or under its
+    // upper bound when the count is 0.
+    use mmtag_phy::ber::{bpsk_ber, ook_coherent_ber};
+    let reg = registry();
+    let spec = |name: &str| reg.get(name).expect("BER scenario is registered").spec();
+    let lin = |db: f64| 10f64.powf(db / 10.0);
+    let mut rows = Vec::new();
+    let e05 = spec("e05-ber");
+    let snrs = e05.values("eb_n0_db");
+    assert_eq!(snrs.len(), E05_OOK_ERRORS.len());
+    for (&db, &k) in snrs.iter().zip(&E05_OOK_ERRORS) {
+        rows.push((
+            format!("E05 OOK {db} dB"),
+            ook_coherent_ber(lin(db)),
+            k,
+            e05.trials,
+        ));
+    }
+    let e16 = spec("e16-bpsk");
+    let snrs = e16.values("eb_n0_db");
+    assert_eq!(snrs.len(), E16_ERRORS.len());
+    for (&db, &(ook, bpsk)) in snrs.iter().zip(&E16_ERRORS) {
+        rows.push((
+            format!("E16 OOK {db} dB"),
+            ook_coherent_ber(lin(db)),
+            ook,
+            e16.trials,
+        ));
+        rows.push((
+            format!("E16 BPSK {db} dB"),
+            bpsk_ber(lin(db)),
+            bpsk,
+            e16.trials,
+        ));
+    }
+    let outside: Vec<String> = rows
+        .iter()
+        .filter_map(|(row, theory, k, n)| {
+            let (lo, hi) = wilson(*k, *n, Z_999);
+            let inside = *theory <= hi && (*k == 0 || *theory >= lo);
+            (!inside)
+                .then(|| format!("{row}: {theory:.4e} outside [{lo:.4e}, {hi:.4e}], {k} of {n}"))
+        })
+        .collect();
+    assert!(
+        outside.is_empty(),
+        "closed form outside the 99.9% Wilson interval:\n{}",
+        outside.join("\n")
+    );
 }
 
 #[test]

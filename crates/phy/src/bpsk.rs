@@ -137,6 +137,7 @@ fn count_bpsk_errors<R: Rng + ?Sized>(
     rng: &mut R,
     margin: f64,
 ) -> usize {
+    let _span = obs::span("phy.ber.chunk");
     let sps = modem.samples_per_symbol;
     assert!(
         sps <= MAX_CERTIFIED_SPS,
@@ -163,7 +164,9 @@ fn count_bpsk_errors<R: Rng + ?Sized>(
             errors += usize::from((s > 0.0) != bit);
         }
     }
+    obs::counter_add("phy.ber.bits", n_bits as u64);
     obs::counter_add("phy.ber.replays", replays);
+    obs::observe("phy.ber.chunk_errors", errors as u64);
     errors
 }
 
@@ -228,16 +231,6 @@ fn exact_bpsk_statistic(u1: &[f64], u2: &[f64], a: f64, sigma: f64) -> f64 {
         sum += a + sigma * n;
     }
     sum
-}
-
-/// The raw draws one [`measure_bpsk_ber`] call over `n_bits` bits reads
-/// when no Box–Muller `u1` is redrawn: one per bit ([`Rng::bit`]), then
-/// two Box–Muller draws of two raws each per sample — [`Awgn::apply`]
-/// takes one scalar [`Rng::normal`] for I and one for Q, over
-/// `n_bits · sps` samples. The BPSK twin of
-/// [`crate::waveform::measure_ber_raws`].
-pub fn measure_bpsk_ber_raws(modem: &BpskModem, n_bits: usize) -> u64 {
-    (n_bits + 4 * n_bits * modem.samples_per_symbol) as u64
 }
 
 #[cfg(test)]
@@ -359,7 +352,9 @@ mod tests {
             let bits: Vec<bool> = (0..n).map(|_| a.bit()).collect();
             let mut samples = modem.modulate(&bits);
             awgn.apply(&mut samples, &mut a);
-            b.skip_raw(n as u64);
+            for _ in 0..n {
+                b.next_u64();
+            }
             let (mut p1, mut p2) = (vec![0.0; 2 * n * sps], vec![0.0; 2 * n * sps]);
             uniform_pairs(&mut b, &mut p1, &mut p2);
             let u1: Vec<f64> = p1.iter().step_by(2).copied().collect();
@@ -478,20 +473,6 @@ mod tests {
             (bpsk - ook_plus3).abs() < 0.5 * (bpsk + ook_plus3) + 2e-4,
             "BPSK@7 {bpsk} vs OOK@10 {ook_plus3}"
         );
-    }
-
-    #[test]
-    fn measure_bpsk_ber_advances_the_stream_as_stated() {
-        for sps in [1usize, 4] {
-            let modem = BpskModem::new(sps);
-            for n_bits in [1usize, 7, 9, 100, 1001] {
-                let mut measured = Xoshiro256pp::seed_from(0xB95C ^ n_bits as u64);
-                let mut skipped = measured.clone();
-                measure_bpsk_ber(&modem, 5.0, n_bits, &mut measured);
-                skipped.skip_raw(measure_bpsk_ber_raws(&modem, n_bits));
-                assert_eq!(measured, skipped, "sps={sps} n_bits={n_bits}");
-            }
-        }
     }
 
     #[test]

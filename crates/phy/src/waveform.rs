@@ -10,9 +10,8 @@
 //! * [`OokModem::demodulate_coherent`] — matched filter plus a threshold
 //!   on the real part (the reader side: the reader generates the carrier,
 //!   so the backscatter it hears is phase-coherent),
-//! * [`measure_ber`] — the Monte-Carlo harness on one sequential stream
-//!   ([`measure_ber_raws`] states how far one call advances it), and
-//!   [`ber_sweep_par_with`] — the same harness chunked over the
+//! * [`measure_ber`] — the Monte-Carlo harness on one sequential stream,
+//!   and [`ber_sweep_par_with`] — the same harness chunked over the
 //!   [`mmtag_rf::par`] engine at an explicit thread budget (one RNG stream
 //!   per (point, bit-chunk), so parallel estimates are bit-identical at
 //!   any thread count) behind experiment E5 and serve's sweeps; its work
@@ -29,7 +28,7 @@
 //! The Monte-Carlo trial loop is the stack's hottest path. It has two
 //! production shapes sharing one certificate, one exact replay and one
 //! set of math lanes (DESIGN.md §11). [`count_bit_errors_scratch`] counts
-//! one stream of any [`Rng`] (E16's sequential cells, perfbench's probe):
+//! one stream of any [`Rng`] (E16's OOK cells, perfbench's probe):
 //! all bits drawn first, then the waveform streamed through groups of
 //! whole symbols held in a caller-owned, group-sized [`TrialScratch`] —
 //! noise from the certified Box–Muller block ([`uniform_pairs`] +
@@ -416,8 +415,8 @@ impl TrialScratch {
 ///   replayed through the exact libm chain from its kept uniforms
 ///   ([`box_muller_exact`]), and so is every symbol of a call whose `σ`
 ///   or amplitude lies outside the range `f32` covers. At published size
-///   E05 replays 555 of its 3 000 000 decisions and E16 185 of 1 000 000
-///   (their manifests' `phy.ber.replays`).
+///   E05 replays 555 of its 3 000 000 decisions and E16, OOK and BPSK
+///   together, 181 of 2 000 000 (their manifests' `phy.ber.replays`).
 ///
 /// [`measure_ber`] runs this kernel with a one-shot workspace; a caller
 /// counting many chunks threads one [`TrialScratch`] through all of them,
@@ -727,17 +726,6 @@ pub fn measure_ber<R: Rng + ?Sized>(
     let awgn = Awgn::for_eb_n0(modem, eb_n0_db);
     let mut scratch = TrialScratch::new();
     count_certified(modem, &awgn, n_bits, rng, &mut scratch, CERT_MARGIN) as f64 / n_bits as f64
-}
-
-/// The raw draws one [`measure_ber`] call over `n_bits` bits reads when
-/// no Box–Muller `u1` is redrawn: one per bit ([`Rng::fill_bits`]), then
-/// two per sample ([`uniform_pairs`] over `n_bits · sps` pairs, group by
-/// group) — whatever the SNR or how many decisions replay. Each redrawn `u1` (p = 2⁻⁵³ per draw) adds one. A generator
-/// jumped this far ([`Rng::skip_raw`]) is, barring a redraw, the one the
-/// next call on the same stream starts from, which is how a sequence of
-/// `measure_ber` calls on one stream can run concurrently.
-pub fn measure_ber_raws(modem: &OokModem, n_bits: usize) -> u64 {
-    (n_bits + 2 * n_bits * modem.samples_per_symbol) as u64
 }
 
 /// A full BER-vs-SNR sweep at a `threads` budget, parallelized over
@@ -1144,7 +1132,9 @@ pub(crate) mod tests {
                 let (ni, nq) = a.normal_pair();
                 *s += Complex::new(sigma * ni, sigma * nq);
             }
-            b.skip_raw(n as u64);
+            for _ in 0..n {
+                b.next_u64();
+            }
             let (mut u1, mut u2) = (vec![0.0; n * sps], vec![0.0; n * sps]);
             uniform_pairs(&mut b, &mut u1, &mut u2);
             for (k, (&bit, z)) in bits.iter().zip(modem.matched_filter(&samples)).enumerate() {
@@ -1306,7 +1296,9 @@ pub(crate) mod tests {
         }
         let planted = Xoshiro256pp::from_state(state);
         let mut probe = planted.clone();
-        probe.skip_raw(at as u64);
+        for _ in 0..at {
+            probe.next_u64();
+        }
         assert_eq!(
             probe.next_u64(),
             REJECTED_U1,
@@ -1506,19 +1498,5 @@ pub(crate) mod tests {
     #[should_panic(expected = "ber::ook_noncoherent_ber")]
     fn sweep_refuses_the_envelope_detector() {
         ber_sweep_par_with(1, &OokModem::new(4), &[6.0], 1, false, &SeedTree::new(1));
-    }
-
-    #[test]
-    fn measure_ber_advances_the_stream_as_stated() {
-        for sps in [1usize, 4] {
-            let modem = OokModem::new(sps);
-            for n_bits in [1usize, 7, 9, 100, 1001] {
-                let mut measured = Xoshiro256pp::seed_from(0x5C1F ^ n_bits as u64);
-                let mut skipped = measured.clone();
-                measure_ber(&modem, 5.0, n_bits, &mut measured);
-                skipped.skip_raw(measure_ber_raws(&modem, n_bits));
-                assert_eq!(measured, skipped, "sps={sps} n_bits={n_bits}");
-            }
-        }
     }
 }

@@ -13,17 +13,11 @@
 //!
 //! * [`Rng`] — the sampler trait the whole workspace writes against:
 //!   uniform `u64`/`f64`, bounded integers, Bernoulli, the standard
-//!   normal (Box–Muller) that AWGN and Rician fading consume, and two
-//!   stream skips ([`Rng::skip_raw`], [`Rng::skip_box_muller`]) that
-//!   advance a generator exactly as far as those samplers would without
-//!   computing a sample,
+//!   normal (Box–Muller) that AWGN and Rician fading consume, and a
+//!   stream skip ([`Rng::skip_box_muller`]) that advances a generator
+//!   exactly as far as those samplers would without computing a sample,
 //! * [`Xoshiro256pp`] — the concrete generator, seeded from a single `u64`
-//!   through SplitMix64 (the seeding recipe xoshiro's authors recommend).
-//!   Its state transition is linear over GF(2), so its [`Rng::skip_raw`]
-//!   is an O(log n) jump: a sequential stream can be cut at known raw
-//!   counts without walking it, which is how
-//!   `mmtag_sim::par::par_stream_cells_with` runs the consumers of one
-//!   stream concurrently,
+//!   through SplitMix64 (the seeding recipe xoshiro's authors recommend),
 //! * [`XoshiroLanes`] — [`crate::math::LANES`] of those generators stepped
 //!   in lockstep, one vector of state words each, lane `l` bit-identical
 //!   to the generator it was built from: independent equal-length streams
@@ -201,16 +195,6 @@ pub trait Rng {
         }
     }
 
-    /// Advances the stream past `n` raw draws without using them: where
-    /// `n` calls of [`Rng::next_u64`], [`Rng::bit`] or [`Rng::f64`] — or
-    /// an `n`-element [`Rng::fill_bits`] — would leave it. This default
-    /// steps `n` times; [`Xoshiro256pp`] jumps in O(log n).
-    fn skip_raw(&mut self, n: u64) {
-        for _ in 0..n {
-            self.next_u64();
-        }
-    }
-
     /// Advances the stream past `n` Box–Muller draws without computing a
     /// sample. One draw is a `u1` raw, redrawn while its top 53 bits are
     /// zero (the `u1 = 0` rejection every Gaussian sampler here applies),
@@ -239,10 +223,6 @@ pub trait Rng {
 impl<R: Rng + ?Sized> Rng for &mut R {
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
-    }
-
-    fn skip_raw(&mut self, n: u64) {
-        (**self).skip_raw(n)
     }
 }
 
@@ -596,36 +576,6 @@ impl Rng for Xoshiro256pp {
         self.s = s;
         out
     }
-
-    /// The jump-ahead: `n` steps are the matrix power `Tⁿ` of the linear
-    /// state transition, and Cayley–Hamilton reduces `xⁿ` modulo its
-    /// characteristic polynomial `P` to a polynomial `c` of degree < 256
-    /// with `Tⁿ = c(T)`. Computing `c` takes one squaring per bit of `n`;
-    /// applying it — `c(T)·s = Σᵢ cᵢ·Tⁱ·s`, one step per coefficient,
-    /// XOR-accumulating the states whose coefficient is set, the loop of
-    /// the reference `jump()` — takes 256 steps. Lands exactly where `n`
-    /// calls of [`Rng::next_u64`] would.
-    fn skip_raw(&mut self, n: u64) {
-        let mut c = [1, 0, 0, 0];
-        for bit in (0..u64::BITS - n.leading_zeros()).rev() {
-            c = poly_mul_mod(c, c);
-            if n >> bit & 1 == 1 {
-                c = poly_times_x(c);
-            }
-        }
-        let mut acc = [0u64; 4];
-        for word in c {
-            for bit in 0..64 {
-                if word >> bit & 1 == 1 {
-                    for (a, s) in acc.iter_mut().zip(self.s) {
-                        *a ^= s;
-                    }
-                }
-                self.next_u64();
-            }
-        }
-        self.s = acc;
-    }
 }
 
 /// [`LANES`] xoshiro256++ generators stepped in lockstep: each state word
@@ -675,51 +625,6 @@ impl XoshiroLanes {
             w[l] = word;
         }
     }
-}
-
-/// The characteristic polynomial `P` of xoshiro256's state transition
-/// `T` over GF(2), of degree 256: bit `i % 64` of word `i / 64` is the
-/// coefficient of `xⁱ`, and the leading `x²⁵⁶` is implicit. It is the
-/// minimal polynomial of the generator's bit sequences (Berlekamp–Massey
-/// over 512 state bits finds it), and `x^(2¹²⁸) mod P` is the reference
-/// `jump()` constant of xoshiro's authors, which the tests check.
-const CHAR_POLY: [u64; 4] = [
-    0x9d11_6f2b_b0f0_f001,
-    0x0280_002b_cefd_1a5e,
-    0x04b4_edcf_2625_9f85,
-    0x0003_c03c_3f3e_cb19,
-];
-
-/// `a·x mod P` over GF(2), for `a` of degree < 256.
-fn poly_times_x(a: [u64; 4]) -> [u64; 4] {
-    let mut out = [
-        a[0] << 1,
-        a[1] << 1 | a[0] >> 63,
-        a[2] << 1 | a[1] >> 63,
-        a[3] << 1 | a[2] >> 63,
-    ];
-    if a[3] >> 63 == 1 {
-        for (o, p) in out.iter_mut().zip(CHAR_POLY) {
-            *o ^= p;
-        }
-    }
-    out
-}
-
-/// `a·b mod P` over GF(2): shift-and-add over `b`'s 256 coefficients.
-fn poly_mul_mod(mut a: [u64; 4], b: [u64; 4]) -> [u64; 4] {
-    let mut out = [0u64; 4];
-    for word in b {
-        for bit in 0..64 {
-            if word >> bit & 1 == 1 {
-                for (o, x) in out.iter_mut().zip(a) {
-                    *o ^= x;
-                }
-            }
-            a = poly_times_x(a);
-        }
-    }
-    out
 }
 
 /// SplitMix64 finalizer: the standard 64-bit mixing function, used both to
@@ -1126,23 +1031,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_raw_lands_where_raw_samplers_do() {
-        for n in [0usize, 1, 7, 64, 1001] {
-            let mut a = Xoshiro256pp::seed_from(0x5C1 ^ n as u64);
-            let mut b = a.clone();
-            let mut c = a.clone();
-            a.skip_raw(n as u64);
-            for _ in 0..n {
-                b.bit();
-            }
-            let mut bits = vec![false; n];
-            c.fill_bits(&mut bits);
-            assert_eq!(a, b, "n={n} vs bit()");
-            assert_eq!(a, c, "n={n} vs fill_bits");
-        }
-    }
-
-    #[test]
     fn lanes_draw_each_stream_as_its_own_generator() {
         // Raw draws, then the uniform stage over two full blocks and a
         // partial one: lane `l` must see exactly what its scalar
@@ -1169,66 +1057,6 @@ mod tests {
             }
             assert_eq!(lanes.lane(l), *g, "lane {l} end position");
         }
-    }
-
-    #[test]
-    fn skip_raw_jumps_where_stepping_lands() {
-        // Below, at and above the 256-step application length, a count
-        // with every bit set, and past 2²⁰; the `&mut` blanket impl
-        // forwards to the jump.
-        let counts = [
-            0u64,
-            1,
-            2,
-            63,
-            64,
-            255,
-            256,
-            257,
-            4_095,
-            65_537,
-            1 << 20,
-            (1 << 21) + 12_345,
-        ];
-        for (k, &n) in counts.iter().enumerate() {
-            let mut stepped = Xoshiro256pp::seed_from(0x1A3 ^ k as u64);
-            let mut jumped = stepped.clone();
-            let mut forwarded = stepped.clone();
-            for _ in 0..n {
-                stepped.next_u64();
-            }
-            jumped.skip_raw(n);
-            <&mut Xoshiro256pp as Rng>::skip_raw(&mut &mut forwarded, n);
-            assert_eq!(jumped, stepped, "n={n}");
-            assert_eq!(forwarded, stepped, "n={n} through &mut");
-        }
-    }
-
-    #[test]
-    fn char_poly_reproduces_the_reference_jump_constants() {
-        // x^(2¹²⁸) and x^(2¹⁹²) mod P, by repeated squaring of x, are the
-        // `jump()` and `long_jump()` polynomials of xoshiro's authors.
-        let mut p = [0b10, 0, 0, 0];
-        for _ in 0..128 {
-            p = poly_mul_mod(p, p);
-        }
-        let jump = [
-            0x180e_c6d3_3cfd_0aba,
-            0xd5a6_1266_f0c9_392c,
-            0xa958_2618_e03f_c9aa,
-            0x39ab_dc45_29b1_661c,
-        ];
-        assert_eq!(p, jump);
-        for _ in 128..192 {
-            p = poly_mul_mod(p, p);
-        }
-        let long_jump = [
-            0x76e1_5d3e_fefd_cbbf,
-            0xc500_4e44_1c52_2fb3,
-            0x7771_0069_854e_e241,
-            0x3910_9bb0_2acb_e635,
-        ];
-        assert_eq!(p, long_jump);
     }
 
     #[test]

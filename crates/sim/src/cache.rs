@@ -67,7 +67,7 @@ use std::time::{Duration, SystemTime};
 /// Bumped whenever the entry format changes or a scenario's tables change
 /// under an unchanged spec; part of the entry key, so old entries simply
 /// stop being addressed.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Magic first line of every entry.
 const MAGIC: &str = "mmtag-run-cache";

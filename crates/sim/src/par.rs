@@ -16,19 +16,14 @@
 //!   and their scratch-carrying forms — raw primitives (re-exported from
 //!   `mmtag-rf` so lower layers can use them too),
 //! * [`par_sweep_with`] — one [`SeedTree`] subtree per parameter point:
-//!   the shape of every figure sweep in `mmtag-bench`,
-//! * [`par_stream_cells_with`] — cells that read **one** sequential
-//!   stream in turn, each started from a jump of the stream rather than a
-//!   walk of it: the shape of E16, whose (SNR, modem) cells share one
-//!   seeded generator.
+//!   the shape of every figure sweep in `mmtag-bench`.
 
 pub use mmtag_rf::par::{
     par_fill_chunks_with, par_indexed_scratch_with, par_indexed_with, par_map_with,
     parse_thread_override, resolve_thread_limit, thread_limit,
 };
 
-use crate::obs;
-use crate::rng::{Rng, SeedTree, Xoshiro256pp};
+use crate::rng::SeedTree;
 
 /// Evaluates `f` once per parameter point, each point under its own
 /// [`SeedTree`] subtree (derived from `label` and the point's index), in
@@ -52,58 +47,10 @@ where
     })
 }
 
-/// Runs `cells` that read one sequential stream in turn — the first from
-/// `start`, each later one where the one before left the generator — at a
-/// `threads` budget, with the results in cell order: exactly what running
-/// them one after another on one generator returns.
-///
-/// `raws(cell)` is the number of raw draws a cell nominally reads (for a
-/// Box–Muller consumer, its count with no `u1` redrawn). Cell `i` starts
-/// from `start` jumped past the nominal counts of cells `0..i`
-/// ([`Rng::skip_raw`], O(log n) per jump), so no one walks the stream.
-/// Each cell's end state is then checked against the next cell's start. A
-/// cell that read another count (a redrawn `u1`, p = 2⁻⁵³ per draw)
-/// breaks that chain, and every later cell reruns in turn from the true
-/// state. Counts the cells started from a jump
-/// (`sim.stream_cells.jumped`) and the cells rerun
-/// (`sim.stream_cells.rerun`).
-pub fn par_stream_cells_with<C, U, N, F>(
-    threads: usize,
-    start: &Xoshiro256pp,
-    cells: &[C],
-    raws: N,
-    f: F,
-) -> Vec<U>
-where
-    C: Sync,
-    U: Send,
-    N: Fn(&C) -> u64,
-    F: Fn(&mut Xoshiro256pp, &C) -> U + Sync,
-{
-    let mut starts = vec![start.clone()];
-    for cell in cells.iter().take(cells.len().saturating_sub(1)) {
-        let mut next = starts[starts.len() - 1].clone();
-        next.skip_raw(raws(cell));
-        starts.push(next);
-    }
-    obs::counter_add("sim.stream_cells.jumped", starts.len() as u64 - 1);
-    let mut runs = par_map_with(threads, cells, |i, cell| {
-        let mut rng = starts[i].clone();
-        (f(&mut rng, cell), rng)
-    });
-    if let Some(first) = (1..cells.len()).find(|&i| runs[i - 1].1 != starts[i]) {
-        obs::counter_add("sim.stream_cells.rerun", (cells.len() - first) as u64);
-        let mut rng = runs[first - 1].1.clone();
-        for (run, cell) in runs[first..].iter_mut().zip(&cells[first..]) {
-            run.0 = f(&mut rng, cell);
-        }
-    }
-    runs.into_iter().map(|(out, _)| out).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng;
 
     #[test]
     fn sweep_points_are_independent_of_sweep_size() {
@@ -132,37 +79,6 @@ mod tests {
         for threads in [2, 3, 8] {
             assert_eq!(serial, run(threads), "threads={threads}");
         }
-    }
-
-    #[test]
-    fn stream_cells_match_the_in_turn_run_and_rerun_after_a_miscount() {
-        // Cell `k` reads `k + 3` raws. A nominal count one short or one
-        // long for cell 2 breaks the chain there: cells 3.. rerun, and the
-        // results still equal the serial in-turn run.
-        let start = Xoshiro256pp::seed_from(0x5EED);
-        let cells: Vec<u64> = (0..7).collect();
-        let cell = |rng: &mut Xoshiro256pp, &k: &u64| {
-            (0..k + 3).fold(0u64, |h, _| h.rotate_left(7) ^ rng.next_u64())
-        };
-        let mut serial_rng = start.clone();
-        let serial: Vec<u64> = cells.iter().map(|k| cell(&mut serial_rng, k)).collect();
-        for (skew, rerun) in [(0i64, 0u64), (-1, 4), (1, 4)] {
-            let raws = |&k: &u64| (k as i64 + 3 + if k == 2 { skew } else { 0 }) as u64;
-            for threads in [1usize, 2, 4] {
-                let window = obs::Window::open();
-                let got = par_stream_cells_with(threads, &start, &cells, raws, cell);
-                let report = window.close();
-                assert_eq!(got, serial, "skew={skew} threads={threads}");
-                assert_eq!(report.counter("sim.stream_cells.jumped"), 6);
-                assert_eq!(
-                    report.counter("sim.stream_cells.rerun"),
-                    rerun,
-                    "skew={skew}"
-                );
-            }
-        }
-        let none: Vec<u64> = par_stream_cells_with(2, &start, &[], |_: &u64| 1, cell);
-        assert!(none.is_empty());
     }
 
     #[test]

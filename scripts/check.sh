@@ -33,8 +33,8 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # regenerates every table at published size and compares the digests
 # across passes and against a 1-thread child process. With the pinned
 # published-size digests below, it is what exercises the parallel
-# decompositions (city barrier, E16's jumped stream cells, E26/E28 cell
-# fan-out, E29's one chunk-grid estimate shared by all eleven weights),
+# decompositions (city barrier, the E16/E26/E28 cells on their own seeded
+# streams, E29's one chunk-grid estimate shared by all eleven weights),
 # the certified bit-error counters (E5's and serve-sweep's OOK
 # `count_bit_errors_lanes`, eight chunk streams side by side; E16's OOK
 # `count_bit_errors_scratch` and BPSK `measure_bpsk_ber`: fast decisions,
@@ -116,38 +116,27 @@ city_smoke() {
 city_smoke default
 city_smoke walls --blockers 48 --speed-mps 6
 
-# Rate-region smoke (E29, small grid): the multi-tag sweep end to end —
-# cascade channel, tag constellations, one chunk-grid estimate shared by
-# every weight — plus a RunCache round trip of its table: the second run
-# must replay byte-identically, and a third must say it was a cache hit.
-rate_dir="$work/rate"
-mkdir "$rate_dir"
-MMTAG_CACHE_DIR="$rate_dir" cargo run -q --release -p mmtag-cli -- \
-    run e29-rate-region --quick 1 --format csv > "$rate_dir/first.csv"
-MMTAG_CACHE_DIR="$rate_dir" cargo run -q --release -p mmtag-cli -- \
-    run e29-rate-region --quick 1 --format csv > "$rate_dir/second.csv"
-cmp "$rate_dir/first.csv" "$rate_dir/second.csv"
-MMTAG_CACHE_DIR="$rate_dir" cargo run -q --release -p mmtag-cli -- \
-    run e29-rate-region --quick 1 --format json > "$rate_dir/hit.json"
-grep -q '"runner.cache.hit": 1' "$rate_dir/hit.json"
-
-# Run-cache round trip: the same scenario twice into a fresh store. The
-# second run must be served from the cache (the manifest metrics say so)
-# and both CSV artifacts must be byte-identical.
-cache_dir="$work/cache"
-mkdir "$cache_dir"
-cache_a="$cache_dir/first.csv"
-cache_b="$cache_dir/second.csv"
-MMTAG_CACHE_DIR="$cache_dir" cargo run -q --release -p mmtag-cli -- \
-    run e02-link-budget --quick 1 --format csv > "$cache_a"
-MMTAG_CACHE_DIR="$cache_dir" cargo run -q --release -p mmtag-cli -- \
-    run e02-link-budget --quick 1 --format csv > "$cache_b"
-cmp "$cache_a" "$cache_b"
-# (to a file, not a pipe: `grep -q` would close the pipe at first match
-# and the writer would die on SIGPIPE/broken pipe)
-MMTAG_CACHE_DIR="$cache_dir" cargo run -q --release -p mmtag-cli -- \
-    run e02-link-budget --quick 1 --format json > "$cache_dir/hit.json"
-grep -q '"runner.cache.hit": 1' "$cache_dir/hit.json"
+# Run-cache round trips: a scenario twice into a fresh store, both CSV
+# artifacts byte-identical, then a third run whose manifest metrics must
+# say it was served from the cache. E29 (small grid) also drives the
+# multi-tag sweep end to end — cascade channel, tag constellations, one
+# chunk-grid estimate shared by every weight.
+cache_round_trip() {
+    dir="$work/cache-$1"
+    mkdir "$dir"
+    MMTAG_CACHE_DIR="$dir" cargo run -q --release -p mmtag-cli -- \
+        run "$1" --quick 1 --format csv > "$dir/first.csv"
+    MMTAG_CACHE_DIR="$dir" cargo run -q --release -p mmtag-cli -- \
+        run "$1" --quick 1 --format csv > "$dir/second.csv"
+    cmp "$dir/first.csv" "$dir/second.csv"
+    # (to a file, not a pipe: `grep -q` would close the pipe at first match
+    # and the writer would die on SIGPIPE/broken pipe)
+    MMTAG_CACHE_DIR="$dir" cargo run -q --release -p mmtag-cli -- \
+        run "$1" --quick 1 --format json > "$dir/hit.json"
+    grep -q '"runner.cache.hit": 1' "$dir/hit.json"
+}
+cache_round_trip e29-rate-region
+cache_round_trip e02-link-budget
 
 # Serve smoke: start the daemon on a Unix socket with a fresh cache and
 # feed `mmtag request` a fixed log of `run` and `query` ops on e05-ber
@@ -211,4 +200,4 @@ rf_t1=$(date +%s)
 echo "rf crate release build (clean): $((rf_t1 - rf_t0))s"
 rm -rf target/rf-build-timing
 
-echo "check.sh: fmt + build + examples + tests + masked-libm smoke and published-size tests + clippy + scenario list + city thread-invariance smoke + rate-region smoke + cache round-trip + serve smoke all green"
+echo "check.sh: fmt + build + examples + tests + masked-libm smoke and published-size tests + clippy + scenario list + city thread-invariance smoke + run-cache round trips (E29, E02) + serve smoke all green"
