@@ -9,7 +9,6 @@ use mmtag_channel::delay::DelayProfile;
 use mmtag_mac::gen2::{run_gen2_inventory, Gen2Tag, Gen2Timing};
 use mmtag_phy::cancellation::{AdcClip, LeakageChannel, ReceiveChain};
 use mmtag_phy::waveform::{Awgn, OokModem};
-use mmtag_rf::rng::Xoshiro256pp;
 use mmtag_sim::experiment::Table;
 use mmtag_sim::mobility::Pose;
 use mmtag_sim::scenario::{AxisKind, RunContext, ScenarioSpec};
@@ -199,10 +198,11 @@ pub(crate) fn e26_body(ctx: &RunContext) -> Vec<Table> {
         "E26 — self-interference cancellation at the waveform level",
         &["leak_over_signal_db", "ber_no_cancel", "ber_cancelled"],
     );
-    // One seed per column — the plain reader from the spec seed, the
-    // cancelling one from seed + 1 — and every leak level of a column reads
-    // that seed's stream from its start, so its rows share one noise
-    // realization. The two seeds fan out at the runner's thread budget.
+    // One stream per column — column 0 the plain reader, column 1 the
+    // cancelling one, each `("column", c)` under the run's tree — and every
+    // leak level of a column reads that stream from its start, so its rows
+    // share one noise realization. The two columns fan out at the runner's
+    // thread budget.
     let leaks_db = ctx.spec.values("leak_over_signal_db");
     let leaks: Vec<LeakageChannel> = leaks_db
         .iter()
@@ -212,7 +212,7 @@ pub(crate) fn e26_body(ctx: &RunContext) -> Vec<Table> {
             drift_per_sample: 1e-8,
         })
         .collect();
-    let errors = mmtag_sim::par::par_map_with(ctx.threads, &[false, true], |_, &cancel| {
+    let errors = mmtag_sim::par::par_map_with(ctx.threads, &[false, true], |c, &cancel| {
         let chain = ReceiveChain {
             modem,
             awgn: Awgn::for_eb_n0(&modem, 12.0),
@@ -220,7 +220,7 @@ pub(crate) fn e26_body(ctx: &RunContext) -> Vec<Table> {
             quiet: 2048,
             cancel_alpha: cancel.then_some(1e-3),
         };
-        let mut rng = Xoshiro256pp::seed_from(ctx.spec.seed.wrapping_add(u64::from(cancel)));
+        let mut rng = ctx.tree.rng_indexed("column", c as u64);
         chain.bit_errors(&leaks, bits, &mut rng)
     });
     for (i, &leak_db) in leaks_db.iter().enumerate() {
@@ -310,8 +310,8 @@ mod tests {
 
     #[test]
     fn cancellation_runs_at_the_largest_seed() {
-        // The cancelled column's seed is seed + 1, which wraps to 0 here
-        // (a debug build checks the addition).
+        // Both columns draw from the run's seed tree, which any seed roots,
+        // the largest included.
         let t = FigScenario::new(e26_spec(200, u64::MAX), e26_body).table();
         assert_eq!(t.len(), 3);
         for row in 0..t.len() {

@@ -14,13 +14,12 @@ use mmtag_mac::capture::capture_gain;
 use mmtag_mac::mimo::mimo_inventory;
 use mmtag_mac::ScanSchedule;
 use mmtag_mac::SectorScheduler;
-use mmtag_phy::bpsk::{measure_bpsk_ber, BpskModem};
+use mmtag_phy::bpsk::BpskModem;
 use mmtag_phy::pulse::PulseShaper;
 use mmtag_phy::spectrum::Spectrum;
-use mmtag_phy::waveform::{measure_ber, OokModem};
+use mmtag_phy::waveform::{ber_table_par_with, Detector, OokModem};
 use mmtag_rf::rng::Xoshiro256pp;
 use mmtag_sim::experiment::Table;
-use mmtag_sim::par::par_sweep_with;
 use mmtag_sim::scenario::{AxisKind, RunContext, ScenarioSpec};
 
 /// **E13** spec: the channel half-width sweep under `seed`.
@@ -202,26 +201,14 @@ pub(crate) fn e16_body(ctx: &RunContext) -> Vec<Table> {
     let ook = OokModem::new(4);
     let bpsk = BpskModem::new(4);
     let snrs = ctx.spec.values("eb_n0_db");
-    // Cell `i` draws from subtree ("cell", i): the order, OOK then BPSK at
-    // each SNR, and the labels fix the pinned table.
-    let cells: Vec<(f64, bool)> = snrs
+    // One BER table, OOK then BPSK at each SNR: all ten rows decide the
+    // same chunk draws.
+    let detectors: Vec<Detector> = snrs
         .iter()
-        .flat_map(|&snr| [(snr, false), (snr, true)])
+        .flat_map(|&snr| [ook.detector(snr), bpsk.detector(snr)])
         .collect();
-    let bers = par_sweep_with(
-        ctx.threads,
-        &ctx.tree,
-        "cell",
-        &cells,
-        |tree, &(snr, is_bpsk)| {
-            let rng = &mut tree.rng("ber");
-            if is_bpsk {
-                measure_bpsk_ber(&bpsk, snr, bits, rng)
-            } else {
-                measure_ber(&ook, snr, bits, rng)
-            }
-        },
-    );
+    let errors = ber_table_par_with(ctx.threads, &detectors, bits, &ctx.tree);
+    let bers: Vec<f64> = errors.iter().map(|&e| e as f64 / bits as f64).collect();
     let mut t = Table::new(
         "E16 — BPSK backscatter vs OOK: measured BER at equal Eb/N0",
         &["eb_n0_db", "ook_ber", "bpsk_ber"],

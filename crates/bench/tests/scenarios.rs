@@ -61,7 +61,7 @@ const SMOKE_DIGESTS: [(&str, u64); 31] = [
     ("e02-link-budget", 0x6f74_c94e_c546_2b41),
     ("e03-retro", 0x8505_93c1_55a8_b593),
     ("e04-comparison", 0xa2b8_7b21_02c7_828d),
-    ("e05-ber", 0x9248_4387_7f29_be1c),
+    ("e05-ber", 0x9ff2_9899_82c5_2e91),
     ("e06-beamwidth", 0x17bc_900b_95ce_4aed),
     ("e07-aloha", 0x5512_63f4_a4f4_54a4),
     ("e08-mobility", 0x1309_40d4_5fed_2896),
@@ -72,7 +72,7 @@ const SMOKE_DIGESTS: [(&str, u64); 31] = [
     ("e13-spectrum", 0xa3c1_090d_10a2_fd2d),
     ("e14-ablation", 0x01f3_c002_c838_3ccc),
     ("e15-fading", 0x06dd_2ce5_681c_2f5a),
-    ("e16-bpsk", 0xce57_e936_05e3_e973),
+    ("e16-bpsk", 0xfe18_e853_6cfa_79f2),
     ("e17-planar", 0xd3be_7b07_e95c_e81e),
     ("e18-storage", 0xae23_98c0_0afe_0e51),
     ("e19-acquisition", 0x6e18_8210_a61b_6cf0),
@@ -82,7 +82,7 @@ const SMOKE_DIGESTS: [(&str, u64); 31] = [
     ("e23-delay-spread", 0xcd2f_e679_c3cd_656d),
     ("e24-gen2", 0xddef_006f_13a7_41f0),
     ("e25-localization", 0x5786_f948_ace4_a7ed),
-    ("e26-cancellation", 0xabb1_47b5_bb29_3a94),
+    ("e26-cancellation", 0xd78b_657d_d8df_29bf),
     ("e27-city-density", 0x0b2d_f365_4cb9_31aa),
     ("e28-city-mobility", 0x9980_1829_7c6b_ebac),
     ("e29-rate-region", 0xd5ed_8544_3301_d4cb),
@@ -199,7 +199,7 @@ const PUBLISHED_DIGESTS: [(&str, u64); 31] = [
     ("e02-link-budget", 0xc6cb_cbb4_f5f7_2d6e),
     ("e03-retro", 0x2ae5_3a74_39dc_f917),
     ("e04-comparison", 0xa2b8_7b21_02c7_828d),
-    ("e05-ber", 0xf2d1_8348_38a9_7ef6),
+    ("e05-ber", 0xcebd_83b5_d86f_e9ca),
     ("e06-beamwidth", 0x939d_3645_a14d_2ab0),
     ("e07-aloha", 0x1366_1e3c_fe0e_703f),
     ("e08-mobility", 0x5459_d592_fbd4_09a2),
@@ -210,7 +210,7 @@ const PUBLISHED_DIGESTS: [(&str, u64); 31] = [
     ("e13-spectrum", 0xb1ca_a230_ca35_cd4e),
     ("e14-ablation", 0x865d_afd4_3dea_781b),
     ("e15-fading", 0x82d8_739b_054f_4fd1),
-    ("e16-bpsk", 0x179e_b717_8641_a696),
+    ("e16-bpsk", 0x106b_1205_e167_3f3b),
     ("e17-planar", 0x7599_bb7a_bea4_9b2c),
     ("e18-storage", 0x09aa_a8ba_f079_1d9f),
     ("e19-acquisition", 0x357f_bad1_ba34_9a16),
@@ -220,7 +220,7 @@ const PUBLISHED_DIGESTS: [(&str, u64); 31] = [
     ("e23-delay-spread", 0xdd2f_1d62_40b5_61b8),
     ("e24-gen2", 0x3e6c_234f_04f1_f9e3),
     ("e25-localization", 0xd417_07b3_775b_47aa),
-    ("e26-cancellation", 0xa3f3_8e5b_3777_398f),
+    ("e26-cancellation", 0xb24b_4ff2_5459_729e),
     ("e27-city-density", 0x0b2d_f365_4cb9_31aa),
     ("e28-city-mobility", 0x9980_1829_7c6b_ebac),
     ("e29-rate-region", 0x5036_c048_a71a_07c1),
@@ -237,7 +237,7 @@ const PUBLISHED_CSV_DIGESTS: [(&str, u64); 31] = [
     ("e02-link-budget", 0x653c_7078_3335_4926),
     ("e03-retro", 0x04de_47c1_e2a8_9fa4),
     ("e04-comparison", 0xe457_5b8c_9653_e83d),
-    ("e05-ber", 0x8922_90a2_0848_aec1),
+    ("e05-ber", 0x499e_dbd3_02cf_101c),
     ("e06-beamwidth", 0x0cb1_8268_edf8_ac2e),
     ("e07-aloha", 0x00c5_5db8_65e3_1ff5),
     ("e08-mobility", 0xea74_30fd_fe9c_aa51),
@@ -248,7 +248,7 @@ const PUBLISHED_CSV_DIGESTS: [(&str, u64); 31] = [
     ("e13-spectrum", 0xff59_6f00_a978_0eed),
     ("e14-ablation", 0x1f2b_0a4b_96ba_f779),
     ("e15-fading", 0x30a2_b4ac_08a2_65fc),
-    ("e16-bpsk", 0x7953_0165_bb2c_f018),
+    ("e16-bpsk", 0x3da4_0859_420d_4e32),
     ("e17-planar", 0x82a8_5927_f75e_4290),
     ("e18-storage", 0x8c7b_a500_3143_00c9),
     ("e19-acquisition", 0x4e48_bf04_6aa9_6526),
@@ -258,7 +258,7 @@ const PUBLISHED_CSV_DIGESTS: [(&str, u64); 31] = [
     ("e23-delay-spread", 0x8556_d72c_1d4e_00fa),
     ("e24-gen2", 0x3752_81c0_7e45_8313),
     ("e25-localization", 0xa8fd_7c0c_b297_5aba),
-    ("e26-cancellation", 0xa5ad_f002_178e_eefb),
+    ("e26-cancellation", 0xa4b5_274c_c585_21f3),
     ("e27-city-density", 0xbdd9_76fe_b2b9_caa2),
     ("e28-city-mobility", 0xffaa_5ede_7431_c2a0),
     ("e29-rate-region", 0x5203_8a89_ebf2_52a9),
@@ -269,13 +269,14 @@ const PUBLISHED_CSV_DIGESTS: [(&str, u64); 31] = [
 /// Integer bit-error counts of the certified BER counters at published
 /// size and seed: E05's `ook_measured` column (15 SNR points, seed 2024)
 /// and E16's `ook_ber`/`bpsk_ber` pairs (5 SNR points, seed 5), each
-/// `ber × trials`. The rendered tables print a BER ≥ 10⁻³ to three
-/// decimals, so the digests above cannot see one flipped decision among
-/// 200 000 bits in E05's 0–6 dB rows; these counts can.
+/// `ber × trials`; each table's rows decide one shared chunk grid. The
+/// rendered tables print a BER ≥ 10⁻³ to three decimals, so the digests
+/// above cannot see one flipped decision among 200 000 bits in E05's
+/// 0–6 dB rows; these counts can.
 const E05_OOK_ERRORS: [u64; 15] = [
-    31947, 26639, 20920, 15935, 11270, 7659, 4661, 2548, 1162, 477, 160, 30, 6, 3, 0,
+    31524, 25931, 20624, 15608, 11231, 7549, 4588, 2498, 1203, 491, 140, 31, 4, 0, 0,
 ];
-const E16_ERRORS: [(u64, u64); 5] = [(15860, 4502), (7567, 1222), (2561, 184), (467, 7), (47, 0)];
+const E16_ERRORS: [(u64, u64); 5] = [(15842, 4568), (7595, 1191), (2517, 141), (456, 12), (30, 0)];
 
 /// E29–E31's depth-row traffic at published size and seed, as the manifest
 /// counts it: `(coincident_rows, fast_rows, exact_rows)`. Every trial's
@@ -330,6 +331,28 @@ fn ber_scenarios_keep_their_exact_error_counts_at_published_size() {
     let bpsk = error_counts(&record.tables[0], 2, trials);
     let got: Vec<(u64, u64)> = ook.into_iter().zip(bpsk).collect();
     assert_eq!(got, E16_ERRORS);
+}
+
+#[test]
+fn pinned_error_counts_never_rise_with_snr() {
+    // A table's rows decide one shared chunk grid, so for the exact
+    // statistic they are nested: a bit in error at one SNR is in error at
+    // every lower SNR of its modem. No pinned count may rise along its
+    // column.
+    let columns = [
+        ("E05 OOK", E05_OOK_ERRORS.to_vec()),
+        ("E16 OOK", E16_ERRORS.iter().map(|&(ook, _)| ook).collect()),
+        (
+            "E16 BPSK",
+            E16_ERRORS.iter().map(|&(_, bpsk)| bpsk).collect(),
+        ),
+    ];
+    for (column, counts) in columns {
+        assert!(
+            counts.windows(2).all(|w| w[1] <= w[0]),
+            "{column}: {counts:?} rises with SNR"
+        );
+    }
 }
 
 /// The two-sided 99.9% standard normal quantile.

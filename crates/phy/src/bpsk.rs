@@ -9,34 +9,19 @@
 //! at the cost of needing a coherent reader.
 //!
 //! The modem mirrors [`crate::waveform::OokModem`]'s shape so experiments
-//! swap between them trivially.
-//!
-//! [`measure_bpsk_ber`] is the Monte-Carlo BER of the allocating chain —
-//! [`BpskModem::modulate`], [`Awgn::apply`] (one scalar [`Rng::normal`]
-//! for I, then one for Q, per sample), [`BpskModem::demodulate`] — and
-//! returns exactly that chain's count, leaving the stream exactly where it
-//! would. It computes it the way the OOK counter does
-//! ([`crate::waveform::count_bit_errors_scratch`], DESIGN.md §11): all
-//! bits first, then groups of whole symbols whose uniforms come from the
-//! shared uniform stage (the I pair, then the Q pair, per sample), only
-//! the I noise through the certified Box–Muller math (`f32` after the
-//! `ln`), the samples and the matched filter in `f32`, and each sign
-//! decision accepted when the fast statistic clears zero by the
-//! certificate's margin, else replayed exactly with libm `ln` and
-//! `cos(2π·u2)` from the kept uniforms (counted in `phy.ber.replays`).
-//! The certificate covers libm's cosine here as well as the turn-based
-//! one the OOK chain uses: its cosine term is an absolute bound on the
-//! fast cosine's gap to `cos 2πu2`, which both exact chains meet to
-//! 10⁻¹⁴. The chain itself lives on as the kernel's oracle in this
-//! module's tests.
+//! swap between them trivially. Its Monte-Carlo BER is a row of a
+//! [`crate::waveform::ber_table_par_with`] table ([`BpskModem::detector`],
+//! E16): the counter draws each sample's noise as one
+//! [`mmtag_rf::rng::Rng::normal_pair`] and reads its cosine branch, the pair layout the
+//! OOK rows of the same table read, decides the sign of the matched
+//! filter's real part under the certificate OOK decides under, and
+//! replays a decision inside its margin through
+//! [`mmtag_rf::rng::box_muller_exact`] (DESIGN.md §11). The allocating
+//! chain — [`BpskModem::modulate`], `σ·normal_pair()` added per sample,
+//! [`BpskModem::demodulate`] — is that row's oracle in this module's
+//! tests.
 
-use std::f64::consts::TAU;
-
-use crate::waveform::{
-    certified, fast_margin, group_symbols, Awgn, SymbolGroup, CERT_MARGIN, MAX_CERTIFIED_SPS,
-};
-use mmtag_rf::obs;
-use mmtag_rf::rng::{box_muller_certified, uniform_pairs, Rng};
+use crate::waveform::{Awgn, Detector};
 use mmtag_rf::Complex;
 
 /// Rectangular-pulse BPSK modulator/demodulator (±A antipodal).
@@ -101,6 +86,19 @@ impl BpskModem {
             sigma: (n0 / 2.0).sqrt(),
         }
     }
+
+    /// This modem's detector at a mean `Eb/N0` (dB): levels `∓A`, the
+    /// sign of the matched filter's real part (bit `true` above 0), and
+    /// the noise of [`BpskModem::awgn_for`].
+    pub fn detector(&self, eb_n0_db: f64) -> Detector {
+        Detector {
+            samples_per_symbol: self.samples_per_symbol,
+            levels: [self.level(false), self.level(true)],
+            threshold: 0.0,
+            above: true,
+            sigma: self.awgn_for(eb_n0_db).sigma,
+        }
+    }
 }
 
 impl Default for BpskModem {
@@ -109,229 +107,61 @@ impl Default for BpskModem {
     }
 }
 
-/// Monte-Carlo BER of the BPSK chain at a mean `Eb/N0` over `n_bits` —
-/// bit-identical to modulate → [`Awgn::apply`] → demodulate on `rng`,
-/// stream position included (see the module docs for how).
-///
-/// # Panics
-/// Panics if `n_bits` is zero or `samples_per_symbol` exceeds
-/// [`MAX_CERTIFIED_SPS`].
-pub fn measure_bpsk_ber<R: Rng + ?Sized>(
-    modem: &BpskModem,
-    eb_n0_db: f64,
-    n_bits: usize,
-    rng: &mut R,
-) -> f64 {
-    assert!(n_bits > 0, "need at least one bit");
-    let awgn = modem.awgn_for(eb_n0_db);
-    count_bpsk_errors(modem, &awgn, n_bits, rng, CERT_MARGIN) as f64 / n_bits as f64
-}
-
-/// The BPSK bit-error count at an explicit certificate margin factor
-/// (production passes [`CERT_MARGIN`]; the tests pass `∞` to force every
-/// decision through the exact replay).
-fn count_bpsk_errors<R: Rng + ?Sized>(
-    modem: &BpskModem,
-    awgn: &Awgn,
-    n_bits: usize,
-    rng: &mut R,
-    margin: f64,
-) -> usize {
-    let _span = obs::span("phy.ber.chunk");
-    let sps = modem.samples_per_symbol;
-    assert!(
-        sps <= MAX_CERTIFIED_SPS,
-        "the decision certificate covers at most {MAX_CERTIFIED_SPS} samples per symbol"
-    );
-    let mut bits = vec![false; n_bits];
-    rng.fill_bits(&mut bits);
-    let mut group = BpskGroup::new(sps);
-    let margin = fast_margin(margin, modem.amplitude, awgn.sigma);
-    let (mut errors, mut replays) = (0usize, 0u64);
-    for group_bits in bits.chunks(group_symbols(sps)) {
-        group.draw(rng, modem, awgn.sigma, group_bits);
-        for (l, &bit) in group_bits.iter().enumerate() {
-            let fast = f64::from(group.samples.stat[l]);
-            let s = if certified(fast, 0.0, group.samples.bound[l], margin) {
-                fast
-            } else {
-                replays += 1;
-                let at = l * sps..(l + 1) * sps;
-                let samples = &group.samples;
-                let a = modem.level(bit);
-                exact_bpsk_statistic(&samples.u1[at.clone()], &samples.u2[at], a, awgn.sigma)
-            };
-            errors += usize::from((s > 0.0) != bit);
-        }
-    }
-    obs::counter_add("phy.ber.bits", n_bits as u64);
-    obs::counter_add("phy.ber.replays", replays);
-    obs::observe("phy.ber.chunk_errors", errors as u64);
-    errors
-}
-
-/// One group's buffers: the shared [`SymbolGroup`] (holding the I pairs'
-/// uniforms) plus every uniform pair the group draws — per sample the I
-/// pair, then the Q pair.
-struct BpskGroup {
-    samples: SymbolGroup,
-    pair_u1: Vec<f64>,
-    pair_u2: Vec<f64>,
-}
-
-impl BpskGroup {
-    fn new(sps: usize) -> Self {
-        let mut samples = SymbolGroup::default();
-        samples.reserve_for(sps);
-        let pairs = 2 * samples.u1.len();
-        BpskGroup {
-            samples,
-            pair_u1: vec![0.0; pairs],
-            pair_u2: vec![0.0; pairs],
-        }
-    }
-
-    /// Draws one group's `2·bits.len()·sps` pairs, runs the certified
-    /// Box–Muller math on the I pairs only, and writes symbol `l`'s fast
-    /// matched-filter sum `S'` to `stat[l]` and its certificate bound to
-    /// `bound[l]` of the shared [`SymbolGroup`]
-    /// ([`SymbolGroup::modulate_and_fold`]).
-    fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R, modem: &BpskModem, sigma: f64, bits: &[bool]) {
-        let sps = modem.samples_per_symbol;
-        let ns = bits.len() * sps;
-        let SymbolGroup { u1, u2, r, re, .. } = &mut self.samples;
-        uniform_pairs(
-            rng,
-            &mut self.pair_u1[..2 * ns],
-            &mut self.pair_u2[..2 * ns],
-        );
-        let pairs = self
-            .pair_u1
-            .chunks_exact(2)
-            .zip(self.pair_u2.chunks_exact(2));
-        for ((x1, x2), (p1, p2)) in u1[..ns].iter_mut().zip(&mut u2[..ns]).zip(pairs) {
-            (*x1, *x2) = (p1[0], p2[0]);
-        }
-        box_muller_certified(&u1[..ns], &u2[..ns], &mut r[..ns], &mut re[..ns]);
-        self.samples
-            .modulate_and_fold(sps, sigma, bits, |bit| modem.level(bit));
-    }
-}
-
-/// One symbol's exact matched-filter sum, replayed from its I pairs' kept
-/// uniforms: each sample's noise as [`Rng::normal`] computes it,
-/// `√(−2·ln u1)·cos(2π·u2)` through libm, then `a + σ·n`, summed first
-/// to last from `0.0` — the allocating chain's arithmetic on the real
-/// part, which is all the sign decision reads.
-#[cold]
-fn exact_bpsk_statistic(u1: &[f64], u2: &[f64], a: f64, sigma: f64) -> f64 {
-    let mut sum = 0.0f64;
-    for (&v1, &v2) in u1.iter().zip(u2) {
-        let n = (-2.0 * v1.ln()).sqrt() * (TAU * v2).cos();
-        sum += a + sigma * n;
-    }
-    sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ber::bpsk_ber;
-    use crate::waveform::tests::{recorded_replays, ScriptedRng, CERT_SNRS_DB};
-    use crate::waveform::{measure_ber, OokModem};
-    use mmtag_rf::rng::Xoshiro256pp;
+    use crate::waveform::tests::{
+        assert_lanes_match, lane_streams, planted_lanes, recorded_replays, worst_lane_gap, Chain,
+        CERT_SNRS_DB, LANE_PLANTS, PLANTED_BITS,
+    };
+    use crate::waveform::{
+        ber_table_par_with, count_certified_lanes, exact_statistic, LaneScratch, OokModem,
+        CERT_MARGIN,
+    };
+    use mmtag_rf::rng::{uniform_pairs, Rng, SeedTree, Xoshiro256pp};
 
-    /// The kernel's oracle, the allocating chain: one [`Rng::bit`] per
-    /// bit, [`BpskModem::modulate`], [`Awgn::apply`], then
-    /// [`BpskModem::demodulate`], errors counted against the sent bits.
-    fn oracle_bpsk_errors<R: Rng + ?Sized>(
-        modem: &BpskModem,
-        awgn: &Awgn,
-        n_bits: usize,
-        rng: &mut R,
-    ) -> usize {
-        let bits: Vec<bool> = (0..n_bits).map(|_| rng.bit()).collect();
-        let mut samples = modem.modulate(&bits);
-        awgn.apply(&mut samples, rng);
-        let decided = modem.demodulate(&samples);
-        bits.iter().zip(&decided).filter(|(a, b)| a != b).count()
+    /// A table of BPSK rows at the certificate's SNR points.
+    fn bpsk_rows(sps: usize) -> Vec<(Chain, f64)> {
+        let chain = Chain::Bpsk(BpskModem::new(sps));
+        CERT_SNRS_DB.iter().map(|&snr| (chain, snr)).collect()
     }
 
     #[test]
     fn kernel_matches_the_allocating_chain_forced_replay_or_not() {
-        // Margin ∞ replays every decision through libm; K decides almost
-        // all of them fast. Counts and stream position must both match.
+        // The lane counter under BPSK detectors, lane by lane against the
+        // allocating chain (±A, σ·normal_pair().0 per sample, matched
+        // filter, sign): margin ∞ replays every decision through libm, K
+        // decides almost all of them fast. Counts and stream positions
+        // must both match, ragged chunks included.
         for sps in [1usize, 3, 4, 8] {
             for n in [1usize, 7, 9, 16, 17, 1000] {
-                for (si, &snr) in CERT_SNRS_DB.iter().enumerate() {
-                    let modem = BpskModem::new(sps);
-                    let awgn = modem.awgn_for(snr);
-                    let seed = 0xB95 ^ (n as u64) << 8 ^ (sps as u64) << 20 ^ si as u64;
-                    let mut oracle_rng = Xoshiro256pp::seed_from(seed);
-                    let want = oracle_bpsk_errors(&modem, &awgn, n, &mut oracle_rng);
-                    let next = oracle_rng.next_u64();
-                    for margin in [f64::INFINITY, CERT_MARGIN] {
-                        let mut rng = Xoshiro256pp::seed_from(seed);
-                        let got = count_bpsk_errors(&modem, &awgn, n, &mut rng, margin);
-                        let case = format!("sps={sps} n={n} snr={snr} margin={margin}");
-                        assert_eq!(got, want, "{case}");
-                        assert_eq!(rng.next_u64(), next, "{case}: stream position");
-                    }
+                let streams = lane_streams(0xB95 ^ (n as u64) << 8 ^ (sps as u64) << 20);
+                for margin in [f64::INFINITY, CERT_MARGIN] {
+                    let case = format!("sps={sps} n={n} margin={margin}");
+                    assert_lanes_match(&bpsk_rows(sps), n, &streams, margin, &case);
                 }
             }
         }
         // Long enough to exercise many groups and real error counts.
-        let modem = BpskModem::new(4);
-        let awgn = modem.awgn_for(4.0);
-        let mut a = Xoshiro256pp::seed_from(0xB16);
-        let mut b = a.clone();
-        let want = oracle_bpsk_errors(&modem, &awgn, 50_000, &mut b);
-        assert!(want > 500, "{want}");
-        assert_eq!(
-            count_bpsk_errors(&modem, &awgn, 50_000, &mut a, CERT_MARGIN),
-            want
-        );
-        assert_eq!(a, b);
+        let rows = [(Chain::Bpsk(BpskModem::new(4)), 4.0)];
+        assert_lanes_match(&rows, 50_003, &lane_streams(0xB16), CERT_MARGIN, "long");
     }
 
     #[test]
     fn certificate_margin_has_2_pow_8_headroom_over_a_million_symbols() {
-        // Each symbol's fast sum against its exact libm replay: the worst
-        // |S' − S| stays 2⁸ below the margin K·(sps + 15)·Σ Bⱼ
-        // (DESIGN.md §11).
-        let mut worst = 0.0f64;
-        let mut symbols = 0usize;
-        let cases = [
-            (1usize, 300_000usize),
-            (4, 550_000),
-            (8, 130_000),
-            (64, 20_000),
-        ];
-        for (case, (sps, per_case)) in cases.into_iter().enumerate() {
-            let modem = BpskModem::new(sps);
-            let mut rng = Xoshiro256pp::seed_from(0xB4EAD ^ case as u64);
-            let mut group = BpskGroup::new(sps);
-            let mut bits = vec![false; group_symbols(sps)];
-            for g in 0..per_case.div_ceil(bits.len()) {
-                let sigma = modem.awgn_for(CERT_SNRS_DB[g % CERT_SNRS_DB.len()]).sigma;
-                rng.fill_bits(&mut bits);
-                group.draw(&mut rng, &modem, sigma, &bits);
-                for (l, &bit) in bits.iter().enumerate() {
-                    let at = l * sps..(l + 1) * sps;
-                    let samples = &group.samples;
-                    let exact = exact_bpsk_statistic(
-                        &samples.u1[at.clone()],
-                        &samples.u2[at],
-                        modem.level(bit),
-                        sigma,
-                    );
-                    let gap = (f64::from(samples.stat[l]) - exact).abs();
-                    worst = worst.max(gap / (CERT_MARGIN * samples.bound[l]));
-                }
-                symbols += bits.len();
-            }
+        // Each BPSK decision's fast sum against its exact libm replay on
+        // the lane counter's pair layout: the worst |S' − S| stays 2⁸
+        // below the margin K·(sps + 15)·Σ Bⱼ (DESIGN.md §11).
+        let (mut worst, mut decisions) = (0.0f64, 0usize);
+        let cases = [(1usize, 8_000usize), (4, 12_000), (8, 3_000), (64, 300)];
+        for (case, (sps, symbols)) in cases.into_iter().enumerate() {
+            let chain = Chain::Bpsk(BpskModem::new(sps));
+            let (w, d) = worst_lane_gap(chain, sps, symbols, 0xB4EAD ^ case as u64);
+            worst = worst.max(w);
+            decisions += d;
         }
-        assert!(symbols >= 1_000_000, "only {symbols} symbols");
+        assert!(decisions >= 1_000_000, "only {decisions} decisions");
         assert!(
             worst <= 2f64.powi(-8),
             "worst |S' − S| is 2^{:.1} of the margin",
@@ -345,24 +175,26 @@ mod tests {
         // sum must be the oracle's matched-filter real part, bit for bit.
         for sps in [1usize, 4, 8] {
             let modem = BpskModem::new(sps);
-            let awgn = modem.awgn_for(1.0);
+            let sigma = modem.detector(1.0).sigma;
             let n = 300;
             let mut a = Xoshiro256pp::seed_from(0xB2E9 ^ sps as u64);
             let mut b = a.clone();
             let bits: Vec<bool> = (0..n).map(|_| a.bit()).collect();
             let mut samples = modem.modulate(&bits);
-            awgn.apply(&mut samples, &mut a);
+            for s in &mut samples {
+                let (ni, nq) = a.normal_pair();
+                *s += Complex::new(sigma * ni, sigma * nq);
+            }
             for _ in 0..n {
                 b.next_u64();
             }
-            let (mut p1, mut p2) = (vec![0.0; 2 * n * sps], vec![0.0; 2 * n * sps]);
-            uniform_pairs(&mut b, &mut p1, &mut p2);
-            let u1: Vec<f64> = p1.iter().step_by(2).copied().collect();
-            let u2: Vec<f64> = p2.iter().step_by(2).copied().collect();
+            let (mut u1, mut u2) = (vec![0.0; n * sps], vec![0.0; n * sps]);
+            uniform_pairs(&mut b, &mut u1, &mut u2);
             for (k, (&bit, chunk)) in bits.iter().zip(samples.chunks_exact(sps)).enumerate() {
                 let at = k * sps..(k + 1) * sps;
-                let got =
-                    exact_bpsk_statistic(&u1[at.clone()], &u2[at], modem.level(bit), awgn.sigma);
+                let pairs = u1[at.clone()].iter().zip(&u2[at]);
+                let pairs = pairs.map(|(&v1, &v2)| (v1, v2));
+                let got = exact_statistic(pairs, modem.level(bit), sigma);
                 let want = chunk.iter().copied().sum::<Complex>().re;
                 assert_eq!(got.to_bits(), want.to_bits(), "sps={sps} symbol {k}");
             }
@@ -371,49 +203,39 @@ mod tests {
 
     #[test]
     fn rejection_inside_a_certified_block_matches_the_oracle() {
-        // u1 rejections planted on an I draw and on a Q draw inside a
-        // group, twice in a row, and in a later group.
-        let n = 40usize;
-        for sps in [1usize, 4] {
-            let first_pair = n; // the bits take the first n raws
-            let plants: [&[usize]; 4] = [
-                &[first_pair],
-                &[first_pair + 2 * 7],
-                &[first_pair + 2 * 4, first_pair + 2 * 4 + 1],
-                &[first_pair + 2 * (2 * n * sps - 5)],
-            ];
-            for (pi, plant) in plants.iter().enumerate() {
-                let modem = BpskModem::new(sps);
-                let awgn = modem.awgn_for(1.0);
-                let fresh = || ScriptedRng::planted(0xB0B ^ pi as u64, n + 4 * n * sps, plant);
-                let mut oracle_rng = fresh();
-                let want = oracle_bpsk_errors(&modem, &awgn, n, &mut oracle_rng);
-                for margin in [f64::INFINITY, CERT_MARGIN] {
-                    let mut rng = fresh();
-                    let got = count_bpsk_errors(&modem, &awgn, n, &mut rng, margin);
-                    let case = format!("sps={sps} plant {pi} margin={margin}");
-                    assert_eq!(got, want, "{case}");
-                    assert_eq!(rng.next_u64(), oracle_rng.clone().next_u64(), "{case}");
-                }
+        // A u1 rejection planted in one lane's stream — in the first pair,
+        // mid group, in a later group, past the first symbol at sps = 64,
+        // in a symbol's second uniform block at sps = 100 — compacts
+        // inside that lane, and every BPSK row still matches its oracle
+        // on every lane.
+        for (sps, pair) in LANE_PLANTS {
+            let streams = planted_lanes(sps, pair);
+            for margin in [f64::INFINITY, CERT_MARGIN] {
+                let case = format!("sps={sps} pair {pair} margin={margin}");
+                assert_lanes_match(&bpsk_rows(sps), PLANTED_BITS, &streams, margin, &case);
             }
         }
     }
 
     #[test]
     fn kernel_counts_its_replays_once_per_call() {
-        // Margin ∞: one replay per symbol; the production margin still
+        // Margin ∞: one replay per decision; the production margin still
         // reports its (small) count; a NaN σ replays every decision.
         let modem = BpskModem::new(4);
         let n = 2_000;
         for (sigma, margin) in [
-            (modem.awgn_for(0.0).sigma, f64::INFINITY),
-            (modem.awgn_for(0.0).sigma, CERT_MARGIN),
+            (modem.detector(0.0).sigma, f64::INFINITY),
+            (modem.detector(0.0).sigma, CERT_MARGIN),
             (f64::NAN, CERT_MARGIN),
         ] {
-            let awgn = Awgn { sigma };
+            let detector = Detector {
+                sigma,
+                ..modem.detector(0.0)
+            };
             let (calls, replays) = recorded_replays(|| {
-                let mut rng = Xoshiro256pp::seed_from(0xB9E);
-                count_bpsk_errors(&modem, &awgn, n, &mut rng, margin);
+                let mut rngs = lane_streams(0xB9E);
+                let mut scratch = LaneScratch::new();
+                count_certified_lanes(&[detector], n, &mut rngs, &mut scratch, margin);
             });
             assert_eq!(calls, 1, "sigma={sigma} margin={margin}");
             if margin.is_infinite() || sigma.is_nan() {
@@ -440,15 +262,20 @@ mod tests {
         assert!(s[0].re > 0.0 && s[2].re < 0.0);
     }
 
+    /// The measured BER of each row of one table of `detectors`.
+    fn table_ber(detectors: &[Detector], bits: usize, seed: u64) -> Vec<f64> {
+        let counts = ber_table_par_with(2, detectors, bits, &SeedTree::new(seed));
+        counts.iter().map(|&e| e as f64 / bits as f64).collect()
+    }
+
     #[test]
     fn monte_carlo_matches_bpsk_theory() {
         // The paper's 7 dB ⇒ BER 10⁻³ figure, verified at the waveform
         // level: at 6.8 dB the measured BER is ~1e-3.
-        let modem = BpskModem::new(4);
-        let mut rng = Xoshiro256pp::seed_from(77);
-        let measured = measure_bpsk_ber(&modem, 6.8, 400_000, &mut rng);
+        let n = 400_000;
+        let measured = table_ber(&[BpskModem::new(4).detector(6.8)], n, 77)[0];
         let theory = bpsk_ber(10f64.powf(0.68));
-        let sigma = (theory * (1.0 - theory) / 400_000.0).sqrt();
+        let sigma = (theory * (1.0 - theory) / n as f64).sqrt();
         assert!(
             (measured - theory).abs() < 4.0 * sigma + 1e-5,
             "measured {measured} vs theory {theory}"
@@ -462,11 +289,15 @@ mod tests {
     #[test]
     fn bpsk_beats_ook_by_3db_at_equal_eb_n0() {
         // Same Eb/N0, BPSK's antipodal distance wins: BER(BPSK, x) ≈
-        // BER(OOK, 2x).
-        let mut rng = Xoshiro256pp::seed_from(31);
-        let bpsk = measure_bpsk_ber(&BpskModem::new(4), 7.0, 200_000, &mut rng);
-        let ook = measure_ber(&OokModem::new(4), 7.0, 200_000, &mut rng);
-        let ook_plus3 = measure_ber(&OokModem::new(4), 10.0, 200_000, &mut rng);
+        // BER(OOK, 2x). One table, so the three rows share their draws.
+        let ook = OokModem::new(4);
+        let rows = [
+            BpskModem::new(4).detector(7.0),
+            ook.detector(7.0),
+            ook.detector(10.0),
+        ];
+        let ber = table_ber(&rows, 200_000, 31);
+        let (bpsk, ook, ook_plus3) = (ber[0], ber[1], ber[2]);
         assert!(bpsk < ook, "BPSK {bpsk} must beat OOK {ook}");
         // And roughly equal OOK at +3 dB.
         assert!(
@@ -478,10 +309,12 @@ mod tests {
     #[test]
     fn ber_monotone_in_snr() {
         let modem = BpskModem::new(4);
-        let mut rng = Xoshiro256pp::seed_from(5);
-        let b3 = measure_bpsk_ber(&modem, 3.0, 100_000, &mut rng);
-        let b6 = measure_bpsk_ber(&modem, 6.0, 100_000, &mut rng);
-        let b9 = measure_bpsk_ber(&modem, 9.0, 100_000, &mut rng);
-        assert!(b3 > b6 && b6 > b9);
+        let rows = [
+            modem.detector(3.0),
+            modem.detector(6.0),
+            modem.detector(9.0),
+        ];
+        let b = table_ber(&rows, 100_000, 5);
+        assert!(b[0] > b[1] && b[1] > b[2], "{b:?}");
     }
 }

@@ -10,58 +10,59 @@
 //! * [`OokModem::demodulate_coherent`] — matched filter plus a threshold
 //!   on the real part (the reader side: the reader generates the carrier,
 //!   so the backscatter it hears is phase-coherent),
-//! * [`measure_ber`] — the Monte-Carlo harness on one sequential stream,
-//!   and [`ber_sweep_par_with`] — the same harness chunked over the
-//!   [`mmtag_rf::par`] engine at an explicit thread budget (one RNG stream
-//!   per (point, bit-chunk), so parallel estimates are bit-identical at
-//!   any thread count) behind experiment E5 and serve's sweeps; its work
-//!   unit is a group of up to [`LANES`] equal-length chunks counted side
-//!   by side.
+//! * [`ber_table_par_with`] — the Monte-Carlo harness behind E5, E16 and
+//!   serve's sweeps: a BER table, one row per [`Detector`] (a modem's
+//!   levels, threshold and noise at one `Eb/N0`), chunked over the
+//!   [`mmtag_rf::par`] engine at an explicit thread budget. Every row
+//!   decides the same draws: each chunk's bits and noise are drawn once,
+//!   on [`LANES`] streams of its own, and decided under every detector, so
+//!   the table is bit-identical at any thread count.
+//!   [`ber_sweep_par_with`] is its OOK sweep, and [`measure_ber`] the
+//!   harness on one sequential stream.
 //!
 //! Bit convention: §6 of the paper maps data bit **0** to the reflective
 //! state ("the switches are off and the amplitude of the reflected power is
 //! high") and bit **1** to absorption. [`OokModem`] uses `mark_bit` to hold
 //! that mapping so the same modem expresses either convention.
 //!
-//! ## The certified kernels, [`TrialScratch`] and [`LaneScratch`]
+//! ## The certified counters, [`LaneScratch`] and [`TrialScratch`]
 //!
 //! The Monte-Carlo trial loop is the stack's hottest path. It has two
-//! production shapes sharing one certificate, one exact replay and one
-//! set of math lanes (DESIGN.md §11). [`count_bit_errors_scratch`] counts
-//! one stream of any [`Rng`] (E16's OOK cells, perfbench's probe):
-//! all bits drawn first, then the waveform streamed through groups of
-//! whole symbols held in a caller-owned, group-sized [`TrialScratch`] —
-//! noise from the certified Box–Muller block ([`uniform_pairs`] +
-//! [`box_muller_certified`], `ln` through the vectorized
-//! [`mmtag_rf::math::ln_lanes`] in `f64` and everything after it in `f32`
-//! lanes, the in-phase noise only), a fused modulate+noise pass, and a
-//! matched filter that carries [`LANES`] symbols side by side, both in
-//! `f32`.
-//! [`count_bit_errors_lanes`] counts up to [`LANES`] independent xoshiro
-//! streams at once (E5's and serve's sweeps): the same stages laid out
-//! across streams in a [`LaneScratch`], so one [`XoshiroLanes`] step draws
-//! for every stream. Each threshold decision stands when the fast
-//! statistic, compared in `f64`, clears the threshold by a margin a
-//! rounding analysis at `f32`'s `u = 2⁻²⁴` proves larger than any gap to
-//! the exact statistic; a symbol inside the margin is replayed through
-//! the exact libm chain from its kept uniforms, and each call adds its
-//! replays to the `phy.ber.replays` counter. The
-//! steady state of either trial loop performs **zero heap allocations**
-//! (verified by the repo's allocation-guard integration test). Their test
-//! oracle is the allocating chain above, written out in this module's
-//! tests: one [`Rng::bit`] per bit, [`OokModem::modulate`], one
-//! [`Rng::normal_pair`] added per sample, then
-//! [`OokModem::demodulate_coherent`]. Both kernels match it bit for bit —
-//! same counts, same RNG stream position, lane by lane — at the
-//! production margin and with every decision forced through the replay.
-//! The kernels decide coherently only: the non-coherent (envelope) model
-//! is the closed form [`crate::ber::ook_noncoherent_ber`].
+//! shapes sharing one certificate, one exact replay and one set of math
+//! lanes (DESIGN.md §11). [`count_bit_errors_lanes`] counts one chunk of a
+//! table: bit `i` sits at lane `i mod LANES` of [`LANES`] xoshiro streams
+//! stepped at once ([`XoshiroLanes`]); each lane's bits are drawn first,
+//! then its noise through the certified Box–Muller block
+//! ([`uniform_pairs_lanes`] + [`box_muller_certified`], `ln` through the
+//! vectorized [`mmtag_rf::math::ln_lanes`] in `f64` and everything after
+//! it in `f32`, the in-phase noise only), and every detector folds its own
+//! `f32` matched filter over that shared noise. [`count_bit_errors_scratch`]
+//! is the same pipeline on one stream of any [`Rng`] under one OOK
+//! detector: no table runs it, and it stays for perfbench's probe and as
+//! the lane counter's per-lane oracle in the tests. Each threshold decision
+//! stands when the fast statistic, compared in `f64`, clears the threshold
+//! by a margin a rounding analysis at `f32`'s `u = 2⁻²⁴` proves larger
+//! than any gap to the exact statistic; a symbol inside the margin is
+//! replayed through the exact libm chain from its kept uniforms, and each
+//! call adds its replays to the `phy.ber.replays` counter. The steady
+//! state of either loop performs **zero heap allocations** (verified by
+//! the repo's allocation-guard integration test). Their test oracle is the
+//! allocating chain, written out in this module's tests: one [`Rng::bit`]
+//! per bit, the modem's `modulate`, one [`Rng::normal_pair`] added per
+//! sample, then the matched filter and the detector's decision. Both
+//! counters match it bit for bit — same counts, same RNG stream position,
+//! lane by lane and detector by detector — at the production margin and
+//! with every decision forced through the replay. The counters decide
+//! coherently only: the non-coherent (envelope) model is the closed form
+//! [`crate::ber::ook_noncoherent_ber`].
 //!
-//! Noise streams are **sampler v2**: AWGN consumes both Box–Muller
-//! branches through [`Rng::normal_pair`] (one uniform pair per complex
-//! sample), halving transcendental calls relative to the scalar
-//! [`Rng::normal`] path ([`Awgn::apply`], sampler v1). Determinism across
-//! thread counts is unaffected by the choice.
+//! Noise streams are **sampler v2**: each complex sample's noise is one
+//! [`Rng::normal_pair`] (one uniform pair for both components, OOK and
+//! BPSK alike), where the scalar [`Rng::normal`] path ([`Awgn::apply`],
+//! sampler v1) spends a pair per component. Determinism across thread
+//! counts is unaffected by the choice.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use mmtag_rf::math::LANES;
 use mmtag_rf::obs;
@@ -171,6 +172,24 @@ impl OokModem {
         let sign = if self.mark_bit { 1.0 } else { -1.0 };
         matched.iter().map(|c| sign * (c.re - mean)).collect()
     }
+
+    /// This modem's coherent detector at a mean `Eb/N0` (dB): its levels
+    /// and threshold, the mark bit decided above the threshold, and the
+    /// noise of [`Awgn::for_eb_n0`].
+    pub fn detector(&self, eb_n0_db: f64) -> Detector {
+        self.detector_with_sigma(Awgn::for_eb_n0(self, eb_n0_db).sigma)
+    }
+
+    /// [`OokModem::detector`] at per-component noise `sigma`.
+    fn detector_with_sigma(&self, sigma: f64) -> Detector {
+        Detector {
+            samples_per_symbol: self.samples_per_symbol,
+            levels: [self.level(false), self.level(true)],
+            threshold: self.decision_threshold(),
+            above: self.mark_bit,
+            sigma,
+        }
+    }
 }
 
 impl Default for OokModem {
@@ -200,18 +219,72 @@ impl Awgn {
 
     /// Adds noise to samples in place, one scalar [`Rng::normal`] per
     /// component (cosine branch only — **sampler v1**). A test reference:
-    /// no production path calls it. The BPSK counter
-    /// ([`crate::bpsk::measure_bpsk_ber`], E16) and E26's receive chain
-    /// ([`crate::cancellation::ReceiveChain::bit_errors`]) read this
-    /// stream: both reproduce this noise bit for bit while computing only
-    /// the in-phase draws no decision can do without, and keep the
-    /// allocating chain through this method as their test oracle. The OOK
-    /// BER kernel ([`count_bit_errors_scratch`]) instead consumes one
+    /// no production path calls it. E26's receive chain
+    /// ([`crate::cancellation::ReceiveChain::bit_errors`]) reads this
+    /// stream: it reproduces this noise bit for bit while computing only
+    /// the in-phase draws no decision can do without, and keeps the
+    /// allocating chain through this method as its test oracle. The
+    /// bit-error counters ([`count_bit_errors_lanes`] for OOK and BPSK
+    /// detectors alike, [`count_bit_errors_scratch`]) instead consume one
     /// [`Rng::normal_pair`] per sample, a *different* (equally valid)
     /// noise stream from the same seed.
     pub fn apply<R: Rng + ?Sized>(&self, samples: &mut [Complex], rng: &mut R) {
         for s in samples {
             *s += Complex::new(self.sigma * rng.normal(), self.sigma * rng.normal());
+        }
+    }
+}
+
+/// One row of a BER table: how a coherent modem's matched-filter real part
+/// is decided at one noise level. It holds the modem's two sample levels,
+/// its threshold, the bit decided above the threshold and the noise `σ` at
+/// one `Eb/N0` ([`OokModem::detector`],
+/// [`crate::bpsk::BpskModem::detector`]). The counters decide every row of
+/// a table off the same draws ([`ber_table_par_with`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Detector {
+    /// Samples per symbol.
+    pub(crate) samples_per_symbol: usize,
+    /// The sample level of data bit `false`, then of bit `true`.
+    pub(crate) levels: [f64; 2],
+    /// The threshold the matched-filter real part is compared with.
+    pub(crate) threshold: f64,
+    /// The bit decided when the statistic exceeds the threshold.
+    pub(crate) above: bool,
+    /// Per-component noise standard deviation.
+    pub(crate) sigma: f64,
+}
+
+impl Detector {
+    /// The sample level `bit` is sent at.
+    #[inline]
+    fn level(&self, bit: bool) -> f64 {
+        let [low, high] = self.levels;
+        if bit {
+            high
+        } else {
+            low
+        }
+    }
+
+    /// True when statistic `s` decides against the sent `bit`.
+    #[inline]
+    fn wrong(&self, s: f64, bit: bool) -> bool {
+        ((s > self.threshold) == self.above) != bit
+    }
+
+    /// The margin this detector decides at: `margin` when its levels and
+    /// `σ` are each zero or of a magnitude in `[2⁻⁶⁰, 2⁶⁰]` — then every
+    /// product and sum the `f32` fast path forms from them is a normal
+    /// `f32` or exact, as the certificate assumes — and `∞` otherwise,
+    /// which sends every decision through the exact replay. A NaN is never
+    /// in range.
+    fn fast_margin(&self, margin: f64) -> f64 {
+        let in_range = |x: f64| x == 0.0 || (2f64.powi(-60)..=2f64.powi(60)).contains(&x.abs());
+        if self.levels.into_iter().all(in_range) && in_range(self.sigma) {
+            margin
+        } else {
+            f64::INFINITY
         }
     }
 }
@@ -239,23 +312,8 @@ fn cert_bound(sps: usize, a: f64, sigma: f64, sum_r: f32) -> f64 {
 /// `f64`, where the `f32` statistic is exact, so `θ` is never rounded. A
 /// NaN statistic or bound never clears it.
 #[inline]
-pub(crate) fn certified(fast: f64, threshold: f64, bound: f64, margin: f64) -> bool {
+fn certified(fast: f64, threshold: f64, bound: f64, margin: f64) -> bool {
     (fast - threshold).abs() > margin * bound
-}
-
-/// The margin a call at level `amplitude` and noise `sigma` decides at:
-/// `margin` when both are zero or of a magnitude in `[2⁻⁶⁰, 2⁶⁰]` — then
-/// every product and sum the `f32` fast path forms from them is a normal
-/// `f32` or exact, as the certificate assumes — and `∞` otherwise, which
-/// sends every decision of the call through the exact replay. A NaN is
-/// never in range.
-pub(crate) fn fast_margin(margin: f64, amplitude: f64, sigma: f64) -> f64 {
-    let in_range = |x: f64| x == 0.0 || (2f64.powi(-60)..=2f64.powi(60)).contains(&x.abs());
-    if in_range(amplitude) && in_range(sigma) {
-        margin
-    } else {
-        f64::INFINITY
-    }
 }
 
 /// The largest oversampling factor the certificate covers: its fold-error
@@ -263,10 +321,18 @@ pub(crate) fn fast_margin(margin: f64, amplitude: f64, sigma: f64) -> f64 {
 /// derivation bounds it for `sps ≤ 2¹²`.
 pub const MAX_CERTIFIED_SPS: usize = 1 << 12;
 
-/// Symbols per group of the streamed kernels: a multiple of [`LANES`],
-/// and as many as fit in one [`BM_BLOCK`] of samples where `sps` allows
-/// (`sps ≤ 8`); otherwise one lane's worth.
-pub(crate) fn group_symbols(sps: usize) -> usize {
+/// Panics unless `sps` is one the certificate covers.
+fn assert_certified_sps(sps: usize) {
+    assert!(
+        sps <= MAX_CERTIFIED_SPS,
+        "the decision certificate covers at most {MAX_CERTIFIED_SPS} samples per symbol"
+    );
+}
+
+/// Symbols per group of the single-stream kernel: a multiple of
+/// [`LANES`], and as many as fit in one [`BM_BLOCK`] of samples where
+/// `sps` allows (`sps ≤ 8`); otherwise one lane's worth.
+fn group_symbols(sps: usize) -> usize {
     (BM_BLOCK / sps / LANES).max(1) * LANES
 }
 
@@ -285,32 +351,32 @@ fn fold_symbols(x: &[f32], sps: usize, out: &mut [f32]) {
     }
 }
 
-/// One group of symbols' buffers, shared by the streamed OOK and BPSK
-/// kernels: the kept uniforms, the fast radii, and the noisy waveform's
-/// in-phase component, each `group_symbols(sps)·sps` long, plus each
-/// symbol's fast statistic and certificate bound. Every value a kernel
-/// reads is written first in the same group (a partial last lane folds
-/// stale samples into sums nobody reads).
+/// One group of symbols' buffers for the single-stream kernel: the kept
+/// uniforms, the fast radii, and the noisy waveform's in-phase component,
+/// each `group_symbols(sps)·sps` long, plus each symbol's fast statistic
+/// and certificate bound. Every value the kernel reads is written first in
+/// the same group (a partial last lane folds stale samples into sums
+/// nobody reads).
 #[derive(Clone, Debug, Default)]
-pub(crate) struct SymbolGroup {
+struct SymbolGroup {
     /// Kept `u1` uniforms, for exact replay.
-    pub(crate) u1: Vec<f64>,
+    u1: Vec<f64>,
     /// Kept `u2` uniforms, for exact replay.
-    pub(crate) u2: Vec<f64>,
+    u2: Vec<f64>,
     /// Fast Box–Muller radii `r'`.
-    pub(crate) r: Vec<f32>,
+    r: Vec<f32>,
     /// I components: the cosine-branch noise, then the noisy samples.
-    pub(crate) re: Vec<f32>,
+    re: Vec<f32>,
     /// Per symbol: the fast statistic `S'`.
-    pub(crate) stat: Vec<f32>,
+    stat: Vec<f32>,
     /// Per symbol: the certificate bound, [`cert_bound`].
-    pub(crate) bound: Vec<f64>,
+    bound: Vec<f64>,
 }
 
 impl SymbolGroup {
     /// Sizes every buffer for groups at `sps` (capacity never shrinks, so
     /// a warm scratch resizes without allocating).
-    pub(crate) fn reserve_for(&mut self, sps: usize) {
+    fn reserve_for(&mut self, sps: usize) {
         let symbols = group_symbols(sps);
         for buf in [&mut self.u1, &mut self.u2] {
             buf.resize(symbols * sps, 0.0);
@@ -322,32 +388,19 @@ impl SymbolGroup {
         self.bound.resize(symbols, 0.0);
     }
 
-    /// One OOK group: draws `bits.len() · sps` pairs through the certified
-    /// block and hands the I noise to [`SymbolGroup::modulate_and_fold`].
-    fn ook<R: Rng + ?Sized>(&mut self, rng: &mut R, modem: &OokModem, sigma: f64, bits: &[bool]) {
-        let sps = modem.samples_per_symbol;
+    /// One group: draws `bits.len() · sps` pairs through the certified
+    /// block, then the fused modulate + AWGN pass in `f32` (`a + σ·nᵢ` on
+    /// I, `a` the detector's level for the bit), and symbol `l`'s fast
+    /// statistic `S'` to `stat[l]` and its [`cert_bound`] to `bound[l]`.
+    fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R, det: &Detector, bits: &[bool]) {
+        let sps = det.samples_per_symbol;
         let ns = bits.len() * sps;
         let SymbolGroup { u1, u2, r, re, .. } = self;
         uniform_pairs(rng, &mut u1[..ns], &mut u2[..ns]);
         box_muller_certified(&u1[..ns], &u2[..ns], &mut r[..ns], &mut re[..ns]);
-        self.modulate_and_fold(sps, sigma, bits, |bit| modem.level(bit));
-    }
-
-    /// With `re` holding the group's cosine-branch noise: the fused
-    /// modulate + AWGN pass in `f32` (`a + σ·nᵢ` on I, `a = level(bit)`),
-    /// then symbol `l`'s fast statistic `S'` to `stat[l]` and its
-    /// [`cert_bound`] to `bound[l]`.
-    pub(crate) fn modulate_and_fold(
-        &mut self,
-        sps: usize,
-        sigma: f64,
-        bits: &[bool],
-        level: impl Fn(bool) -> f64,
-    ) {
-        let ns = bits.len() * sps;
-        let sigma32 = sigma as f32;
-        for (x, &bit) in self.re[..ns].chunks_exact_mut(sps).zip(bits) {
-            let a = level(bit) as f32;
+        let sigma32 = det.sigma as f32;
+        for (x, &bit) in re[..ns].chunks_exact_mut(sps).zip(bits) {
+            let a = det.level(bit) as f32;
             for v in x {
                 *v = a + sigma32 * *v;
             }
@@ -357,7 +410,7 @@ impl SymbolGroup {
         fold_symbols(&self.re[..lanes * sps], sps, &mut self.stat[..lanes]);
         fold_symbols(&self.r[..lanes * sps], sps, &mut sum_r[..lanes]);
         for ((b, &sr), &bit) in self.bound.iter_mut().zip(&sum_r).zip(bits) {
-            *b = cert_bound(sps, level(bit), sigma, sr);
+            *b = cert_bound(sps, det.level(bit), det.sigma, sr);
         }
     }
 }
@@ -388,9 +441,11 @@ impl TrialScratch {
     }
 }
 
-/// The zero-allocation trial kernel: draws `n_bits` random bits and the
+/// The single-stream trial kernel: draws `n_bits` random bits and the
 /// AWGN from `rng`, runs modulate → noise → demodulate-and-count inside
-/// `scratch`, and returns the bit-error count.
+/// `scratch`, and returns the bit-error count. No table runs it: it is
+/// perfbench's `phy.waveform.ber_ns_per_bit` probe, and the tests hold
+/// each lane of [`count_bit_errors_lanes`] to it.
 ///
 /// The count and the RNG stream position are **bit-identical** to the
 /// allocating chain — [`OokModem::modulate`], one [`Rng::normal_pair`]
@@ -414,9 +469,7 @@ impl TrialScratch {
 ///   than any gap to the exact statistic; otherwise that one symbol is
 ///   replayed through the exact libm chain from its kept uniforms
 ///   ([`box_muller_exact`]), and so is every symbol of a call whose `σ`
-///   or amplitude lies outside the range `f32` covers. At published size
-///   E05 replays 555 of its 3 000 000 decisions and E16, OOK and BPSK
-///   together, 181 of 2 000 000 (their manifests' `phy.ber.replays`).
+///   or amplitude lies outside the range `f32` covers.
 ///
 /// [`measure_ber`] runs this kernel with a one-shot workspace; a caller
 /// counting many chunks threads one [`TrialScratch`] through all of them,
@@ -478,34 +531,28 @@ fn count_certified<R: Rng + ?Sized>(
     margin: f64,
 ) -> usize {
     let _span = obs::span("phy.ber.chunk");
-    let sps = modem.samples_per_symbol;
-    assert!(
-        sps <= MAX_CERTIFIED_SPS,
-        "the decision certificate covers at most {MAX_CERTIFIED_SPS} samples per symbol"
-    );
+    let det = modem.detector_with_sigma(awgn.sigma);
+    let sps = det.samples_per_symbol;
+    assert_certified_sps(sps);
     let TrialScratch { bits, group } = scratch;
     bits.resize(n_bits, false);
     rng.fill_bits(bits);
     group.reserve_for(sps);
-    let sigma = awgn.sigma;
-    let margin = fast_margin(margin, modem.amplitude, sigma);
-    let threshold = modem.decision_threshold();
+    let margin = det.fast_margin(margin);
     let (mut errors, mut replays) = (0u64, 0u64);
     for group_bits in bits.chunks(group_symbols(sps)) {
-        group.ook(rng, modem, sigma, group_bits);
+        group.draw(rng, &det, group_bits);
         for (l, &bit) in group_bits.iter().enumerate() {
             let fast = f64::from(group.stat[l]);
-            let s = if certified(fast, threshold, group.bound[l], margin) {
+            let s = if certified(fast, det.threshold, group.bound[l], margin) {
                 fast
             } else {
                 replays += 1;
                 let at = l * sps..(l + 1) * sps;
                 let pairs = group.u1[at.clone()].iter().zip(&group.u2[at]);
-                let a = modem.level(bit);
-                exact_ook_statistic(pairs.map(|(&v1, &v2)| (v1, v2)), a, sigma)
+                exact_statistic(pairs.map(|(&v1, &v2)| (v1, v2)), det.level(bit), det.sigma)
             };
-            let decided = (s > threshold) == modem.mark_bit;
-            errors += u64::from(decided != bit);
+            errors += u64::from(det.wrong(s, bit));
         }
     }
     let errors = errors as usize;
@@ -519,9 +566,9 @@ fn count_certified<R: Rng + ?Sized>(
 /// uniform pairs `(u1, u2)`, first sample first: each pair's cosine
 /// branch through [`box_muller_exact`] (libm `ln`), `a + σ·nᵢ`, summed
 /// first to last from `0.0` — the allocating chain's real part,
-/// operation for operation.
+/// operation for operation, for OOK's levels and BPSK's alike.
 #[cold]
-fn exact_ook_statistic(pairs: impl Iterator<Item = (f64, f64)>, a: f64, sigma: f64) -> f64 {
+pub(crate) fn exact_statistic(pairs: impl Iterator<Item = (f64, f64)>, a: f64, sigma: f64) -> f64 {
     let mut sum = 0.0f64;
     for (v1, v2) in pairs {
         sum += a + sigma * box_muller_exact(v1, v2).0;
@@ -532,11 +579,12 @@ fn exact_ook_statistic(pairs: impl Iterator<Item = (f64, f64)>, a: f64, sigma: f
 /// Caller-owned workspace for the lane counter
 /// ([`count_bit_errors_lanes`]), under [`TrialScratch`]'s ownership rules:
 /// one worker at a time, every value written before it is read. It holds
-/// one byte per symbol step for the lanes' bits and one group of sample
-/// steps laid out across streams (`[k][l]` is sample `k` of lane `l`):
-/// as many whole symbols as fit in [`BM_BLOCK`] steps (4 KiB per `f64`
+/// one byte per symbol step for the lanes' bits, one group of sample
+/// steps laid out across streams (`[k][l]` is sample `k` of lane `l`): as
+/// many whole symbols as fit in [`BM_BLOCK`] steps (4 KiB per `f64`
 /// buffer, 2 KiB per `f32` one) where `sps ≤ 64`, one symbol's `sps`
-/// steps above. Nothing shrinks, so a warm scratch never allocates.
+/// steps above — and each detector's margin and per-lane counts. Nothing
+/// shrinks, so a warm scratch never allocates.
 #[derive(Clone, Debug, Default)]
 pub struct LaneScratch {
     /// Per symbol step, bit `l` is lane `l`'s data bit.
@@ -549,6 +597,10 @@ pub struct LaneScratch {
     r: Vec<[f32; LANES]>,
     /// Cosine-branch noise.
     re: Vec<[f32; LANES]>,
+    /// Per detector: the margin it decides at ([`Detector::fast_margin`]).
+    margins: Vec<f64>,
+    /// Per detector: each lane's error count.
+    errors: Vec<[u64; LANES]>,
 }
 
 impl LaneScratch {
@@ -558,85 +610,133 @@ impl LaneScratch {
     }
 }
 
-/// [`count_bit_errors_scratch`] on up to [`LANES`] equal-length streams at
-/// once: stream `l` draws from `rngs[l]` at noise `awgns[l]`, and count
-/// `l` is exactly what [`count_bit_errors_scratch`] returns on that stream
-/// — the same decisions, and each generator left where that call leaves
-/// it. Counts past `rngs.len()` are zero.
+/// Counts one chunk of `n_bits` bits under every detector of a table, the
+/// chunk's bits and noise drawn once: bit `i` sits at lane `i mod LANES`,
+/// step `i div LANES`, and lane `l` draws from `rngs[l]` — its step bits
+/// first, then one uniform pair per sample, the way
+/// [`count_bit_errors_scratch`] draws one stream. Every lane draws
+/// `⌈n_bits / LANES⌉` steps; a step past a lane's final bit is drawn and
+/// not counted. Returns each detector's per-lane error counts; on each
+/// lane's stream, detector `d`'s count is the allocating chain's for that
+/// detector, and each generator is left where that chain leaves it.
 ///
 /// The streams run side by side in vector lanes, laid out across streams
 /// (sample `k` of lane `l` at `[k][l]`), so the serial xoshiro draws of
 /// one stream become one [`XoshiroLanes`] step for all of them:
 ///
-/// * each lane's bits are drawn first, as the single-stream kernel draws
-///   them, one byte per symbol step holding every lane's bit;
+/// * the bits first, one byte per symbol step holding every lane's bit;
 /// * then groups of whole symbols: [`uniform_pairs_lanes`] (a rejected
 ///   `u1` is compacted inside its own lane's stream), the certified
 ///   Box–Muller math over the group ([`box_muller_certified`], `f32`
-///   after the `ln`), and per-lane running `f32` matched-filter and
-///   radius sums folded in the single-stream kernel's order;
-/// * every lane decides branch-free under the same certificate
-///   (`|S' − θ| > K·(sps + 15)·Σⱼ Bⱼ`), with one test per symbol step
-///   for any lane inside the margin; such a lane's symbol replays
-///   through the same exact libm chain from its kept uniforms.
+///   after the `ln`), and per step the lanes' running `f32` radius sums,
+///   shared by every detector;
+/// * each detector then folds its own `f32` matched filter, `a + σ·nᵢ`
+///   at its levels and `σ` in the single-stream kernel's order, and
+///   decides every lane branch-free under the same certificate
+///   (`|S' − θ| > K·(sps + 15)·Σⱼ Bⱼ` at its level and `σ`), with one
+///   test per step for any lane inside the margin; such a lane's symbol
+///   replays through the same exact libm chain from its kept uniforms.
 ///
-/// Idle lanes (past `rngs.len()`) run a noise-free copy of lane 0's
-/// stream that is never counted, replayed or written back.
+/// Each call records the decisions (`n_bits` per detector) in
+/// `phy.ber.bits`, its replays in `phy.ber.replays`, and one
+/// `phy.ber.chunk_errors` observation per detector.
 ///
 /// # Panics
-/// Panics if `rngs` and `awgns` differ in length or exceed [`LANES`], or
-/// if `samples_per_symbol` exceeds [`MAX_CERTIFIED_SPS`].
-pub fn count_bit_errors_lanes(
-    modem: &OokModem,
-    awgns: &[Awgn],
+/// Panics if `detectors` is empty, if their samples per symbol differ, or
+/// if that count exceeds [`MAX_CERTIFIED_SPS`].
+pub fn count_bit_errors_lanes<'s>(
+    detectors: &[Detector],
     n_bits: usize,
-    rngs: &mut [Xoshiro256pp],
-    scratch: &mut LaneScratch,
-) -> [usize; LANES] {
-    count_certified_lanes(modem, awgns, n_bits, rngs, scratch, CERT_MARGIN)
+    rngs: &mut [Xoshiro256pp; LANES],
+    scratch: &'s mut LaneScratch,
+) -> &'s [[u64; LANES]] {
+    count_certified_lanes(detectors, n_bits, rngs, scratch, CERT_MARGIN)
+}
+
+/// The samples per symbol every detector of a table shares.
+fn table_sps(detectors: &[Detector]) -> usize {
+    let sps = detectors
+        .first()
+        .expect("a BER table needs a detector")
+        .samples_per_symbol;
+    assert!(
+        detectors.iter().all(|d| d.samples_per_symbol == sps),
+        "a BER table's detectors share one samples-per-symbol"
+    );
+    assert_certified_sps(sps);
+    sps
+}
+
+/// Draws one group's `u1.len()` sample steps on every lane through the
+/// certified block: the kept uniforms, the fast radii `r'` and the
+/// cosine-branch noise.
+fn draw_lane_group(
+    lanes: &mut XoshiroLanes,
+    u1: &mut [[f64; LANES]],
+    u2: &mut [[f64; LANES]],
+    r: &mut [[f32; LANES]],
+    re: &mut [[f32; LANES]],
+) {
+    uniform_pairs_lanes(lanes, u1, u2);
+    box_muller_certified(
+        u1.as_flattened(),
+        u2.as_flattened(),
+        r.as_flattened_mut(),
+        re.as_flattened_mut(),
+    );
+}
+
+/// One symbol step under one detector: each lane's fast statistic `S'`
+/// (the fused modulate + AWGN + matched filter in `f32`, `a + σ·nᵢ`
+/// folded from `0.0`, widened to `f64`) and its [`cert_bound`], for the
+/// step's noise `xs` (`sps` sample steps), radius sums `sum_r` and bits.
+#[inline(always)]
+fn fast_step(
+    det: &Detector,
+    xs: &[[f32; LANES]],
+    sum_r: &[f32; LANES],
+    bit: &[bool; LANES],
+) -> ([f64; LANES], [f64; LANES]) {
+    let a = bit.map(|b| det.level(b));
+    let a32 = a.map(|v| v as f32);
+    let sigma32 = det.sigma as f32;
+    let mut stat = [0.0f32; LANES];
+    for x in xs {
+        for l in 0..LANES {
+            stat[l] += a32[l] + sigma32 * x[l];
+        }
+    }
+    let bound = std::array::from_fn(|l| cert_bound(xs.len(), a[l], det.sigma, sum_r[l]));
+    (stat.map(f64::from), bound)
 }
 
 /// [`count_bit_errors_lanes`] at an explicit certificate margin factor
 /// (production passes [`CERT_MARGIN`]; the tests pass `∞` to force every
 /// decision through the exact replay).
-fn count_certified_lanes(
-    modem: &OokModem,
-    awgns: &[Awgn],
+pub(crate) fn count_certified_lanes<'s>(
+    detectors: &[Detector],
     n_bits: usize,
-    rngs: &mut [Xoshiro256pp],
-    scratch: &mut LaneScratch,
+    rngs: &mut [Xoshiro256pp; LANES],
+    scratch: &'s mut LaneScratch,
     margin: f64,
-) -> [usize; LANES] {
-    let streams = rngs.len();
-    assert!(
-        streams <= LANES && awgns.len() == streams,
-        "one noise level per stream, at most {LANES} streams"
-    );
-    let sps = modem.samples_per_symbol;
-    assert!(
-        sps <= MAX_CERTIFIED_SPS,
-        "the decision certificate covers at most {MAX_CERTIFIED_SPS} samples per symbol"
-    );
-    let mut errors = [0usize; LANES];
-    let Some(first) = rngs.first() else {
-        return errors;
-    };
+) -> &'s [[u64; LANES]] {
+    let sps = table_sps(detectors);
     let _span = obs::span("phy.ber.lanes");
-    let mut lanes = XoshiroLanes::new(&std::array::from_fn(|l| {
-        rngs.get(l).unwrap_or(first).clone()
-    }));
-    let active: [bool; LANES] = std::array::from_fn(|l| l < streams);
-    let sigma: [f64; LANES] = std::array::from_fn(|l| awgns.get(l).map_or(0.0, |a| a.sigma));
-    let sigma32 = sigma.map(|s| s as f32);
-    let margins = sigma.map(|s| fast_margin(margin, modem.amplitude, s));
     let LaneScratch {
         bits,
         u1,
         u2,
         r,
         re,
+        margins,
+        errors,
     } = scratch;
-    bits.resize(n_bits, 0);
+    margins.clear();
+    margins.extend(detectors.iter().map(|d| d.fast_margin(margin)));
+    errors.clear();
+    errors.resize(detectors.len(), [0; LANES]);
+    let mut lanes = XoshiroLanes::new(rngs);
+    bits.resize(n_bits.div_ceil(LANES), 0);
     for b in bits.iter_mut() {
         let raw = lanes.next_u64s();
         *b = (0..LANES).fold(0, |m, l| m | ((raw[l] >> 63) as u8) << l);
@@ -648,50 +748,46 @@ fn count_certified_lanes(
     for buf in [&mut *r, &mut *re] {
         buf.resize(symbols * sps, [0.0; LANES]);
     }
-    let threshold = modem.decision_threshold();
-    let decided = |s: f64| (s > threshold) == modem.mark_bit;
     let mut replays = 0u64;
-    for group_bits in bits.chunks(symbols) {
+    for (g, group_bits) in bits.chunks(symbols).enumerate() {
         let ns = group_bits.len() * sps;
-        uniform_pairs_lanes(&mut lanes, &mut u1[..ns], &mut u2[..ns]);
-        box_muller_certified(
-            u1[..ns].as_flattened(),
-            u2[..ns].as_flattened(),
-            r[..ns].as_flattened_mut(),
-            re[..ns].as_flattened_mut(),
+        draw_lane_group(
+            &mut lanes,
+            &mut u1[..ns],
+            &mut u2[..ns],
+            &mut r[..ns],
+            &mut re[..ns],
         );
-        for (at, &mask) in (0..ns).step_by(sps).zip(group_bits) {
-            let at = at..at + sps;
+        for (k, &mask) in group_bits.iter().enumerate() {
+            let first = (g * symbols + k) * LANES;
+            let live: [bool; LANES] = std::array::from_fn(|l| first + l < n_bits);
             let bit: [bool; LANES] = std::array::from_fn(|l| mask >> l & 1 == 1);
-            let a = bit.map(|b| modem.level(b));
-            let a32 = a.map(|v| v as f32);
-            // Fused modulate + AWGN + matched filter in `f32`, per lane
-            // the single-stream kernel's `a + σ·nᵢ` folded from `0.0`.
-            let mut stat = [0.0f32; LANES];
+            let at = k * sps..(k + 1) * sps;
             let mut sum_r = [0.0f32; LANES];
-            for (x, rk) in re[at.clone()].iter().zip(&r[at.clone()]) {
+            for rk in &r[at.clone()] {
                 for l in 0..LANES {
-                    stat[l] += a32[l] + sigma32[l] * x[l];
                     sum_r[l] += rk[l];
                 }
             }
-            let stat = stat.map(f64::from);
-            let mut inside = [false; LANES];
-            for l in 0..LANES {
-                let bound = cert_bound(sps, a[l], sigma[l], sum_r[l]);
-                inside[l] = active[l] & !certified(stat[l], threshold, bound, margins[l]);
-                errors[l] += usize::from(decided(stat[l]) != bit[l]);
-            }
-            // One test for the whole step keeps the lanes branch-free;
-            // a lane inside the margin is rare (DESIGN.md §11).
-            if inside.contains(&true) {
-                for l in (0..LANES).filter(|&l| inside[l]) {
-                    replays += 1;
-                    let pairs = u1[at.clone()].iter().zip(&u2[at.clone()]);
-                    let pairs = pairs.map(|(v1, v2)| (v1[l], v2[l]));
-                    let exact = exact_ook_statistic(pairs, a[l], sigma[l]);
-                    errors[l] -= usize::from(decided(stat[l]) != bit[l]);
-                    errors[l] += usize::from(decided(exact) != bit[l]);
+            for ((det, &m), errs) in detectors.iter().zip(&*margins).zip(errors.iter_mut()) {
+                let (stat, bound) = fast_step(det, &re[at.clone()], &sum_r, &bit);
+                let mut inside = [false; LANES];
+                for l in 0..LANES {
+                    let wrong = live[l] & det.wrong(stat[l], bit[l]);
+                    inside[l] = live[l] & !certified(stat[l], det.threshold, bound[l], m);
+                    errs[l] += u64::from(wrong);
+                }
+                // One test for the whole step keeps the lanes branch-free;
+                // a lane inside the margin is rare (DESIGN.md §11).
+                if inside.contains(&true) {
+                    for l in (0..LANES).filter(|&l| inside[l]) {
+                        replays += 1;
+                        let pairs = u1[at.clone()].iter().zip(&u2[at.clone()]);
+                        let pairs = pairs.map(|(v1, v2)| (v1[l], v2[l]));
+                        let exact = exact_statistic(pairs, det.level(bit[l]), det.sigma);
+                        errs[l] -= u64::from(det.wrong(stat[l], bit[l]));
+                        errs[l] += u64::from(det.wrong(exact, bit[l]));
+                    }
                 }
             }
         }
@@ -699,10 +795,10 @@ fn count_certified_lanes(
     for (l, rng) in rngs.iter_mut().enumerate() {
         *rng = lanes.lane(l);
     }
-    obs::counter_add("phy.ber.bits", (n_bits * streams) as u64);
+    obs::counter_add("phy.ber.bits", (n_bits * detectors.len()) as u64);
     obs::counter_add("phy.ber.replays", replays);
-    for &e in &errors[..streams] {
-        obs::observe("phy.ber.chunk_errors", e as u64);
+    for lanes in errors.iter() {
+        obs::observe("phy.ber.chunk_errors", lanes.iter().sum());
     }
     errors
 }
@@ -715,7 +811,7 @@ pub const MC_CHUNK_BITS: usize = 8_192;
 /// Monte-Carlo BER of the full modulate → AWGN → coherent demodulate
 /// chain at a mean `Eb/N0`, over `n_bits` random bits drawn from `rng`:
 /// [`count_bit_errors_scratch`]'s count with a one-shot workspace
-/// (**sampler v2** noise).
+/// (**sampler v2** noise). A test reference: no production path calls it.
 pub fn measure_ber<R: Rng + ?Sized>(
     modem: &OokModem,
     eb_n0_db: f64,
@@ -728,21 +824,63 @@ pub fn measure_ber<R: Rng + ?Sized>(
     count_certified(modem, &awgn, n_bits, rng, &mut scratch, CERT_MARGIN) as f64 / n_bits as f64
 }
 
-/// A full BER-vs-SNR sweep at a `threads` budget, parallelized over
-/// *both* axes: every (SNR point, bit-chunk) pair is an independent
-/// stream, so a sweep with few points still saturates a many-core machine.
-/// Point `si` chunk `ci` draws from
-/// `tree.subtree_indexed("snr", si).rng_indexed("ber-chunk", ci)` — each
-/// point's randomness is independent of the sweep length, and the whole
-/// sweep is bit-identical at any thread count.
+/// The bit-error counts of a BER table at a `threads` budget: row `d`
+/// counts the errors of `bits_per_row` random bits under `detectors[d]`,
+/// and every row decides the same draws.
 ///
-/// The pool's work unit is a group of up to [`LANES`] chunks of equal
-/// length, counted side by side by [`count_bit_errors_lanes`]: every
-/// point's full [`MC_CHUNK_BITS`] chunks first, then each point's partial
-/// chunk. The grouping depends only on the point count and
-/// `bits_per_point`, and each point's integer counts are summed before
-/// the one division, so every estimate is what counting each chunk alone
-/// gives.
+/// The bits come in chunks of [`MC_CHUNK_BITS`] (the last holds the
+/// remainder), and chunk `c` is one pool unit:
+/// [`count_bit_errors_lanes`] on the [`LANES`] streams
+/// `tree.subtree_indexed("ber-chunk", c).rng_indexed("lane", l)`, so the
+/// chunk's bits and noise are drawn once whatever the number of rows.
+/// Each unit adds its integer counts to per-row totals, so the table is
+/// bit-identical at any thread count, and a row's count depends only on
+/// its own detector, `bits_per_row` and `tree`: never on the other rows or
+/// on its position among them.
+///
+/// Each row still decides `bits_per_row` fresh bits with fresh noise, so
+/// its count is distributed exactly as an estimate on streams of its own
+/// would be; the rows of a table are correlated. For the exact statistic
+/// they are nested: a bit in error under one detector is in error under
+/// every detector of the same modem at a larger `σ`.
+///
+/// # Panics
+/// Panics if `bits_per_row` is zero, if the detectors' samples per symbol
+/// differ, or if that count exceeds [`MAX_CERTIFIED_SPS`].
+pub fn ber_table_par_with(
+    threads: usize,
+    detectors: &[Detector],
+    bits_per_row: usize,
+    tree: &SeedTree,
+) -> Vec<u64> {
+    assert!(bits_per_row > 0, "need at least one bit per row");
+    if detectors.is_empty() {
+        return Vec::new();
+    }
+    let _span = obs::span("phy.ber.sweep");
+    let totals: Vec<AtomicU64> = detectors.iter().map(|_| AtomicU64::new(0)).collect();
+    let count_chunk = |scratch: &mut LaneScratch, c: usize| {
+        let n = MC_CHUNK_BITS.min(bits_per_row - c * MC_CHUNK_BITS);
+        let chunk = tree.subtree_indexed("ber-chunk", c as u64);
+        let mut rngs = std::array::from_fn(|l| chunk.rng_indexed("lane", l as u64));
+        let counts = count_bit_errors_lanes(detectors, n, &mut rngs, scratch);
+        // Relaxed: each total is a plain integer sum that publishes no
+        // other data, read only after the pool's join below.
+        for (total, lanes) in totals.iter().zip(counts) {
+            total.fetch_add(lanes.iter().sum(), Ordering::Relaxed);
+        }
+    };
+    let chunks = bits_per_row.div_ceil(MC_CHUNK_BITS);
+    par::par_indexed_scratch_with(threads, chunks, LaneScratch::new, count_chunk);
+    totals.into_iter().map(AtomicU64::into_inner).collect()
+}
+
+/// A BER-vs-SNR sweep of `modem` at a `threads` budget:
+/// [`ber_table_par_with`] over one [`OokModem::detector`] per SNR, each
+/// count divided by `bits_per_point`. Every point reads the same chunk
+/// grid, so a point's estimate depends only on its SNR, `bits_per_point`
+/// and `tree` — a one-point sweep gives what that SNR gives inside any
+/// longer one — and the sweep is bit-identical at any thread count.
 ///
 /// # Panics
 /// Panics if `coherent` is `false` (the counters decide coherently only)
@@ -756,50 +894,8 @@ pub fn ber_sweep_par_with(
     tree: &SeedTree,
 ) -> Vec<f64> {
     assert!(coherent, "{COHERENT_ONLY}");
-    assert!(bits_per_point > 0, "need at least one bit per point");
-    let _span = obs::span("phy.ber.sweep");
-    let (full, tail) = (
-        bits_per_point / MC_CHUNK_BITS,
-        bits_per_point % MC_CHUNK_BITS,
-    );
-    // (point, chunk) pairs: the full chunks, then the partial ones.
-    let mut chunks: Vec<(usize, usize)> = (0..snrs_db.len())
-        .flat_map(|si| (0..full).map(move |ci| (si, ci)))
-        .collect();
-    let split = chunks.len();
-    if tail > 0 {
-        chunks.extend((0..snrs_db.len()).map(|si| (si, full)));
-    }
-    let groups: Vec<(&[(usize, usize)], usize)> = chunks[..split]
-        .chunks(LANES)
-        .map(|g| (g, MC_CHUNK_BITS))
-        .chain(chunks[split..].chunks(LANES).map(|g| (g, tail)))
-        .collect();
-    let awgns: Vec<Awgn> = snrs_db
-        .iter()
-        .map(|&snr| Awgn::for_eb_n0(modem, snr))
-        .collect();
-    let count_group = |scratch: &mut LaneScratch, g: usize| {
-        let (group, n) = groups[g];
-        let chunk = |l: usize| group[l.min(group.len() - 1)];
-        let mut rngs: [Xoshiro256pp; LANES] = std::array::from_fn(|l| {
-            let (si, ci) = chunk(l);
-            tree.subtree_indexed("snr", si as u64)
-                .rng_indexed("ber-chunk", ci as u64)
-        });
-        let noise: [Awgn; LANES] = std::array::from_fn(|l| awgns[chunk(l).0]);
-        let k = group.len();
-        count_bit_errors_lanes(modem, &noise[..k], n, &mut rngs[..k], scratch)
-    };
-    let errors =
-        par::par_indexed_scratch_with(threads, groups.len(), LaneScratch::new, count_group);
-    let mut point_errors = vec![0u64; snrs_db.len()];
-    for ((group, _), counts) in groups.iter().zip(&errors) {
-        for (&(si, _), &e) in group.iter().zip(counts) {
-            point_errors[si] += e as u64;
-        }
-    }
-    point_errors
+    let detectors: Vec<Detector> = snrs_db.iter().map(|&snr| modem.detector(snr)).collect();
+    ber_table_par_with(threads, &detectors, bits_per_point, tree)
         .iter()
         .map(|&e| e as f64 / bits_per_point as f64)
         .collect()
@@ -809,16 +905,17 @@ pub fn ber_sweep_par_with(
 pub(crate) mod tests {
     use super::*;
     use crate::ber::ook_coherent_ber;
+    use crate::bpsk::BpskModem;
     use mmtag_rf::rng::Xoshiro256pp;
 
     /// A raw `u64` whose top 53 bits are zero: as a `u1` draw it is the
     /// 2⁻⁵³ Box–Muller rejection.
-    pub(crate) const REJECTED_U1: u64 = 0x7FF;
+    const REJECTED_U1: u64 = 0x7FF;
 
     /// Replays a canned prefix of raws, then falls through to xoshiro —
     /// the way to land a `u1` rejection at a chosen stream position.
     #[derive(Clone)]
-    pub(crate) struct ScriptedRng {
+    struct ScriptedRng {
         script: Vec<u64>,
         at: usize,
         tail: Xoshiro256pp,
@@ -827,7 +924,7 @@ pub(crate) mod tests {
     impl ScriptedRng {
         /// `seed`'s first `len` raws with `REJECTED_U1` planted at each of
         /// `rejections` (stream positions), then the rest of that stream.
-        pub(crate) fn planted(seed: u64, len: usize, rejections: &[usize]) -> Self {
+        fn planted(seed: u64, len: usize, rejections: &[usize]) -> Self {
             let mut tail = Xoshiro256pp::seed_from(seed);
             let mut script: Vec<u64> = (0..len).map(|_| tail.next_u64()).collect();
             for &p in rejections {
@@ -962,24 +1059,63 @@ pub(crate) mod tests {
         assert_eq!(modem.matched_filter(&samples).len(), 1);
     }
 
-    /// Both kernels' oracle: the allocating chain, stage by stage —
-    /// one [`Rng::bit`] per bit, [`OokModem::modulate`], one
-    /// [`Rng::normal_pair`] added per sample, then the demodulator — with
-    /// the errors counted against the sent bits.
+    /// A detector's allocating chain, the counters' oracle: the modem that
+    /// modulates the bits and decides the matched filter's real part.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) enum Chain {
+        /// Coherent OOK ([`OokModem::demodulate_coherent`]).
+        Ook(OokModem),
+        /// BPSK ([`BpskModem::demodulate`]).
+        Bpsk(BpskModem),
+    }
+
+    impl Chain {
+        /// The chain's detector at a mean `Eb/N0`.
+        pub(crate) fn detector(&self, eb_n0_db: f64) -> Detector {
+            match self {
+                Chain::Ook(m) => m.detector(eb_n0_db),
+                Chain::Bpsk(m) => m.detector(eb_n0_db),
+            }
+        }
+
+        /// The allocating chain on `rng`: `steps` bits by one [`Rng::bit`]
+        /// each, the modem's `modulate`, one [`Rng::normal_pair`] (times
+        /// `sigma`) added per sample, then its demodulator, with the
+        /// errors counted over the first `counted` symbols.
+        pub(crate) fn oracle_errors<R: Rng + ?Sized>(
+            &self,
+            sigma: f64,
+            steps: usize,
+            counted: usize,
+            rng: &mut R,
+        ) -> usize {
+            let bits: Vec<bool> = (0..steps).map(|_| rng.bit()).collect();
+            let mut samples = match self {
+                Chain::Ook(m) => m.modulate(&bits),
+                Chain::Bpsk(m) => m.modulate(&bits),
+            };
+            for s in &mut samples {
+                let (ni, nq) = rng.normal_pair();
+                *s += Complex::new(sigma * ni, sigma * nq);
+            }
+            let decided = match self {
+                Chain::Ook(m) => m.demodulate_coherent(&samples),
+                Chain::Bpsk(m) => m.demodulate(&samples),
+            };
+            let pairs = bits.iter().zip(&decided).take(counted);
+            pairs.filter(|(a, b)| a != b).count()
+        }
+    }
+
+    /// The single-stream kernel's oracle: [`Chain::oracle_errors`] for
+    /// `modem` on `n_bits` bits, every one counted.
     fn oracle_bit_errors<R: Rng + ?Sized>(
         modem: &OokModem,
         awgn: &Awgn,
         n_bits: usize,
         rng: &mut R,
     ) -> usize {
-        let bits: Vec<bool> = (0..n_bits).map(|_| rng.bit()).collect();
-        let mut samples = modem.modulate(&bits);
-        for s in &mut samples {
-            let (ni, nq) = rng.normal_pair();
-            *s += Complex::new(awgn.sigma * ni, awgn.sigma * nq);
-        }
-        let decided = modem.demodulate_coherent(&samples);
-        bits.iter().zip(&decided).filter(|(a, b)| a != b).count()
+        Chain::Ook(*modem).oracle_errors(awgn.sigma, n_bits, n_bits, rng)
     }
 
     #[test]
@@ -1092,15 +1228,14 @@ pub(crate) mod tests {
             group.reserve_for(sps);
             let mut bits = vec![false; group_symbols(sps)];
             for g in 0..per_case.div_ceil(bits.len()) {
-                let snr = CERT_SNRS_DB[g % CERT_SNRS_DB.len()];
-                let sigma = Awgn::for_eb_n0(&modem, snr).sigma;
+                let det = modem.detector(CERT_SNRS_DB[g % CERT_SNRS_DB.len()]);
                 rng.fill_bits(&mut bits);
-                group.ook(&mut rng, &modem, sigma, &bits);
+                group.draw(&mut rng, &det, &bits);
                 for (l, &bit) in bits.iter().enumerate() {
                     let at = l * sps..(l + 1) * sps;
                     let pairs = group.u1[at.clone()].iter().zip(&group.u2[at]);
                     let pairs = pairs.map(|(&v1, &v2)| (v1, v2));
-                    let exact = exact_ook_statistic(pairs, modem.level(bit), sigma);
+                    let exact = exact_statistic(pairs, det.level(bit), det.sigma);
                     let gap = (f64::from(group.stat[l]) - exact).abs();
                     worst = worst.max(gap / (CERT_MARGIN * group.bound[l]));
                 }
@@ -1113,6 +1248,83 @@ pub(crate) mod tests {
             "worst |S' − S| is 2^{:.1} of the margin",
             worst.log2()
         );
+    }
+
+    /// The worst `|S' − S|` of the lane counter's decide pass, as a
+    /// fraction of the margin `K·(sps + 15)·Σ Bⱼ`, over `symbols` symbol
+    /// steps of eight lanes at `sps`, each step decided under every
+    /// detector of `chain` at the certificate's SNR points. Returns the
+    /// worst fraction and the decisions it covers.
+    pub(crate) fn worst_lane_gap(
+        chain: Chain,
+        sps: usize,
+        symbols: usize,
+        seed: u64,
+    ) -> (f64, usize) {
+        let detectors: Vec<Detector> = CERT_SNRS_DB.iter().map(|&s| chain.detector(s)).collect();
+        let mut lanes = XoshiroLanes::new(&std::array::from_fn(|l| {
+            Xoshiro256pp::seed_from(seed ^ (l as u64) << 32)
+        }));
+        let group = (BM_BLOCK / sps).max(1);
+        let ns = group * sps;
+        let (mut u1, mut u2) = (vec![[0.0; LANES]; ns], vec![[0.0; LANES]; ns]);
+        let (mut r, mut re) = (vec![[0.0; LANES]; ns], vec![[0.0; LANES]; ns]);
+        let (mut worst, mut decisions) = (0.0f64, 0usize);
+        for _ in 0..symbols.div_ceil(group) {
+            let masks: Vec<u8> = (0..group)
+                .map(|_| {
+                    let raw = lanes.next_u64s();
+                    (0..LANES).fold(0, |m, l| m | ((raw[l] >> 63) as u8) << l)
+                })
+                .collect();
+            draw_lane_group(&mut lanes, &mut u1, &mut u2, &mut r, &mut re);
+            for (k, &mask) in masks.iter().enumerate() {
+                let at = k * sps..(k + 1) * sps;
+                let bit: [bool; LANES] = std::array::from_fn(|l| mask >> l & 1 == 1);
+                let mut sum_r = [0.0f32; LANES];
+                for rk in &r[at.clone()] {
+                    for l in 0..LANES {
+                        sum_r[l] += rk[l];
+                    }
+                }
+                for det in &detectors {
+                    let (stat, bound) = fast_step(det, &re[at.clone()], &sum_r, &bit);
+                    for l in 0..LANES {
+                        let pairs = u1[at.clone()].iter().zip(&u2[at.clone()]);
+                        let pairs = pairs.map(|(v1, v2)| (v1[l], v2[l]));
+                        let exact = exact_statistic(pairs, det.level(bit[l]), det.sigma);
+                        worst = worst.max((stat[l] - exact).abs() / (CERT_MARGIN * bound[l]));
+                    }
+                    decisions += LANES;
+                }
+            }
+        }
+        (worst, decisions)
+    }
+
+    #[test]
+    fn lane_counter_certificate_margin_has_2_pow_8_headroom() {
+        // The lane decide pass under OOK detectors of both mark
+        // conventions: every fast statistic 2⁸ inside the margin of its
+        // exact replay, as the single-stream kernel's above.
+        for (case, (sps, symbols)) in [(1usize, 4_000usize), (4, 6_000), (8, 2_000), (64, 200)]
+            .into_iter()
+            .enumerate()
+        {
+            for mark_bit in [false, true] {
+                let modem = OokModem {
+                    mark_bit,
+                    ..OokModem::new(sps)
+                };
+                let (worst, _) =
+                    worst_lane_gap(Chain::Ook(modem), sps, symbols, 0x1A4EAD ^ case as u64);
+                assert!(
+                    worst <= 2f64.powi(-8),
+                    "sps={sps} mark_bit={mark_bit}: worst |S' − S| is 2^{:.1} of the margin",
+                    worst.log2()
+                );
+            }
+        }
     }
 
     #[test]
@@ -1141,7 +1353,7 @@ pub(crate) mod tests {
                 let at = k * sps..(k + 1) * sps;
                 let pairs = u1[at.clone()].iter().zip(&u2[at]);
                 let pairs = pairs.map(|(&v1, &v2)| (v1, v2));
-                let got = exact_ook_statistic(pairs, modem.level(bit), sigma);
+                let got = exact_statistic(pairs, modem.level(bit), sigma);
                 assert_eq!(got.to_bits(), z.re.to_bits(), "sps={sps} symbol {k}");
             }
         }
@@ -1179,90 +1391,104 @@ pub(crate) mod tests {
         }
     }
 
-    /// Runs the lane counter at `margin` on `streams` (one noise level
-    /// each) and holds every lane to the allocating oracle and to
-    /// [`count_bit_errors_scratch`] on a clone of its stream: the same
-    /// count, and each generator left where both of them leave theirs.
-    fn assert_lanes_match(
-        modem: &OokModem,
-        awgns: &[Awgn],
-        n: usize,
-        streams: &[Xoshiro256pp],
+    /// Runs the lane counter at `margin` on `streams` over one chunk of
+    /// `n_bits` bits, one detector per `(chain, Eb/N0)` row, and holds
+    /// every (row, lane) count to the per-lane oracle on that lane's
+    /// stream — [`Chain::oracle_errors`] over the lane's steps, counting
+    /// its own bits (a lane one bit short of the others in a ragged chunk
+    /// draws its last step and does not count it) — and, for an OOK row on
+    /// a lane with no step left uncounted, to [`count_bit_errors_scratch`]:
+    /// the same counts, and each generator left where they leave theirs.
+    pub(crate) fn assert_lanes_match(
+        rows: &[(Chain, f64)],
+        n_bits: usize,
+        streams: &[Xoshiro256pp; LANES],
         margin: f64,
         case: &str,
     ) {
-        let mut rngs = streams.to_vec();
+        let detectors: Vec<Detector> = rows.iter().map(|(c, snr)| c.detector(*snr)).collect();
+        let mut rngs = streams.clone();
         let mut scratch = LaneScratch::new();
-        let got = count_certified_lanes(modem, awgns, n, &mut rngs, &mut scratch, margin);
-        for (l, (start, awgn)) in streams.iter().zip(awgns).enumerate() {
-            let mut oracle_rng = start.clone();
-            let want = oracle_bit_errors(modem, awgn, n, &mut oracle_rng);
-            let mut scalar_rng = start.clone();
-            let scalar = count_bit_errors_scratch(
-                modem,
-                awgn,
-                n,
-                true,
-                &mut scalar_rng,
-                &mut TrialScratch::new(),
-            );
-            assert_eq!(got[l], want, "{case}: lane {l} against the oracle");
-            assert_eq!(scalar, want, "{case}: lane {l}, single-stream kernel");
-            assert_eq!(rngs[l], oracle_rng, "{case}: lane {l} stream position");
-            assert_eq!(scalar_rng, oracle_rng, "{case}: lane {l} scalar position");
+        let got = count_certified_lanes(&detectors, n_bits, &mut rngs, &mut scratch, margin);
+        assert_eq!(got.len(), rows.len(), "{case}: one count row per detector");
+        let steps = n_bits.div_ceil(LANES);
+        for (l, start) in streams.iter().enumerate() {
+            let counted = (n_bits + LANES - 1 - l) / LANES;
+            for (d, ((chain, _), det)) in rows.iter().zip(&detectors).enumerate() {
+                let mut oracle_rng = start.clone();
+                let want = chain.oracle_errors(det.sigma, steps, counted, &mut oracle_rng);
+                assert_eq!(got[d][l], want as u64, "{case}: row {d} lane {l}");
+                assert_eq!(rngs[l], oracle_rng, "{case}: lane {l} stream position");
+                if let (Chain::Ook(modem), true) = (chain, counted == steps) {
+                    let mut scalar_rng = start.clone();
+                    let awgn = Awgn { sigma: det.sigma };
+                    let scalar = count_certified(
+                        modem,
+                        &awgn,
+                        steps,
+                        &mut scalar_rng,
+                        &mut TrialScratch::new(),
+                        margin,
+                    );
+                    assert_eq!(
+                        scalar, want,
+                        "{case}: row {d} lane {l}, single-stream kernel"
+                    );
+                    assert_eq!(scalar_rng, oracle_rng, "{case}: lane {l} scalar position");
+                }
+            }
         }
-        assert!(
-            got[streams.len()..].iter().all(|&e| e == 0),
-            "{case}: idle lanes"
-        );
+    }
+
+    /// Eight streams from `seed`, one per lane.
+    pub(crate) fn lane_streams(seed: u64) -> [Xoshiro256pp; LANES] {
+        std::array::from_fn(|l| Xoshiro256pp::seed_from(seed ^ (l as u64) << 40))
     }
 
     #[test]
     fn lane_counter_matches_the_oracle_and_the_single_stream_kernel_on_every_lane() {
-        // Every length class (empty, sub-group, the 8-symbol boundary and
-        // its neighbours, a full chunk plus a tail), every sps class (one
-        // sample, odd, the production 4, a full lane, 64 samples per
-        // symbol — one symbol per group — and 100, whose symbol spans two
-        // blocks of the uniform stage), both mark conventions, a
-        // different σ per lane, idle lanes, and both margins.
+        // Every length class — empty, under one step, one step, a step
+        // and a bit (lanes 1–7 one bit short of lane 0), a ragged chunk
+        // plus a tail, a full chunk — every sps class (one sample, odd,
+        // the production 4, a full lane, 64 samples per symbol — one
+        // symbol per group — and 100, whose symbol spans two blocks of the
+        // uniform stage), both mark conventions and a BPSK row in one
+        // table, a σ per row, and both margins.
         let cases: &[(usize, &[usize])] = &[
             (0, &[1, 4, 64]),
             (1, &[1, 3, 4, 8, 64, 100]),
             (7, &[1, 3, 4, 8, 64]),
-            (8, &[1, 3, 4, 8, 64]),
+            (8, &[1, 3, 4, 8, 64, 100]),
             (9, &[1, 3, 4, 8, 64, 100]),
             (17, &[1, 3, 4, 8, 64, 100]),
-            (1000, &[1, 3, 4, 8]),
-            (MC_CHUNK_BITS + 13, &[1, 4]),
+            (1003, &[1, 3, 4, 8]),
+            (MC_CHUNK_BITS, &[1, 4]),
         ];
         for (ci, &(n, spss)) in cases.iter().enumerate() {
             for (si, &sps) in spss.iter().enumerate() {
-                let big = n * sps > 8_000;
-                for (mi, mark_bit) in [false, true].into_iter().enumerate() {
-                    let modem = OokModem {
+                let ook = |mark_bit| {
+                    Chain::Ook(OokModem {
                         mark_bit,
                         ..OokModem::new(sps)
-                    };
-                    // All eight lanes, then five with three idle, then one.
-                    let k = [LANES, 5, 1][(ci + si + mi) % 3];
-                    let awgns: Vec<Awgn> = (0..k)
-                        .map(|l| Awgn::for_eb_n0(&modem, CERT_SNRS_DB[l % 6] + l as f64))
-                        .collect();
-                    let seed = 0x1A4E ^ (n as u64) << 12 ^ (sps as u64) << 32 ^ mi as u64;
-                    let streams: Vec<Xoshiro256pp> = (0..k)
-                        .map(|l| Xoshiro256pp::seed_from(seed ^ (l as u64) << 40))
-                        .collect();
-                    let margins: &[f64] = if big {
-                        &[CERT_MARGIN]
-                    } else {
-                        &[f64::INFINITY, CERT_MARGIN]
-                    };
-                    for &margin in margins {
-                        let case = format!(
-                            "n={n} sps={sps} mark_bit={mark_bit} streams={k} margin={margin}"
-                        );
-                        assert_lanes_match(&modem, &awgns, n, &streams, margin, &case);
-                    }
+                    })
+                };
+                let rows = [
+                    (ook(false), CERT_SNRS_DB[(ci + si) % 6]),
+                    (ook(true), CERT_SNRS_DB[(ci + si + 2) % 6] + 1.0),
+                    (
+                        Chain::Bpsk(BpskModem::new(sps)),
+                        CERT_SNRS_DB[(ci + si + 4) % 6],
+                    ),
+                ];
+                let streams = lane_streams(0x1A4E ^ (n as u64) << 12 ^ (sps as u64) << 32);
+                let margins: &[f64] = if n * sps > 8_000 {
+                    &[CERT_MARGIN]
+                } else {
+                    &[f64::INFINITY, CERT_MARGIN]
+                };
+                for &margin in margins {
+                    let case = format!("n={n} sps={sps} margin={margin}");
+                    assert_lanes_match(&rows, n, &streams, margin, &case);
                 }
             }
         }
@@ -1283,7 +1509,7 @@ pub(crate) mod tests {
     /// A generator whose raw draw number `at` (from 0) is
     /// [`REJECTED_U1`]: the state that emits it (`s0 = 0`,
     /// `s3 = 0x7FF.rotate_right(23)`) stepped back `at` times.
-    fn planted_stream(seed: u64, at: usize) -> Xoshiro256pp {
+    pub(crate) fn planted_stream(seed: u64, at: usize) -> Xoshiro256pp {
         let mut words = Xoshiro256pp::seed_from(seed);
         let mut state = [
             0,
@@ -1307,85 +1533,102 @@ pub(crate) mod tests {
         planted
     }
 
+    /// `(sps, pair)` plants for the rejection tests: a lane's `u1` raw of
+    /// sample step `pair` is the 2⁻⁵³ rejection — in the first pair, mid
+    /// group, in a later group, at sps = 64 past the first symbol, and at
+    /// sps = 100 in the second uniform block of a symbol.
+    pub(crate) const LANE_PLANTS: [(usize, usize); 6] =
+        [(1, 0), (4, 5), (4, 130), (3, 100), (64, 70), (100, 170)];
+
+    /// Eight lane streams for a 41-bit chunk (6 steps; lanes 1–7 one bit
+    /// short) with lane `(sps + pair) % LANES`'s `u1` raw at sample step
+    /// `pair` planted as a rejection.
+    pub(crate) fn planted_lanes(sps: usize, pair: usize) -> [Xoshiro256pp; LANES] {
+        let planted_lane = (sps + pair) % LANES;
+        std::array::from_fn(|l| {
+            let seed = 0xBAD ^ (sps as u64) << 8 ^ l as u64;
+            if l == planted_lane {
+                planted_stream(seed, PLANTED_BITS.div_ceil(LANES) + 2 * pair)
+            } else {
+                Xoshiro256pp::seed_from(seed)
+            }
+        })
+    }
+
+    /// The chunk length [`planted_lanes`] plants for.
+    pub(crate) const PLANTED_BITS: usize = 41;
+
     #[test]
     fn lane_counter_compacts_a_rejection_inside_its_own_lane() {
-        // One lane's u1 raw is the 2⁻⁵³ rejection: in the first pair, mid
-        // group, in a later group, at sps = 64 past the first symbol, and
-        // at sps = 100 in the second uniform block of a symbol. That lane
-        // redraws from its own stream only; every lane must still match
-        // the oracle and the single-stream kernel, counts and end
-        // positions.
-        let n = 40usize;
-        let plants = [
-            (1usize, 0usize),
-            (4, 5),
-            (4, 130),
-            (3, 100),
-            (64, 70),
-            (100, 170),
-        ];
-        for (sps, pair) in plants {
-            let modem = OokModem::new(sps);
-            let planted_lane = (sps + pair) % LANES;
-            let streams: Vec<Xoshiro256pp> = (0..LANES)
-                .map(|l| {
-                    let seed = 0xBAD ^ (sps as u64) << 8 ^ l as u64;
-                    if l == planted_lane {
-                        planted_stream(seed, n + 2 * pair)
-                    } else {
-                        Xoshiro256pp::seed_from(seed)
-                    }
+        // The planted lane redraws from its own stream only; every lane
+        // must still match its oracles, counts and end positions, under
+        // OOK detectors of both conventions.
+        for (sps, pair) in LANE_PLANTS {
+            let rows: Vec<(Chain, f64)> = (0..4)
+                .map(|d| {
+                    let modem = OokModem {
+                        mark_bit: d % 2 == 1,
+                        ..OokModem::new(sps)
+                    };
+                    (Chain::Ook(modem), 3.0 + d as f64)
                 })
                 .collect();
-            let awgns: Vec<Awgn> = (0..LANES)
-                .map(|l| Awgn::for_eb_n0(&modem, 3.0 + l as f64))
-                .collect();
+            let streams = planted_lanes(sps, pair);
             for margin in [f64::INFINITY, CERT_MARGIN] {
                 let case = format!("sps={sps} pair {pair} margin={margin}");
-                assert_lanes_match(&modem, &awgns, n, &streams, margin, &case);
+                assert_lanes_match(&rows, PLANTED_BITS, &streams, margin, &case);
             }
         }
     }
 
     #[test]
-    #[ignore = "release-only: 2 × 10⁶ symbols; run by scripts/check.sh"]
-    fn lane_counter_matches_the_single_stream_kernel_over_a_million_symbols_per_mark_convention() {
-        // Production margin, the certificate's SNR points across the lanes
-        // (and two lanes past them), chunk-sized streams as the BER sweep
-        // runs them.
+    #[ignore = "release-only: 3 × 10⁶ decisions per mark convention; run by scripts/check.sh"]
+    fn lane_counter_matches_its_oracles_over_a_million_symbols_per_mark_convention() {
+        // Production margin, OOK and BPSK detectors at the certificate's
+        // SNR points, chunk-sized calls as the BER table runs them: every
+        // OOK count against the single-stream kernel and every BPSK count
+        // against the allocating chain, on each lane's stream.
         let mut lanes = LaneScratch::new();
         let mut single = TrialScratch::new();
+        let steps = MC_CHUNK_BITS / LANES;
         for mark_bit in [false, true] {
-            let modem = OokModem {
+            let ook = OokModem {
                 mark_bit,
                 ..OokModem::new(4)
             };
-            let awgns: Vec<Awgn> = (0..LANES)
-                .map(|l| Awgn::for_eb_n0(&modem, CERT_SNRS_DB[l % 6] - 2.0 * (l / 6) as f64))
+            let bpsk = Chain::Bpsk(BpskModem::new(4));
+            let detectors: Vec<Detector> = (CERT_SNRS_DB.iter().map(|&s| ook.detector(s)))
+                .chain(CERT_SNRS_DB.iter().map(|&s| bpsk.detector(s)))
                 .collect();
-            let mut symbols = 0usize;
-            for call in 0..16u64 {
-                let streams: Vec<Xoshiro256pp> = (0..LANES as u64)
-                    .map(|l| Xoshiro256pp::seed_from(0x3E6 ^ call << 8 ^ l))
-                    .collect();
+            let mut decisions = 0usize;
+            for call in 0..32u64 {
+                let streams = lane_streams(0x3E6 ^ call << 8);
                 let mut rngs = streams.clone();
-                let got =
-                    count_bit_errors_lanes(&modem, &awgns, MC_CHUNK_BITS, &mut rngs, &mut lanes);
-                for (l, mut rng) in streams.into_iter().enumerate() {
-                    let want = count_bit_errors_scratch(
-                        &modem,
-                        &awgns[l],
-                        MC_CHUNK_BITS,
-                        true,
-                        &mut rng,
-                        &mut single,
-                    );
-                    assert_eq!(got[l], want, "mark_bit={mark_bit} call {call} lane {l}");
-                    assert_eq!(rngs[l], rng, "mark_bit={mark_bit} call {call} lane {l}");
+                let got = count_bit_errors_lanes(&detectors, MC_CHUNK_BITS, &mut rngs, &mut lanes);
+                for (l, start) in streams.iter().enumerate() {
+                    for (d, det) in detectors.iter().enumerate() {
+                        let mut rng = start.clone();
+                        let want = if d < CERT_SNRS_DB.len() {
+                            let awgn = Awgn { sigma: det.sigma };
+                            count_bit_errors_scratch(
+                                &ook,
+                                &awgn,
+                                steps,
+                                true,
+                                &mut rng,
+                                &mut single,
+                            )
+                        } else {
+                            bpsk.oracle_errors(det.sigma, steps, steps, &mut rng)
+                        };
+                        let case = format!("mark_bit={mark_bit} call {call} row {d} lane {l}");
+                        assert_eq!(got[d][l], want as u64, "{case}");
+                        assert_eq!(rngs[l], rng, "{case}");
+                    }
                 }
-                symbols += LANES * MC_CHUNK_BITS;
+                decisions += detectors.len() * MC_CHUNK_BITS;
             }
-            assert!(symbols >= 1_000_000, "only {symbols} symbols");
+            assert!(decisions >= 3_000_000, "only {decisions} decisions");
         }
     }
 
@@ -1416,11 +1659,16 @@ pub(crate) mod tests {
     #[test]
     fn both_kernels_count_their_replays_once_per_call() {
         // Margin ∞ replays every decision: one per symbol, and one per
-        // symbol of each active lane. At the production margin the count
+        // counted bit of each detector. At the production margin the count
         // is still reported, and is a sliver of the decisions.
         let modem = OokModem::new(4);
         let awgn = Awgn::for_eb_n0(&modem, 0.0);
-        let n = 2_000;
+        let n = 2_001;
+        let detectors = [
+            modem.detector(0.0),
+            modem.detector(3.0),
+            modem.detector(6.0),
+        ];
         for margin in [f64::INFINITY, CERT_MARGIN] {
             let (calls, single) = recorded_replays(|| {
                 let mut rng = Xoshiro256pp::seed_from(0x4E9);
@@ -1428,10 +1676,9 @@ pub(crate) mod tests {
             });
             assert_eq!(calls, 1, "margin={margin}");
             let (calls, lanes) = recorded_replays(|| {
-                let mut rngs: Vec<Xoshiro256pp> =
-                    (0..3).map(|l| Xoshiro256pp::seed_from(0x4E9 ^ l)).collect();
+                let mut rngs = lane_streams(0x4E9);
                 let mut scratch = LaneScratch::new();
-                count_certified_lanes(&modem, &[awgn; 3], n, &mut rngs, &mut scratch, margin);
+                count_certified_lanes(&detectors, n, &mut rngs, &mut scratch, margin);
             });
             assert_eq!(calls, 1, "margin={margin}");
             if margin.is_infinite() {
@@ -1446,7 +1693,8 @@ pub(crate) mod tests {
     fn out_of_range_noise_replays_every_decision() {
         // σ outside [2⁻⁶⁰, 2⁶⁰] (or NaN) leaves the range the f32 fast
         // path's certificate covers: every decision takes the exact chain
-        // and still matches the oracle.
+        // and still matches the oracle — the single-stream kernel's, and
+        // each lane's of a detector at that σ.
         let modem = OokModem::new(4);
         let n = 40;
         for sigma in [1e-30, 1e30, f64::NAN] {
@@ -1466,13 +1714,19 @@ pub(crate) mod tests {
                 );
             });
             assert_eq!((got, replays), (want, n as u64), "sigma={sigma}");
-            let mut rngs = [Xoshiro256pp::seed_from(0x516)];
+            let det = modem.detector_with_sigma(sigma);
+            let streams = lane_streams(0x516);
+            let mut lane_counts = [0u64; LANES];
             let (_, replays) = recorded_replays(|| {
-                got =
-                    count_bit_errors_lanes(&modem, &[awgn], n, &mut rngs, &mut LaneScratch::new())
-                        [0];
+                let mut rngs = streams.clone();
+                let mut scratch = LaneScratch::new();
+                lane_counts = count_bit_errors_lanes(&[det], LANES * n, &mut rngs, &mut scratch)[0];
             });
-            assert_eq!((got, replays), (want, n as u64), "sigma={sigma} lanes");
+            assert_eq!(replays, (LANES * n) as u64, "sigma={sigma} lanes");
+            for (l, start) in streams.iter().enumerate() {
+                let want = oracle_bit_errors(&modem, &awgn, n, &mut start.clone());
+                assert_eq!(lane_counts[l], want as u64, "sigma={sigma} lane {l}");
+            }
         }
     }
 
@@ -1483,6 +1737,16 @@ pub(crate) mod tests {
         let awgn = Awgn::for_eb_n0(&modem, 10.0);
         let mut rng = Xoshiro256pp::seed_from(1);
         count_bit_errors_scratch(&modem, &awgn, 1, true, &mut rng, &mut TrialScratch::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "share one samples-per-symbol")]
+    fn table_refuses_detectors_of_different_sps() {
+        let detectors = [
+            OokModem::new(4).detector(3.0),
+            OokModem::new(8).detector(3.0),
+        ];
+        ber_table_par_with(1, &detectors, 16, &SeedTree::new(1));
     }
 
     #[test]

@@ -33,16 +33,16 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # regenerates every table at published size and compares the digests
 # across passes and against a 1-thread child process. With the pinned
 # published-size digests below, it is what exercises the parallel
-# decompositions (city barrier, the E16/E26/E28 cells on their own seeded
-# streams, E29's one chunk-grid estimate shared by all eleven weights),
-# the certified bit-error counters (E5's and serve-sweep's OOK
-# `count_bit_errors_lanes`, eight chunk streams side by side; E16's OOK
-# `count_bit_errors_scratch` and BPSK `measure_bpsk_ber`: fast decisions,
-# `ln_lanes` then `f32`, with exact libm replay inside the rounding
-# margin), E26's
-# streamed receive chain and the lane MI estimator (E29–E31's certified
-# two passes: every row's `exp` terms in `f32` on `exp_lanes_f32`, then
-# the rows the certificate keeps exact on `exp_lanes`) at full size.
+# decompositions (city barrier, the E26 columns and E28 cells on their own
+# seeded streams, E29's one chunk-grid estimate shared by all eleven
+# weights), the certified bit-error counter behind E5's, E16's and
+# serve-sweep's BER tables (`count_bit_errors_lanes`: each chunk's bits and
+# noise drawn once on eight lane streams and decided under every OOK and
+# BPSK detector of the table, fast decisions `ln_lanes` then `f32`, with
+# exact libm replay inside the rounding margin), E26's streamed receive
+# chain and the lane MI estimator (E29–E31's certified two passes: every
+# row's `exp` terms in `f32` on `exp_lanes_f32`, then the rows the
+# certificate keeps exact on `exp_lanes`) at full size.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q
 # Cross-CPU margin: glibc picks its libm `ln`/`exp`/`sin`/`cos` variants by
@@ -60,8 +60,10 @@ GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 cargo test -q -p mmtag-bench --test s
 # every f32 of their domains: too slow for the debug run above, where all
 # five are #[ignore]d and smaller sweeps stand in.
 cargo test --release --offline -q -p mmtag-rf --lib -- --ignored
-# The lane OOK counter against the single-stream kernel over 10⁶ symbols
-# per mark convention at the certificate's SNR points, #[ignore]d likewise.
+# The shared-draw lane counter against its per-lane oracles over 3·10⁶
+# decisions per mark convention at the certificate's SNR points — its OOK
+# detectors against the single-stream kernel, its BPSK detectors against
+# the allocating chain — #[ignore]d likewise.
 cargo test --release --offline -q -p mmtag-phy --lib -- --ignored
 # The rate-region certificate against the exact estimator over 10⁵ fast
 # trial-rows of E29–E31's cells: every gap 2⁸ inside the margin the

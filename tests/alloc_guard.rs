@@ -101,47 +101,49 @@ fn ber_trial_loop_is_allocation_free_in_steady_state() {
 
 #[test]
 fn ber_lane_loop_is_allocation_free_in_steady_state() {
-    use mmtag_phy::waveform::{count_bit_errors_lanes, Awgn, LaneScratch, OokModem, MC_CHUNK_BITS};
+    use mmtag_phy::bpsk::BpskModem;
+    use mmtag_phy::waveform::{count_bit_errors_lanes, LaneScratch, OokModem, MC_CHUNK_BITS};
     use mmtag_rf::math::LANES;
     use mmtag_rf::rng::{SeedTree, Xoshiro256pp};
 
     let tree = SeedTree::new(0xA110C);
-    let modem = OokModem::new(4);
-    let awgns = [Awgn::for_eb_n0(&modem, 7.0); LANES];
-    let streams = |group: usize| -> [Xoshiro256pp; LANES] {
-        std::array::from_fn(|l| tree.rng_indexed("alloc-ber-lanes", (group * LANES + l) as u64))
+    let (ook, bpsk) = (OokModem::new(4), BpskModem::new(4));
+    // E16's shape: OOK then BPSK at each of five SNRs.
+    let detectors: Vec<_> = (0..5)
+        .flat_map(|i| [ook.detector(3.0 + 2.0 * f64::from(i)), bpsk.detector(3.0)])
+        .collect();
+    let streams = |chunk: u64| -> [Xoshiro256pp; LANES] {
+        let chunk = tree.subtree_indexed("alloc-ber-chunk", chunk);
+        std::array::from_fn(|l| chunk.rng_indexed("lane", l as u64))
     };
     let mut scratch = LaneScratch::new();
 
-    // Warm-up: the first group of chunks grows the bit buffer to full
-    // chunk size and the sample buffers to one group of symbol steps.
-    let warm = count_bit_errors_lanes(&modem, &awgns, MC_CHUNK_BITS, &mut streams(0), &mut scratch);
+    // Warm-up: the first chunk grows the bit buffer to full chunk size,
+    // the sample buffers to one group of symbol steps and the per-row
+    // buffers to the table's ten rows.
+    let warm: u64 =
+        count_bit_errors_lanes(&detectors, MC_CHUNK_BITS, &mut streams(0), &mut scratch)
+            .iter()
+            .flatten()
+            .sum();
 
-    // All eight lanes and three (five idle).
+    // Full chunks, ragged ones and tables of fewer rows.
     let (allocs, errors) = allocations_during(|| {
-        let mut total = 0usize;
-        for group in 0..8 {
-            let k = [LANES, 3][group % 2];
-            let counts = count_bit_errors_lanes(
-                &modem,
-                &awgns[..k],
-                MC_CHUNK_BITS,
-                &mut streams(group)[..k],
-                &mut scratch,
-            );
-            total += counts.iter().sum::<usize>();
+        let mut total = 0u64;
+        for chunk in 0..8 {
+            let n = [MC_CHUNK_BITS, 1_811][chunk as usize % 2];
+            let rows = &detectors[..[10, 3][chunk as usize % 2]];
+            let counts = count_bit_errors_lanes(rows, n, &mut streams(chunk), &mut scratch);
+            total += counts.iter().flatten().sum::<u64>();
         }
         total
     });
     assert_eq!(
         allocs, 0,
-        "warm lane BER loop allocated {allocs} times over 8 groups of chunks"
+        "warm lane BER loop allocated {allocs} times over 8 chunks"
     );
-    // The loop really ran: group 0 repeats the warm-up counts.
-    assert!(
-        errors >= warm.iter().sum::<usize>(),
-        "steady-state loop did no work"
-    );
+    // The loop really ran: chunk 0 repeats the warm-up counts.
+    assert!(errors >= warm, "steady-state loop did no work");
 }
 
 #[test]

@@ -4,7 +4,9 @@
 //! **bit-identical** to serial output at *any* thread count, because work
 //! is split into fixed-size indexed units whose RNG streams derive only
 //! from `(root seed, label, unit index)`. These tests pin that contract on
-//! E5's BER sweep (one point and several), the MAC inventories (E24's
+//! E5's BER sweep (one point and several, whose rows decide one shared
+//! chunk grid: nested, and independent of their position), the MAC
+//! inventories (E24's
 //! Gen2 sweep, Aloha drains on per-worker scratch), the `par_indexed_with`
 //! primitive and the runner's persistent pool — and the `SeedTree`
 //! derivation itself — so a refactor that silently changes either shows
@@ -13,10 +15,10 @@
 
 use mmtag_mac::aloha::{inventory_until_drained_scratch, AlohaScratch, QAlgorithm};
 use mmtag_mac::gen2::{run_gen2_inventory, Gen2Tag, Gen2Timing};
-use mmtag_phy::waveform::{
-    ber_sweep_par_with, count_bit_errors_scratch, Awgn, OokModem, TrialScratch, MC_CHUNK_BITS,
-};
+use mmtag_phy::waveform::{ber_sweep_par_with, Awgn, OokModem, MC_CHUNK_BITS};
+use mmtag_rf::math::LANES;
 use mmtag_rf::rng::{Rng, SeedTree};
+use mmtag_rf::Complex;
 use mmtag_sim::par::{par_indexed_scratch_with, par_sweep_with};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -39,11 +41,9 @@ fn ber_point_is_thread_invariant() {
     }
 }
 
-/// A multi-point sweep (parallel over SNR × chunk) is bit-identical at
-/// every thread count too: the flattened (point, chunk) work units must
-/// reduce to the same per-point sums whoever runs them. (Point `i` draws
-/// from the `"snr"` subtree at index `i`, so it does not equal a one-point
-/// sweep at that SNR, which draws from index 0.)
+/// A multi-point sweep (every point deciding the same chunk grid) is
+/// bit-identical at every thread count too: the chunk units must reduce to
+/// the same per-point sums whoever runs them.
 #[test]
 fn ber_sweep_is_thread_invariant_and_point_consistent() {
     let tree = SeedTree::new(0xD15C);
@@ -62,11 +62,14 @@ fn ber_sweep_is_thread_invariant_and_point_consistent() {
     }
 }
 
-/// A ragged sweep — 11 points of `3·MC_CHUNK_BITS + 1234` bits, so its
-/// lane groups mix points and both the full and the partial chunks end in
-/// a short group — is bit-identical at 1, 2 and 8 threads and equals,
-/// point for point, counting each of the same `("snr", "ber-chunk")`
-/// streams alone with the single-stream kernel and summing.
+/// A ragged table — 11 OOK points of `3·MC_CHUNK_BITS + 1234` bits, so
+/// its last chunk's lanes 2–7 are one bit short of lanes 0–1 — is
+/// bit-identical at 1, 2 and 8 threads and equals, point for point, the
+/// per-chunk, per-lane counts of the allocating chain: on each
+/// `("ber-chunk", c)` chunk's eight `("lane", l)` streams, `Rng::bit` per
+/// step, the OOK waveform, one `normal_pair` per sample, the coherent
+/// demodulator, counting only the lane's own bits (a short lane's last
+/// step is drawn and not counted).
 #[test]
 fn ragged_ber_sweep_matches_per_chunk_counts_at_any_thread_count() {
     let tree = SeedTree::new(0x4A66);
@@ -84,19 +87,85 @@ fn ragged_ber_sweep_matches_per_chunk_counts_at_any_thread_count() {
             );
         }
     }
-    let mut scratch = TrialScratch::new();
-    for (si, &snr) in snrs.iter().enumerate() {
-        let awgn = Awgn::for_eb_n0(&modem, snr);
-        let point = tree.subtree_indexed("snr", si as u64);
-        let errors: usize = (0..bits.div_ceil(MC_CHUNK_BITS))
-            .map(|ci| {
-                let n = MC_CHUNK_BITS.min(bits - ci * MC_CHUNK_BITS);
-                let mut rng = point.rng_indexed("ber-chunk", ci as u64);
-                count_bit_errors_scratch(&modem, &awgn, n, true, &mut rng, &mut scratch)
-            })
-            .sum();
-        let want = errors as f64 / bits as f64;
+    let mut errors = vec![0usize; snrs.len()];
+    for c in 0..bits.div_ceil(MC_CHUNK_BITS) {
+        let n = MC_CHUNK_BITS.min(bits - c * MC_CHUNK_BITS);
+        let chunk = tree.subtree_indexed("ber-chunk", c as u64);
+        let steps = n.div_ceil(LANES);
+        for l in 0..LANES {
+            // The lane's bits and noise, drawn once and decided at every point.
+            let mut rng = chunk.rng_indexed("lane", l as u64);
+            let sent: Vec<bool> = (0..steps).map(|_| rng.bit()).collect();
+            let noise: Vec<(f64, f64)> = (0..steps * modem.samples_per_symbol)
+                .map(|_| rng.normal_pair())
+                .collect();
+            let counted = (n + LANES - 1 - l) / LANES;
+            for (si, &snr) in snrs.iter().enumerate() {
+                let sigma = Awgn::for_eb_n0(&modem, snr).sigma;
+                let mut samples = modem.modulate(&sent);
+                for (s, &(ni, nq)) in samples.iter_mut().zip(&noise) {
+                    *s += Complex::new(sigma * ni, sigma * nq);
+                }
+                let decided = modem.demodulate_coherent(&samples);
+                let pairs = sent.iter().zip(&decided).take(counted);
+                errors[si] += pairs.filter(|(a, b)| a != b).count();
+            }
+        }
+    }
+    for (si, &e) in errors.iter().enumerate() {
+        let want = e as f64 / bits as f64;
         assert_eq!(reference[si].to_bits(), want.to_bits(), "point {si}");
+    }
+}
+
+/// Rows of a BER table are nested: every row decides the same draws, and
+/// for the exact real-number statistic a bit in error at one SNR is in
+/// error at every lower SNR of its modem, so no count rises with SNR. The
+/// counters decide that exact statistic (the certificate replays every
+/// decision its `f32` sum cannot settle), but through the `f64` chain,
+/// which could break nesting only where a statistic lies within rounding
+/// of the threshold. Checked over 0–12 dB in 0.25 dB steps, three seeds,
+/// at 1 and 8 threads.
+#[test]
+fn ber_rows_are_nested_so_no_count_rises_with_snr() {
+    let modem = OokModem::new(4);
+    let snrs: Vec<f64> = (0..=48).map(|i| 0.25 * f64::from(i)).collect();
+    for seed in 1..=3 {
+        let tree = SeedTree::new(seed);
+        for threads in [1, 8] {
+            let sweep = ber_sweep_par_with(threads, &modem, &snrs, 4_096, true, &tree);
+            let rises: Vec<String> = sweep
+                .windows(2)
+                .zip(&snrs)
+                .filter(|(w, _)| w[1] > w[0])
+                .map(|(w, snr)| format!("{snr} dB: {} → {}", w[0], w[1]))
+                .collect();
+            assert!(
+                rises.is_empty(),
+                "seed {seed}, {threads} threads: counts rise with SNR:\n{}",
+                rises.join("\n")
+            );
+        }
+    }
+}
+
+/// A row's count does not depend on its position in the table or on the
+/// other rows: the middle point of a three-point sweep is the one-point
+/// sweep at its SNR. So serve's minimized `points` grids agree with the
+/// published table wherever their SNRs meet, at the same seed and trial
+/// count.
+#[test]
+fn ber_rows_do_not_depend_on_their_position() {
+    let modem = OokModem::new(4);
+    for seed in 1..=3 {
+        let tree = SeedTree::new(seed);
+        let sweep = |snrs: &[f64]| ber_sweep_par_with(2, &modem, snrs, 20_000, true, &tree);
+        let three = sweep(&[0.0, 2.0, 4.0]);
+        assert_eq!(
+            three[1].to_bits(),
+            sweep(&[2.0])[0].to_bits(),
+            "seed {seed}"
+        );
     }
 }
 
