@@ -205,13 +205,13 @@ mod tests {
     fn rejection_inside_a_certified_block_matches_the_oracle() {
         // A u1 rejection planted in one lane's stream — in the first pair,
         // mid group, in a later group, past the first symbol at sps = 64,
-        // in a symbol's second uniform block at sps = 100 — compacts
-        // inside that lane, and every BPSK row still matches its oracle
-        // on every lane.
-        for (sps, pair) in LANE_PLANTS {
-            let streams = planted_lanes(sps, pair);
+        // in a symbol's second uniform block at sps = 100, and twice in a
+        // row — compacts inside that lane, and every BPSK row still
+        // matches its oracle on every lane.
+        for (sps, pair, twice) in LANE_PLANTS {
+            let streams = planted_lanes(sps, pair, twice);
             for margin in [f64::INFINITY, CERT_MARGIN] {
-                let case = format!("sps={sps} pair {pair} margin={margin}");
+                let case = format!("sps={sps} pair {pair} twice={twice} margin={margin}");
                 assert_lanes_match(&bpsk_rows(sps), PLANTED_BITS, &streams, margin, &case);
             }
         }

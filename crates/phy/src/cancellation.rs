@@ -220,8 +220,8 @@ impl ReceiveChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::waveform::measure_ber;
-    use mmtag_rf::rng::Xoshiro256pp;
+    use crate::waveform::ber_sweep_par_with;
+    use mmtag_rf::rng::{SeedTree, Xoshiro256pp};
     use mmtag_rf::Complex;
 
     // The allocating complex chain's pieces: the kernel's oracle and the
@@ -366,8 +366,8 @@ mod tests {
     fn cancellation_restores_clean_ber() {
         let ber = chain_ber(true, 12.0, 100_000, 2);
         // Clean-channel OOK at 12 dB: ~3.4e-5.
-        let mut rng = Xoshiro256pp::seed_from(3);
-        let clean = measure_ber(&OokModem::new(4), 12.0, 100_000, &mut rng);
+        let tree = SeedTree::new(3);
+        let clean = ber_sweep_par_with(1, &OokModem::new(4), &[12.0], 100_000, true, &tree)[0];
         assert!(
             ber <= clean * 5.0 + 2e-4,
             "cancelled BER {ber} vs clean {clean}"

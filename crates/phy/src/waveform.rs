@@ -17,44 +17,41 @@
 //!   decides the same draws: each chunk's bits and noise are drawn once,
 //!   on [`LANES`] streams of its own, and decided under every detector, so
 //!   the table is bit-identical at any thread count.
-//!   [`ber_sweep_par_with`] is its OOK sweep, and [`measure_ber`] the
-//!   harness on one sequential stream.
+//!   [`ber_sweep_par_with`] is its OOK sweep.
 //!
 //! Bit convention: §6 of the paper maps data bit **0** to the reflective
 //! state ("the switches are off and the amplitude of the reflected power is
 //! high") and bit **1** to absorption. [`OokModem`] uses `mark_bit` to hold
 //! that mapping so the same modem expresses either convention.
 //!
-//! ## The certified counters, [`LaneScratch`] and [`TrialScratch`]
+//! ## The certified counter and [`LaneScratch`]
 //!
-//! The Monte-Carlo trial loop is the stack's hottest path. It has two
-//! shapes sharing one certificate, one exact replay and one set of math
-//! lanes (DESIGN.md §11). [`count_bit_errors_lanes`] counts one chunk of a
-//! table: bit `i` sits at lane `i mod LANES` of [`LANES`] xoshiro streams
-//! stepped at once ([`XoshiroLanes`]); each lane's bits are drawn first,
-//! then its noise through the certified Box–Muller block
-//! ([`uniform_pairs_lanes`] + [`box_muller_certified`], `ln` through the
-//! vectorized [`mmtag_rf::math::ln_lanes`] in `f64` and everything after
-//! it in `f32`, the in-phase noise only), and every detector folds its own
-//! `f32` matched filter over that shared noise. [`count_bit_errors_scratch`]
-//! is the same pipeline on one stream of any [`Rng`] under one OOK
-//! detector: no table runs it, and it stays for perfbench's probe and as
-//! the lane counter's per-lane oracle in the tests. Each threshold decision
-//! stands when the fast statistic, compared in `f64`, clears the threshold
-//! by a margin a rounding analysis at `f32`'s `u = 2⁻²⁴` proves larger
-//! than any gap to the exact statistic; a symbol inside the margin is
-//! replayed through the exact libm chain from its kept uniforms, and each
-//! call adds its replays to the `phy.ber.replays` counter. The steady
-//! state of either loop performs **zero heap allocations** (verified by
-//! the repo's allocation-guard integration test). Their test oracle is the
-//! allocating chain, written out in this module's tests: one [`Rng::bit`]
-//! per bit, the modem's `modulate`, one [`Rng::normal_pair`] added per
-//! sample, then the matched filter and the detector's decision. Both
-//! counters match it bit for bit — same counts, same RNG stream position,
-//! lane by lane and detector by detector — at the production margin and
-//! with every decision forced through the replay. The counters decide
-//! coherently only: the non-coherent (envelope) model is the closed form
-//! [`crate::ber::ook_noncoherent_ber`].
+//! The Monte-Carlo trial loop is the stack's hottest path, and
+//! [`count_bit_errors_lanes`] is its one certified bit-error counter
+//! (DESIGN.md §11). It counts one chunk of a table: bit `i` sits at lane
+//! `i mod LANES` of [`LANES`] xoshiro streams stepped at once
+//! ([`XoshiroLanes`]); each lane's bits are drawn first, then its noise
+//! through the certified Box–Muller block ([`uniform_pairs_lanes`] +
+//! [`box_muller_certified`], `ln` through the vectorized
+//! [`mmtag_rf::math::ln_lanes`] in `f64` and everything after it in `f32`,
+//! the in-phase noise only), and every detector folds its own `f32`
+//! matched filter over that shared noise. Each threshold decision stands
+//! when the fast statistic, compared in `f64`, clears the threshold by a
+//! margin a rounding analysis at `f32`'s `u = 2⁻²⁴` proves larger than any
+//! gap to the exact statistic; a symbol inside the margin is replayed
+//! through the exact libm chain from its kept uniforms, and each call adds
+//! its replays to the `phy.ber.replays` counter. The steady state performs
+//! **zero heap allocations** (verified by the repo's allocation-guard
+//! integration test). The test oracle is the allocating chain, written out
+//! in this module's tests: one [`Rng::bit`] per bit, the modem's
+//! `modulate`, one [`Rng::normal_pair`] added per sample, then the matched
+//! filter and the detector's decision. The counter matches it bit for bit
+//! — same counts, same RNG stream position, lane by lane and detector by
+//! detector — at the production margin and with every decision forced
+//! through the replay. [`count_bit_errors_scratch`] is the counter under
+//! one OOK detector, on lane streams seeded from any [`Rng`]. The counter
+//! decides coherently only: the non-coherent (envelope) model is the
+//! closed form [`crate::ber::ook_noncoherent_ber`].
 //!
 //! Noise streams are **sampler v2**: each complex sample's noise is one
 //! [`Rng::normal_pair`] (one uniform pair for both components, OOK and
@@ -68,8 +65,8 @@ use mmtag_rf::math::LANES;
 use mmtag_rf::obs;
 use mmtag_rf::par;
 use mmtag_rf::rng::{
-    box_muller_certified, box_muller_exact, uniform_pairs, uniform_pairs_lanes, Rng, SeedTree,
-    Xoshiro256pp, XoshiroLanes, BM_BLOCK,
+    box_muller_certified, box_muller_exact, uniform_pairs_lanes, Rng, SeedTree, Xoshiro256pp,
+    XoshiroLanes, BM_BLOCK,
 };
 use mmtag_rf::Complex;
 
@@ -224,10 +221,10 @@ impl Awgn {
     /// stream: it reproduces this noise bit for bit while computing only
     /// the in-phase draws no decision can do without, and keeps the
     /// allocating chain through this method as its test oracle. The
-    /// bit-error counters ([`count_bit_errors_lanes`] for OOK and BPSK
-    /// detectors alike, [`count_bit_errors_scratch`]) instead consume one
-    /// [`Rng::normal_pair`] per sample, a *different* (equally valid)
-    /// noise stream from the same seed.
+    /// bit-error counter ([`count_bit_errors_lanes`], for OOK and BPSK
+    /// detectors alike) instead consumes one [`Rng::normal_pair`] per
+    /// sample, a *different* (equally valid) noise stream from the same
+    /// seed.
     pub fn apply<R: Rng + ?Sized>(&self, samples: &mut [Complex], rng: &mut R) {
         for s in samples {
             *s += Complex::new(self.sigma * rng.normal(), self.sigma * rng.normal());
@@ -329,239 +326,6 @@ fn assert_certified_sps(sps: usize) {
     );
 }
 
-/// Symbols per group of the single-stream kernel: a multiple of
-/// [`LANES`], and as many as fit in one [`BM_BLOCK`] of samples where
-/// `sps` allows (`sps ≤ 8`); otherwise one lane's worth.
-fn group_symbols(sps: usize) -> usize {
-    (BM_BLOCK / sps / LANES).max(1) * LANES
-}
-
-/// Sums each symbol's `sps` consecutive samples of `x`, first to last
-/// from `0.0` in `f32`, [`LANES`] independent symbols side by side.
-/// `out.len()` symbols, a multiple of [`LANES`].
-fn fold_symbols(x: &[f32], sps: usize, out: &mut [f32]) {
-    for (seg, sums) in x.chunks_exact(LANES * sps).zip(out.chunks_exact_mut(LANES)) {
-        let mut acc = [0.0f32; LANES];
-        for j in 0..sps {
-            for l in 0..LANES {
-                acc[l] += seg[l * sps + j];
-            }
-        }
-        sums.copy_from_slice(&acc);
-    }
-}
-
-/// One group of symbols' buffers for the single-stream kernel: the kept
-/// uniforms, the fast radii, and the noisy waveform's in-phase component,
-/// each `group_symbols(sps)·sps` long, plus each symbol's fast statistic
-/// and certificate bound. Every value the kernel reads is written first in
-/// the same group (a partial last lane folds stale samples into sums
-/// nobody reads).
-#[derive(Clone, Debug, Default)]
-struct SymbolGroup {
-    /// Kept `u1` uniforms, for exact replay.
-    u1: Vec<f64>,
-    /// Kept `u2` uniforms, for exact replay.
-    u2: Vec<f64>,
-    /// Fast Box–Muller radii `r'`.
-    r: Vec<f32>,
-    /// I components: the cosine-branch noise, then the noisy samples.
-    re: Vec<f32>,
-    /// Per symbol: the fast statistic `S'`.
-    stat: Vec<f32>,
-    /// Per symbol: the certificate bound, [`cert_bound`].
-    bound: Vec<f64>,
-}
-
-impl SymbolGroup {
-    /// Sizes every buffer for groups at `sps` (capacity never shrinks, so
-    /// a warm scratch resizes without allocating).
-    fn reserve_for(&mut self, sps: usize) {
-        let symbols = group_symbols(sps);
-        for buf in [&mut self.u1, &mut self.u2] {
-            buf.resize(symbols * sps, 0.0);
-        }
-        for buf in [&mut self.r, &mut self.re] {
-            buf.resize(symbols * sps, 0.0);
-        }
-        self.stat.resize(symbols, 0.0);
-        self.bound.resize(symbols, 0.0);
-    }
-
-    /// One group: draws `bits.len() · sps` pairs through the certified
-    /// block, then the fused modulate + AWGN pass in `f32` (`a + σ·nᵢ` on
-    /// I, `a` the detector's level for the bit), and symbol `l`'s fast
-    /// statistic `S'` to `stat[l]` and its [`cert_bound`] to `bound[l]`.
-    fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R, det: &Detector, bits: &[bool]) {
-        let sps = det.samples_per_symbol;
-        let ns = bits.len() * sps;
-        let SymbolGroup { u1, u2, r, re, .. } = self;
-        uniform_pairs(rng, &mut u1[..ns], &mut u2[..ns]);
-        box_muller_certified(&u1[..ns], &u2[..ns], &mut r[..ns], &mut re[..ns]);
-        let sigma32 = det.sigma as f32;
-        for (x, &bit) in re[..ns].chunks_exact_mut(sps).zip(bits) {
-            let a = det.level(bit) as f32;
-            for v in x {
-                *v = a + sigma32 * *v;
-            }
-        }
-        let lanes = bits.len().div_ceil(LANES) * LANES;
-        let mut sum_r = [0.0f32; BM_BLOCK];
-        fold_symbols(&self.re[..lanes * sps], sps, &mut self.stat[..lanes]);
-        fold_symbols(&self.r[..lanes * sps], sps, &mut sum_r[..lanes]);
-        for ((b, &sr), &bit) in self.bound.iter_mut().zip(&sum_r).zip(bits) {
-            *b = cert_bound(sps, det.level(bit), det.sigma, sr);
-        }
-    }
-}
-
-/// Caller-owned workspace for the zero-allocation trial kernel
-/// ([`count_bit_errors_scratch`]).
-///
-/// Ownership rules (DESIGN.md §8): the scratch belongs to exactly one
-/// worker at a time, and a kernel **writes every value it uses before
-/// reading it**, so a scratch carries no information between trials and
-/// reusing one across work units cannot perturb results. The bit buffer
-/// grows to the largest chunk ever processed; the sample buffers hold one
-/// group of symbols (at least [`BM_BLOCK`] samples, `LANES·sps` above
-/// `sps = 8`), whatever the chunk length. Nothing shrinks, so the steady
-/// state of a trial loop performs zero heap allocations.
-#[derive(Clone, Debug, Default)]
-pub struct TrialScratch {
-    /// The chunk's random data bits.
-    bits: Vec<bool>,
-    /// The current group's samples.
-    group: SymbolGroup,
-}
-
-impl TrialScratch {
-    /// An empty workspace; buffers are sized lazily by the first trial.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// The single-stream trial kernel: draws `n_bits` random bits and the
-/// AWGN from `rng`, runs modulate → noise → demodulate-and-count inside
-/// `scratch`, and returns the bit-error count. No table runs it: it is
-/// perfbench's `phy.waveform.ber_ns_per_bit` probe, and the tests hold
-/// each lane of [`count_bit_errors_lanes`] to it.
-///
-/// The count and the RNG stream position are **bit-identical** to the
-/// allocating chain — [`OokModem::modulate`], one [`Rng::normal_pair`]
-/// added per sample, the demodulators — which the differential tests pin.
-/// How it gets there (DESIGN.md §11):
-///
-/// * all bits are drawn first ([`Rng::fill_bits`]); the waveform then
-///   streams through groups of whole symbols (a multiple of [`LANES`],
-///   one [`BM_BLOCK`] of samples where `sps` allows), so the buffers stay
-///   group-sized whatever `n_bits` is;
-/// * each group's noise comes from the **certified** Box–Muller block
-///   ([`uniform_pairs`] + [`box_muller_certified`]): the same draws as the
-///   exact chain, but `ln` through the vectorized
-///   [`mmtag_rf::math::ln_lanes`] instead of libm, everything after it in
-///   `f32`, and the uniforms kept;
-/// * a fused modulate+noise sweep and a lane matched filter, both in
-///   `f32`, give each symbol its fast statistic `S'` (the real part)
-///   together with `Σⱼ Bⱼ`, `Bⱼ = |a| + |σ|·r'ⱼ`;
-/// * the decision `S' > θ` stands when `|S' − θ| > K·(sps + 15)·Σⱼ Bⱼ`
-///   (compared in `f64`), a margin the rounding analysis proves larger
-///   than any gap to the exact statistic; otherwise that one symbol is
-///   replayed through the exact libm chain from its kept uniforms
-///   ([`box_muller_exact`]), and so is every symbol of a call whose `σ`
-///   or amplitude lies outside the range `f32` covers.
-///
-/// [`measure_ber`] runs this kernel with a one-shot workspace; a caller
-/// counting many chunks threads one [`TrialScratch`] through all of them,
-/// so buffer allocation amortizes across every chunk it counts.
-///
-/// `coherent` must be `true`: the kernel decides on the real part only.
-///
-/// # Panics
-/// Panics if `coherent` is `false` or `samples_per_symbol` exceeds
-/// [`MAX_CERTIFIED_SPS`].
-///
-/// # Examples
-///
-/// One scratch serves any number of chunks; only the first sizes buffers:
-///
-/// ```
-/// use mmtag_phy::waveform::{count_bit_errors_scratch, Awgn, OokModem, TrialScratch};
-/// use mmtag_rf::rng::SeedTree;
-///
-/// let modem = OokModem::default();
-/// let awgn = Awgn::for_eb_n0(&modem, 12.0);
-/// let mut rng = SeedTree::new(7).rng("doctest");
-/// let mut scratch = TrialScratch::new();
-///
-/// let errors: usize = (0..4)
-///     .map(|_| count_bit_errors_scratch(&modem, &awgn, 1_000, true, &mut rng, &mut scratch))
-///     .sum();
-/// // At 12 dB Eb/N0, coherent OOK errors are rare but the count is exact
-/// // and reproducible for this seed.
-/// assert!(errors < 100);
-/// ```
-pub fn count_bit_errors_scratch<R: Rng + ?Sized>(
-    modem: &OokModem,
-    awgn: &Awgn,
-    n_bits: usize,
-    coherent: bool,
-    rng: &mut R,
-    scratch: &mut TrialScratch,
-) -> usize {
-    assert!(coherent, "{COHERENT_ONLY}");
-    count_certified(modem, awgn, n_bits, rng, scratch, CERT_MARGIN)
-}
-
-/// Why `coherent = false` panics: the certified counters implement one
-/// detector. `coherent` stays on [`count_bit_errors_scratch`] and
-/// [`ber_sweep_par_with`] only because perfbench passes it positionally.
-const COHERENT_ONLY: &str = "the certified BER counters decide coherently only; \
-                             ber::ook_noncoherent_ber is the non-coherent (envelope) model";
-
-/// [`count_bit_errors_scratch`] at an explicit certificate margin factor
-/// (production passes [`CERT_MARGIN`]; the tests pass `∞` to force every
-/// decision through the exact replay).
-fn count_certified<R: Rng + ?Sized>(
-    modem: &OokModem,
-    awgn: &Awgn,
-    n_bits: usize,
-    rng: &mut R,
-    scratch: &mut TrialScratch,
-    margin: f64,
-) -> usize {
-    let _span = obs::span("phy.ber.chunk");
-    let det = modem.detector_with_sigma(awgn.sigma);
-    let sps = det.samples_per_symbol;
-    assert_certified_sps(sps);
-    let TrialScratch { bits, group } = scratch;
-    bits.resize(n_bits, false);
-    rng.fill_bits(bits);
-    group.reserve_for(sps);
-    let margin = det.fast_margin(margin);
-    let (mut errors, mut replays) = (0u64, 0u64);
-    for group_bits in bits.chunks(group_symbols(sps)) {
-        group.draw(rng, &det, group_bits);
-        for (l, &bit) in group_bits.iter().enumerate() {
-            let fast = f64::from(group.stat[l]);
-            let s = if certified(fast, det.threshold, group.bound[l], margin) {
-                fast
-            } else {
-                replays += 1;
-                let at = l * sps..(l + 1) * sps;
-                let pairs = group.u1[at.clone()].iter().zip(&group.u2[at]);
-                exact_statistic(pairs.map(|(&v1, &v2)| (v1, v2)), det.level(bit), det.sigma)
-            };
-            errors += u64::from(det.wrong(s, bit));
-        }
-    }
-    let errors = errors as usize;
-    obs::counter_add("phy.ber.bits", n_bits as u64);
-    obs::counter_add("phy.ber.replays", replays);
-    obs::observe("phy.ber.chunk_errors", errors as u64);
-    errors
-}
-
 /// One symbol's exact matched-filter statistic, replayed from its kept
 /// uniform pairs `(u1, u2)`, first sample first: each pair's cosine
 /// branch through [`box_muller_exact`] (libm `ln`), `a + σ·nᵢ`, summed
@@ -577,8 +341,12 @@ pub(crate) fn exact_statistic(pairs: impl Iterator<Item = (f64, f64)>, a: f64, s
 }
 
 /// Caller-owned workspace for the lane counter
-/// ([`count_bit_errors_lanes`]), under [`TrialScratch`]'s ownership rules:
-/// one worker at a time, every value written before it is read. It holds
+/// ([`count_bit_errors_lanes`]).
+///
+/// Ownership rules (DESIGN.md §8): the scratch belongs to exactly one
+/// worker at a time, and the counter **writes every value it uses before
+/// reading it**, so a scratch carries no information between calls and
+/// reusing one across work units cannot perturb results. It holds
 /// one byte per symbol step for the lanes' bits, one group of sample
 /// steps laid out across streams (`[k][l]` is sample `k` of lane `l`): as
 /// many whole symbols as fit in [`BM_BLOCK`] steps (4 KiB per `f64`
@@ -613,8 +381,8 @@ impl LaneScratch {
 /// Counts one chunk of `n_bits` bits under every detector of a table, the
 /// chunk's bits and noise drawn once: bit `i` sits at lane `i mod LANES`,
 /// step `i div LANES`, and lane `l` draws from `rngs[l]` — its step bits
-/// first, then one uniform pair per sample, the way
-/// [`count_bit_errors_scratch`] draws one stream. Every lane draws
+/// first (one [`Rng::bit`] each, the top bit of a raw), then one uniform
+/// pair per sample, the draws of one [`Rng::normal_pair`]. Every lane draws
 /// `⌈n_bits / LANES⌉` steps; a step past a lane's final bit is drawn and
 /// not counted. Returns each detector's per-lane error counts; on each
 /// lane's stream, detector `d`'s count is the allocating chain's for that
@@ -631,7 +399,7 @@ impl LaneScratch {
 ///   after the `ln`), and per step the lanes' running `f32` radius sums,
 ///   shared by every detector;
 /// * each detector then folds its own `f32` matched filter, `a + σ·nᵢ`
-///   at its levels and `σ` in the single-stream kernel's order, and
+///   at its levels and `σ`, first sample first from `0.0`, and
 ///   decides every lane branch-free under the same certificate
 ///   (`|S' − θ| > K·(sps + 15)·Σⱼ Bⱼ` at its level and `σ`), with one
 ///   test per step for any lane inside the margin; such a lane's symbol
@@ -652,6 +420,63 @@ pub fn count_bit_errors_lanes<'s>(
 ) -> &'s [[u64; LANES]] {
     count_certified_lanes(detectors, n_bits, rngs, scratch, CERT_MARGIN)
 }
+
+/// The workspace of [`count_bit_errors_scratch`]: the lane counter's.
+pub type TrialScratch = LaneScratch;
+
+/// Counts the bit errors of `n_bits` random bits under `modem`'s coherent
+/// detector at `awgn`'s noise: [`count_bit_errors_lanes`] under that one
+/// detector, on the [`LANES`] streams `Xoshiro256pp::seed_from(rng.next_u64())`
+/// drawn in lane order, its lane counts summed. `rng` ends exactly
+/// [`LANES`] raws on. No table runs it: it is perfbench's
+/// `phy.waveform.ber_ns_per_bit` probe.
+///
+/// `coherent` must be `true`: the counter decides on the real part only.
+///
+/// # Panics
+/// Panics if `coherent` is `false` or `samples_per_symbol` exceeds
+/// [`MAX_CERTIFIED_SPS`].
+///
+/// # Examples
+///
+/// One scratch serves any number of chunks; only the first sizes buffers:
+///
+/// ```
+/// use mmtag_phy::waveform::{count_bit_errors_scratch, Awgn, OokModem, TrialScratch};
+/// use mmtag_rf::rng::SeedTree;
+///
+/// let modem = OokModem::default();
+/// let awgn = Awgn::for_eb_n0(&modem, 12.0);
+/// let mut rng = SeedTree::new(7).rng("doctest");
+/// let mut scratch = TrialScratch::new();
+///
+/// let errors: usize = (0..4)
+///     .map(|_| count_bit_errors_scratch(&modem, &awgn, 1_000, true, &mut rng, &mut scratch))
+///     .sum();
+/// // At 12 dB Eb/N0, coherent OOK errors are rare but the count is exact
+/// // and reproducible for this seed.
+/// assert!(errors < 100);
+/// ```
+pub fn count_bit_errors_scratch<R: Rng + ?Sized>(
+    modem: &OokModem,
+    awgn: &Awgn,
+    n_bits: usize,
+    coherent: bool,
+    rng: &mut R,
+    scratch: &mut TrialScratch,
+) -> usize {
+    assert!(coherent, "{COHERENT_ONLY}");
+    let detector = modem.detector_with_sigma(awgn.sigma);
+    let mut rngs = std::array::from_fn(|_| Xoshiro256pp::seed_from(rng.next_u64()));
+    let counts = count_bit_errors_lanes(&[detector], n_bits, &mut rngs, scratch);
+    counts[0].iter().sum::<u64>() as usize
+}
+
+/// Why `coherent = false` panics: the certified counter implements one
+/// detector. `coherent` stays on [`count_bit_errors_scratch`] and
+/// [`ber_sweep_par_with`] only because perfbench passes it positionally.
+const COHERENT_ONLY: &str = "the certified BER counters decide coherently only; \
+                             ber::ook_noncoherent_ber is the non-coherent (envelope) model";
 
 /// The samples per symbol every detector of a table shares.
 fn table_sps(detectors: &[Detector]) -> usize {
@@ -808,22 +633,6 @@ pub(crate) fn count_certified_lanes<'s>(
 /// randomness each chunk consumes — is identical at any worker budget.
 pub const MC_CHUNK_BITS: usize = 8_192;
 
-/// Monte-Carlo BER of the full modulate → AWGN → coherent demodulate
-/// chain at a mean `Eb/N0`, over `n_bits` random bits drawn from `rng`:
-/// [`count_bit_errors_scratch`]'s count with a one-shot workspace
-/// (**sampler v2** noise). A test reference: no production path calls it.
-pub fn measure_ber<R: Rng + ?Sized>(
-    modem: &OokModem,
-    eb_n0_db: f64,
-    n_bits: usize,
-    rng: &mut R,
-) -> f64 {
-    assert!(n_bits > 0, "need at least one bit");
-    let awgn = Awgn::for_eb_n0(modem, eb_n0_db);
-    let mut scratch = TrialScratch::new();
-    count_certified(modem, &awgn, n_bits, rng, &mut scratch, CERT_MARGIN) as f64 / n_bits as f64
-}
-
 /// The bit-error counts of a BER table at a `threads` budget: row `d`
 /// counts the errors of `bits_per_row` random bits under `detectors[d]`,
 /// and every row decides the same draws.
@@ -906,49 +715,11 @@ pub(crate) mod tests {
     use super::*;
     use crate::ber::ook_coherent_ber;
     use crate::bpsk::BpskModem;
-    use mmtag_rf::rng::Xoshiro256pp;
+    use mmtag_rf::rng::{uniform_pairs, Xoshiro256pp};
 
     /// A raw `u64` whose top 53 bits are zero: as a `u1` draw it is the
     /// 2⁻⁵³ Box–Muller rejection.
     const REJECTED_U1: u64 = 0x7FF;
-
-    /// Replays a canned prefix of raws, then falls through to xoshiro —
-    /// the way to land a `u1` rejection at a chosen stream position.
-    #[derive(Clone)]
-    struct ScriptedRng {
-        script: Vec<u64>,
-        at: usize,
-        tail: Xoshiro256pp,
-    }
-
-    impl ScriptedRng {
-        /// `seed`'s first `len` raws with `REJECTED_U1` planted at each of
-        /// `rejections` (stream positions), then the rest of that stream.
-        fn planted(seed: u64, len: usize, rejections: &[usize]) -> Self {
-            let mut tail = Xoshiro256pp::seed_from(seed);
-            let mut script: Vec<u64> = (0..len).map(|_| tail.next_u64()).collect();
-            for &p in rejections {
-                script[p] = REJECTED_U1;
-            }
-            ScriptedRng {
-                script,
-                at: 0,
-                tail,
-            }
-        }
-    }
-
-    impl Rng for ScriptedRng {
-        fn next_u64(&mut self) -> u64 {
-            match self.script.get(self.at) {
-                Some(&raw) => {
-                    self.at += 1;
-                    raw
-                }
-                None => self.tail.next_u64(),
-            }
-        }
-    }
 
     #[test]
     fn noiseless_roundtrip_is_error_free() {
@@ -987,9 +758,9 @@ pub(crate) mod tests {
     fn monte_carlo_matches_coherent_theory_at_10db() {
         // E5's core assertion: the sampled chain lands on Q(√(Eb/N0)).
         let modem = OokModem::new(4);
-        let mut rng = Xoshiro256pp::seed_from(2024);
         let eb_n0_db = 10.0;
-        let measured = measure_ber(&modem, eb_n0_db, 400_000, &mut rng);
+        let tree = SeedTree::new(2024);
+        let measured = ber_sweep_par_with(1, &modem, &[eb_n0_db], 400_000, true, &tree)[0];
         let theory = ook_coherent_ber(10f64.powf(eb_n0_db / 10.0));
         // theory ≈ 7.8e-4; allow 4σ of the binomial estimator plus an
         // absolute 1e-5.
@@ -1003,8 +774,7 @@ pub(crate) mod tests {
     #[test]
     fn monte_carlo_matches_theory_at_6db() {
         let modem = OokModem::new(4);
-        let mut rng = Xoshiro256pp::seed_from(7);
-        let measured = measure_ber(&modem, 6.0, 200_000, &mut rng);
+        let measured = ber_sweep_par_with(1, &modem, &[6.0], 200_000, true, &SeedTree::new(7))[0];
         let theory = ook_coherent_ber(10f64.powf(0.6));
         assert!(
             (measured - theory).abs() / theory < 0.1,
@@ -1015,19 +785,17 @@ pub(crate) mod tests {
     #[test]
     fn ber_decreases_with_snr() {
         let modem = OokModem::new(4);
-        let mut rng = Xoshiro256pp::seed_from(5);
-        let b4 = measure_ber(&modem, 4.0, 100_000, &mut rng);
-        let b8 = measure_ber(&modem, 8.0, 100_000, &mut rng);
-        let b12 = measure_ber(&modem, 12.0, 100_000, &mut rng);
-        assert!(b4 > b8 && b8 > b12, "{b4} > {b8} > {b12} violated");
+        let tree = SeedTree::new(5);
+        let b = ber_sweep_par_with(1, &modem, &[4.0, 8.0, 12.0], 100_000, true, &tree);
+        assert!(b[0] > b[1] && b[1] > b[2], "{b:?} not decreasing");
     }
 
     #[test]
     fn oversampling_does_not_change_ber() {
         // Matched filtering makes BER depend only on Eb/N0, not on sps.
-        let mut rng = Xoshiro256pp::seed_from(31);
-        let b2 = measure_ber(&OokModem::new(2), 8.0, 200_000, &mut rng);
-        let b16 = measure_ber(&OokModem::new(16), 8.0, 200_000, &mut rng);
+        let tree = SeedTree::new(31);
+        let b2 = ber_sweep_par_with(1, &OokModem::new(2), &[8.0], 200_000, true, &tree)[0];
+        let b16 = ber_sweep_par_with(1, &OokModem::new(16), &[8.0], 200_000, true, &tree)[0];
         assert!(
             (b2 - b16).abs() < 0.3 * (b2 + b16),
             "sps=2 {b2} vs sps=16 {b16}"
@@ -1059,7 +827,7 @@ pub(crate) mod tests {
         assert_eq!(modem.matched_filter(&samples).len(), 1);
     }
 
-    /// A detector's allocating chain, the counters' oracle: the modem that
+    /// A detector's allocating chain, the counter's oracle: the modem that
     /// modulates the bits and decides the matched filter's real part.
     #[derive(Clone, Copy, Debug)]
     pub(crate) enum Chain {
@@ -1107,15 +875,10 @@ pub(crate) mod tests {
         }
     }
 
-    /// The single-stream kernel's oracle: [`Chain::oracle_errors`] for
-    /// `modem` on `n_bits` bits, every one counted.
-    fn oracle_bit_errors<R: Rng + ?Sized>(
-        modem: &OokModem,
-        awgn: &Awgn,
-        n_bits: usize,
-        rng: &mut R,
-    ) -> usize {
-        Chain::Ook(*modem).oracle_errors(awgn.sigma, n_bits, n_bits, rng)
+    /// The bits lane `l` of a chunk of `n_bits` counts: the chunk's bits
+    /// `l, l + LANES, …`.
+    fn lane_bits(n_bits: usize, l: usize) -> usize {
+        (n_bits + LANES - 1 - l) / LANES
     }
 
     #[test]
@@ -1139,13 +902,14 @@ pub(crate) mod tests {
 
     #[test]
     fn lane_kernel_is_bit_identical_to_batch_kernel() {
-        // The kernel contract: the single-stream kernel (its matched
-        // filter carries LANES symbols side by side) returns the same count
-        // AND leaves the RNG at the same stream position as the allocating
-        // oracle chain, at every length class — empty, sub-lane, the
-        // 8-lane boundary and its neighbours, and long chunks that
-        // exercise many full lane blocks plus a tail — under both mark
-        // conventions.
+        // The one-detector entry's contract: `count_bit_errors_scratch`
+        // returns the sum over the LANES streams seeded from the caller's
+        // next LANES raws, in lane order, of the allocating chain's count
+        // on each, every lane counting its own bits; and it leaves the
+        // caller's generator exactly LANES raws on. At every length class
+        // — empty, sub-lane, the 8-lane boundary and its neighbours, and
+        // long chunks that exercise many full lane blocks plus a tail —
+        // under both mark conventions.
         for &n in &[0usize, 1, 7, 8, 9, 1000, 100_000] {
             for mark_bit in [false, true] {
                 for sps in [1usize, 4] {
@@ -1154,21 +918,21 @@ pub(crate) mod tests {
                         ..OokModem::new(sps)
                     };
                     let awgn = Awgn::for_eb_n0(&modem, 4.0);
-                    let mut rng_a = Xoshiro256pp::seed_from(0xB17 ^ n as u64);
-                    let mut rng_b = Xoshiro256pp::seed_from(0xB17 ^ n as u64);
+                    let mut rng = Xoshiro256pp::seed_from(0xB17 ^ n as u64);
+                    let mut caller = rng.clone();
                     let mut scratch = TrialScratch::new();
-                    let lanes =
-                        count_bit_errors_scratch(&modem, &awgn, n, true, &mut rng_a, &mut scratch);
-                    let oracle = oracle_bit_errors(&modem, &awgn, n, &mut rng_b);
-                    assert_eq!(
-                        lanes, oracle,
-                        "count diverged at n={n} mark_bit={mark_bit} sps={sps}"
-                    );
-                    assert_eq!(
-                        rng_a.next_u64(),
-                        rng_b.next_u64(),
-                        "stream position diverged at n={n} sps={sps}"
-                    );
+                    let got =
+                        count_bit_errors_scratch(&modem, &awgn, n, true, &mut rng, &mut scratch);
+                    let want: usize = (0..LANES)
+                        .map(|l| {
+                            let mut lane = Xoshiro256pp::seed_from(caller.next_u64());
+                            let (steps, counted) = (n.div_ceil(LANES), lane_bits(n, l));
+                            Chain::Ook(modem).oracle_errors(awgn.sigma, steps, counted, &mut lane)
+                        })
+                        .sum();
+                    let case = format!("n={n} mark_bit={mark_bit} sps={sps}");
+                    assert_eq!(got, want, "count diverged at {case}");
+                    assert_eq!(rng, caller, "stream position diverged at {case}");
                 }
             }
         }
@@ -1178,71 +942,27 @@ pub(crate) mod tests {
     pub(crate) const CERT_SNRS_DB: [f64; 6] = [-5.0, 0.0, 4.0, 9.5, 17.0, 30.0];
 
     #[test]
-    fn forced_replay_and_production_margin_both_match_the_oracle() {
-        // With the margin at ∞ every decision replays the exact chain; at
-        // K the fast path decides almost all of them. Both must give the
-        // oracle's count and leave the stream where it does.
-        for sps in [1usize, 3, 4, 8] {
-            for n in [1usize, 7, 9, 16, 17, 1000] {
-                for (si, &snr) in CERT_SNRS_DB.iter().enumerate() {
-                    let modem = OokModem {
-                        mark_bit: si % 2 == 1,
-                        ..OokModem::new(sps)
-                    };
-                    let awgn = Awgn::for_eb_n0(&modem, snr);
-                    let seed = 0xCE27 ^ (n as u64) << 8 ^ (sps as u64) << 20 ^ si as u64;
-                    let mut oracle_rng = Xoshiro256pp::seed_from(seed);
-                    let want = oracle_bit_errors(&modem, &awgn, n, &mut oracle_rng);
-                    let next = oracle_rng.next_u64();
-                    for margin in [f64::INFINITY, CERT_MARGIN] {
-                        let mut rng = Xoshiro256pp::seed_from(seed);
-                        let mut scratch = TrialScratch::new();
-                        let got = count_certified(&modem, &awgn, n, &mut rng, &mut scratch, margin);
-                        let case = format!("sps={sps} n={n} snr={snr} margin={margin}");
-                        assert_eq!(got, want, "{case}");
-                        assert_eq!(rng.next_u64(), next, "{case}: stream position");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn certificate_margin_has_2_pow_8_headroom_over_a_million_symbols() {
-        // The fast statistic of every symbol against its exact replay:
-        // the worst |S' − S| must stay 2⁸ below the margin
-        // K·(sps + 15)·Σ Bⱼ the kernel accepts decisions at (DESIGN.md §11
-        // derives ≤ u·(sps + 15)·Σ Bⱼ with u = 2⁻²⁴, and K = 2⁸·u).
-        let mut worst = 0.0f64;
-        let mut symbols = 0usize;
-        let cases = [
-            (1usize, 300_000usize),
-            (4, 550_000),
-            (8, 130_000),
-            (64, 20_000),
-        ];
-        for (case, (sps, per_case)) in cases.into_iter().enumerate() {
-            let modem = OokModem::new(sps);
-            let mut rng = Xoshiro256pp::seed_from(0x4EAD ^ case as u64);
-            let mut group = SymbolGroup::default();
-            group.reserve_for(sps);
-            let mut bits = vec![false; group_symbols(sps)];
-            for g in 0..per_case.div_ceil(bits.len()) {
-                let det = modem.detector(CERT_SNRS_DB[g % CERT_SNRS_DB.len()]);
-                rng.fill_bits(&mut bits);
-                group.draw(&mut rng, &det, &bits);
-                for (l, &bit) in bits.iter().enumerate() {
-                    let at = l * sps..(l + 1) * sps;
-                    let pairs = group.u1[at.clone()].iter().zip(&group.u2[at]);
-                    let pairs = pairs.map(|(&v1, &v2)| (v1, v2));
-                    let exact = exact_statistic(pairs, det.level(bit), det.sigma);
-                    let gap = (f64::from(group.stat[l]) - exact).abs();
-                    worst = worst.max(gap / (CERT_MARGIN * group.bound[l]));
-                }
-                symbols += bits.len();
+        // The lane decide pass under OOK detectors of both mark
+        // conventions: every fast statistic against its exact replay, the
+        // worst |S' − S| 2⁸ below the margin K·(sps + 15)·Σ Bⱼ the counter
+        // accepts decisions at (DESIGN.md §11 derives ≤ u·(sps + 15)·Σ Bⱼ
+        // with u = 2⁻²⁴, and K = 2⁸·u).
+        let (mut worst, mut decisions) = (0.0f64, 0usize);
+        let cases = [(1usize, 4_000usize), (4, 6_000), (8, 2_000), (64, 200)];
+        for (case, (sps, symbols)) in cases.into_iter().enumerate() {
+            for mark_bit in [false, true] {
+                let modem = OokModem {
+                    mark_bit,
+                    ..OokModem::new(sps)
+                };
+                let (w, d) =
+                    worst_lane_gap(Chain::Ook(modem), sps, symbols, 0x1A4EAD ^ case as u64);
+                worst = worst.max(w);
+                decisions += d;
             }
         }
-        assert!(symbols >= 1_000_000, "only {symbols} symbols");
+        assert!(decisions >= 1_000_000, "only {decisions} decisions");
         assert!(
             worst <= 2f64.powi(-8),
             "worst |S' − S| is 2^{:.1} of the margin",
@@ -1304,20 +1024,25 @@ pub(crate) mod tests {
 
     #[test]
     fn lane_counter_certificate_margin_has_2_pow_8_headroom() {
-        // The lane decide pass under OOK detectors of both mark
-        // conventions: every fast statistic 2⁸ inside the margin of its
-        // exact replay, as the single-stream kernel's above.
-        for (case, (sps, symbols)) in [(1usize, 4_000usize), (4, 6_000), (8, 2_000), (64, 200)]
-            .into_iter()
-            .enumerate()
-        {
+        // The lane decide pass at the sps classes the million-decision
+        // test above leaves out — odd (3), 16, a symbol over two uniform
+        // blocks (100) and the cap the certificate is derived for — under
+        // OOK detectors of both mark conventions: every fast statistic 2⁸
+        // inside the margin of its exact replay, case by case.
+        let cases = [
+            (3usize, 3_000usize),
+            (16, 600),
+            (100, 60),
+            (MAX_CERTIFIED_SPS, 2),
+        ];
+        for (case, (sps, symbols)) in cases.into_iter().enumerate() {
             for mark_bit in [false, true] {
                 let modem = OokModem {
                     mark_bit,
                     ..OokModem::new(sps)
                 };
                 let (worst, _) =
-                    worst_lane_gap(Chain::Ook(modem), sps, symbols, 0x1A4EAD ^ case as u64);
+                    worst_lane_gap(Chain::Ook(modem), sps, symbols, 0x2A4EAD ^ case as u64);
                 assert!(
                     worst <= 2f64.powi(-8),
                     "sps={sps} mark_bit={mark_bit}: worst |S' − S| is 2^{:.1} of the margin",
@@ -1359,53 +1084,20 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn rejection_inside_a_certified_block_matches_the_oracle() {
-        // u1 rejections planted inside a group's block — the group's first
-        // pair, mid-block, twice in a row, in a later group — must leave
-        // the count and the stream position exactly as in the oracle.
-        let n = 40usize;
-        for sps in [1usize, 4] {
-            let first_pair = n; // the bits take the first n raws
-            let plants: [&[usize]; 4] = [
-                &[first_pair],
-                &[first_pair + 2 * 5],
-                &[first_pair + 2 * 5, first_pair + 2 * 5 + 1],
-                &[first_pair + 2 * (n * sps - 3)],
-            ];
-            for (pi, plant) in plants.iter().enumerate() {
-                let modem = OokModem::new(sps);
-                let awgn = Awgn::for_eb_n0(&modem, 3.0);
-                let fresh = || ScriptedRng::planted(0xBAD ^ pi as u64, n + 2 * n * sps, plant);
-                let mut oracle_rng = fresh();
-                let want = oracle_bit_errors(&modem, &awgn, n, &mut oracle_rng);
-                for margin in [f64::INFINITY, CERT_MARGIN] {
-                    let mut rng = fresh();
-                    let mut scratch = TrialScratch::new();
-                    let got = count_certified(&modem, &awgn, n, &mut rng, &mut scratch, margin);
-                    let case = format!("sps={sps} plant {pi} margin={margin}");
-                    assert_eq!(got, want, "{case}");
-                    assert_eq!(rng.next_u64(), oracle_rng.clone().next_u64(), "{case}");
-                }
-            }
-        }
-    }
-
     /// Runs the lane counter at `margin` on `streams` over one chunk of
     /// `n_bits` bits, one detector per `(chain, Eb/N0)` row, and holds
     /// every (row, lane) count to the per-lane oracle on that lane's
     /// stream — [`Chain::oracle_errors`] over the lane's steps, counting
     /// its own bits (a lane one bit short of the others in a ragged chunk
-    /// draws its last step and does not count it) — and, for an OOK row on
-    /// a lane with no step left uncounted, to [`count_bit_errors_scratch`]:
-    /// the same counts, and each generator left where they leave theirs.
+    /// draws its last step and does not count it) — and each generator to
+    /// where the oracle leaves its own. Returns the counts.
     pub(crate) fn assert_lanes_match(
         rows: &[(Chain, f64)],
         n_bits: usize,
         streams: &[Xoshiro256pp; LANES],
         margin: f64,
         case: &str,
-    ) {
+    ) -> Vec<[u64; LANES]> {
         let detectors: Vec<Detector> = rows.iter().map(|(c, snr)| c.detector(*snr)).collect();
         let mut rngs = streams.clone();
         let mut scratch = LaneScratch::new();
@@ -1413,36 +1105,47 @@ pub(crate) mod tests {
         assert_eq!(got.len(), rows.len(), "{case}: one count row per detector");
         let steps = n_bits.div_ceil(LANES);
         for (l, start) in streams.iter().enumerate() {
-            let counted = (n_bits + LANES - 1 - l) / LANES;
             for (d, ((chain, _), det)) in rows.iter().zip(&detectors).enumerate() {
                 let mut oracle_rng = start.clone();
+                let counted = lane_bits(n_bits, l);
                 let want = chain.oracle_errors(det.sigma, steps, counted, &mut oracle_rng);
                 assert_eq!(got[d][l], want as u64, "{case}: row {d} lane {l}");
                 assert_eq!(rngs[l], oracle_rng, "{case}: lane {l} stream position");
-                if let (Chain::Ook(modem), true) = (chain, counted == steps) {
-                    let mut scalar_rng = start.clone();
-                    let awgn = Awgn { sigma: det.sigma };
-                    let scalar = count_certified(
-                        modem,
-                        &awgn,
-                        steps,
-                        &mut scalar_rng,
-                        &mut TrialScratch::new(),
-                        margin,
-                    );
-                    assert_eq!(
-                        scalar, want,
-                        "{case}: row {d} lane {l}, single-stream kernel"
-                    );
-                    assert_eq!(scalar_rng, oracle_rng, "{case}: lane {l} scalar position");
-                }
             }
         }
+        got.to_vec()
     }
 
     /// Eight streams from `seed`, one per lane.
     pub(crate) fn lane_streams(seed: u64) -> [Xoshiro256pp; LANES] {
         std::array::from_fn(|l| Xoshiro256pp::seed_from(seed ^ (l as u64) << 40))
+    }
+
+    #[test]
+    fn forced_replay_and_production_margin_both_match_the_oracle() {
+        // With the margin at ∞ every decision replays the exact chain; at
+        // K the fast path decides almost all of them. Both must give every
+        // lane's oracle count under a table of OOK rows, one at each
+        // certificate SNR with the mark convention alternating, and leave
+        // each stream where the oracle does.
+        for sps in [1usize, 3, 4, 8] {
+            for n in [1usize, 7, 9, 16, 17, 1000] {
+                let rows: Vec<(Chain, f64)> = (CERT_SNRS_DB.iter().enumerate())
+                    .map(|(k, &snr)| {
+                        let modem = OokModem {
+                            mark_bit: k % 2 == 1,
+                            ..OokModem::new(sps)
+                        };
+                        (Chain::Ook(modem), snr)
+                    })
+                    .collect();
+                let streams = lane_streams(0xCE27 ^ (n as u64) << 8 ^ (sps as u64) << 20);
+                for margin in [f64::INFINITY, CERT_MARGIN] {
+                    let case = format!("sps={sps} n={n} margin={margin}");
+                    assert_lanes_match(&rows, n, &streams, margin, &case);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1453,7 +1156,11 @@ pub(crate) mod tests {
         // the production 4, a full lane, 64 samples per symbol — one
         // symbol per group — and 100, whose symbol spans two blocks of the
         // uniform stage), both mark conventions and a BPSK row in one
-        // table, a σ per row, and both margins.
+        // table, a σ per row, and both margins. Each OOK row's lane counts
+        // also sum to what the single-stream entry
+        // `count_bit_errors_scratch` counts under that row's detector alone
+        // from the generator the lane streams were seeded from, which it
+        // leaves where seeding them did.
         let cases: &[(usize, &[usize])] = &[
             (0, &[1, 4, 64]),
             (1, &[1, 3, 4, 8, 64, 100]),
@@ -1464,6 +1171,7 @@ pub(crate) mod tests {
             (1003, &[1, 3, 4, 8]),
             (MC_CHUNK_BITS, &[1, 4]),
         ];
+        let mut scratch = TrialScratch::new();
         for (ci, &(n, spss)) in cases.iter().enumerate() {
             for (si, &sps) in spss.iter().enumerate() {
                 let ook = |mark_bit| {
@@ -1480,15 +1188,30 @@ pub(crate) mod tests {
                         CERT_SNRS_DB[(ci + si + 4) % 6],
                     ),
                 ];
-                let streams = lane_streams(0x1A4E ^ (n as u64) << 12 ^ (sps as u64) << 32);
+                let caller =
+                    Xoshiro256pp::seed_from(0x1A4E ^ (n as u64) << 12 ^ (sps as u64) << 32);
+                let mut seeded = caller.clone();
+                let streams = std::array::from_fn(|_| Xoshiro256pp::seed_from(seeded.next_u64()));
                 let margins: &[f64] = if n * sps > 8_000 {
                     &[CERT_MARGIN]
                 } else {
                     &[f64::INFINITY, CERT_MARGIN]
                 };
+                let mut got = Vec::new();
                 for &margin in margins {
                     let case = format!("n={n} sps={sps} margin={margin}");
-                    assert_lanes_match(&rows, n, &streams, margin, &case);
+                    got = assert_lanes_match(&rows, n, &streams, margin, &case);
+                }
+                for (d, (chain, snr)) in rows.iter().enumerate() {
+                    let Chain::Ook(modem) = chain else { continue };
+                    let awgn = Awgn::for_eb_n0(modem, *snr);
+                    let mut rng = caller.clone();
+                    let single =
+                        count_bit_errors_scratch(modem, &awgn, n, true, &mut rng, &mut scratch);
+                    let case = format!("n={n} sps={sps} row {d}");
+                    let lanes: u64 = got[d].iter().sum();
+                    assert_eq!(single as u64, lanes, "{case}: single-stream entry");
+                    assert_eq!(rng, seeded, "{case}: caller position");
                 }
             }
         }
@@ -1507,16 +1230,29 @@ pub(crate) mod tests {
     }
 
     /// A generator whose raw draw number `at` (from 0) is
-    /// [`REJECTED_U1`]: the state that emits it (`s0 = 0`,
-    /// `s3 = 0x7FF.rotate_right(23)`) stepped back `at` times.
-    pub(crate) fn planted_stream(seed: u64, at: usize) -> Xoshiro256pp {
+    /// [`REJECTED_U1`], and draw `at + 1` too when `twice`: a state that
+    /// emits it (twice in a row when asked) stepped back `at` times.
+    pub(crate) fn planted_stream(seed: u64, at: usize, twice: bool) -> Xoshiro256pp {
+        // State [s0, s1, s2, s3] emits rotl(s0 + s3, 23) + s0, so for any
+        // s0 one s3 emits the plant.
+        let s3_for = |s0: u64| {
+            REJECTED_U1
+                .wrapping_sub(s0)
+                .rotate_right(23)
+                .wrapping_sub(s0)
+        };
         let mut words = Xoshiro256pp::seed_from(seed);
-        let mut state = [
-            0,
-            words.next_u64(),
-            words.next_u64(),
-            REJECTED_U1.rotate_right(23),
-        ];
+        let mut state = if twice {
+            // A step sends s0 to s0 ^ y and s3 to rotl(y, 45), y = s3 ^ s1:
+            // pick the next s0, solve for y, then for this s0 and s3.
+            let next_s0 = words.next_u64();
+            let y = s3_for(next_s0).rotate_right(45);
+            let s0 = next_s0 ^ y;
+            let s3 = s3_for(s0);
+            [s0, s3 ^ y, words.next_u64(), s3]
+        } else {
+            [0, words.next_u64(), words.next_u64(), s3_for(0)]
+        };
         for _ in 0..at {
             state = step_back(state);
         }
@@ -1525,30 +1261,44 @@ pub(crate) mod tests {
         for _ in 0..at {
             probe.next_u64();
         }
-        assert_eq!(
-            probe.next_u64(),
-            REJECTED_U1,
-            "the plant lands at draw {at}"
-        );
+        for k in 0..1 + usize::from(twice) {
+            let draw = at + k;
+            assert_eq!(
+                probe.next_u64(),
+                REJECTED_U1,
+                "the plant lands at draw {draw}"
+            );
+        }
         planted
     }
 
-    /// `(sps, pair)` plants for the rejection tests: a lane's `u1` raw of
-    /// sample step `pair` is the 2⁻⁵³ rejection — in the first pair, mid
-    /// group, in a later group, at sps = 64 past the first symbol, and at
-    /// sps = 100 in the second uniform block of a symbol.
-    pub(crate) const LANE_PLANTS: [(usize, usize); 6] =
-        [(1, 0), (4, 5), (4, 130), (3, 100), (64, 70), (100, 170)];
+    /// `(sps, pair, twice)` plants for the rejection tests: a lane's `u1`
+    /// raw of sample step `pair` is the 2⁻⁵³ rejection — in the first
+    /// pair, mid group, in a later group, at sps = 64 past the first
+    /// symbol, at sps = 100 in the second uniform block of a symbol — and,
+    /// where `twice`, so is the raw after it, which the compaction reads as
+    /// the next `u1`.
+    pub(crate) const LANE_PLANTS: [(usize, usize, bool); 8] = [
+        (1, 0, false),
+        (4, 5, false),
+        (4, 130, false),
+        (3, 100, false),
+        (64, 70, false),
+        (100, 170, false),
+        (1, 3, true),
+        (4, 9, true),
+    ];
 
     /// Eight lane streams for a 41-bit chunk (6 steps; lanes 1–7 one bit
     /// short) with lane `(sps + pair) % LANES`'s `u1` raw at sample step
-    /// `pair` planted as a rejection.
-    pub(crate) fn planted_lanes(sps: usize, pair: usize) -> [Xoshiro256pp; LANES] {
+    /// `pair` planted as a rejection, and the raw after it too when
+    /// `twice`.
+    pub(crate) fn planted_lanes(sps: usize, pair: usize, twice: bool) -> [Xoshiro256pp; LANES] {
         let planted_lane = (sps + pair) % LANES;
         std::array::from_fn(|l| {
             let seed = 0xBAD ^ (sps as u64) << 8 ^ l as u64;
             if l == planted_lane {
-                planted_stream(seed, PLANTED_BITS.div_ceil(LANES) + 2 * pair)
+                planted_stream(seed, PLANTED_BITS.div_ceil(LANES) + 2 * pair, twice)
             } else {
                 Xoshiro256pp::seed_from(seed)
             }
@@ -1562,8 +1312,8 @@ pub(crate) mod tests {
     fn lane_counter_compacts_a_rejection_inside_its_own_lane() {
         // The planted lane redraws from its own stream only; every lane
         // must still match its oracles, counts and end positions, under
-        // OOK detectors of both conventions.
-        for (sps, pair) in LANE_PLANTS {
+        // OOK detectors of both conventions, at both margins.
+        for (sps, pair, twice) in LANE_PLANTS {
             let rows: Vec<(Chain, f64)> = (0..4)
                 .map(|d| {
                     let modem = OokModem {
@@ -1573,9 +1323,9 @@ pub(crate) mod tests {
                     (Chain::Ook(modem), 3.0 + d as f64)
                 })
                 .collect();
-            let streams = planted_lanes(sps, pair);
+            let streams = planted_lanes(sps, pair, twice);
             for margin in [f64::INFINITY, CERT_MARGIN] {
-                let case = format!("sps={sps} pair {pair} margin={margin}");
+                let case = format!("sps={sps} pair {pair} twice={twice} margin={margin}");
                 assert_lanes_match(&rows, PLANTED_BITS, &streams, margin, &case);
             }
         }
@@ -1586,47 +1336,23 @@ pub(crate) mod tests {
     fn lane_counter_matches_its_oracles_over_a_million_symbols_per_mark_convention() {
         // Production margin, OOK and BPSK detectors at the certificate's
         // SNR points, chunk-sized calls as the BER table runs them: every
-        // OOK count against the single-stream kernel and every BPSK count
-        // against the allocating chain, on each lane's stream.
-        let mut lanes = LaneScratch::new();
-        let mut single = TrialScratch::new();
-        let steps = MC_CHUNK_BITS / LANES;
+        // count against the allocating chain on each lane's stream.
         for mark_bit in [false, true] {
-            let ook = OokModem {
+            let ook = Chain::Ook(OokModem {
                 mark_bit,
                 ..OokModem::new(4)
-            };
+            });
             let bpsk = Chain::Bpsk(BpskModem::new(4));
-            let detectors: Vec<Detector> = (CERT_SNRS_DB.iter().map(|&s| ook.detector(s)))
-                .chain(CERT_SNRS_DB.iter().map(|&s| bpsk.detector(s)))
+            let rows: Vec<(Chain, f64)> = [ook, bpsk]
+                .into_iter()
+                .flat_map(|chain| CERT_SNRS_DB.map(|snr| (chain, snr)))
                 .collect();
             let mut decisions = 0usize;
             for call in 0..32u64 {
                 let streams = lane_streams(0x3E6 ^ call << 8);
-                let mut rngs = streams.clone();
-                let got = count_bit_errors_lanes(&detectors, MC_CHUNK_BITS, &mut rngs, &mut lanes);
-                for (l, start) in streams.iter().enumerate() {
-                    for (d, det) in detectors.iter().enumerate() {
-                        let mut rng = start.clone();
-                        let want = if d < CERT_SNRS_DB.len() {
-                            let awgn = Awgn { sigma: det.sigma };
-                            count_bit_errors_scratch(
-                                &ook,
-                                &awgn,
-                                steps,
-                                true,
-                                &mut rng,
-                                &mut single,
-                            )
-                        } else {
-                            bpsk.oracle_errors(det.sigma, steps, steps, &mut rng)
-                        };
-                        let case = format!("mark_bit={mark_bit} call {call} row {d} lane {l}");
-                        assert_eq!(got[d][l], want as u64, "{case}");
-                        assert_eq!(rngs[l], rng, "{case}");
-                    }
-                }
-                decisions += detectors.len() * MC_CHUNK_BITS;
+                let case = format!("mark_bit={mark_bit} call {call}");
+                assert_lanes_match(&rows, MC_CHUNK_BITS, &streams, CERT_MARGIN, &case);
+                decisions += rows.len() * MC_CHUNK_BITS;
             }
             assert!(decisions >= 3_000_000, "only {decisions} decisions");
         }
@@ -1658,11 +1384,12 @@ pub(crate) mod tests {
 
     #[test]
     fn both_kernels_count_their_replays_once_per_call() {
-        // Margin ∞ replays every decision: one per symbol, and one per
+        // The lane counter at margin ∞ replays every decision: one per
         // counted bit of each detector. At the production margin the count
-        // is still reported, and is a sliver of the decisions.
+        // is still reported, and is a sliver of the decisions — for a
+        // table and through `count_bit_errors_scratch`, its one-detector
+        // entry, alike.
         let modem = OokModem::new(4);
-        let awgn = Awgn::for_eb_n0(&modem, 0.0);
         let n = 2_001;
         let detectors = [
             modem.detector(0.0),
@@ -1670,11 +1397,6 @@ pub(crate) mod tests {
             modem.detector(6.0),
         ];
         for margin in [f64::INFINITY, CERT_MARGIN] {
-            let (calls, single) = recorded_replays(|| {
-                let mut rng = Xoshiro256pp::seed_from(0x4E9);
-                count_certified(&modem, &awgn, n, &mut rng, &mut TrialScratch::new(), margin);
-            });
-            assert_eq!(calls, 1, "margin={margin}");
             let (calls, lanes) = recorded_replays(|| {
                 let mut rngs = lane_streams(0x4E9);
                 let mut scratch = LaneScratch::new();
@@ -1682,50 +1404,45 @@ pub(crate) mod tests {
             });
             assert_eq!(calls, 1, "margin={margin}");
             if margin.is_infinite() {
-                assert_eq!((single, lanes), (n as u64, 3 * n as u64));
+                assert_eq!(lanes, 3 * n as u64);
             } else {
-                assert!(single <= n as u64 / 100 && lanes <= 3 * n as u64 / 100);
+                assert!(lanes <= 3 * n as u64 / 100, "{lanes}");
             }
         }
+        let (calls, single) = recorded_replays(|| {
+            let awgn = Awgn::for_eb_n0(&modem, 0.0);
+            let mut rng = Xoshiro256pp::seed_from(0x4E9);
+            count_bit_errors_scratch(&modem, &awgn, n, true, &mut rng, &mut TrialScratch::new());
+        });
+        assert_eq!(calls, 1);
+        assert!(single <= n as u64 / 100, "{single}");
     }
 
     #[test]
     fn out_of_range_noise_replays_every_decision() {
         // σ outside [2⁻⁶⁰, 2⁶⁰] (or NaN) leaves the range the f32 fast
         // path's certificate covers: every decision takes the exact chain
-        // and still matches the oracle — the single-stream kernel's, and
-        // each lane's of a detector at that σ.
+        // and each lane of a detector at that σ still matches the oracle.
         let modem = OokModem::new(4);
         let n = 40;
         for sigma in [1e-30, 1e30, f64::NAN] {
-            let awgn = Awgn { sigma };
-            let mut oracle_rng = Xoshiro256pp::seed_from(0x516);
-            let want = oracle_bit_errors(&modem, &awgn, n, &mut oracle_rng);
-            let mut got = 0;
-            let (_, replays) = recorded_replays(|| {
-                let mut rng = Xoshiro256pp::seed_from(0x516);
-                got = count_bit_errors_scratch(
-                    &modem,
-                    &awgn,
-                    n,
-                    true,
-                    &mut rng,
-                    &mut TrialScratch::new(),
-                );
-            });
-            assert_eq!((got, replays), (want, n as u64), "sigma={sigma}");
             let det = modem.detector_with_sigma(sigma);
             let streams = lane_streams(0x516);
+            let mut rngs = streams.clone();
             let mut lane_counts = [0u64; LANES];
             let (_, replays) = recorded_replays(|| {
-                let mut rngs = streams.clone();
                 let mut scratch = LaneScratch::new();
                 lane_counts = count_bit_errors_lanes(&[det], LANES * n, &mut rngs, &mut scratch)[0];
             });
-            assert_eq!(replays, (LANES * n) as u64, "sigma={sigma} lanes");
+            assert_eq!(replays, (LANES * n) as u64, "sigma={sigma}");
             for (l, start) in streams.iter().enumerate() {
-                let want = oracle_bit_errors(&modem, &awgn, n, &mut start.clone());
+                let mut oracle_rng = start.clone();
+                let want = Chain::Ook(modem).oracle_errors(sigma, n, n, &mut oracle_rng);
                 assert_eq!(lane_counts[l], want as u64, "sigma={sigma} lane {l}");
+                assert_eq!(
+                    rngs[l], oracle_rng,
+                    "sigma={sigma} lane {l} stream position"
+                );
             }
         }
     }

@@ -60,10 +60,9 @@ GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 cargo test -q -p mmtag-bench --test s
 # every f32 of their domains: too slow for the debug run above, where all
 # five are #[ignore]d and smaller sweeps stand in.
 cargo test --release --offline -q -p mmtag-rf --lib -- --ignored
-# The shared-draw lane counter against its per-lane oracles over 3·10⁶
-# decisions per mark convention at the certificate's SNR points — its OOK
-# detectors against the single-stream kernel, its BPSK detectors against
-# the allocating chain — #[ignore]d likewise.
+# The shared-draw lane counter against its per-lane oracle, the allocating
+# chain, over 3·10⁶ decisions per mark convention at the certificate's SNR
+# points, its OOK and BPSK detectors alike — #[ignore]d likewise.
 cargo test --release --offline -q -p mmtag-phy --lib -- --ignored
 # The rate-region certificate against the exact estimator over 10⁵ fast
 # trial-rows of E29–E31's cells: every gap 2⁸ inside the margin the
@@ -201,5 +200,7 @@ CARGO_TARGET_DIR=target/rf-build-timing cargo build -q --release -p mmtag-rf
 rf_t1=$(date +%s)
 echo "rf crate release build (clean): $((rf_t1 - rf_t0))s"
 rm -rf target/rf-build-timing
+# Informational too: the production-Rust line count ROADMAP.md cites.
+echo "production Rust lines: $(scripts/prod_lines.sh)"
 
 echo "check.sh: fmt + build + examples + tests + masked-libm smoke and published-size tests + clippy + scenario list + city thread-invariance smoke + run-cache round trips (E29, E02) + serve smoke all green"

@@ -7,8 +7,8 @@
 use mmtag::link::{evaluate_link, expected_eb_n0};
 use mmtag::prelude::*;
 use mmtag_phy::ber::ook_coherent_ber;
-use mmtag_phy::waveform::{ber_sweep_par_with, measure_ber, OokModem};
-use mmtag_rf::rng::{SeedTree, Xoshiro256pp};
+use mmtag_phy::waveform::{ber_sweep_par_with, OokModem};
+use mmtag_rf::rng::SeedTree;
 
 fn link_at(feet: f64) -> (Reader, mmtag::link::LinkReport) {
     let reader = Reader::mmtag_setup();
@@ -29,8 +29,7 @@ fn measured_ber_at_4ft_meets_design_target() {
     let eb_n0 = expected_eb_n0(&reader, &report).expect("link is up").db();
     assert!(eb_n0 >= 9.7, "Eb/N0 at 4 ft = {eb_n0} dB");
     let modem = OokModem::new(4);
-    let mut rng = Xoshiro256pp::seed_from(4242);
-    let ber = measure_ber(&modem, eb_n0, 300_000, &mut rng);
+    let ber = ber_sweep_par_with(1, &modem, &[eb_n0], 300_000, true, &SeedTree::new(4242))[0];
     assert!(ber <= 1.5e-3, "BER at the 4 ft operating point: {ber}");
 }
 
